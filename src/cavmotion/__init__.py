@@ -31,9 +31,10 @@ from .conditional import (
     condition_on_quadrature,
     efficiency_profile,
     evolve,
+    joint_moments,
+    label_factor,
     probability_density,
     purity_bruteforce,
-    purity_gram,
 )
 from .fock import (
     TruncationPolicy,
@@ -59,20 +60,3 @@ from .spectra import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PhysParams", "SteadyBranch", "bistable_window", "branch_label",
-    "cavity_bracket", "intensity_roots", "pulling_coefficients", "residual",
-    "steady_state",
-    "ConditionalResult", "JointState", "ProfilePoint",
-    "UnresolvableOutcomeError", "condition_on_quadrature",
-    "efficiency_profile", "evolve", "probability_density",
-    "purity_bruteforce", "purity_gram",
-    "TruncationPolicy", "coherent_coefficient", "coherent_in_fock",
-    "coherent_overlap", "oscillator_wavefunction",
-    "oscillator_wavefunctions", "truncation_order",
-    "NoiseModel", "SingularTransferError", "SpectrumPoint", "SweepPoint",
-    "amplitude_sweep", "build_drift", "build_noise", "classify_stability",
-    "correlation_matrix", "epr_spectra", "transfer",
-    "__version__",
-]

@@ -57,7 +57,6 @@ class SteadyBranch:
     beta: complex
     intensity1: float
     intensity2: float
-    stable: bool
     branch1: str
     branch2: str
     jumped1: bool = False
@@ -134,6 +133,25 @@ def intensity_roots(params, delta, drive_power):
     return sorted(polished)
 
 
+def _turning_points(params, delta):
+    """Intensities (lo, hi) where the S-curve turns, or None if it is monotone."""
+    a, b = pulling_coefficients(params)
+    g = params.gamma
+    c2 = 3.0 * (a * a + b * b)
+    c1 = 2.0 * (g * a - 2.0 * delta * b)
+    c0 = g * g / 4.0 + delta * delta
+    if c2 == 0.0:
+        return None
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc <= 0.0:
+        return None
+    lo = (-c1 - np.sqrt(disc)) / (2.0 * c2)
+    hi = (-c1 + np.sqrt(disc)) / (2.0 * c2)
+    if hi <= 0.0:
+        return None
+    return lo, hi
+
+
 def branch_label(params, delta, intensity):
     """Classify an intensity as lower/middle/upper on the S-curve.
 
@@ -141,20 +159,10 @@ def branch_label(params, delta, intensity):
     its edges are the positive turning points of the modulus cubic.  A
     monotone curve is all "lower".
     """
-    a, b = pulling_coefficients(params)
-    g = params.gamma
-    c2 = 3.0 * (a * a + b * b)
-    c1 = 2.0 * (g * a - 2.0 * delta * b)
-    c0 = g * g / 4.0 + delta * delta
-    if c2 == 0.0:
+    turns = _turning_points(params, delta)
+    if turns is None:
         return BRANCH_LOWER
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc <= 0.0:
-        return BRANCH_LOWER
-    lo = (-c1 - np.sqrt(disc)) / (2.0 * c2)
-    hi = (-c1 + np.sqrt(disc)) / (2.0 * c2)
-    if hi <= 0.0:
-        return BRANCH_LOWER
+    lo, hi = turns
     if intensity < lo:
         return BRANCH_LOWER
     if intensity <= hi:
@@ -180,11 +188,9 @@ def steady_state(params, zeta1_in, selection="lowest", previous=None):
     selection is "lowest", "highest" or "follow"; "follow" continues each
     cavity from the intensities of the previous SteadyBranch (adiabatic
     sweep continuation) and reports a branch jump through jumped1/jumped2
-    when the branch it was riding has vanished.
-
-    The returned stable flag is provisional: the middle branch is marked
-    unstable by convention, everything else stable; the binding verdict is
-    the drift-matrix eigenvalue check in the fluctuation module.
+    when the branch it was riding has vanished.  Whether the working point
+    is stable is decided by the drift-matrix eigenvalues in the fluctuation
+    module.
     """
     zeta1_in = complex(zeta1_in)
     g = params.gamma
@@ -226,7 +232,6 @@ def steady_state(params, zeta1_in, selection="lowest", previous=None):
         zeta1_in=zeta1_in, zeta2_in=zeta2_in,
         alpha=alpha, beta=beta,
         intensity1=intensity1, intensity2=intensity2,
-        stable=(branch1 != BRANCH_MIDDLE and branch2 != BRANCH_MIDDLE),
         branch1=branch1, branch2=branch2,
         jumped1=jumped1, jumped2=jumped2,
     )
@@ -239,11 +244,10 @@ def residual(params, candidate):
     with the braced factor re-evaluated at the candidate's own intensity.
     """
     sqg = np.sqrt(params.gamma)
-    r1 = abs(candidate.zeta1 * cavity_bracket(params, params.Delta1, abs(candidate.zeta1) ** 2)
-             - sqg * candidate.zeta1_in)
-    r2 = abs(candidate.zeta2 * cavity_bracket(params, params.Delta2, abs(candidate.zeta2) ** 2)
-             - sqg * candidate.zeta2_in)
-    return float(max(r1, r2))
+    cavities = ((candidate.zeta1, candidate.zeta1_in, params.Delta1),
+                (candidate.zeta2, candidate.zeta2_in, params.Delta2))
+    return float(max(abs(z * cavity_bracket(params, delta, abs(z) ** 2) - sqg * z_in)
+                     for z, z_in, delta in cavities))
 
 
 def bistable_window(params, delta):
@@ -252,20 +256,12 @@ def bistable_window(params, delta):
     Returned as (power_low, power_high): the drive powers of the upper and
     lower turning points of the S-curve.
     """
+    turns = _turning_points(params, delta)
+    if turns is None:
+        return None
+    lo, hi = turns
     a, b = pulling_coefficients(params)
     g = params.gamma
-    c2 = 3.0 * (a * a + b * b)
-    c1 = 2.0 * (g * a - 2.0 * delta * b)
-    c0 = g * g / 4.0 + delta * delta
-    if c2 == 0.0:
-        return None
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc <= 0.0:
-        return None
-    lo = (-c1 - np.sqrt(disc)) / (2.0 * c2)
-    hi = (-c1 + np.sqrt(disc)) / (2.0 * c2)
-    if hi <= 0.0:
-        return None
 
     def power(i):
         return i * ((g / 2.0 + a * i) ** 2 + (delta - b * i) ** 2)

@@ -17,6 +17,7 @@ failure.
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -278,6 +279,11 @@ def _maybe_plot(merged_args, csv_text, x_column, y_columns):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-05" as an option; take it as a number like "-1"
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
+
     # argparse exits with 2 on usage problems; the CLI contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -7,18 +7,20 @@ onto an entangled superposition; the degree of entanglement is quantified
 by the linear entropy of either reduced atom, and the expected yield per
 measurement by entropy times outcome density.
 
-The atomic coherent labels grow linearly with photon number, so reduced
-density matrices are evaluated directly in the non-orthogonal coherent
-basis through Gram matrices (never by expanding in a huge number basis --
-that expansion exists separately as a brute-force cross-check).
+The atomic coherent labels are not orthogonal, so every outcome quantity
+comes from one factor B of their Gram matrix (B^H B = G) per state: the
+atoms' state is the matrix M_x = B diag(coeffs psi(x)) B^T, with P(x) =
+||M_x||_F^2 and purity ||M_x M_x^H||_F^2 / P(x)^2 (brute-force check below).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fock import (
     DEFAULT_POLICY,
+    TruncationPolicy,
     coherent_coefficient,
     coherent_in_fock,
     coherent_overlap,
@@ -30,9 +32,15 @@ from .fock import (
 # garbage once the density is this far into the denormal range
 PROBABILITY_FLOOR = 1e-300
 
-# the Gram purity kernel costs a few dense (n_max+1)^2 matmuls per outcome;
-# past this order a profile stops being an interactive computation
-PROFILE_ORDER_CAP = 130
+# label_factor expands labels in at most this many number states, to the
+# policy's Poisson tail; the bound also keeps the QR's transient memory small
+FOCK_FACTOR_DIM = 256
+FOCK_FACTOR_POLICY = TruncationPolicy(tail_epsilon=1e-16, hard_cap=2 * FOCK_FACTOR_DIM)
+# label_factor's pivoted Cholesky of G stops once no pivot exceeds PIVOT_CUT
+# and zeroes entries below FACTOR_FLOOR, which are negligible but would put
+# products of four entries in the subnormal range, where BLAS is very slow
+PIVOT_CUT = 1e-15
+FACTOR_FLOOR = 1e-60
 
 DEFAULT_X_GRID = np.linspace(-4.0, 4.0, 161)
 
@@ -56,6 +64,11 @@ class JointState:
     n_max: int
     coeffs: np.ndarray
     labels: np.ndarray
+
+    @cached_property
+    def factor(self):
+        """label_factor(labels), kept after first use: replace labels, never mutate them."""
+        return label_factor(self.labels)
 
 
 @dataclass
@@ -96,20 +109,36 @@ def evolve(zeta, kappa, time, policy=DEFAULT_POLICY):
                       coeffs=coeffs, labels=labels)
 
 
-def probability_density(state, x):
-    """Outcome density P(x) = sum_n |coeffs[n]|^2 psi_n(x)^2.
+def label_factor(labels):
+    """B with B^H B = G, the Gram matrix of the coherent labels.
 
-    Diagonal in photon number: each atom pair rides a normalized coherent
-    state, so this drops the inter-label overlap cross terms (they vanish
-    identically under the x-integral and are exponentially small at the
-    operating times where the labels are well separated).  Exactly even
-    in x for real zeta.
-    """
-    x = np.asarray(x, dtype=float)
-    psis = oscillator_wavefunctions(state.n_max, x)
-    weights = np.abs(state.coeffs) ** 2
-    dens = np.einsum("n,n...->...", weights, psis**2)
-    return float(dens[0]) if x.ndim == 0 else dens
+    Column n holds |labels[n]> in an orthonormal basis of the labels' span.
+    Labels near their centroid c are expanded in the number basis displaced
+    to c, |mu> = e^(-i Im(c conj(mu))) D(c)|mu - c>, by the stable recurrence
+    <j|nu> = <j-1|nu> nu/sqrt(j), and reduced by QR: exact where close labels
+    leave G too ill-conditioned to factor.  Wider spreads use G's pivoted
+    Cholesky factor."""
+    labels = np.asarray(labels, dtype=complex)
+    center = labels.mean()
+    shifted = labels - center
+    radius = float(np.max(np.abs(shifted)))
+    if radius**2 < FOCK_FACTOR_DIM and (
+            dim := truncation_order(radius, FOCK_FACTOR_POLICY) + 1) <= FOCK_FACTOR_DIM:
+        coords = np.empty((dim, labels.size), dtype=complex)
+        coords[0] = np.exp(-0.5 * np.abs(shifted) ** 2 - 1j * np.imag(center * np.conj(labels)))
+        np.divide(shifted, np.sqrt(np.arange(1.0, dim))[:, None], out=coords[1:])
+        np.cumprod(coords, axis=0, out=coords)
+        return np.linalg.qr(coords, mode="r")
+    g = gram_matrix(labels)
+    b = np.empty_like(g)
+    residual = np.ones(labels.size)  # diagonal of G minus B^H B
+    for k in range(labels.size + 1):
+        p = int(np.argmax(residual))
+        if k == labels.size or residual[p] <= PIVOT_CUT:
+            return b[:k]
+        row = (g[p] - b[:k, p].conj() @ b[:k]) / np.sqrt(residual[p])
+        b[k] = np.where(np.abs(row) < FACTOR_FLOOR, 0.0, row)
+        residual -= np.abs(b[k]) ** 2
 
 
 def gram_matrix(labels):
@@ -118,29 +147,22 @@ def gram_matrix(labels):
     return np.atleast_2d(coherent_overlap(labels[:, None], labels[None, :]))
 
 
-def bipartite_norm_sq(coeffs, labels):
-    """Squared norm of sum_n c_n |mu_n>|mu_n> in the product coherent basis."""
-    g = gram_matrix(labels)
-    c = np.asarray(coeffs, dtype=complex)
-    return float(np.real(np.conj(c) @ ((g * g) @ c)))
+def _joint_amplitudes(factor, amplitudes):
+    """M = B diag(amplitudes) B^T and its squared norm ||M||_F^2."""
+    m = (factor * amplitudes) @ factor.T
+    return m, float(np.vdot(m, m).real)
 
 
-def purity_gram(cond_coeffs, labels):
-    """Tr[(Tr_b rho)^2] for the two-atom state, in the coherent basis.
+def _purity(m, norm_sq):
+    """Tr[rho_a^2] with rho_a = M M^H / ||M||_F^2; in (0, 1] by construction."""
+    rho = (m @ m.conj().T) / norm_sq
+    return float(np.vdot(rho, rho).real)
 
-    With G the label Gram matrix and A[m,n] = c_n conj(c_m) G[m,n], the
-    quartic sum over (n, m, p, q) contracts to sum(G * (A G^T A)); both
-    atoms share the same labels so one G serves both subsystems.
-    """
-    c = np.asarray(cond_coeffs, dtype=complex)
-    labels = np.asarray(labels, dtype=complex)
-    if labels.size and np.all(labels == labels[0]):
-        # identical labels factor the joint state into a product; the
-        # quartic form below is ill-conditioned there, so short-circuit
-        return 1.0
-    g = gram_matrix(labels)
-    a = g * np.outer(np.conj(c), c)
-    return float(np.real(np.sum(g * (a @ g.T @ a))))
+
+def joint_moments(coeffs, labels):
+    """(norm^2, reduced purity) of the nonzero state sum_n coeffs[n] |labels[n]>|labels[n]>."""
+    m, norm_sq = _joint_amplitudes(label_factor(labels), np.asarray(coeffs, dtype=complex))
+    return norm_sq, _purity(m, norm_sq)
 
 
 def purity_bruteforce(cond_coeffs, labels, dim):
@@ -163,41 +185,42 @@ def purity_bruteforce(cond_coeffs, labels, dim):
     return float(np.real(np.trace(rho_a @ rho_a)))
 
 
+def _condition(state, x, psi):
+    """Conditional result at outcome x given the wavefunctions psi_n(x)."""
+    raw = state.coeffs * psi
+    m, norm_sq = _joint_amplitudes(state.factor, raw)
+    if not norm_sq > PROBABILITY_FLOOR:
+        raise UnresolvableOutcomeError(
+            f"outcome x={x} has probability density below {PROBABILITY_FLOOR}")
+    lin_entropy = 1.0 - _purity(m, norm_sq)
+    return ConditionalResult(x=x, cond_coeffs=raw / np.sqrt(norm_sq), prob_density=norm_sq,
+                             lin_entropy=lin_entropy, efficiency=lin_entropy * norm_sq)
+
+
 def condition_on_quadrature(state, x):
     """Project the field on quadrature outcome x and renormalize the atoms.
 
-    The returned prob_density is the squared norm of the projected state in
-    the non-orthogonal product basis (the inverse square of the
-    normalization constant), so efficiency = lin_entropy * prob_density
-    holds exactly.
+    prob_density is the squared norm of the projected atomic state (the
+    inverse square of the normalization constant), so efficiency =
+    lin_entropy * prob_density holds exactly.
     """
     x = float(x)
-    if probability_density(state, x) < PROBABILITY_FLOOR:
-        raise UnresolvableOutcomeError(
-            f"outcome x={x} has probability density below {PROBABILITY_FLOOR}")
-    psis = oscillator_wavefunctions(state.n_max, x)[:, 0]
-    raw = state.coeffs * psis
-    norm_sq = bipartite_norm_sq(raw, state.labels)
-    if not (norm_sq > PROBABILITY_FLOOR):
-        raise UnresolvableOutcomeError(
-            f"outcome x={x} has probability density below {PROBABILITY_FLOOR}")
-    cond = raw / np.sqrt(norm_sq)
-    lin_entropy = 1.0 - purity_gram(cond, state.labels)
-    return ConditionalResult(
-        x=x,
-        cond_coeffs=cond,
-        prob_density=norm_sq,
-        lin_entropy=lin_entropy,
-        efficiency=lin_entropy * norm_sq,
-    )
+    return _condition(state, x, oscillator_wavefunctions(state.n_max, x)[:, 0])
+
+
+def probability_density(state, x):
+    """Outcome density P(x) = ||M_x||_F^2, in the shape of x (scalar or array)."""
+    x = np.asarray(x, dtype=float)
+    psis = oscillator_wavefunctions(state.n_max, x.ravel())
+    dens = np.array([_joint_amplitudes(state.factor, state.coeffs * psi)[1] for psi in psis.T])
+    return float(dens[0]) if x.ndim == 0 else dens.reshape(x.shape)
 
 
 def efficiency_profile(zeta, kappa, time, x_grid=None, policy=DEFAULT_POLICY):
     """Conditional results over a grid of quadrature outcomes.
 
     Unresolvable outcomes become flagged rows instead of aborting the
-    profile.  Cost: a few dense (n_max+1)-sized matmuls per grid point,
-    so the truncation order is capped at PROFILE_ORDER_CAP.
+    profile.  Cost: one label factor, then two matmuls per outcome.
     """
     if x_grid is None:
         x_grid = DEFAULT_X_GRID
@@ -205,14 +228,10 @@ def efficiency_profile(zeta, kappa, time, x_grid=None, policy=DEFAULT_POLICY):
     if x_grid.size and np.any(np.diff(x_grid) < 0):
         raise ValueError("x_grid must be sorted ascending")
     state = evolve(zeta, kappa, time, policy)
-    if state.n_max > PROFILE_ORDER_CAP:
-        raise ValueError(
-            f"truncation order {state.n_max} exceeds profile cap {PROFILE_ORDER_CAP}; "
-            "loosen the truncation policy or reduce |zeta|")
     points = []
-    for x in x_grid:
+    for x, psi in zip(x_grid.tolist(), oscillator_wavefunctions(state.n_max, x_grid).T):
         try:
-            points.append(ProfilePoint(x=float(x), result=condition_on_quadrature(state, x)))
+            points.append(ProfilePoint(x=x, result=_condition(state, x, psi)))
         except UnresolvableOutcomeError as exc:
-            points.append(ProfilePoint(x=float(x), error=str(exc)))
+            points.append(ProfilePoint(x=x, error=str(exc)))
     return points

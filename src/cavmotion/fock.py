@@ -38,29 +38,21 @@ DEFAULT_POLICY = TruncationPolicy()
 
 
 def oscillator_wavefunction(n, x, max_order=DEFAULT_HARD_CAP):
-    """Harmonic-oscillator position eigenfunction psi_n(x).
+    """Harmonic-oscillator position eigenfunction psi_n(x) alone: row n of
+    oscillator_wavefunctions(n, x), with the shape of x (scalar or array)."""
+    x = np.asarray(x, dtype=float)
+    psi = oscillator_wavefunctions(n, x, max_order)[n]
+    return psi if x.ndim else float(psi[0])
+
+
+def oscillator_wavefunctions(n_max, x, max_order=DEFAULT_HARD_CAP):
+    """All psi_n(x) for n = 0..n_max at once; shape (n_max+1,) + x.shape.
 
     psi_n(x) = pi^(-1/4) (2^n n!)^(-1/2) H_n(x) exp(-x^2/2), evaluated with
     the normalized three-term recurrence
         psi_n = x sqrt(2/n) psi_{n-1} - sqrt((n-1)/n) psi_{n-2},
     which stays bounded where the raw Hermite polynomials overflow.
-
-    x may be a scalar or an array; the result has the shape of x.
     """
-    if n < 0 or n > max_order:
-        raise ValueError(f"order n={n} outside [0, {max_order}]")
-    x = np.asarray(x, dtype=float)
-    psi_prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n == 0:
-        return psi_prev if psi_prev.ndim else float(psi_prev)
-    psi = np.sqrt(2.0) * x * psi_prev
-    for k in range(2, n + 1):
-        psi, psi_prev = x * np.sqrt(2.0 / k) * psi - np.sqrt((k - 1) / k) * psi_prev, psi
-    return psi if psi.ndim else float(psi)
-
-
-def oscillator_wavefunctions(n_max, x, max_order=DEFAULT_HARD_CAP):
-    """All psi_n(x) for n = 0..n_max at once; shape (n_max+1,) + x.shape."""
     if n_max < 0 or n_max > max_order:
         raise ValueError(f"order n_max={n_max} outside [0, {max_order}]")
     x = np.atleast_1d(np.asarray(x, dtype=float))

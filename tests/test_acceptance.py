@@ -29,13 +29,12 @@ from cavmotion.cascade import (
     steady_state,
 )
 from cavmotion.conditional import (
-    bipartite_norm_sq,
     condition_on_quadrature,
     efficiency_profile,
     evolve,
+    joint_moments,
     probability_density,
     purity_bruteforce,
-    purity_gram,
 )
 from cavmotion.fock import TruncationPolicy, truncation_order
 from cavmotion.spectra import (
@@ -107,13 +106,13 @@ def test_purity_oracle_equivalence():
         size = rng.integers(2, 8)
         coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
         labels = rng.uniform(0, 8, size=size) * np.exp(2j * np.pi * rng.uniform(size=size))
-        coeffs /= np.sqrt(bipartite_norm_sq(coeffs, labels))
+        coeffs /= np.sqrt(joint_moments(coeffs, labels)[0])
         dim = min(truncation_order(float(np.max(np.abs(labels))),
                                    TruncationPolicy(tail_epsilon=1e-13)) + 12, 512)
-        diff = abs(purity_gram(coeffs, labels) - purity_bruteforce(coeffs, labels, dim))
+        diff = abs(joint_moments(coeffs, labels)[1] - purity_bruteforce(coeffs, labels, dim))
         worst = max(worst, diff)
         assert diff < 1e-8, f"oracle disagreement {diff}"
-    return f"worst |gram - bruteforce| = {worst:.2e}"
+    return f"worst |factored - bruteforce| = {worst:.2e}"
 
 
 @report("4 (decoupled analytic limit E = 4)")
@@ -159,7 +158,7 @@ def test_bistability_and_middle_branch():
             zeta1=z_mid, zeta2=ref.zeta2, zeta1_in=drive + 0j, zeta2_in=ref.zeta2_in,
             alpha=-1j * params.chi * abs(z_mid) ** 2 / pole, beta=ref.beta,
             intensity1=abs(z_mid) ** 2, intensity2=ref.intensity2,
-            stable=False, branch1="middle", branch2=ref.branch2)
+            branch1="middle", branch2=ref.branch2)
         _, eigs = classify_stability(build_drift(params, mid_branch))
         growth = float(eigs.real.max())
         assert growth > 0, f"Omega={omega_vib}: middle branch not unstable"

@@ -146,7 +146,7 @@ class TestSteadyState:
         z1_in, z2_in = (complex(*rng.normal(size=2)) for _ in range(2))
         cand = SteadyBranch(zeta1=z1, zeta2=z2, zeta1_in=z1_in, zeta2_in=z2_in,
                             alpha=0.0, beta=0.0, intensity1=abs(z1) ** 2,
-                            intensity2=abs(z2) ** 2, stable=True,
+                            intensity2=abs(z2) ** 2,
                             branch1=BRANCH_LOWER, branch2=BRANCH_LOWER)
         den = params.Gamma**2 / 4 + params.Omega**2
         out = []

@@ -1,12 +1,16 @@
 """Command-line driver checks: CSV schemas, determinism, config precedence."""
 
+import difflib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cavmotion import cli
 from cavmotion.svgplot import render_plot
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv, capsys):
@@ -181,6 +185,35 @@ class TestConfigPrecedence:
     def test_nonnumeric_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(["single-cavity", "sweep", "--zeta", "abc"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv,column,want", [
+        (["single-cavity", "point", "--x", "-1e-05"], 0, -1e-05),
+        (["single-cavity", "sweep", "--x-min", "-1e-1", "--x-count", "1"], 0, -0.1),
+        (["single-cavity", "point", "--x", "0", "--zeta", "-2.5E-1"], 0, 0.0),
+        (["cascaded", "steady", "--drive", "1e5", "--Delta1", "-1e4"], 0, 1e5),
+    ])
+    def test_negative_scientific_values_are_values(self, argv, column, want, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert float(out.strip().split("\n")[1].split(",")[column]) == want
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["single-cavity", "sweep"], "single_cavity_sweep.csv"),
+    (["single-cavity", "point", "--x", "0.5"], "single_cavity_point.csv"),
+    (["cascaded", "steady"], "cascaded_steady.csv"),
+    (["cascaded", "sweep"], "cascaded_sweep.csv"),
+    (["cascaded", "spectrum"], "cascaded_spectrum.csv"),
+])
+def test_default_output_matches_golden(argv, name, tmp_path, capsys):
+    out_path = tmp_path / name
+    code, _, err = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 0, err
+    got, want = out_path.read_bytes(), (GOLDEN / name).read_bytes()
+    if got != want:
+        diff = difflib.unified_diff(want.decode().splitlines(), got.decode().splitlines(),
+                                    "golden/" + name, "now", lineterm="", n=0)
+        pytest.fail(f"{name} differs from its golden file:\n" + "\n".join(diff))
 
 
 class TestPlot:

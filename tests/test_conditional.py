@@ -5,21 +5,30 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from cavmotion.conditional import (
-    PROFILE_ORDER_CAP,
+    FOCK_FACTOR_DIM,
+    FOCK_FACTOR_POLICY,
     UnresolvableOutcomeError,
-    bipartite_norm_sq,
     condition_on_quadrature,
     efficiency_profile,
     evolve,
     gram_matrix,
+    joint_moments,
+    label_factor,
     probability_density,
     purity_bruteforce,
-    purity_gram,
 )
-from cavmotion.fock import TruncationPolicy, coherent_in_fock, truncation_order
+from cavmotion.fock import (
+    TruncationPolicy,
+    coherent_coefficient,
+    coherent_in_fock,
+    oscillator_wavefunctions,
+    truncation_order,
+)
 
 
 def random_instance(rng, n_max=6, label_scale=8.0):
@@ -29,8 +38,29 @@ def random_instance(rng, n_max=6, label_scale=8.0):
     angles = rng.uniform(0, 2 * np.pi, size=size)
     radii = rng.uniform(0, label_scale, size=size)
     labels = radii * np.exp(1j * angles)
-    coeffs = coeffs / np.sqrt(bipartite_norm_sq(coeffs, labels))
+    coeffs = coeffs / np.sqrt(joint_moments(coeffs, labels)[0])
     return coeffs, labels
+
+
+def expanded_moments(state, x, dim):
+    """(P, E) at outcome x with the labels expanded in a dim-term number basis.
+
+    coherent_coefficient works in the log domain, so dim may exceed the
+    hard cap of coherent_in_fock; a QR reduces the expansion to the
+    labels' span before the moments are taken.
+    """
+    vecs = np.array([coherent_coefficient(mu, np.arange(dim)) for mu in state.labels]).T
+    r = np.linalg.qr(vecs, mode="r")
+    raw = state.coeffs * oscillator_wavefunctions(state.n_max, x)[:, 0]
+    m = (r * raw) @ r.T
+    prob = float(np.vdot(m, m).real)
+    rho = m @ m.conj().T / prob
+    return prob, 1.0 - float(np.vdot(rho, rho).real)
+
+
+def oracle_dim(labels, tail_epsilon=1e-13):
+    largest = float(np.max(np.abs(labels)))
+    return truncation_order(largest, TruncationPolicy(tail_epsilon, hard_cap=4096)) + 10
 
 
 class TestEvolve:
@@ -100,11 +130,15 @@ class TestProbabilityDensity:
         integral = simpson(probability_density(state, x), x=x)
         assert integral == pytest.approx(1.0, abs=1e-6)
 
-    def test_even_in_x_for_real_zeta(self):
+    def test_matches_conditioning_and_fock_oracle(self):
         state = evolve(1.7, 1.0, 2.0)
-        x = np.linspace(0.1, 6.0, 60)
-        assert np.allclose(probability_density(state, x),
-                           probability_density(state, -x), rtol=1e-12, atol=0.0)
+        x = np.linspace(-3.0, 3.0, 13)
+        dens = probability_density(state, x)
+        dim = oracle_dim(state.labels)
+        for xi, di in zip(x, dens):
+            assert di == condition_on_quadrature(state, xi).prob_density
+            assert di == pytest.approx(expanded_moments(state, xi, dim)[0], rel=1e-10)
+        assert probability_density(state, 0.5) == dens[7]
 
 
 class TestConditioning:
@@ -123,7 +157,7 @@ class TestConditioning:
     def test_normalization_in_gram_metric(self):
         state = evolve(0.8, 1.0, np.pi)
         res = condition_on_quadrature(state, 0.3)
-        assert bipartite_norm_sq(res.cond_coeffs, state.labels) == pytest.approx(1.0, abs=1e-10)
+        assert joint_moments(res.cond_coeffs, state.labels)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_efficiency_identity(self):
         state = evolve(0.6, 1.0, np.pi)
@@ -154,12 +188,12 @@ class TestPurity:
     def test_single_term_is_pure(self):
         coeffs = np.array([1.0 + 0.0j])
         labels = np.array([2.0 + 1.0j])
-        assert purity_gram(coeffs, labels) == pytest.approx(1.0, abs=1e-12)
+        assert joint_moments(coeffs, labels)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_far_terms_half_purity(self):
         coeffs = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
         labels = np.array([0.0, 12.0], dtype=complex)   # overlap ~ e^{-72}
-        assert purity_gram(coeffs, labels) == pytest.approx(0.5, abs=1e-5)
+        assert joint_moments(coeffs, labels)[1] == pytest.approx(0.5, abs=1e-5)
 
     def test_generic_point_matches_bruteforce(self):
         state = evolve(0.4, 1.0, np.pi)
@@ -167,7 +201,7 @@ class TestPurity:
         dim = truncation_order(float(np.max(np.abs(state.labels))),
                                TruncationPolicy(tail_epsilon=1e-13)) + 10
         brute = purity_bruteforce(res.cond_coeffs, state.labels, dim)
-        assert purity_gram(res.cond_coeffs, state.labels) == pytest.approx(brute, abs=1e-8)
+        assert joint_moments(res.cond_coeffs, state.labels)[1] == pytest.approx(brute, abs=1e-8)
 
     def test_bruteforce_vacuum_product(self):
         assert purity_bruteforce(np.array([1.0 + 0j]), np.array([0.0j]), 4) == pytest.approx(1.0, abs=1e-12)
@@ -191,9 +225,54 @@ class TestPurity:
             coeffs, labels = random_instance(rng)
             dim = min(truncation_order(float(np.max(np.abs(labels))),
                                        TruncationPolicy(tail_epsilon=1e-13)) + 12, 512)
-            gram = purity_gram(coeffs, labels)
+            gram = joint_moments(coeffs, labels)[1]
             brute = purity_bruteforce(coeffs, labels, dim)
             assert abs(gram - brute) < 1e-8
+
+
+class TestFactoredKernel:
+    def test_overlapping_labels_match_bruteforce(self):
+        # a quartic Gram-matrix purity cancels to 1378 here
+        state = evolve(2.0, 0.01, np.pi)
+        res = condition_on_quadrature(state, -3.0)
+        dim = oracle_dim(state.labels)
+        assert 1.0 - res.lin_entropy == pytest.approx(
+            purity_bruteforce(res.cond_coeffs, state.labels, dim), abs=1e-6)
+        assert res.prob_density == pytest.approx(expanded_moments(state, -3.0, dim)[0], rel=1e-6)
+
+    def test_cholesky_factor_matches_long_expansion(self):
+        state = evolve(5.0, 0.2, np.pi)
+        assert np.max(np.abs(state.labels)) > 20.0
+        # too widely spread for the number-basis factor: label_factor uses
+        # the pivoted Cholesky factor of G
+        radius = float(np.max(np.abs(state.labels - state.labels.mean())))
+        assert truncation_order(radius, FOCK_FACTOR_POLICY) + 1 > FOCK_FACTOR_DIM
+        dim = oracle_dim(state.labels, tail_epsilon=1e-17)
+        assert dim > 900
+        for x in (-3.0, -1.0, 0.5, 2.5):
+            prob, entropy = expanded_moments(state, x, dim)
+            res = condition_on_quadrature(state, x)
+            assert res.prob_density == pytest.approx(prob, rel=1e-12)
+            assert res.lin_entropy == pytest.approx(entropy, abs=1e-12)
+
+    def test_factor_reproduces_gram(self):
+        rng = np.random.default_rng(11)
+        for labels in (np.arange(9) * 0.05, np.arange(9) * 3.0 * np.exp(0.4j),
+                       rng.normal(size=7) * 12 + 1j * rng.normal(size=7) * 12):
+            b = label_factor(labels)
+            assert np.allclose(b.conj().T @ b, gram_matrix(labels), rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(zeta=st.floats(0.0, 8.0), log_kappa=st.floats(math.log(1e-4), math.log(2.0)),
+           x=st.floats(-4.0, 4.0))
+    def test_bounds_and_small_label_oracle(self, zeta, log_kappa, x):
+        state = evolve(zeta, math.exp(log_kappa), np.pi)
+        res = condition_on_quadrature(state, x)
+        assert res.prob_density >= 0.0
+        assert -1e-12 <= res.lin_entropy <= 1.0 + 1e-12
+        if np.max(np.abs(state.labels)) <= 4.0:
+            brute = purity_bruteforce(res.cond_coeffs, state.labels, oracle_dim(state.labels))
+            assert res.lin_entropy == pytest.approx(1.0 - brute, abs=1e-6)
 
 
 class TestEfficiencyProfile:
@@ -220,10 +299,13 @@ class TestEfficiencyProfile:
         with pytest.raises(ValueError, match="sorted"):
             efficiency_profile(0.5, 1.0, np.pi, x_grid=np.array([1.0, 0.0]))
 
-    def test_order_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            efficiency_profile(12.0, 1.0, np.pi, x_grid=np.array([0.0]))
-        assert truncation_order(12.0) > PROFILE_ORDER_CAP
+    def test_hard_cap_is_the_only_order_limit(self):
+        assert evolve(12.0, 1.0, np.pi).n_max == 236
+        points = efficiency_profile(12.0, 1.0, np.pi, x_grid=np.array([-0.5, 0.0, 0.5]))
+        assert all(0.0 <= p.result.lin_entropy <= 1.0 for p in points)
+        with pytest.warns(UserWarning, match="hard_cap=40"):
+            state = evolve(12.0, 1.0, np.pi, TruncationPolicy(hard_cap=40))
+        assert state.n_max == 40
 
     def test_label_spacing_can_be_widened(self):
         # the doubled-label reading of the same state entangles at least as hard

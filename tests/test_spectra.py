@@ -283,7 +283,7 @@ class TestClassifyStability:
             zeta2_in=branch.zeta2_in,
             alpha=-1j * params.chi * abs(z_mid) ** 2 / pole, beta=branch.beta,
             intensity1=abs(z_mid) ** 2, intensity2=branch.intensity2,
-            stable=False, branch1="middle", branch2=branch.branch2)
+            branch1="middle", branch2=branch.branch2)
         stable, eigs = classify_stability(build_drift(params, mid_branch))
         assert not stable
         assert eigs.real.max() > 0

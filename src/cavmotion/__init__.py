@@ -46,8 +46,10 @@ from .fock import (
     truncation_order,
 )
 from .spectra import (
+    GRID_BLOCK,
     NoiseModel,
     SingularTransferError,
+    SpectrumGrid,
     SpectrumPoint,
     SweepPoint,
     amplitude_sweep,
@@ -55,7 +57,10 @@ from .spectra import (
     build_noise,
     classify_stability,
     correlation_matrix,
+    epr_grid,
     epr_spectra,
+    spectral_moments,
+    stability_stack,
     transfer,
 )
 

@@ -237,13 +237,12 @@ def run_cascaded_spectrum(merged):
             f"(branches {branch.branch1}/{branch.branch2})")
     noise = spectra.build_noise(params)
     lines = ["omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product"]
-    for omega in _grid(merged, "omega"):
-        point = spectra.epr_spectra(drift, noise, float(omega))
-        lines.append(",".join([
-            fmt(point.omega), fmt(point.s_qplus), fmt(point.s_pminus),
-            fmt(point.commutator.imag), fmt(point.e_degree),
-            fmt(point.variance_product),
-        ]))
+    omegas = _grid(merged, "omega")
+    for start in range(0, omegas.size, spectra.GRID_BLOCK):
+        grid = spectra.epr_grid(drift, noise, omegas[start:start + spectra.GRID_BLOCK])
+        for cells in zip(grid.omega, grid.s_qplus, grid.s_pminus,
+                         grid.commutator.imag, grid.e_degree, grid.variance_product):
+            lines.append(",".join(fmt(value) for value in cells))
     return "\n".join(lines) + "\n"
 
 

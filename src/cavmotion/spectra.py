@@ -29,6 +29,11 @@ U_P_MINUS = U_PA - U_PB
 
 COMMUTATOR_FLOOR = 1e-30
 
+# points per batched solve: a block's (points, 8, 8) complex temporaries
+# grow with it, and a whole 2001-point grid at once raised peak memory by
+# 13 MiB; 64 points keep it at that of a point-by-point loop
+GRID_BLOCK = 64
+
 
 class SingularTransferError(ArithmeticError):
     """(i w I - M) could not be inverted to working precision."""
@@ -56,6 +61,21 @@ class SpectrumPoint:
     def variance_product(self):
         """s_qplus * s_pminus: the degree under a fixed equal-time
         commutator normalization |<[q, p]>|^2/4 = 1 (diagnostic)."""
+        return self.s_qplus * self.s_pminus
+
+
+@dataclass
+class SpectrumGrid:
+    """The fields of SpectrumPoint as arrays over a grid of points."""
+
+    omega: np.ndarray
+    s_qplus: np.ndarray
+    s_pminus: np.ndarray
+    commutator: np.ndarray
+    e_degree: np.ndarray
+
+    @property
+    def variance_product(self):
         return self.s_qplus * self.s_pminus
 
 
@@ -126,74 +146,145 @@ def build_noise(params):
 
 
 def transfer(drift, omega):
-    """T(w) = (i w I - M)^(-1), with the inversion residual enforced.
+    """T(w) = (i w I - M)^(-1) on a grid, with the inversion residual enforced.
 
-    Raises SingularTransferError naming w when the matrix is singular or
-    the identity defect exceeds 1e-10 relative to row norms (this can only
-    happen at an instability threshold).
+    `drift` is one 8x8 matrix or a stack (..., 8, 8) and `omega` a number or
+    an array; the two broadcast point by point and one batched inversion
+    serves every point.  Raises SingularTransferError naming the first
+    failing w in grid order when its matrix is singular or its identity
+    defect exceeds 1e-10 relative to row norms (this can only happen at an
+    instability threshold).
     """
-    lhs = 1j * omega * np.eye(8) - drift
+    omega = np.asarray(omega, dtype=float)
+    lhs = 1j * omega[..., None, None] * np.eye(8) - drift
+    omega = np.broadcast_to(omega, lhs.shape[:-2])
+    singular = np.zeros(omega.shape, dtype=bool)
     try:
-        t = np.linalg.solve(lhs, np.eye(8, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularTransferError(f"transfer matrix singular at omega={omega}") from exc
+        t = np.linalg.inv(lhs)
+    except np.linalg.LinAlgError:
+        # a stacked inversion fails as a whole: find the singular points
+        t = np.full_like(lhs, np.nan)
+        for idx in np.ndindex(omega.shape):
+            try:
+                t[idx] = np.linalg.inv(lhs[idx])
+            except np.linalg.LinAlgError:
+                singular[idx] = True
     defect = np.abs(lhs @ t - np.eye(8))
-    row_norms = np.maximum(np.abs(lhs).sum(axis=1), 1.0)
-    if np.any(defect > 1e-10 * row_norms[:, None]):
+    row_norms = np.maximum(np.abs(lhs).sum(axis=-1), 1.0)
+    failed = singular | np.any(defect > 1e-10 * row_norms[..., None], axis=(-2, -1))
+    if failed.any():
+        idx = np.unravel_index(np.argmax(failed), failed.shape)
+        if singular[idx]:
+            raise SingularTransferError(f"transfer matrix singular at omega={omega[idx]}")
         raise SingularTransferError(
-            f"transfer inversion at omega={omega} lost precision "
-            f"(defect {float(np.max(defect / row_norms[:, None])):.3e})")
+            f"transfer inversion at omega={omega[idx]} lost precision "
+            f"(defect {float(np.max(defect[idx] / row_norms[idx][:, None])):.3e})")
     return t
+
+
+def spectral_moments(drift, noise, omega):
+    """Delta-stripped second moments on a grid from one T(w), T(-w) pair.
+
+    Returns (C, s_qplus, s_pminus, commutator) at every point of the
+    broadcast of `drift` and `omega` (see `transfer`), where
+    C(w) = T(w) d T(-w)^T.  Each scalar is the quadratic form
+        (1/4)[u_l A(w) u_r + u_l A(-w) u_r],  A(v) = T(v) mat T(-v)^T,
+    of the hermitian combinations [O(w) + O(-w)]/2 (the same-frequency
+    pairings carry delta(2w) and are dropped): mat = d for the variances
+    of q_a + q_b and p_a - p_b, which share A, and mat = k for the
+    commutator <[q_a(w), p_a(w)]>.  The temporaries are a few
+    (points, 8, 8) complex arrays, so callers pass at most GRID_BLOCK
+    points at a time.
+    """
+    tp = transfer(drift, omega)
+    tm = transfer(drift, -np.asarray(omega, dtype=float))
+    tp_t = np.swapaxes(tp, -1, -2)
+    tm_t = np.swapaxes(tm, -1, -2)
+
+    def form(ap, am, u_left, u_right):
+        return 0.25 * (u_left @ ap @ u_right + u_left @ am @ u_right)
+
+    cd = (tp @ noise.d @ tm_t, tm @ noise.d @ tp_t)
+    ck = (tp @ noise.k @ tm_t, tm @ noise.k @ tp_t)
+    return (cd[0], form(*cd, U_Q_PLUS, U_Q_PLUS).real,
+            form(*cd, U_P_MINUS, U_P_MINUS).real, form(*ck, U_QA, U_PA))
 
 
 def correlation_matrix(drift, noise, omega):
     """Delta-stripped second moments C(w) = T(w) d T(-w)^T of the fluctuations."""
-    return transfer(drift, omega) @ noise.d @ transfer(drift, -omega).T
+    return spectral_moments(drift, noise, omega)[0]
 
 
-def _hermitian_pair(drift, mat, omega, u_left, u_right):
-    """(1/4)[u_l A(w) u_r + u_l A(-w) u_r] with A(v) = T(v) mat T(-v)^T.
+def _epr_block(drift, noise, omega):
+    _, s_q, s_p, comm = spectral_moments(drift, noise, omega)
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), comm.shape)
+    degenerate = np.abs(comm) < COMMUTATOR_FLOOR
+    if degenerate.any():
+        idx = np.unravel_index(np.argmax(degenerate), degenerate.shape)
+        raise ArithmeticError(
+            f"degenerate commutator spectrum |{comm[idx]}| at omega={omega[idx]}")
+    # float_power rounds like the scalar abs(c) ** 2 (C pow); `**` on an
+    # array squares by multiplication, which moves the last bit of a few
+    # points
+    denom = 0.25 * np.float_power(np.abs(comm), 2)
+    return SpectrumGrid(omega=omega, s_qplus=s_q, s_pminus=s_p,
+                        commutator=comm, e_degree=s_q * s_p / denom)
 
-    This is the delta-stripped quadratic form of the hermitian combinations
-    [O(w) + O(-w)]/2; the same-frequency pairings carry delta(2w) and are
-    dropped.
+
+def epr_grid(drift, noise, omega):
+    """Collective EPR variances, commutator spectrum and degree on a grid.
+
+    Evaluates every point of the broadcast of `drift` (8x8 or a stack) and
+    `omega` with one pair of batched transfer solves (see
+    `spectral_moments`).  s_qplus and s_pminus are the symmetrized
+    variances of q_a + q_b and p_a - p_b; the commutator is the spectral
+    <[q_a(w), p_a(w)]> built from the state-independent input commutators;
+    the degree is their ratio
+        e = s_qplus s_pminus / (|commutator|^2 / 4),
+    flagged as EPR-correlated when it drops below one.
+
+    Raises what a point-by-point evaluation raises first: at the first
+    failing point in grid order, a failing T(w) before a failing T(-w),
+    both before a commutator below COMMUTATOR_FLOOR.
     """
-    tp = transfer(drift, omega)
-    tm = transfer(drift, -omega)
-    ap = tp @ mat @ tm.T
-    am = tm @ mat @ tp.T
-    return 0.25 * (u_left @ ap @ u_right + u_left @ am @ u_right)
+    try:
+        return _epr_block(drift, noise, omega)
+    except ArithmeticError as exc:
+        failure = exc
+    # the batched solves report the first failure of each sign: re-solve
+    # point by point to raise the first failure in grid order
+    shape = np.broadcast_shapes(np.shape(drift)[:-2], np.shape(omega))
+    drifts = np.broadcast_to(drift, shape + (8, 8))
+    omegas = np.broadcast_to(omega, shape)
+    for idx in np.ndindex(shape):
+        _epr_block(drifts[idx], noise, omegas[idx])
+    raise failure
 
 
 def epr_spectra(drift, noise, omega):
-    """Collective EPR variances, commutator spectrum and degree at omega.
-
-    s_qplus and s_pminus are the symmetrized variances of q_a + q_b and
-    p_a - p_b; the commutator is the spectral <[q_a(w), p_a(w)]> built from
-    the state-independent input commutators; the degree is their ratio
-        e = s_qplus s_pminus / (|commutator|^2 / 4),
-    flagged as EPR-correlated when it drops below one.
-    """
-    s_q = _hermitian_pair(drift, noise.d, omega, U_Q_PLUS, U_Q_PLUS).real
-    s_p = _hermitian_pair(drift, noise.d, omega, U_P_MINUS, U_P_MINUS).real
-    comm = _hermitian_pair(drift, noise.k, omega, U_QA, U_PA)
-    denom = 0.25 * abs(comm) ** 2
-    if abs(comm) < COMMUTATOR_FLOOR:
-        raise ArithmeticError(
-            f"degenerate commutator spectrum |{comm}| at omega={omega}")
+    """EPR variances, commutator spectrum and degree at one frequency
+    (the one-point view of `epr_grid`)."""
+    grid = epr_grid(drift, noise, float(omega))
     return SpectrumPoint(
-        omega=float(omega),
-        s_qplus=float(s_q),
-        s_pminus=float(s_p),
-        commutator=complex(comm),
-        e_degree=float(s_q * s_p / denom),
+        omega=float(grid.omega),
+        s_qplus=float(grid.s_qplus),
+        s_pminus=float(grid.s_pminus),
+        commutator=complex(grid.commutator),
+        e_degree=float(grid.e_degree),
     )
+
+
+def stability_stack(drifts):
+    """Per drift of a stack (..., 8, 8): (all eigenvalues strictly damped?,
+    the eigenvalues), from one batched eigenvalue call."""
+    eigs = np.linalg.eigvals(drifts)
+    return np.all(eigs.real < 0.0, axis=-1), eigs
 
 
 def classify_stability(drift):
     """(all eigenvalues strictly damped?, the eigenvalues themselves)."""
-    eigs = np.linalg.eigvals(drift)
-    return bool(np.all(eigs.real < 0.0)), eigs
+    stable, eigs = stability_stack(drift)
+    return bool(stable), eigs
 
 
 def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
@@ -202,7 +293,9 @@ def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
     Each cavity's intensity is continued adiabatically from the previous
     drive point; vanishing branches produce recorded jump events.  Points
     whose working branch is unstable (or numerically degenerate) come back
-    flagged with e_degree = nan rather than aborting the sweep.
+    flagged with e_degree = nan rather than aborting the sweep.  Drives go
+    in blocks of GRID_BLOCK: one batched eigenvalue call for the block's
+    drifts, then one `epr_grid` over its stable ones.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):
@@ -211,26 +304,34 @@ def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
         noise = build_noise(params)
     rows = []
     previous = None
-    for drive in drive_grid:
-        branch = steady_state(params, drive, selection="follow", previous=previous)
-        previous = branch
-        drift = build_drift(params, branch)
-        stable, _ = classify_stability(drift)
-        e_degree = np.nan
-        error = None
-        if stable:
+    for start in range(0, drive_grid.size, GRID_BLOCK):
+        branches = []
+        for drive in drive_grid[start:start + GRID_BLOCK]:
+            previous = steady_state(params, drive, selection="follow", previous=previous)
+            branches.append(previous)
+        drifts = np.array([build_drift(params, branch) for branch in branches])
+        stable, _ = stability_stack(drifts)
+        e_degree = np.full(len(branches), np.nan)
+        errors = [None if ok else "unstable working point" for ok in stable]
+        solved = np.flatnonzero(stable)
+        if solved.size:
             try:
-                e_degree = epr_spectra(drift, noise, omega_eval).e_degree
-            except (SingularTransferError, ArithmeticError) as exc:
-                error = str(exc)
-        else:
-            error = "unstable working point"
-        rows.append(SweepPoint(
-            drive=float(drive),
-            branch1=branch.branch1, branch2=branch.branch2,
-            intensity1=branch.intensity1, intensity2=branch.intensity2,
-            stable=stable, e_degree=float(e_degree),
-            jumped=branch.jumped1 or branch.jumped2,
-            error=error,
-        ))
+                e_degree[solved] = epr_grid(drifts[solved], noise, omega_eval).e_degree
+            except ArithmeticError:
+                # one failing drift fails the batch: evaluate drift by drift
+                for i in solved:
+                    try:
+                        e_degree[i] = epr_spectra(drifts[i], noise, omega_eval).e_degree
+                    except ArithmeticError as exc:
+                        errors[i] = str(exc)
+        for branch, drive, ok, degree, error in zip(
+                branches, drive_grid[start:], stable, e_degree, errors):
+            rows.append(SweepPoint(
+                drive=float(drive),
+                branch1=branch.branch1, branch2=branch.branch2,
+                intensity1=branch.intensity1, intensity2=branch.intensity2,
+                stable=bool(ok), e_degree=float(degree),
+                jumped=branch.jumped1 or branch.jumped2,
+                error=error,
+            ))
     return rows

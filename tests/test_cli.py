@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavmotion import cli
+from cavmotion import cli, spectra
+from cavmotion.cascade import steady_state
 from cavmotion.svgplot import render_plot
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -127,12 +128,70 @@ class TestCascadedCsv:
         assert code == 2
         assert "stable" in err
 
+    def test_spectrum_grid_crossing_a_failure_names_first_omega(self, capsys):
+        # the commutator spectrum falls like Gamma/w^2 and crosses the floor
+        # inside one block of this grid; several later omegas fail too
+        omegas = np.geomspace(1e2, 1e20, 400)
+        params = cli._phys_params(cli.DEFAULTS)
+        drift = spectra.build_drift(params, steady_state(params, cli.DEFAULTS["drive"]))
+        noise = spectra.build_noise(params)
+        for omega in omegas:
+            try:
+                spectra.epr_spectra(drift, noise, omega)
+            except ArithmeticError as exc:
+                first = str(exc)
+                break
+        code, out, err = run_cli(
+            ["cascaded", "spectrum", "--omega-min", "1e2", "--omega-max", "1e20",
+             "--omega-count", "400"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"numerical failure: {first}\n"
+
     def test_determinism(self, capsys):
         argv = ["cascaded", "sweep", "--drive-min", "1e5", "--drive-max", "1e7",
                 "--drive-count", "31"]
         _, first, _ = run_cli(argv, capsys)
         _, second, _ = run_cli(argv, capsys)
         assert first == second
+
+
+class TestWorkBounds:
+    """Batched spectra: a bounded number of solves per block of points."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"transfer": 0, "eigvals": 0}
+        transfer, eigvals = spectra.transfer, np.linalg.eigvals
+
+        def counted_transfer(*args):
+            tally["transfer"] += 1
+            return transfer(*args)
+
+        def counted_eigvals(*args):
+            tally["eigvals"] += 1
+            return eigvals(*args)
+
+        monkeypatch.setattr(spectra, "transfer", counted_transfer)
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        return tally
+
+    @pytest.mark.parametrize("count", [1, spectra.GRID_BLOCK, 301])
+    def test_spectrum_two_solves_per_block(self, count, counts, capsys):
+        code, out, _ = run_cli(["cascaded", "spectrum", "--omega-count", str(count)], capsys)
+        assert code == 0
+        assert len(out.strip().split("\n")) == count + 1
+        assert counts["transfer"] <= 2 * math.ceil(count / spectra.GRID_BLOCK)
+        assert counts["eigvals"] == 1
+
+    @pytest.mark.parametrize("count", [1, spectra.GRID_BLOCK, 301])
+    def test_sweep_one_eigvals_two_solves_per_block(self, count, counts, capsys):
+        code, out, _ = run_cli(["cascaded", "sweep", "--drive-count", str(count)], capsys)
+        assert code == 0
+        assert len(out.strip().split("\n")) == count + 1
+        blocks = math.ceil(count / spectra.GRID_BLOCK)
+        assert counts["transfer"] <= 2 * blocks
+        assert counts["eigvals"] <= blocks
 
 
 class TestConfigPrecedence:

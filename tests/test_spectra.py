@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from cavmotion import spectra
 from cavmotion.cascade import (
     PhysParams,
     bistable_window,
@@ -11,6 +13,7 @@ from cavmotion.cascade import (
     steady_state,
 )
 from cavmotion.spectra import (
+    GRID_BLOCK,
     NoiseModel,
     SingularTransferError,
     amplitude_sweep,
@@ -18,7 +21,10 @@ from cavmotion.spectra import (
     build_noise,
     classify_stability,
     correlation_matrix,
+    epr_grid,
     epr_spectra,
+    spectral_moments,
+    stability_stack,
     transfer,
 )
 
@@ -258,6 +264,119 @@ class TestEprSpectra:
         assert point.e_degree < 1.0
 
 
+def loop_reference_point(drift, noise, omega):
+    """(s_qplus, s_pminus, commutator, e_degree) at one frequency, one
+    8x8 solve and product at a time, in the grid kernel's evaluation order."""
+    def t(w):
+        return np.linalg.solve(1j * w * np.eye(8) - drift, np.eye(8, dtype=complex))
+
+    def form(mat, u_left, u_right):
+        ap = t(omega) @ mat @ t(-omega).T
+        am = t(-omega) @ mat @ t(omega).T
+        return 0.25 * (u_left @ ap @ u_right + u_left @ am @ u_right)
+
+    s_q = form(noise.d, spectra.U_Q_PLUS, spectra.U_Q_PLUS).real
+    s_p = form(noise.d, spectra.U_P_MINUS, spectra.U_P_MINUS).real
+    comm = form(noise.k, spectra.U_QA, spectra.U_PA)
+    return s_q, s_p, comm, s_q * s_p / (0.25 * abs(comm) ** 2)
+
+
+class TestGridKernel:
+    """epr_grid and spectral_moments against one-point evaluations."""
+
+    def test_frequency_grid_equals_points_bitwise(self):
+        rng = np.random.default_rng(53)
+        for _ in range(6):
+            params, _, drift = random_stable_point(rng)
+            noise = build_noise(params)
+            omegas = np.concatenate([[0.0, params.Omega, -params.Omega],
+                                     rng.uniform(-3, 3, 40) * params.Omega])
+            grid = epr_grid(drift, noise, omegas)
+            points = [epr_spectra(drift, noise, w) for w in omegas]
+            for field in ("omega", "s_qplus", "s_pminus", "commutator", "e_degree"):
+                assert np.array_equal(getattr(grid, field),
+                                      [getattr(p, field) for p in points]), field
+            assert np.array_equal(grid.variance_product, [p.variance_product for p in points])
+            reference = np.array([loop_reference_point(drift, noise, w) for w in omegas]).T
+            for field, want in zip(("s_qplus", "s_pminus", "commutator", "e_degree"), reference):
+                assert np.array_equal(getattr(grid, field), want), field
+
+    def test_drift_stack_equals_points_bitwise(self):
+        # the sweep's shape: one frequency, a stack of drifts
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        noise = build_noise(params)
+        drifts = np.array([build_drift(params, steady_state(params, drive))
+                           for drive in np.geomspace(1e5, 1e7, 30)])
+        stable, _ = stability_stack(drifts)
+        drifts = drifts[stable]
+        grid = epr_grid(drifts, noise, params.Omega)
+        want = [epr_spectra(d, noise, params.Omega).e_degree for d in drifts]
+        assert np.array_equal(grid.e_degree, want)
+
+    def test_correlation_matrix_is_a_grid_view(self):
+        params, _, drift = random_stable_point(np.random.default_rng(59))
+        noise = build_noise(params)
+        omegas = np.array([-2.5, 0.0, 0.7, 4.0])
+        stacked = spectral_moments(drift, noise, omegas)[0]
+        for w, c in zip(omegas, stacked):
+            assert np.array_equal(correlation_matrix(drift, noise, w), c)
+
+    def test_stability_stack_matches_single_verdicts(self):
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        drifts = np.array([build_drift(params, steady_state(params, drive, selection=sel))
+                           for drive in (1e3, 3e5, 2e6) for sel in ("lowest", "highest")])
+        stable, eigs = stability_stack(drifts)
+        for drift, ok, e in zip(drifts, stable, eigs):
+            single_ok, single_e = classify_stability(drift)
+            assert single_ok is bool(ok)
+            assert np.array_equal(single_e, e)
+
+    def test_singular_point_inside_grid_is_named(self):
+        drift = np.diag([1j, -1j, 1j, -1j, 1j, -1j, 1j, -1j]).astype(complex)
+        noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
+        omegas = np.array([0.25, 0.5, 1.0, 2.0])
+        with pytest.raises(SingularTransferError, match=r"omega=1\.0$"):
+            transfer(drift, omegas)
+        with pytest.raises(SingularTransferError, match=r"omega=1\.0$"):
+            epr_grid(drift, noise, omegas)
+
+    def test_first_failure_in_grid_order(self):
+        # T(+w) fails only at w = 3 and T(-w) only at w = -2, which comes
+        # first in the grid: the batched +w solve alone would name 3.0
+        drift = np.diag([2j] * 4 + [3j] * 4)
+        noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
+        omegas = np.array([0.5, -2.0, 3.0])
+        with pytest.raises(SingularTransferError, match=r"omega=3\.0$"):
+            transfer(drift, omegas)
+        with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
+            epr_grid(drift, noise, omegas)
+
+    def test_lyapunov_oracle(self):
+        # the delta-stripped spectrum integrated over w/2pi is the equal-time
+        # covariance Sigma of dv = M v dt + noise: M Sigma + Sigma M^T + d = 0
+        core = np.arange(-40.0, 40.0 + 1e-9, 0.02)
+        tail = np.geomspace(40.0, 2000.0, 801)[1:]
+        omegas = np.concatenate([-tail[::-1], core, tail])
+        rng = np.random.default_rng(61)
+        checked = 0
+        while checked < 3:
+            params = PhysParams(chi=rng.uniform(0.0, 0.4), Omega=rng.uniform(0.5, 20.0),
+                                Gamma=rng.uniform(0.2, 1.0), gamma=1.0,
+                                Delta1=rng.uniform(-5.0, 5.0), Delta2=rng.uniform(-5.0, 5.0))
+            drift = build_drift(params, steady_state(params, rng.uniform(0.0, 3.0)))
+            stable, eigs = classify_stability(drift)
+            if not stable or eigs.real.max() > -0.1:
+                continue
+            noise = build_noise(params)
+            blocks = [spectral_moments(drift, noise, omegas[i:i + GRID_BLOCK])[0]
+                      for i in range(0, omegas.size, GRID_BLOCK)]
+            c = np.concatenate(blocks)
+            integral = np.tensordot(np.diff(omegas), c[1:] + c[:-1], axes=1) / (4 * np.pi)
+            sigma = scipy.linalg.solve_sylvester(drift, drift.T, -noise.d)
+            assert np.abs(integral - sigma).max() < 1e-3
+            checked += 1
+
+
 class TestClassifyStability:
     def test_decoupled_eigenvalues(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
@@ -327,6 +446,29 @@ class TestAmplitudeSweep:
         flagged = [row for row in rows if not row.stable]
         assert flagged
         assert all(np.isnan(row.e_degree) and row.error for row in flagged)
+
+    def test_failing_drift_keeps_other_rows(self, monkeypatch):
+        # a stable drift scaled by 1e20 pushes the commutator below the
+        # floor; the rest of its block must come out as without it
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        drives = np.geomspace(1e3, 1e5, 20)
+        reference = amplitude_sweep(params, drives, params.Omega)
+        build = spectra.build_drift
+
+        def scaled_at_eighth(params, branch):
+            drift = build(params, branch)
+            return drift * 1e20 if branch.zeta1_in == drives[7] else drift
+
+        monkeypatch.setattr(spectra, "build_drift", scaled_at_eighth)
+        rows = amplitude_sweep(params, drives, params.Omega)
+        failing = scaled_at_eighth(params, steady_state(params, drives[7]))
+        with pytest.raises(ArithmeticError) as info:
+            epr_spectra(failing, build_noise(params), params.Omega)
+        assert rows[7].stable and np.isnan(rows[7].e_degree)
+        assert rows[7].error == str(info.value)
+        for i, (row, ref) in enumerate(zip(rows, reference)):
+            if i != 7:
+                assert row == ref
 
     def test_stable_rows_never_ride_the_middle_branch(self):
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)

@@ -15,12 +15,15 @@ and `cavmotion.cli` the command-line front end.
 from .cascade import (
     PhysParams,
     SteadyBranch,
+    SteadyGrid,
     bistable_window,
     branch_label,
     cavity_bracket,
     intensity_roots,
     pulling_coefficients,
     residual,
+    root_grid,
+    steady_grid,
     steady_state,
 )
 from .conditional import (

@@ -17,6 +17,7 @@ import numpy as np
 BRANCH_LOWER = "lower"
 BRANCH_MIDDLE = "middle"
 BRANCH_UPPER = "upper"
+SELECTIONS = ("lowest", "highest", "follow")
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,28 @@ class SteadyBranch:
     jumped2: bool = False
 
 
+@dataclass
+class SteadyGrid:
+    """The fields of SteadyBranch as arrays over a grid of drives."""
+
+    zeta1: np.ndarray
+    zeta2: np.ndarray
+    zeta1_in: np.ndarray
+    zeta2_in: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    intensity1: np.ndarray
+    intensity2: np.ndarray
+    branch1: np.ndarray
+    branch2: np.ndarray
+    jumped1: np.ndarray
+    jumped2: np.ndarray
+
+    def __getitem__(self, index):
+        """The same fields at `index` of every array, e.g. a block of drives."""
+        return SteadyGrid(**{name: value[index] for name, value in vars(self).items()})
+
+
 def pulling_coefficients(params):
     """(a, b) of the braced steady-state factor."""
     den = params.Gamma**2 / 4.0 + params.Omega**2
@@ -75,62 +98,67 @@ def cavity_bracket(params, delta, intensity):
     return params.gamma / 2.0 + a * intensity + 1j * (delta - b * intensity)
 
 
-def _cubic_real_roots(c3, c2, c1, c0):
-    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 by Cardano (trig branch
-    for three real roots); coefficients are real, c3 != 0."""
-    b, c, d = c2 / c3, c1 / c3, c0 / c3
-    shift = -b / 3.0
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc > 0.0:
-        s = np.sqrt(disc)
-        return [shift + np.cbrt(-q / 2.0 + s) + np.cbrt(-q / 2.0 - s)]
-    if p == 0.0:
-        return [shift]
-    m = 2.0 * np.sqrt(-p / 3.0)
-    theta = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
-    return [shift + m * np.cos(theta - 2.0 * np.pi * k / 3.0) for k in range(3)]
+def root_grid(params, delta, drive_power):
+    """Every nonnegative intensity solving the steady-state modulus cubic,
+    for a 1-d array of drive powers gamma |zeta_in|^2.
+
+    Returns an (n, 3) array: row k holds the 1, 2 (degenerate) or 3 roots
+    at drive_power[k] in ascending order, padded with nan.  Cardano (trig
+    branch for three real roots) and one Newton polish run on the whole
+    array.  float_power squares like the scalar x ** 2 (C pow); `**` on an
+    array squares by multiplication, which moves the last bit of a few
+    roots.
+    """
+    drive_power = np.asarray(drive_power, dtype=float)
+    negative = drive_power < 0
+    if negative.any():
+        raise ValueError(f"drive_power must be >= 0, got {drive_power[negative][0]}")
+    a, b = pulling_coefficients(params)
+    g = params.gamma
+    c3 = a * a + b * b
+    c2 = g * a - 2.0 * delta * b
+    c1 = g * g / 4.0 + delta * delta
+    roots = np.full(drive_power.shape + (3,), np.nan)
+    if c3 == 0.0:
+        roots[:, 0] = drive_power / c1
+    else:
+        b2, b1, b0 = c2 / c3, c1 / c3, -drive_power / c3
+        shift = -b2 / 3.0
+        p = b1 - b2 * b2 / 3.0
+        q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
+        disc = np.float_power(q / 2.0, 2) + (p / 3.0) ** 3
+        one = disc > 0.0
+        s = np.sqrt(disc[one])
+        roots[one, 0] = shift + np.cbrt(-q[one] / 2.0 + s) + np.cbrt(-q[one] / 2.0 - s)
+        three = ~one
+        if p == 0.0:
+            roots[three, 0] = shift
+        elif three.any():
+            m = 2.0 * np.sqrt(-p / 3.0)
+            theta = np.arccos(np.clip(3.0 * q[three] / (p * m), -1.0, 1.0)) / 3.0
+            roots[three] = shift + m * np.cos(theta[:, None] - 2.0 * np.pi * np.arange(3) / 3.0)
+
+    u, v = g / 2.0 + a * roots, delta - b * roots
+    modulus = np.float_power(u, 2) + np.float_power(v, 2)
+    slope = modulus + roots * (2.0 * a * u - 2.0 * b * v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (roots * modulus - drive_power[:, None]) / slope
+    polish = (slope != 0.0) & np.isfinite(slope) & np.isfinite(step)
+    roots = np.where(polish, roots - step, roots)
+    roots = np.sort(np.where(np.isfinite(roots) & (roots >= 0.0), roots, np.nan), axis=1)
+    roots[drive_power == 0.0] = (0.0, np.nan, np.nan)
+    return roots
 
 
 def intensity_roots(params, delta, drive_power):
     """All nonnegative intensities solving the steady-state modulus cubic.
 
     drive_power is gamma |zeta_in|^2.  Roots get one Newton polish and come
-    back sorted ascending; the count is 1, 2 (degenerate) or 3.
+    back sorted ascending; the count is 1, 2 (degenerate) or 3.  The
+    one-point view of `root_grid`.
     """
-    if drive_power < 0:
-        raise ValueError(f"drive_power must be >= 0, got {drive_power}")
-    if drive_power == 0.0:
-        return [0.0]
-    a, b = pulling_coefficients(params)
-    g = params.gamma
-    c3 = a * a + b * b
-    c2 = g * a - 2.0 * delta * b
-    c1 = g * g / 4.0 + delta * delta
-    c0 = -drive_power
-    if c3 == 0.0:
-        roots = [drive_power / c1]
-    else:
-        roots = _cubic_real_roots(c3, c2, c1, c0)
-
-    def f(i):
-        return i * ((g / 2.0 + a * i) ** 2 + (delta - b * i) ** 2) - drive_power
-
-    def df(i):
-        return ((g / 2.0 + a * i) ** 2 + (delta - b * i) ** 2
-                + i * (2.0 * a * (g / 2.0 + a * i) - 2.0 * b * (delta - b * i)))
-
-    polished = []
-    for root in roots:
-        slope = df(root)
-        if slope != 0.0 and np.isfinite(slope):
-            step = f(root) / slope
-            if np.isfinite(step):
-                root = root - step
-        if np.isfinite(root) and root >= 0.0:
-            polished.append(float(root))
-    return sorted(polished)
+    roots = root_grid(params, delta, [drive_power])[0]
+    return roots[~np.isnan(roots)].tolist()
 
 
 def _turning_points(params, delta):
@@ -152,6 +180,18 @@ def _turning_points(params, delta):
     return lo, hi
 
 
+def _branch_labels(params, delta, intensity):
+    """branch_label of every intensity of an array, with one turning-point
+    computation."""
+    turns = _turning_points(params, delta)
+    intensity = np.asarray(intensity, dtype=float)
+    if turns is None:
+        return np.full(intensity.shape, BRANCH_LOWER)
+    lo, hi = turns
+    return np.where(intensity < lo, BRANCH_LOWER,
+                    np.where(intensity <= hi, BRANCH_MIDDLE, BRANCH_UPPER))
+
+
 def branch_label(params, delta, intensity):
     """Classify an intensity as lower/middle/upper on the S-curve.
 
@@ -159,27 +199,106 @@ def branch_label(params, delta, intensity):
     its edges are the positive turning points of the modulus cubic.  A
     monotone curve is all "lower".
     """
-    turns = _turning_points(params, delta)
-    if turns is None:
-        return BRANCH_LOWER
-    lo, hi = turns
-    if intensity < lo:
-        return BRANCH_LOWER
-    if intensity <= hi:
-        return BRANCH_MIDDLE
-    return BRANCH_UPPER
+    return str(_branch_labels(params, delta, intensity))
 
 
-def _select_root(roots, selection, previous):
+def _select(roots, intensities, selection, previous):
+    """Column of the selected root in every row of a root grid.
+
+    "follow" takes the root nearest the intensity selected at the drive
+    before (`previous` before the first drive; the lowest root if None),
+    so it runs drive by drive, on floats.
+    """
     if selection == "lowest":
-        return roots[0]
+        return np.zeros(len(roots), dtype=np.intp)
     if selection == "highest":
-        return roots[-1]
+        return np.count_nonzero(~np.isnan(roots), axis=1) - 1
+    picks = []
+    for row, values in zip(roots.tolist(), intensities.tolist()):
+        pick = 0
+        if previous is not None and row[1] == row[1]:  # several roots
+            distances = [abs(root - previous) for root in row if root == root]
+            pick = distances.index(min(distances))
+        picks.append(pick)
+        previous = values[pick]
+    return np.array(picks, dtype=np.intp)
+
+
+def _cavity(params, delta, drive_in, selection, previous_intensity, previous_branch):
+    """One cavity at every drive of `drive_in`: the selected working point's
+    amplitude, intensity, branch and jump flag."""
+    g = params.gamma
+    # hypot rounds like the scalar abs(z); numpy's vectorized complex abs
+    # does not
+    roots = root_grid(params, delta, g * np.float_power(np.hypot(drive_in.real, drive_in.imag), 2))
+    with np.errstate(invalid="ignore"):  # the nan padding of `roots`
+        zetas = np.sqrt(g) * drive_in[:, None] / cavity_bracket(params, delta, roots)
+    intensities = np.float_power(np.hypot(zetas.real, zetas.imag), 2)
+    pick = (np.arange(len(roots)), _select(roots, intensities, selection, previous_intensity))
+    root, intensity = roots[pick], intensities[pick]
+    branch = _branch_labels(params, delta, root)
+    jumped = np.zeros(root.shape, dtype=bool)
     if selection == "follow":
-        if previous is None:
-            return roots[0]
-        return min(roots, key=lambda i: abs(i - previous))
-    raise ValueError(f"unknown branch selection {selection!r}")
+        # a jump means the branch being ridden vanished: no root remains
+        # near the previous intensity and the branch class changed
+        before = np.concatenate(
+            ([np.nan if previous_intensity is None else previous_intensity], intensity[:-1]))
+        before_branch = np.concatenate(([previous_branch or ""], branch[:-1]))
+        jumped = (np.abs(root - before) > np.maximum(before, 1e-12)) & (branch != before_branch)
+    return zetas[pick], intensity, branch, jumped
+
+
+def _python_quotient(num, den):
+    """num / den for a complex array and a complex number, rounded like
+    Python's complex division (Smith's method); numpy multiplies by the
+    reciprocal of the scaled denominator instead, which moves last bits."""
+    if abs(den.real) >= abs(den.imag):
+        ratio = den.imag / den.real
+        scale = den.real + den.imag * ratio
+        re, im = num.real + num.imag * ratio, num.imag - num.real * ratio
+    else:
+        ratio = den.real / den.imag
+        scale = den.real * ratio + den.imag
+        re, im = num.real * ratio + num.imag, num.imag * ratio - num.real
+    out = np.empty(np.shape(num), dtype=complex)
+    out.real, out.imag = re / scale, im / scale
+    return out
+
+
+def steady_grid(params, zeta1_in, selection="lowest", previous=None):
+    """Solve both cavities and the atoms riding them at every drive of a
+    1-d array zeta1_in.
+
+    selection is "lowest", "highest" or "follow"; "follow" continues each
+    cavity from the intensities at the drive before (adiabatic sweep
+    continuation), starting from the SteadyBranch `previous` if given, and
+    reports a branch jump through jumped1/jumped2 when the branch it was
+    riding has vanished.  Whether a working point is stable is decided by
+    the drift-matrix eigenvalues in the fluctuation module.
+    """
+    if selection not in SELECTIONS:
+        raise ValueError(f"unknown branch selection {selection!r}")
+    zeta1_in = np.asarray(zeta1_in, dtype=complex)
+    before1 = before2 = (None, None)
+    if previous is not None:
+        before1 = (previous.intensity1, previous.branch1)
+        before2 = (previous.intensity2, previous.branch2)
+    zeta1, intensity1, branch1, jumped1 = _cavity(
+        params, params.Delta1, zeta1_in, selection, *before1)
+    zeta2_in = np.sqrt(params.gamma) * zeta1 - zeta1_in
+    zeta2, intensity2, branch2, jumped2 = _cavity(
+        params, params.Delta2, zeta2_in, selection, *before2)
+
+    motional_pole = params.Gamma / 2.0 + 1j * params.Omega
+    return SteadyGrid(
+        zeta1=zeta1, zeta2=zeta2,
+        zeta1_in=zeta1_in, zeta2_in=zeta2_in,
+        alpha=_python_quotient(-1j * params.chi * intensity1, motional_pole),
+        beta=_python_quotient(-1j * params.chi * intensity2, motional_pole),
+        intensity1=intensity1, intensity2=intensity2,
+        branch1=branch1, branch2=branch2,
+        jumped1=jumped1, jumped2=jumped2,
+    )
 
 
 def steady_state(params, zeta1_in, selection="lowest", previous=None):
@@ -188,53 +307,11 @@ def steady_state(params, zeta1_in, selection="lowest", previous=None):
     selection is "lowest", "highest" or "follow"; "follow" continues each
     cavity from the intensities of the previous SteadyBranch (adiabatic
     sweep continuation) and reports a branch jump through jumped1/jumped2
-    when the branch it was riding has vanished.  Whether the working point
-    is stable is decided by the drift-matrix eigenvalues in the fluctuation
-    module.
+    when the branch it was riding has vanished.  The one-point view of
+    `steady_grid`.
     """
-    zeta1_in = complex(zeta1_in)
-    g = params.gamma
-    sqg = np.sqrt(g)
-
-    prev1 = previous.intensity1 if previous is not None else None
-    prev2 = previous.intensity2 if previous is not None else None
-
-    roots1 = intensity_roots(params, params.Delta1, g * abs(zeta1_in) ** 2)
-    i1 = _select_root(roots1, selection, prev1)
-    zeta1 = sqg * zeta1_in / cavity_bracket(params, params.Delta1, i1)
-    intensity1 = abs(zeta1) ** 2
-
-    zeta2_in = sqg * zeta1 - zeta1_in
-    roots2 = intensity_roots(params, params.Delta2, g * abs(zeta2_in) ** 2)
-    i2 = _select_root(roots2, selection, prev2)
-    zeta2 = sqg * zeta2_in / cavity_bracket(params, params.Delta2, i2)
-    intensity2 = abs(zeta2) ** 2
-
-    branch1 = branch_label(params, params.Delta1, i1)
-    branch2 = branch_label(params, params.Delta2, i2)
-    jumped1 = jumped2 = False
-    if selection == "follow" and previous is not None:
-        # a jump means the branch being ridden vanished: no root remains
-        # near the previous intensity and the branch class changed
-        def vanished(prev_i, new_i, prev_branch, new_branch):
-            return (abs(new_i - prev_i) > max(prev_i, 1e-12)
-                    and new_branch != prev_branch)
-
-        jumped1 = vanished(previous.intensity1, i1, previous.branch1, branch1)
-        jumped2 = vanished(previous.intensity2, i2, previous.branch2, branch2)
-
-    motional_pole = params.Gamma / 2.0 + 1j * params.Omega
-    alpha = -1j * params.chi * intensity1 / motional_pole
-    beta = -1j * params.chi * intensity2 / motional_pole
-
-    return SteadyBranch(
-        zeta1=zeta1, zeta2=zeta2,
-        zeta1_in=zeta1_in, zeta2_in=zeta2_in,
-        alpha=alpha, beta=beta,
-        intensity1=intensity1, intensity2=intensity2,
-        branch1=branch1, branch2=branch2,
-        jumped1=jumped1, jumped2=jumped2,
-    )
+    grid = steady_grid(params, [complex(zeta1_in)], selection, previous)
+    return SteadyBranch(**{name: value[0].item() for name, value in vars(grid).items()})
 
 
 def residual(params, candidate):

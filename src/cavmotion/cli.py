@@ -16,6 +16,7 @@ failure.
 """
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import conditional, spectra, svgplot
-from .cascade import PhysParams, residual, steady_state
+from .cascade import SELECTIONS, PhysParams, residual, steady_state
 from .fock import TruncationPolicy
 
 USAGE_ERROR, NUMERICAL_ERROR = 1, 2
@@ -116,16 +117,20 @@ def resolve_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = _coerce(key, flag)
+    for key, value in merged.items():
+        if _FIELD_TYPES.get(key, float) is float and value is not None and not math.isfinite(value):
+            raise UsageError(f"parameter {key} must be finite, got {value}")
+    if getattr(args, "x", None) is not None and not math.isfinite(args.x):
+        raise UsageError(f"--x must be finite, got {args.x}")
+    if merged["selection"] not in SELECTIONS:
+        raise UsageError(f"selection must be one of {', '.join(SELECTIONS)}, "
+                         f"got {merged['selection']!r}")
     for grid in ("x", "drive", "omega"):
         lo, hi, count = merged[f"{grid}_min"], merged[f"{grid}_max"], merged[f"{grid}_count"]
         if count < 1:
             raise UsageError(f"{grid} grid needs count >= 1, got {count}")
         if lo > hi:
             raise UsageError(f"{grid} grid needs min <= max, got [{lo}, {hi}]")
-    for key in ("zeta", "kappa", "time", "chi", "Omega", "Gamma", "gamma",
-                "Delta1", "Delta2", "drive"):
-        if not math.isfinite(merged[key]):
-            raise UsageError(f"parameter {key} must be finite")
     return merged
 
 
@@ -309,7 +314,10 @@ CASCADED_FIELDS = ("chi", "Omega", "Gamma", "gamma", "Delta1", "Delta2",
                    "omega_eval", "selection")
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = _Parser(prog="cavmotion",
                      description="Radiation-pressure atomic-motion entangling simulator")
     top = parser.add_subparsers(dest="scenario", required=True)

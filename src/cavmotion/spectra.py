@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import steady_state
+from .cascade import steady_grid
 
 # row-combination vectors for the collective atomic quadratures
 U_QA = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=complex)
@@ -97,38 +97,40 @@ class SweepPoint:
 def build_drift(params, steady):
     """8x8 drift generator of the fluctuations around the steady state.
 
-    Atom blocks are bare damped oscillators; atom-field coupling rows carry
-    i chi zeta_j; cavity rows carry the intensity-shifted detunings
-    Delta_j + chi (alpha + alpha*) and the one-way cascade feed gamma.
+    `steady` is a SteadyBranch, or a SteadyGrid (or a block of one) for a
+    stack (n, 8, 8) of drifts built in one broadcast.  Atom blocks are bare
+    damped oscillators; atom-field coupling rows carry i chi zeta_j; cavity
+    rows carry the intensity-shifted detunings Delta_j + chi (alpha +
+    alpha*) and the one-way cascade feed gamma.
     """
     chi, g = params.chi, params.gamma
-    z1, z2 = steady.zeta1, steady.zeta2
+    z1, z2 = np.asarray(steady.zeta1), np.asarray(steady.zeta2)
     pole = params.Gamma / 2.0 + 1j * params.Omega
-    d1 = params.Delta1 + chi * 2.0 * steady.alpha.real
-    d2 = params.Delta2 + chi * 2.0 * steady.beta.real
+    d1 = params.Delta1 + chi * 2.0 * np.real(steady.alpha)
+    d2 = params.Delta2 + chi * 2.0 * np.real(steady.beta)
 
-    m = np.zeros((8, 8), dtype=complex)
-    m[0, 0] = -pole
-    m[1, 1] = -pole.conjugate()
-    m[2, 2] = -pole
-    m[3, 3] = -pole.conjugate()
+    m = np.zeros(z1.shape + (8, 8), dtype=complex)
+    m[..., 0, 0] = -pole
+    m[..., 1, 1] = -pole.conjugate()
+    m[..., 2, 2] = -pole
+    m[..., 3, 3] = -pole.conjugate()
 
-    m[0, 4], m[0, 5] = -1j * chi * z1.conjugate(), -1j * chi * z1
-    m[1, 4], m[1, 5] = 1j * chi * z1.conjugate(), 1j * chi * z1
-    m[2, 6], m[2, 7] = -1j * chi * z2.conjugate(), -1j * chi * z2
-    m[3, 6], m[3, 7] = 1j * chi * z2.conjugate(), 1j * chi * z2
+    m[..., 0, 4], m[..., 0, 5] = -1j * chi * z1.conjugate(), -1j * chi * z1
+    m[..., 1, 4], m[..., 1, 5] = 1j * chi * z1.conjugate(), 1j * chi * z1
+    m[..., 2, 6], m[..., 2, 7] = -1j * chi * z2.conjugate(), -1j * chi * z2
+    m[..., 3, 6], m[..., 3, 7] = 1j * chi * z2.conjugate(), 1j * chi * z2
 
-    m[4, 0] = m[4, 1] = -1j * chi * z1
-    m[5, 0] = m[5, 1] = 1j * chi * z1.conjugate()
-    m[6, 2] = m[6, 3] = -1j * chi * z2
-    m[7, 2] = m[7, 3] = 1j * chi * z2.conjugate()
+    m[..., 4, 0] = m[..., 4, 1] = -1j * chi * z1
+    m[..., 5, 0] = m[..., 5, 1] = 1j * chi * z1.conjugate()
+    m[..., 6, 2] = m[..., 6, 3] = -1j * chi * z2
+    m[..., 7, 2] = m[..., 7, 3] = 1j * chi * z2.conjugate()
 
-    m[4, 4] = -g / 2.0 - 1j * d1
-    m[5, 5] = -g / 2.0 + 1j * d1
-    m[6, 6] = -g / 2.0 - 1j * d2
-    m[7, 7] = -g / 2.0 + 1j * d2
-    m[6, 4] = g
-    m[7, 5] = g
+    m[..., 4, 4] = -g / 2.0 - 1j * d1
+    m[..., 5, 5] = -g / 2.0 + 1j * d1
+    m[..., 6, 6] = -g / 2.0 - 1j * d2
+    m[..., 7, 7] = -g / 2.0 + 1j * d2
+    m[..., 6, 4] = g
+    m[..., 7, 5] = g
     return m
 
 
@@ -171,7 +173,8 @@ def transfer(drift, omega):
                 singular[idx] = True
     defect = np.abs(lhs @ t - np.eye(8))
     row_norms = np.maximum(np.abs(lhs).sum(axis=-1), 1.0)
-    failed = singular | np.any(defect > 1e-10 * row_norms[..., None], axis=(-2, -1))
+    # written so that a nan defect fails too
+    failed = singular | np.any(~(defect <= 1e-10 * row_norms[..., None]), axis=(-2, -1))
     if failed.any():
         idx = np.unravel_index(np.argmax(failed), failed.shape)
         if singular[idx]:
@@ -218,7 +221,7 @@ def correlation_matrix(drift, noise, omega):
 def _epr_block(drift, noise, omega):
     _, s_q, s_p, comm = spectral_moments(drift, noise, omega)
     omega = np.broadcast_to(np.asarray(omega, dtype=float), comm.shape)
-    degenerate = np.abs(comm) < COMMUTATOR_FLOOR
+    degenerate = ~(np.abs(comm) >= COMMUTATOR_FLOOR)  # a nan commutator too
     if degenerate.any():
         idx = np.unravel_index(np.argmax(degenerate), degenerate.shape)
         raise ArithmeticError(
@@ -293,25 +296,24 @@ def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
     Each cavity's intensity is continued adiabatically from the previous
     drive point; vanishing branches produce recorded jump events.  Points
     whose working branch is unstable (or numerically degenerate) come back
-    flagged with e_degree = nan rather than aborting the sweep.  Drives go
-    in blocks of GRID_BLOCK: one batched eigenvalue call for the block's
-    drifts, then one `epr_grid` over its stable ones.
+    flagged with e_degree = nan rather than aborting the sweep.  One
+    `steady_grid` call solves every drive; then drives go in blocks of
+    GRID_BLOCK: one stack of drifts, one batched eigenvalue call for it,
+    then one `epr_grid` over its stable ones.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):
         raise ValueError("drive_grid must be sorted ascending")
     if noise is None:
         noise = build_noise(params)
+    steady = steady_grid(params, drive_grid, selection="follow")
+    jumped = steady.jumped1 | steady.jumped2
     rows = []
-    previous = None
     for start in range(0, drive_grid.size, GRID_BLOCK):
-        branches = []
-        for drive in drive_grid[start:start + GRID_BLOCK]:
-            previous = steady_state(params, drive, selection="follow", previous=previous)
-            branches.append(previous)
-        drifts = np.array([build_drift(params, branch) for branch in branches])
+        block = slice(start, start + GRID_BLOCK)
+        drifts = build_drift(params, steady[block])
         stable, _ = stability_stack(drifts)
-        e_degree = np.full(len(branches), np.nan)
+        e_degree = np.full(len(drifts), np.nan)
         errors = [None if ok else "unstable working point" for ok in stable]
         solved = np.flatnonzero(stable)
         if solved.size:
@@ -324,14 +326,13 @@ def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
                         e_degree[i] = epr_spectra(drifts[i], noise, omega_eval).e_degree
                     except ArithmeticError as exc:
                         errors[i] = str(exc)
-        for branch, drive, ok, degree, error in zip(
-                branches, drive_grid[start:], stable, e_degree, errors):
-            rows.append(SweepPoint(
-                drive=float(drive),
-                branch1=branch.branch1, branch2=branch.branch2,
-                intensity1=branch.intensity1, intensity2=branch.intensity2,
-                stable=bool(ok), e_degree=float(degree),
-                jumped=branch.jumped1 or branch.jumped2,
-                error=error,
-            ))
+        rows.extend(
+            SweepPoint(drive=drive, branch1=branch1, branch2=branch2,
+                       intensity1=intensity1, intensity2=intensity2,
+                       stable=ok, e_degree=degree, jumped=jump, error=error)
+            for drive, branch1, branch2, intensity1, intensity2, ok, degree, jump, error in zip(
+                drive_grid[block].tolist(), steady.branch1[block].tolist(),
+                steady.branch2[block].tolist(), steady.intensity1[block].tolist(),
+                steady.intensity2[block].tolist(), stable.tolist(), e_degree.tolist(),
+                jumped[block].tolist(), errors))
     return rows

@@ -1,12 +1,18 @@
 """Cascaded steady-state checks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cavmotion import cascade
 from cavmotion.cascade import (
     BRANCH_LOWER,
     BRANCH_MIDDLE,
     BRANCH_UPPER,
+    SELECTIONS,
     PhysParams,
     SteadyBranch,
     bistable_window,
@@ -15,6 +21,8 @@ from cavmotion.cascade import (
     intensity_roots,
     pulling_coefficients,
     residual,
+    root_grid,
+    steady_grid,
     steady_state,
 )
 
@@ -219,3 +227,177 @@ class TestPhysParams:
             PhysParams(chi=1.0, Omega=1.0, Gamma=-0.5)
         with pytest.raises(ValueError):
             PhysParams(chi=1.0, Omega=np.inf)
+
+
+def reference_roots(params, delta, drive_power):
+    """Drive-by-drive reference for the root kernel: scalar Cardano (trig
+    branch for three real roots) and one Newton polish."""
+    if drive_power == 0.0:
+        return [0.0]
+    a, b = pulling_coefficients(params)
+    g = params.gamma
+    c3, c2, c1 = a * a + b * b, g * a - 2.0 * delta * b, g * g / 4.0 + delta * delta
+    if c3 == 0.0:
+        roots = [drive_power / c1]
+    else:
+        b2, b1, b0 = c2 / c3, c1 / c3, -drive_power / c3
+        shift = -b2 / 3.0
+        p = b1 - b2 * b2 / 3.0
+        q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+        if disc > 0.0:
+            s = math.sqrt(disc)
+            roots = [shift + np.cbrt(-q / 2.0 + s) + np.cbrt(-q / 2.0 - s)]
+        elif p == 0.0:
+            roots = [shift]
+        else:
+            m = 2.0 * math.sqrt(-p / 3.0)
+            theta = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
+            roots = [shift + m * np.cos(theta - 2.0 * np.pi * k / 3.0) for k in range(3)]
+    polished = []
+    for root in roots:
+        u, v = g / 2.0 + a * root, delta - b * root
+        slope = u**2 + v**2 + root * (2.0 * a * u - 2.0 * b * v)
+        if slope != 0.0 and np.isfinite(slope):
+            step = (root * (u**2 + v**2) - drive_power) / slope
+            if np.isfinite(step):
+                root = root - step
+        if np.isfinite(root) and root >= 0.0:
+            polished.append(float(root))
+    return sorted(polished)
+
+
+def reference_label(params, delta, intensity):
+    a, b = pulling_coefficients(params)
+    g = params.gamma
+    c2, c1 = 3.0 * (a * a + b * b), 2.0 * (g * a - 2.0 * delta * b)
+    disc = c1 * c1 - 4.0 * c2 * (g * g / 4.0 + delta * delta)
+    if c2 == 0.0 or disc <= 0.0 or (-c1 + math.sqrt(disc)) / (2.0 * c2) <= 0.0:
+        return BRANCH_LOWER
+    if intensity < (-c1 - math.sqrt(disc)) / (2.0 * c2):
+        return BRANCH_LOWER
+    return BRANCH_MIDDLE if intensity <= (-c1 + math.sqrt(disc)) / (2.0 * c2) else BRANCH_UPPER
+
+
+def reference_chain(params, drives, selection):
+    """The working points of a drive sequence, one scalar solve per drive;
+    "follow" continues from the drive before."""
+    g, sqg = params.gamma, math.sqrt(params.gamma)
+    pole = params.Gamma / 2.0 + 1j * params.Omega
+    out, before = [], None
+    for drive in drives:
+        zeta_in, point = complex(drive), {}
+        for j, delta in ((1, params.Delta1), (2, params.Delta2)):
+            roots = reference_roots(params, delta, g * abs(zeta_in) ** 2)
+            if selection == "lowest" or (selection == "follow" and before is None):
+                root = roots[0]
+            elif selection == "highest":
+                root = roots[-1]
+            else:
+                root = min(roots, key=lambda i: abs(i - before[f"intensity{j}"]))
+            zeta = np.float64(sqg) * zeta_in / cavity_bracket(params, delta, root)
+            branch = reference_label(params, delta, root)
+            jumped = False
+            if selection == "follow" and before is not None:
+                prev = before[f"intensity{j}"]
+                jumped = bool(abs(root - prev) > max(prev, 1e-12)
+                              and branch != before[f"branch{j}"])
+            point.update({f"zeta{j}": complex(zeta), f"zeta{j}_in": complex(zeta_in),
+                          f"intensity{j}": float(abs(zeta) ** 2), f"branch{j}": branch,
+                          f"jumped{j}": jumped})
+            zeta_in = np.float64(sqg) * zeta - zeta_in
+        point["alpha"] = -1j * params.chi * point["intensity1"] / pole
+        point["beta"] = -1j * params.chi * point["intensity2"] / pole
+        out.append(SteadyBranch(**point))
+        before = point
+    return out
+
+
+def assert_bits_equal(got, want):
+    """Equal floats with equal bits (nan equal to nan), equal strings."""
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, str):
+            assert other == value, name
+        else:
+            assert np.array_equal(np.asarray(other), np.asarray(value), equal_nan=True), name
+
+
+def drive_grid(params, magnitudes, phase):
+    """Drives at the given magnitudes, plus zero, a sweep across the first
+    cavity's bistable window and both its edges (double roots), at one
+    phase."""
+    extra = []
+    window = bistable_window(params, params.Delta1)
+    if window is not None:
+        edges = [math.sqrt(power / params.gamma) for power in window]
+        extra = [*edges, *np.geomspace(0.5 * edges[0], 2.0 * edges[1], 24)]
+    return np.sort(np.concatenate(([0.0], magnitudes, extra))) * np.exp(1j * phase)
+
+
+class TestSteadyGrid:
+    """The grid kernel equals the drive-by-drive scalar chain bit for bit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    # below chi ~ 1e-35 Cardano's normalized coefficients overflow
+    @given(chi=st.floats(0.0, 3.0).map(lambda chi: chi if chi >= 1e-3 else 0.0),
+           log_omega=st.floats(0.0, 3.0), gamma_motion=st.floats(0.0, 1.0),
+           gamma=st.floats(0.5, 2.0), delta1=st.floats(-1e2, 1e4), delta2=st.floats(-1e4, 1e4),
+           phase=st.sampled_from([0.0, 0.6, -2.0]))
+    def test_kernel_equals_scalar_chain(self, chi, log_omega, gamma_motion, gamma,
+                                        delta1, delta2, phase):
+        params = PhysParams(chi=chi, Omega=10.0**log_omega, Gamma=gamma_motion, gamma=gamma,
+                            Delta1=delta1, Delta2=delta2)
+        drives = drive_grid(params, np.geomspace(1e-2, 1e6, 12), phase)
+        for selection in SELECTIONS:
+            want = reference_chain(params, drives, selection)
+            grid = steady_grid(params, drives, selection)
+            previous = None
+            for k, ref in enumerate(want):
+                assert_bits_equal(grid[k], ref)
+                point = steady_state(params, drives[k], selection,
+                                     previous if selection == "follow" else None)
+                assert_bits_equal(point, ref)
+                previous = point
+        for ref in want:
+            for delta, drive_in in ((params.Delta1, ref.zeta1_in), (params.Delta2, ref.zeta2_in)):
+                power = params.gamma * abs(drive_in) ** 2
+                roots = reference_roots(params, delta, power)
+                assert np.array_equal(intensity_roots(params, delta, power), roots)
+                assert [branch_label(params, delta, r) for r in roots] == [
+                    reference_label(params, delta, r) for r in roots]
+
+    def test_canonical_sweep_and_window_edges(self):
+        # the benchmark's drive grid, where both cavities cross the window
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        drives = drive_grid(params, np.geomspace(1e5, 1e9, 2401), 0.0)
+        grid = steady_grid(params, drives, "follow")
+        want = reference_chain(params, drives, "follow")
+        assert any(ref.jumped1 for ref in want) and any(ref.jumped2 for ref in want)
+        for k, ref in enumerate(want):
+            assert_bits_equal(grid[k], ref)
+        for power in bistable_window(params, params.Delta1):
+            want_roots = reference_roots(params, params.Delta1, power)
+            assert np.array_equal(intensity_roots(params, params.Delta1, power), want_roots)
+
+    def test_root_grid_rows(self):
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        p_lo, p_hi = bistable_window(params, params.Delta1)
+        powers = np.array([0.0, 0.5 * p_lo, np.sqrt(p_lo * p_hi), 2.0 * p_hi])
+        roots = root_grid(params, params.Delta1, powers)
+        assert roots.shape == (4, 3)
+        assert np.array_equal(np.sum(~np.isnan(roots), axis=1), [1, 1, 3, 1])
+        with pytest.raises(ValueError, match="drive_power"):
+            root_grid(params, params.Delta1, np.array([1.0, -2.0]))
+
+    def test_follow_scan_over_padded_rows(self):
+        # rows of 2 roots (degenerate) and a tie, which resolves to the lower root
+        roots = np.array([[1.0, 5.0, np.nan], [1.0, 5.0, 9.0], [8.0, np.nan, np.nan],
+                          [1.0, 7.0, np.nan], [5.0, 9.0, np.nan]])
+        assert cascade._select(roots, roots, "follow", 4.0).tolist() == [1, 1, 0, 1, 0]
+        assert cascade._select(roots, roots, "follow", None).tolist() == [0, 0, 0, 1, 0]
+
+    def test_unknown_selection_rejected(self):
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        with pytest.raises(ValueError, match="selection"):
+            steady_grid(params, np.array([1.0, 2.0]), selection="median")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavmotion import cli, spectra
+from cavmotion import cascade, cli, spectra
 from cavmotion.cascade import steady_state
 from cavmotion.svgplot import render_plot
 
@@ -157,12 +157,14 @@ class TestCascadedCsv:
 
 
 class TestWorkBounds:
-    """Batched spectra: a bounded number of solves per block of points."""
+    """Batched kernels: a bounded number of calls per block of points."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"transfer": 0, "eigvals": 0}
+        tally = {"transfer": 0, "eigvals": 0, "steady_state": 0, "intensity_roots": 0,
+                 "branch_label": 0, "build_drift": 0, "drift_stack": 0}
         transfer, eigvals = spectra.transfer, np.linalg.eigvals
+        build_drift = spectra.build_drift
 
         def counted_transfer(*args):
             tally["transfer"] += 1
@@ -172,8 +174,25 @@ class TestWorkBounds:
             tally["eigvals"] += 1
             return eigvals(*args)
 
+        def counted_drift(params, steady):
+            tally["drift_stack" if np.ndim(steady.zeta1) else "build_drift"] += 1
+            return build_drift(params, steady)
+
+        def counter(name, fn):
+            def counted(*args, **kwargs):
+                tally[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
         monkeypatch.setattr(spectra, "transfer", counted_transfer)
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        monkeypatch.setattr(spectra, "build_drift", counted_drift)
+        # every module that binds a per-point function by name
+        for name in ("steady_state", "intensity_roots", "branch_label"):
+            fn = counter(name, getattr(cascade, name))
+            for module in (cascade, spectra, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fn)
         return tally
 
     @pytest.mark.parametrize("count", [1, spectra.GRID_BLOCK, 301])
@@ -192,6 +211,10 @@ class TestWorkBounds:
         blocks = math.ceil(count / spectra.GRID_BLOCK)
         assert counts["transfer"] <= 2 * blocks
         assert counts["eigvals"] <= blocks
+        # one root solve for the whole drive grid, one drift stack per block
+        for name in ("steady_state", "intensity_roots", "branch_label", "build_drift"):
+            assert counts[name] == 0, name
+        assert counts["drift_stack"] <= blocks
 
 
 class TestConfigPrecedence:
@@ -245,6 +268,27 @@ class TestConfigPrecedence:
         code, _, err = run_cli(["single-cavity", "sweep", "--zeta", "abc"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["cascaded", "sweep", "--omega-eval", "nan"],
+        ["cascaded", "sweep", "--drive-max", "inf"],
+        ["single-cavity", "point", "--x", "nan"],
+        ["single-cavity", "point", "--x", "0", "--x-min", "nan"],
+        ["cascaded", "steady", "--selection", "bogus"],
+        ["single-cavity", "sweep", "--tail-epsilon=-inf"],
+    ])
+    def test_invalid_value_is_usage_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "must be" in err
+
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("drive_min = nan\n")
+        code, _, err = run_cli(["cascaded", "sweep", "--config", str(config)], capsys)
+        assert code == 1
+        assert "drive_min must be finite" in err
+
     @pytest.mark.parametrize("argv,column,want", [
         (["single-cavity", "point", "--x", "-1e-05"], 0, -1e-05),
         (["single-cavity", "sweep", "--x-min", "-1e-1", "--x-count", "1"], 0, -0.1),
@@ -257,14 +301,16 @@ class TestConfigPrecedence:
         assert float(out.strip().split("\n")[1].split(",")[column]) == want
 
 
-@pytest.mark.parametrize("argv,name", [
+GOLDEN_RUNS = [
     (["single-cavity", "sweep"], "single_cavity_sweep.csv"),
     (["single-cavity", "point", "--x", "0.5"], "single_cavity_point.csv"),
     (["cascaded", "steady"], "cascaded_steady.csv"),
     (["cascaded", "sweep"], "cascaded_sweep.csv"),
     (["cascaded", "spectrum"], "cascaded_spectrum.csv"),
-])
-def test_default_output_matches_golden(argv, name, tmp_path, capsys):
+]
+
+
+def assert_matches_golden(argv, name, tmp_path, capsys):
     out_path = tmp_path / name
     code, _, err = run_cli(argv + ["--out", str(out_path)], capsys)
     assert code == 0, err
@@ -273,6 +319,21 @@ def test_default_output_matches_golden(argv, name, tmp_path, capsys):
         diff = difflib.unified_diff(want.decode().splitlines(), got.decode().splitlines(),
                                     "golden/" + name, "now", lineterm="", n=0)
         pytest.fail(f"{name} differs from its golden file:\n" + "\n".join(diff))
+
+
+@pytest.mark.parametrize("argv,name", GOLDEN_RUNS)
+def test_default_output_matches_golden(argv, name, tmp_path, capsys):
+    assert_matches_golden(argv, name, tmp_path, capsys)
+
+
+def test_one_parser_serves_alternating_calls(tmp_path, capsys):
+    # the parser is built once per process; a usage error between requests
+    # of other subcommands must leave it as it was
+    assert cli.build_parser() is cli.build_parser()
+    for argv, name in GOLDEN_RUNS + GOLDEN_RUNS[::-1]:
+        code, _, err = run_cli(["cascaded", "steady", "--selection", "bogus"], capsys)
+        assert code == 1 and "selection" in err
+        assert_matches_golden(argv, name, tmp_path, capsys)
 
 
 class TestPlot:

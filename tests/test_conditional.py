@@ -130,6 +130,15 @@ class TestProbabilityDensity:
         integral = simpson(probability_density(state, x), x=x)
         assert integral == pytest.approx(1.0, abs=1e-6)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(zeta=st.floats(0.0, 3.0), log_kappa=st.floats(math.log(1e-4), math.log(2.0)),
+           t=st.floats(0.0, 2.0 * np.pi))
+    def test_normalization_property(self, zeta, log_kappa, t):
+        state = evolve(zeta, math.exp(log_kappa), t)
+        x = np.linspace(-10.0, 10.0, 801)
+        integral = simpson(probability_density(state, x), x=x)
+        assert integral == pytest.approx(1.0, abs=1e-9)
+
     def test_matches_conditioning_and_fock_oracle(self):
         state = evolve(1.7, 1.0, 2.0)
         x = np.linspace(-3.0, 3.0, 13)

@@ -10,6 +10,7 @@ from cavmotion.cascade import (
     bistable_window,
     cavity_bracket,
     intensity_roots,
+    steady_grid,
     steady_state,
 )
 from cavmotion.spectra import (
@@ -138,6 +139,16 @@ class TestBuildDrift:
         braced = cavity_bracket(params, params.Delta1, branch.intensity1)
         assert d_eff == pytest.approx(braced.imag, rel=1e-12)
 
+    def test_stack_equals_points_bitwise(self):
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        drives = np.geomspace(1e5, 1e9, 97) * np.exp(0.4j)
+        stack = build_drift(params, steady_grid(params, drives, "follow"))
+        assert stack.shape == (97, 8, 8)
+        previous = None
+        for drive, drift in zip(drives, stack):
+            previous = steady_state(params, drive, "follow", previous)
+            assert np.array_equal(drift, build_drift(params, previous))
+
 
 class TestBuildNoise:
     def test_entry_pattern(self):
@@ -196,6 +207,14 @@ class TestTransfer:
         with pytest.raises(SingularTransferError, match="omega=1.0"):
             transfer(drift, 1.0)
 
+    def test_nan_frequency_fails_the_defect_check(self):
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        drift = build_drift(params, steady_state(params, 1e3))
+        with pytest.raises(SingularTransferError, match="omega=nan"):
+            transfer(drift, np.array([1.0, float("nan")]))
+        with pytest.raises(SingularTransferError, match="omega=nan"):
+            epr_spectra(drift, build_noise(params), float("nan"))
+
 
 class TestCorrelationMatrix:
     def test_decoupled_atom_block(self):
@@ -252,6 +271,13 @@ class TestEprSpectra:
                 assert abs(point.commutator.real) / abs(point.commutator) < 1e-10
             assert point.e_degree == point.s_qplus * point.s_pminus / (0.25 * abs(point.commutator) ** 2)
             assert point.variance_product == point.s_qplus * point.s_pminus
+
+    def test_nan_commutator_is_degenerate(self):
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        drift = build_drift(params, steady_state(params, 1e3))
+        noise = NoiseModel(d=build_noise(params).d, k=np.full((8, 8), np.nan))
+        with pytest.raises(ArithmeticError, match="degenerate commutator"):
+            epr_spectra(drift, noise, params.Omega)
 
     def test_canonical_regime_dips_below_one(self):
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
@@ -456,8 +482,9 @@ class TestAmplitudeSweep:
         build = spectra.build_drift
 
         def scaled_at_eighth(params, branch):
-            drift = build(params, branch)
-            return drift * 1e20 if branch.zeta1_in == drives[7] else drift
+            # `branch` is one working point or a block of them
+            scale = np.where(branch.zeta1_in == drives[7], 1e20, 1.0)
+            return build(params, branch) * scale[..., None, None]
 
         monkeypatch.setattr(spectra, "build_drift", scaled_at_eighth)
         rows = amplitude_sweep(params, drives, params.Omega)

@@ -19,6 +19,14 @@ BRANCH_MIDDLE = "middle"
 BRANCH_UPPER = "upper"
 SELECTIONS = ("lowest", "highest", "follow")
 
+# largest miss of the modulus cubic, relative to the drive power, that a
+# Cardano root may keep before its row is solved again by bracketed Newton
+ROOT_TOLERANCE = 1e-12
+# Newton settles in a few steps; bisection alone needs about 80 to pin a
+# root to the last bits at delta = 1e4
+BRACKET_ITERATIONS = 200
+EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -98,6 +106,79 @@ def cavity_bracket(params, delta, intensity):
     return params.gamma / 2.0 + a * intensity + 1j * (delta - b * intensity)
 
 
+def _modulus_cubic(params, delta, intensity, drive_power):
+    """(I |bracket(I)|^2 - P, its derivative in I) at every intensity;
+    drive_power broadcasts against intensity."""
+    a, b = pulling_coefficients(params)
+    u, v = params.gamma / 2.0 + a * intensity, delta - b * intensity
+    modulus = np.float_power(u, 2) + np.float_power(v, 2)
+    return intensity * modulus - drive_power, modulus + intensity * (2.0 * a * u - 2.0 * b * v)
+
+
+def _misses_cubic(params, delta, roots, drive_power):
+    """Rows of a root grid that hold no root at a positive drive, or whose
+    roots miss the modulus cubic by more than ROOT_TOLERANCE relative to
+    the drive power, beyond the rounding floor of the check: the
+    cancellation in delta - b I where the detuning is pulled near
+    resonance."""
+    a, b = pulling_coefficients(params)
+    power = drive_power[:, None]
+    with np.errstate(invalid="ignore"):  # the nan padding of `roots`
+        u, v = params.gamma / 2.0 + a * roots, delta - b * roots
+        miss = np.abs(roots * (u * u + v * v) - power)
+        floor = 8.0 * EPS * roots * np.abs(v) * (abs(delta) + b * roots)
+        missed = np.any(miss > ROOT_TOLERANCE * power + floor, axis=1)
+    return (missed | np.isnan(roots[:, 0])) & (drive_power > 0.0)
+
+
+def _bracketed_roots(params, delta, drive_power):
+    """Rows of root_grid by safeguarded Newton, for positive drive powers.
+
+    The turning points split [0, 4 P / gamma^2] (every root lies below it,
+    since |bracket|^2 >= gamma^2/4) into up to three monotone pieces; each
+    piece whose ends straddle a sign change holds one root.  Newton starts
+    from the linear solution P / (gamma^2/4 + delta^2), clipped to the
+    piece, and bisects whenever a step would not land strictly inside the
+    shrinking bracket, so it cannot lose the root however small the
+    cubic's coefficients are.
+    """
+    top = 4.0 * drive_power / params.gamma**2
+    cuts = np.zeros(drive_power.shape + (4,))
+    cuts[:, 1:] = top[:, None]
+    turns = _turning_points(params, delta)
+    if turns is not None:
+        cuts[:, 1:3] = np.clip(np.array(turns), 0.0, top[:, None])
+    # an overflowing drive power gives no root rather than a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        power = drive_power[:, None]
+        lower, upper = cuts[:, :-1], cuts[:, 1:]
+        f_lower = _modulus_cubic(params, delta, lower, power)[0]
+        f_upper = _modulus_cubic(params, delta, upper, power)[0]
+        lower_sign = np.sign(f_lower)
+        has_root = (lower_sign != 0.0) & (lower_sign * np.sign(f_upper) <= 0.0)
+        linear = drive_power / (params.gamma**2 / 4.0 + delta * delta)
+        x = np.clip(linear[:, None], lower, upper)
+        # a settled root stays put, so a row's bits do not depend on its batch
+        done = ~has_root
+        for _ in range(BRACKET_ITERATIONS):
+            value, slope = _modulus_cubic(params, delta, x, power)
+            left = np.sign(value) == lower_sign
+            lower, upper = np.where(left, x, lower), np.where(left, upper, x)
+            newton = x - value / slope
+            converged = (value == 0.0) | (np.abs(newton - x) <= 4.0 * EPS * x)
+            # a step onto or past the bracket (or a nan step) bisects, so
+            # the bracket shrinks even where rounding makes Newton bounce
+            inside = (newton > lower) & (newton < upper)
+            step = np.where(converged | inside, newton, 0.5 * (lower + upper))
+            # step == x: the bracket has shrunk to adjacent floats
+            settled = converged | (step == x)
+            x = np.where(done, x, step)
+            done |= settled
+            if done.all():
+                break
+    return np.sort(np.where(has_root, x, np.nan), axis=1)
+
+
 def root_grid(params, delta, drive_power):
     """Every nonnegative intensity solving the steady-state modulus cubic,
     for a 1-d array of drive powers gamma |zeta_in|^2.
@@ -105,9 +186,13 @@ def root_grid(params, delta, drive_power):
     Returns an (n, 3) array: row k holds the 1, 2 (degenerate) or 3 roots
     at drive_power[k] in ascending order, padded with nan.  Cardano (trig
     branch for three real roots) and one Newton polish run on the whole
-    array.  float_power squares like the scalar x ** 2 (C pow); `**` on an
-    array squares by multiplication, which moves the last bit of a few
-    roots.
+    array.  Cardano cancels catastrophically once the cubic term is small
+    (weak coupling, or weak drive), so a row whose roots miss the cubic by
+    more than ROOT_TOLERANCE relative to the drive power (beyond the
+    rounding floor of the check itself), or that finds no root, is solved
+    again by `_bracketed_roots`.  float_power squares like the scalar
+    x ** 2 (C pow); `**` on an array squares by multiplication, which moves
+    the last bit of a few roots.
     """
     drive_power = np.asarray(drive_power, dtype=float)
     negative = drive_power < 0
@@ -122,30 +207,34 @@ def root_grid(params, delta, drive_power):
     if c3 == 0.0:
         roots[:, 0] = drive_power / c1
     else:
-        b2, b1, b0 = c2 / c3, c1 / c3, -drive_power / c3
-        shift = -b2 / 3.0
-        p = b1 - b2 * b2 / 3.0
-        q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
-        disc = np.float_power(q / 2.0, 2) + (p / 3.0) ** 3
-        one = disc > 0.0
-        s = np.sqrt(disc[one])
-        roots[one, 0] = shift + np.cbrt(-q[one] / 2.0 + s) + np.cbrt(-q[one] / 2.0 - s)
-        three = ~one
-        if p == 0.0:
-            roots[three, 0] = shift
-        elif three.any():
-            m = 2.0 * np.sqrt(-p / 3.0)
-            theta = np.arccos(np.clip(3.0 * q[three] / (p * m), -1.0, 1.0)) / 3.0
-            roots[three] = shift + m * np.cos(theta[:, None] - 2.0 * np.pi * np.arange(3) / 3.0)
+        # at weak coupling the normalized coefficients overflow: the rows
+        # come back nan and are solved again below
+        with np.errstate(over="ignore", invalid="ignore"):
+            b2, b1, b0 = c2 / c3, c1 / c3, -drive_power / c3
+            shift = -b2 / 3.0
+            p = b1 - b2 * b2 / 3.0
+            q = 2.0 * np.float_power(b2, 3) / 27.0 - b2 * b1 / 3.0 + b0
+            disc = np.float_power(q / 2.0, 2) + np.float_power(p / 3.0, 3)
+            one = disc > 0.0
+            s = np.sqrt(disc[one])
+            roots[one, 0] = shift + np.cbrt(-q[one] / 2.0 + s) + np.cbrt(-q[one] / 2.0 - s)
+            three = ~one
+            if p == 0.0:
+                roots[three, 0] = shift
+            elif three.any():
+                m = 2.0 * np.sqrt(-p / 3.0)
+                theta = np.arccos(np.clip(3.0 * q[three] / (p * m), -1.0, 1.0)) / 3.0
+                roots[three] = shift + m * np.cos(theta[:, None] - 2.0 * np.pi * np.arange(3) / 3.0)
 
-    u, v = g / 2.0 + a * roots, delta - b * roots
-    modulus = np.float_power(u, 2) + np.float_power(v, 2)
-    slope = modulus + roots * (2.0 * a * u - 2.0 * b * v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = (roots * modulus - drive_power[:, None]) / slope
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value, slope = _modulus_cubic(params, delta, roots, drive_power[:, None])
+        step = value / slope
     polish = (slope != 0.0) & np.isfinite(slope) & np.isfinite(step)
     roots = np.where(polish, roots - step, roots)
     roots = np.sort(np.where(np.isfinite(roots) & (roots >= 0.0), roots, np.nan), axis=1)
+    missed = _misses_cubic(params, delta, roots, drive_power)
+    if missed.any():
+        roots[missed] = _bracketed_roots(params, delta, drive_power[missed])
     roots[drive_power == 0.0] = (0.0, np.nan, np.nan)
     return roots
 
@@ -153,9 +242,9 @@ def root_grid(params, delta, drive_power):
 def intensity_roots(params, delta, drive_power):
     """All nonnegative intensities solving the steady-state modulus cubic.
 
-    drive_power is gamma |zeta_in|^2.  Roots get one Newton polish and come
-    back sorted ascending; the count is 1, 2 (degenerate) or 3.  The
-    one-point view of `root_grid`.
+    drive_power is gamma |zeta_in|^2.  Roots come back sorted ascending;
+    the count is 1, 2 (degenerate) or 3.  The one-point view of
+    `root_grid`.
     """
     roots = root_grid(params, delta, [drive_power])[0]
     return roots[~np.isnan(roots)].tolist()

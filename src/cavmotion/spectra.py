@@ -34,6 +34,10 @@ COMMUTATOR_FLOOR = 1e-30
 # 13 MiB; 64 points keep it at that of a point-by-point loop
 GRID_BLOCK = 64
 
+# largest mismatch, relative to the largest drift entry, between an adjoint
+# row of a drift and the conjugate of its operator row
+QUADRATURE_TOLERANCE = 1e-12
+
 
 class SingularTransferError(ArithmeticError):
     """(i w I - M) could not be inverted to working precision."""
@@ -279,8 +283,41 @@ def epr_spectra(drift, noise, omega):
 
 def stability_stack(drifts):
     """Per drift of a stack (..., 8, 8): (all eigenvalues strictly damped?,
-    the eigenvalues), from one batched eigenvalue call."""
-    eigs = np.linalg.eigvals(drifts)
+    the eight eigenvalues), from one batched real eigenvalue call.
+
+    The cascade is one-way, so with the slots regrouped as (a, a+, c1, c1+)
+    and (b, b+, c2, c2+) the drift is block lower-triangular and its
+    spectrum is that of the two 4x4 diagonal blocks: the first cavity's
+    eigenvalues, then the second's.  Each block is the complex form of a
+    real map; in the quadratures (q, p) of each mode, v = S r with
+    S = [[1, i], [1, -i]]/sqrt(2) per mode, its 2x2 entry [[x, y], [y*, x*]]
+    becomes [[Re x + Re y, Im y - Im x], [Im x + Im y, Re x - Re y]].
+    Raises ValueError for a drift not of this form: a nonzero coupling from
+    the second cavity back into the first, or a block whose quadrature form
+    is not real to rounding.
+    """
+    # slot i = 4 mode + 2 stage + w: mode 0 atom / 1 field, stage 0 first
+    # cavity / 1 second, w 0 operator / 1 adjoint
+    m = np.reshape(drifts, np.shape(drifts)[:-2] + (2, 2, 2, 2, 2, 2))
+    size = np.abs(m)
+    if np.any(size[..., :, 0, :, :, 1, :] > 0.0):
+        raise ValueError("drift couples the second cavity back into the first: "
+                         "not a one-way cascade")
+    blocks = np.stack((m[..., :, 0, :, :, 0, :], m[..., :, 1, :, :, 1, :]), axis=-5)
+    x, y = blocks[..., 0, :, 0], blocks[..., 0, :, 1]
+    defect = np.maximum(np.abs(blocks[..., 1, :, 1] - x.conj()),
+                        np.abs(blocks[..., 1, :, 0] - y.conj()))
+    scale = size.max(axis=(-6, -5, -4, -3, -2, -1))
+    if np.any(defect.max(axis=(-3, -2, -1)) > QUADRATURE_TOLERANCE * scale):
+        raise ValueError("drift block has no real quadrature form: "
+                         "adjoint rows are not the conjugates of operator rows")
+    real = np.empty(x.shape[:-2] + (2, 2, 2, 2))  # (stage, mode, q/p, mode, q/p)
+    real[..., :, 0, :, 0] = x.real + y.real
+    real[..., :, 0, :, 1] = y.imag - x.imag
+    real[..., :, 1, :, 0] = x.imag + y.imag
+    real[..., :, 1, :, 1] = x.real - y.real
+    eigs = np.linalg.eigvals(real.reshape(real.shape[:-4] + (4, 4)))
+    eigs = eigs.reshape(eigs.shape[:-2] + (8,)).astype(complex)
     return np.all(eigs.real < 0.0, axis=-1), eigs
 
 

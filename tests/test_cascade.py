@@ -231,9 +231,27 @@ class TestPhysParams:
 
 def reference_roots(params, delta, drive_power):
     """Drive-by-drive reference for the root kernel: scalar Cardano (trig
-    branch for three real roots) and one Newton polish."""
+    branch for three real roots) and one Newton polish; a drive whose roots
+    miss the cubic (or that finds none) takes the kernel's bracketed Newton
+    row, whose accuracy TestRootGridWeakCoupling checks."""
     if drive_power == 0.0:
         return [0.0]
+    polished = reference_cardano(params, delta, drive_power)
+    a, b = pulling_coefficients(params)
+    eps = np.finfo(float).eps
+    for root in polished:
+        u, v = params.gamma / 2.0 + a * root, delta - b * root
+        miss = abs(root * (u * u + v * v) - drive_power)
+        if miss > 1e-12 * drive_power + 8.0 * eps * root * abs(v) * (abs(delta) + b * root):
+            break
+    else:
+        if polished:
+            return polished
+    row = cascade._bracketed_roots(params, delta, np.array([drive_power]))[0]
+    return row[~np.isnan(row)].tolist()
+
+
+def reference_cardano(params, delta, drive_power):
     a, b = pulling_coefficients(params)
     g = params.gamma
     c3, c2, c1 = a * a + b * b, g * a - 2.0 * delta * b, g * g / 4.0 + delta * delta
@@ -339,7 +357,8 @@ class TestSteadyGrid:
     """The grid kernel equals the drive-by-drive scalar chain bit for bit."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    # below chi ~ 1e-35 Cardano's normalized coefficients overflow
+    # the scalar reference's Cardano overflows below chi ~ 1e-35 (a Python
+    # float power); TestRootGridWeakCoupling covers weak coupling
     @given(chi=st.floats(0.0, 3.0).map(lambda chi: chi if chi >= 1e-3 else 0.0),
            log_omega=st.floats(0.0, 3.0), gamma_motion=st.floats(0.0, 1.0),
            gamma=st.floats(0.5, 2.0), delta1=st.floats(-1e2, 1e4), delta2=st.floats(-1e4, 1e4),
@@ -401,3 +420,30 @@ class TestSteadyGrid:
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         with pytest.raises(ValueError, match="selection"):
             steady_grid(params, np.array([1.0, 2.0]), selection="median")
+
+
+class TestRootGridWeakCoupling:
+    """Cardano cancels once the cubic term (~ chi^4) is small; the rows it
+    misses are solved again and must meet the cubic."""
+
+    @pytest.mark.parametrize("delta", [0.0, 1e4])
+    @pytest.mark.parametrize("chi", [1e-5, 1e-7, 1e-10, 1e-20, 1e-40])
+    def test_every_positive_drive_meets_the_cubic(self, chi, delta):
+        params = PhysParams(chi=chi, Omega=1000.0, Gamma=1e-3, gamma=1.0)
+        powers = np.geomspace(1e-2, 1e12, 701)
+        roots = root_grid(params, delta, powers)
+        assert np.all(np.isfinite(roots[:, 0]) & (roots[:, 0] > 0.0))
+        a, b = pulling_coefficients(params)
+        found = ~np.isnan(roots)
+        intensity = np.where(found, roots, 0.0)
+        lhs = intensity * ((params.gamma / 2 + a * intensity) ** 2 + (delta - b * intensity) ** 2)
+        miss = np.abs(lhs - powers[:, None]) / powers[:, None]
+        assert miss[found].max() <= 1e-12
+
+    def test_passing_rows_keep_their_cardano_bits(self):
+        # the benchmark's strong-coupling drives: no row is solved again
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        powers = np.geomspace(1e5, 1e9, 241) ** 2
+        roots = root_grid(params, params.Delta1, powers)
+        for power, row in zip(powers, roots):
+            assert row[~np.isnan(row)].tolist() == reference_cardano(params, params.Delta1, power)

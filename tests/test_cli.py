@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cavmotion import cascade, cli, spectra
-from cavmotion.cascade import steady_state
+from cavmotion.cascade import SELECTIONS, steady_state
 from cavmotion.svgplot import render_plot
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,6 +112,16 @@ class TestCascadedCsv:
         assert lines[0].startswith("drive,branch1,branch2,intensity1")
         assert len(lines) == 2
 
+    def test_steady_at_vanishing_coupling(self, capsys):
+        # the cubic's normalized coefficients overflow here; the cavities
+        # are linear to working precision: intensity = 4 drive^2
+        code, out, err = run_cli(["cascaded", "steady", "--chi", "1e-30",
+                                  "--Delta1", "0", "--Delta2", "0"], capsys)
+        assert code == 0, err
+        cells = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+        assert float(cells["intensity1"]) == pytest.approx(4e12, rel=1e-12)
+        assert cells["stable"] == "true"
+
     def test_spectrum_subcommand(self, capsys):
         code, out, _ = run_cli(
             ["cascaded", "spectrum", "--drive", "1e5",
@@ -161,8 +171,8 @@ class TestWorkBounds:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"transfer": 0, "eigvals": 0, "steady_state": 0, "intensity_roots": 0,
-                 "branch_label": 0, "build_drift": 0, "drift_stack": 0}
+        tally = {"transfer": 0, "eigvals": 0, "eigvals_full": 0, "steady_state": 0,
+                 "intensity_roots": 0, "branch_label": 0, "build_drift": 0, "drift_stack": 0}
         transfer, eigvals = spectra.transfer, np.linalg.eigvals
         build_drift = spectra.build_drift
 
@@ -170,9 +180,12 @@ class TestWorkBounds:
             tally["transfer"] += 1
             return transfer(*args)
 
-        def counted_eigvals(*args):
+        def counted_eigvals(matrices):
             tally["eigvals"] += 1
-            return eigvals(*args)
+            # a complex or 8x8 stack is the full drift, not its two real blocks
+            matrices = np.asarray(matrices)
+            tally["eigvals_full"] += np.iscomplexobj(matrices) or matrices.shape[-1] == 8
+            return eigvals(matrices)
 
         def counted_drift(params, steady):
             tally["drift_stack" if np.ndim(steady.zeta1) else "build_drift"] += 1
@@ -202,6 +215,14 @@ class TestWorkBounds:
         assert len(out.strip().split("\n")) == count + 1
         assert counts["transfer"] <= 2 * math.ceil(count / spectra.GRID_BLOCK)
         assert counts["eigvals"] == 1
+        assert counts["eigvals_full"] == 0
+
+    @pytest.mark.parametrize("selection", SELECTIONS)
+    def test_steady_one_real_eigvals(self, selection, counts, capsys):
+        code, _, _ = run_cli(["cascaded", "steady", "--selection", selection], capsys)
+        assert code == 0
+        assert counts["eigvals"] == 1
+        assert counts["eigvals_full"] == 0
 
     @pytest.mark.parametrize("count", [1, spectra.GRID_BLOCK, 301])
     def test_sweep_one_eigvals_two_solves_per_block(self, count, counts, capsys):
@@ -211,6 +232,7 @@ class TestWorkBounds:
         blocks = math.ceil(count / spectra.GRID_BLOCK)
         assert counts["transfer"] <= 2 * blocks
         assert counts["eigvals"] <= blocks
+        assert counts["eigvals_full"] == 0
         # one root solve for the whole drive grid, one drift stack per block
         for name in ("steady_state", "intensity_roots", "branch_label", "build_drift"):
             assert counts[name] == 0, name

@@ -444,6 +444,64 @@ class TestClassifyStability:
             rows, cols = linear_sum_assignment(cost)
             assert cost[rows, cols].max() <= 1e-8 * max(1, np.abs(e0).max())
 
+    def test_refuses_coupling_back_into_first_cavity(self):
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        drift = build_drift(params, steady_state(params, 3.0e5))
+        drift[4, 6] = params.gamma  # second cavity feeding the first
+        with pytest.raises(ValueError, match="one-way cascade"):
+            classify_stability(drift)
+        with pytest.raises(ValueError, match="one-way cascade"):
+            stability_stack(np.array([build_drift(params, steady_state(params, 1e3)), drift]))
+
+    def test_refuses_block_without_real_quadrature_form(self):
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        drift = build_drift(params, steady_state(params, 3.0e5))
+        drift[7, 7] = drift[6, 6]  # c2+ rotating like c2: no real quadrature form
+        with pytest.raises(ValueError, match="real quadrature form"):
+            classify_stability(drift)
+        # rounding-sized asymmetry is still a cascade drift
+        drift = build_drift(params, steady_state(params, 3.0e5))
+        drift[5, 5] *= 1.0 + 1e-15
+        assert classify_stability(drift)[0]
+
+    def test_eigenvalues_match_40_digit_reference(self):
+        # equal detunings: the two blocks' eigenvalues nearly coincide, and
+        # the gamma feed between them leaves the full 8x8 problem nearly
+        # defective
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.optimize import linear_sum_assignment
+        params = PhysParams(chi=0.3, Omega=1000.0, **CANONICAL_RATES)
+        drift = build_drift(params, steady_state(params, 46415888.33612782, selection="highest"))
+        with mpmath.workdps(40):
+            want = np.array([complex(e) for e in mpmath.eig(mpmath.matrix(drift.tolist()))[0]])
+        full = np.linalg.eigvals(drift)
+        assert abs(full.real.max() - want.real.max()) > 1e-6
+        _, eigs = classify_stability(drift)
+        cost = np.abs(eigs[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-9 * np.linalg.norm(drift, 2)
+
+    def test_verdicts_equal_full_drift_solve_on_benchmark_grid(self):
+        drives = np.geomspace(1e5, 1e9, 2401)
+        eps = np.finfo(float).eps
+        compared = 0
+        for chi in np.geomspace(0.3, 3.0, 8):
+            params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
+            drifts = build_drift(params, steady_grid(params, drives, selection="follow"))
+            stable, _ = stability_stack(drifts)
+            full, vectors = np.linalg.eig(drifts)
+            # first-order error bound of the full solve: eigenvalue condition
+            # number times the rounding of the drift, with a factor n^2 to spare
+            condition = (np.linalg.norm(vectors, axis=-2)
+                         * np.linalg.norm(np.linalg.inv(vectors), axis=-1))
+            bound = 64 * eps * np.linalg.norm(drifts, axis=(-2, -1))[:, None] * condition
+            top = np.argmax(full.real, axis=-1)
+            margin = np.abs(full.real[np.arange(drives.size), top])
+            clear = margin > bound[np.arange(drives.size), top]
+            assert np.array_equal(stable[clear], np.all(full.real < 0.0, axis=-1)[clear])
+            compared += clear.sum()
+        assert compared >= 0.99 * 8 * drives.size
+
 
 class TestAmplitudeSweep:
     def test_empty_grid(self):

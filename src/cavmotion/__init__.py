@@ -58,6 +58,7 @@ from .spectra import (
     amplitude_sweep,
     build_drift,
     build_noise,
+    cascade_blocks,
     classify_stability,
     correlation_matrix,
     epr_grid,
@@ -65,6 +66,7 @@ from .spectra import (
     spectral_moments,
     stability_stack,
     transfer,
+    transfer_rows,
 )
 
 __version__ = "0.1.0"

@@ -318,8 +318,10 @@ def _cavity(params, delta, drive_in, selection, previous_intensity, previous_bra
     amplitude, intensity, branch and jump flag."""
     g = params.gamma
     # hypot rounds like the scalar abs(z); numpy's vectorized complex abs
-    # does not
-    roots = root_grid(params, delta, g * np.float_power(np.hypot(drive_in.real, drive_in.imag), 2))
+    # does not.  A power beyond the float range is inf, and its rows nan
+    with np.errstate(over="ignore"):
+        power = g * np.float_power(np.hypot(drive_in.real, drive_in.imag), 2)
+    roots = root_grid(params, delta, power)
     with np.errstate(invalid="ignore"):  # the nan padding of `roots`
         zetas = np.sqrt(g) * drive_in[:, None] / cavity_bracket(params, delta, roots)
     intensities = np.float_power(np.hypot(zetas.real, zetas.imag), 2)

@@ -28,6 +28,7 @@ from .cascade import SELECTIONS, PhysParams, residual, steady_state
 from .fock import TruncationPolicy
 
 USAGE_ERROR, NUMERICAL_ERROR = 1, 2
+FLOAT_FORMAT = "%.12e"
 
 DEFAULTS = {
     # single-cavity scenario (time in scaled units, Omega*t -> t)
@@ -156,7 +157,7 @@ def _policy(merged):
 
 def fmt(value):
     """Decimal text with 13 significant digits, locale-independent."""
-    return format(float(value), ".12e")
+    return FLOAT_FORMAT % float(value)
 
 
 def _profile_csv(points):
@@ -243,11 +244,12 @@ def run_cascaded_spectrum(merged):
     noise = spectra.build_noise(params)
     lines = ["omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product"]
     omegas = _grid(merged, "omega")
+    row = ",".join([FLOAT_FORMAT] * 6)  # `fmt` of each cell, one row at a time
     for start in range(0, omegas.size, spectra.GRID_BLOCK):
         grid = spectra.epr_grid(drift, noise, omegas[start:start + spectra.GRID_BLOCK])
-        for cells in zip(grid.omega, grid.s_qplus, grid.s_pminus,
-                         grid.commutator.imag, grid.e_degree, grid.variance_product):
-            lines.append(",".join(fmt(value) for value in cells))
+        columns = (grid.omega, grid.s_qplus, grid.s_pminus, grid.commutator.imag,
+                   grid.e_degree, grid.variance_product)
+        lines.extend(row % cells for cells in zip(*(column.tolist() for column in columns)))
     return "\n".join(lines) + "\n"
 
 

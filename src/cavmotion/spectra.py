@@ -19,20 +19,21 @@ import numpy as np
 
 from .cascade import steady_grid
 
-# row-combination vectors for the collective atomic quadratures
-U_QA = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=complex)
-U_PA = np.array([-1j, 1j, 0, 0, 0, 0, 0, 0], dtype=complex)
-U_QB = np.array([0, 0, 1, 1, 0, 0, 0, 0], dtype=complex)
-U_PB = np.array([0, 0, -1j, 1j, 0, 0, 0, 0], dtype=complex)
-U_Q_PLUS = U_QA + U_QB
-U_P_MINUS = U_PA - U_PB
+# row-combination vectors of the collective atomic quadratures q_a + q_b,
+# p_a - p_b, q_a and p_a: the rows every EPR form is built from
+EPR_ROWS = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [-1j, 1j, 1j, -1j, 0, 0, 0, 0],
+                     [1, 1, 0, 0, 0, 0, 0, 0], [-1j, 1j, 0, 0, 0, 0, 0, 0]])
+
+# slots of the first stage (a, a+, c1, c1+), then of the second (b, b+, c2,
+# c2+): so regrouped, a one-way cascade drift is block lower-triangular
+STAGES = np.array([0, 1, 4, 5, 2, 3, 6, 7])
 
 COMMUTATOR_FLOOR = 1e-30
 
-# points per batched solve: a block's (points, 8, 8) complex temporaries
-# grow with it, and a whole 2001-point grid at once raised peak memory by
-# 13 MiB; 64 points keep it at that of a point-by-point loop
-GRID_BLOCK = 64
+# points per batched solve: a block's rows at +w and -w, (2, points, 4, 8),
+# grow with it; 128 keeps the benchmark's peak memory within 1.2% of the 8x8
+# inverses at 64 points, and 256 would add 4% on the cascaded sweep
+GRID_BLOCK = 128
 
 # largest mismatch, relative to the largest drift entry, between an adjoint
 # row of a drift and the conjugate of its operator row
@@ -53,7 +54,8 @@ class NoiseModel:
 
 @dataclass
 class SpectrumPoint:
-    """Collective EPR variances and entanglement degree at one frequency."""
+    """Collective EPR variances and entanglement degree: numbers at one
+    frequency, or (as SpectrumGrid) arrays over a grid of points."""
 
     omega: float
     s_qplus: float
@@ -68,19 +70,7 @@ class SpectrumPoint:
         return self.s_qplus * self.s_pminus
 
 
-@dataclass
-class SpectrumGrid:
-    """The fields of SpectrumPoint as arrays over a grid of points."""
-
-    omega: np.ndarray
-    s_qplus: np.ndarray
-    s_pminus: np.ndarray
-    commutator: np.ndarray
-    e_degree: np.ndarray
-
-    @property
-    def variance_product(self):
-        return self.s_qplus * self.s_pminus
+SpectrumGrid = SpectrumPoint
 
 
 @dataclass
@@ -114,10 +104,8 @@ def build_drift(params, steady):
     d2 = params.Delta2 + chi * 2.0 * np.real(steady.beta)
 
     m = np.zeros(z1.shape + (8, 8), dtype=complex)
-    m[..., 0, 0] = -pole
-    m[..., 1, 1] = -pole.conjugate()
-    m[..., 2, 2] = -pole
-    m[..., 3, 3] = -pole.conjugate()
+    m[..., 0, 0] = m[..., 2, 2] = -pole
+    m[..., 1, 1] = m[..., 3, 3] = -pole.conjugate()
 
     m[..., 0, 4], m[..., 0, 5] = -1j * chi * z1.conjugate(), -1j * chi * z1
     m[..., 1, 4], m[..., 1, 5] = 1j * chi * z1.conjugate(), 1j * chi * z1
@@ -129,12 +117,9 @@ def build_drift(params, steady):
     m[..., 6, 2] = m[..., 6, 3] = -1j * chi * z2
     m[..., 7, 2] = m[..., 7, 3] = 1j * chi * z2.conjugate()
 
-    m[..., 4, 4] = -g / 2.0 - 1j * d1
-    m[..., 5, 5] = -g / 2.0 + 1j * d1
-    m[..., 6, 6] = -g / 2.0 - 1j * d2
-    m[..., 7, 7] = -g / 2.0 + 1j * d2
-    m[..., 6, 4] = g
-    m[..., 7, 5] = g
+    m[..., 4, 4], m[..., 5, 5] = -g / 2.0 - 1j * d1, -g / 2.0 + 1j * d1
+    m[..., 6, 6], m[..., 7, 7] = -g / 2.0 - 1j * d2, -g / 2.0 + 1j * d2
+    m[..., 6, 4] = m[..., 7, 5] = g
     return m
 
 
@@ -151,104 +136,129 @@ def build_noise(params):
     return NoiseModel(d=d, k=d - d.T)
 
 
-def transfer(drift, omega):
-    """T(w) = (i w I - M)^(-1) on a grid, with the inversion residual enforced.
+def cascade_blocks(drifts):
+    """(A, C, D) of drifts (..., 8, 8) regrouped by STAGES into [[A, 0], [C, D]]:
+    the 4x4 blocks of each cavity with its atom, A and D, and the gamma feed
+    C.  Raises ValueError for a coupling from the second cavity back."""
+    m = np.asarray(drifts)[..., STAGES[:, None], STAGES]
+    if np.any(np.abs(m[..., :4, 4:]) > 0.0):
+        raise ValueError("drift couples the second cavity back into the first: "
+                         "not a one-way cascade")
+    return m[..., :4, :4], m[..., 4:, :4], m[..., 4:, 4:]
 
-    `drift` is one 8x8 matrix or a stack (..., 8, 8) and `omega` a number or
-    an array; the two broadcast point by point and one batched inversion
-    serves every point.  Raises SingularTransferError naming the first
-    failing w in grid order when its matrix is singular or its identity
-    defect exceeds 1e-10 relative to row norms (this can only happen at an
-    instability threshold).
-    """
-    omega = np.asarray(omega, dtype=float)
-    lhs = 1j * omega[..., None, None] * np.eye(8) - drift
-    omega = np.broadcast_to(omega, lhs.shape[:-2])
-    singular = np.zeros(omega.shape, dtype=bool)
+
+def _times(rows, matrix):
+    """rows @ matrix, as one product when `matrix` is a single matrix."""
+    if np.ndim(matrix) > 2:
+        return rows @ matrix
+    flat = np.reshape(rows, (-1, rows.shape[-1])) @ matrix
+    return flat.reshape(rows.shape[:-1] + matrix.shape[-1:])
+
+
+def _solve_rows(block, shift, rows):
+    """(y, singular, defect) with y (shift - block) = rows for 4x4 blocks; the
+    defect is the largest |y (shift - block) - rows| relative to the column
+    norm of shift - block (at least 1) times the row norm of `rows`."""
+    lhs_t = shift * np.eye(4) - np.swapaxes(block, -1, -2)
+    # a full stack: numpy < 2 reads b one dimension short of a as vectors
+    rows_t = np.broadcast_to(np.swapaxes(rows, -1, -2), lhs_t.shape[:-2] + (4, rows.shape[-2]))
+    singular = np.zeros(lhs_t.shape[:-2], dtype=bool)
     try:
-        t = np.linalg.inv(lhs)
+        y_t = np.linalg.solve(lhs_t, rows_t)
     except np.linalg.LinAlgError:
-        # a stacked inversion fails as a whole: find the singular points
-        t = np.full_like(lhs, np.nan)
-        for idx in np.ndindex(omega.shape):
-            try:
-                t[idx] = np.linalg.inv(lhs[idx])
-            except np.linalg.LinAlgError:
-                singular[idx] = True
-    defect = np.abs(lhs @ t - np.eye(8))
-    row_norms = np.maximum(np.abs(lhs).sum(axis=-1), 1.0)
-    # written so that a nan defect fails too
-    failed = singular | np.any(~(defect <= 1e-10 * row_norms[..., None]), axis=(-2, -1))
+        # a stacked solve fails as a whole; det is 0 where LU meets a 0 pivot
+        singular = np.linalg.det(lhs_t) == 0
+        y_t = np.linalg.solve(np.where(singular[..., None, None], np.eye(4), lhs_t), rows_t)
+        y_t = np.where(singular[..., None, None], np.nan, y_t)
+    y = np.swapaxes(y_t, -1, -2)
+    residual = np.abs(shift * y - _times(y, block) - rows)
+    scale = (np.maximum(np.abs(lhs_t).sum(axis=-1), 1.0)[..., None, :]
+             * np.maximum(np.abs(rows).sum(axis=-1), np.finfo(float).tiny)[..., :, None])
+    return y, singular, (residual / scale).max(axis=(-2, -1))
+
+
+def transfer_rows(drift, omega, rows):
+    """Rows y = u (i w I - M)^(-1) for every row u of `rows` (k, 8), at every
+    point of the broadcast of `drift` (8x8 or a stack) and `omega`: (..., k, 8).
+
+    In the slots regrouped by stage the drift is [[A, 0], [C, D]] (see
+    `cascade_blocks`), so y2 = u2 (i w - D)^(-1), then
+    y1 = (u1 + y2 C)(i w - A)^(-1): two batched 4x4 row solves.  Raises
+    SingularTransferError naming the first failing w in grid order when a
+    block is singular there or a solve's residual exceeds 1e-10 relative
+    to the row norms (this can only happen at an instability threshold).
+    """
+    a, c, d = cascade_blocks(drift)
+    shift = 1j * np.asarray(omega, dtype=float)[..., None, None]
+    y2, singular2, defect2 = _solve_rows(d, shift, rows[..., STAGES[4:]])
+    y1, singular1, defect1 = _solve_rows(a, shift, rows[..., STAGES[:4]] + _times(y2, c))
+    singular, defect = singular1 | singular2, np.maximum(defect1, defect2)
+    failed = singular | ~(defect <= 1e-10)  # a nan defect fails too
     if failed.any():
         idx = np.unravel_index(np.argmax(failed), failed.shape)
-        if singular[idx]:
-            raise SingularTransferError(f"transfer matrix singular at omega={omega[idx]}")
+        at = f"omega={np.broadcast_to(omega, failed.shape)[idx]}"
         raise SingularTransferError(
-            f"transfer inversion at omega={omega[idx]} lost precision "
-            f"(defect {float(np.max(defect[idx] / row_norms[idx][:, None])):.3e})")
-    return t
+            f"transfer matrix singular at {at}" if singular[idx]
+            else f"transfer solve at {at} lost precision (defect {defect[idx]:.3e})")
+    return np.concatenate((y1, y2), axis=-1)[..., np.argsort(STAGES)]
 
 
-def spectral_moments(drift, noise, omega):
-    """Delta-stripped second moments on a grid from one T(w), T(-w) pair.
-
-    Returns (C, s_qplus, s_pminus, commutator) at every point of the
-    broadcast of `drift` and `omega` (see `transfer`), where
-    C(w) = T(w) d T(-w)^T.  Each scalar is the quadratic form
-        (1/4)[u_l A(w) u_r + u_l A(-w) u_r],  A(v) = T(v) mat T(-v)^T,
-    of the hermitian combinations [O(w) + O(-w)]/2 (the same-frequency
-    pairings carry delta(2w) and are dropped): mat = d for the variances
-    of q_a + q_b and p_a - p_b, which share A, and mat = k for the
-    commutator <[q_a(w), p_a(w)]>.  The temporaries are a few
-    (points, 8, 8) complex arrays, so callers pass at most GRID_BLOCK
-    points at a time.
-    """
-    tp = transfer(drift, omega)
-    tm = transfer(drift, -np.asarray(omega, dtype=float))
-    tp_t = np.swapaxes(tp, -1, -2)
-    tm_t = np.swapaxes(tm, -1, -2)
-
-    def form(ap, am, u_left, u_right):
-        return 0.25 * (u_left @ ap @ u_right + u_left @ am @ u_right)
-
-    cd = (tp @ noise.d @ tm_t, tm @ noise.d @ tp_t)
-    ck = (tp @ noise.k @ tm_t, tm @ noise.k @ tp_t)
-    return (cd[0], form(*cd, U_Q_PLUS, U_Q_PLUS).real,
-            form(*cd, U_P_MINUS, U_P_MINUS).real, form(*ck, U_QA, U_PA))
+def transfer(drift, omega):
+    """T(w) = (i w I - M)^(-1) on a grid: `transfer_rows` of the unit rows."""
+    return transfer_rows(drift, omega, np.eye(8))
 
 
 def correlation_matrix(drift, noise, omega):
-    """Delta-stripped second moments C(w) = T(w) d T(-w)^T of the fluctuations."""
-    return spectral_moments(drift, noise, omega)[0]
+    """Delta-stripped second moments C(w) = T(w) d T(-w)^T of the fluctuations
+    at every point of the broadcast of `drift` and `omega`."""
+    t_minus = transfer(drift, -np.asarray(omega, dtype=float))
+    return transfer(drift, omega) @ noise.d @ np.swapaxes(t_minus, -1, -2)
+
+
+def _epr_moments(drift, noise, omega):
+    """(s_qplus, s_pminus, commutator): each the form (1/4)[y_l(w) mat y_r(-w)^T
+    + y_l(-w) mat y_r(w)^T] in the rows y = u T of EPR_ROWS, of the hermitian
+    combinations [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
+    and are dropped): mat = d, l = r for the variances of q_a + q_b and
+    p_a - p_b; mat = k for <[q_a(w), p_a(w)]>.  One `transfer_rows` call
+    solves +w, then -w, so a failing +w point is reported first."""
+    omega = np.broadcast_to(omega, np.broadcast_shapes(np.shape(drift)[:-2], np.shape(omega)))
+    y = transfer_rows(drift, np.stack((omega, -omega)), EPR_ROWS)
+    flipped = y[::-1]  # each sign's rows against the other sign's
+    with_d = _times(y, noise.d) * flipped
+    with_k = _times(y[..., 2, :], noise.k) * flipped[..., 3, :]
+    variances = 0.25 * (with_d[0] + with_d[1]).sum(axis=-1).real
+    return variances[..., 0], variances[..., 1], 0.25 * (with_k[0] + with_k[1]).sum(axis=-1)
+
+
+def spectral_moments(drift, noise, omega):
+    """(C, s_qplus, s_pminus, commutator) at every point of the broadcast of
+    `drift` and `omega`: `correlation_matrix` and the scalars of `epr_grid`."""
+    return (correlation_matrix(drift, noise, omega), *_epr_moments(drift, noise, omega))
 
 
 def _epr_block(drift, noise, omega):
-    _, s_q, s_p, comm = spectral_moments(drift, noise, omega)
+    s_q, s_p, comm = _epr_moments(drift, noise, omega)
     omega = np.broadcast_to(np.asarray(omega, dtype=float), comm.shape)
     degenerate = ~(np.abs(comm) >= COMMUTATOR_FLOOR)  # a nan commutator too
     if degenerate.any():
         idx = np.unravel_index(np.argmax(degenerate), degenerate.shape)
         raise ArithmeticError(
             f"degenerate commutator spectrum |{comm[idx]}| at omega={omega[idx]}")
-    # float_power rounds like the scalar abs(c) ** 2 (C pow); `**` on an
-    # array squares by multiplication, which moves the last bit of a few
-    # points
-    denom = 0.25 * np.float_power(np.abs(comm), 2)
-    return SpectrumGrid(omega=omega, s_qplus=s_q, s_pminus=s_p,
-                        commutator=comm, e_degree=s_q * s_p / denom)
+    return SpectrumGrid(omega=omega, s_qplus=s_q, s_pminus=s_p, commutator=comm,
+                        e_degree=s_q * s_p / (0.25 * np.square(np.abs(comm))))
 
 
 def epr_grid(drift, noise, omega):
     """Collective EPR variances, commutator spectrum and degree on a grid.
 
     Evaluates every point of the broadcast of `drift` (8x8 or a stack) and
-    `omega` with one pair of batched transfer solves (see
-    `spectral_moments`).  s_qplus and s_pminus are the symmetrized
-    variances of q_a + q_b and p_a - p_b; the commutator is the spectral
-    <[q_a(w), p_a(w)]> built from the state-independent input commutators;
-    the degree is their ratio
-        e = s_qplus s_pminus / (|commutator|^2 / 4),
-    flagged as EPR-correlated when it drops below one.
+    `omega` from four rows of `transfer_rows` at +w and -w (`_epr_moments`).
+    s_qplus and s_pminus are the symmetrized variances of q_a + q_b and
+    p_a - p_b; the commutator is the spectral <[q_a(w), p_a(w)]> built from
+    the state-independent input commutators; the degree is their ratio
+    e = s_qplus s_pminus / (|commutator|^2 / 4), flagged as EPR-correlated
+    when it drops below one.
 
     Raises what a point-by-point evaluation raises first: at the first
     failing point in grid order, a failing T(w) before a failing T(-w),
@@ -258,8 +268,7 @@ def epr_grid(drift, noise, omega):
         return _epr_block(drift, noise, omega)
     except ArithmeticError as exc:
         failure = exc
-    # the batched solves report the first failure of each sign: re-solve
-    # point by point to raise the first failure in grid order
+    # re-solve point by point to raise the first failure in grid order
     shape = np.broadcast_shapes(np.shape(drift)[:-2], np.shape(omega))
     drifts = np.broadcast_to(drift, shape + (8, 8))
     omegas = np.broadcast_to(omega, shape)
@@ -272,42 +281,29 @@ def epr_spectra(drift, noise, omega):
     """EPR variances, commutator spectrum and degree at one frequency
     (the one-point view of `epr_grid`)."""
     grid = epr_grid(drift, noise, float(omega))
-    return SpectrumPoint(
-        omega=float(grid.omega),
-        s_qplus=float(grid.s_qplus),
-        s_pminus=float(grid.s_pminus),
-        commutator=complex(grid.commutator),
-        e_degree=float(grid.e_degree),
-    )
+    return SpectrumPoint(float(grid.omega), float(grid.s_qplus), float(grid.s_pminus),
+                         complex(grid.commutator), float(grid.e_degree))
 
 
 def stability_stack(drifts):
     """Per drift of a stack (..., 8, 8): (all eigenvalues strictly damped?,
     the eight eigenvalues), from one batched real eigenvalue call.
 
-    The cascade is one-way, so with the slots regrouped as (a, a+, c1, c1+)
-    and (b, b+, c2, c2+) the drift is block lower-triangular and its
-    spectrum is that of the two 4x4 diagonal blocks: the first cavity's
-    eigenvalues, then the second's.  Each block is the complex form of a
-    real map; in the quadratures (q, p) of each mode, v = S r with
+    The one-way drift is block lower-triangular (`cascade_blocks`), so its
+    spectrum is that of A, then that of D.  Each block is the complex form
+    of a real map; in the quadratures (q, p) of each mode, v = S r with
     S = [[1, i], [1, -i]]/sqrt(2) per mode, its 2x2 entry [[x, y], [y*, x*]]
     becomes [[Re x + Re y, Im y - Im x], [Im x + Im y, Re x - Re y]].
-    Raises ValueError for a drift not of this form: a nonzero coupling from
-    the second cavity back into the first, or a block whose quadrature form
-    is not real to rounding.
+    Raises ValueError for a drift not of this form: not a one-way cascade,
+    or a block whose quadrature form is not real to rounding.
     """
-    # slot i = 4 mode + 2 stage + w: mode 0 atom / 1 field, stage 0 first
-    # cavity / 1 second, w 0 operator / 1 adjoint
-    m = np.reshape(drifts, np.shape(drifts)[:-2] + (2, 2, 2, 2, 2, 2))
-    size = np.abs(m)
-    if np.any(size[..., :, 0, :, :, 1, :] > 0.0):
-        raise ValueError("drift couples the second cavity back into the first: "
-                         "not a one-way cascade")
-    blocks = np.stack((m[..., :, 0, :, :, 0, :], m[..., :, 1, :, :, 1, :]), axis=-5)
+    a, _, d = cascade_blocks(drifts)
+    # (stage, mode, w, mode, w): mode 0 atom / 1 field, w 0 operator / 1 adjoint
+    blocks = np.stack((a, d), axis=-3).reshape(a.shape[:-2] + (2, 2, 2, 2, 2))
     x, y = blocks[..., 0, :, 0], blocks[..., 0, :, 1]
     defect = np.maximum(np.abs(blocks[..., 1, :, 1] - x.conj()),
                         np.abs(blocks[..., 1, :, 0] - y.conj()))
-    scale = size.max(axis=(-6, -5, -4, -3, -2, -1))
+    scale = np.abs(drifts).max(axis=(-2, -1))
     if np.any(defect.max(axis=(-3, -2, -1)) > QUADRATURE_TOLERANCE * scale):
         raise ValueError("drift block has no real quadrature form: "
                          "adjoint rows are not the conjugates of operator rows")
@@ -330,13 +326,11 @@ def classify_stability(drift):
 def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
     """E(omega_eval) along an ascending drive sweep with branch continuation.
 
-    Each cavity's intensity is continued adiabatically from the previous
-    drive point; vanishing branches produce recorded jump events.  Points
-    whose working branch is unstable (or numerically degenerate) come back
-    flagged with e_degree = nan rather than aborting the sweep.  One
-    `steady_grid` call solves every drive; then drives go in blocks of
-    GRID_BLOCK: one stack of drifts, one batched eigenvalue call for it,
-    then one `epr_grid` over its stable ones.
+    One `steady_grid` call continues each cavity's intensity adiabatically
+    from drive to drive (a vanishing branch is a recorded jump); then drives
+    go in blocks of GRID_BLOCK: one stack of drifts, one batched eigenvalue
+    call, one `epr_grid` over its stable ones.  Unstable, overflowing or
+    numerically degenerate points come back flagged with e_degree = nan.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):
@@ -349,9 +343,13 @@ def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
     for start in range(0, drive_grid.size, GRID_BLOCK):
         block = slice(start, start + GRID_BLOCK)
         drifts = build_drift(params, steady[block])
-        stable, _ = stability_stack(drifts)
+        # eigvals refuses the nan drift of a drive whose power overflowed
+        finite = np.all(np.isfinite(drifts), axis=(-2, -1))
+        stable = np.zeros(finite.shape, dtype=bool)
+        stable[finite] = stability_stack(drifts[finite])[0]
         e_degree = np.full(len(drifts), np.nan)
-        errors = [None if ok else "unstable working point" for ok in stable]
+        errors = [None if ok else "unstable working point" if sane else "overflow"
+                  for ok, sane in zip(stable, finite)]
         solved = np.flatnonzero(stable)
         if solved.size:
             try:
@@ -363,13 +361,9 @@ def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
                         e_degree[i] = epr_spectra(drifts[i], noise, omega_eval).e_degree
                     except ArithmeticError as exc:
                         errors[i] = str(exc)
-        rows.extend(
-            SweepPoint(drive=drive, branch1=branch1, branch2=branch2,
-                       intensity1=intensity1, intensity2=intensity2,
-                       stable=ok, e_degree=degree, jumped=jump, error=error)
-            for drive, branch1, branch2, intensity1, intensity2, ok, degree, jump, error in zip(
-                drive_grid[block].tolist(), steady.branch1[block].tolist(),
-                steady.branch2[block].tolist(), steady.intensity1[block].tolist(),
-                steady.intensity2[block].tolist(), stable.tolist(), e_degree.tolist(),
-                jumped[block].tolist(), errors))
+        columns = (drive_grid[block], steady.branch1[block], steady.branch2[block],
+                   steady.intensity1[block], steady.intensity2[block], stable, e_degree,
+                   jumped[block])
+        rows.extend(SweepPoint(*cells, error=error)
+                    for *cells, error in zip(*(column.tolist() for column in columns), errors))
     return rows

@@ -2,6 +2,7 @@
 
 import difflib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,24 @@ class TestCascadedCsv:
         assert out == ""
         assert err == f"numerical failure: {first}\n"
 
+    def test_overflowing_drive_flags_its_row_only(self, capsys):
+        # the drive power of 1e200 overflows; the other rows are finite
+        argv = ["cascaded", "sweep", "--drive-min", "1e5", "--drive-max", "1e200",
+                "--drive-count", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 5
+        assert rows[-1].split(",")[-2:] == ["nan", "false"]
+        merged = dict(cli.DEFAULTS, drive_min=1e5, drive_max=1e200, drive_count=5)
+        drives = cli._grid(merged, "drive")
+        alone = cli.run_cascaded(merged, drive_values=drives[:4])
+        assert alone.strip().split("\n")[1:] == rows[:4]
+        last = spectra.amplitude_sweep(cli._phys_params(merged), drives, 1000.0)[-1]
+        assert (last.stable, last.error) == (False, "overflow") and np.isnan(last.e_degree)
+
     def test_determinism(self, capsys):
         argv = ["cascaded", "sweep", "--drive-min", "1e5", "--drive-max", "1e7",
                 "--drive-count", "31"]
@@ -171,14 +190,20 @@ class TestWorkBounds:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"transfer": 0, "eigvals": 0, "eigvals_full": 0, "steady_state": 0,
-                 "intensity_roots": 0, "branch_label": 0, "build_drift": 0, "drift_stack": 0}
-        transfer, eigvals = spectra.transfer, np.linalg.eigvals
+        tally = {"solve": 0, "solve_shapes": set(), "inv": 0, "eigvals": 0, "eigvals_full": 0,
+                 "steady_state": 0, "intensity_roots": 0, "branch_label": 0,
+                 "build_drift": 0, "drift_stack": 0}
+        solve, inv, eigvals = np.linalg.solve, np.linalg.inv, np.linalg.eigvals
         build_drift = spectra.build_drift
 
-        def counted_transfer(*args):
-            tally["transfer"] += 1
-            return transfer(*args)
+        def counted_solve(a, b):
+            tally["solve"] += 1
+            tally["solve_shapes"].add(np.shape(a)[-2:])
+            return solve(a, b)
+
+        def counted_inv(a):
+            tally["inv"] += 1
+            return inv(a)
 
         def counted_eigvals(matrices):
             tally["eigvals"] += 1
@@ -197,7 +222,8 @@ class TestWorkBounds:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(spectra, "transfer", counted_transfer)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         monkeypatch.setattr(spectra, "build_drift", counted_drift)
         # every module that binds a per-point function by name
@@ -208,12 +234,19 @@ class TestWorkBounds:
                     monkeypatch.setattr(module, name, fn)
         return tally
 
-    @pytest.mark.parametrize("count", [1, spectra.GRID_BLOCK, 301])
+    @staticmethod
+    def assert_row_solves(counts, blocks):
+        # no 8x8 inverse: at most two 4x4 stage solves per sign of w
+        assert counts["inv"] == 0
+        assert counts["solve"] <= 4 * blocks
+        assert counts["solve_shapes"] <= {(4, 4)}
+
+    @pytest.mark.parametrize("count", [1, 64, spectra.GRID_BLOCK, 301])
     def test_spectrum_two_solves_per_block(self, count, counts, capsys):
         code, out, _ = run_cli(["cascaded", "spectrum", "--omega-count", str(count)], capsys)
         assert code == 0
         assert len(out.strip().split("\n")) == count + 1
-        assert counts["transfer"] <= 2 * math.ceil(count / spectra.GRID_BLOCK)
+        self.assert_row_solves(counts, math.ceil(count / spectra.GRID_BLOCK))
         assert counts["eigvals"] == 1
         assert counts["eigvals_full"] == 0
 
@@ -221,16 +254,17 @@ class TestWorkBounds:
     def test_steady_one_real_eigvals(self, selection, counts, capsys):
         code, _, _ = run_cli(["cascaded", "steady", "--selection", selection], capsys)
         assert code == 0
+        self.assert_row_solves(counts, 0)
         assert counts["eigvals"] == 1
         assert counts["eigvals_full"] == 0
 
-    @pytest.mark.parametrize("count", [1, spectra.GRID_BLOCK, 301])
+    @pytest.mark.parametrize("count", [1, 64, spectra.GRID_BLOCK, 301])
     def test_sweep_one_eigvals_two_solves_per_block(self, count, counts, capsys):
         code, out, _ = run_cli(["cascaded", "sweep", "--drive-count", str(count)], capsys)
         assert code == 0
         assert len(out.strip().split("\n")) == count + 1
         blocks = math.ceil(count / spectra.GRID_BLOCK)
-        assert counts["transfer"] <= 2 * blocks
+        self.assert_row_solves(counts, blocks)
         assert counts["eigvals"] <= blocks
         assert counts["eigvals_full"] == 0
         # one root solve for the whole drive grid, one drift stack per block

@@ -291,20 +291,27 @@ class TestEprSpectra:
 
 
 def loop_reference_point(drift, noise, omega):
-    """(s_qplus, s_pminus, commutator, e_degree) at one frequency, one
-    8x8 solve and product at a time, in the grid kernel's evaluation order."""
-    def t(w):
-        return np.linalg.solve(1j * w * np.eye(8) - drift, np.eye(8, dtype=complex))
+    """(s_qplus, s_pminus, commutator, e_degree) at one frequency from two
+    4x4 row solves per sign of w, one point at a time, in the grid kernel's
+    evaluation order."""
+    first, second = [0, 1, 4, 5], [2, 3, 6, 7]
+    u = spectra.EPR_ROWS
 
-    def form(mat, u_left, u_right):
-        ap = t(omega) @ mat @ t(-omega).T
-        am = t(-omega) @ mat @ t(omega).T
-        return 0.25 * (u_left @ ap @ u_right + u_left @ am @ u_right)
+    def rows(w):
+        lhs = 1j * w * np.eye(8) - drift
+        y2 = np.linalg.solve(lhs[np.ix_(second, second)].T, u[:, second].T).T
+        b1 = u[:, first] + y2 @ drift[np.ix_(second, first)]
+        y1 = np.linalg.solve(lhs[np.ix_(first, first)].T, b1.T).T
+        y = np.empty((4, 8), dtype=complex)
+        y[:, first], y[:, second] = y1, y2
+        return y
 
-    s_q = form(noise.d, spectra.U_Q_PLUS, spectra.U_Q_PLUS).real
-    s_p = form(noise.d, spectra.U_P_MINUS, spectra.U_P_MINUS).real
-    comm = form(noise.k, spectra.U_QA, spectra.U_PA)
-    return s_q, s_p, comm, s_q * s_p / (0.25 * abs(comm) ** 2)
+    plus, minus = rows(omega), rows(-omega)
+    d_plus, d_minus = np.split(np.concatenate((plus, minus)) @ noise.d, 2)
+    k_plus, k_minus = np.stack((plus[2], minus[2])) @ noise.k
+    s_q, s_p = 0.25 * (d_plus * minus + d_minus * plus).sum(axis=-1).real[:2]
+    comm = 0.25 * (k_plus * minus[3] + k_minus * plus[3]).sum()
+    return s_q, s_p, comm, s_q * s_p / (0.25 * np.square(abs(comm)))
 
 
 class TestGridKernel:
@@ -338,6 +345,40 @@ class TestGridKernel:
         grid = epr_grid(drifts, noise, params.Omega)
         want = [epr_spectra(d, noise, params.Omega).e_degree for d in drifts]
         assert np.array_equal(grid.e_degree, want)
+
+    def test_moments_match_40_digit_reference(self):
+        # the full 8x8 T(+-w) inverted at 40 digits, against the stage rows
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        for chi in np.geomspace(0.3, 3.0, 5):
+            params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
+            drift = build_drift(params, steady_state(params, 3e5))
+            assert classify_stability(drift)[0]
+            noise = build_noise(params)
+            omegas = params.Omega * np.array([0.1, 0.5, 1.0, 1.5, 8.0])
+            grid = epr_grid(drift, noise, omegas)
+            with mpmath.workdps(40):
+                m, eye = mpmath.matrix(drift.tolist()), mpmath.eye(8)
+                d, k = mpmath.matrix(noise.d.tolist()), mpmath.matrix(noise.k.tolist())
+                q_plus, p_minus, q_a, p_a = (mpmath.matrix([u.tolist()]) for u in spectra.EPR_ROWS)
+                for i, w in enumerate(omegas):
+                    plus = (mpmath.mpc(0, w) * eye - m) ** -1
+                    minus = (mpmath.mpc(0, -w) * eye - m) ** -1
+                    d_pair = plus * d * minus.T + minus * d * plus.T
+                    k_pair = plus * k * minus.T + minus * k * plus.T
+                    s_q = 0.25 * (q_plus * d_pair * q_plus.T)[0].real
+                    s_p = 0.25 * (p_minus * d_pair * p_minus.T)[0].real
+                    comm = 0.25 * (q_a * k_pair * p_a.T)[0]
+                    want = (s_q, s_p, comm, s_q * s_p / (0.25 * abs(comm) ** 2))
+                    got = (grid.s_qplus[i], grid.s_pminus[i], grid.commutator[i], grid.e_degree[i])
+                    for g, ref in zip(got, want):
+                        worst = max(worst, float(abs(complex(g) - ref) / abs(ref)))
+        assert worst < 5e-15
+
+    def test_empty_grid(self):
+        params, _, drift = random_stable_point(np.random.default_rng(67))
+        assert transfer(drift, np.array([])).shape == (0, 8, 8)
+        assert epr_grid(drift, build_noise(params), np.array([])).e_degree.shape == (0,)
 
     def test_correlation_matrix_is_a_grid_view(self):
         params, _, drift = random_stable_point(np.random.default_rng(59))

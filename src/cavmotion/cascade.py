@@ -22,10 +22,10 @@ SELECTIONS = ("lowest", "highest", "follow")
 # largest miss of the modulus cubic, relative to the drive power, that a
 # Cardano root may keep before its row is solved again by bracketed Newton
 ROOT_TOLERANCE = 1e-12
-# Newton settles in a few steps; bisection alone needs about 80 to pin a
-# root to the last bits at delta = 1e4
+# 11 halvings of the exponent bring a bracket within a factor of 2 of any
+# float root; Newton then settles in a few steps, bisection alone in 53
 BRACKET_ITERATIONS = 200
-EPS = np.finfo(float).eps
+EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ class PhysParams:
 
 @dataclass
 class SteadyBranch:
-    """One self-consistent steady state of the full chain."""
+    """One self-consistent steady state of the full chain: numbers at one
+    drive, or (as SteadyGrid) arrays over a grid of drives."""
 
     zeta1: complex
     zeta2: complex
@@ -71,27 +72,12 @@ class SteadyBranch:
     jumped1: bool = False
     jumped2: bool = False
 
-
-@dataclass
-class SteadyGrid:
-    """The fields of SteadyBranch as arrays over a grid of drives."""
-
-    zeta1: np.ndarray
-    zeta2: np.ndarray
-    zeta1_in: np.ndarray
-    zeta2_in: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    intensity1: np.ndarray
-    intensity2: np.ndarray
-    branch1: np.ndarray
-    branch2: np.ndarray
-    jumped1: np.ndarray
-    jumped2: np.ndarray
-
     def __getitem__(self, index):
         """The same fields at `index` of every array, e.g. a block of drives."""
         return SteadyGrid(**{name: value[index] for name, value in vars(self).items()})
+
+
+SteadyGrid = SteadyBranch
 
 
 def pulling_coefficients(params):
@@ -120,14 +106,14 @@ def _misses_cubic(params, delta, roots, drive_power):
     roots miss the modulus cubic by more than ROOT_TOLERANCE relative to
     the drive power, beyond the rounding floor of the check: the
     cancellation in delta - b I where the detuning is pulled near
-    resonance."""
+    resonance.  The miss cannot overflow at a root."""
     a, b = pulling_coefficients(params)
     power = drive_power[:, None]
-    with np.errstate(invalid="ignore"):  # the nan padding of `roots`
+    with np.errstate(invalid="ignore", over="ignore"):  # nan padding, no-root overflows
         u, v = params.gamma / 2.0 + a * roots, delta - b * roots
         miss = np.abs(roots * (u * u + v * v) - power)
         floor = 8.0 * EPS * roots * np.abs(v) * (abs(delta) + b * roots)
-        missed = np.any(miss > ROOT_TOLERANCE * power + floor, axis=1)
+        missed = np.any(np.isinf(miss) | (miss > ROOT_TOLERANCE * power + floor), axis=1)
     return (missed | np.isnan(roots[:, 0])) & (drive_power > 0.0)
 
 
@@ -138,18 +124,20 @@ def _bracketed_roots(params, delta, drive_power):
     since |bracket|^2 >= gamma^2/4) into up to three monotone pieces; each
     piece whose ends straddle a sign change holds one root.  Newton starts
     from the linear solution P / (gamma^2/4 + delta^2), clipped to the
-    piece, and bisects whenever a step would not land strictly inside the
-    shrinking bracket, so it cannot lose the root however small the
-    cubic's coefficients are.
+    piece.  While the bracket spans over a factor of 2 each step bisects
+    its exponent (Newton from far above a cubic's root gains only a factor
+    2/3 a step); then a step that would not land strictly inside the
+    bracket bisects, so no root is lost however small the coefficients are.
+    A row still unsettled after BRACKET_ITERATIONS steps holds no root.
     """
-    top = 4.0 * drive_power / params.gamma**2
-    cuts = np.zeros(drive_power.shape + (4,))
-    cuts[:, 1:] = top[:, None]
-    turns = _turning_points(params, delta)
-    if turns is not None:
-        cuts[:, 1:3] = np.clip(np.array(turns), 0.0, top[:, None])
     # an overflowing drive power gives no root rather than a warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        top = 4.0 * drive_power / params.gamma**2
+        cuts = np.zeros(drive_power.shape + (4,))
+        cuts[:, 1:] = top[:, None]
+        turns = _turning_points(params, delta)
+        if turns is not None:
+            cuts[:, 1:3] = np.clip(np.array(turns), 0.0, top[:, None])
         power = drive_power[:, None]
         lower, upper = cuts[:, :-1], cuts[:, 1:]
         f_lower = _modulus_cubic(params, delta, lower, power)[0]
@@ -166,17 +154,20 @@ def _bracketed_roots(params, delta, drive_power):
             lower, upper = np.where(left, x, lower), np.where(left, upper, x)
             newton = x - value / slope
             converged = (value == 0.0) | (np.abs(newton - x) <= 4.0 * EPS * x)
-            # a step onto or past the bracket (or a nan step) bisects, so
-            # the bracket shrinks even where rounding makes Newton bounce
-            inside = (newton > lower) & (newton < upper)
-            step = np.where(converged | inside, newton, 0.5 * (lower + upper))
+            # a nan step bisects too, and bisection shrinks the bracket even
+            # where rounding makes Newton bounce
+            wide = upper > 2.0 * lower
+            inside = (newton > lower) & (newton < upper) & ~wide
+            middle = np.where(wide, np.sqrt(np.maximum(lower, TINY)) * np.sqrt(upper),
+                              0.5 * (lower + upper))
+            step = np.where(converged | inside, newton, middle)
             # step == x: the bracket has shrunk to adjacent floats
             settled = converged | (step == x)
             x = np.where(done, x, step)
             done |= settled
             if done.all():
                 break
-    return np.sort(np.where(has_root, x, np.nan), axis=1)
+    return np.sort(np.where(has_root & done, x, np.nan), axis=1)
 
 
 def root_grid(params, delta, drive_power):
@@ -393,14 +384,8 @@ def steady_grid(params, zeta1_in, selection="lowest", previous=None):
 
 
 def steady_state(params, zeta1_in, selection="lowest", previous=None):
-    """Solve both cavities at drive zeta1_in and the atoms riding them.
-
-    selection is "lowest", "highest" or "follow"; "follow" continues each
-    cavity from the intensities of the previous SteadyBranch (adiabatic
-    sweep continuation) and reports a branch jump through jumped1/jumped2
-    when the branch it was riding has vanished.  The one-point view of
-    `steady_grid`.
-    """
+    """Solve both cavities at drive zeta1_in and the atoms riding them: the
+    one-point view of `steady_grid`, with its selections and continuation."""
     grid = steady_grid(params, [complex(zeta1_in)], selection, previous)
     return SteadyBranch(**{name: value[0].item() for name, value in vars(grid).items()})
 

@@ -162,19 +162,14 @@ def fmt(value):
 
 def _profile_csv(points):
     errored = any(p.error is not None for p in points)
-    header = "x,prob_density,lin_entropy,efficiency"
-    if errored:
-        header += ",error"
-    lines = [header]
+    lines = ["x,prob_density,lin_entropy,efficiency" + (",error" if errored else "")]
     for p in points:
-        if p.result is not None:
+        if p.result is None:
+            lines.append(f"{fmt(p.x)},nan,nan,nan,unresolvable")
+        else:
             cells = [fmt(p.x), fmt(p.result.prob_density),
                      fmt(p.result.lin_entropy), fmt(p.result.efficiency)]
-            if errored:
-                cells.append("")
-        else:
-            cells = [fmt(p.x), "nan", "nan", "nan", "unresolvable"]
-        lines.append(",".join(cells))
+            lines.append(",".join(cells + [""] * errored))
     return "\n".join(lines) + "\n"
 
 
@@ -212,17 +207,13 @@ def run_cascaded_steady(merged):
 def run_cascaded(merged, drive_values=None):
     """Amplitude-sweep CSV: drive,branch,intensity1,intensity2,e_degree,stable."""
     params = _phys_params(merged)
-    omega_eval = merged["omega_eval"]
-    if omega_eval is None:
-        omega_eval = params.Omega
+    omega_eval = params.Omega if merged["omega_eval"] is None else merged["omega_eval"]
     if drive_values is None:
         drive_values = _grid(merged, "drive")
     rows = spectra.amplitude_sweep(params, np.asarray(drive_values, dtype=float), omega_eval)
     lines = ["drive,branch,intensity1,intensity2,e_degree,stable"]
     for row in rows:
-        branch = f"{row.branch1}/{row.branch2}"
-        if row.jumped:
-            branch = "jump:" + branch
+        branch = ("jump:" if row.jumped else "") + f"{row.branch1}/{row.branch2}"
         lines.append(",".join([
             fmt(row.drive), branch, fmt(row.intensity1), fmt(row.intensity2),
             fmt(row.e_degree) if math.isfinite(row.e_degree) else "nan",
@@ -361,24 +352,16 @@ def main(argv=None):
             return 0
         merged = resolve_config(args)
         if args.scenario == "single-cavity":
-            if args.action == "point":
-                csv_text = run_single_cavity(merged, x_values=[args.x])
-            else:
-                csv_text = run_single_cavity(merged)
-            _write_out(csv_text, args.out)
-            _maybe_plot(args, csv_text, "x", ["efficiency"])
+            csv_text = run_single_cavity(merged, [args.x] if args.action == "point" else None)
+            axes = ("x", ["efficiency"])
         else:
-            if args.action == "steady":
-                csv_text = run_cascaded_steady(merged)
-                _write_out(csv_text, args.out)
-            elif args.action == "sweep":
-                csv_text = run_cascaded(merged)
-                _write_out(csv_text, args.out)
-                _maybe_plot(args, csv_text, "drive", ["e_degree"])
-            else:
-                csv_text = run_cascaded_spectrum(merged)
-                _write_out(csv_text, args.out)
-                _maybe_plot(args, csv_text, "omega", ["e_degree"])
+            run, axes = {"steady": (run_cascaded_steady, None),
+                         "sweep": (run_cascaded, ("drive", ["e_degree"])),
+                         "spectrum": (run_cascaded_spectrum, ("omega", ["e_degree"]))}[args.action]
+            csv_text = run(merged)
+        _write_out(csv_text, args.out)
+        if axes is not None:  # a working point is not plotted
+            _maybe_plot(args, csv_text, *axes)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ EPR_ROWS = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [-1j, 1j, 1j, -1j, 0, 0, 0, 0],
 STAGES = np.array([0, 1, 4, 5, 2, 3, 6, 7])
 
 COMMUTATOR_FLOOR = 1e-30
+OK, PLUS_FAILED, MINUS_FAILED, DEGENERATE = range(4)  # EPR kernel point status
 
 # points per batched solve: a block's rows at +w and -w, (2, points, 4, 8),
 # grow with it; 128 keeps the benchmark's peak memory within 1.2% of the 8x8
@@ -177,6 +178,26 @@ def _solve_rows(block, shift, rows):
     return y, singular, (residual / scale).max(axis=(-2, -1))
 
 
+def _row_solve(drift, omega, rows):
+    """(y, failed, error) of `transfer_rows` at every point, unchecked: has a
+    block gone singular there or a solve's residual exceeded 1e-10 relative
+    to the row norms, and error(idx), the SingularTransferError of point idx."""
+    a, c, d = cascade_blocks(drift)
+    shift = 1j * np.asarray(omega, dtype=float)[..., None, None]
+    y2, singular2, defect2 = _solve_rows(d, shift, rows[..., STAGES[4:]])
+    y1, singular1, defect1 = _solve_rows(a, shift, rows[..., STAGES[:4]] + _times(y2, c))
+    singular, defect = singular1 | singular2, np.maximum(defect1, defect2)
+
+    def error(idx):
+        at = f"omega={np.broadcast_to(omega, singular.shape)[idx]}"
+        return SingularTransferError(
+            f"transfer matrix singular at {at}" if singular[idx]
+            else f"transfer solve at {at} lost precision (defect {defect[idx]:.3e})")
+
+    y = np.concatenate((y1, y2), axis=-1)[..., np.argsort(STAGES)]
+    return y, singular | ~(defect <= 1e-10), error  # a nan defect fails too
+
+
 def transfer_rows(drift, omega, rows):
     """Rows y = u (i w I - M)^(-1) for every row u of `rows` (k, 8), at every
     point of the broadcast of `drift` (8x8 or a stack) and `omega`: (..., k, 8).
@@ -188,19 +209,10 @@ def transfer_rows(drift, omega, rows):
     block is singular there or a solve's residual exceeds 1e-10 relative
     to the row norms (this can only happen at an instability threshold).
     """
-    a, c, d = cascade_blocks(drift)
-    shift = 1j * np.asarray(omega, dtype=float)[..., None, None]
-    y2, singular2, defect2 = _solve_rows(d, shift, rows[..., STAGES[4:]])
-    y1, singular1, defect1 = _solve_rows(a, shift, rows[..., STAGES[:4]] + _times(y2, c))
-    singular, defect = singular1 | singular2, np.maximum(defect1, defect2)
-    failed = singular | ~(defect <= 1e-10)  # a nan defect fails too
+    y, failed, error = _row_solve(drift, omega, rows)
     if failed.any():
-        idx = np.unravel_index(np.argmax(failed), failed.shape)
-        at = f"omega={np.broadcast_to(omega, failed.shape)[idx]}"
-        raise SingularTransferError(
-            f"transfer matrix singular at {at}" if singular[idx]
-            else f"transfer solve at {at} lost precision (defect {defect[idx]:.3e})")
-    return np.concatenate((y1, y2), axis=-1)[..., np.argsort(STAGES)]
+        raise error(np.unravel_index(np.argmax(failed), failed.shape))
+    return y
 
 
 def transfer(drift, omega):
@@ -215,45 +227,54 @@ def correlation_matrix(drift, noise, omega):
     return transfer(drift, omega) @ noise.d @ np.swapaxes(t_minus, -1, -2)
 
 
-def _epr_moments(drift, noise, omega):
-    """(s_qplus, s_pminus, commutator): each the form (1/4)[y_l(w) mat y_r(-w)^T
-    + y_l(-w) mat y_r(w)^T] in the rows y = u T of EPR_ROWS, of the hermitian
-    combinations [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
+def _epr_kernel(drift, noise, omega):
+    """(SpectrumGrid, status, failure) at every point of the broadcast of
+    `drift` and `omega`, from the rows y = u T of EPR_ROWS at +w and -w.
+
+    Each form is (1/4)[y_l(w) mat y_r(-w)^T + y_l(-w) mat y_r(w)^T], that of
+    the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
     and are dropped): mat = d, l = r for the variances of q_a + q_b and
-    p_a - p_b; mat = k for <[q_a(w), p_a(w)]>.  One `transfer_rows` call
-    solves +w, then -w, so a failing +w point is reported first."""
-    omega = np.broadcast_to(omega, np.broadcast_shapes(np.shape(drift)[:-2], np.shape(omega)))
-    y = transfer_rows(drift, np.stack((omega, -omega)), EPR_ROWS)
-    flipped = y[::-1]  # each sign's rows against the other sign's
-    with_d = _times(y, noise.d) * flipped
-    with_k = _times(y[..., 2, :], noise.k) * flipped[..., 3, :]
-    variances = 0.25 * (with_d[0] + with_d[1]).sum(axis=-1).real
-    return variances[..., 0], variances[..., 1], 0.25 * (with_k[0] + with_k[1]).sum(axis=-1)
+    p_a - p_b; mat = k for <[q_a(w), p_a(w)]>.  status is OK or the failure
+    a point-by-point evaluation meets first: PLUS_FAILED (T(+w)), MINUS_FAILED
+    (T(-w)), DEGENERATE (commutator below COMMUTATOR_FLOOR); there e_degree
+    is nan and failure(i) is the error of flat point i."""
+    shape = np.broadcast_shapes(np.shape(drift)[:-2], np.shape(omega))
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
+    y, failed, error = _row_solve(drift, np.stack((omega, -omega)), EPR_ROWS)
+    with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
+        flipped = y[::-1]  # each sign's rows against the other sign's
+        with_d = _times(y, noise.d) * flipped
+        with_k = _times(y[..., 2, :], noise.k) * flipped[..., 3, :]
+        variances = 0.25 * (with_d[0] + with_d[1]).sum(axis=-1).real
+        s_q, s_p = variances[..., 0], variances[..., 1]
+        comm = 0.25 * (with_k[0] + with_k[1]).sum(axis=-1)
+        e_degree = s_q * s_p / (0.25 * np.square(np.abs(comm)))
+    status = np.where(failed[0], PLUS_FAILED, np.where(failed[1], MINUS_FAILED, np.where(
+        np.abs(comm) >= COMMUTATOR_FLOOR, OK, DEGENERATE)))  # a nan commutator too
+
+    def failure(flat):
+        idx = np.unravel_index(flat, shape)
+        if status[idx] == DEGENERATE:
+            return ArithmeticError(
+                f"degenerate commutator spectrum |{comm[idx]}| at omega={omega[idx]}")
+        return error((status[idx] - PLUS_FAILED, *idx))
+
+    e_degree = np.where(status == OK, e_degree, np.nan)
+    return SpectrumGrid(omega, s_q, s_p, comm, e_degree), status, failure
 
 
 def spectral_moments(drift, noise, omega):
     """(C, s_qplus, s_pminus, commutator) at every point of the broadcast of
     `drift` and `omega`: `correlation_matrix` and the scalars of `epr_grid`."""
-    return (correlation_matrix(drift, noise, omega), *_epr_moments(drift, noise, omega))
-
-
-def _epr_block(drift, noise, omega):
-    s_q, s_p, comm = _epr_moments(drift, noise, omega)
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), comm.shape)
-    degenerate = ~(np.abs(comm) >= COMMUTATOR_FLOOR)  # a nan commutator too
-    if degenerate.any():
-        idx = np.unravel_index(np.argmax(degenerate), degenerate.shape)
-        raise ArithmeticError(
-            f"degenerate commutator spectrum |{comm[idx]}| at omega={omega[idx]}")
-    return SpectrumGrid(omega=omega, s_qplus=s_q, s_pminus=s_p, commutator=comm,
-                        e_degree=s_q * s_p / (0.25 * np.square(np.abs(comm))))
+    grid = _epr_kernel(drift, noise, omega)[0]
+    return correlation_matrix(drift, noise, omega), grid.s_qplus, grid.s_pminus, grid.commutator
 
 
 def epr_grid(drift, noise, omega):
     """Collective EPR variances, commutator spectrum and degree on a grid.
 
     Evaluates every point of the broadcast of `drift` (8x8 or a stack) and
-    `omega` from four rows of `transfer_rows` at +w and -w (`_epr_moments`).
+    `omega` from four rows of `transfer_rows` at +w and -w (`_epr_kernel`).
     s_qplus and s_pminus are the symmetrized variances of q_a + q_b and
     p_a - p_b; the commutator is the spectral <[q_a(w), p_a(w)]> built from
     the state-independent input commutators; the degree is their ratio
@@ -264,17 +285,10 @@ def epr_grid(drift, noise, omega):
     failing point in grid order, a failing T(w) before a failing T(-w),
     both before a commutator below COMMUTATOR_FLOOR.
     """
-    try:
-        return _epr_block(drift, noise, omega)
-    except ArithmeticError as exc:
-        failure = exc
-    # re-solve point by point to raise the first failure in grid order
-    shape = np.broadcast_shapes(np.shape(drift)[:-2], np.shape(omega))
-    drifts = np.broadcast_to(drift, shape + (8, 8))
-    omegas = np.broadcast_to(omega, shape)
-    for idx in np.ndindex(shape):
-        _epr_block(drifts[idx], noise, omegas[idx])
-    raise failure
+    grid, status, failure = _epr_kernel(drift, noise, omega)
+    if status.any():
+        raise failure(np.argmax(status != OK))
+    return grid
 
 
 def epr_spectra(drift, noise, omega):
@@ -352,15 +366,10 @@ def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
                   for ok, sane in zip(stable, finite)]
         solved = np.flatnonzero(stable)
         if solved.size:
-            try:
-                e_degree[solved] = epr_grid(drifts[solved], noise, omega_eval).e_degree
-            except ArithmeticError:
-                # one failing drift fails the batch: evaluate drift by drift
-                for i in solved:
-                    try:
-                        e_degree[i] = epr_spectra(drifts[i], noise, omega_eval).e_degree
-                    except ArithmeticError as exc:
-                        errors[i] = str(exc)
+            grid, status, failure = _epr_kernel(drifts[solved], noise, omega_eval)
+            e_degree[solved] = grid.e_degree
+            for i in np.flatnonzero(status):
+                errors[solved[i]] = str(failure(i))
         columns = (drive_grid[block], steady.branch1[block], steady.branch2[block],
                    steady.intensity1[block], steady.intensity2[block], stable, e_degree,
                    jumped[block])

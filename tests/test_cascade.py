@@ -1,6 +1,7 @@
 """Cascaded steady-state checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -439,6 +440,30 @@ class TestRootGridWeakCoupling:
         lhs = intensity * ((params.gamma / 2 + a * intensity) ** 2 + (delta - b * intensity) ** 2)
         miss = np.abs(lhs - powers[:, None]) / powers[:, None]
         assert miss[found].max() <= 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, 1e4])
+    @pytest.mark.parametrize("chi", [1.0, 1e-10, 1e-40])
+    def test_huge_drives_meet_the_cubic(self, chi, delta):
+        # the roots lie far below the bracket top 4 P / gamma^2 (6e51 against
+        # 4e150 at chi = 1, P = 1e150): bisection must halve the exponent to
+        # get there.  At weak coupling Cardano's wrong roots overflow the
+        # miss check itself, which must send them to be solved again
+        params = PhysParams(chi=chi, Omega=1000.0, Gamma=1e-3, gamma=1.0)
+        powers = np.geomspace(1e100, 1e306, 207)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = root_grid(params, delta, powers)
+        assert np.all(np.isfinite(roots[:, 0]))
+        a, b = pulling_coefficients(params)
+        u, v = params.gamma / 2 + a * roots, delta - b * roots
+        miss = np.abs(roots * (u * u + v * v) - powers[:, None]) / powers[:, None]
+        assert np.nanmax(miss) <= 1e-12
+
+    def test_unsettled_row_is_no_root(self, monkeypatch):
+        monkeypatch.setattr(cascade, "BRACKET_ITERATIONS", 3)
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        row = cascade._bracketed_roots(params, params.Delta1, np.array([1e150]))[0]
+        assert np.all(np.isnan(row))
 
     def test_passing_rows_keep_their_cardano_bits(self):
         # the benchmark's strong-coupling drives: no row is solved again

@@ -2,6 +2,9 @@
 
 import difflib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from cavmotion.cascade import SELECTIONS, steady_state
 from cavmotion.svgplot import render_plot
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run_cli(argv, capsys):
@@ -176,6 +180,16 @@ class TestCascadedCsv:
         assert alone.strip().split("\n")[1:] == rows[:4]
         last = spectra.amplitude_sweep(cli._phys_params(merged), drives, 1000.0)[-1]
         assert (last.stable, last.error) == (False, "overflow") and np.isnan(last.e_degree)
+
+    @pytest.mark.parametrize("drive", ["1e75", "1e120", "1e150"])
+    def test_huge_drive_meets_its_equation_or_fails(self, drive, capsys):
+        code, out, err = run_cli(["cascaded", "steady", "--drive", drive], capsys)
+        if code == cli.NUMERICAL_ERROR:
+            return
+        assert code == 0, err
+        header, row = (line.split(",") for line in out.strip().split("\n"))
+        gamma = cli.DEFAULTS["gamma"]
+        assert float(row[header.index("residual")]) < 1e-9 * math.sqrt(gamma) * float(drive)
 
     def test_determinism(self, capsys):
         argv = ["cascaded", "sweep", "--drive-min", "1e5", "--drive-max", "1e7",
@@ -463,3 +477,24 @@ class TestPlot:
                 float(cell)  # must not raise
         svg = render_plot(text, "x", ["prob_density", "lin_entropy", "efficiency"])
         assert svg.count("<polyline") == 3
+
+
+def test_default_subcommands_load_no_scipy(tmp_path):
+    # numpy is the one runtime dependency: scipy serves the tests alone
+    script = """
+import contextlib, io, sys
+from cavmotion import cli
+for argv in (["single-cavity", "sweep", "--out", "profile.csv"],
+             ["single-cavity", "point", "--x", "0.5"], ["cascaded", "steady"],
+             ["cascaded", "sweep"], ["cascaded", "spectrum"],
+             ["plot", "profile.csv", "--x-column", "x", "--y-columns", "efficiency"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(",".join(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"

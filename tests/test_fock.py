@@ -1,6 +1,8 @@
 """Number-basis and coherent-state primitive checks."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +14,12 @@ from cavmotion.fock import (
     coherent_overlap,
     oscillator_wavefunction,
     oscillator_wavefunctions,
+    poisson_tails,
     truncation_order,
 )
+
+# the relative accuracy poisson_tails states for hard caps up to 512
+TAIL_ACCURACY = 1e-12
 
 # explicit physicists' Hermite polynomials, the closed-form oracle
 HERMITE = [
@@ -195,3 +201,74 @@ class TestCoherentInFock:
             coherent_in_fock(1.0, 0)
         with pytest.raises(ValueError):
             coherent_in_fock(1.0, 1000)
+
+
+class TestAgainstSpecialFunctions:
+    """The numpy-only tail and log-factorials against scipy.special and
+    mpmath, which only the tests use."""
+
+    ZETAS = np.linspace(0.0, 25.0, 4001)
+
+    @pytest.fixture(scope="class")
+    def reference_tails(self):
+        special = pytest.importorskip("scipy.special")
+        # regularized lower incomplete gamma P(N+1, lam) = P(X > N)
+        return special.gammainc(np.arange(513.0)[None, :] + 1.0, self.ZETAS[:, None] ** 2)
+
+    @pytest.mark.parametrize("hard_cap", [1, 64, 512])
+    @pytest.mark.parametrize("tail_epsilon", [1e-16, 1e-12, 1e-6, 0.5])
+    def test_order_equals_gammainc_order(self, tail_epsilon, hard_cap, reference_tails):
+        # lam = zeta^2 runs to 625, past hard_cap + 2, so every cap is met
+        # both by the summed tail and by 1 - CDF, and the clamps are checked
+        policy = TruncationPolicy(tail_epsilon=tail_epsilon, hard_cap=hard_cap)
+        clamps = 0
+        for zeta, tails in zip(self.ZETAS, reference_tails[:, :hard_cap + 1]):
+            hits = np.flatnonzero(tails < tail_epsilon)
+            want = int(hits[0]) if hits.size else hard_cap
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = truncation_order(zeta, policy)
+            if got != want:
+                # allowed only where the reference tails in between lie
+                # within the stated accuracy of tail_epsilon
+                between = tails[min(got, want):max(got, want)]
+                assert np.all(np.abs(between - tail_epsilon) <= TAIL_ACCURACY * tail_epsilon), (
+                    f"zeta={zeta}: order {got}, gammainc order {want}")
+            assert len(caught) == (hits.size == 0), f"zeta={zeta}"
+            if caught:
+                clamps += 1
+                message = str(caught[0].message)
+                assert message.startswith(f"truncation clamped at hard_cap={hard_cap}; ")
+                residual = float(re.search(r"residual Poisson tail (\S+) exceeds", message)[1])
+                assert residual == pytest.approx(tails[-1], rel=6e-4)
+        assert clamps > 0
+
+    def test_tail_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        lams = np.concatenate([[1e-6, 0.3, 1.0, 63.0, 66.0, 100.0, 510.0, 514.0, 625.0],
+                               rng.uniform(0.0, 625.0, 15)])
+        worst = 0.0
+        for lam, top in ((lam, top) for lam in lams for top in (64, 512)):
+            tails = poisson_tails(lam, top)
+            for n in sorted({0, 1, top // 2, top - 1, top, *rng.integers(0, top + 1, 4)}):
+                with mpmath.workdps(30):
+                    want = float(mpmath.gammainc(n + 1, 0, lam, regularized=True))
+                if want > 1e-290:
+                    worst = max(worst, abs(tails[n] - want) / want)
+        assert worst <= TAIL_ACCURACY
+
+    def test_vacuum_tail_is_zero(self):
+        assert np.array_equal(poisson_tails(0.0, 3), np.zeros(4))
+
+    def test_coefficient_against_gammaln_form(self):
+        special = pytest.importorskip("scipy.special")
+        n = np.arange(601)
+        for zeta in (1e-3, 0.8, -2.0, 6.0, 15.0, 10.0 + 2.0j, -3.0 - 4.0j):
+            r = abs(zeta)
+            want = np.exp(-0.5 * r * r + n * np.log(r) - 0.5 * special.gammaln(n + 1.0)
+                          + 1j * n * np.angle(zeta))
+            got = coherent_coefficient(zeta, n)
+            normal = np.abs(want) > 1e-290
+            assert np.all(np.abs(got - want)[normal] <= 1e-12 * np.abs(want)[normal])
+            assert np.all(np.abs(got[~normal]) <= 1e-289)

@@ -418,6 +418,24 @@ class TestGridKernel:
         with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
             epr_grid(drift, noise, omegas)
 
+    def test_kernel_status_per_point(self):
+        # T(+w) is singular at w = -2, 2 and 3, T(-w) at w = -3, -2 and 2:
+        # where both fail, +w is reported.  The scaled damped drift leaves
+        # only a commutator below the floor
+        drift = np.diag([2j, -2j, 2j, -2j] + [3j] * 4)
+        noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
+        omegas = np.array([0.5, -2.0, 3.0, -3.0, 2.0])
+        grid, status, failure = spectra._epr_kernel(drift, noise, omegas)
+        assert status.tolist() == [spectra.OK, spectra.PLUS_FAILED, spectra.PLUS_FAILED,
+                                   spectra.MINUS_FAILED, spectra.PLUS_FAILED]
+        assert np.isfinite(grid.e_degree[0]) and np.all(np.isnan(grid.e_degree[1:]))
+        for i, omega in enumerate(omegas[1:], start=1):
+            with pytest.raises(ArithmeticError) as info:
+                epr_spectra(drift, noise, omega)
+            assert str(failure(i)) == str(info.value)
+        damped = np.diag([-1.0 + 2j] * 8) * 1e20
+        assert spectra._epr_kernel(damped, noise, omegas)[1].tolist() == [spectra.DEGENERATE] * 5
+
     def test_lyapunov_oracle(self):
         # the delta-stripped spectrum integrated over w/2pi is the equal-time
         # covariance Sigma of dv = M v dt + noise: M Sigma + Sigma M^T + d = 0

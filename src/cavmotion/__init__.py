@@ -63,7 +63,6 @@ from .spectra import (
     correlation_matrix,
     epr_grid,
     epr_spectra,
-    spectral_moments,
     stability_stack,
     transfer,
     transfer_rows,

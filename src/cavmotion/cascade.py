@@ -92,12 +92,19 @@ def cavity_bracket(params, delta, intensity):
     return params.gamma / 2.0 + a * intensity + 1j * (delta - b * intensity)
 
 
+def _cubic_coefficients(params, delta):
+    """(c3, c2, c1) of the modulus cubic I |bracket(I)|^2 = c3 I^3 + c2 I^2 + c1 I."""
+    a, b = pulling_coefficients(params)
+    g = params.gamma
+    return a * a + b * b, g * a - 2.0 * delta * b, g * g / 4.0 + delta * delta
+
+
 def _modulus_cubic(params, delta, intensity, drive_power):
     """(I |bracket(I)|^2 - P, its derivative in I) at every intensity;
     drive_power broadcasts against intensity."""
     a, b = pulling_coefficients(params)
     u, v = params.gamma / 2.0 + a * intensity, delta - b * intensity
-    modulus = np.float_power(u, 2) + np.float_power(v, 2)
+    modulus = u * u + v * v
     return intensity * modulus - drive_power, modulus + intensity * (2.0 * a * u - 2.0 * b * v)
 
 
@@ -107,12 +114,11 @@ def _misses_cubic(params, delta, roots, drive_power):
     the drive power, beyond the rounding floor of the check: the
     cancellation in delta - b I where the detuning is pulled near
     resonance.  The miss cannot overflow at a root."""
-    a, b = pulling_coefficients(params)
+    b = pulling_coefficients(params)[1]
     power = drive_power[:, None]
     with np.errstate(invalid="ignore", over="ignore"):  # nan padding, no-root overflows
-        u, v = params.gamma / 2.0 + a * roots, delta - b * roots
-        miss = np.abs(roots * (u * u + v * v) - power)
-        floor = 8.0 * EPS * roots * np.abs(v) * (abs(delta) + b * roots)
+        miss = np.abs(_modulus_cubic(params, delta, roots, power)[0])
+        floor = 8.0 * EPS * roots * np.abs(delta - b * roots) * (abs(delta) + b * roots)
         missed = np.any(np.isinf(miss) | (miss > ROOT_TOLERANCE * power + floor), axis=1)
     return (missed | np.isnan(roots[:, 0])) & (drive_power > 0.0)
 
@@ -144,7 +150,7 @@ def _bracketed_roots(params, delta, drive_power):
         f_upper = _modulus_cubic(params, delta, upper, power)[0]
         lower_sign = np.sign(f_lower)
         has_root = (lower_sign != 0.0) & (lower_sign * np.sign(f_upper) <= 0.0)
-        linear = drive_power / (params.gamma**2 / 4.0 + delta * delta)
+        linear = drive_power / _cubic_coefficients(params, delta)[2]
         x = np.clip(linear[:, None], lower, upper)
         # a settled root stays put, so a row's bits do not depend on its batch
         done = ~has_root
@@ -181,34 +187,35 @@ def root_grid(params, delta, drive_power):
     (weak coupling, or weak drive), so a row whose roots miss the cubic by
     more than ROOT_TOLERANCE relative to the drive power (beyond the
     rounding floor of the check itself), or that finds no root, is solved
-    again by `_bracketed_roots`.  float_power squares like the scalar
-    x ** 2 (C pow); `**` on an array squares by multiplication, which moves
-    the last bit of a few roots.
+    again by `_bracketed_roots`.
     """
     drive_power = np.asarray(drive_power, dtype=float)
     negative = drive_power < 0
     if negative.any():
         raise ValueError(f"drive_power must be >= 0, got {drive_power[negative][0]}")
-    a, b = pulling_coefficients(params)
-    g = params.gamma
-    c3 = a * a + b * b
-    c2 = g * a - 2.0 * delta * b
-    c1 = g * g / 4.0 + delta * delta
+    c3, c2, c1 = _cubic_coefficients(params, delta)
     roots = np.full(drive_power.shape + (3,), np.nan)
     if c3 == 0.0:
         roots[:, 0] = drive_power / c1
     else:
         # at weak coupling the normalized coefficients overflow: the rows
         # come back nan and are solved again below
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             b2, b1, b0 = c2 / c3, c1 / c3, -drive_power / c3
             shift = -b2 / 3.0
             p = b1 - b2 * b2 / 3.0
-            q = 2.0 * np.float_power(b2, 3) / 27.0 - b2 * b1 / 3.0 + b0
-            disc = np.float_power(q / 2.0, 2) + np.float_power(p / 3.0, 3)
+            q = 2.0 * b2 * b2 * b2 / 27.0 - b2 * b1 / 3.0 + b0
+            disc = (q / 2.0) * (q / 2.0) + (p / 3.0) * (p / 3.0) * (p / 3.0)
             one = disc > 0.0
-            s = np.sqrt(disc[one])
-            roots[one, 0] = shift + np.cbrt(-q[one] / 2.0 + s) + np.cbrt(-q[one] / 2.0 - s)
+            # the cube root without cancellation, and its partner from their product -p/3
+            u = np.cbrt(-q[one] / 2.0 - np.copysign(np.sqrt(disc[one]), q[one]))
+            v = -p / (3.0 * u)
+            root = shift + u + v
+            # a root far below |shift| cancels there: take it as the product
+            # of all three roots, -b0, over the complex pair's modulus squared
+            real, imag = shift - 0.5 * (u + v), u - v
+            pair = real * real + 0.75 * imag * imag
+            roots[one, 0] = np.where(np.abs(root) < np.abs(shift), -b0[one] / pair, root)
             three = ~one
             if p == 0.0:
                 roots[three, 0] = shift
@@ -243,18 +250,15 @@ def intensity_roots(params, delta, drive_power):
 
 def _turning_points(params, delta):
     """Intensities (lo, hi) where the S-curve turns, or None if it is monotone."""
-    a, b = pulling_coefficients(params)
-    g = params.gamma
-    c2 = 3.0 * (a * a + b * b)
-    c1 = 2.0 * (g * a - 2.0 * delta * b)
-    c0 = g * g / 4.0 + delta * delta
-    if c2 == 0.0:
+    c3, c2, c1 = _cubic_coefficients(params, delta)
+    if c3 == 0.0:
         return None
-    disc = c1 * c1 - 4.0 * c2 * c0
+    # the roots of the cubic's derivative 3 c3 I^2 + 2 c2 I + c1
+    disc = c2 * c2 - 3.0 * c3 * c1
     if disc <= 0.0:
         return None
-    lo = (-c1 - np.sqrt(disc)) / (2.0 * c2)
-    hi = (-c1 + np.sqrt(disc)) / (2.0 * c2)
+    lo = (-c2 - np.sqrt(disc)) / (3.0 * c3)
+    hi = (-c2 + np.sqrt(disc)) / (3.0 * c3)
     if hi <= 0.0:
         return None
     return lo, hi
@@ -308,14 +312,13 @@ def _cavity(params, delta, drive_in, selection, previous_intensity, previous_bra
     """One cavity at every drive of `drive_in`: the selected working point's
     amplitude, intensity, branch and jump flag."""
     g = params.gamma
-    # hypot rounds like the scalar abs(z); numpy's vectorized complex abs
-    # does not.  A power beyond the float range is inf, and its rows nan
+    # a power beyond the float range is inf, and its rows nan
     with np.errstate(over="ignore"):
-        power = g * np.float_power(np.hypot(drive_in.real, drive_in.imag), 2)
+        power = g * (drive_in.real**2 + drive_in.imag**2)
     roots = root_grid(params, delta, power)
     with np.errstate(invalid="ignore"):  # the nan padding of `roots`
         zetas = np.sqrt(g) * drive_in[:, None] / cavity_bracket(params, delta, roots)
-    intensities = np.float_power(np.hypot(zetas.real, zetas.imag), 2)
+    intensities = zetas.real**2 + zetas.imag**2
     pick = (np.arange(len(roots)), _select(roots, intensities, selection, previous_intensity))
     root, intensity = roots[pick], intensities[pick]
     branch = _branch_labels(params, delta, root)
@@ -328,23 +331,6 @@ def _cavity(params, delta, drive_in, selection, previous_intensity, previous_bra
         before_branch = np.concatenate(([previous_branch or ""], branch[:-1]))
         jumped = (np.abs(root - before) > np.maximum(before, 1e-12)) & (branch != before_branch)
     return zetas[pick], intensity, branch, jumped
-
-
-def _python_quotient(num, den):
-    """num / den for a complex array and a complex number, rounded like
-    Python's complex division (Smith's method); numpy multiplies by the
-    reciprocal of the scaled denominator instead, which moves last bits."""
-    if abs(den.real) >= abs(den.imag):
-        ratio = den.imag / den.real
-        scale = den.real + den.imag * ratio
-        re, im = num.real + num.imag * ratio, num.imag - num.real * ratio
-    else:
-        ratio = den.real / den.imag
-        scale = den.real * ratio + den.imag
-        re, im = num.real * ratio + num.imag, num.imag * ratio - num.real
-    out = np.empty(np.shape(num), dtype=complex)
-    out.real, out.imag = re / scale, im / scale
-    return out
 
 
 def steady_grid(params, zeta1_in, selection="lowest", previous=None):
@@ -375,8 +361,8 @@ def steady_grid(params, zeta1_in, selection="lowest", previous=None):
     return SteadyGrid(
         zeta1=zeta1, zeta2=zeta2,
         zeta1_in=zeta1_in, zeta2_in=zeta2_in,
-        alpha=_python_quotient(-1j * params.chi * intensity1, motional_pole),
-        beta=_python_quotient(-1j * params.chi * intensity2, motional_pole),
+        alpha=-1j * params.chi * intensity1 / motional_pole,
+        beta=-1j * params.chi * intensity2 / motional_pole,
         intensity1=intensity1, intensity2=intensity2,
         branch1=branch1, branch2=branch2,
         jumped1=jumped1, jumped2=jumped2,
@@ -413,10 +399,4 @@ def bistable_window(params, delta):
     if turns is None:
         return None
     lo, hi = turns
-    a, b = pulling_coefficients(params)
-    g = params.gamma
-
-    def power(i):
-        return i * ((g / 2.0 + a * i) ** 2 + (delta - b * i) ** 2)
-
-    return (power(hi), power(lo))
+    return tuple(float(_modulus_cubic(params, delta, turn, 0.0)[0]) for turn in (hi, lo))

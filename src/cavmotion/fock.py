@@ -49,15 +49,15 @@ def _log_factorials(top):
     return table[:top + 1]
 
 
-def oscillator_wavefunction(n, x, max_order=DEFAULT_HARD_CAP):
+def oscillator_wavefunction(n, x):
     """Harmonic-oscillator position eigenfunction psi_n(x) alone: row n of
     oscillator_wavefunctions(n, x), with the shape of x (scalar or array)."""
     x = np.asarray(x, dtype=float)
-    psi = oscillator_wavefunctions(n, x, max_order)[n]
+    psi = oscillator_wavefunctions(n, x)[n]
     return psi if x.ndim else float(psi[0])
 
 
-def oscillator_wavefunctions(n_max, x, max_order=DEFAULT_HARD_CAP):
+def oscillator_wavefunctions(n_max, x):
     """All psi_n(x) for n = 0..n_max at once; shape (n_max+1,) + x.shape.
 
     psi_n(x) = pi^(-1/4) (2^n n!)^(-1/2) H_n(x) exp(-x^2/2), evaluated with
@@ -65,8 +65,8 @@ def oscillator_wavefunctions(n_max, x, max_order=DEFAULT_HARD_CAP):
         psi_n = x sqrt(2/n) psi_{n-1} - sqrt((n-1)/n) psi_{n-2},
     which stays bounded where the raw Hermite polynomials overflow.
     """
-    if n_max < 0 or n_max > max_order:
-        raise ValueError(f"order n_max={n_max} outside [0, {max_order}]")
+    if n_max < 0 or n_max > DEFAULT_HARD_CAP:
+        raise ValueError(f"order n_max={n_max} outside [0, {DEFAULT_HARD_CAP}]")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((n_max + 1,) + x.shape)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
@@ -146,10 +146,10 @@ def truncation_order(zeta, policy=DEFAULT_POLICY):
     return int(hits[0])
 
 
-def coherent_in_fock(mu, dim, max_order=DEFAULT_HARD_CAP):
+def coherent_in_fock(mu, dim):
     """|mu> expanded in the truncated number basis: component n for n < dim."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if dim > max_order:
-        raise ValueError(f"dim={dim} exceeds hard cap {max_order}")
+    if dim > DEFAULT_HARD_CAP:
+        raise ValueError(f"dim={dim} exceeds hard cap {DEFAULT_HARD_CAP}")
     return np.atleast_1d(coherent_coefficient(mu, np.arange(dim)))

@@ -29,7 +29,7 @@ EPR_ROWS = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [-1j, 1j, 1j, -1j, 0, 0, 0, 0],
 STAGES = np.array([0, 1, 4, 5, 2, 3, 6, 7])
 
 COMMUTATOR_FLOOR = 1e-30
-OK, PLUS_FAILED, MINUS_FAILED, DEGENERATE = range(4)  # EPR kernel point status
+OK, PLUS_FAILED, MINUS_FAILED, DEGENERATE, NONPOSITIVE = range(5)  # EPR kernel point status
 
 # points per batched solve: a block's rows at +w and -w, (2, points, 4, 8),
 # grow with it; 128 keeps the benchmark's peak memory within 1.2% of the 8x8
@@ -236,8 +236,10 @@ def _epr_kernel(drift, noise, omega):
     and are dropped): mat = d, l = r for the variances of q_a + q_b and
     p_a - p_b; mat = k for <[q_a(w), p_a(w)]>.  status is OK or the failure
     a point-by-point evaluation meets first: PLUS_FAILED (T(+w)), MINUS_FAILED
-    (T(-w)), DEGENERATE (commutator below COMMUTATOR_FLOOR); there e_degree
-    is nan and failure(i) is the error of flat point i."""
+    (T(-w)), DEGENERATE (commutator below COMMUTATOR_FLOOR), NONPOSITIVE (a
+    variance not positive, which rounding alone can make of the forms at
+    extreme drives); there e_degree is nan and failure(i) is the error of
+    flat point i."""
     shape = np.broadcast_shapes(np.shape(drift)[:-2], np.shape(omega))
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
     y, failed, error = _row_solve(drift, np.stack((omega, -omega)), EPR_ROWS)
@@ -250,24 +252,21 @@ def _epr_kernel(drift, noise, omega):
         comm = 0.25 * (with_k[0] + with_k[1]).sum(axis=-1)
         e_degree = s_q * s_p / (0.25 * np.square(np.abs(comm)))
     status = np.where(failed[0], PLUS_FAILED, np.where(failed[1], MINUS_FAILED, np.where(
-        np.abs(comm) >= COMMUTATOR_FLOOR, OK, DEGENERATE)))  # a nan commutator too
+        np.abs(comm) >= COMMUTATOR_FLOOR, np.where(np.minimum(s_q, s_p) > 0.0, OK, NONPOSITIVE),
+        DEGENERATE)))  # a nan commutator or variance fails too
 
     def failure(flat):
         idx = np.unravel_index(flat, shape)
         if status[idx] == DEGENERATE:
             return ArithmeticError(
                 f"degenerate commutator spectrum |{comm[idx]}| at omega={omega[idx]}")
+        if status[idx] == NONPOSITIVE:
+            return ArithmeticError(f"non-positive EPR variance (s_qplus {s_q[idx]}, "
+                                   f"s_pminus {s_p[idx]}) at omega={omega[idx]}")
         return error((status[idx] - PLUS_FAILED, *idx))
 
     e_degree = np.where(status == OK, e_degree, np.nan)
     return SpectrumGrid(omega, s_q, s_p, comm, e_degree), status, failure
-
-
-def spectral_moments(drift, noise, omega):
-    """(C, s_qplus, s_pminus, commutator) at every point of the broadcast of
-    `drift` and `omega`: `correlation_matrix` and the scalars of `epr_grid`."""
-    grid = _epr_kernel(drift, noise, omega)[0]
-    return correlation_matrix(drift, noise, omega), grid.s_qplus, grid.s_pminus, grid.commutator
 
 
 def epr_grid(drift, noise, omega):
@@ -283,7 +282,8 @@ def epr_grid(drift, noise, omega):
 
     Raises what a point-by-point evaluation raises first: at the first
     failing point in grid order, a failing T(w) before a failing T(-w),
-    both before a commutator below COMMUTATOR_FLOOR.
+    both before a commutator below COMMUTATOR_FLOOR, all before a variance
+    that is not positive.
     """
     grid, status, failure = _epr_kernel(drift, noise, omega)
     if status.any():
@@ -337,7 +337,7 @@ def classify_stability(drift):
     return bool(stable), eigs
 
 
-def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
+def amplitude_sweep(params, drive_grid, omega_eval):
     """E(omega_eval) along an ascending drive sweep with branch continuation.
 
     One `steady_grid` call continues each cavity's intensity adiabatically
@@ -349,8 +349,7 @@ def amplitude_sweep(params, drive_grid, omega_eval, noise=None):
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):
         raise ValueError("drive_grid must be sorted ascending")
-    if noise is None:
-        noise = build_noise(params)
+    noise = build_noise(params)
     steady = steady_grid(params, drive_grid, selection="follow")
     jumped = steady.jumped1 | steady.jumped2
     rows = []

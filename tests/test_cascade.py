@@ -1,8 +1,10 @@
 """Cascaded steady-state checks."""
 
+import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,9 +129,9 @@ class TestSteadyState:
 
     def test_intensity_fields_match_amplitudes(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        branch = steady_state(params, 5.0e4, selection="highest")
-        assert branch.intensity1 == abs(branch.zeta1) ** 2
-        assert branch.intensity2 == abs(branch.zeta2) ** 2
+        grid = steady_grid(params, np.geomspace(1e2, 1e7, 41), selection="highest")
+        assert np.array_equal(grid.intensity1, grid.zeta1.real**2 + grid.zeta1.imag**2)
+        assert np.array_equal(grid.intensity2, grid.zeta2.real**2 + grid.zeta2.imag**2)
 
     @pytest.mark.parametrize("selection", ["lowest", "highest"])
     def test_residual_invariant(self, selection):
@@ -230,105 +232,110 @@ class TestPhysParams:
             PhysParams(chi=1.0, Omega=np.inf)
 
 
-def reference_roots(params, delta, drive_power):
-    """Drive-by-drive reference for the root kernel: scalar Cardano (trig
-    branch for three real roots) and one Newton polish; a drive whose roots
-    miss the cubic (or that finds none) takes the kernel's bracketed Newton
-    row, whose accuracy TestRootGridWeakCoupling checks."""
-    if drive_power == 0.0:
-        return [0.0]
-    polished = reference_cardano(params, delta, drive_power)
-    a, b = pulling_coefficients(params)
-    eps = np.finfo(float).eps
-    for root in polished:
-        u, v = params.gamma / 2.0 + a * root, delta - b * root
-        miss = abs(root * (u * u + v * v) - drive_power)
-        if miss > 1e-12 * drive_power + 8.0 * eps * root * abs(v) * (abs(delta) + b * root):
-            break
-    else:
-        if polished:
-            return polished
-    row = cascade._bracketed_roots(params, delta, np.array([drive_power]))[0]
-    return row[~np.isnan(row)].tolist()
+# relative error of the working point against the 40-digit reference away
+# from window edges, on top of the rounding floor of the bracket (see
+# `assert_matches_reference`)
+ACCURACY = 1e-14
+EPS = np.finfo(float).eps
+# where the cubic has a double root its roots move by sqrt(eps) in relative terms
+SQRT_EPS = math.sqrt(EPS)
+# Cardano loses as many digits as |shift| exceeds a root (up to 27 in these
+# tests, at chi = 1e-3 and a power of 1e-6): 80 keep at least 40
+ORACLE_DPS = 80
 
 
-def reference_cardano(params, delta, drive_power):
-    a, b = pulling_coefficients(params)
-    g = params.gamma
-    c3, c2, c1 = a * a + b * b, g * a - 2.0 * delta * b, g * g / 4.0 + delta * delta
-    if c3 == 0.0:
-        roots = [drive_power / c1]
-    else:
-        b2, b1, b0 = c2 / c3, c1 / c3, -drive_power / c3
-        shift = -b2 / 3.0
-        p = b1 - b2 * b2 / 3.0
-        q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
-        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-        if disc > 0.0:
-            s = math.sqrt(disc)
-            roots = [shift + np.cbrt(-q / 2.0 + s) + np.cbrt(-q / 2.0 - s)]
-        elif p == 0.0:
-            roots = [shift]
-        else:
-            m = 2.0 * math.sqrt(-p / 3.0)
-            theta = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
-            roots = [shift + m * np.cos(theta - 2.0 * np.pi * k / 3.0) for k in range(3)]
-    polished = []
-    for root in roots:
-        u, v = g / 2.0 + a * root, delta - b * root
-        slope = u**2 + v**2 + root * (2.0 * a * u - 2.0 * b * v)
-        if slope != 0.0 and np.isfinite(slope):
-            step = (root * (u**2 + v**2) - drive_power) / slope
-            if np.isfinite(step):
-                root = root - step
-        if np.isfinite(root) and root >= 0.0:
-            polished.append(float(root))
-    return sorted(polished)
+@functools.lru_cache(maxsize=None)
+def depressed_cubic(params, delta):
+    """(c3, (shift, p, q at zero power, (p/3)^3, 2 sqrt(-p/3))) of the monic
+    modulus cubic in I - shift at ORACLE_DPS digits, or (c1, None) for a
+    linear cavity."""
+    with mpmath.workdps(ORACLE_DPS):
+        a, b = (mpmath.mpf(x) for x in pulling_coefficients(params))
+        g, d = mpmath.mpf(params.gamma), mpmath.mpf(delta)
+        c3, c2, c1 = a * a + b * b, g * a - 2 * d * b, g * g / 4 + d * d
+        if c3 == 0:
+            return c1, None
+        b2, b1 = c2 / c3, c1 / c3
+        p = b1 - b2 * b2 / 3
+        m = 2 * mpmath.sqrt(-p / 3) if p < 0 else None
+        return c3, (-b2 / 3, p, 2 * b2**3 / 27 - b2 * b1 / 3, (p / 3) ** 3, m)
 
 
-def reference_label(params, delta, intensity):
+@functools.lru_cache(maxsize=None)
+def oracle_roots(params, delta, power):
+    """(real roots ascending, complex roots) of the modulus cubic
+    c3 I^3 + c2 I^2 + c1 I = P at 40 digits, with the float a, b, gamma,
+    delta and power taken exact: Cardano (trig branch for three real roots)
+    at ORACLE_DPS digits.  test_oracle_matches_polyroots checks it against
+    mpmath.polyroots, which takes 1-9 ms a cubic: too slow for thousands."""
+    with mpmath.workdps(ORACLE_DPS):
+        if power == 0:
+            return (mpmath.mpf(0),), ()
+        c, cubic = depressed_cubic(params, delta)
+        if cubic is None:
+            return (power / c,), ()
+        shift, p, q0, p_cubed, m = cubic
+        q = q0 - power / c
+        disc = q * q / 4 + p_cubed
+        if disc > 0:
+            u = -mpmath.sign(q) * mpmath.cbrt(abs(q) / 2 + mpmath.sqrt(disc))
+            v = -p / (3 * u)
+            pair = mpmath.mpc(shift - (u + v) / 2, (u - v) * mpmath.sqrt(3) / 2)
+            return (shift + u + v,), (pair, pair.conjugate())
+        cos = mpmath.cos(mpmath.acos(3 * q / (p * m)) / 3)
+        sin = mpmath.sqrt(3 * (1 - cos * cos))  # sqrt(3) sin, the angle in [0, pi/3]
+        return (shift - m * (cos + sin) / 2, shift - m * (cos - sin) / 2, shift + m * cos), ()
+
+
+def kernel_power(params, zeta_in):
+    """gamma |zeta_in|^2 rounded as the kernel rounds it."""
+    return params.gamma * (zeta_in.real * zeta_in.real + zeta_in.imag * zeta_in.imag)
+
+
+def reference_turns(params, delta):
+    """Turning points (lo, hi) of the S-curve in floats, or None."""
     a, b = pulling_coefficients(params)
     g = params.gamma
     c2, c1 = 3.0 * (a * a + b * b), 2.0 * (g * a - 2.0 * delta * b)
     disc = c1 * c1 - 4.0 * c2 * (g * g / 4.0 + delta * delta)
     if c2 == 0.0 or disc <= 0.0 or (-c1 + math.sqrt(disc)) / (2.0 * c2) <= 0.0:
-        return BRANCH_LOWER
-    if intensity < (-c1 - math.sqrt(disc)) / (2.0 * c2):
-        return BRANCH_LOWER
-    return BRANCH_MIDDLE if intensity <= (-c1 + math.sqrt(disc)) / (2.0 * c2) else BRANCH_UPPER
+        return None
+    return (-c1 - math.sqrt(disc)) / (2.0 * c2), (-c1 + math.sqrt(disc)) / (2.0 * c2)
 
 
-def reference_chain(params, drives, selection):
-    """The working points of a drive sequence, one scalar solve per drive;
-    "follow" continues from the drive before."""
-    g, sqg = params.gamma, math.sqrt(params.gamma)
-    pole = params.Gamma / 2.0 + 1j * params.Omega
+def reference_label(params, delta, intensity):
+    turns = reference_turns(params, delta)
+    if turns is None or intensity < turns[0]:
+        return BRANCH_LOWER
+    return BRANCH_MIDDLE if intensity <= turns[1] else BRANCH_UPPER
+
+
+def reference_chain(params, delta, zeta_in, selection):
+    """One cavity along a drive sequence, from its inputs `zeta_in` as the
+    kernel computed them: per drive the amplitude and intensity at 40 digits
+    (rounded to floats), the branch label and the jump flag, one scalar
+    solve per drive from `oracle_roots`; "follow" continues from the
+    intensity this reference selected at the drive before."""
     out, before = [], None
-    for drive in drives:
-        zeta_in, point = complex(drive), {}
-        for j, delta in ((1, params.Delta1), (2, params.Delta2)):
-            roots = reference_roots(params, delta, g * abs(zeta_in) ** 2)
+    with mpmath.workdps(ORACLE_DPS):
+        a, b = (mpmath.mpf(x) for x in pulling_coefficients(params))
+        half_gamma, d = mpmath.mpf(params.gamma) / 2, mpmath.mpf(delta)
+        sqg = mpmath.sqrt(params.gamma)
+        for drive_in in zeta_in.tolist():
+            roots = oracle_roots(params, delta, kernel_power(params, drive_in))[0]
             if selection == "lowest" or (selection == "follow" and before is None):
                 root = roots[0]
             elif selection == "highest":
                 root = roots[-1]
             else:
-                root = min(roots, key=lambda i: abs(i - before[f"intensity{j}"]))
-            zeta = np.float64(sqg) * zeta_in / cavity_bracket(params, delta, root)
-            branch = reference_label(params, delta, root)
-            jumped = False
-            if selection == "follow" and before is not None:
-                prev = before[f"intensity{j}"]
-                jumped = bool(abs(root - prev) > max(prev, 1e-12)
-                              and branch != before[f"branch{j}"])
-            point.update({f"zeta{j}": complex(zeta), f"zeta{j}_in": complex(zeta_in),
-                          f"intensity{j}": float(abs(zeta) ** 2), f"branch{j}": branch,
-                          f"jumped{j}": jumped})
-            zeta_in = np.float64(sqg) * zeta - zeta_in
-        point["alpha"] = -1j * params.chi * point["intensity1"] / pole
-        point["beta"] = -1j * params.chi * point["intensity2"] / pole
-        out.append(SteadyBranch(**point))
-        before = point
+                root = min(roots, key=lambda i: abs(i - before[0]))
+            zeta = sqg * mpmath.mpc(drive_in) / mpmath.mpc(half_gamma + a * root, d - b * root)
+            intensity = mpmath.mpf(float(zeta.real**2 + zeta.imag**2))
+            branch = reference_label(params, delta, float(root))
+            jumped = (selection == "follow" and before is not None
+                      and abs(root - before[0]) > max(before[0], 1e-12) and branch != before[1])
+            out.append((complex(zeta), float(intensity), branch, jumped))
+            before = intensity, branch
     return out
 
 
@@ -342,63 +349,174 @@ def assert_bits_equal(got, want):
             assert np.array_equal(np.asarray(other), np.asarray(value), equal_nan=True), name
 
 
+def assert_matches_reference(params, grid, selection, undecided):
+    """Every row of a steady grid but the `undecided` ones against
+    `reference_chain`, cavity by cavity: labels and jump flags equal, and
+    the amplitude, intensity and atomic displacement within ACCURACY
+    relative, plus the rounding floor of the bracket at a float intensity
+    (delta - b I cancels near resonance on the upper branch, by
+    (|delta| + b I) / |bracket|)."""
+    b = pulling_coefficients(params)[1]
+    pole = params.Gamma / 2.0 + 1j * params.Omega
+    decided = grid[~undecided]
+    for j, delta, atom in ((1, params.Delta1, decided.alpha), (2, params.Delta2, decided.beta)):
+        zeta_in = getattr(grid, f"zeta{j}_in")
+        zeta, intensity, branch, jumped = (np.array(column)[~undecided] for column in
+                                           zip(*reference_chain(params, delta, zeta_in, selection)))
+        assert np.array_equal(getattr(decided, f"branch{j}"), branch)
+        assert np.array_equal(getattr(decided, f"jumped{j}"), jumped)
+        got = np.stack((getattr(decided, f"zeta{j}"), getattr(decided, f"intensity{j}"), atom))
+        want = np.stack((zeta, intensity, -1j * params.chi * intensity / pole))
+        kernel_intensity = got[1].real
+        floor = (8.0 * EPS * (abs(delta) + b * kernel_intensity)
+                 / np.abs(cavity_bracket(params, delta, kernel_intensity)))
+        assert np.all(np.abs(got - want) <= (ACCURACY + floor) * np.abs(want)), f"cavity {j}"
+
+
+def assert_root_rows(params, delta, powers, undecided):
+    """The rows of `root_grid` at float drive powers against the oracle's:
+    `assert_decidable_at_edge` on the `undecided` ones, else
+    `assert_roots_match_oracle`."""
+    for power, row, odd in zip(powers.tolist(), root_grid(params, delta, powers), undecided):
+        check = assert_decidable_at_edge if odd else assert_roots_match_oracle
+        check(params, delta, power, row[~np.isnan(row)].tolist())
+
+
+def assert_roots_match_oracle(params, delta, power, got):
+    """A root row at a float drive power: the oracle's count of real roots,
+    each within ACCURACY of its oracle root, and the same labels."""
+    want = [float(root) for root in oracle_roots(params, delta, power)[0]]
+    assert len(got) == len(want)
+    assert np.all(np.abs(np.subtract(got, want)) <= ACCURACY * np.array(want))
+    assert [branch_label(params, delta, root) for root in got] == [
+        reference_label(params, delta, root) for root in want]
+
+
+def edge_labels(params, delta, root):
+    """The labels a root may carry at a window edge: both branches that meet
+    at a turning point within SQRT_EPS of it, else its reference label."""
+    lo, hi = reference_turns(params, delta) or (math.nan, math.nan)
+    if abs(root - lo) <= SQRT_EPS * lo:
+        return {BRANCH_LOWER, BRANCH_MIDDLE}
+    if abs(root - hi) <= SQRT_EPS * hi:
+        return {BRANCH_MIDDLE, BRANCH_UPPER}
+    return {reference_label(params, delta, root)}
+
+
+def assert_decidable_at_edge(params, delta, power, got):
+    """What a drive at a window edge decides: there the cubic has a double
+    root, so rounding decides the root count.  Every root meets the cubic
+    within ROOT_TOLERANCE beyond the rounding floor of the kernel's own
+    check, lies within 4 SQRT_EPS of a 40-digit root (the worst measured is
+    1.4 SQRT_EPS) and carries one of its `edge_labels`."""
+    real, pair = oracle_roots(params, delta, power)
+    a, b = pulling_coefficients(params)
+    for root in got:
+        floor = 8.0 * EPS * root * abs(delta - b * root) * (abs(delta) + b * root)
+        with mpmath.workdps(ORACLE_DPS):
+            x = mpmath.mpf(root)
+            miss = x * ((params.gamma / 2 + a * x) ** 2 + (delta - b * x) ** 2) - power
+            assert abs(miss) <= cascade.ROOT_TOLERANCE * power + floor
+            assert min(abs(x - want) for want in real + pair) <= 4 * SQRT_EPS * x
+        assert branch_label(params, delta, root) in edge_labels(params, delta, root)
+
+
 def drive_grid(params, magnitudes, phase):
-    """Drives at the given magnitudes, plus zero, a sweep across the first
-    cavity's bistable window and both its edges (double roots), at one
-    phase."""
-    extra = []
+    """(drives, edge) at one phase: drives at the given magnitudes, plus
+    zero, a sweep across the first cavity's bistable window and both its
+    edges (double roots), which `edge` marks."""
+    extra = edges = []
     window = bistable_window(params, params.Delta1)
     if window is not None:
         edges = [math.sqrt(power / params.gamma) for power in window]
         extra = [*edges, *np.geomspace(0.5 * edges[0], 2.0 * edges[1], 24)]
-    return np.sort(np.concatenate(([0.0], magnitudes, extra))) * np.exp(1j * phase)
+    drives = np.sort(np.concatenate(([0.0], magnitudes, extra)))
+    return drives * np.exp(1j * phase), np.isin(drives, edges)
+
+
+def undecided_rows(edge, selection):
+    """Rows at a window edge, and for "follow" the drive after each too:
+    its choice depends on the root count at the edge."""
+    if selection != "follow":
+        return edge
+    return edge | np.concatenate(([False], edge[:-1]))
 
 
 class TestSteadyGrid:
-    """The grid kernel equals the drive-by-drive scalar chain bit for bit."""
+    """The grid kernel against the 40-digit reference; its one-point views
+    equal it bit for bit.
+
+    Rule at window edges: there the cubic has a double root and rounding
+    decides the root count, so on drives at an edge of the first cavity's
+    window, and for "follow" on the drive just after one, only what can be
+    decided is checked (`assert_decidable_at_edge`).  Everywhere else the
+    labels, jump flags and root counts equal the reference's, and the
+    roots, intensities, amplitudes, alpha and beta are accurate
+    (`assert_roots_match_oracle`, `assert_matches_reference`).
+    """
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    # the scalar reference's Cardano overflows below chi ~ 1e-35 (a Python
-    # float power); TestRootGridWeakCoupling covers weak coupling
+    # weak coupling, where the bracketed solve takes over, is
+    # TestRootGridWeakCoupling's
     @given(chi=st.floats(0.0, 3.0).map(lambda chi: chi if chi >= 1e-3 else 0.0),
            log_omega=st.floats(0.0, 3.0), gamma_motion=st.floats(0.0, 1.0),
            gamma=st.floats(0.5, 2.0), delta1=st.floats(-1e2, 1e4), delta2=st.floats(-1e4, 1e4),
            phase=st.sampled_from([0.0, 0.6, -2.0]))
-    def test_kernel_equals_scalar_chain(self, chi, log_omega, gamma_motion, gamma,
-                                        delta1, delta2, phase):
+    def test_kernel_matches_40_digit_reference(self, chi, log_omega, gamma_motion, gamma,
+                                               delta1, delta2, phase):
         params = PhysParams(chi=chi, Omega=10.0**log_omega, Gamma=gamma_motion, gamma=gamma,
                             Delta1=delta1, Delta2=delta2)
-        drives = drive_grid(params, np.geomspace(1e-2, 1e6, 12), phase)
+        drives, edge = drive_grid(params, np.geomspace(1e-2, 1e6, 12), phase)
         for selection in SELECTIONS:
-            want = reference_chain(params, drives, selection)
             grid = steady_grid(params, drives, selection)
+            undecided = undecided_rows(edge, selection)
+            assert_matches_reference(params, grid, selection, undecided)
             previous = None
-            for k, ref in enumerate(want):
-                assert_bits_equal(grid[k], ref)
-                point = steady_state(params, drives[k], selection,
+            for k, drive in enumerate(drives):
+                point = steady_state(params, drive, selection,
                                      previous if selection == "follow" else None)
-                assert_bits_equal(point, ref)
+                assert_bits_equal(point, grid[k])
                 previous = point
-        for ref in want:
-            for delta, drive_in in ((params.Delta1, ref.zeta1_in), (params.Delta2, ref.zeta2_in)):
-                power = params.gamma * abs(drive_in) ** 2
-                roots = reference_roots(params, delta, power)
-                assert np.array_equal(intensity_roots(params, delta, power), roots)
-                assert [branch_label(params, delta, r) for r in roots] == [
-                    reference_label(params, delta, r) for r in roots]
+            for delta, drive_in in ((params.Delta1, grid.zeta1_in), (params.Delta2, grid.zeta2_in)):
+                assert_root_rows(params, delta, kernel_power(params, drive_in), undecided)
 
     def test_canonical_sweep_and_window_edges(self):
         # the benchmark's drive grid, where both cavities cross the window
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        drives = drive_grid(params, np.geomspace(1e5, 1e9, 2401), 0.0)
+        drives, edge = drive_grid(params, np.geomspace(1e5, 1e9, 2401), 0.0)
         grid = steady_grid(params, drives, "follow")
-        want = reference_chain(params, drives, "follow")
-        assert any(ref.jumped1 for ref in want) and any(ref.jumped2 for ref in want)
-        for k, ref in enumerate(want):
-            assert_bits_equal(grid[k], ref)
-        for power in bistable_window(params, params.Delta1):
-            want_roots = reference_roots(params, params.Delta1, power)
-            assert np.array_equal(intensity_roots(params, params.Delta1, power), want_roots)
+        assert grid.jumped1.any() and grid.jumped2.any()
+        assert_matches_reference(params, grid, "follow", undecided_rows(edge, "follow"))
+        assert_root_rows(params, params.Delta1, np.array(bistable_window(params, params.Delta1)),
+                         [True, True])
+
+    @pytest.mark.parametrize("chi, omega, gamma_motion, gamma, delta",
+                             [(1.0, 1000.0, 1e-3, 1.0, 1e4), (1.8, 230.0, 0.02, 0.5, 6e3)])
+    def test_weak_drive_roots(self, chi, omega, gamma_motion, gamma, delta):
+        # roots far below the shift of the depressed cubic, where Cardano's
+        # sum of the shift and two cube roots cancels
+        params = PhysParams(chi=chi, Omega=omega, Gamma=gamma_motion, gamma=gamma, Delta1=delta)
+        powers = np.geomspace(1e-6, 1e4, 41)
+        assert_root_rows(params, delta, powers, np.zeros(powers.shape, dtype=bool))
+
+    def test_oracle_matches_polyroots(self):
+        # mpmath.polyroots at 60 digits, which needs up to 400 steps for the
+        # double roots at the window edges: the oracle agrees to 40 digits
+        for chi, omega, delta in ((1.0, 1000.0, 1e4), (3.0, 10.0, 1e4), (1e-3, 1.0, -1e2)):
+            params = PhysParams(chi=chi, Omega=omega, **{**CANONICAL_RATES, "Delta1": delta})
+            powers = [1e-4, 1.0, 1e8, 1e14]
+            window = bistable_window(params, delta)
+            if window is not None:
+                powers += [*window, math.sqrt(window[0] * window[1])]
+            for power in powers:
+                real, pair = oracle_roots(params, delta, power)
+                with mpmath.workdps(60):
+                    a, b = (mpmath.mpf(x) for x in pulling_coefficients(params))
+                    want = mpmath.polyroots([a * a + b * b, a - 2 * delta * b, 0.25 + delta**2,
+                                             -mpmath.mpf(power)], maxsteps=400, extraprec=300)
+                    assert len(real + pair) == len(want)
+                    for got in real + pair:
+                        assert min(abs(got - w) for w in want) <= 1e-40 * abs(got)
 
     def test_root_grid_rows(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
@@ -409,6 +527,16 @@ class TestSteadyGrid:
         assert np.array_equal(np.sum(~np.isnan(roots), axis=1), [1, 1, 3, 1])
         with pytest.raises(ValueError, match="drive_power"):
             root_grid(params, params.Delta1, np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("chi", [1.0, 1e-10])
+    def test_one_point_view_equals_grid_rows(self, chi):
+        # across the window, its edges, and (at weak coupling) the bracketed solve
+        params = PhysParams(chi=chi, Omega=10.0, **CANONICAL_RATES)
+        powers = np.concatenate((np.geomspace(1e-2, 1e16, 121),
+                                 bistable_window(params, params.Delta1) or ()))
+        rows = root_grid(params, params.Delta1, powers)
+        for power, row in zip(powers, rows):
+            assert intensity_roots(params, params.Delta1, power) == row[~np.isnan(row)].tolist()
 
     def test_follow_scan_over_padded_rows(self):
         # rows of 2 roots (degenerate) and a tie, which resolves to the lower root
@@ -465,10 +593,17 @@ class TestRootGridWeakCoupling:
         row = cascade._bracketed_roots(params, params.Delta1, np.array([1e150]))[0]
         assert np.all(np.isnan(row))
 
-    def test_passing_rows_keep_their_cardano_bits(self):
-        # the benchmark's strong-coupling drives: no row is solved again
-        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        powers = np.geomspace(1e5, 1e9, 241) ** 2
-        roots = root_grid(params, params.Delta1, powers)
-        for power, row in zip(powers, roots):
-            assert row[~np.isnan(row)].tolist() == reference_cardano(params, params.Delta1, power)
+    @pytest.mark.parametrize("chi", [0.3, 1.0, 3.0])
+    def test_benchmark_sweeps_take_no_bracketed_solve(self, chi, monkeypatch):
+        # the bracketed solve is the slow path: no drive of the benchmark's
+        # 2401-drive sweeps, in either cavity, should need it
+        rows, solve = [], cascade._bracketed_roots
+
+        def spy(params, delta, drive_power):
+            rows.append(len(drive_power))
+            return solve(params, delta, drive_power)
+
+        monkeypatch.setattr(cascade, "_bracketed_roots", spy)
+        params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
+        steady_grid(params, np.geomspace(1e5, 1e9, 2401), "follow")
+        assert sum(rows) == 0

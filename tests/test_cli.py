@@ -181,6 +181,29 @@ class TestCascadedCsv:
         last = spectra.amplitude_sweep(cli._phys_params(merged), drives, 1000.0)[-1]
         assert (last.stable, last.error) == (False, "overflow") and np.isnan(last.e_degree)
 
+    def test_non_positive_variance_flags_its_sweep_row(self, capsys):
+        # at drive 1e151 the spectral forms lose everything to cancellation
+        # and s_qplus comes out negative; the row keeps its stable verdict
+        argv = ["cascaded", "sweep", "--drive-min", "1e5", "--drive-max", "1e151",
+                "--drive-count", "4"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert out.strip().split("\n")[-1].split(",")[-2:] == ["nan", "true"]
+        merged = dict(cli.DEFAULTS, drive_min=1e5, drive_max=1e151, drive_count=4)
+        last = spectra.amplitude_sweep(cli._phys_params(merged), cli._grid(merged, "drive"),
+                                       1000.0)[-1]
+        assert last.stable and np.isnan(last.e_degree)
+        assert last.error.startswith("non-positive EPR variance (s_qplus -")
+        assert last.error.endswith(") at omega=1000.0")
+
+    def test_spectrum_with_a_non_positive_variance_fails_numerically(self, capsys):
+        code, out, err = run_cli(
+            ["cascaded", "spectrum", "--drive", "1e151", "--omega-count", "5"], capsys)
+        assert code == cli.NUMERICAL_ERROR
+        assert out == ""
+        assert err.startswith("numerical failure: non-positive EPR variance")
+        assert err.endswith(" at omega=1000.0\n")
+
     @pytest.mark.parametrize("drive", ["1e75", "1e120", "1e150"])
     def test_huge_drive_meets_its_equation_or_fails(self, drive, capsys):
         code, out, err = run_cli(["cascaded", "steady", "--drive", drive], capsys)

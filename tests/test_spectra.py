@@ -24,7 +24,6 @@ from cavmotion.spectra import (
     correlation_matrix,
     epr_grid,
     epr_spectra,
-    spectral_moments,
     stability_stack,
     transfer,
 )
@@ -315,7 +314,7 @@ def loop_reference_point(drift, noise, omega):
 
 
 class TestGridKernel:
-    """epr_grid and spectral_moments against one-point evaluations."""
+    """epr_grid and correlation_matrix against one-point evaluations."""
 
     def test_frequency_grid_equals_points_bitwise(self):
         rng = np.random.default_rng(53)
@@ -384,7 +383,7 @@ class TestGridKernel:
         params, _, drift = random_stable_point(np.random.default_rng(59))
         noise = build_noise(params)
         omegas = np.array([-2.5, 0.0, 0.7, 4.0])
-        stacked = spectral_moments(drift, noise, omegas)[0]
+        stacked = correlation_matrix(drift, noise, omegas)
         for w, c in zip(omegas, stacked):
             assert np.array_equal(correlation_matrix(drift, noise, w), c)
 
@@ -409,10 +408,11 @@ class TestGridKernel:
 
     def test_first_failure_in_grid_order(self):
         # T(+w) fails only at w = 3 and T(-w) only at w = -2, which comes
-        # first in the grid: the batched +w solve alone would name 3.0
+        # first in the grid: the batched +w solve alone would name 3.0.  The
+        # undamped drift's variances are positive at w = 4, not at 0.5
         drift = np.diag([2j] * 4 + [3j] * 4)
         noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
-        omegas = np.array([0.5, -2.0, 3.0])
+        omegas = np.array([4.0, -2.0, 3.0])
         with pytest.raises(SingularTransferError, match=r"omega=3\.0$"):
             transfer(drift, omegas)
         with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
@@ -435,6 +435,11 @@ class TestGridKernel:
             assert str(failure(i)) == str(info.value)
         damped = np.diag([-1.0 + 2j] * 8) * 1e20
         assert spectra._epr_kernel(damped, noise, omegas)[1].tolist() == [spectra.DEGENERATE] * 5
+        # an undamped drift whose variances are negative at w = 0.5
+        grid, status, failure = spectra._epr_kernel(np.diag([2j] * 4 + [3j] * 4), noise, 0.5)
+        assert status == spectra.NONPOSITIVE and np.isnan(grid.e_degree)
+        assert str(failure(0)) == (f"non-positive EPR variance (s_qplus {grid.s_qplus}, "
+                                   f"s_pminus {grid.s_pminus}) at omega=0.5")
 
     def test_lyapunov_oracle(self):
         # the delta-stripped spectrum integrated over w/2pi is the equal-time
@@ -453,7 +458,7 @@ class TestGridKernel:
             if not stable or eigs.real.max() > -0.1:
                 continue
             noise = build_noise(params)
-            blocks = [spectral_moments(drift, noise, omegas[i:i + GRID_BLOCK])[0]
+            blocks = [correlation_matrix(drift, noise, omegas[i:i + GRID_BLOCK])
                       for i in range(0, omegas.size, GRID_BLOCK)]
             c = np.concatenate(blocks)
             integral = np.tensordot(np.diff(omegas), c[1:] + c[:-1], axes=1) / (4 * np.pi)

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from cavmotion import PhysParams, amplitude_sweep, bistable_window
-from cavmotion.cli import fmt
+from cavmotion.cli import FLOAT_FORMAT, format_csv
 from cavmotion.svgplot import render_plot
 
 params = PhysParams(chi=1.0, Omega=1000.0, Gamma=1e-3, gamma=1.0, Delta1=1e4, Delta2=1e4)
@@ -24,23 +24,19 @@ grid = np.unique(np.concatenate([
     np.geomspace(knee / 100, knee * 100, 49),
     np.linspace(0.97 * knee, 1.005 * knee, 41),
 ]))
-rows = amplitude_sweep(params, grid, params.Omega)
+sweep = amplitude_sweep(params, grid, params.Omega)
 
-finite = [r for r in rows if np.isfinite(r.e_degree)]
-below = [r for r in finite if r.e_degree < 1.0]
-jump = next(r for r in rows if r.jumped)
-print(f"bistable knee at drive {knee:.4g}; jump recorded at {jump.drive:.4g}")
-print(f"EPR regime (E < 1): {len(below)} points, "
-      f"drives [{below[0].drive:.4g}, {below[-1].drive:.4g}], "
-      f"min E = {min(r.e_degree for r in below):.4g}")
-print(f"high-drive end: E = {finite[-1].e_degree:.4g} at drive {finite[-1].drive:.4g}")
+e_degree = np.where(np.isfinite(sweep.e_degree), sweep.e_degree, np.nan)
+finite = np.flatnonzero(np.isfinite(e_degree))
+below = sweep.drive[e_degree < 1.0]
+print(f"bistable knee at drive {knee:.4g}; jump recorded at {sweep.drive[sweep.jumped][0]:.4g}")
+print(f"EPR regime (E < 1): {below.size} points, "
+      f"drives [{below[0]:.4g}, {below[-1]:.4g}], "
+      f"min E = {np.nanmin(e_degree):.4g}")
+print(f"high-drive end: E = {e_degree[finite[-1]]:.4g} at drive {sweep.drive[finite[-1]]:.4g}")
 
-lines = ["drive,e_degree,intensity1,stable"]
-for r in rows:
-    lines.append(",".join([fmt(r.drive),
-                           fmt(r.e_degree) if np.isfinite(r.e_degree) else "nan",
-                           fmt(r.intensity1), str(r.stable).lower()]))
-csv_text = "\n".join(lines) + "\n"
+csv_text = format_csv("drive,e_degree,intensity1,stable", ",".join([FLOAT_FORMAT] * 3 + ["%s"]),
+                      [(sweep.drive, e_degree, sweep.intensity1, sweep.stable)])
 
 os.makedirs("demo_output", exist_ok=True)
 with open("demo_output/cascaded_entanglement.csv", "w") as fh:

@@ -11,27 +11,20 @@ import os
 import numpy as np
 
 from cavmotion import efficiency_profile
-from cavmotion.cli import fmt
+from cavmotion.cli import FLOAT_FORMAT, format_csv
 from cavmotion.svgplot import render_plot
 
 AMPLITUDES = (0.1, 0.4, 0.8)
 x_grid = np.linspace(-4.0, 4.0, 161)
 
-curves = {}
-for zeta in AMPLITUDES:
-    points = efficiency_profile(zeta, 1.0, np.pi, x_grid=x_grid)
-    curves[zeta] = [p.result.efficiency for p in points]
-    peak = max(curves[zeta])
-    at = x_grid[int(np.argmax(curves[zeta]))]
-    origin = curves[zeta][80]
-    print(f"zeta={zeta}: peak efficiency {peak:.5f} at x={at:+.2f}, "
-          f"origin value {origin:.5f}")
+curves = [efficiency_profile(zeta, 1.0, np.pi, x_grid=x_grid).efficiency for zeta in AMPLITUDES]
+for zeta, curve in zip(AMPLITUDES, curves):
+    print(f"zeta={zeta}: peak efficiency {curve.max():.5f} at x={x_grid[np.argmax(curve)]:+.2f}, "
+          f"origin value {curve[80]:.5f}")
 
 names = [f"efficiency_zeta_{str(z).replace('.', 'p')}" for z in AMPLITUDES]
-lines = ["x," + ",".join(names)]
-for i, x in enumerate(x_grid):
-    lines.append(",".join([fmt(x)] + [fmt(curves[z][i]) for z in AMPLITUDES]))
-csv_text = "\n".join(lines) + "\n"
+csv_text = format_csv("x," + ",".join(names), ",".join([FLOAT_FORMAT] * (1 + len(names))),
+                      [(x_grid, *curves)])
 
 os.makedirs("demo_output", exist_ok=True)
 with open("demo_output/conditional_efficiency.csv", "w") as fh:

@@ -15,7 +15,6 @@ and `cavmotion.cli` the command-line front end.
 from .cascade import (
     PhysParams,
     SteadyBranch,
-    SteadyGrid,
     bistable_window,
     branch_label,
     cavity_bracket,
@@ -29,7 +28,6 @@ from .cascade import (
 from .conditional import (
     ConditionalResult,
     JointState,
-    ProfilePoint,
     UnresolvableOutcomeError,
     condition_on_quadrature,
     efficiency_profile,
@@ -52,7 +50,6 @@ from .spectra import (
     GRID_BLOCK,
     NoiseModel,
     SingularTransferError,
-    SpectrumGrid,
     SpectrumPoint,
     SweepPoint,
     amplitude_sweep,

@@ -57,7 +57,7 @@ class PhysParams:
 @dataclass
 class SteadyBranch:
     """One self-consistent steady state of the full chain: numbers at one
-    drive, or (as SteadyGrid) arrays over a grid of drives."""
+    drive, or arrays over a grid of drives."""
 
     zeta1: complex
     zeta2: complex
@@ -74,10 +74,7 @@ class SteadyBranch:
 
     def __getitem__(self, index):
         """The same fields at `index` of every array, e.g. a block of drives."""
-        return SteadyGrid(**{name: value[index] for name, value in vars(self).items()})
-
-
-SteadyGrid = SteadyBranch
+        return SteadyBranch(**{name: value[index] for name, value in vars(self).items()})
 
 
 def pulling_coefficients(params):
@@ -358,7 +355,7 @@ def steady_grid(params, zeta1_in, selection="lowest", previous=None):
         params, params.Delta2, zeta2_in, selection, *before2)
 
     motional_pole = params.Gamma / 2.0 + 1j * params.Omega
-    return SteadyGrid(
+    return SteadyBranch(
         zeta1=zeta1, zeta2=zeta2,
         zeta1_in=zeta1_in, zeta2_in=zeta2_in,
         alpha=-1j * params.chi * intensity1 / motional_pole,

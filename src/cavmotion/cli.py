@@ -25,7 +25,7 @@ import numpy as np
 
 from . import conditional, spectra, svgplot
 from .cascade import SELECTIONS, PhysParams, residual, steady_state
-from .fock import TruncationPolicy
+from .fock import DEFAULT_HARD_CAP, TruncationPolicy
 
 USAGE_ERROR, NUMERICAL_ERROR = 1, 2
 FLOAT_FORMAT = "%.12e"
@@ -40,7 +40,7 @@ DEFAULTS = {
     "x_count": 161,
     # truncation policy
     "tail_epsilon": 1e-12,
-    "hard_cap": 512,
+    "hard_cap": DEFAULT_HARD_CAP,
     # cascaded scenario (rates in units of gamma)
     "chi": 1.0,
     "Omega": 1000.0,
@@ -123,6 +123,8 @@ def resolve_config(args):
             raise UsageError(f"parameter {key} must be finite, got {value}")
     if getattr(args, "x", None) is not None and not math.isfinite(args.x):
         raise UsageError(f"--x must be finite, got {args.x}")
+    if not 1 <= merged["hard_cap"] <= DEFAULT_HARD_CAP:
+        raise UsageError(f"hard_cap must be in [1, {DEFAULT_HARD_CAP}], got {merged['hard_cap']}")
     if merged["selection"] not in SELECTIONS:
         raise UsageError(f"selection must be one of {', '.join(SELECTIONS)}, "
                          f"got {merged['selection']!r}")
@@ -155,53 +157,54 @@ def _policy(merged):
     return TruncationPolicy(tail_epsilon=merged["tail_epsilon"], hard_cap=merged["hard_cap"])
 
 
-def fmt(value):
-    """Decimal text with 13 significant digits, locale-independent."""
-    return FLOAT_FORMAT % float(value)
-
-
-def _profile_csv(points):
-    errored = any(p.error is not None for p in points)
-    lines = ["x,prob_density,lin_entropy,efficiency" + (",error" if errored else "")]
-    for p in points:
-        if p.result is None:
-            lines.append(f"{fmt(p.x)},nan,nan,nan,unresolvable")
-        else:
-            cells = [fmt(p.x), fmt(p.result.prob_density),
-                     fmt(p.result.lin_entropy), fmt(p.result.efficiency)]
-            lines.append(",".join(cells + [""] * errored))
+def format_csv(header, template, blocks):
+    """CSV text: the header line, then `template % row` for every index of
+    each block's columns (equal-length arrays, or numbers for one row);
+    booleans print as true/false."""
+    lines = [header]
+    for columns in blocks:
+        cells = [np.atleast_1d(column) for column in columns]
+        cells = [np.where(c, "true", "false") if c.dtype == bool else c for c in cells]
+        lines.extend(template % row for row in zip(*(c.tolist() for c in cells)))
     return "\n".join(lines) + "\n"
 
 
 def run_single_cavity(merged, x_values=None):
-    """Efficiency-profile CSV for the conditional single-cavity scenario."""
+    """Efficiency-profile CSV for the conditional single-cavity scenario;
+    an error column marks unresolvable outcomes when there are any."""
     if x_values is None:
         x_values = _grid(merged, "x")
-    points = conditional.efficiency_profile(
+    profile = conditional.efficiency_profile(
         merged["zeta"], merged["kappa"], merged["time"],
         x_grid=np.asarray(x_values, dtype=float), policy=_policy(merged))
-    return _profile_csv(points)
+    columns = [profile.x, profile.prob_density, profile.lin_entropy, profile.efficiency]
+    header, template = "x,prob_density,lin_entropy,efficiency", ",".join([FLOAT_FORMAT] * 4)
+    unresolvable = profile.error.astype(bool)  # None is False, a message True
+    if unresolvable.any():
+        columns.append(np.where(unresolvable, "unresolvable", ""))
+        header, template = header + ",error", template + ",%s"
+    return format_csv(header, template, [columns])
+
+
+def _working_point(merged):
+    """(params, steady branch, drift, stable?) at the configured drive."""
+    params = _phys_params(merged)
+    branch = steady_state(params, merged["drive"], selection=merged["selection"])
+    drift = spectra.build_drift(params, branch)
+    return params, branch, drift, spectra.classify_stability(drift)[0]
 
 
 def run_cascaded_steady(merged):
     """Single-working-point CSV for the cascaded scenario."""
-    params = _phys_params(merged)
-    branch = steady_state(params, merged["drive"], selection=merged["selection"])
-    drift = spectra.build_drift(params, branch)
-    stable, _ = spectra.classify_stability(drift)
-    header = ("drive,branch1,branch2,intensity1,intensity2,"
-              "zeta1_re,zeta1_im,zeta2_re,zeta2_im,"
-              "alpha_re,alpha_im,beta_re,beta_im,residual,stable")
-    row = ",".join([
-        fmt(merged["drive"]), branch.branch1, branch.branch2,
-        fmt(branch.intensity1), fmt(branch.intensity2),
-        fmt(branch.zeta1.real), fmt(branch.zeta1.imag),
-        fmt(branch.zeta2.real), fmt(branch.zeta2.imag),
-        fmt(branch.alpha.real), fmt(branch.alpha.imag),
-        fmt(branch.beta.real), fmt(branch.beta.imag),
-        fmt(residual(params, branch)), str(stable).lower(),
-    ])
-    return header + "\n" + row + "\n"
+    params, branch, _, stable = _working_point(merged)
+    amplitudes = (branch.zeta1, branch.zeta2, branch.alpha, branch.beta)
+    return format_csv(
+        "drive,branch1,branch2,intensity1,intensity2,zeta1_re,zeta1_im,zeta2_re,zeta2_im,"
+        "alpha_re,alpha_im,beta_re,beta_im,residual,stable",
+        ",".join([FLOAT_FORMAT, "%s", "%s"] + [FLOAT_FORMAT] * 11 + ["%s"]),
+        [(merged["drive"], branch.branch1, branch.branch2, branch.intensity1, branch.intensity2,
+          *(part for z in amplitudes for part in (z.real, z.imag)),
+          residual(params, branch), stable)])
 
 
 def run_cascaded(merged, drive_values=None):
@@ -210,38 +213,31 @@ def run_cascaded(merged, drive_values=None):
     omega_eval = params.Omega if merged["omega_eval"] is None else merged["omega_eval"]
     if drive_values is None:
         drive_values = _grid(merged, "drive")
-    rows = spectra.amplitude_sweep(params, np.asarray(drive_values, dtype=float), omega_eval)
-    lines = ["drive,branch,intensity1,intensity2,e_degree,stable"]
-    for row in rows:
-        branch = ("jump:" if row.jumped else "") + f"{row.branch1}/{row.branch2}"
-        lines.append(",".join([
-            fmt(row.drive), branch, fmt(row.intensity1), fmt(row.intensity2),
-            fmt(row.e_degree) if math.isfinite(row.e_degree) else "nan",
-            str(row.stable).lower(),
-        ]))
-    return "\n".join(lines) + "\n"
+    sweep = spectra.amplitude_sweep(params, np.asarray(drive_values, dtype=float), omega_eval)
+    return format_csv(
+        "drive,branch,intensity1,intensity2,e_degree,stable",
+        ",".join([FLOAT_FORMAT, "%s%s/%s"] + [FLOAT_FORMAT] * 3 + ["%s"]),
+        [(sweep.drive, np.where(sweep.jumped, "jump:", ""), sweep.branch1, sweep.branch2,
+          sweep.intensity1, sweep.intensity2,
+          np.where(np.isfinite(sweep.e_degree), sweep.e_degree, np.nan), sweep.stable)])
 
 
 def run_cascaded_spectrum(merged):
-    """Frequency-scan CSV at one drive on the selected branch."""
-    params = _phys_params(merged)
-    branch = steady_state(params, merged["drive"], selection=merged["selection"])
-    drift = spectra.build_drift(params, branch)
-    stable, _ = spectra.classify_stability(drift)
+    """Frequency-scan CSV at one drive on the selected branch, solved and
+    written GRID_BLOCK frequencies at a time."""
+    params, branch, drift, stable = _working_point(merged)
     if not stable:
         raise ArithmeticError(
             f"no stable working point at drive {merged['drive']} "
             f"(branches {branch.branch1}/{branch.branch2})")
     noise = spectra.build_noise(params)
-    lines = ["omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product"]
     omegas = _grid(merged, "omega")
-    row = ",".join([FLOAT_FORMAT] * 6)  # `fmt` of each cell, one row at a time
-    for start in range(0, omegas.size, spectra.GRID_BLOCK):
-        grid = spectra.epr_grid(drift, noise, omegas[start:start + spectra.GRID_BLOCK])
-        columns = (grid.omega, grid.s_qplus, grid.s_pminus, grid.commutator.imag,
-                   grid.e_degree, grid.variance_product)
-        lines.extend(row % cells for cells in zip(*(column.tolist() for column in columns)))
-    return "\n".join(lines) + "\n"
+    grids = (spectra.epr_grid(drift, noise, omegas[start:start + spectra.GRID_BLOCK])
+             for start in range(0, omegas.size, spectra.GRID_BLOCK))
+    return format_csv("omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product",
+                      ",".join([FLOAT_FORMAT] * 6),
+                      ((g.omega, g.s_qplus, g.s_pminus, g.commutator.imag, g.e_degree,
+                        g.variance_product) for g in grids))
 
 
 def run_plot(csv_path, x_column, y_columns, title=""):
@@ -264,17 +260,6 @@ def _write_out(text, out):
             fh.write(text)
 
 
-def _maybe_plot(merged_args, csv_text, x_column, y_columns):
-    if not merged_args.plot:
-        return
-    if merged_args.out is None:
-        raise UsageError("--plot needs --out to derive the SVG path")
-    svg = svgplot.render_plot(csv_text, x_column, y_columns)
-    stem = merged_args.out.rsplit(".", 1)[0]
-    with open(stem + ".svg", "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -287,11 +272,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub):
+def _add_common(sub, plot=True):
     sub.add_argument("--config", help="key = value parameter file")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--plot", action="store_true",
-                     help="also write an SVG next to --out")
+    if plot:  # a working point has no curve to plot
+        sub.add_argument("--plot", action="store_true",
+                         help="also write an SVG next to --out")
 
 
 def _add_params(sub, names):
@@ -329,7 +315,7 @@ def build_parser():
     casc_sub = casc.add_subparsers(dest="action", required=True)
     for action in ("steady", "sweep", "spectrum"):
         sub = casc_sub.add_parser(action)
-        _add_common(sub)
+        _add_common(sub, plot=action != "steady")
         _add_params(sub, CASCADED_FIELDS)
 
     plot = top.add_parser("plot", help="CSV to SVG")
@@ -350,6 +336,9 @@ def main(argv=None):
             svg = run_plot(args.csv_path, args.x_column, args.y_columns.split(","), args.title)
             _write_out(svg, args.out)
             return 0
+        plot = getattr(args, "plot", False)
+        if plot and args.out is None:
+            raise UsageError("--plot needs --out to derive the SVG path")
         merged = resolve_config(args)
         if args.scenario == "single-cavity":
             csv_text = run_single_cavity(merged, [args.x] if args.action == "point" else None)
@@ -360,8 +349,8 @@ def main(argv=None):
                          "spectrum": (run_cascaded_spectrum, ("omega", ["e_degree"]))}[args.action]
             csv_text = run(merged)
         _write_out(csv_text, args.out)
-        if axes is not None:  # a working point is not plotted
-            _maybe_plot(args, csv_text, *axes)
+        if plot:
+            _write_out(svgplot.render_plot(csv_text, *axes), args.out.rsplit(".", 1)[0] + ".svg")
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,21 +73,15 @@ class JointState:
 
 @dataclass
 class ConditionalResult:
-    """Joint atomic state conditioned on quadrature outcome x."""
+    """Joint atomic state conditioned on quadrature outcome x: numbers at one
+    outcome, or arrays over a grid of outcomes (cond_coeffs one row each);
+    error is None or why the outcome is unresolvable, its values nan."""
 
     x: float
     cond_coeffs: np.ndarray
     prob_density: float
     lin_entropy: float
     efficiency: float
-
-
-@dataclass
-class ProfilePoint:
-    """One grid point of an efficiency profile; error marks a skipped point."""
-
-    x: float
-    result: ConditionalResult | None = None
     error: str | None = None
 
 
@@ -217,10 +211,12 @@ def probability_density(state, x):
 
 
 def efficiency_profile(zeta, kappa, time, x_grid=None, policy=DEFAULT_POLICY):
-    """Conditional results over a grid of quadrature outcomes.
+    """Conditional results over a grid of quadrature outcomes: one
+    ConditionalResult of arrays.
 
-    Unresolvable outcomes become flagged rows instead of aborting the
-    profile.  Cost: one label factor, then two matmuls per outcome.
+    Unresolvable outcomes keep nan values and their message in error
+    instead of aborting the profile.  Cost: one label factor, then two
+    matmuls per outcome.
     """
     if x_grid is None:
         x_grid = DEFAULT_X_GRID
@@ -228,10 +224,16 @@ def efficiency_profile(zeta, kappa, time, x_grid=None, policy=DEFAULT_POLICY):
     if x_grid.size and np.any(np.diff(x_grid) < 0):
         raise ValueError("x_grid must be sorted ascending")
     state = evolve(zeta, kappa, time, policy)
-    points = []
-    for x, psi in zip(x_grid.tolist(), oscillator_wavefunctions(state.n_max, x_grid).T):
+    cond_coeffs = np.full((x_grid.size, state.n_max + 1), np.nan, dtype=complex)
+    prob_density, lin_entropy = np.full(x_grid.size, np.nan), np.full(x_grid.size, np.nan)
+    error = np.full(x_grid.size, None, dtype=object)
+    for i, psi in enumerate(oscillator_wavefunctions(state.n_max, x_grid).T):
         try:
-            points.append(ProfilePoint(x=x, result=_condition(state, x, psi)))
+            point = _condition(state, x_grid[i], psi)
         except UnresolvableOutcomeError as exc:
-            points.append(ProfilePoint(x=x, error=str(exc)))
-    return points
+            error[i] = str(exc)
+            continue
+        cond_coeffs[i], prob_density[i], lin_entropy[i] = (
+            point.cond_coeffs, point.prob_density, point.lin_entropy)
+    return ConditionalResult(x_grid, cond_coeffs, prob_density, lin_entropy,
+                             lin_entropy * prob_density, error)

@@ -56,7 +56,7 @@ class NoiseModel:
 @dataclass
 class SpectrumPoint:
     """Collective EPR variances and entanglement degree: numbers at one
-    frequency, or (as SpectrumGrid) arrays over a grid of points."""
+    frequency, or arrays over a grid of points."""
 
     omega: float
     s_qplus: float
@@ -71,12 +71,10 @@ class SpectrumPoint:
         return self.s_qplus * self.s_pminus
 
 
-SpectrumGrid = SpectrumPoint
-
-
 @dataclass
 class SweepPoint:
-    """One drive point of an amplitude sweep."""
+    """An amplitude sweep: numbers at one drive, or arrays over a grid of
+    drives; error is None or why the drive has no e_degree."""
 
     drive: float
     branch1: str
@@ -92,8 +90,8 @@ class SweepPoint:
 def build_drift(params, steady):
     """8x8 drift generator of the fluctuations around the steady state.
 
-    `steady` is a SteadyBranch, or a SteadyGrid (or a block of one) for a
-    stack (n, 8, 8) of drifts built in one broadcast.  Atom blocks are bare
+    `steady` is a SteadyBranch at one drive, or over a grid (or a block of
+    one) for a stack (n, 8, 8) of drifts built in one broadcast.  Atom blocks are bare
     damped oscillators; atom-field coupling rows carry i chi zeta_j; cavity
     rows carry the intensity-shifted detunings Delta_j + chi (alpha +
     alpha*) and the one-way cascade feed gamma.
@@ -228,8 +226,9 @@ def correlation_matrix(drift, noise, omega):
 
 
 def _epr_kernel(drift, noise, omega):
-    """(SpectrumGrid, status, failure) at every point of the broadcast of
-    `drift` and `omega`, from the rows y = u T of EPR_ROWS at +w and -w.
+    """(SpectrumPoint of arrays, status, failure) at every point of the
+    broadcast of `drift` and `omega`, from the rows y = u T of EPR_ROWS at
+    +w and -w.
 
     Each form is (1/4)[y_l(w) mat y_r(-w)^T + y_l(-w) mat y_r(w)^T], that of
     the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
@@ -266,7 +265,7 @@ def _epr_kernel(drift, noise, omega):
         return error((status[idx] - PLUS_FAILED, *idx))
 
     e_degree = np.where(status == OK, e_degree, np.nan)
-    return SpectrumGrid(omega, s_q, s_p, comm, e_degree), status, failure
+    return SpectrumPoint(omega, s_q, s_p, comm, e_degree), status, failure
 
 
 def epr_grid(drift, noise, omega):
@@ -338,40 +337,37 @@ def classify_stability(drift):
 
 
 def amplitude_sweep(params, drive_grid, omega_eval):
-    """E(omega_eval) along an ascending drive sweep with branch continuation.
+    """E(omega_eval) along an ascending drive sweep with branch continuation,
+    as one SweepPoint of arrays over the drives.
 
     One `steady_grid` call continues each cavity's intensity adiabatically
     from drive to drive (a vanishing branch is a recorded jump); then drives
     go in blocks of GRID_BLOCK: one stack of drifts, one batched eigenvalue
     call, one `epr_grid` over its stable ones.  Unstable, overflowing or
-    numerically degenerate points come back flagged with e_degree = nan.
+    numerically degenerate drives come back with e_degree = nan and the
+    reason in their error.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):
         raise ValueError("drive_grid must be sorted ascending")
     noise = build_noise(params)
     steady = steady_grid(params, drive_grid, selection="follow")
-    jumped = steady.jumped1 | steady.jumped2
-    rows = []
+    stable = np.zeros(drive_grid.size, dtype=bool)
+    e_degree = np.full(drive_grid.size, np.nan)
+    error = np.full(drive_grid.size, None, dtype=object)
     for start in range(0, drive_grid.size, GRID_BLOCK):
         block = slice(start, start + GRID_BLOCK)
         drifts = build_drift(params, steady[block])
         # eigvals refuses the nan drift of a drive whose power overflowed
         finite = np.all(np.isfinite(drifts), axis=(-2, -1))
-        stable = np.zeros(finite.shape, dtype=bool)
-        stable[finite] = stability_stack(drifts[finite])[0]
-        e_degree = np.full(len(drifts), np.nan)
-        errors = [None if ok else "unstable working point" if sane else "overflow"
-                  for ok, sane in zip(stable, finite)]
-        solved = np.flatnonzero(stable)
+        stable[block][finite] = stability_stack(drifts[finite])[0]
+        error[block] = np.where(stable[block], None,
+                                np.where(finite, "unstable working point", "overflow"))
+        solved = np.flatnonzero(stable[block])
         if solved.size:
             grid, status, failure = _epr_kernel(drifts[solved], noise, omega_eval)
-            e_degree[solved] = grid.e_degree
+            e_degree[start + solved] = grid.e_degree
             for i in np.flatnonzero(status):
-                errors[solved[i]] = str(failure(i))
-        columns = (drive_grid[block], steady.branch1[block], steady.branch2[block],
-                   steady.intensity1[block], steady.intensity2[block], stable, e_degree,
-                   jumped[block])
-        rows.extend(SweepPoint(*cells, error=error)
-                    for *cells, error in zip(*(column.tolist() for column in columns), errors))
-    return rows
+                error[start + solved[i]] = str(failure(i))
+    return SweepPoint(drive_grid, steady.branch1, steady.branch2, steady.intensity1,
+                      steady.intensity2, stable, e_degree, steady.jumped1 | steady.jumped2, error)

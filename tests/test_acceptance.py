@@ -89,8 +89,7 @@ def test_efficiency_profile_shape():
         eff = {x: condition_on_quadrature(state, x).efficiency for x in (-0.5, 0.0, 0.5)}
         assert eff[0.0] < eff[0.5] and eff[0.0] < eff[-0.5], \
             f"zeta={zeta}: no local minimum at x=0"
-        points = efficiency_profile(zeta, 1.0, np.pi)
-        peaks.append(max(p.result.efficiency for p in points))
+        peaks.append(efficiency_profile(zeta, 1.0, np.pi).efficiency.max())
         x = np.linspace(-12.0, 12.0, 4801)
         integral = simpson(probability_density(state, x), x=x)
         assert abs(integral - 1.0) <= 1e-6, f"zeta={zeta}: integral P = {integral}"
@@ -167,48 +166,46 @@ def test_bistability_and_middle_branch():
 
 
 def _canonical_sweep(chi, omega_vib=1000.0):
-    """Follow-sweep over a knee-refined drive grid; returns (rows, jump index)."""
+    """Follow-sweep over a knee-refined drive grid; returns (sweep, jump index)."""
     params = PhysParams(chi=chi, Omega=omega_vib, **CANONICAL_RATES)
     knee_drive = math.sqrt(bistable_window(params, params.Delta1)[1] / params.gamma)
     coarse = np.geomspace(knee_drive / 100.0, knee_drive * 100.0, 49)
     fine = np.linspace(0.97 * knee_drive, 1.005 * knee_drive, 41)
     grid = np.unique(np.concatenate([coarse, fine]))
-    rows = amplitude_sweep(params, grid, omega_vib)
-    jump_idx = next(i for i, r in enumerate(rows) if r.jumped)
-    return rows, jump_idx
+    sweep = amplitude_sweep(params, grid, omega_vib)
+    return sweep, np.flatnonzero(sweep.jumped)[0]
 
 
 @report("6 (entanglement-vs-drive sweep shape, Omega = 1000)")
 def test_cascaded_sweep_shape():
-    rows, jump_idx = _canonical_sweep(1.0)
-    finite = [(i, r) for i, r in enumerate(rows) if r.stable and np.isfinite(r.e_degree)]
+    sweep, jump_idx = _canonical_sweep(1.0)
+    finite = np.flatnonzero(sweep.stable & np.isfinite(sweep.e_degree))
+    e_degree = sweep.e_degree
 
     # (a) sharp decrement into the recorded jump: the last stable point
     # before the jump sits far below the level one knee-width earlier
-    jump_drive = rows[jump_idx].drive
-    e_at_jump = next(r.e_degree for i, r in reversed(finite) if i < jump_idx)
-    e_before = next(r.e_degree for i, r in reversed(finite)
-                    if r.drive <= 0.9 * jump_drive)
+    jump_drive = sweep.drive[jump_idx]
+    e_at_jump = e_degree[finite[finite < jump_idx][-1]]
+    e_before = e_degree[finite[sweep.drive[finite] <= 0.9 * jump_drive][-1]]
     assert e_at_jump < 0.5 * e_before, \
         f"no sharp drop into the jump: {e_before} -> {e_at_jump}"
 
     # (b) EPR regime reached
-    e_min = min(r.e_degree for _, r in finite)
+    e_min = e_degree[finite].min()
     assert e_min < 1.0, f"sweep never dips below 1 (min {e_min})"
 
     # (c) entanglement gone again at the high-drive end
-    e_last = finite[-1][1].e_degree
+    e_last = e_degree[finite[-1]]
     assert e_last > 1.0 and e_last > 2.0 * e_min, \
         f"high-drive end still entangled: E = {e_last}"
 
     # weaker coupling needs more drive before the EPR regime appears
-    def onset(rows_):
-        return next(r.drive for r in rows_
-                    if r.stable and np.isfinite(r.e_degree) and r.e_degree < 1.0)
+    def onset(sweep_):
+        return sweep_.drive[np.flatnonzero(sweep_.stable & (sweep_.e_degree < 1.0))[0]]
 
-    onset_strong = onset(rows)
-    rows_weak, _ = _canonical_sweep(0.1)
-    onset_weak = onset(rows_weak)
+    onset_strong = onset(sweep)
+    sweep_weak, _ = _canonical_sweep(0.1)
+    onset_weak = onset(sweep_weak)
     assert onset_weak > onset_strong, \
         f"weak-coupling onset {onset_weak} not beyond {onset_strong}"
     return (f"drop {e_before:.3g} -> {e_at_jump:.3g} at jump, min E {e_min:.3g}, "

@@ -13,6 +13,7 @@ import pytest
 
 from cavmotion import cascade, cli, spectra
 from cavmotion.cascade import SELECTIONS, steady_state
+from cavmotion.fock import DEFAULT_HARD_CAP
 from cavmotion.svgplot import render_plot
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -178,8 +179,9 @@ class TestCascadedCsv:
         drives = cli._grid(merged, "drive")
         alone = cli.run_cascaded(merged, drive_values=drives[:4])
         assert alone.strip().split("\n")[1:] == rows[:4]
-        last = spectra.amplitude_sweep(cli._phys_params(merged), drives, 1000.0)[-1]
-        assert (last.stable, last.error) == (False, "overflow") and np.isnan(last.e_degree)
+        sweep = spectra.amplitude_sweep(cli._phys_params(merged), drives, 1000.0)
+        assert (sweep.stable[-1], sweep.error[-1]) == (False, "overflow")
+        assert np.isnan(sweep.e_degree[-1])
 
     def test_non_positive_variance_flags_its_sweep_row(self, capsys):
         # at drive 1e151 the spectral forms lose everything to cancellation
@@ -190,11 +192,11 @@ class TestCascadedCsv:
         assert code == 0, err
         assert out.strip().split("\n")[-1].split(",")[-2:] == ["nan", "true"]
         merged = dict(cli.DEFAULTS, drive_min=1e5, drive_max=1e151, drive_count=4)
-        last = spectra.amplitude_sweep(cli._phys_params(merged), cli._grid(merged, "drive"),
-                                       1000.0)[-1]
-        assert last.stable and np.isnan(last.e_degree)
-        assert last.error.startswith("non-positive EPR variance (s_qplus -")
-        assert last.error.endswith(") at omega=1000.0")
+        sweep = spectra.amplitude_sweep(cli._phys_params(merged), cli._grid(merged, "drive"),
+                                        1000.0)
+        assert sweep.stable[-1] and np.isnan(sweep.e_degree[-1])
+        assert sweep.error[-1].startswith("non-positive EPR variance (s_qplus -")
+        assert sweep.error[-1].endswith(") at omega=1000.0")
 
     def test_spectrum_with_a_non_positive_variance_fails_numerically(self, capsys):
         code, out, err = run_cli(
@@ -375,6 +377,21 @@ class TestConfigPrecedence:
         assert out == ""
         assert "must be" in err
 
+    @pytest.mark.parametrize("cap", ["0", "513", "1000"])
+    def test_hard_cap_outside_the_order_range_is_usage_error(self, cap, capsys):
+        code, out, err = run_cli(["single-cavity", "point", "--x", "0", "--zeta", "30",
+                                  "--hard-cap", cap], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: hard_cap must be in [1, {DEFAULT_HARD_CAP}], got {cap}\n"
+
+    def test_hard_cap_from_config_is_checked(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("hard_cap = 1000\n")
+        code, out, err = run_cli(["single-cavity", "point", "--x", "0", "--zeta", "30",
+                                  "--config", str(config)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: hard_cap must be in [1, {DEFAULT_HARD_CAP}], got 1000\n"
+
     def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("drive_min = nan\n")
@@ -417,6 +434,17 @@ def assert_matches_golden(argv, name, tmp_path, capsys):
 @pytest.mark.parametrize("argv,name", GOLDEN_RUNS)
 def test_default_output_matches_golden(argv, name, tmp_path, capsys):
     assert_matches_golden(argv, name, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv,stem", [
+    (["single-cavity", "sweep"], "single_cavity_sweep"),
+    (["cascaded", "sweep"], "cascaded_sweep"),
+    (["cascaded", "spectrum"], "cascaded_spectrum"),
+])
+def test_default_plot_matches_golden_svg(argv, stem, tmp_path, capsys):
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / f"{stem}.csv"), "--plot"], capsys)
+    assert code == 0, err
+    assert (tmp_path / f"{stem}.svg").read_bytes() == (GOLDEN / f"{stem}.svg").read_bytes()
 
 
 def test_one_parser_serves_alternating_calls(tmp_path, capsys):
@@ -487,9 +515,20 @@ class TestPlot:
         assert (tmp_path / "profile.svg").exists()
 
     def test_plot_flag_without_out_is_usage_error(self, capsys):
-        code, _, err = run_cli(["single-cavity", "sweep", "--plot"], capsys)
-        assert code == 1
-        assert "--out" in err
+        # refused before any computation: nothing reaches stdout
+        for argv in (["single-cavity", "sweep", "--plot"], ["cascaded", "sweep", "--plot"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1
+            assert out == ""
+            assert "--out" in err
+
+    def test_steady_has_no_plot_flag(self, tmp_path, capsys):
+        # a working point has no curve; --plot there is a usage error
+        code, out, err = run_cli(["cascaded", "steady", "--out", str(tmp_path / "steady.csv"),
+                                  "--plot"], capsys)
+        assert (code, out) == (1, "")
+        assert err.endswith("error: unrecognized arguments: --plot\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_round_trip_consumes_emitted_numbers(self, tmp_path, capsys):
         # every numeric cell written by run_* parses back exactly

@@ -286,23 +286,27 @@ class TestFactoredKernel:
 
 class TestEfficiencyProfile:
     def test_vacuum_profile_is_flat_zero(self):
-        points = efficiency_profile(0.0, 1.0, np.pi)
-        assert len(points) == 161
-        assert all(p.result is not None and p.result.efficiency == pytest.approx(0.0, abs=1e-12)
-                   for p in points)
+        profile = efficiency_profile(0.0, 1.0, np.pi)
+        assert profile.efficiency.shape == (161,)
+        assert list(profile.error) == [None] * 161
+        assert np.all(np.abs(profile.efficiency) <= 1e-12)
 
     def test_peak_efficiency_grows_with_amplitude(self):
         peaks = []
         for zeta in (0.1, 0.4, 0.8):
-            points = efficiency_profile(zeta, 1.0, np.pi)
-            peaks.append(max(p.result.efficiency for p in points))
+            peaks.append(efficiency_profile(zeta, 1.0, np.pi).efficiency.max())
         assert peaks[0] < peaks[1] < peaks[2]
 
     def test_unresolvable_points_are_flagged_not_fatal(self):
-        points = efficiency_profile(0.0, 1.0, np.pi, x_grid=np.array([-40.0, 0.0, 40.0]))
-        assert points[0].error is not None and points[0].result is None
-        assert points[1].error is None and points[1].result is not None
-        assert points[2].error is not None
+        profile = efficiency_profile(0.0, 1.0, np.pi, x_grid=np.array([-40.0, 0.0, 40.0]))
+        assert profile.error[0] == "outcome x=-40.0 has probability density below 1e-300"
+        assert profile.error[1] is None and profile.error[2] is not None
+        for values in (profile.prob_density, profile.lin_entropy, profile.efficiency):
+            assert np.array_equal(np.isnan(values), [True, False, True])
+        assert np.array_equal(np.isnan(profile.cond_coeffs).all(axis=1), [True, False, True])
+        one = condition_on_quadrature(evolve(0.0, 1.0, np.pi), 0.0)
+        assert profile.prob_density[1] == one.prob_density
+        assert np.array_equal(profile.cond_coeffs[1], one.cond_coeffs)
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -310,8 +314,8 @@ class TestEfficiencyProfile:
 
     def test_hard_cap_is_the_only_order_limit(self):
         assert evolve(12.0, 1.0, np.pi).n_max == 236
-        points = efficiency_profile(12.0, 1.0, np.pi, x_grid=np.array([-0.5, 0.0, 0.5]))
-        assert all(0.0 <= p.result.lin_entropy <= 1.0 for p in points)
+        profile = efficiency_profile(12.0, 1.0, np.pi, x_grid=np.array([-0.5, 0.0, 0.5]))
+        assert np.all((0.0 <= profile.lin_entropy) & (profile.lin_entropy <= 1.0))
         with pytest.warns(UserWarning, match="hard_cap=40"):
             state = evolve(12.0, 1.0, np.pi, TruncationPolicy(hard_cap=40))
         assert state.n_max == 40

@@ -570,7 +570,8 @@ class TestClassifyStability:
 class TestAmplitudeSweep:
     def test_empty_grid(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        assert amplitude_sweep(params, np.array([]), 10.0) == []
+        sweep = amplitude_sweep(params, np.array([]), 10.0)
+        assert all(np.shape(column) == (0,) for column in vars(sweep).values())
 
     def test_unsorted_grid_rejected(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
@@ -579,21 +580,21 @@ class TestAmplitudeSweep:
 
     def test_decoupled_sweep_flat_four(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        rows = amplitude_sweep(params, np.linspace(0.0, 5.0, 11), 3.0)
-        assert all(row.stable for row in rows)
-        assert np.allclose([row.e_degree for row in rows], 4.0, atol=1e-10)
+        sweep = amplitude_sweep(params, np.linspace(0.0, 5.0, 11), 3.0)
+        assert sweep.stable.all()
+        assert np.allclose(sweep.e_degree, 4.0, atol=1e-10)
 
     def test_jump_recorded_and_unstable_rows_flagged(self):
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         p_hi = bistable_window(params, params.Delta1)[1]
         jump_drive = np.sqrt(p_hi / params.gamma)
         drives = np.geomspace(0.3 * jump_drive, 4.0 * jump_drive, 50)
-        rows = amplitude_sweep(params, drives, params.Omega)
-        jumped = [row for row in rows if row.jumped]
-        assert jumped
-        flagged = [row for row in rows if not row.stable]
-        assert flagged
-        assert all(np.isnan(row.e_degree) and row.error for row in flagged)
+        sweep = amplitude_sweep(params, drives, params.Omega)
+        assert sweep.jumped.any()
+        flagged = ~sweep.stable
+        assert flagged.any()
+        assert np.isnan(sweep.e_degree[flagged]).all()
+        assert all(sweep.error[flagged])
 
     def test_failing_drift_keeps_other_rows(self, monkeypatch):
         # a stable drift scaled by 1e20 pushes the commutator below the
@@ -609,23 +610,23 @@ class TestAmplitudeSweep:
             return build(params, branch) * scale[..., None, None]
 
         monkeypatch.setattr(spectra, "build_drift", scaled_at_eighth)
-        rows = amplitude_sweep(params, drives, params.Omega)
+        sweep = amplitude_sweep(params, drives, params.Omega)
         failing = scaled_at_eighth(params, steady_state(params, drives[7]))
         with pytest.raises(ArithmeticError) as info:
             epr_spectra(failing, build_noise(params), params.Omega)
-        assert rows[7].stable and np.isnan(rows[7].e_degree)
-        assert rows[7].error == str(info.value)
-        for i, (row, ref) in enumerate(zip(rows, reference)):
-            if i != 7:
-                assert row == ref
+        assert sweep.stable[7] and np.isnan(sweep.e_degree[7])
+        assert sweep.error[7] == str(info.value)
+        others = np.arange(drives.size) != 7
+        for name, column in vars(sweep).items():
+            assert np.array_equal(column[others], getattr(reference, name)[others]), name
 
     def test_stable_rows_never_ride_the_middle_branch(self):
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         p_hi = bistable_window(params, params.Delta1)[1]
         jump_drive = np.sqrt(p_hi / params.gamma)
         drives = np.geomspace(0.01 * jump_drive, 50.0 * jump_drive, 120)
-        for row in amplitude_sweep(params, drives, params.Omega):
-            if row.stable:
-                assert row.branch1 != "middle"
-                assert row.branch2 != "middle"
-                assert np.isfinite(row.e_degree)
+        sweep = amplitude_sweep(params, drives, params.Omega)
+        stable = sweep.stable
+        assert not np.any(sweep.branch1[stable] == "middle")
+        assert not np.any(sweep.branch2[stable] == "middle")
+        assert np.isfinite(sweep.e_degree[stable]).all()

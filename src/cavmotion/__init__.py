@@ -26,6 +26,7 @@ from .cascade import (
     steady_state,
 )
 from .conditional import (
+    BandFactor,
     ConditionalResult,
     JointState,
     UnresolvableOutcomeError,
@@ -34,6 +35,7 @@ from .conditional import (
     evolve,
     joint_moments,
     label_factor,
+    outcome_moments,
     probability_density,
     purity_bruteforce,
 )

@@ -18,6 +18,7 @@ failure.
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -350,7 +351,7 @@ def main(argv=None):
             csv_text = run(merged)
         _write_out(csv_text, args.out)
         if plot:
-            _write_out(svgplot.render_plot(csv_text, *axes), args.out.rsplit(".", 1)[0] + ".svg")
+            _write_out(svgplot.render_plot(csv_text, *axes), os.path.splitext(args.out)[0] + ".svg")
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

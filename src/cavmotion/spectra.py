@@ -29,7 +29,19 @@ EPR_ROWS = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [-1j, 1j, 1j, -1j, 0, 0, 0, 0],
 STAGES = np.array([0, 1, 4, 5, 2, 3, 6, 7])
 
 COMMUTATOR_FLOOR = 1e-30
-OK, PLUS_FAILED, MINUS_FAILED, DEGENERATE, NONPOSITIVE = range(5)  # EPR kernel point status
+TINY, EPS = np.finfo(float).tiny, np.finfo(float).eps
+# largest componentwise backward error of a row solve that transfer_rows accepts
+SOLVE_TOLERANCE = 1e-10
+# EPR kernel point status
+OK, PLUS_FAILED, MINUS_FAILED, DEGENERATE, NONPOSITIVE, ROUNDING = range(6)
+# largest estimated relative rounding error of an EPR form at an OK point:
+# (the rows' componentwise backward error + eps) times the summed magnitude
+# of the form's terms over its value.  The estimate stays below 1e-13 over
+# the benchmark's sweeps (chi 0.3-3) and spectra and at drives up to 1e72
+# (chi = 1); it is 0.1 or more at every frequency of the drives 1e73-1e76,
+# 1e79, 1e80, 1e100 and 1e151, whose rows have a backward error of order 1
+# and whose forms are off by factors against a 300-digit inversion
+FORM_TOLERANCE = 1e-6
 
 # points per batched solve: a block's rows at +w and -w, (2, points, 4, 8),
 # grow with it; 128 keeps the benchmark's peak memory within 1.2% of the 8x8
@@ -155,9 +167,10 @@ def _times(rows, matrix):
 
 
 def _solve_rows(block, shift, rows):
-    """(y, singular, defect) with y (shift - block) = rows for 4x4 blocks; the
-    defect is the largest |y (shift - block) - rows| relative to the column
-    norm of shift - block (at least 1) times the row norm of `rows`."""
+    """(y, singular, backward) with y (shift - block) = rows for 4x4 blocks;
+    backward is the componentwise backward error: the largest entry of
+    |shift y - y block - rows| relative to the summed magnitude of its
+    terms, |shift| |y| + |y| |block| + |rows|."""
     lhs_t = shift * np.eye(4) - np.swapaxes(block, -1, -2)
     # a full stack: numpy < 2 reads b one dimension short of a as vectors
     rows_t = np.broadcast_to(np.swapaxes(rows, -1, -2), lhs_t.shape[:-2] + (4, rows.shape[-2]))
@@ -171,29 +184,33 @@ def _solve_rows(block, shift, rows):
         y_t = np.where(singular[..., None, None], np.nan, y_t)
     y = np.swapaxes(y_t, -1, -2)
     residual = np.abs(shift * y - _times(y, block) - rows)
-    scale = (np.maximum(np.abs(lhs_t).sum(axis=-1), 1.0)[..., None, :]
-             * np.maximum(np.abs(rows).sum(axis=-1), np.finfo(float).tiny)[..., :, None])
-    return y, singular, (residual / scale).max(axis=(-2, -1))
+    size = np.abs(y)
+    terms = np.abs(shift) * size + _times(size, np.abs(block)) + np.abs(rows)
+    # a zero sum of magnitudes has a zero residual
+    backward = residual / np.maximum(terms, TINY)
+    flat = residual.shape[:-2] + (residual.shape[-2] * residual.shape[-1],)
+    return y, singular, backward.reshape(flat).max(axis=-1)
 
 
 def _row_solve(drift, omega, rows):
-    """(y, failed, error) of `transfer_rows` at every point, unchecked: has a
-    block gone singular there or a solve's residual exceeded 1e-10 relative
-    to the row norms, and error(idx), the SingularTransferError of point idx."""
+    """(y, singular, backward, error) of `transfer_rows` at every point,
+    unchecked: has a block gone singular there, the larger componentwise
+    backward error of the two stage solves (see `_solve_rows`; nan where the
+    rows are), and error(idx), the SingularTransferError of point idx."""
     a, c, d = cascade_blocks(drift)
     shift = 1j * np.asarray(omega, dtype=float)[..., None, None]
-    y2, singular2, defect2 = _solve_rows(d, shift, rows[..., STAGES[4:]])
-    y1, singular1, defect1 = _solve_rows(a, shift, rows[..., STAGES[:4]] + _times(y2, c))
-    singular, defect = singular1 | singular2, np.maximum(defect1, defect2)
+    y2, singular2, backward2 = _solve_rows(d, shift, rows[..., STAGES[4:]])
+    y1, singular1, backward1 = _solve_rows(a, shift, rows[..., STAGES[:4]] + _times(y2, c))
+    singular, backward = singular1 | singular2, np.maximum(backward1, backward2)
 
     def error(idx):
         at = f"omega={np.broadcast_to(omega, singular.shape)[idx]}"
         return SingularTransferError(
             f"transfer matrix singular at {at}" if singular[idx]
-            else f"transfer solve at {at} lost precision (defect {defect[idx]:.3e})")
+            else f"transfer solve at {at} lost precision (backward error {backward[idx]:.3e})")
 
     y = np.concatenate((y1, y2), axis=-1)[..., np.argsort(STAGES)]
-    return y, singular | ~(defect <= 1e-10), error  # a nan defect fails too
+    return y, singular, backward, error
 
 
 def transfer_rows(drift, omega, rows):
@@ -204,10 +221,11 @@ def transfer_rows(drift, omega, rows):
     `cascade_blocks`), so y2 = u2 (i w - D)^(-1), then
     y1 = (u1 + y2 C)(i w - A)^(-1): two batched 4x4 row solves.  Raises
     SingularTransferError naming the first failing w in grid order when a
-    block is singular there or a solve's residual exceeds 1e-10 relative
-    to the row norms (this can only happen at an instability threshold).
+    block is singular there or a solve's componentwise backward error
+    exceeds SOLVE_TOLERANCE.
     """
-    y, failed, error = _row_solve(drift, omega, rows)
+    y, singular, backward, error = _row_solve(drift, omega, rows)
+    failed = singular | ~(backward <= SOLVE_TOLERANCE)  # a nan backward error fails too
     if failed.any():
         raise error(np.unravel_index(np.argmax(failed), failed.shape))
     return y
@@ -234,25 +252,37 @@ def _epr_kernel(drift, noise, omega):
     the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
     and are dropped): mat = d, l = r for the variances of q_a + q_b and
     p_a - p_b; mat = k for <[q_a(w), p_a(w)]>.  status is OK or the failure
-    a point-by-point evaluation meets first: PLUS_FAILED (T(+w)), MINUS_FAILED
-    (T(-w)), DEGENERATE (commutator below COMMUTATOR_FLOOR), NONPOSITIVE (a
+    a point-by-point evaluation meets first: PLUS_FAILED (T(+w) singular or
+    its rows not finite), MINUS_FAILED (the same at -w), DEGENERATE
+    (commutator below COMMUTATOR_FLOOR), NONPOSITIVE (a
     variance not positive, which rounding alone can make of the forms at
-    extreme drives); there e_degree is nan and failure(i) is the error of
-    flat point i."""
+    extreme drives), ROUNDING (a form's estimated relative rounding error
+    above FORM_TOLERANCE: the rows' componentwise backward error, plus eps,
+    times the summed magnitude of the form's terms over its value); there
+    e_degree is nan and failure(i) is the error of flat point i."""
     shape = np.broadcast_shapes(np.shape(drift)[:-2], np.shape(omega))
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
-    y, failed, error = _row_solve(drift, np.stack((omega, -omega)), EPR_ROWS)
+    y, singular, backward, error = _row_solve(drift, np.stack((omega, -omega)), EPR_ROWS)
+    failed = singular | ~np.isfinite(backward)
     with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
-        flipped = y[::-1]  # each sign's rows against the other sign's
-        with_d = _times(y, noise.d) * flipped
-        with_k = _times(y[..., 2, :], noise.k) * flipped[..., 3, :]
+        flipped = y[..., :2, :][::-1]  # each sign's rows against the other sign's
+        with_d = _times(y[..., :2, :], noise.d) * flipped
+        with_k = _times(y[..., 2, :], noise.k) * y[::-1, ..., 3, :]
         variances = 0.25 * (with_d[0] + with_d[1]).sum(axis=-1).real
         s_q, s_p = variances[..., 0], variances[..., 1]
         comm = 0.25 * (with_k[0] + with_k[1]).sum(axis=-1)
         e_degree = s_q * s_p / (0.25 * np.square(np.abs(comm)))
+        # each form's terms summed in magnitude, over its value
+        size_d, size_k = np.abs(with_d), np.abs(with_k)
+        size_d = 0.25 * (size_d[0] + size_d[1]).sum(axis=-1)
+        size_k = 0.25 * (size_k[0] + size_k[1]).sum(axis=-1)
+        spread = np.maximum(np.maximum(size_d[..., 0] / s_q, size_d[..., 1] / s_p),
+                            size_k / np.abs(comm))
+        rounding = (np.maximum(backward[0], backward[1]) + EPS) * spread
     status = np.where(failed[0], PLUS_FAILED, np.where(failed[1], MINUS_FAILED, np.where(
-        np.abs(comm) >= COMMUTATOR_FLOOR, np.where(np.minimum(s_q, s_p) > 0.0, OK, NONPOSITIVE),
-        DEGENERATE)))  # a nan commutator or variance fails too
+        np.abs(comm) >= COMMUTATOR_FLOOR, np.where(np.minimum(s_q, s_p) > 0.0, np.where(
+            rounding <= FORM_TOLERANCE, OK, ROUNDING), NONPOSITIVE),
+        DEGENERATE)))  # a nan commutator, variance or estimate fails too
 
     def failure(flat):
         idx = np.unravel_index(flat, shape)
@@ -262,6 +292,9 @@ def _epr_kernel(drift, noise, omega):
         if status[idx] == NONPOSITIVE:
             return ArithmeticError(f"non-positive EPR variance (s_qplus {s_q[idx]}, "
                                    f"s_pminus {s_p[idx]}) at omega={omega[idx]}")
+        if status[idx] == ROUNDING:
+            return ArithmeticError(f"EPR forms dominated by rounding (estimated relative "
+                                   f"error {rounding[idx]:.3e}) at omega={omega[idx]}")
         return error((status[idx] - PLUS_FAILED, *idx))
 
     e_degree = np.where(status == OK, e_degree, np.nan)
@@ -281,8 +314,8 @@ def epr_grid(drift, noise, omega):
 
     Raises what a point-by-point evaluation raises first: at the first
     failing point in grid order, a failing T(w) before a failing T(-w),
-    both before a commutator below COMMUTATOR_FLOOR, all before a variance
-    that is not positive.
+    both before a commutator below COMMUTATOR_FLOOR, then a variance that
+    is not positive, then forms dominated by rounding (FORM_TOLERANCE).
     """
     grid, status, failure = _epr_kernel(drift, noise, omega)
     if status.any():

@@ -199,12 +199,24 @@ class TestCascadedCsv:
         assert sweep.error[-1].endswith(") at omega=1000.0")
 
     def test_spectrum_with_a_non_positive_variance_fails_numerically(self, capsys):
+        # omega = 1000 alone: at lower frequencies the forms fail first, as
+        # dominated by rounding
         code, out, err = run_cli(
-            ["cascaded", "spectrum", "--drive", "1e151", "--omega-count", "5"], capsys)
+            ["cascaded", "spectrum", "--drive", "1e151", "--omega-min", "1000",
+             "--omega-count", "1"], capsys)
         assert code == cli.NUMERICAL_ERROR
         assert out == ""
         assert err.startswith("numerical failure: non-positive EPR variance")
         assert err.endswith(" at omega=1000.0\n")
+
+    def test_spectrum_dominated_by_rounding_fails_numerically(self, capsys):
+        # at drive 1e151 the row solves pass their residual guard, but the
+        # forms are off by factors from omega = 100 on
+        code, out, err = run_cli(["cascaded", "spectrum", "--drive", "1e151"], capsys)
+        assert code == cli.NUMERICAL_ERROR
+        assert out == ""
+        assert err.startswith("numerical failure: EPR forms dominated by rounding")
+        assert err.endswith(" at omega=100.0\n")
 
     @pytest.mark.parametrize("drive", ["1e75", "1e120", "1e150"])
     def test_huge_drive_meets_its_equation_or_fails(self, drive, capsys):
@@ -513,6 +525,16 @@ class TestPlot:
         assert code == 0
         assert out_path.exists()
         assert (tmp_path / "profile.svg").exists()
+
+    def test_plot_flag_keeps_dotted_directory(self, tmp_path, monkeypatch, capsys):
+        # the SVG path drops the extension of --out, not a dot in its directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.d").mkdir()
+        code, _, _ = run_cli(["single-cavity", "sweep", "--x-count", "5",
+                              "--out", "out.d/profile", "--plot"], capsys)
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "out.d").iterdir()) == ["profile", "profile.svg"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.d"]
 
     def test_plot_flag_without_out_is_usage_error(self, capsys):
         # refused before any computation: nothing reaches stdout

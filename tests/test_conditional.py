@@ -5,13 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from cavmotion.conditional import (
+    BAND_PIVOT_FLOOR,
     FOCK_FACTOR_DIM,
     FOCK_FACTOR_POLICY,
+    BandFactor,
     UnresolvableOutcomeError,
     condition_on_quadrature,
     efficiency_profile,
@@ -19,6 +21,7 @@ from cavmotion.conditional import (
     gram_matrix,
     joint_moments,
     label_factor,
+    outcome_moments,
     probability_density,
     purity_bruteforce,
 )
@@ -282,6 +285,102 @@ class TestFactoredKernel:
         if np.max(np.abs(state.labels)) <= 4.0:
             brute = purity_bruteforce(res.cond_coeffs, state.labels, oracle_dim(state.labels))
             assert res.lin_entropy == pytest.approx(1.0 - brute, abs=1e-6)
+
+
+def band_to_dense(band):
+    """The upper-triangular R of a BandFactor as a full matrix."""
+    reach, size = band.diagonals.shape[0] - 1, band.diagonals.shape[1]
+    r = np.zeros((size, size), dtype=complex)
+    for k in range(reach + 1):
+        r[np.arange(size - k), np.arange(k, size)] = band.diagonals[k, :size - k]
+    return r
+
+
+def unpivoted_band(labels):
+    """BandFactor of the labels' Gram matrix from its unpivoted Cholesky factor."""
+    return BandFactor.from_upper(np.linalg.cholesky(gram_matrix(labels)).conj().T)
+
+
+class TestBandFactor:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(zeta=st.floats(5.0, 12.0), log_kappa=st.floats(math.log(0.3), math.log(2.0)),
+           t=st.floats(0.3, 2.0 * np.pi - 0.3),
+           x=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5))
+    def test_band_kernel_matches_dense_kernel(self, zeta, log_kappa, t, x):
+        # the same factor R, stored by diagonals and as a full matrix; complex
+        # labels away from t = pi
+        state = evolve(zeta, math.exp(log_kappa), t)
+        assume(isinstance(state.factor, BandFactor))
+        raw = state.coeffs * oscillator_wavefunctions(state.n_max, np.array(x)).T
+        prob, purity = outcome_moments(state.factor, raw)
+        dense_prob, dense_purity = outcome_moments(band_to_dense(state.factor), raw)
+        assert np.all(np.abs(prob / dense_prob - 1.0) <= 1e-13)
+        assert np.all(np.abs(purity - dense_purity) <= 1e-13)
+
+    @pytest.mark.parametrize("t", [np.pi, 2.0])
+    def test_factor_reproduces_gram(self, t):
+        # Cholesky reads G's strict lower triangle and the real part of its
+        # diagonal: at t = 2 the rounding of phases Im(conj(mu) nu) up to 1e5
+        # leaves G off hermitian, and its diagonal off 1, by ~1e-11
+        state = evolve(12.0, 1.0, t)
+        r = band_to_dense(state.factor)
+        product, gram = r.conj().T @ r, gram_matrix(state.labels)
+        assert np.allclose(np.tril(product, -1), np.tril(gram, -1), rtol=0, atol=1e-13)
+        assert np.allclose(np.diag(product), np.diag(gram).real, rtol=0, atol=1e-13)
+
+    def test_band_kernel_matches_bruteforce(self):
+        # labels up to 14 on a line, 1-2.5 apart: the band kernel called
+        # directly (label_factor would expand such labels in the number
+        # basis), against the explicit partial trace
+        rng = np.random.default_rng(77)
+        for _ in range(8):
+            steps = rng.uniform(1.0, 2.5, size=rng.integers(3, 10))
+            direction = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            labels = np.concatenate(([0.0], np.cumsum(steps))) * direction
+            labels = labels * min(1.0, 14.0 / np.max(np.abs(labels)))
+            band = unpivoted_band(labels)
+            coeffs = rng.normal(size=labels.size) + 1j * rng.normal(size=labels.size)
+            prob, purity = outcome_moments(band, coeffs[None])
+            brute = purity_bruteforce(coeffs / np.sqrt(prob[0]), labels, oracle_dim(labels))
+            assert purity[0] == pytest.approx(brute, abs=1e-10)
+            assert prob[0] == pytest.approx(joint_moments(coeffs, labels)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("zeta,kappa", [(5.0, 0.2), (8.0, 0.3), (12.0, 0.05), (6.0, 0.36)])
+    def test_ill_conditioned_gram_is_never_banded(self, zeta, kappa):
+        # unpivoted Cholesky fails at (12, 0.05) and leaves a pivot below the
+        # floor at the others
+        state = evolve(zeta, kappa, np.pi)
+        gram = gram_matrix(state.labels)
+        assert np.linalg.cond(gram) > 5e3
+        try:
+            assert np.min(np.abs(np.diag(np.linalg.cholesky(gram))) ** 2) < BAND_PIVOT_FLOOR
+        except np.linalg.LinAlgError:
+            pass
+        assert not isinstance(state.factor, BandFactor)
+
+    def test_wide_well_separated_labels_are_banded(self):
+        factor = evolve(12.0, 1.0, np.pi).factor
+        assert isinstance(factor, BandFactor)
+        assert factor.diagonals.shape == (9, 237)
+
+    def test_small_orders_stay_dense(self):
+        # a band kernel call costs more than two small dense products
+        factor = evolve(3.0, 2.0, np.pi).factor
+        assert isinstance(factor, np.ndarray) and factor.shape == (38, 38)
+
+    @pytest.mark.parametrize("zeta,kappa,t", [(12.0, 1.0, np.pi), (8.0, 2.0, 2.5)])
+    def test_views_give_the_same_bits(self, zeta, kappa, t):
+        # several outcomes per band chunk at (8, 2): values do not depend on chunking
+        x = np.linspace(-4.0, 4.0, 17)
+        state = evolve(zeta, kappa, t)
+        assert isinstance(state.factor, BandFactor)
+        profile = efficiency_profile(zeta, kappa, t, x_grid=x)
+        dens = probability_density(state, x)
+        for i, xi in enumerate(x):
+            point = condition_on_quadrature(state, xi)
+            assert point.prob_density == profile.prob_density[i] == dens[i]
+            assert point.lin_entropy == profile.lin_entropy[i]
+            assert np.array_equal(point.cond_coeffs, profile.cond_coeffs[i])
 
 
 class TestEfficiencyProfile:

@@ -374,6 +374,37 @@ class TestGridKernel:
                         worst = max(worst, float(abs(complex(g) - ref) / abs(ref)))
         assert worst < 5e-15
 
+    @pytest.mark.parametrize("drive", [1e6, 1e70, 1e78, 1e100, 1e151])
+    def test_ok_points_match_300_digit_reference(self, drive):
+        # at drives 1e73-1e76, 1e79-1e80 and beyond the rows' componentwise
+        # backward error is of order 1 and the forms are off by factors: what
+        # the kernel reports OK is accurate, and drives 1e100 and 1e151 fail
+        # at every frequency
+        mpmath = pytest.importorskip("mpmath")
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        drift = build_drift(params, steady_state(params, drive))
+        noise = build_noise(params)
+        omegas = np.geomspace(100.0, 1e4, 5)
+        grid, status, failure = spectra._epr_kernel(drift, noise, omegas)
+        assert np.all(status == spectra.OK) == (drive < 1e100)
+        assert np.all(status != spectra.OK) == (drive >= 1e100)
+        with mpmath.workdps(300):
+            m, eye = mpmath.matrix(drift.tolist()), mpmath.eye(8)
+            d, k = mpmath.matrix(noise.d.tolist()), mpmath.matrix(noise.k.tolist())
+            q_plus, p_minus, q_a, p_a = (mpmath.matrix([u.tolist()]) for u in spectra.EPR_ROWS)
+            for i in np.flatnonzero(status == spectra.OK):
+                plus = (mpmath.mpc(0, omegas[i]) * eye - m) ** -1
+                minus = (mpmath.mpc(0, -omegas[i]) * eye - m) ** -1
+                d_pair = plus * d * minus.T + minus * d * plus.T
+                want = (0.25 * (q_plus * d_pair * q_plus.T)[0].real,
+                        0.25 * (p_minus * d_pair * p_minus.T)[0].real,
+                        0.25 * (q_a * (plus * k * minus.T + minus * k * plus.T) * p_a.T)[0])
+                got = (grid.s_qplus[i], grid.s_pminus[i], grid.commutator[i])
+                for g, ref in zip(got, want):
+                    assert float(abs(complex(g) - ref) / abs(ref)) < 1e-12
+        for i in np.flatnonzero(status == spectra.ROUNDING):
+            assert str(failure(i)).startswith("EPR forms dominated by rounding")
+
     def test_empty_grid(self):
         params, _, drift = random_stable_point(np.random.default_rng(67))
         assert transfer(drift, np.array([])).shape == (0, 8, 8)

@@ -11,7 +11,7 @@ from cavmotion import (
     coherent_coefficient,
     coherent_in_fock,
     coherent_overlap,
-    oscillator_wavefunction,
+    oscillator_wavefunctions,
     truncation_order,
 )
 
@@ -20,7 +20,7 @@ from cavmotion import (
 x = np.linspace(-4, 4, 9)
 print("psi_n(x) via the normalized recurrence:")
 for n in (0, 1, 5, 50, 200):
-    vals = oscillator_wavefunction(n, x)
+    vals = oscillator_wavefunctions(n, x)[n]
     print(f"  n={n:3d}  max|psi| = {np.max(np.abs(vals)):.6f}")
 
 # --- coherent weights for amplitudes the naive formula cannot reach -------

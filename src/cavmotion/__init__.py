@@ -16,27 +16,22 @@ from .cascade import (
     PhysParams,
     SteadyBranch,
     bistable_window,
-    branch_label,
+    branch_labels,
     cavity_bracket,
-    intensity_roots,
     pulling_coefficients,
     residual,
     root_grid,
     steady_grid,
-    steady_state,
 )
 from .conditional import (
     BandFactor,
     ConditionalResult,
     JointState,
-    UnresolvableOutcomeError,
     condition_on_quadrature,
     efficiency_profile,
     evolve,
-    joint_moments,
     label_factor,
     outcome_moments,
-    probability_density,
     purity_bruteforce,
 )
 from .fock import (
@@ -44,7 +39,6 @@ from .fock import (
     coherent_coefficient,
     coherent_in_fock,
     coherent_overlap,
-    oscillator_wavefunction,
     oscillator_wavefunctions,
     truncation_order,
 )
@@ -58,12 +52,9 @@ from .spectra import (
     build_drift,
     build_noise,
     cascade_blocks,
-    classify_stability,
     correlation_matrix,
     epr_grid,
-    epr_spectra,
     stability_stack,
-    transfer,
     transfer_rows,
 )
 

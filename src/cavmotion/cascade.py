@@ -234,17 +234,6 @@ def root_grid(params, delta, drive_power):
     return roots
 
 
-def intensity_roots(params, delta, drive_power):
-    """All nonnegative intensities solving the steady-state modulus cubic.
-
-    drive_power is gamma |zeta_in|^2.  Roots come back sorted ascending;
-    the count is 1, 2 (degenerate) or 3.  The one-point view of
-    `root_grid`.
-    """
-    roots = root_grid(params, delta, [drive_power])[0]
-    return roots[~np.isnan(roots)].tolist()
-
-
 def _turning_points(params, delta):
     """Intensities (lo, hi) where the S-curve turns, or None if it is monotone."""
     c3, c2, c1 = _cubic_coefficients(params, delta)
@@ -261,9 +250,14 @@ def _turning_points(params, delta):
     return lo, hi
 
 
-def _branch_labels(params, delta, intensity):
-    """branch_label of every intensity of an array, with one turning-point
-    computation."""
+def branch_labels(params, delta, intensity):
+    """Classify every intensity of an array as lower/middle/upper on the
+    S-curve, with one turning-point computation.
+
+    The middle segment is where the drive power decreases with intensity;
+    its edges are the positive turning points of the modulus cubic.  A
+    monotone curve is all "lower".
+    """
     turns = _turning_points(params, delta)
     intensity = np.asarray(intensity, dtype=float)
     if turns is None:
@@ -273,28 +267,18 @@ def _branch_labels(params, delta, intensity):
                     np.where(intensity <= hi, BRANCH_MIDDLE, BRANCH_UPPER))
 
 
-def branch_label(params, delta, intensity):
-    """Classify an intensity as lower/middle/upper on the S-curve.
-
-    The middle segment is where the drive power decreases with intensity;
-    its edges are the positive turning points of the modulus cubic.  A
-    monotone curve is all "lower".
-    """
-    return str(_branch_labels(params, delta, intensity))
-
-
-def _select(roots, intensities, selection, previous):
+def _select(roots, intensities, selection):
     """Column of the selected root in every row of a root grid.
 
     "follow" takes the root nearest the intensity selected at the drive
-    before (`previous` before the first drive; the lowest root if None),
-    so it runs drive by drive, on floats.
+    before (the lowest root at the first drive), so it runs drive by drive,
+    on floats.
     """
     if selection == "lowest":
         return np.zeros(len(roots), dtype=np.intp)
     if selection == "highest":
         return np.count_nonzero(~np.isnan(roots), axis=1) - 1
-    picks = []
+    picks, previous = [], None
     for row, values in zip(roots.tolist(), intensities.tolist()):
         pick = 0
         if previous is not None and row[1] == row[1]:  # several roots
@@ -305,7 +289,7 @@ def _select(roots, intensities, selection, previous):
     return np.array(picks, dtype=np.intp)
 
 
-def _cavity(params, delta, drive_in, selection, previous_intensity, previous_branch):
+def _cavity(params, delta, drive_in, selection):
     """One cavity at every drive of `drive_in`: the selected working point's
     amplitude, intensity, branch and jump flag."""
     g = params.gamma
@@ -316,43 +300,36 @@ def _cavity(params, delta, drive_in, selection, previous_intensity, previous_bra
     with np.errstate(invalid="ignore"):  # the nan padding of `roots`
         zetas = np.sqrt(g) * drive_in[:, None] / cavity_bracket(params, delta, roots)
     intensities = zetas.real**2 + zetas.imag**2
-    pick = (np.arange(len(roots)), _select(roots, intensities, selection, previous_intensity))
+    pick = (np.arange(len(roots)), _select(roots, intensities, selection))
     root, intensity = roots[pick], intensities[pick]
-    branch = _branch_labels(params, delta, root)
+    branch = branch_labels(params, delta, root)
     jumped = np.zeros(root.shape, dtype=bool)
     if selection == "follow":
         # a jump means the branch being ridden vanished: no root remains
         # near the previous intensity and the branch class changed
-        before = np.concatenate(
-            ([np.nan if previous_intensity is None else previous_intensity], intensity[:-1]))
-        before_branch = np.concatenate(([previous_branch or ""], branch[:-1]))
+        before = np.concatenate(([np.nan], intensity[:-1]))
+        before_branch = np.concatenate(([""], branch[:-1]))
         jumped = (np.abs(root - before) > np.maximum(before, 1e-12)) & (branch != before_branch)
     return zetas[pick], intensity, branch, jumped
 
 
-def steady_grid(params, zeta1_in, selection="lowest", previous=None):
+def steady_grid(params, zeta1_in, selection="lowest"):
     """Solve both cavities and the atoms riding them at every drive of a
     1-d array zeta1_in.
 
     selection is "lowest", "highest" or "follow"; "follow" continues each
     cavity from the intensities at the drive before (adiabatic sweep
-    continuation), starting from the SteadyBranch `previous` if given, and
-    reports a branch jump through jumped1/jumped2 when the branch it was
-    riding has vanished.  Whether a working point is stable is decided by
-    the drift-matrix eigenvalues in the fluctuation module.
+    continuation; the lowest roots at the first drive), and reports a
+    branch jump through jumped1/jumped2 when the branch it was riding has
+    vanished.  Whether a working point is stable is decided by the
+    drift-matrix eigenvalues in the fluctuation module.
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown branch selection {selection!r}")
     zeta1_in = np.asarray(zeta1_in, dtype=complex)
-    before1 = before2 = (None, None)
-    if previous is not None:
-        before1 = (previous.intensity1, previous.branch1)
-        before2 = (previous.intensity2, previous.branch2)
-    zeta1, intensity1, branch1, jumped1 = _cavity(
-        params, params.Delta1, zeta1_in, selection, *before1)
+    zeta1, intensity1, branch1, jumped1 = _cavity(params, params.Delta1, zeta1_in, selection)
     zeta2_in = np.sqrt(params.gamma) * zeta1 - zeta1_in
-    zeta2, intensity2, branch2, jumped2 = _cavity(
-        params, params.Delta2, zeta2_in, selection, *before2)
+    zeta2, intensity2, branch2, jumped2 = _cavity(params, params.Delta2, zeta2_in, selection)
 
     motional_pole = params.Gamma / 2.0 + 1j * params.Omega
     return SteadyBranch(
@@ -364,13 +341,6 @@ def steady_grid(params, zeta1_in, selection="lowest", previous=None):
         branch1=branch1, branch2=branch2,
         jumped1=jumped1, jumped2=jumped2,
     )
-
-
-def steady_state(params, zeta1_in, selection="lowest", previous=None):
-    """Solve both cavities at drive zeta1_in and the atoms riding them: the
-    one-point view of `steady_grid`, with its selections and continuation."""
-    grid = steady_grid(params, [complex(zeta1_in)], selection, previous)
-    return SteadyBranch(**{name: value[0].item() for name, value in vars(grid).items()})
 
 
 def residual(params, candidate):

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import conditional, spectra, svgplot
-from .cascade import SELECTIONS, PhysParams, residual, steady_state
+from .cascade import SELECTIONS, PhysParams, residual, steady_grid
 from .fock import DEFAULT_HARD_CAP, TruncationPolicy
 
 USAGE_ERROR, NUMERICAL_ERROR = 1, 2
@@ -190,9 +190,9 @@ def run_single_cavity(merged, x_values=None):
 def _working_point(merged):
     """(params, steady branch, drift, stable?) at the configured drive."""
     params = _phys_params(merged)
-    branch = steady_state(params, merged["drive"], selection=merged["selection"])
+    branch = steady_grid(params, np.array([merged["drive"]]), merged["selection"])[0]
     drift = spectra.build_drift(params, branch)
-    return params, branch, drift, spectra.classify_stability(drift)[0]
+    return params, branch, drift, spectra.stability_stack(drift)[0]
 
 
 def run_cascaded_steady(merged):

@@ -64,10 +64,6 @@ BAND_CHUNK_BYTES = 256 * 1024
 DEFAULT_X_GRID = np.linspace(-4.0, 4.0, 161)
 
 
-class UnresolvableOutcomeError(ValueError):
-    """Raised when an outcome's probability density underflows to nothing."""
-
-
 @dataclass
 class JointState:
     """Evolved field+atoms state in photon-number-indexed form.
@@ -92,16 +88,16 @@ class JointState:
 
 @dataclass
 class ConditionalResult:
-    """Joint atomic state conditioned on quadrature outcome x: numbers at one
-    outcome, or arrays over a grid of outcomes (cond_coeffs one row each);
-    error is None or why the outcome is unresolvable, its values nan."""
+    """Joint atomic state conditioned on quadrature outcome x, as arrays over
+    a grid of outcomes (cond_coeffs one row each); error holds None or why
+    the outcome is unresolvable, its values nan."""
 
-    x: float
+    x: np.ndarray
     cond_coeffs: np.ndarray
-    prob_density: float
-    lin_entropy: float
-    efficiency: float
-    error: str | None = None
+    prob_density: np.ndarray
+    lin_entropy: np.ndarray
+    efficiency: np.ndarray
+    error: np.ndarray
 
 
 def evolve(zeta, kappa, time, policy=DEFAULT_POLICY):
@@ -191,29 +187,30 @@ def gram_matrix(labels):
     return np.atleast_2d(coherent_overlap(labels[:, None], labels[None, :]))
 
 
-def outcome_moments(factor, amplitudes, purity=True):
+def outcome_moments(factor, amplitudes):
     """(P, purity) of M_x = B diag(amplitudes[x]) B^T for every row x of
     amplitudes (X, N+1), B = label_factor(labels): P = ||M_x||_F^2 and purity
     ||M_x M_x^H||_F^2 / P^2, in (0, 1] by construction.  Purity is nan where
-    P <= PROBABILITY_FLOOR, and everywhere unless asked for.
+    P <= PROBABILITY_FLOOR.  For the nonzero state sum_n c[n] |mu_n>|mu_n>,
+    outcome_moments(label_factor(mu), c[None]) is (norm^2, reduced purity).
 
     A dense B costs two products per outcome; a BandFactor
     O(N b^2) per outcome (`_band_moments`).  Each outcome's values do not
     depend on the other rows."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if isinstance(factor, BandFactor):
-        return _band_moments(factor.diagonals, amplitudes, purity)
+        return _band_moments(factor.diagonals, amplitudes)
     prob, pure = np.empty(len(amplitudes)), np.full(len(amplitudes), np.nan)
     for x, row in enumerate(amplitudes):
         m = (factor * row) @ factor.T
         prob[x] = np.vdot(m, m).real
-        if purity and prob[x] > PROBABILITY_FLOOR:
+        if prob[x] > PROBABILITY_FLOOR:
             rho = (m @ m.conj().T) / prob[x]
             pure[x] = np.vdot(rho, rho).real
     return prob, pure
 
 
-def _band_moments(diagonals, amplitudes, purity):
+def _band_moments(diagonals, amplitudes):
     """outcome_moments for R of bandwidth b in diagonal storage.
 
     M = R diag(a) R^T is symmetric with bandwidth b:
@@ -247,27 +244,20 @@ def _band_moments(diagonals, amplitudes, purity):
     row_conj = np.empty((step, size, span, 1), dtype=complex)
     twice = np.full(2 * span, 2.0)
     twice[:2] = 1.0
-    prob, pure = np.empty(x_count), np.full(x_count, np.nan)
+    prob, pure = np.empty(x_count), np.empty(x_count)
     for start in range(0, x_count, step):
         n = min(step, x_count - start)
         amps[:n, :size] = amplitudes[start:start + n]
         np.matmul(windows[:n], weights, out=upper[:n])
         lower[:n] = upper[:n]  # M[i+d, i] = M[i, i+d]
         prob[start:start + n] = p = np.einsum("xij,xij->x", band[:n], band[:n])
-        if purity:
-            scale = np.divide(1.0, p, out=np.zeros(n), where=p > PROBABILITY_FLOOR)
-            np.conjugate(rows[:n, :size, 2 * reach:, None], out=row_conj[:n])
-            row_conj[:n].view(float)[...] *= scale[:, None, None, None]
-            h = np.matmul(later[:n], row_conj[:n]).view(float).reshape(n, size, 2 * span)
-            pure[start:start + n] = np.where(p > PROBABILITY_FLOOR,
-                                             np.einsum("xij,xij,j->x", h, h, twice), np.nan)
+        scale = np.divide(1.0, p, out=np.zeros(n), where=p > PROBABILITY_FLOOR)
+        np.conjugate(rows[:n, :size, 2 * reach:, None], out=row_conj[:n])
+        row_conj[:n].view(float)[...] *= scale[:, None, None, None]
+        h = np.matmul(later[:n], row_conj[:n]).view(float).reshape(n, size, 2 * span)
+        pure[start:start + n] = np.where(p > PROBABILITY_FLOOR,
+                                         np.einsum("xij,xij,j->x", h, h, twice), np.nan)
     return prob, pure
-
-
-def joint_moments(coeffs, labels):
-    """(norm^2, reduced purity) of the nonzero state sum_n coeffs[n] |labels[n]>|labels[n]>."""
-    prob, purity = outcome_moments(label_factor(labels), np.asarray(coeffs, dtype=complex)[None])
-    return float(prob[0]), float(purity[0])
 
 
 def purity_bruteforce(cond_coeffs, labels, dim):
@@ -290,9 +280,18 @@ def purity_bruteforce(cond_coeffs, labels, dim):
     return float(np.real(np.trace(rho_a @ rho_a)))
 
 
-def _conditioned(state, x_grid):
-    """ConditionalResult of arrays over the outcomes x_grid: one kernel call;
-    unresolvable outcomes keep nan values and their message in error."""
+def condition_on_quadrature(state, x_grid):
+    """Project the field on every quadrature outcome of x_grid and
+    renormalize the atoms: one ConditionalResult of arrays, from one
+    outcome_moments call.
+
+    prob_density is the squared norm of the projected atomic state (the
+    inverse square of the normalization constant), so efficiency =
+    lin_entropy * prob_density holds exactly.  Unresolvable outcomes keep
+    nan values and their message in error.  x holds a copy of the grid (a
+    scalar is a one-element grid).
+    """
+    x_grid = np.array(x_grid, dtype=float, ndmin=1)
     raw = state.coeffs * oscillator_wavefunctions(state.n_max, x_grid).T
     prob, purity = outcome_moments(state.factor, raw)
     resolved = prob > PROBABILITY_FLOOR
@@ -306,43 +305,15 @@ def _conditioned(state, x_grid):
     return ConditionalResult(x_grid, cond_coeffs, prob, lin_entropy, lin_entropy * prob, error)
 
 
-def condition_on_quadrature(state, x):
-    """Project the field on quadrature outcome x and renormalize the atoms.
-
-    prob_density is the squared norm of the projected atomic state (the
-    inverse square of the normalization constant), so efficiency =
-    lin_entropy * prob_density holds exactly.  The one-outcome view of
-    efficiency_profile's grid.
-    """
-    x = float(x)
-    grid = _conditioned(state, np.array([x]))
-    if grid.error[0] is not None:
-        raise UnresolvableOutcomeError(grid.error[0])
-    return ConditionalResult(x=x, cond_coeffs=grid.cond_coeffs[0],
-                             prob_density=float(grid.prob_density[0]),
-                             lin_entropy=float(grid.lin_entropy[0]),
-                             efficiency=float(grid.efficiency[0]))
-
-
-def probability_density(state, x):
-    """Outcome density P(x) = ||M_x||_F^2, in the shape of x (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    raw = state.coeffs * oscillator_wavefunctions(state.n_max, x.ravel()).T
-    dens = outcome_moments(state.factor, raw, purity=False)[0]
-    return float(dens[0]) if x.ndim == 0 else dens.reshape(x.shape)
-
-
 def efficiency_profile(zeta, kappa, time, x_grid=None, policy=DEFAULT_POLICY):
     """Conditional results over a grid of quadrature outcomes: one
     ConditionalResult of arrays.
 
     Unresolvable outcomes keep nan values and their message in error
     instead of aborting the profile.  Cost: one label factor, then one
-    outcome_moments call over the grid.
+    outcome_moments call over the grid (`condition_on_quadrature`).
     """
-    if x_grid is None:
-        x_grid = DEFAULT_X_GRID
-    x_grid = np.asarray(x_grid, dtype=float)
+    x_grid = np.asarray(DEFAULT_X_GRID if x_grid is None else x_grid, dtype=float)
     if x_grid.size and np.any(np.diff(x_grid) < 0):
         raise ValueError("x_grid must be sorted ascending")
-    return _conditioned(evolve(zeta, kappa, time, policy), x_grid)
+    return condition_on_quadrature(evolve(zeta, kappa, time, policy), x_grid)

@@ -49,14 +49,6 @@ def _log_factorials(top):
     return table[:top + 1]
 
 
-def oscillator_wavefunction(n, x):
-    """Harmonic-oscillator position eigenfunction psi_n(x) alone: row n of
-    oscillator_wavefunctions(n, x), with the shape of x (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    psi = oscillator_wavefunctions(n, x)[n]
-    return psi if x.ndim else float(psi[0])
-
-
 def oscillator_wavefunctions(n_max, x):
     """All psi_n(x) for n = 0..n_max at once; shape (n_max+1,) + x.shape.
 
@@ -105,11 +97,14 @@ def coherent_overlap(mu, nu):
 
     Evaluated through the identity exponent = -|mu-nu|^2/2 + i Im(conj(mu) nu)
     whose real part is never positive, so far-apart labels underflow to 0
-    instead of overflowing.  Broadcasts over array arguments.
+    instead of overflowing.  The phase is taken as Re mu Im nu - Im mu Re nu,
+    antisymmetric in (mu, nu) to the bit, so a Gram matrix of overlaps is
+    exactly hermitian with a unit diagonal.  Broadcasts over array arguments.
     """
     mu = np.asarray(mu, dtype=complex)
     nu = np.asarray(nu, dtype=complex)
-    out = np.exp(-0.5 * np.abs(mu - nu) ** 2 + 1j * np.imag(np.conj(mu) * nu))
+    phase = mu.real * nu.imag - mu.imag * nu.real
+    out = np.exp(-0.5 * np.abs(mu - nu) ** 2 + 1j * phase)
     return out if out.ndim else complex(out)
 
 

@@ -231,16 +231,12 @@ def transfer_rows(drift, omega, rows):
     return y
 
 
-def transfer(drift, omega):
-    """T(w) = (i w I - M)^(-1) on a grid: `transfer_rows` of the unit rows."""
-    return transfer_rows(drift, omega, np.eye(8))
-
-
 def correlation_matrix(drift, noise, omega):
     """Delta-stripped second moments C(w) = T(w) d T(-w)^T of the fluctuations
-    at every point of the broadcast of `drift` and `omega`."""
-    t_minus = transfer(drift, -np.asarray(omega, dtype=float))
-    return transfer(drift, omega) @ noise.d @ np.swapaxes(t_minus, -1, -2)
+    at every point of the broadcast of `drift` and `omega`, with
+    T(w) = (i w I - M)^(-1) the `transfer_rows` of the unit rows."""
+    t_minus = transfer_rows(drift, -np.asarray(omega, dtype=float), np.eye(8))
+    return transfer_rows(drift, omega, np.eye(8)) @ noise.d @ np.swapaxes(t_minus, -1, -2)
 
 
 def _epr_kernel(drift, noise, omega):
@@ -323,14 +319,6 @@ def epr_grid(drift, noise, omega):
     return grid
 
 
-def epr_spectra(drift, noise, omega):
-    """EPR variances, commutator spectrum and degree at one frequency
-    (the one-point view of `epr_grid`)."""
-    grid = epr_grid(drift, noise, float(omega))
-    return SpectrumPoint(float(grid.omega), float(grid.s_qplus), float(grid.s_pminus),
-                         complex(grid.commutator), float(grid.e_degree))
-
-
 def stability_stack(drifts):
     """Per drift of a stack (..., 8, 8): (all eigenvalues strictly damped?,
     the eight eigenvalues), from one batched real eigenvalue call.
@@ -361,12 +349,6 @@ def stability_stack(drifts):
     eigs = np.linalg.eigvals(real.reshape(real.shape[:-4] + (4, 4)))
     eigs = eigs.reshape(eigs.shape[:-2] + (8,)).astype(complex)
     return np.all(eigs.real < 0.0, axis=-1), eigs
-
-
-def classify_stability(drift):
-    """(all eigenvalues strictly damped?, the eigenvalues themselves)."""
-    stable, eigs = stability_stack(drift)
-    return bool(stable), eigs
 
 
 def amplitude_sweep(params, drive_grid, omega_eval):

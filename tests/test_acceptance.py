@@ -23,17 +23,17 @@ from cavmotion.cascade import (
     PhysParams,
     SteadyBranch,
     bistable_window,
-    branch_label,
+    branch_labels,
     cavity_bracket,
-    intensity_roots,
-    steady_state,
+    root_grid,
+    steady_grid,
 )
 from cavmotion.conditional import (
     condition_on_quadrature,
     efficiency_profile,
     evolve,
-    joint_moments,
-    probability_density,
+    label_factor,
+    outcome_moments,
     purity_bruteforce,
 )
 from cavmotion.fock import TruncationPolicy, truncation_order
@@ -41,9 +41,9 @@ from cavmotion.spectra import (
     amplitude_sweep,
     build_drift,
     build_noise,
-    classify_stability,
-    epr_spectra,
-    transfer,
+    epr_grid,
+    stability_stack,
+    transfer_rows,
 )
 
 CANONICAL_RATES = dict(Gamma=1e-3, gamma=1.0, Delta1=1e4, Delta2=1e4)
@@ -63,20 +63,14 @@ def report(label):
     return wrap
 
 
-def entropy_profile(state, x_grid):
-    out = []
-    for x in x_grid:
-        out.append(condition_on_quadrature(state, x).lin_entropy)
-    return np.array(out)
-
-
 @report("1 (zeta=6 entanglement beats a 10x10 system)")
 def test_large_amplitude_entanglement_claim():
     x_grid = np.linspace(-4.0, 4.0, 161)
     state = evolve(6.0, 1.0, np.pi)
     # literal label spacing 2*kappa*n at t = pi, and the doubled reading
-    narrow = entropy_profile(state, x_grid).max()
-    wide = entropy_profile(replace(state, labels=2.0 * state.labels), x_grid).max()
+    narrow = condition_on_quadrature(state, x_grid).lin_entropy.max()
+    wide_state = replace(state, labels=2.0 * state.labels)
+    wide = condition_on_quadrature(wide_state, x_grid).lin_entropy.max()
     assert wide > 0.9, f"wide-spacing reading max E = {wide}"
     return f"max E: wide-spacing {wide:.4f} (> 0.9), literal spacing {narrow:.4f}"
 
@@ -86,12 +80,12 @@ def test_efficiency_profile_shape():
     peaks = []
     for zeta in (0.1, 0.4, 0.8):
         state = evolve(zeta, 1.0, np.pi)
-        eff = {x: condition_on_quadrature(state, x).efficiency for x in (-0.5, 0.0, 0.5)}
-        assert eff[0.0] < eff[0.5] and eff[0.0] < eff[-0.5], \
+        eff = condition_on_quadrature(state, [-0.5, 0.0, 0.5]).efficiency
+        assert eff[1] < eff[2] and eff[1] < eff[0], \
             f"zeta={zeta}: no local minimum at x=0"
         peaks.append(efficiency_profile(zeta, 1.0, np.pi).efficiency.max())
         x = np.linspace(-12.0, 12.0, 4801)
-        integral = simpson(probability_density(state, x), x=x)
+        integral = simpson(condition_on_quadrature(state, x).prob_density, x=x)
         assert abs(integral - 1.0) <= 1e-6, f"zeta={zeta}: integral P = {integral}"
     assert peaks[0] < peaks[1] < peaks[2], f"peaks not increasing: {peaks}"
     return f"peak efficiencies {peaks[0]:.4f} < {peaks[1]:.4f} < {peaks[2]:.4f}"
@@ -105,10 +99,12 @@ def test_purity_oracle_equivalence():
         size = rng.integers(2, 8)
         coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
         labels = rng.uniform(0, 8, size=size) * np.exp(2j * np.pi * rng.uniform(size=size))
-        coeffs /= np.sqrt(joint_moments(coeffs, labels)[0])
+        factor = label_factor(labels)
+        coeffs /= np.sqrt(outcome_moments(factor, coeffs[None])[0][0])
         dim = min(truncation_order(float(np.max(np.abs(labels))),
                                    TruncationPolicy(tail_epsilon=1e-13)) + 12, 512)
-        diff = abs(joint_moments(coeffs, labels)[1] - purity_bruteforce(coeffs, labels, dim))
+        purity = outcome_moments(factor, coeffs[None])[1][0]
+        diff = abs(purity - purity_bruteforce(coeffs, labels, dim))
         worst = max(worst, diff)
         assert diff < 1e-8, f"oracle disagreement {diff}"
     return f"worst |factored - bruteforce| = {worst:.2e}"
@@ -122,10 +118,10 @@ def test_decoupled_analytic_limit():
         params = PhysParams(chi=0.0, Omega=rng.uniform(0.5, 20.0),
                             Gamma=rng.uniform(1e-3, 2.0), gamma=1.0,
                             Delta1=rng.uniform(-5, 5), Delta2=rng.uniform(-5, 5))
-        drift = build_drift(params, steady_state(params, rng.uniform(0, 5)))
+        drift = build_drift(params, steady_grid(params, [rng.uniform(0, 5)])[0])
         noise = build_noise(params)
         for omega in (0.1, 1.0, params.Omega, 10 * params.Omega):
-            err = abs(epr_spectra(drift, noise, omega).e_degree - 4.0)
+            err = abs(epr_grid(drift, noise, omega).e_degree - 4.0)
             worst = max(worst, err)
             assert err <= 1e-10, f"E != 4 by {err} at omega={omega}"
     return f"worst |E - 4| = {worst:.2e}"
@@ -139,7 +135,8 @@ def test_bistability_and_middle_branch():
         window = bistable_window(params, params.Delta1)
         assert window is not None, f"Omega={omega_vib}: no three-root window"
         power = math.sqrt(window[0] * window[1])
-        roots = intensity_roots(params, params.Delta1, power)
+        roots = root_grid(params, params.Delta1, [power])[0]
+        roots = roots[~np.isnan(roots)]
         assert len(roots) == 3, f"Omega={omega_vib}: {len(roots)} roots inside window"
         drive = math.sqrt(power / params.gamma)
         scale = max(1.0, math.sqrt(params.gamma) * drive)
@@ -149,8 +146,8 @@ def test_bistability_and_middle_branch():
                          - math.sqrt(params.gamma) * drive)
             assert defect < 1e-9 * scale, f"Omega={omega_vib}: root residual {defect}"
         mid = roots[1]
-        assert branch_label(params, params.Delta1, mid) == "middle"
-        ref = steady_state(params, drive, selection="lowest")
+        assert branch_labels(params, params.Delta1, mid) == "middle"
+        ref = steady_grid(params, [drive], selection="lowest")[0]
         z_mid = math.sqrt(params.gamma) * drive / cavity_bracket(params, params.Delta1, mid)
         pole = params.Gamma / 2 + 1j * params.Omega
         mid_branch = SteadyBranch(
@@ -158,7 +155,7 @@ def test_bistability_and_middle_branch():
             alpha=-1j * params.chi * abs(z_mid) ** 2 / pole, beta=ref.beta,
             intensity1=abs(z_mid) ** 2, intensity2=ref.intensity2,
             branch1="middle", branch2=ref.branch2)
-        _, eigs = classify_stability(build_drift(params, mid_branch))
+        _, eigs = stability_stack(build_drift(params, mid_branch))
         growth = float(eigs.real.max())
         assert growth > 0, f"Omega={omega_vib}: middle branch not unstable"
         details.append(f"Omega={omega_vib:g}: growth rate {growth:.3g}")
@@ -220,17 +217,17 @@ def test_randomized_property_suites():
         params = PhysParams(chi=rng.uniform(0.0, 0.4), Omega=rng.uniform(0.5, 20.0),
                             Gamma=rng.uniform(1e-3, 1.0), gamma=1.0,
                             Delta1=rng.uniform(-5, 5), Delta2=rng.uniform(-5, 5))
-        drift = build_drift(params, steady_state(params, rng.uniform(0.0, 3.0)))
-        stable, _ = classify_stability(drift)
+        drift = build_drift(params, steady_grid(params, [rng.uniform(0.0, 3.0)])[0])
+        stable, _ = stability_stack(drift)
         if not stable:
             continue
         omega = rng.uniform(-3.0, 3.0) * params.Omega
-        t = transfer(drift, omega)
+        t = transfer_rows(drift, omega, np.eye(8))
         lhs = 1j * omega * np.eye(8) - drift
         defect = np.abs(lhs @ t - np.eye(8))
         row_norms = np.maximum(np.abs(lhs).sum(axis=1), 1.0)
         assert np.all(defect <= 1e-10 * row_norms[:, None]), "transfer identity violated"
-        point = epr_spectra(drift, build_noise(params), omega if omega != 0 else 0.1)
+        point = epr_grid(drift, build_noise(params), omega if omega != 0 else 0.1)
         assert point.s_qplus >= -1e-12 and point.s_pminus >= -1e-12, "negative variance"
         checked += 1
     return "100 stable working points checked"

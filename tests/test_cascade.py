@@ -19,14 +19,12 @@ from cavmotion.cascade import (
     PhysParams,
     SteadyBranch,
     bistable_window,
-    branch_label,
+    branch_labels,
     cavity_bracket,
-    intensity_roots,
     pulling_coefficients,
     residual,
     root_grid,
     steady_grid,
-    steady_state,
 )
 
 CANONICAL_RATES = dict(Gamma=1e-3, gamma=1.0, Delta1=1e4, Delta2=1e4)
@@ -38,6 +36,11 @@ def cubic_discriminant(c3, c2, c1, c0):
             - 4 * c3 * c1**3 - 27 * c3**2 * c0**2)
 
 
+def found(row):
+    """The roots of one row of a root grid, without its nan padding."""
+    return row[~np.isnan(row)].tolist()
+
+
 def modulus_cubic_coeffs(params, delta, power):
     a, b = pulling_coefficients(params)
     g = params.gamma
@@ -47,17 +50,17 @@ def modulus_cubic_coeffs(params, delta, power):
 class TestIntensityRoots:
     def test_linear_cavity(self):
         params = PhysParams(chi=0.0, Omega=5.0, Gamma=0.1, gamma=1.0, Delta1=2.0)
-        roots = intensity_roots(params, 2.0, 3.0)
+        roots = found(root_grid(params, 2.0, [3.0])[0])
         assert roots == pytest.approx([3.0 / (0.25 + 4.0)], rel=1e-12)
 
     def test_zero_drive(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        assert intensity_roots(params, params.Delta1, 0.0) == [0.0]
+        assert found(root_grid(params, params.Delta1, [0.0])[0]) == [0.0]
 
     def test_negative_drive_rejected(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         with pytest.raises(ValueError):
-            intensity_roots(params, params.Delta1, -1.0)
+            root_grid(params, params.Delta1, [-1.0])
 
     @pytest.mark.parametrize("Omega", [1.0, 10.0, 100.0])
     def test_three_root_window_matches_discriminant_oracle(self, Omega):
@@ -67,9 +70,10 @@ class TestIntensityRoots:
         p_lo, p_hi = window
         assert 0 < p_lo < p_hi
         inside = np.sqrt(p_lo * p_hi)
-        for power, want in [(0.5 * p_lo, 1), (inside, 3), (2.0 * p_hi, 1)]:
-            roots = intensity_roots(params, params.Delta1, power)
-            assert len(roots) == want
+        cases = [(0.5 * p_lo, 1), (inside, 3), (2.0 * p_hi, 1)]
+        rows = root_grid(params, params.Delta1, [power for power, _ in cases])
+        for (power, want), row in zip(cases, rows):
+            assert len(found(row)) == want
             disc = cubic_discriminant(*modulus_cubic_coeffs(params, params.Delta1, power))
             assert (disc > 0) == (want == 3)
 
@@ -78,16 +82,15 @@ class TestIntensityRoots:
         a, b = pulling_coefficients(params)
         window = bistable_window(params, params.Delta1)
         power = np.sqrt(window[0] * window[1])
-        for i in intensity_roots(params, params.Delta1, power):
+        for i in found(root_grid(params, params.Delta1, [power])[0]):
             lhs = i * ((params.gamma / 2 + a * i) ** 2 + (params.Delta1 - b * i) ** 2)
             assert lhs == pytest.approx(power, rel=1e-10)
 
     def test_root_count_bounds_and_sorting(self):
         rng = np.random.default_rng(17)
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        for _ in range(40):
-            power = 10.0 ** rng.uniform(0, 14)
-            roots = intensity_roots(params, params.Delta1, power)
+        for row in root_grid(params, params.Delta1, 10.0 ** rng.uniform(0, 14, 40)):
+            roots = found(row)
             assert 1 <= len(roots) <= 3
             assert roots == sorted(roots)
             assert all(r >= 0 for r in roots)
@@ -95,28 +98,28 @@ class TestIntensityRoots:
     def test_lowest_root_monotone_in_drive(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         powers = np.geomspace(1.0, 1e13, 80)
-        lows = [intensity_roots(params, params.Delta1, p)[0] for p in powers]
+        lows = root_grid(params, params.Delta1, powers)[:, 0].tolist()
         assert all(x <= y + 1e-12 * max(1, y) for x, y in zip(lows, lows[1:]))
 
 
 class TestBranchLabel:
     def test_monostable_is_lower(self):
         params = PhysParams(chi=0.0, Omega=5.0, Gamma=0.1, gamma=1.0, Delta1=1.0)
-        assert branch_label(params, 1.0, 123.0) == BRANCH_LOWER
+        assert branch_labels(params, 1.0, 123.0) == BRANCH_LOWER
 
     def test_three_roots_classify_in_order(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         window = bistable_window(params, params.Delta1)
         power = np.sqrt(window[0] * window[1])
-        roots = intensity_roots(params, params.Delta1, power)
-        labels = [branch_label(params, params.Delta1, r) for r in roots]
+        roots = found(root_grid(params, params.Delta1, [power])[0])
+        labels = branch_labels(params, params.Delta1, roots).tolist()
         assert labels == [BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_UPPER]
 
 
 class TestSteadyState:
     def test_decoupled_cavities(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        branch = steady_state(params, 2.0)
+        branch = steady_grid(params, np.array([2.0]))[0]
         want = np.sqrt(params.gamma) * 2.0 / (params.gamma / 2 + 1j * params.Delta1)
         assert branch.zeta1 == pytest.approx(want, rel=1e-12)
         assert branch.alpha == 0.0
@@ -124,7 +127,7 @@ class TestSteadyState:
 
     def test_boundary_condition_exact(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        branch = steady_state(params, 3.0e5, selection="lowest")
+        branch = steady_grid(params, np.array([3.0e5]), selection="lowest")[0]
         assert branch.zeta2_in == np.sqrt(params.gamma) * branch.zeta1 - branch.zeta1_in
 
     def test_intensity_fields_match_amplitudes(self):
@@ -136,14 +139,15 @@ class TestSteadyState:
     @pytest.mark.parametrize("selection", ["lowest", "highest"])
     def test_residual_invariant(self, selection):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        for drive in (1e2, 1e4, 3e5, 1e7):
-            branch = steady_state(params, drive, selection=selection)
+        grid = steady_grid(params, np.array([1e2, 1e4, 3e5, 1e7]), selection=selection)
+        for k in range(4):
+            branch = grid[k]
             scale = max(1.0, np.sqrt(params.gamma) * abs(branch.zeta1_in))
             assert residual(params, branch) < 1e-9 * scale
 
     def test_residual_detects_corruption(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        branch = steady_state(params, 3.0e5)
+        branch = steady_grid(params, np.array([3.0e5]))[0]
         scale = max(1.0, np.sqrt(params.gamma) * abs(branch.zeta1_in))
         assert residual(params, branch) < 1e-9 * scale
         corrupted = SteadyBranch(**{**branch.__dict__, "zeta1": branch.zeta1 * (1 + 1e-3)})
@@ -170,9 +174,8 @@ class TestSteadyState:
 
     def test_global_phase_covariance(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        base = steady_state(params, 3.0e5)
         phase = np.exp(0.6j)
-        rotated = steady_state(params, 3.0e5 * phase)
+        base, rotated = steady_grid(params, 3.0e5 * np.array([1.0, phase]))
         assert rotated.zeta1 == pytest.approx(base.zeta1 * phase, rel=1e-12)
         assert rotated.zeta2_in == pytest.approx(base.zeta2_in * phase, rel=1e-12)
         assert rotated.zeta2 == pytest.approx(base.zeta2 * phase, rel=1e-12)
@@ -183,7 +186,7 @@ class TestSteadyState:
 
     def test_alpha_beta_formulas(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        branch = steady_state(params, 3.0e5)
+        branch = steady_grid(params, np.array([3.0e5]))[0]
         pole = params.Gamma / 2 + 1j * params.Omega
         assert branch.alpha == pytest.approx(-1j * params.chi * branch.intensity1 / pole, rel=1e-12)
         assert branch.beta == pytest.approx(-1j * params.chi * branch.intensity2 / pole, rel=1e-12)
@@ -192,30 +195,25 @@ class TestSteadyState:
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         window = bistable_window(params, params.Delta1)
         drive = np.sqrt(np.sqrt(window[0] * window[1]) / params.gamma)
-        roots = intensity_roots(params, params.Delta1, params.gamma * drive**2)
+        roots = found(root_grid(params, params.Delta1, [params.gamma * drive**2])[0])
         assert len(roots) == 3
         mid = roots[1]
         z1 = np.sqrt(params.gamma) * drive / cavity_bracket(params, params.Delta1, mid)
-        assert branch_label(params, params.Delta1, abs(z1) ** 2) == BRANCH_MIDDLE
+        assert branch_labels(params, params.Delta1, abs(z1) ** 2) == BRANCH_MIDDLE
 
     def test_follow_sweep_jump_recorded_once(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         window = bistable_window(params, params.Delta1)
         jump_drive = np.sqrt(window[1] / params.gamma)
         drives = np.geomspace(0.2 * jump_drive, 3.0 * jump_drive, 60)
-        previous = None
-        jumps = []
-        for drive in drives:
-            previous = steady_state(params, drive, selection="follow", previous=previous)
-            if previous.jumped1:
-                jumps.append(drive)
+        jumps = drives[steady_grid(params, drives, selection="follow").jumped1]
         assert len(jumps) == 1
         assert jump_drive / 1.2 <= jumps[0] <= jump_drive * 1.2
 
     def test_unknown_selection_rejected(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         with pytest.raises(ValueError, match="selection"):
-            steady_state(params, 1.0, selection="median")
+            steady_grid(params, np.array([1.0]), selection="median")
 
 
 class TestPhysParams:
@@ -339,16 +337,6 @@ def reference_chain(params, delta, zeta_in, selection):
     return out
 
 
-def assert_bits_equal(got, want):
-    """Equal floats with equal bits (nan equal to nan), equal strings."""
-    for name, value in vars(want).items():
-        other = getattr(got, name)
-        if isinstance(value, str):
-            assert other == value, name
-        else:
-            assert np.array_equal(np.asarray(other), np.asarray(value), equal_nan=True), name
-
-
 def assert_matches_reference(params, grid, selection, undecided):
     """Every row of a steady grid but the `undecided` ones against
     `reference_chain`, cavity by cavity: labels and jump flags equal, and
@@ -388,7 +376,7 @@ def assert_roots_match_oracle(params, delta, power, got):
     want = [float(root) for root in oracle_roots(params, delta, power)[0]]
     assert len(got) == len(want)
     assert np.all(np.abs(np.subtract(got, want)) <= ACCURACY * np.array(want))
-    assert [branch_label(params, delta, root) for root in got] == [
+    assert branch_labels(params, delta, got).tolist() == [
         reference_label(params, delta, root) for root in want]
 
 
@@ -411,14 +399,14 @@ def assert_decidable_at_edge(params, delta, power, got):
     1.4 SQRT_EPS) and carries one of its `edge_labels`."""
     real, pair = oracle_roots(params, delta, power)
     a, b = pulling_coefficients(params)
-    for root in got:
+    for root, label in zip(got, branch_labels(params, delta, got).tolist()):
         floor = 8.0 * EPS * root * abs(delta - b * root) * (abs(delta) + b * root)
         with mpmath.workdps(ORACLE_DPS):
             x = mpmath.mpf(root)
             miss = x * ((params.gamma / 2 + a * x) ** 2 + (delta - b * x) ** 2) - power
             assert abs(miss) <= cascade.ROOT_TOLERANCE * power + floor
             assert min(abs(x - want) for want in real + pair) <= 4 * SQRT_EPS * x
-        assert branch_label(params, delta, root) in edge_labels(params, delta, root)
+        assert label in edge_labels(params, delta, root)
 
 
 def drive_grid(params, magnitudes, phase):
@@ -443,8 +431,7 @@ def undecided_rows(edge, selection):
 
 
 class TestSteadyGrid:
-    """The grid kernel against the 40-digit reference; its one-point views
-    equal it bit for bit.
+    """The grid kernel against the 40-digit reference.
 
     Rule at window edges: there the cubic has a double root and rounding
     decides the root count, so on drives at an edge of the first cavity's
@@ -471,12 +458,6 @@ class TestSteadyGrid:
             grid = steady_grid(params, drives, selection)
             undecided = undecided_rows(edge, selection)
             assert_matches_reference(params, grid, selection, undecided)
-            previous = None
-            for k, drive in enumerate(drives):
-                point = steady_state(params, drive, selection,
-                                     previous if selection == "follow" else None)
-                assert_bits_equal(point, grid[k])
-                previous = point
             for delta, drive_in in ((params.Delta1, grid.zeta1_in), (params.Delta2, grid.zeta2_in)):
                 assert_root_rows(params, delta, kernel_power(params, drive_in), undecided)
 
@@ -529,21 +510,24 @@ class TestSteadyGrid:
             root_grid(params, params.Delta1, np.array([1.0, -2.0]))
 
     @pytest.mark.parametrize("chi", [1.0, 1e-10])
-    def test_one_point_view_equals_grid_rows(self, chi):
+    def test_one_element_grid_equals_grid_rows(self, chi):
         # across the window, its edges, and (at weak coupling) the bracketed solve
         params = PhysParams(chi=chi, Omega=10.0, **CANONICAL_RATES)
         powers = np.concatenate((np.geomspace(1e-2, 1e16, 121),
                                  bistable_window(params, params.Delta1) or ()))
         rows = root_grid(params, params.Delta1, powers)
-        for power, row in zip(powers, rows):
-            assert intensity_roots(params, params.Delta1, power) == row[~np.isnan(row)].tolist()
+        for k, row in enumerate(rows):
+            alone = root_grid(params, params.Delta1, powers[k:k + 1])[0]
+            assert np.array_equal(alone, row, equal_nan=True)
 
     def test_follow_scan_over_padded_rows(self):
         # rows of 2 roots (degenerate) and a tie, which resolves to the lower root
         roots = np.array([[1.0, 5.0, np.nan], [1.0, 5.0, 9.0], [8.0, np.nan, np.nan],
                           [1.0, 7.0, np.nan], [5.0, 9.0, np.nan]])
-        assert cascade._select(roots, roots, "follow", 4.0).tolist() == [1, 1, 0, 1, 0]
-        assert cascade._select(roots, roots, "follow", None).tolist() == [0, 0, 0, 1, 0]
+        assert cascade._select(roots, roots, "follow").tolist() == [0, 0, 0, 1, 0]
+        # continuing from 4.0
+        seeded = np.concatenate(([[4.0, np.nan, np.nan]], roots))
+        assert cascade._select(seeded, seeded, "follow").tolist() == [0, 1, 1, 0, 1, 0]
 
     def test_unknown_selection_rejected(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)

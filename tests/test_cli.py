@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cavmotion import cascade, cli, spectra
-from cavmotion.cascade import SELECTIONS, steady_state
+from cavmotion.cascade import SELECTIONS, steady_grid
 from cavmotion.fock import DEFAULT_HARD_CAP
 from cavmotion.svgplot import render_plot
 
@@ -149,11 +149,11 @@ class TestCascadedCsv:
         # inside one block of this grid; several later omegas fail too
         omegas = np.geomspace(1e2, 1e20, 400)
         params = cli._phys_params(cli.DEFAULTS)
-        drift = spectra.build_drift(params, steady_state(params, cli.DEFAULTS["drive"]))
+        drift = spectra.build_drift(params, steady_grid(params, [cli.DEFAULTS["drive"]])[0])
         noise = spectra.build_noise(params)
         for omega in omegas:
             try:
-                spectra.epr_spectra(drift, noise, omega)
+                spectra.epr_grid(drift, noise, omega)
             except ArithmeticError as exc:
                 first = str(exc)
                 break
@@ -242,10 +242,9 @@ class TestWorkBounds:
     @pytest.fixture
     def counts(self, monkeypatch):
         tally = {"solve": 0, "solve_shapes": set(), "inv": 0, "eigvals": 0, "eigvals_full": 0,
-                 "steady_state": 0, "intensity_roots": 0, "branch_label": 0,
-                 "build_drift": 0, "drift_stack": 0}
+                 "root_grid": 0, "build_drift": 0, "drift_stack": 0}
         solve, inv, eigvals = np.linalg.solve, np.linalg.inv, np.linalg.eigvals
-        build_drift = spectra.build_drift
+        build_drift, root_grid = spectra.build_drift, cascade.root_grid
 
         def counted_solve(a, b):
             tally["solve"] += 1
@@ -267,22 +266,15 @@ class TestWorkBounds:
             tally["drift_stack" if np.ndim(steady.zeta1) else "build_drift"] += 1
             return build_drift(params, steady)
 
-        def counter(name, fn):
-            def counted(*args, **kwargs):
-                tally[name] += 1
-                return fn(*args, **kwargs)
-            return counted
+        def counted_roots(*args):
+            tally["root_grid"] += 1
+            return root_grid(*args)
 
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         monkeypatch.setattr(np.linalg, "inv", counted_inv)
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         monkeypatch.setattr(spectra, "build_drift", counted_drift)
-        # every module that binds a per-point function by name
-        for name in ("steady_state", "intensity_roots", "branch_label"):
-            fn = counter(name, getattr(cascade, name))
-            for module in (cascade, spectra, cli):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, fn)
+        monkeypatch.setattr(cascade, "root_grid", counted_roots)
         return tally
 
     @staticmethod
@@ -305,6 +297,7 @@ class TestWorkBounds:
     def test_steady_one_real_eigvals(self, selection, counts, capsys):
         code, _, _ = run_cli(["cascaded", "steady", "--selection", selection], capsys)
         assert code == 0
+        assert counts["root_grid"] == 2  # one per cavity
         self.assert_row_solves(counts, 0)
         assert counts["eigvals"] == 1
         assert counts["eigvals_full"] == 0
@@ -318,9 +311,9 @@ class TestWorkBounds:
         self.assert_row_solves(counts, blocks)
         assert counts["eigvals"] <= blocks
         assert counts["eigvals_full"] == 0
-        # one root solve for the whole drive grid, one drift stack per block
-        for name in ("steady_state", "intensity_roots", "branch_label", "build_drift"):
-            assert counts[name] == 0, name
+        # one root solve per cavity for the whole drive grid, one drift stack per block
+        assert counts["root_grid"] == 2
+        assert counts["build_drift"] == 0
         assert counts["drift_stack"] <= blocks
 
 

@@ -1,5 +1,6 @@
 """Conditional-measurement scenario checks."""
 
+import contextlib
 import math
 from dataclasses import replace
 
@@ -14,15 +15,12 @@ from cavmotion.conditional import (
     FOCK_FACTOR_DIM,
     FOCK_FACTOR_POLICY,
     BandFactor,
-    UnresolvableOutcomeError,
     condition_on_quadrature,
     efficiency_profile,
     evolve,
     gram_matrix,
-    joint_moments,
     label_factor,
     outcome_moments,
-    probability_density,
     purity_bruteforce,
 )
 from cavmotion.fock import (
@@ -41,7 +39,7 @@ def random_instance(rng, n_max=6, label_scale=8.0):
     angles = rng.uniform(0, 2 * np.pi, size=size)
     radii = rng.uniform(0, label_scale, size=size)
     labels = radii * np.exp(1j * angles)
-    coeffs = coeffs / np.sqrt(joint_moments(coeffs, labels)[0])
+    coeffs = coeffs / np.sqrt(outcome_moments(label_factor(labels), coeffs[None])[0][0])
     return coeffs, labels
 
 
@@ -121,7 +119,7 @@ class TestProbabilityDensity:
         state = evolve(0.0, 1.0, np.pi)
         x = np.linspace(-3, 3, 31)
         want = np.pi**-0.5 * np.exp(-x * x)
-        assert np.allclose(probability_density(state, x), want, rtol=1e-13)
+        assert np.allclose(condition_on_quadrature(state, x).prob_density, want, rtol=1e-13)
 
     @pytest.mark.parametrize("zeta,kappa,t", [
         (0.4, 1.0, np.pi), (0.8, 2.0, 3 * np.pi),
@@ -130,7 +128,7 @@ class TestProbabilityDensity:
     def test_normalization(self, zeta, kappa, t):
         state = evolve(zeta, kappa, t)
         x = np.linspace(-12.0, 12.0, 4801)
-        integral = simpson(probability_density(state, x), x=x)
+        integral = simpson(condition_on_quadrature(state, x).prob_density, x=x)
         assert integral == pytest.approx(1.0, abs=1e-6)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -139,81 +137,78 @@ class TestProbabilityDensity:
     def test_normalization_property(self, zeta, log_kappa, t):
         state = evolve(zeta, math.exp(log_kappa), t)
         x = np.linspace(-10.0, 10.0, 801)
-        integral = simpson(probability_density(state, x), x=x)
+        integral = simpson(condition_on_quadrature(state, x).prob_density, x=x)
         assert integral == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_conditioning_and_fock_oracle(self):
         state = evolve(1.7, 1.0, 2.0)
         x = np.linspace(-3.0, 3.0, 13)
-        dens = probability_density(state, x)
+        dens = condition_on_quadrature(state, x).prob_density
         dim = oracle_dim(state.labels)
-        for xi, di in zip(x, dens):
-            assert di == condition_on_quadrature(state, xi).prob_density
+        for i, (xi, di) in enumerate(zip(x, dens)):
+            assert di == condition_on_quadrature(state, x[i:i + 1]).prob_density[0]
             assert di == pytest.approx(expanded_moments(state, xi, dim)[0], rel=1e-10)
-        assert probability_density(state, 0.5) == dens[7]
+        assert condition_on_quadrature(state, 0.5).prob_density[0] == dens[7]
 
 
 class TestConditioning:
     def test_vacuum_outcome_is_product(self):
         state = evolve(0.0, 1.0, np.pi)
-        res = condition_on_quadrature(state, 0.0)
-        assert res.lin_entropy == pytest.approx(0.0, abs=1e-12)
-        assert res.efficiency == pytest.approx(0.0, abs=1e-12)
+        res = condition_on_quadrature(state, [0.0])
+        assert res.lin_entropy[0] == pytest.approx(0.0, abs=1e-12)
+        assert res.efficiency[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_coupling_never_entangles(self):
         state = evolve(1.4, 0.0, np.pi)
-        for x in (-1.0, 0.0, 0.7):
-            res = condition_on_quadrature(state, x)
-            assert abs(res.lin_entropy) < 1e-12
+        res = condition_on_quadrature(state, [-1.0, 0.0, 0.7])
+        assert np.all(np.abs(res.lin_entropy) < 1e-12)
 
     def test_normalization_in_gram_metric(self):
         state = evolve(0.8, 1.0, np.pi)
-        res = condition_on_quadrature(state, 0.3)
-        assert joint_moments(res.cond_coeffs, state.labels)[0] == pytest.approx(1.0, abs=1e-10)
+        res = condition_on_quadrature(state, [0.3])
+        norm_sq = outcome_moments(label_factor(state.labels), res.cond_coeffs)[0]
+        assert norm_sq[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_efficiency_identity(self):
         state = evolve(0.6, 1.0, np.pi)
-        res = condition_on_quadrature(state, -0.9)
-        assert res.efficiency == res.lin_entropy * res.prob_density
+        res = condition_on_quadrature(state, [-0.9])
+        assert np.array_equal(res.efficiency, res.lin_entropy * res.prob_density)
 
     def test_entropy_range(self):
         state = evolve(2.0, 1.0, np.pi)
         cap = 1.0 - 1.0 / (state.n_max + 1)
-        for x in np.linspace(-3, 3, 13):
-            res = condition_on_quadrature(state, x)
-            assert -1e-12 <= res.lin_entropy <= cap + 1e-9
-
-    def test_unresolvable_outcome_raises(self):
-        state = evolve(0.0, 1.0, np.pi)
-        with pytest.raises(UnresolvableOutcomeError):
-            condition_on_quadrature(state, 40.0)
+        res = condition_on_quadrature(state, np.linspace(-3, 3, 13))
+        assert np.all((-1e-12 <= res.lin_entropy) & (res.lin_entropy <= cap + 1e-9))
 
     def test_efficiency_minimum_at_origin(self):
         # most probable outcome, least entangling
         state = evolve(0.8, 1.0, np.pi)
-        eff = {x: condition_on_quadrature(state, x).efficiency for x in (-0.5, 0.0, 0.5)}
-        assert eff[0.0] < eff[0.5]
-        assert eff[0.0] < eff[-0.5]
+        eff = condition_on_quadrature(state, [-0.5, 0.0, 0.5]).efficiency
+        assert eff[1] < eff[2]
+        assert eff[1] < eff[0]
 
 
 class TestPurity:
     def test_single_term_is_pure(self):
         coeffs = np.array([1.0 + 0.0j])
         labels = np.array([2.0 + 1.0j])
-        assert joint_moments(coeffs, labels)[1] == pytest.approx(1.0, abs=1e-12)
+        purity = outcome_moments(label_factor(labels), coeffs[None])[1]
+        assert purity[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_far_terms_half_purity(self):
         coeffs = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
         labels = np.array([0.0, 12.0], dtype=complex)   # overlap ~ e^{-72}
-        assert joint_moments(coeffs, labels)[1] == pytest.approx(0.5, abs=1e-5)
+        purity = outcome_moments(label_factor(labels), coeffs[None])[1]
+        assert purity[0] == pytest.approx(0.5, abs=1e-5)
 
     def test_generic_point_matches_bruteforce(self):
         state = evolve(0.4, 1.0, np.pi)
-        res = condition_on_quadrature(state, 0.7)
+        res = condition_on_quadrature(state, [0.7])
         dim = truncation_order(float(np.max(np.abs(state.labels))),
                                TruncationPolicy(tail_epsilon=1e-13)) + 10
-        brute = purity_bruteforce(res.cond_coeffs, state.labels, dim)
-        assert joint_moments(res.cond_coeffs, state.labels)[1] == pytest.approx(brute, abs=1e-8)
+        brute = purity_bruteforce(res.cond_coeffs[0], state.labels, dim)
+        purity = outcome_moments(label_factor(state.labels), res.cond_coeffs)[1]
+        assert purity[0] == pytest.approx(brute, abs=1e-8)
 
     def test_bruteforce_vacuum_product(self):
         assert purity_bruteforce(np.array([1.0 + 0j]), np.array([0.0j]), 4) == pytest.approx(1.0, abs=1e-12)
@@ -237,7 +232,7 @@ class TestPurity:
             coeffs, labels = random_instance(rng)
             dim = min(truncation_order(float(np.max(np.abs(labels))),
                                        TruncationPolicy(tail_epsilon=1e-13)) + 12, 512)
-            gram = joint_moments(coeffs, labels)[1]
+            gram = outcome_moments(label_factor(labels), coeffs[None])[1][0]
             brute = purity_bruteforce(coeffs, labels, dim)
             assert abs(gram - brute) < 1e-8
 
@@ -246,11 +241,12 @@ class TestFactoredKernel:
     def test_overlapping_labels_match_bruteforce(self):
         # a quartic Gram-matrix purity cancels to 1378 here
         state = evolve(2.0, 0.01, np.pi)
-        res = condition_on_quadrature(state, -3.0)
+        res = condition_on_quadrature(state, [-3.0])
         dim = oracle_dim(state.labels)
-        assert 1.0 - res.lin_entropy == pytest.approx(
-            purity_bruteforce(res.cond_coeffs, state.labels, dim), abs=1e-6)
-        assert res.prob_density == pytest.approx(expanded_moments(state, -3.0, dim)[0], rel=1e-6)
+        assert 1.0 - res.lin_entropy[0] == pytest.approx(
+            purity_bruteforce(res.cond_coeffs[0], state.labels, dim), abs=1e-6)
+        want = expanded_moments(state, -3.0, dim)[0]
+        assert res.prob_density[0] == pytest.approx(want, rel=1e-6)
 
     def test_cholesky_factor_matches_long_expansion(self):
         state = evolve(5.0, 0.2, np.pi)
@@ -261,11 +257,12 @@ class TestFactoredKernel:
         assert truncation_order(radius, FOCK_FACTOR_POLICY) + 1 > FOCK_FACTOR_DIM
         dim = oracle_dim(state.labels, tail_epsilon=1e-17)
         assert dim > 900
-        for x in (-3.0, -1.0, 0.5, 2.5):
+        x_grid = [-3.0, -1.0, 0.5, 2.5]
+        res = condition_on_quadrature(state, x_grid)
+        for i, x in enumerate(x_grid):
             prob, entropy = expanded_moments(state, x, dim)
-            res = condition_on_quadrature(state, x)
-            assert res.prob_density == pytest.approx(prob, rel=1e-12)
-            assert res.lin_entropy == pytest.approx(entropy, abs=1e-12)
+            assert res.prob_density[i] == pytest.approx(prob, rel=1e-12)
+            assert res.lin_entropy[i] == pytest.approx(entropy, abs=1e-12)
 
     def test_factor_reproduces_gram(self):
         rng = np.random.default_rng(11)
@@ -279,12 +276,12 @@ class TestFactoredKernel:
            x=st.floats(-4.0, 4.0))
     def test_bounds_and_small_label_oracle(self, zeta, log_kappa, x):
         state = evolve(zeta, math.exp(log_kappa), np.pi)
-        res = condition_on_quadrature(state, x)
-        assert res.prob_density >= 0.0
-        assert -1e-12 <= res.lin_entropy <= 1.0 + 1e-12
+        res = condition_on_quadrature(state, [x])
+        assert res.prob_density[0] >= 0.0
+        assert -1e-12 <= res.lin_entropy[0] <= 1.0 + 1e-12
         if np.max(np.abs(state.labels)) <= 4.0:
-            brute = purity_bruteforce(res.cond_coeffs, state.labels, oracle_dim(state.labels))
-            assert res.lin_entropy == pytest.approx(1.0 - brute, abs=1e-6)
+            brute = purity_bruteforce(res.cond_coeffs[0], state.labels, oracle_dim(state.labels))
+            assert res.lin_entropy[0] == pytest.approx(1.0 - brute, abs=1e-6)
 
 
 def band_to_dense(band):
@@ -319,14 +316,10 @@ class TestBandFactor:
 
     @pytest.mark.parametrize("t", [np.pi, 2.0])
     def test_factor_reproduces_gram(self, t):
-        # Cholesky reads G's strict lower triangle and the real part of its
-        # diagonal: at t = 2 the rounding of phases Im(conj(mu) nu) up to 1e5
-        # leaves G off hermitian, and its diagonal off 1, by ~1e-11
+        # complex labels up to |mu| = 400 at t = 2, with phases up to 1e5
         state = evolve(12.0, 1.0, t)
         r = band_to_dense(state.factor)
-        product, gram = r.conj().T @ r, gram_matrix(state.labels)
-        assert np.allclose(np.tril(product, -1), np.tril(gram, -1), rtol=0, atol=1e-13)
-        assert np.allclose(np.diag(product), np.diag(gram).real, rtol=0, atol=1e-13)
+        assert np.allclose(r.conj().T @ r, gram_matrix(state.labels), rtol=0, atol=1e-13)
 
     def test_band_kernel_matches_bruteforce(self):
         # labels up to 14 on a line, 1-2.5 apart: the band kernel called
@@ -343,7 +336,8 @@ class TestBandFactor:
             prob, purity = outcome_moments(band, coeffs[None])
             brute = purity_bruteforce(coeffs / np.sqrt(prob[0]), labels, oracle_dim(labels))
             assert purity[0] == pytest.approx(brute, abs=1e-10)
-            assert prob[0] == pytest.approx(joint_moments(coeffs, labels)[0], rel=1e-12)
+            expanded = outcome_moments(label_factor(labels), coeffs[None])[0]
+            assert prob[0] == pytest.approx(expanded[0], rel=1e-12)
 
     @pytest.mark.parametrize("zeta,kappa", [(5.0, 0.2), (8.0, 0.3), (12.0, 0.05), (6.0, 0.36)])
     def test_ill_conditioned_gram_is_never_banded(self, zeta, kappa):
@@ -370,17 +364,17 @@ class TestBandFactor:
 
     @pytest.mark.parametrize("zeta,kappa,t", [(12.0, 1.0, np.pi), (8.0, 2.0, 2.5)])
     def test_views_give_the_same_bits(self, zeta, kappa, t):
-        # several outcomes per band chunk at (8, 2): values do not depend on chunking
+        # a one-outcome grid equals that row of a larger one; several outcomes
+        # per band chunk at (8, 2): values do not depend on chunking
         x = np.linspace(-4.0, 4.0, 17)
         state = evolve(zeta, kappa, t)
         assert isinstance(state.factor, BandFactor)
         profile = efficiency_profile(zeta, kappa, t, x_grid=x)
-        dens = probability_density(state, x)
-        for i, xi in enumerate(x):
-            point = condition_on_quadrature(state, xi)
-            assert point.prob_density == profile.prob_density[i] == dens[i]
-            assert point.lin_entropy == profile.lin_entropy[i]
-            assert np.array_equal(point.cond_coeffs, profile.cond_coeffs[i])
+        for i in range(x.size):
+            point = condition_on_quadrature(state, x[i:i + 1])
+            assert point.prob_density[0] == profile.prob_density[i]
+            assert point.lin_entropy[0] == profile.lin_entropy[i]
+            assert np.array_equal(point.cond_coeffs[0], profile.cond_coeffs[i])
 
 
 class TestEfficiencyProfile:
@@ -403,13 +397,19 @@ class TestEfficiencyProfile:
         for values in (profile.prob_density, profile.lin_entropy, profile.efficiency):
             assert np.array_equal(np.isnan(values), [True, False, True])
         assert np.array_equal(np.isnan(profile.cond_coeffs).all(axis=1), [True, False, True])
-        one = condition_on_quadrature(evolve(0.0, 1.0, np.pi), 0.0)
-        assert profile.prob_density[1] == one.prob_density
-        assert np.array_equal(profile.cond_coeffs[1], one.cond_coeffs)
+        one = condition_on_quadrature(evolve(0.0, 1.0, np.pi), [0.0])
+        assert profile.prob_density[1] == one.prob_density[0]
+        assert np.array_equal(profile.cond_coeffs[1], one.cond_coeffs[0])
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             efficiency_profile(0.5, 1.0, np.pi, x_grid=np.array([1.0, 0.0]))
+
+    def test_default_grid_survives_a_write_through_a_result(self):
+        profile = efficiency_profile(0.8, 1.0, np.pi)
+        with contextlib.suppress(ValueError):  # a read-only grid refuses the write
+            profile.x[0] = 99.0
+        assert efficiency_profile(0.8, 1.0, np.pi).x[0] == -4.0
 
     def test_hard_cap_is_the_only_order_limit(self):
         assert evolve(12.0, 1.0, np.pi).n_max == 236
@@ -423,8 +423,8 @@ class TestEfficiencyProfile:
         # the doubled-label reading of the same state entangles at least as hard
         state = evolve(0.8, 1.0, np.pi)
         wide = replace(state, labels=2.0 * state.labels)
-        e_narrow = condition_on_quadrature(state, 1.0).lin_entropy
-        e_wide = condition_on_quadrature(wide, 1.0).lin_entropy
+        e_narrow = condition_on_quadrature(state, [1.0]).lin_entropy[0]
+        e_wide = condition_on_quadrature(wide, [1.0]).lin_entropy[0]
         assert e_wide >= e_narrow - 1e-12
 
 
@@ -435,3 +435,9 @@ class TestGramHelpers:
         g = gram_matrix(labels)
         assert np.allclose(g, g.conj().T, rtol=0, atol=1e-14)
         assert np.allclose(np.diag(g), 1.0, rtol=0, atol=1e-14)
+
+    def test_gram_matrix_of_large_complex_labels_is_exactly_hermitian(self):
+        # labels up to |mu| = 400 with phases Im(conj(mu) nu) up to 1e5 rad
+        g = gram_matrix(evolve(12.0, 1.0, 2.0).labels)
+        assert np.array_equal(g, g.conj().T)
+        assert np.array_equal(np.diag(g), np.ones(g.shape[0]))

@@ -12,7 +12,6 @@ from cavmotion.fock import (
     coherent_coefficient,
     coherent_in_fock,
     coherent_overlap,
-    oscillator_wavefunction,
     oscillator_wavefunctions,
     poisson_tails,
     truncation_order,
@@ -51,21 +50,21 @@ def poisson_tail(lam, n):
 
 class TestOscillatorWavefunction:
     def test_ground_state_at_origin(self):
-        assert oscillator_wavefunction(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-14)
+        assert oscillator_wavefunctions(0, 0.0)[0, 0] == pytest.approx(math.pi**-0.25, rel=1e-14)
 
     def test_first_excited_node_at_origin(self):
-        assert oscillator_wavefunction(1, 0.0) == 0.0
+        assert oscillator_wavefunctions(1, 0.0)[1, 0] == 0.0
 
     def test_n3_against_explicit_hermite(self):
         # direct closed-form evaluation with H3(x) = 8x^3 - 12x
         expected = psi_closed_form(3, 1.2)
-        assert oscillator_wavefunction(3, 1.2) == pytest.approx(float(expected), rel=1e-12)
+        assert oscillator_wavefunctions(3, 1.2)[3, 0] == pytest.approx(float(expected), rel=1e-12)
         assert float(expected) == pytest.approx(-0.0304, abs=5e-5)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
     def test_recurrence_matches_closed_form(self, n):
         x = np.linspace(-6, 6, 241)
-        got = oscillator_wavefunction(n, x)
+        got = oscillator_wavefunctions(n, x)[n]
         want = psi_closed_form(n, x)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-250)
 
@@ -85,9 +84,9 @@ class TestOscillatorWavefunction:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            oscillator_wavefunction(-1, 0.0)
+            oscillator_wavefunctions(-1, 0.0)
         with pytest.raises(ValueError):
-            oscillator_wavefunction(513, 0.0)
+            oscillator_wavefunctions(513, 0.0)
 
     def test_finite_far_out(self):
         vals = oscillator_wavefunctions(200, np.array([-30.0, 0.0, 30.0]))

@@ -9,9 +9,8 @@ from cavmotion.cascade import (
     PhysParams,
     bistable_window,
     cavity_bracket,
-    intensity_roots,
+    root_grid,
     steady_grid,
-    steady_state,
 )
 from cavmotion.spectra import (
     GRID_BLOCK,
@@ -20,12 +19,10 @@ from cavmotion.spectra import (
     amplitude_sweep,
     build_drift,
     build_noise,
-    classify_stability,
     correlation_matrix,
     epr_grid,
-    epr_spectra,
     stability_stack,
-    transfer,
+    transfer_rows,
 )
 
 CANONICAL_RATES = dict(Gamma=1e-3, gamma=1.0, Delta1=1e4, Delta2=1e4)
@@ -83,17 +80,16 @@ def random_stable_point(rng):
             Delta1=rng.uniform(-5.0, 5.0),
             Delta2=rng.uniform(-5.0, 5.0),
         )
-        branch = steady_state(params, rng.uniform(0.0, 3.0))
+        branch = steady_grid(params, np.array([rng.uniform(0.0, 3.0)]))[0]
         drift = build_drift(params, branch)
-        stable, _ = classify_stability(drift)
-        if stable:
+        if stability_stack(drift)[0]:
             return params, branch, drift
 
 
 class TestBuildDrift:
     def test_decoupled_structure(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_state(params, 1.0))
+        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
         want = np.zeros((8, 8), dtype=complex)
         pole = 0.1 + 3j
         want[0, 0] = want[2, 2] = -pole
@@ -108,7 +104,7 @@ class TestBuildDrift:
 
     def test_conjugation_symmetry(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_state(params, 3.0e5 * np.exp(0.3j)))
+        drift = build_drift(params, steady_grid(params, np.array([3.0e5 * np.exp(0.3j)]))[0])
         for k in range(4):
             for l in range(4):
                 assert drift[2 * k + 1, 2 * l + 1] == pytest.approx(
@@ -120,7 +116,7 @@ class TestBuildDrift:
                                                  (1.0e3, "lowest")])
     def test_matches_finite_difference_linearization(self, drive, selection):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        branch = steady_state(params, drive, selection=selection)
+        branch = steady_grid(params, np.array([drive]), selection)[0]
         drift = build_drift(params, branch)
         jac = fd_jacobian(params, branch.zeta1_in, steady_vector(branch))
         scale = np.abs(drift).max()
@@ -130,7 +126,7 @@ class TestBuildDrift:
         # the shifted detuning must reproduce the imaginary part of the
         # steady-state braced factor
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        branch = steady_state(params, 3.0e5)
+        branch = steady_grid(params, np.array([3.0e5]))[0]
         drift = build_drift(params, branch)
         den = params.Gamma**2 / 4 + params.Omega**2
         d_eff = params.Delta1 - 2 * params.chi**2 * params.Omega * branch.intensity1 / den
@@ -141,12 +137,13 @@ class TestBuildDrift:
     def test_stack_equals_points_bitwise(self):
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         drives = np.geomspace(1e5, 1e9, 97) * np.exp(0.4j)
-        stack = build_drift(params, steady_grid(params, drives, "follow"))
+        grid = steady_grid(params, drives, "follow")
+        stack = build_drift(params, grid)
         assert stack.shape == (97, 8, 8)
-        previous = None
-        for drive, drift in zip(drives, stack):
-            previous = steady_state(params, drive, "follow", previous)
-            assert np.array_equal(drift, build_drift(params, previous))
+        # a one-drive block, and one working point, give that row of the stack
+        for k, drift in enumerate(stack):
+            assert np.array_equal(drift, build_drift(params, grid[k:k + 1])[0])
+            assert np.array_equal(drift, build_drift(params, grid[k]))
 
 
 class TestBuildNoise:
@@ -176,17 +173,17 @@ class TestBuildNoise:
 class TestTransfer:
     def test_decoupled_diagonal(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_state(params, 1.0))
-        t = transfer(drift, 0.9)
+        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
+        t = transfer_rows(drift, 0.9, np.eye(8))
         assert t[0, 0] == pytest.approx(1.0 / (0.9j + 0.1 + 3.0j), rel=1e-12)
         assert t[1, 1] == pytest.approx(1.0 / (0.9j + 0.1 - 3.0j), rel=1e-12)
 
     def test_cascade_propagation_element(self):
         # hand inversion of the lower-triangular cavity block
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_state(params, 1.0))
+        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
         for omega in (0.0, 0.9, -2.2):
-            t = transfer(drift, omega)
+            t = transfer_rows(drift, omega, np.eye(8))
             want = params.gamma / ((1j * omega + 0.5 + 1.5j) * (1j * omega + 0.5 - 0.7j))
             assert t[6, 4] == pytest.approx(want, rel=1e-12)
 
@@ -195,7 +192,7 @@ class TestTransfer:
         for _ in range(10):
             _, _, drift = random_stable_point(rng)
             omega = rng.uniform(-30, 30)
-            t = transfer(drift, omega)
+            t = transfer_rows(drift, omega, np.eye(8))
             lhs = 1j * omega * np.eye(8) - drift
             defect = np.abs(lhs @ t - np.eye(8))
             rows = np.maximum(np.abs(lhs).sum(axis=1), 1.0)
@@ -204,21 +201,21 @@ class TestTransfer:
     def test_singularity_reported_with_frequency(self):
         drift = np.diag([1j, -1j, 1j, -1j, 1j, -1j, 1j, -1j]).astype(complex)
         with pytest.raises(SingularTransferError, match="omega=1.0"):
-            transfer(drift, 1.0)
+            transfer_rows(drift, 1.0, np.eye(8))
 
     def test_nan_frequency_fails_the_defect_check(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_state(params, 1e3))
+        drift = build_drift(params, steady_grid(params, np.array([1e3]))[0])
         with pytest.raises(SingularTransferError, match="omega=nan"):
-            transfer(drift, np.array([1.0, float("nan")]))
+            transfer_rows(drift, np.array([1.0, float("nan")]), np.eye(8))
         with pytest.raises(SingularTransferError, match="omega=nan"):
-            epr_spectra(drift, build_noise(params), float("nan"))
+            epr_grid(drift, build_noise(params), float("nan"))
 
 
 class TestCorrelationMatrix:
     def test_decoupled_atom_block(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_state(params, 1.0))
+        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
         noise = build_noise(params)
         for omega in (0.0, 1.7, -3.0):
             c = correlation_matrix(drift, noise, omega)
@@ -228,7 +225,7 @@ class TestCorrelationMatrix:
 
     def test_zero_noise_zero_correlations(self):
         params = PhysParams(chi=0.4, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_state(params, 1.0))
+        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
         silent = NoiseModel(d=np.zeros((8, 8)), k=np.zeros((8, 8)))
         assert np.array_equal(correlation_matrix(drift, silent, 1.0), np.zeros((8, 8)))
 
@@ -252,10 +249,10 @@ class TestEprSpectra:
         for _ in range(10):
             params = PhysParams(chi=0.0, Omega=rng.uniform(0.5, 20), Gamma=rng.uniform(1e-3, 2),
                                 gamma=1.0, Delta1=rng.uniform(-5, 5), Delta2=rng.uniform(-5, 5))
-            drift = build_drift(params, steady_state(params, rng.uniform(0, 4)))
+            drift = build_drift(params, steady_grid(params, np.array([rng.uniform(0, 4)]))[0])
             noise = build_noise(params)
             for omega in (0.1, 1.0, params.Omega, 10 * params.Omega):
-                point = epr_spectra(drift, noise, omega)
+                point = epr_grid(drift, noise, omega)
                 assert point.e_degree == pytest.approx(4.0, abs=1e-10)
 
     def test_variances_nonnegative_commutator_imaginary(self):
@@ -263,7 +260,7 @@ class TestEprSpectra:
         for _ in range(25):
             params, _, drift = random_stable_point(rng)
             noise = build_noise(params)
-            point = epr_spectra(drift, noise, rng.uniform(0.05, 3) * params.Omega)
+            point = epr_grid(drift, noise, rng.uniform(0.05, 3) * params.Omega)
             assert point.s_qplus >= -1e-12
             assert point.s_pminus >= -1e-12
             if abs(point.commutator) > 1e-20:
@@ -273,19 +270,19 @@ class TestEprSpectra:
 
     def test_nan_commutator_is_degenerate(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_state(params, 1e3))
+        drift = build_drift(params, steady_grid(params, np.array([1e3]))[0])
         noise = NoiseModel(d=build_noise(params).d, k=np.full((8, 8), np.nan))
         with pytest.raises(ArithmeticError, match="degenerate commutator"):
-            epr_spectra(drift, noise, params.Omega)
+            epr_grid(drift, noise, params.Omega)
 
     def test_canonical_regime_dips_below_one(self):
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         p_hi = bistable_window(params, params.Delta1)[1]
         drive = 0.999 * np.sqrt(p_hi / params.gamma)
-        branch = steady_state(params, drive, selection="lowest")
+        branch = steady_grid(params, np.array([drive]), "lowest")[0]
         drift = build_drift(params, branch)
-        assert classify_stability(drift)[0]
-        point = epr_spectra(drift, build_noise(params), params.Omega)
+        assert stability_stack(drift)[0]
+        point = epr_grid(drift, build_noise(params), params.Omega)
         assert point.e_degree < 1.0
 
 
@@ -314,7 +311,8 @@ def loop_reference_point(drift, noise, omega):
 
 
 class TestGridKernel:
-    """epr_grid and correlation_matrix against one-point evaluations."""
+    """epr_grid and correlation_matrix against one-point evaluations and
+    one-element grids."""
 
     def test_frequency_grid_equals_points_bitwise(self):
         rng = np.random.default_rng(53)
@@ -324,11 +322,11 @@ class TestGridKernel:
             omegas = np.concatenate([[0.0, params.Omega, -params.Omega],
                                      rng.uniform(-3, 3, 40) * params.Omega])
             grid = epr_grid(drift, noise, omegas)
-            points = [epr_spectra(drift, noise, w) for w in omegas]
+            points = [epr_grid(drift, noise, omegas[i:i + 1]) for i in range(omegas.size)]
             for field in ("omega", "s_qplus", "s_pminus", "commutator", "e_degree"):
                 assert np.array_equal(getattr(grid, field),
-                                      [getattr(p, field) for p in points]), field
-            assert np.array_equal(grid.variance_product, [p.variance_product for p in points])
+                                      [getattr(p, field)[0] for p in points]), field
+            assert np.array_equal(grid.variance_product, [p.variance_product[0] for p in points])
             reference = np.array([loop_reference_point(drift, noise, w) for w in omegas]).T
             for field, want in zip(("s_qplus", "s_pminus", "commutator", "e_degree"), reference):
                 assert np.array_equal(getattr(grid, field), want), field
@@ -337,12 +335,12 @@ class TestGridKernel:
         # the sweep's shape: one frequency, a stack of drifts
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         noise = build_noise(params)
-        drifts = np.array([build_drift(params, steady_state(params, drive))
-                           for drive in np.geomspace(1e5, 1e7, 30)])
+        drifts = build_drift(params, steady_grid(params, np.geomspace(1e5, 1e7, 30)))
         stable, _ = stability_stack(drifts)
         drifts = drifts[stable]
         grid = epr_grid(drifts, noise, params.Omega)
-        want = [epr_spectra(d, noise, params.Omega).e_degree for d in drifts]
+        want = [epr_grid(drifts[k:k + 1], noise, params.Omega).e_degree[0]
+                for k in range(len(drifts))]
         assert np.array_equal(grid.e_degree, want)
 
     def test_moments_match_40_digit_reference(self):
@@ -351,8 +349,8 @@ class TestGridKernel:
         worst = 0.0
         for chi in np.geomspace(0.3, 3.0, 5):
             params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
-            drift = build_drift(params, steady_state(params, 3e5))
-            assert classify_stability(drift)[0]
+            drift = build_drift(params, steady_grid(params, np.array([3e5]))[0])
+            assert stability_stack(drift)[0]
             noise = build_noise(params)
             omegas = params.Omega * np.array([0.1, 0.5, 1.0, 1.5, 8.0])
             grid = epr_grid(drift, noise, omegas)
@@ -382,7 +380,7 @@ class TestGridKernel:
         # at every frequency
         mpmath = pytest.importorskip("mpmath")
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_state(params, drive))
+        drift = build_drift(params, steady_grid(params, np.array([drive]))[0])
         noise = build_noise(params)
         omegas = np.geomspace(100.0, 1e4, 5)
         grid, status, failure = spectra._epr_kernel(drift, noise, omegas)
@@ -407,7 +405,7 @@ class TestGridKernel:
 
     def test_empty_grid(self):
         params, _, drift = random_stable_point(np.random.default_rng(67))
-        assert transfer(drift, np.array([])).shape == (0, 8, 8)
+        assert transfer_rows(drift, np.array([]), np.eye(8)).shape == (0, 8, 8)
         assert epr_grid(drift, build_noise(params), np.array([])).e_degree.shape == (0,)
 
     def test_correlation_matrix_is_a_grid_view(self):
@@ -420,20 +418,22 @@ class TestGridKernel:
 
     def test_stability_stack_matches_single_verdicts(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drifts = np.array([build_drift(params, steady_state(params, drive, selection=sel))
-                           for drive in (1e3, 3e5, 2e6) for sel in ("lowest", "highest")])
+        drives = np.array([1e3, 3e5, 2e6])
+        drifts = np.concatenate([build_drift(params, steady_grid(params, drives, selection))
+                                 for selection in ("lowest", "highest")])
         stable, eigs = stability_stack(drifts)
-        for drift, ok, e in zip(drifts, stable, eigs):
-            single_ok, single_e = classify_stability(drift)
-            assert single_ok is bool(ok)
-            assert np.array_equal(single_e, e)
+        # a one-drift stack gives that row of the larger one
+        for k, (ok, e) in enumerate(zip(stable, eigs)):
+            single_ok, single_e = stability_stack(drifts[k:k + 1])
+            assert single_ok[0] == ok
+            assert np.array_equal(single_e[0], e)
 
     def test_singular_point_inside_grid_is_named(self):
         drift = np.diag([1j, -1j, 1j, -1j, 1j, -1j, 1j, -1j]).astype(complex)
         noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
         omegas = np.array([0.25, 0.5, 1.0, 2.0])
         with pytest.raises(SingularTransferError, match=r"omega=1\.0$"):
-            transfer(drift, omegas)
+            transfer_rows(drift, omegas, np.eye(8))
         with pytest.raises(SingularTransferError, match=r"omega=1\.0$"):
             epr_grid(drift, noise, omegas)
 
@@ -445,7 +445,7 @@ class TestGridKernel:
         noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
         omegas = np.array([4.0, -2.0, 3.0])
         with pytest.raises(SingularTransferError, match=r"omega=3\.0$"):
-            transfer(drift, omegas)
+            transfer_rows(drift, omegas, np.eye(8))
         with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
             epr_grid(drift, noise, omegas)
 
@@ -462,7 +462,7 @@ class TestGridKernel:
         assert np.isfinite(grid.e_degree[0]) and np.all(np.isnan(grid.e_degree[1:]))
         for i, omega in enumerate(omegas[1:], start=1):
             with pytest.raises(ArithmeticError) as info:
-                epr_spectra(drift, noise, omega)
+                epr_grid(drift, noise, omega)
             assert str(failure(i)) == str(info.value)
         damped = np.diag([-1.0 + 2j] * 8) * 1e20
         assert spectra._epr_kernel(damped, noise, omegas)[1].tolist() == [spectra.DEGENERATE] * 5
@@ -484,8 +484,8 @@ class TestGridKernel:
             params = PhysParams(chi=rng.uniform(0.0, 0.4), Omega=rng.uniform(0.5, 20.0),
                                 Gamma=rng.uniform(0.2, 1.0), gamma=1.0,
                                 Delta1=rng.uniform(-5.0, 5.0), Delta2=rng.uniform(-5.0, 5.0))
-            drift = build_drift(params, steady_state(params, rng.uniform(0.0, 3.0)))
-            stable, eigs = classify_stability(drift)
+            drift = build_drift(params, steady_grid(params, np.array([rng.uniform(0.0, 3.0)]))[0])
+            stable, eigs = stability_stack(drift)
             if not stable or eigs.real.max() > -0.1:
                 continue
             noise = build_noise(params)
@@ -501,8 +501,8 @@ class TestGridKernel:
 class TestClassifyStability:
     def test_decoupled_eigenvalues(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_state(params, 1.0))
-        stable, eigs = classify_stability(drift)
+        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
+        stable, eigs = stability_stack(drift)
         assert stable
         want = np.array([-0.1 + 3j, -0.1 - 3j, -0.1 + 3j, -0.1 - 3j,
                          -0.5 - 1.5j, -0.5 + 1.5j, -0.5 + 0.7j, -0.5 - 0.7j])
@@ -513,8 +513,8 @@ class TestClassifyStability:
         window = bistable_window(params, params.Delta1)
         power = np.sqrt(window[0] * window[1])
         drive = np.sqrt(power / params.gamma)
-        roots = intensity_roots(params, params.Delta1, power)
-        branch = steady_state(params, drive, selection="lowest")
+        roots = root_grid(params, params.Delta1, [power])[0]
+        branch = steady_grid(params, np.array([drive]), "lowest")[0]
         z_mid = np.sqrt(params.gamma) * drive / cavity_bracket(params, params.Delta1, roots[1])
         pole = params.Gamma / 2 + 1j * params.Omega
         from cavmotion.cascade import SteadyBranch
@@ -524,7 +524,7 @@ class TestClassifyStability:
             alpha=-1j * params.chi * abs(z_mid) ** 2 / pole, beta=branch.beta,
             intensity1=abs(z_mid) ** 2, intensity2=branch.intensity2,
             branch1="middle", branch2=branch.branch2)
-        stable, eigs = classify_stability(build_drift(params, mid_branch))
+        stable, eigs = stability_stack(build_drift(params, mid_branch))
         assert not stable
         assert eigs.real.max() > 0
 
@@ -532,8 +532,8 @@ class TestClassifyStability:
         from scipy.optimize import linear_sum_assignment
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         for drive in (3.0e5, 2.0e6):
-            s0, e0 = classify_stability(build_drift(params, steady_state(params, drive)))
-            s1, e1 = classify_stability(build_drift(params, steady_state(params, drive * np.exp(1.1j))))
+            drives = drive * np.array([1.0, np.exp(1.1j)])
+            (s0, s1), (e0, e1) = stability_stack(build_drift(params, steady_grid(params, drives)))
             assert s0 == s1
             cost = np.abs(e0[:, None] - e1[None, :])
             rows, cols = linear_sum_assignment(cost)
@@ -541,23 +541,23 @@ class TestClassifyStability:
 
     def test_refuses_coupling_back_into_first_cavity(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_state(params, 3.0e5))
+        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
         drift[4, 6] = params.gamma  # second cavity feeding the first
         with pytest.raises(ValueError, match="one-way cascade"):
-            classify_stability(drift)
+            stability_stack(drift)
         with pytest.raises(ValueError, match="one-way cascade"):
-            stability_stack(np.array([build_drift(params, steady_state(params, 1e3)), drift]))
+            stability_stack(np.array([build_drift(params, steady_grid(params, [1e3])[0]), drift]))
 
     def test_refuses_block_without_real_quadrature_form(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_state(params, 3.0e5))
+        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
         drift[7, 7] = drift[6, 6]  # c2+ rotating like c2: no real quadrature form
         with pytest.raises(ValueError, match="real quadrature form"):
-            classify_stability(drift)
+            stability_stack(drift)
         # rounding-sized asymmetry is still a cascade drift
-        drift = build_drift(params, steady_state(params, 3.0e5))
+        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
         drift[5, 5] *= 1.0 + 1e-15
-        assert classify_stability(drift)[0]
+        assert stability_stack(drift)[0]
 
     def test_eigenvalues_match_40_digit_reference(self):
         # equal detunings: the two blocks' eigenvalues nearly coincide, and
@@ -566,12 +566,13 @@ class TestClassifyStability:
         mpmath = pytest.importorskip("mpmath")
         from scipy.optimize import linear_sum_assignment
         params = PhysParams(chi=0.3, Omega=1000.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_state(params, 46415888.33612782, selection="highest"))
+        branch = steady_grid(params, np.array([46415888.33612782]), "highest")[0]
+        drift = build_drift(params, branch)
         with mpmath.workdps(40):
             want = np.array([complex(e) for e in mpmath.eig(mpmath.matrix(drift.tolist()))[0]])
         full = np.linalg.eigvals(drift)
         assert abs(full.real.max() - want.real.max()) > 1e-6
-        _, eigs = classify_stability(drift)
+        _, eigs = stability_stack(drift)
         cost = np.abs(eigs[:, None] - want[None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() <= 1e-9 * np.linalg.norm(drift, 2)
@@ -642,9 +643,9 @@ class TestAmplitudeSweep:
 
         monkeypatch.setattr(spectra, "build_drift", scaled_at_eighth)
         sweep = amplitude_sweep(params, drives, params.Omega)
-        failing = scaled_at_eighth(params, steady_state(params, drives[7]))
+        failing = scaled_at_eighth(params, steady_grid(params, np.array([drives[7]]))[0])
         with pytest.raises(ArithmeticError) as info:
-            epr_spectra(failing, build_noise(params), params.Omega)
+            epr_grid(failing, build_noise(params), params.Omega)
         assert sweep.stable[7] and np.isnan(sweep.e_degree[7])
         assert sweep.error[7] == str(info.value)
         others = np.arange(drives.size) != 7

@@ -51,7 +51,6 @@ from .spectra import (
     amplitude_sweep,
     build_drift,
     build_noise,
-    cascade_blocks,
     correlation_matrix,
     epr_grid,
     stability_stack,

@@ -149,13 +149,25 @@ def _grid(merged, name):
     return np.linspace(lo, hi, count)
 
 
+def _checked(build, merged, names):
+    """build(**values of `names`), refusing an out-of-range value as a usage
+    error."""
+    try:
+        return build(**{name: merged[name] for name in names})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _phys_params(merged):
-    return PhysParams(chi=merged["chi"], Omega=merged["Omega"], Gamma=merged["Gamma"],
-                      gamma=merged["gamma"], Delta1=merged["Delta1"], Delta2=merged["Delta2"])
+    return _checked(PhysParams, merged, ("chi", "Omega", "Gamma", "gamma", "Delta1", "Delta2"))
 
 
 def _policy(merged):
-    return TruncationPolicy(tail_epsilon=merged["tail_epsilon"], hard_cap=merged["hard_cap"])
+    """The truncation policy of a single-cavity run; its kappa is refused
+    here too when negative, before any computation."""
+    if merged["kappa"] < 0:
+        raise UsageError(f"kappa must be >= 0, got {merged['kappa']}")
+    return _checked(TruncationPolicy, merged, ("tail_epsilon", "hard_cap"))
 
 
 def format_csv(header, template, blocks):

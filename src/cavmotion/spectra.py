@@ -27,30 +27,30 @@ EPR_ROWS = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [-1j, 1j, 1j, -1j, 0, 0, 0, 0],
 # slots of the first stage (a, a+, c1, c1+), then of the second (b, b+, c2,
 # c2+): so regrouped, a one-way cascade drift is block lower-triangular
 STAGES = np.array([0, 1, 4, 5, 2, 3, 6, 7])
+# each slot's adjoint partner: a cascade drift M has P conj(M) P = M for the
+# slot swap P, to QUADRATURE_TOLERANCE of its largest entry
+PAIRS = np.array([1, 0, 3, 2, 5, 4, 7, 6])
+QUADRATURE_TOLERANCE = 1e-12
 
 COMMUTATOR_FLOOR = 1e-30
 TINY, EPS = np.finfo(float).tiny, np.finfo(float).eps
 # largest componentwise backward error of a row solve that transfer_rows accepts
 SOLVE_TOLERANCE = 1e-10
 # EPR kernel point status
-OK, PLUS_FAILED, MINUS_FAILED, DEGENERATE, NONPOSITIVE, ROUNDING = range(6)
+OK, SINGULAR, DEGENERATE, NONPOSITIVE, ROUNDING = range(5)
 # largest estimated relative rounding error of an EPR form at an OK point:
 # (the rows' componentwise backward error + eps) times the summed magnitude
 # of the form's terms over its value.  The estimate stays below 1e-13 over
-# the benchmark's sweeps (chi 0.3-3) and spectra and at drives up to 1e72
-# (chi = 1); it is 0.1 or more at every frequency of the drives 1e73-1e76,
-# 1e79, 1e80, 1e100 and 1e151, whose rows have a backward error of order 1
-# and whose forms are off by factors against a 300-digit inversion
+# the benchmark's sweeps (chi 0.3-3) and spectra and at the decade drives
+# 1e5-1e54 (chi = 1, lowest branch); it is 0.2 or more at every frequency
+# of the drives 1e100 and 1e151, whose rows have a backward error of order
+# 1 and whose forms are off by factors against a 300-digit inversion
 FORM_TOLERANCE = 1e-6
 
-# points per batched solve: a block's rows at +w and -w, (2, points, 4, 8),
-# grow with it; 128 keeps the benchmark's peak memory within 1.2% of the 8x8
-# inverses at 64 points, and 256 would add 4% on the cascaded sweep
+# points per batched solve: a block's rows, (points, 4, 8), grow with it;
+# 128 keeps the benchmark's peak memory within 1.2% of the 8x8 inverses at
+# 64 points, and 256 would add 4% on the cascaded sweep
 GRID_BLOCK = 128
-
-# largest mismatch, relative to the largest drift entry, between an adjoint
-# row of a drift and the conjugate of its operator row
-QUADRATURE_TOLERANCE = 1e-12
 
 
 class SingularTransferError(ArithmeticError):
@@ -148,13 +148,19 @@ def build_noise(params):
 
 
 def cascade_blocks(drifts):
-    """(A, C, D) of drifts (..., 8, 8) regrouped by STAGES into [[A, 0], [C, D]]:
-    the 4x4 blocks of each cavity with its atom, A and D, and the gamma feed
-    C.  Raises ValueError for a coupling from the second cavity back."""
+    """(A, C, D) of cascade drifts (..., 8, 8) regrouped by STAGES into
+    [[A, 0], [C, D]]: the 4x4 blocks of each cavity with its atom, A and D,
+    and the gamma feed C.  Raises ValueError for a coupling from the second
+    cavity back, or for P conj(M) P != M (PAIRS, the same swap in either
+    slot order); a nan drift passes."""
     m = np.asarray(drifts)[..., STAGES[:, None], STAGES]
     if np.any(np.abs(m[..., :4, 4:]) > 0.0):
         raise ValueError("drift couples the second cavity back into the first: "
                          "not a one-way cascade")
+    defect = np.abs(np.conj(m)[..., PAIRS[:, None], PAIRS] - m).max(axis=(-2, -1))
+    if np.any(defect > QUADRATURE_TOLERANCE * np.abs(m).max(axis=(-2, -1))):
+        raise ValueError("drift has no real quadrature form: "
+                         "adjoint rows are not the conjugates of operator rows")
     return m[..., :4, :4], m[..., 4:, :4], m[..., 4:, 4:]
 
 
@@ -234,31 +240,32 @@ def transfer_rows(drift, omega, rows):
 def correlation_matrix(drift, noise, omega):
     """Delta-stripped second moments C(w) = T(w) d T(-w)^T of the fluctuations
     at every point of the broadcast of `drift` and `omega`, with
-    T(w) = (i w I - M)^(-1) the `transfer_rows` of the unit rows."""
-    t_minus = transfer_rows(drift, -np.asarray(omega, dtype=float), np.eye(8))
-    return transfer_rows(drift, omega, np.eye(8)) @ noise.d @ np.swapaxes(t_minus, -1, -2)
+    T(w) = (i w I - M)^(-1) the `transfer_rows` of the unit rows and
+    T(-w) = P conj(T(w)) P (PAIRS)."""
+    t = transfer_rows(drift, omega, np.eye(8))
+    return t @ noise.d @ np.swapaxes(t.conj()[..., PAIRS[:, None], PAIRS], -1, -2)
 
 
 def _epr_kernel(drift, noise, omega):
     """(SpectrumPoint of arrays, status, failure) at every point of the
-    broadcast of `drift` and `omega`, from the rows y = u T of EPR_ROWS at
-    +w and -w.
+    broadcast of `drift` and `omega`, from the rows y = u T(w) of EPR_ROWS;
+    u P = conj(u), so the rows at -w are u T(-w) = conj(y) P (PAIRS).
 
     Each form is (1/4)[y_l(w) mat y_r(-w)^T + y_l(-w) mat y_r(w)^T], that of
     the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
     and are dropped): mat = d, l = r for the variances of q_a + q_b and
     p_a - p_b; mat = k for <[q_a(w), p_a(w)]>.  status is OK or the failure
-    a point-by-point evaluation meets first: PLUS_FAILED (T(+w) singular or
-    its rows not finite), MINUS_FAILED (the same at -w), DEGENERATE
-    (commutator below COMMUTATOR_FLOOR), NONPOSITIVE (a
-    variance not positive, which rounding alone can make of the forms at
-    extreme drives), ROUNDING (a form's estimated relative rounding error
-    above FORM_TOLERANCE: the rows' componentwise backward error, plus eps,
-    times the summed magnitude of the form's terms over its value); there
-    e_degree is nan and failure(i) is the error of flat point i."""
+    a point-by-point evaluation meets first: SINGULAR (T(w), hence T(-w),
+    singular or its rows not finite), DEGENERATE (commutator below
+    COMMUTATOR_FLOOR), NONPOSITIVE (a variance not positive), ROUNDING (a
+    form's estimated relative rounding error above FORM_TOLERANCE: the
+    rows' componentwise backward error, plus eps, times the summed magnitude
+    of the form's terms over its value); there e_degree is nan and
+    failure(i) is the error of flat point i."""
     shape = np.broadcast_shapes(np.shape(drift)[:-2], np.shape(omega))
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
-    y, singular, backward, error = _row_solve(drift, np.stack((omega, -omega)), EPR_ROWS)
+    y, singular, backward, error = _row_solve(drift, omega, EPR_ROWS)
+    y = np.stack((y, y.conj()[..., PAIRS]))  # the rows at +w, then at -w
     failed = singular | ~np.isfinite(backward)
     with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
         flipped = y[..., :2, :][::-1]  # each sign's rows against the other sign's
@@ -274,11 +281,11 @@ def _epr_kernel(drift, noise, omega):
         size_k = 0.25 * (size_k[0] + size_k[1]).sum(axis=-1)
         spread = np.maximum(np.maximum(size_d[..., 0] / s_q, size_d[..., 1] / s_p),
                             size_k / np.abs(comm))
-        rounding = (np.maximum(backward[0], backward[1]) + EPS) * spread
-    status = np.where(failed[0], PLUS_FAILED, np.where(failed[1], MINUS_FAILED, np.where(
+        rounding = (backward + EPS) * spread
+    status = np.where(failed, SINGULAR, np.where(
         np.abs(comm) >= COMMUTATOR_FLOOR, np.where(np.minimum(s_q, s_p) > 0.0, np.where(
             rounding <= FORM_TOLERANCE, OK, ROUNDING), NONPOSITIVE),
-        DEGENERATE)))  # a nan commutator, variance or estimate fails too
+        DEGENERATE))  # a nan commutator, variance or estimate fails too
 
     def failure(flat):
         idx = np.unravel_index(flat, shape)
@@ -291,7 +298,7 @@ def _epr_kernel(drift, noise, omega):
         if status[idx] == ROUNDING:
             return ArithmeticError(f"EPR forms dominated by rounding (estimated relative "
                                    f"error {rounding[idx]:.3e}) at omega={omega[idx]}")
-        return error((status[idx] - PLUS_FAILED, *idx))
+        return error(idx)
 
     e_degree = np.where(status == OK, e_degree, np.nan)
     return SpectrumPoint(omega, s_q, s_p, comm, e_degree), status, failure
@@ -301,7 +308,7 @@ def epr_grid(drift, noise, omega):
     """Collective EPR variances, commutator spectrum and degree on a grid.
 
     Evaluates every point of the broadcast of `drift` (8x8 or a stack) and
-    `omega` from four rows of `transfer_rows` at +w and -w (`_epr_kernel`).
+    `omega` from four rows of `transfer_rows` (`_epr_kernel`).
     s_qplus and s_pminus are the symmetrized variances of q_a + q_b and
     p_a - p_b; the commutator is the spectral <[q_a(w), p_a(w)]> built from
     the state-independent input commutators; the degree is their ratio
@@ -309,9 +316,9 @@ def epr_grid(drift, noise, omega):
     when it drops below one.
 
     Raises what a point-by-point evaluation raises first: at the first
-    failing point in grid order, a failing T(w) before a failing T(-w),
-    both before a commutator below COMMUTATOR_FLOOR, then a variance that
-    is not positive, then forms dominated by rounding (FORM_TOLERANCE).
+    failing point in grid order, a failing T(w) before a commutator below
+    COMMUTATOR_FLOOR, then a variance that is not positive, then forms
+    dominated by rounding (FORM_TOLERANCE).
     """
     grid, status, failure = _epr_kernel(drift, noise, omega)
     if status.any():
@@ -328,19 +335,12 @@ def stability_stack(drifts):
     of a real map; in the quadratures (q, p) of each mode, v = S r with
     S = [[1, i], [1, -i]]/sqrt(2) per mode, its 2x2 entry [[x, y], [y*, x*]]
     becomes [[Re x + Re y, Im y - Im x], [Im x + Im y, Re x - Re y]].
-    Raises ValueError for a drift not of this form: not a one-way cascade,
-    or a block whose quadrature form is not real to rounding.
+    Raises ValueError for a drift not of this form (`cascade_blocks`).
     """
     a, _, d = cascade_blocks(drifts)
     # (stage, mode, w, mode, w): mode 0 atom / 1 field, w 0 operator / 1 adjoint
     blocks = np.stack((a, d), axis=-3).reshape(a.shape[:-2] + (2, 2, 2, 2, 2))
     x, y = blocks[..., 0, :, 0], blocks[..., 0, :, 1]
-    defect = np.maximum(np.abs(blocks[..., 1, :, 1] - x.conj()),
-                        np.abs(blocks[..., 1, :, 0] - y.conj()))
-    scale = np.abs(drifts).max(axis=(-2, -1))
-    if np.any(defect.max(axis=(-3, -2, -1)) > QUADRATURE_TOLERANCE * scale):
-        raise ValueError("drift block has no real quadrature form: "
-                         "adjoint rows are not the conjugates of operator rows")
     real = np.empty(x.shape[:-2] + (2, 2, 2, 2))  # (stage, mode, q/p, mode, q/p)
     real[..., :, 0, :, 0] = x.real + y.real
     real[..., :, 0, :, 1] = y.imag - x.imag

@@ -183,9 +183,9 @@ class TestCascadedCsv:
         assert (sweep.stable[-1], sweep.error[-1]) == (False, "overflow")
         assert np.isnan(sweep.e_degree[-1])
 
-    def test_non_positive_variance_flags_its_sweep_row(self, capsys):
-        # at drive 1e151 the spectral forms lose everything to cancellation
-        # and s_qplus comes out negative; the row keeps its stable verdict
+    def test_rounding_dominated_forms_flag_their_sweep_row(self, capsys):
+        # at drive 1e151 the spectral forms lose everything to cancellation;
+        # the row keeps its stable verdict
         argv = ["cascaded", "sweep", "--drive-min", "1e5", "--drive-max", "1e151",
                 "--drive-count", "4"]
         code, out, err = run_cli(argv, capsys)
@@ -195,19 +195,17 @@ class TestCascadedCsv:
         sweep = spectra.amplitude_sweep(cli._phys_params(merged), cli._grid(merged, "drive"),
                                         1000.0)
         assert sweep.stable[-1] and np.isnan(sweep.e_degree[-1])
-        assert sweep.error[-1].startswith("non-positive EPR variance (s_qplus -")
-        assert sweep.error[-1].endswith(") at omega=1000.0")
+        assert sweep.error[-1] == ("EPR forms dominated by rounding (estimated relative "
+                                   "error 1.000e+00) at omega=1000.0")
 
-    def test_spectrum_with_a_non_positive_variance_fails_numerically(self, capsys):
-        # omega = 1000 alone: at lower frequencies the forms fail first, as
-        # dominated by rounding
+    def test_spectrum_at_omega_eval_dominated_by_rounding_fails_numerically(self, capsys):
         code, out, err = run_cli(
             ["cascaded", "spectrum", "--drive", "1e151", "--omega-min", "1000",
              "--omega-count", "1"], capsys)
         assert code == cli.NUMERICAL_ERROR
         assert out == ""
-        assert err.startswith("numerical failure: non-positive EPR variance")
-        assert err.endswith(" at omega=1000.0\n")
+        assert err == ("numerical failure: EPR forms dominated by rounding (estimated "
+                       "relative error 1.000e+00) at omega=1000.0\n")
 
     def test_spectrum_dominated_by_rounding_fails_numerically(self, capsys):
         # at drive 1e151 the row solves pass their residual guard, but the
@@ -279,9 +277,9 @@ class TestWorkBounds:
 
     @staticmethod
     def assert_row_solves(counts, blocks):
-        # no 8x8 inverse: at most two 4x4 stage solves per sign of w
+        # no 8x8 inverse: at most two 4x4 stage solves per block, at +w only
         assert counts["inv"] == 0
-        assert counts["solve"] <= 4 * blocks
+        assert counts["solve"] <= 2 * blocks
         assert counts["solve_shapes"] <= {(4, 4)}
 
     @pytest.mark.parametrize("count", [1, 64, spectra.GRID_BLOCK, 301])
@@ -381,6 +379,19 @@ class TestConfigPrecedence:
         assert code == 1
         assert out == ""
         assert "must be" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["cascaded", "steady", "--gamma", "0"],
+        ["cascaded", "sweep", "--Omega", "-1"],
+        ["cascaded", "spectrum", "--chi", "-1"],
+        ["cascaded", "spectrum", "--Gamma", "-1"],
+        ["single-cavity", "sweep", "--kappa", "-1"],
+        ["single-cavity", "sweep", "--tail-epsilon", "1"],
+    ])
+    def test_physical_parameter_out_of_range_is_usage_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and " must be " in err
 
     @pytest.mark.parametrize("cap", ["0", "513", "1000"])
     def test_hard_cap_outside_the_order_range_is_usage_error(self, cap, capsys):

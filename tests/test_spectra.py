@@ -286,23 +286,26 @@ class TestEprSpectra:
         assert point.e_degree < 1.0
 
 
-def loop_reference_point(drift, noise, omega):
-    """(s_qplus, s_pminus, commutator, e_degree) at one frequency from two
-    4x4 row solves per sign of w, one point at a time, in the grid kernel's
-    evaluation order."""
+def stage_rows(drift, w):
+    """The rows u T(w) of EPR_ROWS at one frequency from two direct 4x4 row
+    solves, first stage after second."""
     first, second = [0, 1, 4, 5], [2, 3, 6, 7]
     u = spectra.EPR_ROWS
+    lhs = 1j * w * np.eye(8) - drift
+    y2 = np.linalg.solve(lhs[np.ix_(second, second)].T, u[:, second].T).T
+    b1 = u[:, first] + y2 @ drift[np.ix_(second, first)]
+    y1 = np.linalg.solve(lhs[np.ix_(first, first)].T, b1.T).T
+    y = np.empty((4, 8), dtype=complex)
+    y[:, first], y[:, second] = y1, y2
+    return y
 
-    def rows(w):
-        lhs = 1j * w * np.eye(8) - drift
-        y2 = np.linalg.solve(lhs[np.ix_(second, second)].T, u[:, second].T).T
-        b1 = u[:, first] + y2 @ drift[np.ix_(second, first)]
-        y1 = np.linalg.solve(lhs[np.ix_(first, first)].T, b1.T).T
-        y = np.empty((4, 8), dtype=complex)
-        y[:, first], y[:, second] = y1, y2
-        return y
 
-    plus, minus = rows(omega), rows(-omega)
+def loop_reference_point(drift, noise, omega):
+    """(s_qplus, s_pminus, commutator, e_degree) at one frequency from the
+    rows at +w (`stage_rows`) and their conjugates at -w, one point at a
+    time, in the grid kernel's evaluation order."""
+    plus = stage_rows(drift, omega)
+    minus = plus.conj()[:, spectra.PAIRS]
     d_plus, d_minus = np.split(np.concatenate((plus, minus)) @ noise.d, 2)
     k_plus, k_minus = np.stack((plus[2], minus[2])) @ noise.k
     s_q, s_p = 0.25 * (d_plus * minus + d_minus * plus).sum(axis=-1).real[:2]
@@ -438,39 +441,90 @@ class TestGridKernel:
             epr_grid(drift, noise, omegas)
 
     def test_first_failure_in_grid_order(self):
-        # T(+w) fails only at w = 3 and T(-w) only at w = -2, which comes
-        # first in the grid: the batched +w solve alone would name 3.0.  The
-        # undamped drift's variances are positive at w = 4, not at 0.5
-        drift = np.diag([2j] * 4 + [3j] * 4)
+        # the undamped paired drift is singular at w = +-2 and +-3; of the
+        # two failing points in the grid the first is named
+        drift = np.diag([2j, -2j] * 2 + [3j, -3j] * 2)
         noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
-        omegas = np.array([4.0, -2.0, 3.0])
+        omegas = np.array([4.0, 3.0, 0.5, -2.0])
         with pytest.raises(SingularTransferError, match=r"omega=3\.0$"):
             transfer_rows(drift, omegas, np.eye(8))
-        with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
+        with pytest.raises(SingularTransferError, match=r"omega=3\.0$"):
             epr_grid(drift, noise, omegas)
+        with pytest.raises(SingularTransferError, match=r"omega=-2\.0$"):
+            epr_grid(drift, noise, omegas[::-1])
 
     def test_kernel_status_per_point(self):
-        # T(+w) is singular at w = -2, 2 and 3, T(-w) at w = -3, -2 and 2:
-        # where both fail, +w is reported.  The scaled damped drift leaves
-        # only a commutator below the floor
-        drift = np.diag([2j, -2j, 2j, -2j] + [3j] * 4)
+        # T(w) and T(-w) of the undamped paired drift are singular at
+        # w = +-2 and +-3; the scaled damped drift leaves only a commutator
+        # below the floor; negated input moments make the variances negative
         noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
-        omegas = np.array([0.5, -2.0, 3.0, -3.0, 2.0])
-        grid, status, failure = spectra._epr_kernel(drift, noise, omegas)
-        assert status.tolist() == [spectra.OK, spectra.PLUS_FAILED, spectra.PLUS_FAILED,
-                                   spectra.MINUS_FAILED, spectra.PLUS_FAILED]
-        assert np.isfinite(grid.e_degree[0]) and np.all(np.isnan(grid.e_degree[1:]))
-        for i, omega in enumerate(omegas[1:], start=1):
-            with pytest.raises(ArithmeticError) as info:
-                epr_grid(drift, noise, omega)
-            assert str(failure(i)) == str(info.value)
-        damped = np.diag([-1.0 + 2j] * 8) * 1e20
-        assert spectra._epr_kernel(damped, noise, omegas)[1].tolist() == [spectra.DEGENERATE] * 5
-        # an undamped drift whose variances are negative at w = 0.5
-        grid, status, failure = spectra._epr_kernel(np.diag([2j] * 4 + [3j] * 4), noise, 0.5)
-        assert status == spectra.NONPOSITIVE and np.isnan(grid.e_degree)
-        assert str(failure(0)) == (f"non-positive EPR variance (s_qplus {grid.s_qplus}, "
-                                   f"s_pminus {grid.s_pminus}) at omega=0.5")
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        vacuum = build_noise(params)
+        cases = [
+            (np.diag([2j, -2j] * 2 + [3j, -3j] * 2), noise, [0.5, -2.0, 3.0, -3.0, 2.0],
+             [spectra.OK] + [spectra.SINGULAR] * 4),
+            (np.diag([-1.0 + 2j, -1.0 - 2j] * 4) * 1e20, noise, [0.5, -2.0],
+             [spectra.DEGENERATE] * 2),
+            (build_drift(params, steady_grid(params, np.array([1e3]))[0]),
+             NoiseModel(d=-vacuum.d, k=-vacuum.k), [1.0, 10.0], [spectra.NONPOSITIVE] * 2),
+        ]
+        for drift, case_noise, omegas, want in cases:
+            grid, status, failure = spectra._epr_kernel(drift, case_noise, np.array(omegas))
+            assert status.tolist() == want
+            assert np.array_equal(np.isnan(grid.e_degree), status != spectra.OK)
+            for i in np.flatnonzero(status):
+                with pytest.raises(ArithmeticError) as info:
+                    epr_grid(drift, case_noise, omegas[i])
+                assert str(failure(i)) == str(info.value)
+        assert str(failure(0)) == (f"non-positive EPR variance (s_qplus {grid.s_qplus[0]}, "
+                                   f"s_pminus {grid.s_pminus[0]}) at omega=1.0")
+
+    def test_minus_rows_are_conjugate_plus_rows(self):
+        # T(-w) = P conj(T(w)) P and u P = conj(u) for every EPR row u.  Each
+        # entry is held to the largest entry of its row: entries that cancel
+        # to far below it differ by up to 3.6e-9 of themselves, while the
+        # worst of any entry against its row's largest was 7.4e-16 on the
+        # random draws and 1.8e-14 on the benchmark drifts
+        def assert_derived(plus, direct):
+            scale = np.abs(direct).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(plus.conj()[..., spectra.PAIRS] - direct) <= 5e-14 * scale)
+
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            params, _, drift = random_stable_point(rng)
+            for w in rng.uniform(-3, 3, 20) * params.Omega:
+                assert_derived(stage_rows(drift, w), stage_rows(drift, -w))
+        drives = np.geomspace(1e5, 1e9, 2401)
+        for chi in np.geomspace(0.3, 3.0, 8):
+            params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
+            drifts = build_drift(params, steady_grid(params, drives, selection="follow"))
+            drifts = drifts[stability_stack(drifts)[0]]
+            for w in (100.0, 1000.0, 5000.0):
+                assert_derived(spectra._row_solve(drifts, w, spectra.EPR_ROWS)[0],
+                               spectra._row_solve(drifts, -w, spectra.EPR_ROWS)[0])
+
+    def test_every_kernel_refuses_an_unpaired_drift(self):
+        # the adjoint slots rotate like the operator slots: -w is not +w
+        # conjugated, so no kernel may take it
+        drift = np.diag([2j] * 4 + [3j] * 4)
+        noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
+        for call in (lambda: epr_grid(drift, noise, 4.0),
+                     lambda: transfer_rows(drift, 4.0, np.eye(8)),
+                     lambda: correlation_matrix(drift, noise, 4.0),
+                     lambda: stability_stack(drift)):
+            with pytest.raises(ValueError, match="real quadrature form"):
+                call()
+
+    def test_vacuum_variances_are_never_non_positive(self):
+        # with vacuum inputs each variance is a sum of squares up to the
+        # rounding of its cross terms: extreme drives fail as rounding
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        drifts = build_drift(params, steady_grid(params, np.geomspace(1e5, 1e154, 400), "follow"))
+        drifts = drifts[np.all(np.isfinite(drifts), axis=(-2, -1))]
+        drifts = drifts[stability_stack(drifts)[0]]
+        status = spectra._epr_kernel(drifts, build_noise(params), 1000.0)[1]
+        assert np.any(status == spectra.ROUNDING)
+        assert not np.any(status == spectra.NONPOSITIVE)
 
     def test_lyapunov_oracle(self):
         # the delta-stripped spectrum integrated over w/2pi is the equal-time

@@ -24,7 +24,6 @@ from .cascade import (
     steady_grid,
 )
 from .conditional import (
-    BandFactor,
     ConditionalResult,
     JointState,
     condition_on_quadrature,

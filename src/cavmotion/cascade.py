@@ -291,14 +291,20 @@ def _select(roots, intensities, selection):
 
 def _cavity(params, delta, drive_in, selection):
     """One cavity at every drive of `drive_in`: the selected working point's
-    amplitude, intensity, branch and jump flag."""
-    g = params.gamma
+    amplitude, intensity, branch and jump flag.  Near resonance the bracket
+    u + i v cancels in v = delta - b I, by eps (|delta| + b I) at a float root
+    I, where |v| = (P / I - u^2)^(1/2) from the cubic errs by eps P / (I |v|):
+    the latter, with the float v's sign, is taken where 4 times smaller."""
+    g, (a, b) = params.gamma, pulling_coefficients(params)
     # a power beyond the float range is inf, and its rows nan
     with np.errstate(over="ignore"):
         power = g * (drive_in.real**2 + drive_in.imag**2)
     roots = root_grid(params, delta, power)
-    with np.errstate(invalid="ignore"):  # the nan padding of `roots`
-        zetas = np.sqrt(g) * drive_in[:, None] / cavity_bracket(params, delta, roots)
+    with np.errstate(all="ignore"):  # the nan padding, zero and overflowing roots
+        u, v, modulus = g / 2.0 + a * roots, delta - b * roots, power[:, None] / roots
+        pulled = np.sqrt(modulus - u * u)
+        v = np.where(pulled * (abs(delta) + b * roots) > 4.0 * modulus, np.copysign(pulled, v), v)
+        zetas = np.sqrt(g) * drive_in[:, None] / (u + 1j * v)
     intensities = zetas.real**2 + zetas.imag**2
     pick = (np.arange(len(roots)), _select(roots, intensities, selection))
     root, intensity = roots[pick], intensities[pick]

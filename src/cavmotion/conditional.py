@@ -11,14 +11,16 @@ The atomic coherent labels are not orthogonal, so every outcome quantity
 comes from one factor B of their Gram matrix (B^H B = G) per state: the
 atoms' state is the matrix M_x = B diag(coeffs psi(x)) B^T, with P(x) =
 ||M_x||_F^2 and purity ||M_x M_x^H||_F^2 / P(x)^2 (brute-force check below),
-both from one kernel over a grid of outcomes (`outcome_moments`).
+both from one kernel over a grid of outcomes (`outcome_moments`), or for
+evolved states, whose labels n lambda lie on a line, `lattice_moments`.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fock import (
     DEFAULT_POLICY,
@@ -43,23 +45,22 @@ FOCK_FACTOR_POLICY = TruncationPolicy(tail_epsilon=1e-16, hard_cap=2 * FOCK_FACT
 # products of four entries in the subnormal range, where BLAS is very slow
 PIVOT_CUT = 1e-15
 FACTOR_FLOOR = 1e-60
-# label_factor takes G's unpivoted Cholesky factor R where every pivot
-# R[n, n]^2 is at least BAND_PIVOT_FLOOR, which keeps cond(G) below about
-# 3e3 (1.1e3 at pivot 0.25) and R away from the rank-deficient G the pivoted
-# factor is for.  Down to pivots of 5e-5 the moments from R stay within
-# 5e-14 (P, relative) and 7e-15 (purity) of the pivoted factor's (zeta 6-8,
-# t = 1.2, 2 and pi)
-BAND_PIVOT_FLOOR = 0.2
-# R is kept in diagonal storage (a BandFactor) where one outcome costs the
-# band kernel less than two dense products: BAND_COST (N+1)(2b+1)^2 +
-# BAND_OVERHEAD < (N+1)^3, in dense multiply-adds.  Measured with numpy's
-# OpenBLAS: the band kernel's batched per-row products run about 8 times
-# slower per multiply-add than a dense product, and a call costs about
-# 0.1 ms beyond them, so point requests at small N stay dense
-BAND_COST = 8
-BAND_OVERHEAD = 2e5
-# outcomes per band-kernel chunk: as many as keep its arrays within this
-BAND_CHUNK_BYTES = 256 * 1024
+# label_factor takes lattice_factor for spread lattice labels whose smallest
+# pivot (z; z)_N is at least LATTICE_PIVOT_FLOOR (cond(G) below about 3e3)
+LATTICE_PIVOT_FLOOR = 0.2
+# states with at least LATTICE_MIN_ORDER lattice labels n lambda, |lambda|^2 at
+# least LATTICE_MIN_SPACING, take lattice_moments; below that order one
+# outcome costs less through the label factor, which also takes the rows
+# whose estimated relative error exceeds LATTICE_TOLERANCE
+LATTICE_MIN_SPACING = 0.01
+LATTICE_MIN_ORDER = 48
+LATTICE_TOLERANCE = 1e-11
+EPS = np.finfo(float).eps
+# lattice_moments drops pair weights e^(-s d^2 / 2) below LATTICE_WEIGHT_CUT,
+# far below the rounding of the kept terms, and takes LATTICE_CHUNK outcomes
+# at a time, which bounds its memory below the label factor's
+LATTICE_WEIGHT_CUT = EPS**2
+LATTICE_CHUNK = 16
 
 DEFAULT_X_GRID = np.linspace(-4.0, 4.0, 161)
 
@@ -118,37 +119,17 @@ def evolve(zeta, kappa, time, policy=DEFAULT_POLICY):
                       coeffs=coeffs, labels=labels)
 
 
-@dataclass(frozen=True)
-class BandFactor:
-    """Upper-triangular factor R of G (R^H R = G) of bandwidth b in diagonal
-    storage: diagonals[k, i] = R[i, i + k], shape (b + 1, N + 1), 0 for i + k > N."""
-
-    diagonals: np.ndarray
-
-    @classmethod
-    def from_upper(cls, r):
-        """The diagonals of an upper-triangular r up to its last nonzero one."""
-        rows, cols = np.nonzero(r)
-        reach = int(np.max(cols - rows, initial=0))
-        rows = np.arange(r.shape[0])
-        cols = rows + np.arange(reach + 1)[:, None]
-        return cls(np.where(cols < r.shape[0], r[rows, np.minimum(cols, r.shape[0] - 1)], 0.0))
-
-
 def label_factor(labels):
-    """A factor of G, the Gram matrix of the coherent labels: B with
-    B^H B = G, or a BandFactor R.
+    """A factor of G, the Gram matrix of the coherent labels: B with B^H B = G.
 
     Column n holds |labels[n]> in an orthonormal basis of the labels' span.
     Labels near their centroid c are expanded in the number basis displaced
     to c, |mu> = e^(-i Im(c conj(mu))) D(c)|mu - c>, by the stable recurrence
     <j|nu> = <j-1|nu> nu/sqrt(j), and reduced by QR: exact where close labels
-    leave G too ill-conditioned to factor.  Wider spreads take G's unpivoted
-    Cholesky factor R where every pivot is at least BAND_PIVOT_FLOOR; R keeps
-    the labels' order, so well-separated labels give it a narrow band, and it
-    comes as a BandFactor where the band kernel does less work than the dense
-    one (BAND_COST, BAND_OVERHEAD).  Otherwise G's pivoted Cholesky factor.
-    Entries below FACTOR_FLOOR are zeroed."""
+    leave G too ill-conditioned to factor.  Wider spreads of lattice labels
+    take the closed-form factor where its pivots are at least
+    LATTICE_PIVOT_FLOOR; otherwise G's pivoted Cholesky factor, with entries
+    below FACTOR_FLOOR zeroed."""
     labels = np.asarray(labels, dtype=complex)
     center = labels.mean()
     shifted = labels - center
@@ -160,16 +141,11 @@ def label_factor(labels):
         np.divide(shifted, np.sqrt(np.arange(1.0, dim))[:, None], out=coords[1:])
         np.cumprod(coords, axis=0, out=coords)
         return np.linalg.qr(coords, mode="r")
+    spacing = lattice_spacing(labels)
+    r = None if spacing is None else lattice_factor(spacing, labels.size)
+    if r is not None and r[-1, -1] ** 2 >= LATTICE_PIVOT_FLOOR:  # R[N, N]^2 = (z; z)_N
+        return r
     g = gram_matrix(labels)
-    try:
-        r = np.linalg.cholesky(g).conj().T
-    except np.linalg.LinAlgError:
-        r = None
-    if r is not None and np.min(np.abs(np.diagonal(r))) ** 2 >= BAND_PIVOT_FLOOR:
-        r[np.abs(r) < FACTOR_FLOOR] = 0.0
-        band = BandFactor.from_upper(r)
-        size, width = labels.size, 2 * band.diagonals.shape[0] - 1
-        return band if BAND_COST * size * width**2 + BAND_OVERHEAD < size**3 else r
     b = np.empty_like(g)
     residual = np.ones(labels.size)  # diagonal of G minus B^H B
     for k in range(labels.size + 1):
@@ -179,6 +155,14 @@ def label_factor(labels):
         row = (g[p] - b[:k, p].conj() @ b[:k]) / np.sqrt(residual[p])
         b[k] = np.where(np.abs(row) < FACTOR_FLOOR, 0.0, row)
         residual -= np.abs(b[k]) ** 2
+
+
+def lattice_spacing(labels):
+    """|labels[1]|^2 where labels are exactly n labels[1], n = 0..N, as evolve
+    makes them, so G[m, n] = exp(-|labels[1]|^2 (m - n)^2 / 2); else None."""
+    if labels.size < 2 or not np.array_equal(labels, np.arange(labels.size) * labels[1]):
+        return None
+    return abs(labels[1]) ** 2
 
 
 def gram_matrix(labels):
@@ -194,12 +178,8 @@ def outcome_moments(factor, amplitudes):
     P <= PROBABILITY_FLOOR.  For the nonzero state sum_n c[n] |mu_n>|mu_n>,
     outcome_moments(label_factor(mu), c[None]) is (norm^2, reduced purity).
 
-    A dense B costs two products per outcome; a BandFactor
-    O(N b^2) per outcome (`_band_moments`).  Each outcome's values do not
-    depend on the other rows."""
+    Two products per outcome, which do not depend on the other rows."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    if isinstance(factor, BandFactor):
-        return _band_moments(factor.diagonals, amplitudes)
     prob, pure = np.empty(len(amplitudes)), np.full(len(amplitudes), np.nan)
     for x, row in enumerate(amplitudes):
         m = (factor * row) @ factor.T
@@ -210,54 +190,73 @@ def outcome_moments(factor, amplitudes):
     return prob, pure
 
 
-def _band_moments(diagonals, amplitudes):
-    """outcome_moments for R of bandwidth b in diagonal storage.
+def lattice_factor(spacing, size):
+    """R with R^T R = G for the labels n lambda, n < size, |lambda|^2 = s = spacing:
+    R[k, m] = e^(-s (m-k)^2 / 2) sqrt((z; z)_k) [m choose k]_z, z = e^-s (the
+    q-Vandermonde factorization), upper triangular and non-negative, built in
+    one array from one log table; entries below FACTOR_FLOOR are zeroed."""
+    logs = np.zeros(size)  # L[j] = log (z; z)_j = sum_{i <= j} log(1 - z^i)
+    np.cumsum(np.log(-np.expm1(-spacing * np.arange(1.0, size))), out=logs[1:])
+    d = np.arange(size)
+    by_distance = np.full(2 * size - 1, np.inf)  # s d^2 / 2 + L[d] at d = m - k, inf below 0
+    by_distance[size - 1:] = 0.5 * spacing * d * d + logs
+    r = np.add.outer(-0.5 * logs, logs)
+    r -= sliding_window_view(by_distance, size)[::-1]  # entry [k, m] reads d = m - k
+    r[r < math.log(FACTOR_FLOOR)] = -np.inf
+    return np.exp(r, out=r)
 
-    M = R diag(a) R^T is symmetric with bandwidth b:
-    M[i, i+d] = sum_k a[i+k] R[i, i+k] R[i+d, i+k], k = d..b, one batched
-    (b+1)-vector-matrix product per row i.  Each row's band goes into a
-    window rows[i, t] = M[i, i - 3b + t], t = 0..4b; then
-    (M M^H)[i+e, i] / P = rows[i+e, 2b+t'-e] . conj(rows[i, 2b+t']) / P over
-    t' = 0..2b for e = 0..2b is one (2b+1)-square matrix-vector product per
-    row, on a strided view whose entries outside the band read zeros of the
-    window.  ||M M^H||_F^2 counts e > 0 twice.  Every product has the same
-    shape for every outcome, so values do not depend on chunking."""
-    reach = diagonals.shape[0] - 1
+
+def lattice_moments(spacing, amplitudes):
+    """(P, purity, estimate) of sum_n amplitudes[x, n] |n lambda>|n lambda> for
+    every row x, |lambda|^2 = s = spacing, in O(N^2) per outcome: P =
+    ||R_2s a||^2 and purity P^2 = ||R_s F||^2 over the 2N+1 sums F[S] =
+    sum_{m+p=S} a[m] a[p] e^(-s (m-p)^2 / 2).  Each row is scaled by a power
+    of two, or purity P^2 would underflow, and takes its products alone.
+    estimate bounds the relative rounding error of P and of the purity,
+    4 u ||R_2s |a| || / ||R_2s a|| + 2 u' ||R_s||_2 ||F(|a|)|| / ||R_s F||
+    (README, cost model); nan where P = 0."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
     x_count, size = amplitudes.shape
-    padded = np.zeros((reach + 1, size + reach), dtype=complex)
-    padded[:, :size] = diagonals
-    weights = np.zeros((size, reach + 1, reach + 1), dtype=complex)
-    for d in range(reach + 1):  # weights[i, k, d] = R[i, i+k] R[i+d, i+k]
-        weights[:, d:, d] = (padded[d:, :size] * padded[:reach + 1 - d, d:d + size]).T
+    wide = 2 * size - 1
+    near, far = lattice_factor(2.0 * spacing, size), lattice_factor(spacing, wide)
+    weights = np.exp(-0.5 * spacing * np.arange(size) ** 2.0)
+    weights = weights[weights >= LATTICE_WEIGHT_CUT]
+    weights[1:] *= 2.0  # the pairs (m, p) and (p, m)
+    far_norm_sq = weights.sum()  # G's row sum, >= ||R_s||_2^2 and ||F(|a|)|| / ||a||_4^2
+    # u: the sums' lengths, and 4 |log (z; z)_N| = 8 |log R[N, N]| for the table, whose
+    # error grows with it; R[N, N] is about e^(-pi^2 / (12 s)) > FACTOR_FLOOR at s >= 0.01
+    u_near = EPS * (size - 8.0 * np.log(near[-1, -1]))
+    u_far = EPS * (wide + weights.size - 8.0 * np.log(far[-1, -1]))
 
-    width, span = 4 * reach + 1, 2 * reach + 1
-    per_outcome = 16 * ((size + 2 * reach) * width + 2 * size * span + size + reach)
-    step = max(1, min(x_count, BAND_CHUNK_BYTES // per_outcome))
-    amps = np.zeros((step, size + reach), dtype=complex)
-    windows = sliding_window_view(amps, reach + 1, axis=1)[:, :size, None]  # a[i+k]
-    rows = np.zeros((step, size + 2 * reach, width), dtype=complex)
-    sx, si, st = rows.strides
-    upper = rows[:, :size, None, 3 * reach:]  # M[i, i+d]
-    lower = as_strided(rows[:, :, 3 * reach:], (step, size, 1, reach + 1), (sx, si, 0, si - st))
-    band = rows[:, :, 2 * reach:].view(float)
-    later = as_strided(rows[:, :, 2 * reach:], (step, size, span, span), (sx, si, si - st, st))
-    row_conj = np.empty((step, size, span, 1), dtype=complex)
-    twice = np.full(2 * span, 2.0)
-    twice[:2] = 1.0
-    prob, pure = np.empty(x_count), np.empty(x_count)
+    step = LATTICE_CHUNK  # a column per outcome; f's rows F[0], F[2], .., F[2N], F[1], ..
+    a, pair, f = (np.empty((rows, step), dtype=complex) for rows in (size, size, wide))
+    planes_a, planes_f = np.empty((step, 3, size)), np.empty((step, 2, wide))
+    prob, purity, estimate = np.empty(x_count), np.empty(x_count), np.empty(x_count)
     for start in range(0, x_count, step):
-        n = min(step, x_count - start)
-        amps[:n, :size] = amplitudes[start:start + n]
-        np.matmul(windows[:n], weights, out=upper[:n])
-        lower[:n] = upper[:n]  # M[i+d, i] = M[i, i+d]
-        prob[start:start + n] = p = np.einsum("xij,xij->x", band[:n], band[:n])
-        scale = np.divide(1.0, p, out=np.zeros(n), where=p > PROBABILITY_FLOOR)
-        np.conjugate(rows[:n, :size, 2 * reach:, None], out=row_conj[:n])
-        row_conj[:n].view(float)[...] *= scale[:, None, None, None]
-        h = np.matmul(later[:n], row_conj[:n]).view(float).reshape(n, size, 2 * span)
-        pure[start:start + n] = np.where(p > PROBABILITY_FLOOR,
-                                         np.einsum("xij,xij,j->x", h, h, twice), np.nan)
-    return prob, pure
+        block = amplitudes[start:start + step]
+        n = len(block)
+        exponent = np.maximum(np.frexp(np.abs(block).max(axis=1))[1], -1000)
+        np.multiply(block.T, np.ldexp(1.0, -exponent), out=a[:, :n])
+        f[:, :n] = 0.0
+        for d, w in enumerate(weights):  # F[2m - d] += w a[m] a[m - d], m = d..N
+            m, row = size - d, d % 2 * size + d // 2
+            product = np.multiply(a[d:, :n], a[:m, :n], out=pair[:m, :n])
+            product *= w
+            f[row:row + m, :n] += product
+        for plane, source in enumerate((a[:, :n].real, a[:, :n].imag, np.abs(a[:, :n]))):
+            planes_a[:n, plane] = source.T
+        for plane, sums in enumerate((f[:, :n].real, f[:, :n].imag)):
+            planes_f[:n, plane, 0::2], planes_f[:n, plane, 1::2] = sums[:size].T, sums[size:].T
+        y_a, y_f = np.matmul(planes_a[:n], near.T), np.matmul(planes_f[:n], far.T)
+        sq_a, sq_f = np.einsum("xjk,xjk->xj", y_a, y_a), np.einsum("xjk,xjk->xj", y_f, y_f)
+        p, q = sq_a[:, 0] + sq_a[:, 1], sq_f[:, 0] + sq_f[:, 1]
+        quartic = np.einsum("xk,xk->x", planes_a[:n, 2] ** 2, planes_a[:n, 2] ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            purity[start:start + n] = q / (p * p)
+            estimate[start:start + n] = 2.0 * (u_far * far_norm_sq ** 1.5 * np.sqrt(quartic / q)
+                                               + 2.0 * u_near * np.sqrt(sq_a[:, 2] / p))
+        prob[start:start + n] = np.ldexp(p, 2 * exponent)
+    return prob, purity, estimate
 
 
 def purity_bruteforce(cond_coeffs, labels, dim):
@@ -282,18 +281,25 @@ def purity_bruteforce(cond_coeffs, labels, dim):
 
 def condition_on_quadrature(state, x_grid):
     """Project the field on every quadrature outcome of x_grid and
-    renormalize the atoms: one ConditionalResult of arrays, from one
-    outcome_moments call.
-
-    prob_density is the squared norm of the projected atomic state (the
-    inverse square of the normalization constant), so efficiency =
-    lin_entropy * prob_density holds exactly.  Unresolvable outcomes keep
-    nan values and their message in error.  x holds a copy of the grid (a
-    scalar is a one-element grid).
-    """
+    renormalize the atoms: one ConditionalResult of arrays.  The moments
+    come from lattice_moments where the state's labels route there (its
+    certified purities clipped to 1, so lin_entropy lies in [0, 1]), else
+    and for the other rows from outcome_moments; each row's values do not
+    depend on the grid.  prob_density is the squared norm of the projected
+    atomic state, so efficiency = lin_entropy * prob_density holds exactly.
+    Unresolvable outcomes keep nan values and their message in error.  x
+    holds a copy of the grid (a scalar is a one-element grid)."""
     x_grid = np.array(x_grid, dtype=float, ndmin=1)
     raw = state.coeffs * oscillator_wavefunctions(state.n_max, x_grid).T
-    prob, purity = outcome_moments(state.factor, raw)
+    spacing = lattice_spacing(state.labels) if state.labels.size >= LATTICE_MIN_ORDER else None
+    if spacing is not None and spacing >= LATTICE_MIN_SPACING:  # README, cost model
+        prob, purity, estimate = lattice_moments(spacing, raw)
+        redo = ~((estimate <= LATTICE_TOLERANCE) & (prob > PROBABILITY_FLOOR))
+        np.minimum(purity, 1.0, out=purity)
+        for i in np.flatnonzero(redo):  # row by row: a copy of the rows would raise peak memory
+            (prob[i],), (purity[i],) = outcome_moments(state.factor, raw[i:i + 1])
+    else:
+        prob, purity = outcome_moments(state.factor, raw)
     resolved = prob > PROBABILITY_FLOOR
     error = np.full(x_grid.size, None, dtype=object)
     for i in np.flatnonzero(~resolved):
@@ -310,8 +316,7 @@ def efficiency_profile(zeta, kappa, time, x_grid=None, policy=DEFAULT_POLICY):
     ConditionalResult of arrays.
 
     Unresolvable outcomes keep nan values and their message in error
-    instead of aborting the profile.  Cost: one label factor, then one
-    outcome_moments call over the grid (`condition_on_quadrature`).
+    instead of aborting the profile (`condition_on_quadrature`).
     """
     x_grid = np.asarray(DEFAULT_X_GRID if x_grid is None else x_grid, dtype=float)
     if x_grid.size and np.any(np.diff(x_grid) < 0):

@@ -198,12 +198,12 @@ def _solve_rows(block, shift, rows):
     return y, singular, backward.reshape(flat).max(axis=-1)
 
 
-def _row_solve(drift, omega, rows):
-    """(y, singular, backward, error) of `transfer_rows` at every point,
-    unchecked: has a block gone singular there, the larger componentwise
-    backward error of the two stage solves (see `_solve_rows`; nan where the
-    rows are), and error(idx), the SingularTransferError of point idx."""
-    a, c, d = cascade_blocks(drift)
+def _row_solve(blocks, omega, rows):
+    """(y, singular, backward, error) of `transfer_rows` at every point, from
+    the drifts' `cascade_blocks`: has a block gone singular there, the larger
+    componentwise backward error of the two stage solves (see `_solve_rows`;
+    nan where the rows are), and error(idx), the error of point idx."""
+    a, c, d = blocks
     shift = 1j * np.asarray(omega, dtype=float)[..., None, None]
     y2, singular2, backward2 = _solve_rows(d, shift, rows[..., STAGES[4:]])
     y1, singular1, backward1 = _solve_rows(a, shift, rows[..., STAGES[:4]] + _times(y2, c))
@@ -230,7 +230,7 @@ def transfer_rows(drift, omega, rows):
     block is singular there or a solve's componentwise backward error
     exceeds SOLVE_TOLERANCE.
     """
-    y, singular, backward, error = _row_solve(drift, omega, rows)
+    y, singular, backward, error = _row_solve(cascade_blocks(drift), omega, rows)
     failed = singular | ~(backward <= SOLVE_TOLERANCE)  # a nan backward error fails too
     if failed.any():
         raise error(np.unravel_index(np.argmax(failed), failed.shape))
@@ -246,10 +246,10 @@ def correlation_matrix(drift, noise, omega):
     return t @ noise.d @ np.swapaxes(t.conj()[..., PAIRS[:, None], PAIRS], -1, -2)
 
 
-def _epr_kernel(drift, noise, omega):
+def _epr_kernel(blocks, noise, omega):
     """(SpectrumPoint of arrays, status, failure) at every point of the
-    broadcast of `drift` and `omega`, from the rows y = u T(w) of EPR_ROWS;
-    u P = conj(u), so the rows at -w are u T(-w) = conj(y) P (PAIRS).
+    broadcast of the drifts' `cascade_blocks` and `omega`, from the rows y =
+    u T(w) of EPR_ROWS; u P = conj(u), so the rows at -w are conj(y) P (PAIRS).
 
     Each form is (1/4)[y_l(w) mat y_r(-w)^T + y_l(-w) mat y_r(w)^T], that of
     the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
@@ -262,9 +262,9 @@ def _epr_kernel(drift, noise, omega):
     rows' componentwise backward error, plus eps, times the summed magnitude
     of the form's terms over its value); there e_degree is nan and
     failure(i) is the error of flat point i."""
-    shape = np.broadcast_shapes(np.shape(drift)[:-2], np.shape(omega))
+    shape = np.broadcast_shapes(blocks[0].shape[:-2], np.shape(omega))
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
-    y, singular, backward, error = _row_solve(drift, omega, EPR_ROWS)
+    y, singular, backward, error = _row_solve(blocks, omega, EPR_ROWS)
     y = np.stack((y, y.conj()[..., PAIRS]))  # the rows at +w, then at -w
     failed = singular | ~np.isfinite(backward)
     with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
@@ -320,7 +320,7 @@ def epr_grid(drift, noise, omega):
     COMMUTATOR_FLOOR, then a variance that is not positive, then forms
     dominated by rounding (FORM_TOLERANCE).
     """
-    grid, status, failure = _epr_kernel(drift, noise, omega)
+    grid, status, failure = _epr_kernel(cascade_blocks(drift), noise, omega)
     if status.any():
         raise failure(np.argmax(status != OK))
     return grid
@@ -338,6 +338,11 @@ def stability_stack(drifts):
     Raises ValueError for a drift not of this form (`cascade_blocks`).
     """
     a, _, d = cascade_blocks(drifts)
+    return _stability(a, d)
+
+
+def _stability(a, d):
+    """`stability_stack` from the diagonal blocks of `cascade_blocks`."""
     # (stage, mode, w, mode, w): mode 0 atom / 1 field, w 0 operator / 1 adjoint
     blocks = np.stack((a, d), axis=-3).reshape(a.shape[:-2] + (2, 2, 2, 2, 2))
     x, y = blocks[..., 0, :, 0], blocks[..., 0, :, 1]
@@ -357,10 +362,10 @@ def amplitude_sweep(params, drive_grid, omega_eval):
 
     One `steady_grid` call continues each cavity's intensity adiabatically
     from drive to drive (a vanishing branch is a recorded jump); then drives
-    go in blocks of GRID_BLOCK: one stack of drifts, one batched eigenvalue
-    call, one `epr_grid` over its stable ones.  Unstable, overflowing or
-    numerically degenerate drives come back with e_degree = nan and the
-    reason in their error.
+    go in blocks of GRID_BLOCK: one stack of drifts, one `cascade_blocks`
+    check of its finite ones, one batched eigenvalue call and one `epr_grid`
+    over its stable ones.  Unstable, overflowing or numerically degenerate
+    drives come back with e_degree = nan and the reason in their error.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):
@@ -375,12 +380,14 @@ def amplitude_sweep(params, drive_grid, omega_eval):
         drifts = build_drift(params, steady[block])
         # eigvals refuses the nan drift of a drive whose power overflowed
         finite = np.all(np.isfinite(drifts), axis=(-2, -1))
-        stable[block][finite] = stability_stack(drifts[finite])[0]
+        a, c, d = cascade_blocks(drifts[finite])
+        stable[block][finite] = damped = _stability(a, d)[0]
         error[block] = np.where(stable[block], None,
                                 np.where(finite, "unstable working point", "overflow"))
         solved = np.flatnonzero(stable[block])
         if solved.size:
-            grid, status, failure = _epr_kernel(drifts[solved], noise, omega_eval)
+            stages = (a[damped], c[damped], d[damped])
+            grid, status, failure = _epr_kernel(stages, noise, omega_eval)
             e_degree[start + solved] = grid.e_degree
             for i in np.flatnonzero(status):
                 error[start + solved[i]] = str(failure(i))

@@ -240,9 +240,10 @@ class TestWorkBounds:
     @pytest.fixture
     def counts(self, monkeypatch):
         tally = {"solve": 0, "solve_shapes": set(), "inv": 0, "eigvals": 0, "eigvals_full": 0,
-                 "root_grid": 0, "build_drift": 0, "drift_stack": 0}
+                 "root_grid": 0, "build_drift": 0, "drift_stack": 0, "drift_check": 0}
         solve, inv, eigvals = np.linalg.solve, np.linalg.inv, np.linalg.eigvals
         build_drift, root_grid = spectra.build_drift, cascade.root_grid
+        cascade_blocks = spectra.cascade_blocks
 
         def counted_solve(a, b):
             tally["solve"] += 1
@@ -268,11 +269,16 @@ class TestWorkBounds:
             tally["root_grid"] += 1
             return root_grid(*args)
 
+        def counted_check(drifts):
+            tally["drift_check"] += 1
+            return cascade_blocks(drifts)
+
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         monkeypatch.setattr(np.linalg, "inv", counted_inv)
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         monkeypatch.setattr(spectra, "build_drift", counted_drift)
         monkeypatch.setattr(cascade, "root_grid", counted_roots)
+        monkeypatch.setattr(spectra, "cascade_blocks", counted_check)
         return tally
 
     @staticmethod
@@ -309,6 +315,8 @@ class TestWorkBounds:
         self.assert_row_solves(counts, blocks)
         assert counts["eigvals"] <= blocks
         assert counts["eigvals_full"] == 0
+        # one drift check per block, shared by the stability and EPR kernels
+        assert counts["drift_check"] == blocks
         # one root solve per cavity for the whole drive grid, one drift stack per block
         assert counts["root_grid"] == 2
         assert counts["build_drift"] == 0

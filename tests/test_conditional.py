@@ -2,8 +2,10 @@
 
 import contextlib
 import math
+import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,15 +13,22 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from cavmotion.conditional import (
-    BAND_PIVOT_FLOOR,
     FOCK_FACTOR_DIM,
     FOCK_FACTOR_POLICY,
-    BandFactor,
+    LATTICE_MIN_ORDER,
+    LATTICE_MIN_SPACING,
+    LATTICE_PIVOT_FLOOR,
+    LATTICE_TOLERANCE,
+    PROBABILITY_FLOOR,
+    JointState,
     condition_on_quadrature,
     efficiency_profile,
     evolve,
     gram_matrix,
     label_factor,
+    lattice_factor,
+    lattice_moments,
+    lattice_spacing,
     outcome_moments,
     purity_bruteforce,
 )
@@ -284,97 +293,219 @@ class TestFactoredKernel:
             assert res.lin_entropy[0] == pytest.approx(1.0 - brute, abs=1e-6)
 
 
-def band_to_dense(band):
-    """The upper-triangular R of a BandFactor as a full matrix."""
-    reach, size = band.diagonals.shape[0] - 1, band.diagonals.shape[1]
-    r = np.zeros((size, size), dtype=complex)
-    for k in range(reach + 1):
-        r[np.arange(size - k), np.arange(k, size)] = band.diagonals[k, :size - k]
-    return r
+def independent_factor(labels):
+    """A factor of the labels' Gram matrix that is not the closed form: label_factor's
+    QR or pivoted Cholesky factor, or G's LAPACK Cholesky factor where label_factor
+    takes the closed form (real)."""
+    factor = label_factor(labels)
+    if np.isrealobj(factor):
+        factor = np.linalg.cholesky(gram_matrix(labels)).conj().T
+    return factor
 
 
-def unpivoted_band(labels):
-    """BandFactor of the labels' Gram matrix from its unpivoted Cholesky factor."""
-    return BandFactor.from_upper(np.linalg.cholesky(gram_matrix(labels)).conj().T)
+def lattice_rows(state, x):
+    """The kernels' input: one row of coefficients times psi_n(x) per outcome."""
+    return state.coeffs * oscillator_wavefunctions(state.n_max, np.asarray(x, dtype=float)).T
+
+
+def reference_moments(spacing, amplitudes, dps=40):
+    """(P, purity) of sum_n a[n] |n lambda>|n lambda>, |lambda|^2 = spacing, at dps
+    digits from the double amplitudes: P = sum conj(a_m) a_n e^(-s (m-n)^2) and
+    purity P^2 = sum conj(F_S) F_T e^(-s (S-T)^2 / 2), F_S = sum_{m+p=S} a_m a_p
+    e^(-s (m-p)^2 / 2); pairs whose weight is below 10^-(dps+10) are left out."""
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(spacing)
+        reach = int(math.sqrt(2.0 * (dps + 10) * math.log(10.0) / spacing)) + 1
+        w = [mpmath.exp(-s * d * d / 2) for d in range(2 * reach + 1)]
+        a = [mpmath.mpc(complex(v)) for v in amplitudes]
+        size = len(a)
+        prob = mpmath.re(sum(mpmath.conj(a[m]) * a[n] * w[abs(m - n)] ** 2
+                             for m in range(size)
+                             for n in range(max(0, m - reach), min(size, m + reach + 1))))
+        sums = [sum(a[m] * a[big - m] * w[abs(2 * m - big)]
+                    for m in range(max(0, big - size + 1), min(size, big + 1))
+                    if abs(2 * m - big) <= 2 * reach) for big in range(2 * size - 1)]
+        quartic = mpmath.re(sum(mpmath.conj(sums[i]) * sums[j] * w[abs(i - j)]
+                                for i in range(len(sums))
+                                for j in range(max(0, i - reach), min(len(sums), i + reach + 1))))
+        return float(prob), float(quartic / prob**2)
 
 
 class TestBandFactor:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(zeta=st.floats(5.0, 12.0), log_kappa=st.floats(math.log(0.3), math.log(2.0)),
-           t=st.floats(0.3, 2.0 * np.pi - 0.3),
-           x=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5))
-    def test_band_kernel_matches_dense_kernel(self, zeta, log_kappa, t, x):
-        # the same factor R, stored by diagonals and as a full matrix; complex
-        # labels away from t = pi
-        state = evolve(zeta, math.exp(log_kappa), t)
-        assume(isinstance(state.factor, BandFactor))
-        raw = state.coeffs * oscillator_wavefunctions(state.n_max, np.array(x)).T
-        prob, purity = outcome_moments(state.factor, raw)
-        dense_prob, dense_purity = outcome_moments(band_to_dense(state.factor), raw)
-        assert np.all(np.abs(prob / dense_prob - 1.0) <= 1e-13)
-        assert np.all(np.abs(purity - dense_purity) <= 1e-13)
+    """The closed-form lattice factor R and the states that take it.  R is
+    upper triangular and banded: its entries fall off as e^(-s (m-k)^2 / 2)
+    and are zeroed below FACTOR_FLOOR."""
 
     @pytest.mark.parametrize("t", [np.pi, 2.0])
     def test_factor_reproduces_gram(self, t):
-        # complex labels up to |mu| = 400 at t = 2, with phases up to 1e5
+        # complex labels up to |mu| = 400 at t = 2: R^T R is the lattice's real
+        # Toeplitz G, which at t = pi is gram_matrix of the (real) labels
         state = evolve(12.0, 1.0, t)
-        r = band_to_dense(state.factor)
-        assert np.allclose(r.conj().T @ r, gram_matrix(state.labels), rtol=0, atol=1e-13)
+        spacing, n = lattice_spacing(state.labels), np.arange(state.labels.size)
+        r = lattice_factor(spacing, n.size)
+        assert np.array_equal(r, np.triu(r)) and np.all(r >= 0.0)
+        gram = np.exp(-0.5 * spacing * np.subtract.outer(n, n) ** 2.0)
+        assert np.allclose(r.T @ r, gram, rtol=0, atol=1e-15)
+        if t == np.pi:
+            assert np.allclose(gram, gram_matrix(state.labels), rtol=0, atol=1e-15)
 
-    def test_band_kernel_matches_bruteforce(self):
-        # labels up to 14 on a line, 1-2.5 apart: the band kernel called
-        # directly (label_factor would expand such labels in the number
-        # basis), against the explicit partial trace
+    @pytest.mark.parametrize("zeta,kappa", [(5.0, 0.2), (8.0, 0.3), (12.0, 0.05), (6.0, 0.36)])
+    def test_ill_conditioned_gram_is_never_banded(self, zeta, kappa):
+        # the closed-form factor's smallest pivot (z; z)_N is below the floor:
+        # label_factor takes the QR or the pivoted Cholesky factor
+        state = evolve(zeta, kappa, np.pi)
+        assert np.linalg.cond(gram_matrix(state.labels)) > 5e3
+        r = lattice_factor(lattice_spacing(state.labels), state.labels.size)
+        assert r[-1, -1] ** 2 < LATTICE_PIVOT_FLOOR
+        assert not np.isrealobj(state.factor)
+
+    def test_wide_well_separated_labels_are_banded(self):
+        state = evolve(12.0, 1.0, np.pi)
+        assert np.array_equal(state.factor, lattice_factor(4.0, 237))
+        rows, cols = np.nonzero(state.factor)
+        assert set(cols - rows) == set(range(9))
+
+    def test_small_orders_stay_dense(self):
+        # below LATTICE_MIN_ORDER labels a one-outcome request costs less
+        # through two dense products with the factor, here the closed form
+        state = evolve(3.0, 2.0, np.pi)
+        assert state.labels.size == 38 < LATTICE_MIN_ORDER
+        assert np.isrealobj(state.factor) and state.factor.shape == (38, 38)
+        x = np.linspace(-4.0, 4.0, 9)
+        res = condition_on_quadrature(state, x)
+        prob, purity = outcome_moments(state.factor, lattice_rows(state, x))
+        assert np.array_equal(res.prob_density, prob)
+        assert np.array_equal(res.lin_entropy, 1.0 - purity)
+
+
+class TestLatticeMoments:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(zeta=st.floats(0.5, 12.0), reach=st.floats(0.0, 1.0),
+           t=st.floats(0.3, 2.0 * np.pi - 0.3),
+           x=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=5))
+    def test_lattice_kernel_matches_factor_kernel(self, zeta, reach, t, x):
+        # kappa log-uniform from the smallest routed spacing to 2, complex
+        # labels away from t = pi; certified rows only
+        low = math.sqrt(LATTICE_MIN_SPACING) / abs(1.0 - np.exp(-1j * t))
+        state = evolve(zeta, low * (2.0 / low) ** reach, t)
+        spacing = lattice_spacing(state.labels)
+        assert spacing >= LATTICE_MIN_SPACING * (1.0 - 1e-12)
+        raw = lattice_rows(state, x)
+        prob, purity, estimate = lattice_moments(spacing, raw)
+        certified = (estimate <= LATTICE_TOLERANCE) & (prob > PROBABILITY_FLOOR)
+        assume(certified.any())
+        want_prob, want_purity = outcome_moments(independent_factor(state.labels), raw[certified])
+        assert np.all(np.abs(prob[certified] / want_prob - 1.0) <= 1e-12)
+        assert np.all(np.abs(purity[certified] - want_purity) <= 1e-12)
+
+    def test_lattice_kernel_matches_40_digit_reference(self):
+        # labels up to |mu| = 400 at t = 2, where G's phases carry rounding
+        state = evolve(12.0, 1.0, 2.0)
+        spacing = lattice_spacing(state.labels)
+        raw = lattice_rows(state, [-3.0, -1.0, 0.2, 1.5, 3.5])
+        prob, purity, estimate = lattice_moments(spacing, raw)
+        assert np.all(estimate <= LATTICE_TOLERANCE)
+        for i, row in enumerate(raw):
+            want_prob, want_purity = reference_moments(spacing, row)
+            assert prob[i] == pytest.approx(want_prob, rel=2e-15)
+            assert purity[i] == pytest.approx(want_purity, rel=2e-15)
+
+    def test_lattice_kernel_matches_bruteforce(self):
+        # labels n lambda up to 14 with |lambda| 1-2.5 and random coefficients,
+        # against the explicit partial trace and the number-basis factor
         rng = np.random.default_rng(77)
         for _ in range(8):
-            steps = rng.uniform(1.0, 2.5, size=rng.integers(3, 10))
-            direction = np.exp(1j * rng.uniform(0, 2 * np.pi))
-            labels = np.concatenate(([0.0], np.cumsum(steps))) * direction
-            labels = labels * min(1.0, 14.0 / np.max(np.abs(labels)))
-            band = unpivoted_band(labels)
-            coeffs = rng.normal(size=labels.size) + 1j * rng.normal(size=labels.size)
-            prob, purity = outcome_moments(band, coeffs[None])
+            step = rng.uniform(1.0, 2.5)
+            size = int(rng.integers(3, int(14.0 / step) + 2))
+            labels = np.arange(size) * (step * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+            prob, purity, estimate = lattice_moments(lattice_spacing(labels), coeffs[None])
+            assert estimate[0] <= LATTICE_TOLERANCE
             brute = purity_bruteforce(coeffs / np.sqrt(prob[0]), labels, oracle_dim(labels))
             assert purity[0] == pytest.approx(brute, abs=1e-10)
             expanded = outcome_moments(label_factor(labels), coeffs[None])[0]
             assert prob[0] == pytest.approx(expanded[0], rel=1e-12)
 
-    @pytest.mark.parametrize("zeta,kappa", [(5.0, 0.2), (8.0, 0.3), (12.0, 0.05), (6.0, 0.36)])
-    def test_ill_conditioned_gram_is_never_banded(self, zeta, kappa):
-        # unpivoted Cholesky fails at (12, 0.05) and leaves a pivot below the
-        # floor at the others
-        state = evolve(zeta, kappa, np.pi)
-        gram = gram_matrix(state.labels)
-        assert np.linalg.cond(gram) > 5e3
-        try:
-            assert np.min(np.abs(np.diag(np.linalg.cholesky(gram))) ** 2) < BAND_PIVOT_FLOOR
-        except np.linalg.LinAlgError:
-            pass
-        assert not isinstance(state.factor, BandFactor)
+    def test_far_outcome_with_tiny_density(self):
+        # P ~ 1e-157 at x = +-30: purity P^2 underflows unless each row is
+        # scaled before the products
+        state = evolve(10.0, 1.0, np.pi)
+        raw = lattice_rows(state, [-30.0, 30.0])
+        prob, purity, estimate = lattice_moments(lattice_spacing(state.labels), raw)
+        assert np.all((1e-160 < prob) & (prob < 1e-155))
+        assert np.all(estimate <= LATTICE_TOLERANCE)
+        want_prob, want_purity = outcome_moments(independent_factor(state.labels), raw)
+        assert np.allclose(prob / want_prob, 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(purity, want_purity, rtol=0, atol=1e-12)
+        res = condition_on_quadrature(state, [-30.0, 30.0])
+        assert np.array_equal(res.prob_density, prob)
 
-    def test_wide_well_separated_labels_are_banded(self):
-        factor = evolve(12.0, 1.0, np.pi).factor
-        assert isinstance(factor, BandFactor)
-        assert factor.diagonals.shape == (9, 237)
+    def test_uncertified_rows_are_the_factor_kernels(self):
+        # s = 0.01: most rows fail the estimate and take the label factor
+        state = evolve(5.0, 0.05, np.pi)
+        x = np.linspace(-4.0, 4.0, 33)
+        raw = lattice_rows(state, x)
+        prob, purity, estimate = lattice_moments(lattice_spacing(state.labels), raw)
+        redo = estimate > LATTICE_TOLERANCE
+        assert 0 < redo.sum() < x.size
+        res = condition_on_quadrature(state, x)
+        want_prob, want_purity = outcome_moments(state.factor, raw[redo])
+        assert np.array_equal(res.prob_density[redo], want_prob)
+        assert np.array_equal(res.lin_entropy[redo], 1.0 - want_purity)
+        assert np.array_equal(res.prob_density[~redo], prob[~redo])
+        assert np.array_equal(res.lin_entropy[~redo], 1.0 - np.minimum(purity[~redo], 1.0))
 
-    def test_small_orders_stay_dense(self):
-        # a band kernel call costs more than two small dense products
-        factor = evolve(3.0, 2.0, np.pi).factor
-        assert isinstance(factor, np.ndarray) and factor.shape == (38, 38)
+    def test_clip_moves_no_value_beyond_its_estimate(self):
+        # nearly product states: one coefficient and 1e-9 noise, purity
+        # 1 - O(1e-18), which rounds above 1 on some rows
+        rng = np.random.default_rng(3)
+        size, x = LATTICE_MIN_ORDER + 12, np.linspace(-3.0, 3.0, 25)
+        over = 0
+        for spacing in (0.05, 0.5, 2.0):
+            for k in range(0, size, 6):
+                coeffs = 1e-9 * (rng.normal(size=size) + 1j * rng.normal(size=size))
+                coeffs[k] = 1.0
+                state = JointState(kappa=0.0, zeta=0.0, time=0.0, n_max=size - 1, coeffs=coeffs,
+                                   labels=np.arange(size) * complex(math.sqrt(spacing)))
+                _, purity, estimate = lattice_moments(spacing, lattice_rows(state, x))
+                assert np.all(estimate <= LATTICE_TOLERANCE)
+                clipped = 1.0 - condition_on_quadrature(state, x).lin_entropy
+                assert np.all(clipped <= 1.0)
+                assert np.all(np.abs(clipped - purity) <= estimate * purity)
+                over += np.count_nonzero(purity > 1.0)
+        assert over > 0
 
-    @pytest.mark.parametrize("zeta,kappa,t", [(12.0, 1.0, np.pi), (8.0, 2.0, 2.5)])
+    @pytest.mark.parametrize("zeta,kappa,t",
+                             [(12.0, 1.0, np.pi), (8.0, 2.0, 2.5), (5.0, 0.05, np.pi)])
     def test_views_give_the_same_bits(self, zeta, kappa, t):
-        # a one-outcome grid equals that row of a larger one; several outcomes
-        # per band chunk at (8, 2): values do not depend on chunking
-        x = np.linspace(-4.0, 4.0, 17)
+        # a one-outcome grid equals that row of a larger one, over more rows
+        # than one chunk of the kernel; at (5, 0.05) most rows take the factor
+        x = np.linspace(-4.0, 4.0, 41)
         state = evolve(zeta, kappa, t)
-        assert isinstance(state.factor, BandFactor)
+        assert state.labels.size >= LATTICE_MIN_ORDER
+        assert lattice_spacing(state.labels) >= LATTICE_MIN_SPACING
         profile = efficiency_profile(zeta, kappa, t, x_grid=x)
         for i in range(x.size):
             point = condition_on_quadrature(state, x[i:i + 1])
             assert point.prob_density[0] == profile.prob_density[i]
             assert point.lin_entropy[0] == profile.lin_entropy[i]
             assert np.array_equal(point.cond_coeffs[0], profile.cond_coeffs[i])
+
+    def test_kernel_memory_is_bounded(self):
+        # 161 outcomes at N + 1 = 129: the two factors (0.65 MiB) and one
+        # chunk's arrays take no more than the label factor and its kernel
+        state = evolve(8.0, 0.3, np.pi)
+        raw = lattice_rows(state, np.linspace(-4.0, 4.0, 161))
+        peaks = []
+        for kernel in (lambda: lattice_moments(lattice_spacing(state.labels), raw),
+                       lambda: outcome_moments(label_factor(state.labels), raw)):
+            tracemalloc.start()
+            try:
+                kernel()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] < 1.5 * 2**20
 
 
 class TestEfficiencyProfile:

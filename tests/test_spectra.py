@@ -386,7 +386,7 @@ class TestGridKernel:
         drift = build_drift(params, steady_grid(params, np.array([drive]))[0])
         noise = build_noise(params)
         omegas = np.geomspace(100.0, 1e4, 5)
-        grid, status, failure = spectra._epr_kernel(drift, noise, omegas)
+        grid, status, failure = spectra._epr_kernel(spectra.cascade_blocks(drift), noise, omegas)
         assert np.all(status == spectra.OK) == (drive < 1e100)
         assert np.all(status != spectra.OK) == (drive >= 1e100)
         with mpmath.workdps(300):
@@ -469,7 +469,8 @@ class TestGridKernel:
              NoiseModel(d=-vacuum.d, k=-vacuum.k), [1.0, 10.0], [spectra.NONPOSITIVE] * 2),
         ]
         for drift, case_noise, omegas, want in cases:
-            grid, status, failure = spectra._epr_kernel(drift, case_noise, np.array(omegas))
+            grid, status, failure = spectra._epr_kernel(spectra.cascade_blocks(drift), case_noise,
+                                                        np.array(omegas))
             assert status.tolist() == want
             assert np.array_equal(np.isnan(grid.e_degree), status != spectra.OK)
             for i in np.flatnonzero(status):
@@ -500,8 +501,9 @@ class TestGridKernel:
             drifts = build_drift(params, steady_grid(params, drives, selection="follow"))
             drifts = drifts[stability_stack(drifts)[0]]
             for w in (100.0, 1000.0, 5000.0):
-                assert_derived(spectra._row_solve(drifts, w, spectra.EPR_ROWS)[0],
-                               spectra._row_solve(drifts, -w, spectra.EPR_ROWS)[0])
+                blocks = spectra.cascade_blocks(drifts)
+                assert_derived(spectra._row_solve(blocks, w, spectra.EPR_ROWS)[0],
+                               spectra._row_solve(blocks, -w, spectra.EPR_ROWS)[0])
 
     def test_every_kernel_refuses_an_unpaired_drift(self):
         # the adjoint slots rotate like the operator slots: -w is not +w
@@ -522,7 +524,7 @@ class TestGridKernel:
         drifts = build_drift(params, steady_grid(params, np.geomspace(1e5, 1e154, 400), "follow"))
         drifts = drifts[np.all(np.isfinite(drifts), axis=(-2, -1))]
         drifts = drifts[stability_stack(drifts)[0]]
-        status = spectra._epr_kernel(drifts, build_noise(params), 1000.0)[1]
+        status = spectra._epr_kernel(spectra.cascade_blocks(drifts), build_noise(params), 1000.0)[1]
         assert np.any(status == spectra.ROUNDING)
         assert not np.any(status == spectra.NONPOSITIVE)
 

@@ -43,7 +43,6 @@ from .fock import (
 )
 from .spectra import (
     GRID_BLOCK,
-    NoiseModel,
     SingularTransferError,
     SpectrumPoint,
     SweepPoint,

@@ -17,6 +17,7 @@ import numpy as np
 BRANCH_LOWER = "lower"
 BRANCH_MIDDLE = "middle"
 BRANCH_UPPER = "upper"
+BRANCH_NONE = "none"  # a nan intensity: no working point
 SELECTIONS = ("lowest", "highest", "follow")
 
 # largest miss of the modulus cubic, relative to the drive power, that a
@@ -256,15 +257,17 @@ def branch_labels(params, delta, intensity):
 
     The middle segment is where the drive power decreases with intensity;
     its edges are the positive turning points of the modulus cubic.  A
-    monotone curve is all "lower".
+    monotone curve is all "lower"; a nan intensity is "none".
     """
     turns = _turning_points(params, delta)
     intensity = np.asarray(intensity, dtype=float)
     if turns is None:
-        return np.full(intensity.shape, BRANCH_LOWER)
-    lo, hi = turns
-    return np.where(intensity < lo, BRANCH_LOWER,
-                    np.where(intensity <= hi, BRANCH_MIDDLE, BRANCH_UPPER))
+        labels = np.full(intensity.shape, BRANCH_LOWER)
+    else:
+        lo, hi = turns
+        labels = np.where(intensity < lo, BRANCH_LOWER,
+                          np.where(intensity <= hi, BRANCH_MIDDLE, BRANCH_UPPER))
+    return np.where(np.isnan(intensity), BRANCH_NONE, labels)
 
 
 def _select(roots, intensities, selection):

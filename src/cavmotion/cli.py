@@ -243,9 +243,9 @@ def run_cascaded_spectrum(merged):
         raise ArithmeticError(
             f"no stable working point at drive {merged['drive']} "
             f"(branches {branch.branch1}/{branch.branch2})")
-    noise = spectra.build_noise(params)
+    d = spectra.build_noise(params)
     omegas = _grid(merged, "omega")
-    grids = (spectra.epr_grid(drift, noise, omegas[start:start + spectra.GRID_BLOCK])
+    grids = (spectra.epr_grid(drift, d, omegas[start:start + spectra.GRID_BLOCK])
              for start in range(0, omegas.size, spectra.GRID_BLOCK))
     return format_csv("omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product",
                       ",".join([FLOAT_FORMAT] * 6),

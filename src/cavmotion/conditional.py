@@ -131,6 +131,8 @@ def label_factor(labels):
     LATTICE_PIVOT_FLOOR; otherwise G's pivoted Cholesky factor, with entries
     below FACTOR_FLOOR zeroed."""
     labels = np.asarray(labels, dtype=complex)
+    if (spacing := lattice_spacing(labels)) is not None:  # n |lambda|: same G, no rounded phases
+        labels = np.arange(labels.size) * complex(math.sqrt(spacing))
     center = labels.mean()
     shifted = labels - center
     radius = float(np.max(np.abs(shifted)))
@@ -141,7 +143,6 @@ def label_factor(labels):
         np.divide(shifted, np.sqrt(np.arange(1.0, dim))[:, None], out=coords[1:])
         np.cumprod(coords, axis=0, out=coords)
         return np.linalg.qr(coords, mode="r")
-    spacing = lattice_spacing(labels)
     r = None if spacing is None else lattice_factor(spacing, labels.size)
     if r is not None and r[-1, -1] ** 2 >= LATTICE_PIVOT_FLOOR:  # R[N, N]^2 = (z; z)_N
         return r

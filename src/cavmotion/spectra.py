@@ -58,17 +58,8 @@ class SingularTransferError(ArithmeticError):
 
 
 @dataclass
-class NoiseModel:
-    """Delta-stripped input second moments d and commutators k = d - d^T."""
-
-    d: np.ndarray
-    k: np.ndarray
-
-
-@dataclass
 class SpectrumPoint:
-    """Collective EPR variances and entanglement degree: numbers at one
-    frequency, or arrays over a grid of points."""
+    """Collective EPR variances and entanglement degree, as arrays over a grid."""
 
     omega: float
     s_qplus: float
@@ -85,8 +76,7 @@ class SpectrumPoint:
 
 @dataclass
 class SweepPoint:
-    """An amplitude sweep: numbers at one drive, or arrays over a grid of
-    drives; error is None or why the drive has no e_degree."""
+    """An amplitude sweep over a grid of drives; error: None or why a drive has no e_degree."""
 
     drive: float
     branch1: str
@@ -135,7 +125,8 @@ def build_drift(params, steady):
 
 
 def build_noise(params):
-    """Input correlation matrix d and commutator matrix k for vacuum inputs.
+    """Delta-stripped input second moments d (8x8, real) for vacuum inputs;
+    for any input state the commutator matrix is d - d^T.
 
     Nonzero entries (1-based): d12 = d34 = Gamma, d56 = d78 = gamma, and the
     shared-vacuum cascade cross terms d58 = d76 = -gamma.
@@ -144,7 +135,7 @@ def build_noise(params):
     d[0, 1] = d[2, 3] = params.Gamma
     d[4, 5] = d[6, 7] = params.gamma
     d[4, 7] = d[6, 5] = -params.gamma
-    return NoiseModel(d=d, k=d - d.T)
+    return d
 
 
 def cascade_blocks(drifts):
@@ -237,16 +228,16 @@ def transfer_rows(drift, omega, rows):
     return y
 
 
-def correlation_matrix(drift, noise, omega):
-    """Delta-stripped second moments C(w) = T(w) d T(-w)^T of the fluctuations
-    at every point of the broadcast of `drift` and `omega`, with
+def correlation_matrix(drift, d, omega):
+    """Delta-stripped second moments C(w) = T(w) d T(-w)^T of the fluctuations,
+    for input moments d, at every point of the broadcast of `drift` and `omega`, with
     T(w) = (i w I - M)^(-1) the `transfer_rows` of the unit rows and
     T(-w) = P conj(T(w)) P (PAIRS)."""
     t = transfer_rows(drift, omega, np.eye(8))
-    return t @ noise.d @ np.swapaxes(t.conj()[..., PAIRS[:, None], PAIRS], -1, -2)
+    return t @ d @ np.swapaxes(t.conj()[..., PAIRS[:, None], PAIRS], -1, -2)
 
 
-def _epr_kernel(blocks, noise, omega):
+def _epr_kernel(blocks, d, omega):
     """(SpectrumPoint of arrays, status, failure) at every point of the
     broadcast of the drifts' `cascade_blocks` and `omega`, from the rows y =
     u T(w) of EPR_ROWS; u P = conj(u), so the rows at -w are conj(y) P (PAIRS).
@@ -254,7 +245,7 @@ def _epr_kernel(blocks, noise, omega):
     Each form is (1/4)[y_l(w) mat y_r(-w)^T + y_l(-w) mat y_r(w)^T], that of
     the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
     and are dropped): mat = d, l = r for the variances of q_a + q_b and
-    p_a - p_b; mat = k for <[q_a(w), p_a(w)]>.  status is OK or the failure
+    p_a - p_b; mat = d - d^T for <[q_a(w), p_a(w)]>.  status is OK or the failure
     a point-by-point evaluation meets first: SINGULAR (T(w), hence T(-w),
     singular or its rows not finite), DEGENERATE (commutator below
     COMMUTATOR_FLOOR), NONPOSITIVE (a variance not positive), ROUNDING (a
@@ -269,8 +260,8 @@ def _epr_kernel(blocks, noise, omega):
     failed = singular | ~np.isfinite(backward)
     with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
         flipped = y[..., :2, :][::-1]  # each sign's rows against the other sign's
-        with_d = _times(y[..., :2, :], noise.d) * flipped
-        with_k = _times(y[..., 2, :], noise.k) * y[::-1, ..., 3, :]
+        with_d = _times(y[..., :2, :], d) * flipped
+        with_k = _times(y[..., 2, :], d - d.T) * y[::-1, ..., 3, :]
         variances = 0.25 * (with_d[0] + with_d[1]).sum(axis=-1).real
         s_q, s_p = variances[..., 0], variances[..., 1]
         comm = 0.25 * (with_k[0] + with_k[1]).sum(axis=-1)
@@ -304,11 +295,11 @@ def _epr_kernel(blocks, noise, omega):
     return SpectrumPoint(omega, s_q, s_p, comm, e_degree), status, failure
 
 
-def epr_grid(drift, noise, omega):
+def epr_grid(drift, d, omega):
     """Collective EPR variances, commutator spectrum and degree on a grid.
 
     Evaluates every point of the broadcast of `drift` (8x8 or a stack) and
-    `omega` from four rows of `transfer_rows` (`_epr_kernel`).
+    `omega`, input moments d, from four rows of `transfer_rows` (`_epr_kernel`).
     s_qplus and s_pminus are the symmetrized variances of q_a + q_b and
     p_a - p_b; the commutator is the spectral <[q_a(w), p_a(w)]> built from
     the state-independent input commutators; the degree is their ratio
@@ -320,7 +311,7 @@ def epr_grid(drift, noise, omega):
     COMMUTATOR_FLOOR, then a variance that is not positive, then forms
     dominated by rounding (FORM_TOLERANCE).
     """
-    grid, status, failure = _epr_kernel(cascade_blocks(drift), noise, omega)
+    grid, status, failure = _epr_kernel(cascade_blocks(drift), d, omega)
     if status.any():
         raise failure(np.argmax(status != OK))
     return grid
@@ -335,7 +326,8 @@ def stability_stack(drifts):
     of a real map; in the quadratures (q, p) of each mode, v = S r with
     S = [[1, i], [1, -i]]/sqrt(2) per mode, its 2x2 entry [[x, y], [y*, x*]]
     becomes [[Re x + Re y, Im y - Im x], [Im x + Im y, Re x - Re y]].
-    Raises ValueError for a drift not of this form (`cascade_blocks`).
+    A block not finite gets nan eigenvalues, its drift False.  Raises
+    ValueError for a drift not of this form (`cascade_blocks`).
     """
     a, _, d = cascade_blocks(drifts)
     return _stability(a, d)
@@ -351,8 +343,11 @@ def _stability(a, d):
     real[..., :, 0, :, 1] = y.imag - x.imag
     real[..., :, 1, :, 0] = x.imag + y.imag
     real[..., :, 1, :, 1] = x.real - y.real
-    eigs = np.linalg.eigvals(real.reshape(real.shape[:-4] + (4, 4)))
-    eigs = eigs.reshape(eigs.shape[:-2] + (8,)).astype(complex)
+    real = real.reshape(real.shape[:-4] + (4, 4))
+    finite = np.all(np.isfinite(real), axis=(-2, -1))  # eigvals refuses an overflowed drive
+    eigs = np.full(real.shape[:-1], np.nan, dtype=complex)
+    eigs[finite] = np.linalg.eigvals(real[finite])
+    eigs = eigs.reshape(eigs.shape[:-2] + (8,))
     return np.all(eigs.real < 0.0, axis=-1), eigs
 
 
@@ -363,31 +358,28 @@ def amplitude_sweep(params, drive_grid, omega_eval):
     One `steady_grid` call continues each cavity's intensity adiabatically
     from drive to drive (a vanishing branch is a recorded jump); then drives
     go in blocks of GRID_BLOCK: one stack of drifts, one `cascade_blocks`
-    check of its finite ones, one batched eigenvalue call and one `epr_grid`
-    over its stable ones.  Unstable, overflowing or numerically degenerate
+    check, one batched eigenvalue call and one `epr_grid` over its stable
+    ones.  Unstable, overflowing (nan eigenvalues) or numerically degenerate
     drives come back with e_degree = nan and the reason in their error.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):
         raise ValueError("drive_grid must be sorted ascending")
-    noise = build_noise(params)
+    d = build_noise(params)
     steady = steady_grid(params, drive_grid, selection="follow")
     stable = np.zeros(drive_grid.size, dtype=bool)
     e_degree = np.full(drive_grid.size, np.nan)
     error = np.full(drive_grid.size, None, dtype=object)
     for start in range(0, drive_grid.size, GRID_BLOCK):
         block = slice(start, start + GRID_BLOCK)
-        drifts = build_drift(params, steady[block])
-        # eigvals refuses the nan drift of a drive whose power overflowed
-        finite = np.all(np.isfinite(drifts), axis=(-2, -1))
-        a, c, d = cascade_blocks(drifts[finite])
-        stable[block][finite] = damped = _stability(a, d)[0]
-        error[block] = np.where(stable[block], None,
-                                np.where(finite, "unstable working point", "overflow"))
+        stages = cascade_blocks(build_drift(params, steady[block]))
+        stable[block], eigs = _stability(stages[0], stages[2])
+        error[block] = np.where(stable[block], None, np.where(
+            np.isnan(eigs).any(axis=-1), "overflow", "unstable working point"))
         solved = np.flatnonzero(stable[block])
         if solved.size:
-            stages = (a[damped], c[damped], d[damped])
-            grid, status, failure = _epr_kernel(stages, noise, omega_eval)
+            stages = tuple(stage[solved] for stage in stages)
+            grid, status, failure = _epr_kernel(stages, d, omega_eval)
             e_degree[start + solved] = grid.e_degree
             for i in np.flatnonzero(status):
                 error[start + solved[i]] = str(failure(i))

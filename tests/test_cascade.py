@@ -14,6 +14,7 @@ from cavmotion import cascade
 from cavmotion.cascade import (
     BRANCH_LOWER,
     BRANCH_MIDDLE,
+    BRANCH_NONE,
     BRANCH_UPPER,
     SELECTIONS,
     PhysParams,
@@ -114,6 +115,17 @@ class TestBranchLabel:
         roots = found(root_grid(params, params.Delta1, [power])[0])
         labels = branch_labels(params, params.Delta1, roots).tolist()
         assert labels == [BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_UPPER]
+
+    def test_nan_intensity_is_none(self):
+        # a drive whose power overflowed has no working point, on either curve
+        for chi in (0.0, 1.0):
+            params = PhysParams(chi=chi, Omega=10.0, **CANONICAL_RATES)
+            labels = branch_labels(params, params.Delta1, [np.nan, 1e30, 0.0]).tolist()
+            assert labels == [BRANCH_NONE, BRANCH_LOWER if chi == 0.0 else BRANCH_UPPER,
+                              BRANCH_LOWER]
+        grid = steady_grid(params, np.array([1e5, 1e200]), "follow")
+        assert grid.branch1.tolist() == grid.branch2.tolist() == [BRANCH_LOWER, BRANCH_NONE]
+        assert not grid.jumped1.any() and not grid.jumped2.any()
 
 
 class TestSteadyState:

@@ -183,6 +183,21 @@ class TestCascadedCsv:
         assert (sweep.stable[-1], sweep.error[-1]) == (False, "overflow")
         assert np.isnan(sweep.e_degree[-1])
 
+    def test_overflowing_drive_has_no_stable_working_point(self, capsys):
+        # the steady command reports the nan working point; the spectrum
+        # command refuses it like any unstable one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["cascaded", "steady", "--drive", "1e200"], capsys)
+            assert code == 0, err
+            cells = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+            assert (cells["branch1"], cells["branch2"], cells["stable"]) == ("none", "none", "false")
+            code, out, err = run_cli(["cascaded", "spectrum", "--drive", "1e200"], capsys)
+        assert code == cli.NUMERICAL_ERROR
+        assert out == ""
+        assert err.startswith("numerical failure: no stable working point at drive 1e+200")
+        assert "infs or NaNs" not in err
+
     def test_rounding_dominated_forms_flag_their_sweep_row(self, capsys):
         # at drive 1e151 the spectral forms lose everything to cancellation;
         # the row keeps its stable verdict

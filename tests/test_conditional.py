@@ -349,6 +349,19 @@ class TestBandFactor:
         if t == np.pi:
             assert np.allclose(gram, gram_matrix(state.labels), rtol=0, atol=1e-15)
 
+    def test_complex_lattice_factor_matches_30_digit_reference(self):
+        # complex labels n lambda at t = 2 with an ill-conditioned G: the
+        # pivoted Cholesky factors the real lattice n |lambda|, whose overlaps
+        # carry no rounded phases
+        state = evolve(12.0, 0.3, 2.0)
+        spacing = lattice_spacing(state.labels)
+        raw = lattice_rows(state, [-4.0, 0.0, 4.0])
+        prob, purity = outcome_moments(label_factor(state.labels), raw)
+        for i, row in enumerate(raw):
+            want_prob, want_purity = reference_moments(spacing, row, dps=30)
+            assert abs(prob[i] / want_prob - 1.0) <= 2e-14
+            assert abs(purity[i] - want_purity) <= 1e-14
+
     @pytest.mark.parametrize("zeta,kappa", [(5.0, 0.2), (8.0, 0.3), (12.0, 0.05), (6.0, 0.36)])
     def test_ill_conditioned_gram_is_never_banded(self, zeta, kappa):
         # the closed-form factor's smallest pivot (z; z)_N is below the floor:

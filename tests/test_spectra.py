@@ -14,7 +14,6 @@ from cavmotion.cascade import (
 )
 from cavmotion.spectra import (
     GRID_BLOCK,
-    NoiseModel,
     SingularTransferError,
     amplitude_sweep,
     build_drift,
@@ -149,25 +148,33 @@ class TestBuildDrift:
 class TestBuildNoise:
     def test_entry_pattern(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        noise = build_noise(params)
+        d = build_noise(params)
         want = np.zeros((8, 8))
         want[0, 1] = want[2, 3] = params.Gamma
         want[4, 5] = want[6, 7] = params.gamma
         # the same vacuum re-enters cavity 2 with a sign flip
         want[4, 7] = want[6, 5] = -params.gamma
-        assert np.array_equal(noise.d, want)
+        assert d.shape == (8, 8) and np.isrealobj(d)
+        assert np.array_equal(d, want)
 
     def test_no_motional_damping_no_atom_noise(self):
         params = PhysParams(chi=1.0, Omega=10.0, Gamma=0.0, gamma=1.0, Delta1=1.0, Delta2=1.0)
-        noise = build_noise(params)
-        assert noise.d[0, 1] == 0.0 and noise.d[2, 3] == 0.0
-        assert noise.d[4, 5] == 1.0
+        d = build_noise(params)
+        assert d[0, 1] == 0.0 and d[2, 3] == 0.0
+        assert d[4, 5] == 1.0
 
     def test_commutator_matrix_antisymmetric(self):
-        params = PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0)
-        noise = build_noise(params)
-        assert np.array_equal(noise.k, -noise.k.T)
-        assert np.array_equal(noise.k, noise.d - noise.d.T)
+        # the commutator form reads d - d^T, the same for every input state:
+        # thermal inputs, d + n (d + d^T), raise the variances and leave the
+        # commutator spectrum
+        params, _, drift = random_stable_point(np.random.default_rng(29))
+        d = build_noise(params)
+        assert np.array_equal(d - d.T, -(d - d.T).T)
+        omegas = np.array([0.3, 1.0, 2.5]) * params.Omega
+        vacuum, thermal = (epr_grid(drift, moments, omegas) for moments in (d, d + 0.7 * (d + d.T)))
+        assert np.allclose(thermal.commutator, vacuum.commutator, rtol=1e-12, atol=0)
+        assert np.all(thermal.s_qplus > vacuum.s_qplus)
+        assert np.all(thermal.s_pminus > vacuum.s_pminus)
 
 
 class TestTransfer:
@@ -226,7 +233,7 @@ class TestCorrelationMatrix:
     def test_zero_noise_zero_correlations(self):
         params = PhysParams(chi=0.4, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
         drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
-        silent = NoiseModel(d=np.zeros((8, 8)), k=np.zeros((8, 8)))
+        silent = np.zeros((8, 8))
         assert np.array_equal(correlation_matrix(drift, silent, 1.0), np.zeros((8, 8)))
 
     def test_conjugation_pairing_relation(self):
@@ -271,9 +278,8 @@ class TestEprSpectra:
     def test_nan_commutator_is_degenerate(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         drift = build_drift(params, steady_grid(params, np.array([1e3]))[0])
-        noise = NoiseModel(d=build_noise(params).d, k=np.full((8, 8), np.nan))
         with pytest.raises(ArithmeticError, match="degenerate commutator"):
-            epr_grid(drift, noise, params.Omega)
+            epr_grid(drift, np.full((8, 8), np.nan), params.Omega)
 
     def test_canonical_regime_dips_below_one(self):
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
@@ -306,8 +312,8 @@ def loop_reference_point(drift, noise, omega):
     time, in the grid kernel's evaluation order."""
     plus = stage_rows(drift, omega)
     minus = plus.conj()[:, spectra.PAIRS]
-    d_plus, d_minus = np.split(np.concatenate((plus, minus)) @ noise.d, 2)
-    k_plus, k_minus = np.stack((plus[2], minus[2])) @ noise.k
+    d_plus, d_minus = np.split(np.concatenate((plus, minus)) @ noise, 2)
+    k_plus, k_minus = np.stack((plus[2], minus[2])) @ (noise - noise.T)
     s_q, s_p = 0.25 * (d_plus * minus + d_minus * plus).sum(axis=-1).real[:2]
     comm = 0.25 * (k_plus * minus[3] + k_minus * plus[3]).sum()
     return s_q, s_p, comm, s_q * s_p / (0.25 * np.square(abs(comm)))
@@ -359,7 +365,7 @@ class TestGridKernel:
             grid = epr_grid(drift, noise, omegas)
             with mpmath.workdps(40):
                 m, eye = mpmath.matrix(drift.tolist()), mpmath.eye(8)
-                d, k = mpmath.matrix(noise.d.tolist()), mpmath.matrix(noise.k.tolist())
+                d, k = mpmath.matrix(noise.tolist()), mpmath.matrix((noise - noise.T).tolist())
                 q_plus, p_minus, q_a, p_a = (mpmath.matrix([u.tolist()]) for u in spectra.EPR_ROWS)
                 for i, w in enumerate(omegas):
                     plus = (mpmath.mpc(0, w) * eye - m) ** -1
@@ -391,7 +397,7 @@ class TestGridKernel:
         assert np.all(status != spectra.OK) == (drive >= 1e100)
         with mpmath.workdps(300):
             m, eye = mpmath.matrix(drift.tolist()), mpmath.eye(8)
-            d, k = mpmath.matrix(noise.d.tolist()), mpmath.matrix(noise.k.tolist())
+            d, k = mpmath.matrix(noise.tolist()), mpmath.matrix((noise - noise.T).tolist())
             q_plus, p_minus, q_a, p_a = (mpmath.matrix([u.tolist()]) for u in spectra.EPR_ROWS)
             for i in np.flatnonzero(status == spectra.OK):
                 plus = (mpmath.mpc(0, omegas[i]) * eye - m) ** -1
@@ -466,7 +472,7 @@ class TestGridKernel:
             (np.diag([-1.0 + 2j, -1.0 - 2j] * 4) * 1e20, noise, [0.5, -2.0],
              [spectra.DEGENERATE] * 2),
             (build_drift(params, steady_grid(params, np.array([1e3]))[0]),
-             NoiseModel(d=-vacuum.d, k=-vacuum.k), [1.0, 10.0], [spectra.NONPOSITIVE] * 2),
+             -vacuum, [1.0, 10.0], [spectra.NONPOSITIVE] * 2),
         ]
         for drift, case_noise, omegas, want in cases:
             grid, status, failure = spectra._epr_kernel(spectra.cascade_blocks(drift), case_noise,
@@ -549,7 +555,7 @@ class TestGridKernel:
                       for i in range(0, omegas.size, GRID_BLOCK)]
             c = np.concatenate(blocks)
             integral = np.tensordot(np.diff(omegas), c[1:] + c[:-1], axes=1) / (4 * np.pi)
-            sigma = scipy.linalg.solve_sylvester(drift, drift.T, -noise.d)
+            sigma = scipy.linalg.solve_sylvester(drift, drift.T, -noise)
             assert np.abs(integral - sigma).max() < 1e-3
             checked += 1
 
@@ -594,6 +600,23 @@ class TestClassifyStability:
             cost = np.abs(e0[:, None] - e1[None, :])
             rows, cols = linear_sum_assignment(cost)
             assert cost[rows, cols].max() <= 1e-8 * max(1, np.abs(e0).max())
+
+    def test_nan_drift_is_unstable_without_failing(self, monkeypatch):
+        # a drive whose power overflows has a nan drift: one eigenvalue call
+        # takes the finite blocks, the rest keep nan eigenvalues
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        drifts = build_drift(params, steady_grid(params, np.array([1e5, 3e5, 1e200, 1e7])))
+        assert np.isnan(drifts[2]).any()
+        finite = np.array([True, True, False, True])
+        want_stable, want_eigs = stability_stack(drifts[finite])
+        calls, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
+        stable, eigs = stability_stack(drifts)
+        assert len(calls) == 1
+        assert not stable[2] and np.isnan(eigs[2]).all()
+        assert np.array_equal(stable[finite], want_stable)
+        assert np.array_equal(eigs[finite], want_eigs)
+        assert not stability_stack(drifts[2])[0]
 
     def test_refuses_coupling_back_into_first_cavity(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)

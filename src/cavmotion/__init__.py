@@ -51,7 +51,7 @@ from .spectra import (
     build_noise,
     correlation_matrix,
     epr_grid,
-    stability_stack,
+    stability_grid,
     transfer_rows,
 )
 

@@ -330,8 +330,8 @@ def steady_grid(params, zeta1_in, selection="lowest"):
     cavity from the intensities at the drive before (adiabatic sweep
     continuation; the lowest roots at the first drive), and reports a
     branch jump through jumped1/jumped2 when the branch it was riding has
-    vanished.  Whether a working point is stable is decided by the
-    drift-matrix eigenvalues in the fluctuation module.
+    vanished.  Whether a working point is stable is decided by
+    `spectra.stability_grid`.
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown branch selection {selection!r}")

@@ -200,16 +200,15 @@ def run_single_cavity(merged, x_values=None):
 
 
 def _working_point(merged):
-    """(params, steady branch, drift, stable?) at the configured drive."""
+    """(params, steady branch, stable?) at the configured drive."""
     params = _phys_params(merged)
     branch = steady_grid(params, np.array([merged["drive"]]), merged["selection"])[0]
-    drift = spectra.build_drift(params, branch)
-    return params, branch, drift, spectra.stability_stack(drift)[0]
+    return params, branch, spectra.stability_grid(params, branch)
 
 
 def run_cascaded_steady(merged):
     """Single-working-point CSV for the cascaded scenario."""
-    params, branch, _, stable = _working_point(merged)
+    params, branch, stable = _working_point(merged)
     amplitudes = (branch.zeta1, branch.zeta2, branch.alpha, branch.beta)
     return format_csv(
         "drive,branch1,branch2,intensity1,intensity2,zeta1_re,zeta1_im,zeta2_re,zeta2_im,"
@@ -238,12 +237,12 @@ def run_cascaded(merged, drive_values=None):
 def run_cascaded_spectrum(merged):
     """Frequency-scan CSV at one drive on the selected branch, solved and
     written GRID_BLOCK frequencies at a time."""
-    params, branch, drift, stable = _working_point(merged)
+    params, branch, stable = _working_point(merged)
     if not stable:
         raise ArithmeticError(
             f"no stable working point at drive {merged['drive']} "
             f"(branches {branch.branch1}/{branch.branch2})")
-    d = spectra.build_noise(params)
+    drift, d = spectra.build_drift(params, branch), spectra.build_noise(params)
     omegas = _grid(merged, "omega")
     grids = (spectra.epr_grid(drift, d, omegas[start:start + spectra.GRID_BLOCK])
              for start in range(0, omegas.size, spectra.GRID_BLOCK))

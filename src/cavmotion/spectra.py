@@ -95,14 +95,12 @@ def build_drift(params, steady):
     `steady` is a SteadyBranch at one drive, or over a grid (or a block of
     one) for a stack (n, 8, 8) of drifts built in one broadcast.  Atom blocks are bare
     damped oscillators; atom-field coupling rows carry i chi zeta_j; cavity
-    rows carry the intensity-shifted detunings Delta_j + chi (alpha +
-    alpha*) and the one-way cascade feed gamma.
+    rows carry the pulled detunings (`_detunings`) and the one-way feed gamma.
     """
     chi, g = params.chi, params.gamma
     z1, z2 = np.asarray(steady.zeta1), np.asarray(steady.zeta2)
     pole = params.Gamma / 2.0 + 1j * params.Omega
-    d1 = params.Delta1 + chi * 2.0 * np.real(steady.alpha)
-    d2 = params.Delta2 + chi * 2.0 * np.real(steady.beta)
+    d1, d2 = np.moveaxis(_detunings(params, steady), -1, 0)
 
     m = np.zeros(z1.shape + (8, 8), dtype=complex)
     m[..., 0, 0] = m[..., 2, 2] = -pole
@@ -122,6 +120,12 @@ def build_drift(params, steady):
     m[..., 6, 6], m[..., 7, 7] = -g / 2.0 - 1j * d2, -g / 2.0 + 1j * d2
     m[..., 6, 4] = m[..., 7, 5] = g
     return m
+
+
+def _detunings(params, steady):
+    """(..., 2): the cavities' intensity-pulled detunings Delta_j + chi (alpha_j + alpha_j*)."""
+    atoms = np.stack((steady.alpha, steady.beta), axis=-1)
+    return np.array([params.Delta1, params.Delta2]) + params.chi * 2.0 * atoms.real
 
 
 def build_noise(params):
@@ -317,38 +321,38 @@ def epr_grid(drift, d, omega):
     return grid
 
 
-def stability_stack(drifts):
-    """Per drift of a stack (..., 8, 8): (all eigenvalues strictly damped?,
-    the eight eigenvalues), from one batched real eigenvalue call.
+def stability_grid(params, steady):
+    """Are the linearized fluctuations around the working point `steady` (one,
+    or a grid) damped?  False where the working point is not finite.
 
-    The one-way drift is block lower-triangular (`cascade_blocks`), so its
-    spectrum is that of A, then that of D.  Each block is the complex form
-    of a real map; in the quadratures (q, p) of each mode, v = S r with
-    S = [[1, i], [1, -i]]/sqrt(2) per mode, its 2x2 entry [[x, y], [y*, x*]]
-    becomes [[Re x + Re y, Im y - Im x], [Im x + Im y, Re x - Re y]].
-    A block not finite gets nan eigenvalues, its drift False.  Raises
-    ValueError for a drift not of this form (`cascade_blocks`).
+    The one-way drift's spectrum is that of its stages (`cascade_blocks`),
+    each a real map on an atom's (q, p) and its cavity's quadratures (X, Y)
+    with the characteristic polynomial
+        p(s) = (s^2 + Gamma s + wm^2)(s^2 + gamma s + wc^2) - K,
+    wm^2 = Gamma^2/4 + Omega^2, wc^2 = gamma^2/4 + d^2 with d the pulled
+    detuning (`_detunings`), and K = 4 chi^2 |zeta|^2 Omega d from the one
+    coupling cycle q -> Y -> X -> p -> q.  gamma > 0 makes its s^3, s^2 and
+    s coefficients positive, so (Lienard-Chipart) its roots all lie in the
+    left half plane iff a0 = wm^2 wc^2 - K > 0 and the Hurwitz determinant
+        D3 = a3 a2 a1 - a1^2 - a3^2 a0 = Gamma gamma [(wm^2 - wc^2)^2
+             + (Gamma + gamma)(Gamma wc^2 + gamma wm^2)] + (Gamma + gamma)^2 K > 0.
     """
-    a, _, d = cascade_blocks(drifts)
-    return _stability(a, d)
+    a0, d3 = _hurwitz_terms(params, steady)
+    return np.all((a0 > 0.0) & (d3 > 0.0), axis=-1)
 
 
-def _stability(a, d):
-    """`stability_stack` from the diagonal blocks of `cascade_blocks`."""
-    # (stage, mode, w, mode, w): mode 0 atom / 1 field, w 0 operator / 1 adjoint
-    blocks = np.stack((a, d), axis=-3).reshape(a.shape[:-2] + (2, 2, 2, 2, 2))
-    x, y = blocks[..., 0, :, 0], blocks[..., 0, :, 1]
-    real = np.empty(x.shape[:-2] + (2, 2, 2, 2))  # (stage, mode, q/p, mode, q/p)
-    real[..., :, 0, :, 0] = x.real + y.real
-    real[..., :, 0, :, 1] = y.imag - x.imag
-    real[..., :, 1, :, 0] = x.imag + y.imag
-    real[..., :, 1, :, 1] = x.real - y.real
-    real = real.reshape(real.shape[:-4] + (4, 4))
-    finite = np.all(np.isfinite(real), axis=(-2, -1))  # eigvals refuses an overflowed drive
-    eigs = np.full(real.shape[:-1], np.nan, dtype=complex)
-    eigs[finite] = np.linalg.eigvals(real[finite])
-    eigs = eigs.reshape(eigs.shape[:-2] + (8,))
-    return np.all(eigs.real < 0.0, axis=-1), eigs
+def _hurwitz_terms(params, steady):
+    """(a0, D3) of `stability_grid`, (..., 2) over the stages; a working point
+    that is not finite gives a nan or a term of the wrong sign."""
+    big, g, chi = params.Gamma, params.gamma, params.chi
+    wm2, damping = big * big / 4.0 + params.Omega**2, big + g
+    zeta = np.stack((steady.zeta1, steady.zeta2), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed drive's terms
+        d = _detunings(params, steady)
+        wc2 = g * g / 4.0 + d * d
+        k = 4.0 * chi * chi * np.abs(zeta) ** 2 * params.Omega * d
+        return wm2 * wc2 - k, (big * g * ((wm2 - wc2) ** 2 + damping * (big * wc2 + g * wm2))
+                               + damping**2 * k)
 
 
 def amplitude_sweep(params, drive_grid, omega_eval):
@@ -356,32 +360,29 @@ def amplitude_sweep(params, drive_grid, omega_eval):
     as one SweepPoint of arrays over the drives.
 
     One `steady_grid` call continues each cavity's intensity adiabatically
-    from drive to drive (a vanishing branch is a recorded jump); then drives
-    go in blocks of GRID_BLOCK: one stack of drifts, one `cascade_blocks`
-    check, one batched eigenvalue call and one `epr_grid` over its stable
-    ones.  Unstable, overflowing (nan eigenvalues) or numerically degenerate
-    drives come back with e_degree = nan and the reason in their error.
+    from drive to drive (a vanishing branch is a recorded jump), and one
+    `stability_grid` call decides every drive; then drives go in blocks of
+    GRID_BLOCK: one stack of drifts of its stable drives, one
+    `cascade_blocks` check and one EPR kernel call.  Unstable, overflowing
+    (nan intensity) or numerically degenerate drives come back with
+    e_degree = nan and the reason in their error.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):
         raise ValueError("drive_grid must be sorted ascending")
     d = build_noise(params)
     steady = steady_grid(params, drive_grid, selection="follow")
-    stable = np.zeros(drive_grid.size, dtype=bool)
+    stable = stability_grid(params, steady)
+    overflow = np.isnan(steady.intensity1 + steady.intensity2)  # no working point
+    error = np.where(stable, None, np.where(overflow, "overflow", "unstable working point"))
     e_degree = np.full(drive_grid.size, np.nan)
-    error = np.full(drive_grid.size, None, dtype=object)
     for start in range(0, drive_grid.size, GRID_BLOCK):
-        block = slice(start, start + GRID_BLOCK)
-        stages = cascade_blocks(build_drift(params, steady[block]))
-        stable[block], eigs = _stability(stages[0], stages[2])
-        error[block] = np.where(stable[block], None, np.where(
-            np.isnan(eigs).any(axis=-1), "overflow", "unstable working point"))
-        solved = np.flatnonzero(stable[block])
+        solved = start + np.flatnonzero(stable[start:start + GRID_BLOCK])
         if solved.size:
-            stages = tuple(stage[solved] for stage in stages)
+            stages = cascade_blocks(build_drift(params, steady[solved]))
             grid, status, failure = _epr_kernel(stages, d, omega_eval)
-            e_degree[start + solved] = grid.e_degree
+            e_degree[solved] = grid.e_degree
             for i in np.flatnonzero(status):
-                error[start + solved[i]] = str(failure(i))
+                error[solved[i]] = str(failure(i))
     return SweepPoint(drive_grid, steady.branch1, steady.branch2, steady.intensity1,
                       steady.intensity2, stable, e_degree, steady.jumped1 | steady.jumped2, error)

@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from block_oracle import block_eigenvalues
 from scipy.integrate import simpson
 
 from cavmotion.cascade import (
@@ -42,7 +43,7 @@ from cavmotion.spectra import (
     build_drift,
     build_noise,
     epr_grid,
-    stability_stack,
+    stability_grid,
     transfer_rows,
 )
 
@@ -155,8 +156,8 @@ def test_bistability_and_middle_branch():
             alpha=-1j * params.chi * abs(z_mid) ** 2 / pole, beta=ref.beta,
             intensity1=abs(z_mid) ** 2, intensity2=ref.intensity2,
             branch1="middle", branch2=ref.branch2)
-        _, eigs = stability_stack(build_drift(params, mid_branch))
-        growth = float(eigs.real.max())
+        assert not stability_grid(params, mid_branch), f"Omega={omega_vib}: middle branch stable"
+        growth = float(block_eigenvalues(build_drift(params, mid_branch)).real.max())
         assert growth > 0, f"Omega={omega_vib}: middle branch not unstable"
         details.append(f"Omega={omega_vib:g}: growth rate {growth:.3g}")
     return "; ".join(details)
@@ -217,10 +218,10 @@ def test_randomized_property_suites():
         params = PhysParams(chi=rng.uniform(0.0, 0.4), Omega=rng.uniform(0.5, 20.0),
                             Gamma=rng.uniform(1e-3, 1.0), gamma=1.0,
                             Delta1=rng.uniform(-5, 5), Delta2=rng.uniform(-5, 5))
-        drift = build_drift(params, steady_grid(params, [rng.uniform(0.0, 3.0)])[0])
-        stable, _ = stability_stack(drift)
-        if not stable:
+        branch = steady_grid(params, [rng.uniform(0.0, 3.0)])[0]
+        if not stability_grid(params, branch):
             continue
+        drift = build_drift(params, branch)
         omega = rng.uniform(-3.0, 3.0) * params.Omega
         t = transfer_rows(drift, omega, np.eye(8))
         lhs = 1j * omega * np.eye(8) - drift

@@ -1,12 +1,20 @@
 """Fluctuation-dynamics checks: drift, noise, transfer, EPR measure."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+from block_oracle import block_eigenvalues, real_blocks
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavmotion import spectra
 from cavmotion.cascade import (
+    SELECTIONS,
     PhysParams,
+    SteadyBranch,
     bistable_window,
     cavity_bracket,
     root_grid,
@@ -20,7 +28,7 @@ from cavmotion.spectra import (
     build_noise,
     correlation_matrix,
     epr_grid,
-    stability_stack,
+    stability_grid,
     transfer_rows,
 )
 
@@ -80,9 +88,8 @@ def random_stable_point(rng):
             Delta2=rng.uniform(-5.0, 5.0),
         )
         branch = steady_grid(params, np.array([rng.uniform(0.0, 3.0)]))[0]
-        drift = build_drift(params, branch)
-        if stability_stack(drift)[0]:
-            return params, branch, drift
+        if stability_grid(params, branch):
+            return params, branch, build_drift(params, branch)
 
 
 class TestBuildDrift:
@@ -287,7 +294,7 @@ class TestEprSpectra:
         drive = 0.999 * np.sqrt(p_hi / params.gamma)
         branch = steady_grid(params, np.array([drive]), "lowest")[0]
         drift = build_drift(params, branch)
-        assert stability_stack(drift)[0]
+        assert stability_grid(params, branch)
         point = epr_grid(drift, build_noise(params), params.Omega)
         assert point.e_degree < 1.0
 
@@ -344,9 +351,8 @@ class TestGridKernel:
         # the sweep's shape: one frequency, a stack of drifts
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         noise = build_noise(params)
-        drifts = build_drift(params, steady_grid(params, np.geomspace(1e5, 1e7, 30)))
-        stable, _ = stability_stack(drifts)
-        drifts = drifts[stable]
+        steady = steady_grid(params, np.geomspace(1e5, 1e7, 30))
+        drifts = build_drift(params, steady)[stability_grid(params, steady)]
         grid = epr_grid(drifts, noise, params.Omega)
         want = [epr_grid(drifts[k:k + 1], noise, params.Omega).e_degree[0]
                 for k in range(len(drifts))]
@@ -358,8 +364,9 @@ class TestGridKernel:
         worst = 0.0
         for chi in np.geomspace(0.3, 3.0, 5):
             params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
-            drift = build_drift(params, steady_grid(params, np.array([3e5]))[0])
-            assert stability_stack(drift)[0]
+            branch = steady_grid(params, np.array([3e5]))[0]
+            assert stability_grid(params, branch)
+            drift = build_drift(params, branch)
             noise = build_noise(params)
             omegas = params.Omega * np.array([0.1, 0.5, 1.0, 1.5, 8.0])
             grid = epr_grid(drift, noise, omegas)
@@ -425,17 +432,21 @@ class TestGridKernel:
         for w, c in zip(omegas, stacked):
             assert np.array_equal(correlation_matrix(drift, noise, w), c)
 
-    def test_stability_stack_matches_single_verdicts(self):
+    def test_stability_grid_matches_single_verdicts(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         drives = np.array([1e3, 3e5, 2e6])
-        drifts = np.concatenate([build_drift(params, steady_grid(params, drives, selection))
-                                 for selection in ("lowest", "highest")])
-        stable, eigs = stability_stack(drifts)
-        # a one-drift stack gives that row of the larger one
-        for k, (ok, e) in enumerate(zip(stable, eigs)):
-            single_ok, single_e = stability_stack(drifts[k:k + 1])
-            assert single_ok[0] == ok
-            assert np.array_equal(single_e[0], e)
+        verdicts = []
+        for selection in ("lowest", "highest"):
+            steady = steady_grid(params, drives, selection)
+            stable, terms = stability_grid(params, steady), spectra._hurwitz_terms(params, steady)
+            # one working point, or a one-element grid, gives that drive's verdict and terms
+            for k in range(drives.size):
+                assert stability_grid(params, steady[k]) == stable[k]
+                assert stability_grid(params, steady[k:k + 1]).tolist() == [stable[k]]
+                for one, many in zip(spectra._hurwitz_terms(params, steady[k]), terms):
+                    assert np.array_equal(one, many[k])
+            verdicts.extend(stable)
+        assert any(verdicts) and not all(verdicts)
 
     def test_singular_point_inside_grid_is_named(self):
         drift = np.diag([1j, -1j, 1j, -1j, 1j, -1j, 1j, -1j]).astype(complex)
@@ -504,32 +515,54 @@ class TestGridKernel:
         drives = np.geomspace(1e5, 1e9, 2401)
         for chi in np.geomspace(0.3, 3.0, 8):
             params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
-            drifts = build_drift(params, steady_grid(params, drives, selection="follow"))
-            drifts = drifts[stability_stack(drifts)[0]]
+            steady = steady_grid(params, drives, selection="follow")
+            drifts = build_drift(params, steady)[stability_grid(params, steady)]
             for w in (100.0, 1000.0, 5000.0):
                 blocks = spectra.cascade_blocks(drifts)
                 assert_derived(spectra._row_solve(blocks, w, spectra.EPR_ROWS)[0],
                                spectra._row_solve(blocks, -w, spectra.EPR_ROWS)[0])
 
+    @staticmethod
+    def kernel_calls(drift, noise):
+        """Every kernel that takes a drift, at one frequency."""
+        return (lambda: epr_grid(drift, noise, 4.0),
+                lambda: transfer_rows(drift, 4.0, np.eye(8)),
+                lambda: correlation_matrix(drift, noise, 4.0))
+
     def test_every_kernel_refuses_an_unpaired_drift(self):
         # the adjoint slots rotate like the operator slots: -w is not +w
         # conjugated, so no kernel may take it
-        drift = np.diag([2j] * 4 + [3j] * 4)
         noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
-        for call in (lambda: epr_grid(drift, noise, 4.0),
-                     lambda: transfer_rows(drift, 4.0, np.eye(8)),
-                     lambda: correlation_matrix(drift, noise, 4.0),
-                     lambda: stability_stack(drift)):
-            with pytest.raises(ValueError, match="real quadrature form"):
-                call()
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
+        rotated = drift.copy()
+        rotated[7, 7] = drift[6, 6]  # c2+ rotating like c2
+        for unpaired in (np.diag([2j] * 4 + [3j] * 4), rotated):
+            for call in self.kernel_calls(unpaired, noise):
+                with pytest.raises(ValueError, match="real quadrature form"):
+                    call()
+        # rounding-sized asymmetry is still a cascade drift
+        drift[5, 5] *= 1.0 + 1e-15
+        for call in self.kernel_calls(drift, noise):
+            call()
+
+    def test_every_kernel_refuses_coupling_back(self):
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        noise = build_noise(params)
+        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
+        drift[4, 6] = params.gamma  # second cavity feeding the first
+        stack = np.array([build_drift(params, steady_grid(params, [1e3])[0]), drift])
+        for drifts in (drift, stack):
+            for call in self.kernel_calls(drifts, noise):
+                with pytest.raises(ValueError, match="one-way cascade"):
+                    call()
 
     def test_vacuum_variances_are_never_non_positive(self):
         # with vacuum inputs each variance is a sum of squares up to the
         # rounding of its cross terms: extreme drives fail as rounding
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        drifts = build_drift(params, steady_grid(params, np.geomspace(1e5, 1e154, 400), "follow"))
-        drifts = drifts[np.all(np.isfinite(drifts), axis=(-2, -1))]
-        drifts = drifts[stability_stack(drifts)[0]]
+        steady = steady_grid(params, np.geomspace(1e5, 1e154, 400), "follow")
+        drifts = build_drift(params, steady)[stability_grid(params, steady)]
         status = spectra._epr_kernel(spectra.cascade_blocks(drifts), build_noise(params), 1000.0)[1]
         assert np.any(status == spectra.ROUNDING)
         assert not np.any(status == spectra.NONPOSITIVE)
@@ -546,9 +579,9 @@ class TestGridKernel:
             params = PhysParams(chi=rng.uniform(0.0, 0.4), Omega=rng.uniform(0.5, 20.0),
                                 Gamma=rng.uniform(0.2, 1.0), gamma=1.0,
                                 Delta1=rng.uniform(-5.0, 5.0), Delta2=rng.uniform(-5.0, 5.0))
-            drift = build_drift(params, steady_grid(params, np.array([rng.uniform(0.0, 3.0)]))[0])
-            stable, eigs = stability_stack(drift)
-            if not stable or eigs.real.max() > -0.1:
+            branch = steady_grid(params, np.array([rng.uniform(0.0, 3.0)]))[0]
+            drift = build_drift(params, branch)
+            if not stability_grid(params, branch) or block_eigenvalues(drift).real.max() > -0.1:
                 continue
             noise = build_noise(params)
             blocks = [correlation_matrix(drift, noise, omegas[i:i + GRID_BLOCK])
@@ -560,15 +593,39 @@ class TestGridKernel:
             checked += 1
 
 
+def hurwitz_reference(block, dps):
+    """(a0, D3) of the characteristic polynomial s^4 + a3 s^3 + a2 s^2 + a1 s
+    + a0 of a 4x4 stage block at `dps` digits (Faddeev-LeVerrier), the block
+    being the complex form of the real stage map: similar to it, so with its
+    polynomial."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        a, eye = mpmath.matrix(block.tolist()), mpmath.eye(4)
+        coeffs, m = [mpmath.mpf(1)], mpmath.zeros(4)
+        for k in range(1, 5):
+            m = a * m + coeffs[-1] * eye
+            am = a * m
+            coeffs.append(-sum(am[i, i] for i in range(4)) / k)
+        a3, a2, a1, a0 = (mpmath.re(c) for c in coeffs[1:])
+        return a0, a3 * a2 * a1 - a1 * a1 - a3 * a3 * a0
+
+
 class TestClassifyStability:
     def test_decoupled_eigenvalues(self):
+        # chi = 0: each stage is a damped atom beside a detuned cavity, and
+        # a0 and D3 are those of the polynomial with their eigenvalues
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
-        stable, eigs = stability_stack(drift)
-        assert stable
-        want = np.array([-0.1 + 3j, -0.1 - 3j, -0.1 + 3j, -0.1 - 3j,
-                         -0.5 - 1.5j, -0.5 + 1.5j, -0.5 + 0.7j, -0.5 - 0.7j])
-        assert np.allclose(np.sort_complex(eigs), np.sort_complex(want), atol=1e-10)
+        branch = steady_grid(params, np.array([1.0]))[0]
+        assert stability_grid(params, branch)
+        want = np.array([[-0.1 + 3j, -0.1 - 3j, -0.5 - 1.5j, -0.5 + 1.5j],
+                         [-0.1 + 3j, -0.1 - 3j, -0.5 + 0.7j, -0.5 - 0.7j]])
+        a0, d3 = spectra._hurwitz_terms(params, branch)
+        for stage, eigs in enumerate(want):
+            a3, a2, a1, a0_want = np.poly(eigs)[1:].real
+            assert a0[stage] == pytest.approx(a0_want, rel=1e-14)
+            assert d3[stage] == pytest.approx(a3 * a2 * a1 - a1 * a1 - a3 * a3 * a0_want, rel=1e-12)
+        eigs = block_eigenvalues(build_drift(params, branch))
+        assert np.allclose(np.sort_complex(eigs), np.sort_complex(want.ravel()), atol=1e-10)
 
     def test_middle_branch_unstable(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
@@ -579,82 +636,140 @@ class TestClassifyStability:
         branch = steady_grid(params, np.array([drive]), "lowest")[0]
         z_mid = np.sqrt(params.gamma) * drive / cavity_bracket(params, params.Delta1, roots[1])
         pole = params.Gamma / 2 + 1j * params.Omega
-        from cavmotion.cascade import SteadyBranch
         mid_branch = SteadyBranch(
             zeta1=z_mid, zeta2=branch.zeta2, zeta1_in=drive + 0j,
             zeta2_in=branch.zeta2_in,
             alpha=-1j * params.chi * abs(z_mid) ** 2 / pole, beta=branch.beta,
             intensity1=abs(z_mid) ** 2, intensity2=branch.intensity2,
             branch1="middle", branch2=branch.branch2)
-        stable, eigs = stability_stack(build_drift(params, mid_branch))
-        assert not stable
-        assert eigs.real.max() > 0
+        assert not stability_grid(params, mid_branch)
+        # the middle branch fails a0: one real eigenvalue has crossed zero
+        a0, d3 = spectra._hurwitz_terms(params, mid_branch)
+        assert a0[0] < 0 < d3[0]
+        assert block_eigenvalues(build_drift(params, mid_branch)).real.max() > 0
 
     def test_stability_invariant_under_drive_phase(self):
-        from scipy.optimize import linear_sum_assignment
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         for drive in (3.0e5, 2.0e6):
-            drives = drive * np.array([1.0, np.exp(1.1j)])
-            (s0, s1), (e0, e1) = stability_stack(build_drift(params, steady_grid(params, drives)))
+            steady = steady_grid(params, drive * np.array([1.0, np.exp(1.1j)]))
+            s0, s1 = stability_grid(params, steady)
             assert s0 == s1
-            cost = np.abs(e0[:, None] - e1[None, :])
-            rows, cols = linear_sum_assignment(cost)
-            assert cost[rows, cols].max() <= 1e-8 * max(1, np.abs(e0).max())
+            for term in spectra._hurwitz_terms(params, steady):
+                assert np.allclose(term[0], term[1], rtol=1e-12, atol=0.0)
 
-    def test_nan_drift_is_unstable_without_failing(self, monkeypatch):
-        # a drive whose power overflows has a nan drift: one eigenvalue call
-        # takes the finite blocks, the rest keep nan eigenvalues
+    def test_nan_drift_is_unstable_without_failing(self):
+        # a drive whose power overflows has a nan working point, hence a nan
+        # drift: its verdict is False, without a warning, and the other
+        # drives keep theirs
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        drifts = build_drift(params, steady_grid(params, np.array([1e5, 3e5, 1e200, 1e7])))
-        assert np.isnan(drifts[2]).any()
-        finite = np.array([True, True, False, True])
-        want_stable, want_eigs = stability_stack(drifts[finite])
-        calls, eigvals = [], np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
-        stable, eigs = stability_stack(drifts)
-        assert len(calls) == 1
-        assert not stable[2] and np.isnan(eigs[2]).all()
-        assert np.array_equal(stable[finite], want_stable)
-        assert np.array_equal(eigs[finite], want_eigs)
-        assert not stability_stack(drifts[2])[0]
+        steady = steady_grid(params, np.array([1e5, 3e5, 1e200, 1e6, 1e7]))
+        assert np.isnan(build_drift(params, steady[2])).any()
+        finite = np.array([True, True, False, True, True])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stable = stability_grid(params, steady)
+            assert stable.tolist() == [True, True, False, True, False]
+            assert np.array_equal(stable[finite], stability_grid(params, steady[finite]))
+            assert not stability_grid(params, steady[2])
+            # nor is a working point with any other part that is not finite
+            for name in ("zeta1", "zeta2", "alpha", "beta"):
+                for value in (np.inf, -np.inf, np.nan):
+                    assert not stability_grid(params, replace(steady[1], **{name: value}))
 
-    def test_refuses_coupling_back_into_first_cavity(self):
-        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
-        drift[4, 6] = params.gamma  # second cavity feeding the first
-        with pytest.raises(ValueError, match="one-way cascade"):
-            stability_stack(drift)
-        with pytest.raises(ValueError, match="one-way cascade"):
-            stability_stack(np.array([build_drift(params, steady_grid(params, [1e3])[0]), drift]))
+    def test_undamped_uncoupled_atoms_are_not_stable(self):
+        # Gamma = chi = 0: the atoms oscillate undamped; D3 is 0 exactly, so
+        # the verdict is False at every drive and detuning
+        for delta in (-3.0, 0.0, 2.5):
+            params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.0, gamma=1.0,
+                                Delta1=delta, Delta2=-delta)
+            steady = steady_grid(params, np.geomspace(1e-3, 1e6, 10))
+            a0, d3 = spectra._hurwitz_terms(params, steady)
+            assert np.all(a0 > 0.0) and np.all(d3 == 0.0)
+            assert not stability_grid(params, steady).any()
 
-    def test_refuses_block_without_real_quadrature_form(self):
-        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
-        drift[7, 7] = drift[6, 6]  # c2+ rotating like c2: no real quadrature form
-        with pytest.raises(ValueError, match="real quadrature form"):
-            stability_stack(drift)
-        # rounding-sized asymmetry is still a cascade drift
-        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
-        drift[5, 5] *= 1.0 + 1e-15
-        assert stability_stack(drift)[0]
-
-    def test_eigenvalues_match_40_digit_reference(self):
-        # equal detunings: the two blocks' eigenvalues nearly coincide, and
-        # the gamma feed between them leaves the full 8x8 problem nearly
-        # defective
-        mpmath = pytest.importorskip("mpmath")
-        from scipy.optimize import linear_sum_assignment
+    def test_hurwitz_terms_match_40_digit_reference(self):
+        # a0 and D3 against the 40-digit characteristic polynomial of each
+        # stage block of the same drift: drives next to each change of
+        # verdict on three benchmark sweeps, where D3 passes through zero,
+        # and a working point with equal detunings whose margins go down
+        # to 2e-7.  Each term is held to its summed term magnitude
+        worst, checked = 0.0, 0
+        cases = []
+        for chi in (0.3, 1.0, 3.0):
+            params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
+            steady = steady_grid(params, np.geomspace(1e5, 1e9, 2401), "follow")
+            change = np.flatnonzero(np.diff(stability_grid(params, steady)))
+            cases.append((params, steady[np.unique(np.concatenate([change, change + 1]))]))
         params = PhysParams(chi=0.3, Omega=1000.0, **CANONICAL_RATES)
-        branch = steady_grid(params, np.array([46415888.33612782]), "highest")[0]
-        drift = build_drift(params, branch)
-        with mpmath.workdps(40):
-            want = np.array([complex(e) for e in mpmath.eig(mpmath.matrix(drift.tolist()))[0]])
-        full = np.linalg.eigvals(drift)
-        assert abs(full.real.max() - want.real.max()) > 1e-6
-        _, eigs = stability_stack(drift)
-        cost = np.abs(eigs[:, None] - want[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        assert cost[rows, cols].max() <= 1e-9 * np.linalg.norm(drift, 2)
+        cases.append((params, steady_grid(params, np.array([46415888.33612782]), "highest")))
+        for params, steady in cases:
+            big, g = params.Gamma, params.gamma
+            wm2, damping = big * big / 4 + params.Omega**2, big + g
+            a0, d3 = spectra._hurwitz_terms(params, steady)
+            a, _, d = spectra.cascade_blocks(build_drift(params, steady))
+            for k in range(len(steady.zeta1)):
+                for stage, block in enumerate((a[k], d[k])):
+                    want_a0, want_d3 = hurwitz_reference(block, 40)
+                    wc2 = abs(block[2, 2]) ** 2  # |g/2 + i d|^2
+                    cycle = abs(wm2 * wc2 - float(want_a0))
+                    scale_a0 = wm2 * wc2 + cycle
+                    scale_d3 = (big * g * ((wm2 + wc2) ** 2 + damping * (big * wc2 + g * wm2))
+                                + damping**2 * cycle)
+                    for got, want, scale in ((a0[k, stage], want_a0, scale_a0),
+                                             (d3[k, stage], want_d3, scale_d3)):
+                        error = abs(got - float(want)) / scale
+                        worst = max(worst, error)
+                        assert error <= 1e-14, (params.chi, k, stage)
+                        checked += 1
+        assert checked >= 40
+        assert worst > 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(chi=st.floats(0.0, 3.0), log_omega=st.floats(-1.0, 3.5),
+           gamma_motion=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+           gamma=st.floats(0.1, 3.0), delta1=st.floats(-1e4, 1e4), delta2=st.floats(-1e4, 1e4))
+    def test_closed_form_matches_block_eigenvalues(self, chi, log_omega, gamma_motion, gamma,
+                                                   delta1, delta2):
+        # the closed-form coefficients against np.poly of the real stage
+        # blocks, and each stage's verdict against the sign of its
+        # eigenvalues, both where the eigenvalue solve is accurate enough to
+        # tell: the first-order bound of the benchmark-grid test on each
+        # eigenvalue, carried to the coefficients
+        eps = np.finfo(float).eps
+        params = PhysParams(chi=chi, Omega=10.0**log_omega, Gamma=gamma_motion, gamma=gamma,
+                            Delta1=delta1, Delta2=delta2)
+        big, g = params.Gamma, params.gamma
+        wm2 = big * big / 4 + params.Omega**2
+        drives = np.geomspace(1e-2, 1e8, 25)
+        for selection in SELECTIONS:
+            steady = steady_grid(params, drives, selection)
+            stable = stability_grid(params, steady)
+            a0, d3 = spectra._hurwitz_terms(params, steady)
+            finite = np.all(np.isfinite(build_drift(params, steady)), axis=(-2, -1))
+            assert not stable[~finite].any()
+            blocks = real_blocks(build_drift(params, steady[finite]))
+            eigs, vectors = np.linalg.eig(blocks)
+            condition = (np.linalg.norm(vectors, axis=-2)
+                         * np.linalg.norm(np.linalg.inv(vectors), axis=-1))
+            bound = 64 * eps * np.linalg.norm(blocks, axis=(-2, -1))[..., None] * condition
+            atoms = np.stack((steady.alpha[finite], steady.beta[finite]), axis=-1)
+            detuning = np.array([delta1, delta2]) + chi * 2.0 * atoms.real
+            wc2 = g * g / 4 + detuning**2
+            closed = np.stack([np.full(wc2.shape, big + g), wm2 + wc2 + big * g,
+                               big * wc2 + g * wm2, a0[finite]], axis=-1)
+            for k in np.ndindex(wc2.shape):
+                # a_j = e_j(-lambda): its derivative in lambda_i is -e_(j-1)
+                # of the other eigenvalues
+                spread = sum(bound[k][i] * np.poly(-np.abs(np.delete(eigs[k], i)))
+                             for i in range(4))
+                error = np.abs(np.poly(blocks[k])[1:] - closed[k])
+                assert np.all(error <= 1e-12 * np.abs(closed[k]) + spread), (selection, k)
+            top = np.argmax(eigs.real, axis=-1)
+            margin = np.take_along_axis(eigs.real, top[..., None], axis=-1)[..., 0]
+            clear = np.abs(margin) > np.take_along_axis(bound, top[..., None], axis=-1)[..., 0]
+            verdicts = ((a0 > 0.0) & (d3 > 0.0))[finite]
+            assert np.array_equal(verdicts[clear], (margin < 0.0)[clear]), selection
+            assert np.array_equal(stable[finite], verdicts.all(axis=-1))
 
     def test_verdicts_equal_full_drift_solve_on_benchmark_grid(self):
         drives = np.geomspace(1e5, 1e9, 2401)
@@ -662,8 +777,9 @@ class TestClassifyStability:
         compared = 0
         for chi in np.geomspace(0.3, 3.0, 8):
             params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
-            drifts = build_drift(params, steady_grid(params, drives, selection="follow"))
-            stable, _ = stability_stack(drifts)
+            steady = steady_grid(params, drives, selection="follow")
+            drifts = build_drift(params, steady)
+            stable = stability_grid(params, steady)
             full, vectors = np.linalg.eig(drifts)
             # first-order error bound of the full solve: eigenvalue condition
             # number times the rounding of the drift, with a factor n^2 to spare

@@ -687,6 +687,49 @@ class TestClassifyStability:
             assert np.all(a0 > 0.0) and np.all(d3 == 0.0)
             assert not stability_grid(params, steady).any()
 
+    def test_refuses_coupling_back_into_first_cavity(self):
+        # the eigenvalue oracle reads each stage's spectrum off its diagonal
+        # block, which holds only for a one-way cascade
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
+        drift[4, 6] = params.gamma  # second cavity feeding the first
+        with pytest.raises(ValueError, match="one-way cascade"):
+            block_eigenvalues(drift)
+        with pytest.raises(ValueError, match="one-way cascade"):
+            real_blocks(np.array([build_drift(params, steady_grid(params, [1e3])[0]), drift]))
+
+    def test_refuses_block_without_real_quadrature_form(self):
+        # the oracle's real stage map exists only for paired blocks
+        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
+        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
+        drift[7, 7] = drift[6, 6]  # c2+ rotating like c2: no real quadrature form
+        with pytest.raises(ValueError, match="real quadrature form"):
+            block_eigenvalues(drift)
+        # rounding-sized asymmetry is still a cascade drift
+        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
+        drift[5, 5] *= 1.0 + 1e-15
+        assert block_eigenvalues(drift).real.max() < 0.0
+        assert stability_grid(params, steady_grid(params, np.array([3.0e5]))[0])
+
+    def test_eigenvalues_match_40_digit_reference(self):
+        # the eigenvalue oracle on its hardest case: with equal detunings the
+        # two blocks' eigenvalues nearly coincide, and the gamma feed between
+        # them leaves the full 8x8 problem nearly defective
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.optimize import linear_sum_assignment
+        params = PhysParams(chi=0.3, Omega=1000.0, **CANONICAL_RATES)
+        branch = steady_grid(params, np.array([46415888.33612782]), "highest")[0]
+        drift = build_drift(params, branch)
+        with mpmath.workdps(40):
+            want = np.array([complex(e) for e in mpmath.eig(mpmath.matrix(drift.tolist()))[0]])
+        full = np.linalg.eigvals(drift)
+        assert abs(full.real.max() - want.real.max()) > 1e-6
+        eigs = block_eigenvalues(drift)
+        cost = np.abs(eigs[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-9 * np.linalg.norm(drift, 2)
+        assert stability_grid(params, branch) == bool(want.real.max() < 0.0)
+
     def test_hurwitz_terms_match_40_digit_reference(self):
         # a0 and D3 against the 40-digit characteristic polynomial of each
         # stage block of the same drift: drives next to each change of

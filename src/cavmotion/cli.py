@@ -8,11 +8,11 @@ Subcommands
     cascaded spectrum        E(omega) over a frequency grid at fixed drive
     plot                     CSV -> SVG polylines
 
-Every physical value can come from a flag, a `key = value` config file
-(--config), or a built-in default, in that precedence order.  Output is
-deterministic: the same effective configuration yields byte-identical
-documents.  Exit codes: 0 success, 1 usage/config error, 2 numerical
-failure.
+Every physical value can come from a flag (of the subcommands that read
+it, see FIELDS), a `key = value` config file (--config, any key), or a
+built-in default, in that precedence order.  Output is deterministic: the
+same effective configuration yields byte-identical documents.  Exit codes:
+0 success, 1 usage/config error, 2 numerical failure.
 """
 
 import argparse
@@ -159,7 +159,7 @@ def _checked(build, merged, names):
 
 
 def _phys_params(merged):
-    return _checked(PhysParams, merged, ("chi", "Omega", "Gamma", "gamma", "Delta1", "Delta2"))
+    return _checked(PhysParams, merged, PHYS_FIELDS)
 
 
 def _policy(merged):
@@ -274,7 +274,8 @@ def _write_out(text, out):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no prefix matching: "--omega" must not reach sweep's one --omega-* flag
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # argparse reads "-1e-05" as an option; take it as a number like "-1"
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
 
@@ -284,10 +285,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub, plot=True):
+def _add_common(sub, plot):
     sub.add_argument("--config", help="key = value parameter file")
     sub.add_argument("--out", help="output path (default: stdout)")
-    if plot:  # a working point has no curve to plot
+    if plot:
         sub.add_argument("--plot", action="store_true",
                          help="also write an SVG next to --out")
 
@@ -297,12 +298,18 @@ def _add_params(sub, names):
         sub.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
 
 
-SINGLE_FIELDS = ("zeta", "kappa", "time", "x_min", "x_max", "x_count",
-                 "tail_epsilon", "hard_cap")
-CASCADED_FIELDS = ("chi", "Omega", "Gamma", "gamma", "Delta1", "Delta2",
-                   "drive", "drive_min", "drive_max", "drive_count", "drive_log",
-                   "omega_min", "omega_max", "omega_count", "omega_log",
-                   "omega_eval", "selection")
+PHYS_FIELDS = ("chi", "Omega", "Gamma", "gamma", "Delta1", "Delta2")
+SINGLE_FIELDS = ("zeta", "kappa", "time", "tail_epsilon", "hard_cap")
+# each subcommand's flags: the fields it reads (a config file may set any)
+FIELDS = {
+    ("single-cavity", "sweep"): SINGLE_FIELDS + ("x_min", "x_max", "x_count"),
+    ("single-cavity", "point"): SINGLE_FIELDS,
+    ("cascaded", "steady"): PHYS_FIELDS + ("drive", "selection"),
+    ("cascaded", "sweep"): PHYS_FIELDS + ("drive_min", "drive_max", "drive_count", "drive_log",
+                                          "omega_eval"),
+    ("cascaded", "spectrum"): PHYS_FIELDS + ("drive", "selection", "omega_min", "omega_max",
+                                             "omega_count", "omega_log"),
+}
 
 
 @functools.cache
@@ -312,23 +319,15 @@ def build_parser():
     parser = _Parser(prog="cavmotion",
                      description="Radiation-pressure atomic-motion entangling simulator")
     top = parser.add_subparsers(dest="scenario", required=True)
-
-    single = top.add_parser("single-cavity", help="conditional measurement scenario")
-    single_sub = single.add_subparsers(dest="action", required=True)
-    for action in ("sweep", "point"):
-        sub = single_sub.add_parser(action)
-        _add_common(sub)
-        _add_params(sub, SINGLE_FIELDS)
+    actions = {name: top.add_parser(name, help=text).add_subparsers(dest="action", required=True)
+               for name, text in (("single-cavity", "conditional measurement scenario"),
+                                  ("cascaded", "cascaded steady-state scenario"))}
+    for (scenario, action), fields in FIELDS.items():
+        sub = actions[scenario].add_parser(action)
+        _add_common(sub, plot=action != "steady")  # a working point has no curve to plot
+        _add_params(sub, fields)
         if action == "point":
-            sub.add_argument("--x", required=True, type=float,
-                             help="quadrature outcome")
-
-    casc = top.add_parser("cascaded", help="cascaded steady-state scenario")
-    casc_sub = casc.add_subparsers(dest="action", required=True)
-    for action in ("steady", "sweep", "spectrum"):
-        sub = casc_sub.add_parser(action)
-        _add_common(sub, plot=action != "steady")
-        _add_params(sub, CASCADED_FIELDS)
+            sub.add_argument("--x", required=True, type=float, help="quadrature outcome")
 
     plot = top.add_parser("plot", help="CSV to SVG")
     plot.add_argument("csv_path")

@@ -40,11 +40,12 @@ SOLVE_TOLERANCE = 1e-10
 OK, SINGULAR, DEGENERATE, NONPOSITIVE, ROUNDING = range(5)
 # largest estimated relative rounding error of an EPR form at an OK point:
 # (the rows' componentwise backward error + eps) times the summed magnitude
-# of the form's terms over its value.  The estimate stays below 1e-13 over
-# the benchmark's sweeps (chi 0.3-3) and spectra and at the decade drives
-# 1e5-1e54 (chi = 1, lowest branch); it is 0.2 or more at every frequency
-# of the drives 1e100 and 1e151, whose rows have a backward error of order
-# 1 and whose forms are off by factors against a 300-digit inversion
+# of the form's terms over its value.  It stays below 1e-13 (2.5e-14 at most)
+# on the benchmark's sweeps (chi 0.3-3) and spectra and at the decade drives
+# 1e5-1e54 (chi = 1, lowest branch); at the drives 1e100 and 1e151, whose rows
+# have a backward error of order 1 and whose forms are off by factors against a
+# 300-digit inversion, it is 0.27 or more at five frequencies 1e2-1e4 (0.016
+# or more over 2001)
 FORM_TOLERANCE = 1e-6
 
 # points per batched solve: a block's rows, (points, 4, 8), grow with it;
@@ -235,45 +236,44 @@ def transfer_rows(drift, omega, rows):
 def correlation_matrix(drift, d, omega):
     """Delta-stripped second moments C(w) = T(w) d T(-w)^T of the fluctuations,
     for input moments d, at every point of the broadcast of `drift` and `omega`, with
-    T(w) = (i w I - M)^(-1) the `transfer_rows` of the unit rows and
-    T(-w) = P conj(T(w)) P (PAIRS)."""
+    T(w) = (i w I - M)^(-1) the `transfer_rows` of the unit rows.  P conj(M) P = M
+    gives T(-w)^T = P T(w)^H P for the slot swap P (PAIRS), so C = (T d P T^H) P."""
     t = transfer_rows(drift, omega, np.eye(8))
-    return t @ d @ np.swapaxes(t.conj()[..., PAIRS[:, None], PAIRS], -1, -2)
+    return (t @ d[:, PAIRS] @ np.swapaxes(t.conj(), -1, -2))[..., PAIRS]
 
 
 def _epr_kernel(blocks, d, omega):
     """(SpectrumPoint of arrays, status, failure) at every point of the
     broadcast of the drifts' `cascade_blocks` and `omega`, from the rows y =
-    u T(w) of EPR_ROWS; u P = conj(u), so the rows at -w are conj(y) P (PAIRS).
+    u T(w) of EPR_ROWS at +w alone.
 
-    Each form is (1/4)[y_l(w) mat y_r(-w)^T + y_l(-w) mat y_r(w)^T], that of
-    the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
-    and are dropped): mat = d, l = r for the variances of q_a + q_b and
-    p_a - p_b; mat = d - d^T for <[q_a(w), p_a(w)]>.  status is OK or the failure
-    a point-by-point evaluation meets first: SINGULAR (T(w), hence T(-w),
-    singular or its rows not finite), DEGENERATE (commutator below
-    COMMUTATOR_FLOOR), NONPOSITIVE (a variance not positive), ROUNDING (a
-    form's estimated relative rounding error above FORM_TOLERANCE: the
-    rows' componentwise backward error, plus eps, times the summed magnitude
-    of the form's terms over its value); there e_degree is nan and
-    failure(i) is the error of flat point i."""
+    Each form is (1/4) u_l [C(w) + C(-w)] u_r^T, C(w) = T(w) mat T(-w)^T: that
+    of the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
+    and are dropped), with mat = d, l = r for the variances of q_a + q_b and
+    p_a - p_b and mat = d - d^T for <[q_a(w), p_a(w)]>.  As T(-w)^T = P T(w)^H P
+    and u P = conj(u) (P the slot swap PAIRS), a variance is y A y^H with
+    A = (d + d^T) P / 4 and the commutator y_q B y_p^H - y_p B y_q^H with
+    B = (d - d^T) P / 4.  status is OK or the failure a point-by-point
+    evaluation meets first: SINGULAR (T(w) singular or its rows not finite),
+    DEGENERATE (commutator below COMMUTATOR_FLOOR), NONPOSITIVE (a variance
+    not positive), ROUNDING (a form's estimated relative rounding error above
+    FORM_TOLERANCE: the rows' componentwise backward error, plus eps, times
+    the summed magnitude of the form's terms over its value); there e_degree
+    is nan and failure(i) is the error of flat point i."""
     shape = np.broadcast_shapes(blocks[0].shape[:-2], np.shape(omega))
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
     y, singular, backward, error = _row_solve(blocks, omega, EPR_ROWS)
-    y = np.stack((y, y.conj()[..., PAIRS]))  # the rows at +w, then at -w
     failed = singular | ~np.isfinite(backward)
     with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
-        flipped = y[..., :2, :][::-1]  # each sign's rows against the other sign's
-        with_d = _times(y[..., :2, :], d) * flipped
-        with_k = _times(y[..., 2, :], d - d.T) * y[::-1, ..., 3, :]
-        variances = 0.25 * (with_d[0] + with_d[1]).sum(axis=-1).real
-        s_q, s_p = variances[..., 0], variances[..., 1]
-        comm = 0.25 * (with_k[0] + with_k[1]).sum(axis=-1)
+        # the terms of each form: (y A)_k conj(y_k), and (y B)_k conj(y'_k)
+        # for the commutator's pairs (q_a, p_a) and (p_a, q_a)
+        with_d = _times(y[..., :2, :], 0.25 * (d + d.T)[:, PAIRS]) * y[..., :2, :].conj()
+        with_k = _times(y[..., 2:, :], 0.25 * (d - d.T)[:, PAIRS]) * y[..., [3, 2], :].conj()
+        s_q, s_p = np.moveaxis(with_d.sum(axis=-1).real, -1, 0)
+        comm = with_k[..., 0, :].sum(axis=-1) - with_k[..., 1, :].sum(axis=-1)
         e_degree = s_q * s_p / (0.25 * np.square(np.abs(comm)))
         # each form's terms summed in magnitude, over its value
-        size_d, size_k = np.abs(with_d), np.abs(with_k)
-        size_d = 0.25 * (size_d[0] + size_d[1]).sum(axis=-1)
-        size_k = 0.25 * (size_k[0] + size_k[1]).sum(axis=-1)
+        size_d, size_k = np.abs(with_d).sum(axis=-1), np.abs(with_k).sum(axis=(-2, -1))
         spread = np.maximum(np.maximum(size_d[..., 0] / s_q, size_d[..., 1] / s_p),
                             size_k / np.abs(comm))
         rounding = (backward + EPS) * spread

@@ -412,7 +412,7 @@ class TestConfigPrecedence:
         ["cascaded", "sweep", "--omega-eval", "nan"],
         ["cascaded", "sweep", "--drive-max", "inf"],
         ["single-cavity", "point", "--x", "nan"],
-        ["single-cavity", "point", "--x", "0", "--x-min", "nan"],
+        ["single-cavity", "sweep", "--x-min", "nan"],
         ["cascaded", "steady", "--selection", "bogus"],
         ["single-cavity", "sweep", "--tail-epsilon=-inf"],
     ])
@@ -421,6 +421,25 @@ class TestConfigPrecedence:
         assert code == 1
         assert out == ""
         assert "must be" in err
+
+    @pytest.mark.parametrize("argv", [
+        *(["single-cavity", "point", "--x", "0", flag, "1"]
+          for flag in ("--x-min", "--x-max", "--x-count")),
+        *(["cascaded", "steady", flag, "1"]
+          for flag in ("--drive-min", "--drive-max", "--drive-count", "--drive-log", "--omega-min",
+                       "--omega-max", "--omega-count", "--omega-log", "--omega-eval")),
+        *(["cascaded", "spectrum", flag, "1"]
+          for flag in ("--drive-min", "--drive-max", "--drive-count", "--drive-log", "--omega-eval")),
+        *(["cascaded", "sweep", flag, "1"]
+          for flag in ("--drive", "--omega-min", "--omega-max", "--omega-count", "--omega-log")),
+        ["cascaded", "sweep", "--selection", "lowest"],
+        ["cascaded", "sweep", "--omega", "1"],  # not a prefix of --omega-eval
+    ])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):
+        # a config file may still set any key; a flag is accepted only where it is read
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("error: ") and argv[-2] in err.splitlines()[-1]
 
     @pytest.mark.parametrize("argv", [
         ["cascaded", "steady", "--gamma", "0"],

@@ -315,14 +315,15 @@ def stage_rows(drift, w):
 
 def loop_reference_point(drift, noise, omega):
     """(s_qplus, s_pminus, commutator, e_degree) at one frequency from the
-    rows at +w (`stage_rows`) and their conjugates at -w, one point at a
+    rows at +w (`stage_rows`) alone, as the hermitian forms y A y^H of the
+    variances and y_q B y_p^H - y_p B y_q^H of the commutator, one point at a
     time, in the grid kernel's evaluation order."""
-    plus = stage_rows(drift, omega)
-    minus = plus.conj()[:, spectra.PAIRS]
-    d_plus, d_minus = np.split(np.concatenate((plus, minus)) @ noise, 2)
-    k_plus, k_minus = np.stack((plus[2], minus[2])) @ (noise - noise.T)
-    s_q, s_p = 0.25 * (d_plus * minus + d_minus * plus).sum(axis=-1).real[:2]
-    comm = 0.25 * (k_plus * minus[3] + k_minus * plus[3]).sum()
+    y = stage_rows(drift, omega)
+    sym = (0.25 * (noise + noise.T))[:, spectra.PAIRS]
+    anti = (0.25 * (noise - noise.T))[:, spectra.PAIRS]
+    s_q, s_p = ((y[:2] @ sym) * y[:2].conj()).sum(axis=-1).real
+    q_first, p_first = ((y[2:] @ anti) * y[[3, 2]].conj()).sum(axis=-1)
+    comm = q_first - p_first
     return s_q, s_p, comm, s_q * s_p / (0.25 * np.square(abs(comm)))
 
 
@@ -387,6 +388,32 @@ class TestGridKernel:
                     for g, ref in zip(got, want):
                         worst = max(worst, float(abs(complex(g) - ref) / abs(ref)))
         assert worst < 5e-15
+
+    def test_correlation_matrix_matches_40_digit_reference(self):
+        # T(w) d T(-w)^T with T(-w) inverted on its own at 40 digits, not
+        # derived from T(w); each entry held to its row's largest entry (the
+        # worst was 7.4e-15, on the atom rows at w = Omega)
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        for chi in np.geomspace(0.3, 3.0, 5):
+            params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
+            branch = steady_grid(params, np.array([3e5]))[0]
+            assert stability_grid(params, branch)
+            drift, noise = build_drift(params, branch), build_noise(params)
+            omegas = params.Omega * np.array([0.1, 0.5, 1.0, 1.5, 8.0])
+            got = correlation_matrix(drift, noise, omegas)
+            with mpmath.workdps(40):
+                m, eye, d = mpmath.matrix(drift.tolist()), mpmath.eye(8), mpmath.matrix(noise.tolist())
+                for c, w in zip(got, omegas):
+                    plus = (mpmath.mpc(0, w) * eye - m) ** -1
+                    minus = (mpmath.mpc(0, -w) * eye - m) ** -1
+                    want = plus * d * minus.T
+                    for i in range(8):
+                        row = [want[i, j] for j in range(8)]
+                        scale = max(abs(x) for x in row)
+                        worst = max(worst, max(float(abs(complex(c[i, j]) - x) / scale)
+                                               for j, x in enumerate(row)))
+        assert worst < 2e-14
 
     @pytest.mark.parametrize("drive", [1e6, 1e70, 1e78, 1e100, 1e151])
     def test_ok_points_match_300_digit_reference(self, drive):

@@ -47,11 +47,11 @@ from .spectra import (
     SpectrumPoint,
     SweepPoint,
     amplitude_sweep,
-    build_drift,
     build_noise,
     correlation_matrix,
     epr_grid,
     stability_grid,
+    stage_blocks,
     transfer_rows,
 )
 

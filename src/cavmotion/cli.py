@@ -111,25 +111,27 @@ def parse_config_file(path):
 
 
 def resolve_config(args):
-    """Merge flag > config file > default into one flat dict."""
+    """Merge flag > config file > default into one flat dict, checking the
+    values of the fields the subcommand reads (FIELDS); a config file's
+    other lines need only a known key and a value of its type."""
+    fields = FIELDS[args.scenario, args.action]
     merged = dict(DEFAULTS)
     if getattr(args, "config", None):
         merged.update(parse_config_file(args.config))
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = _coerce(key, flag)
-    for key, value in merged.items():
+    for key in fields:
+        if getattr(args, key) is not None:
+            merged[key] = _coerce(key, getattr(args, key))
+        value = merged[key]
         if _FIELD_TYPES.get(key, float) is float and value is not None and not math.isfinite(value):
             raise UsageError(f"parameter {key} must be finite, got {value}")
     if getattr(args, "x", None) is not None and not math.isfinite(args.x):
         raise UsageError(f"--x must be finite, got {args.x}")
-    if not 1 <= merged["hard_cap"] <= DEFAULT_HARD_CAP:
+    if "hard_cap" in fields and not 1 <= merged["hard_cap"] <= DEFAULT_HARD_CAP:
         raise UsageError(f"hard_cap must be in [1, {DEFAULT_HARD_CAP}], got {merged['hard_cap']}")
-    if merged["selection"] not in SELECTIONS:
+    if "selection" in fields and merged["selection"] not in SELECTIONS:
         raise UsageError(f"selection must be one of {', '.join(SELECTIONS)}, "
                          f"got {merged['selection']!r}")
-    for grid in ("x", "drive", "omega"):
+    for grid in (name for name in ("x", "drive", "omega") if f"{name}_count" in fields):
         lo, hi, count = merged[f"{grid}_min"], merged[f"{grid}_max"], merged[f"{grid}_count"]
         if count < 1:
             raise UsageError(f"{grid} grid needs count >= 1, got {count}")
@@ -242,14 +244,23 @@ def run_cascaded_spectrum(merged):
         raise ArithmeticError(
             f"no stable working point at drive {merged['drive']} "
             f"(branches {branch.branch1}/{branch.branch2})")
-    drift, d = spectra.build_drift(params, branch), spectra.build_noise(params)
-    omegas = _grid(merged, "omega")
-    grids = (spectra.epr_grid(drift, d, omegas[start:start + spectra.GRID_BLOCK])
-             for start in range(0, omegas.size, spectra.GRID_BLOCK))
+    grids = _spectrum(params, branch, _grid(merged, "omega"))
     return format_csv("omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product",
                       ",".join([FLOAT_FORMAT] * 6),
                       ((g.omega, g.s_qplus, g.s_pminus, g.commutator.imag, g.e_degree,
                         g.variance_product) for g in grids))
+
+
+def _spectrum(params, branch, omegas):
+    """`spectra.epr_grid` at one working point, GRID_BLOCK frequencies at a
+    time, from its stage blocks built once."""
+    blocks, d = spectra.stage_blocks(params, branch), spectra.build_noise(params)
+    for start in range(0, omegas.size, spectra.GRID_BLOCK):
+        chunk = omegas[start:start + spectra.GRID_BLOCK]
+        grid, status, failure = spectra._epr_kernel(blocks, d, chunk)
+        if status.any():
+            raise failure(np.argmax(status != spectra.OK))
+        yield grid
 
 
 def run_plot(csv_path, x_column, y_columns, title=""):
@@ -278,6 +289,13 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
         # argparse reads "-1e-05" as an option; take it as a number like "-1"
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand refuses a flag it does not take with its own usage line
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     # argparse exits with 2 on usage problems; the CLI contract wants 1
     def error(self, message):

@@ -25,12 +25,10 @@ EPR_ROWS = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [-1j, 1j, 1j, -1j, 0, 0, 0, 0],
                      [1, 1, 0, 0, 0, 0, 0, 0], [-1j, 1j, 0, 0, 0, 0, 0, 0]])
 
 # slots of the first stage (a, a+, c1, c1+), then of the second (b, b+, c2,
-# c2+): so regrouped, a one-way cascade drift is block lower-triangular
+# c2+): the order of `stage_blocks`
 STAGES = np.array([0, 1, 4, 5, 2, 3, 6, 7])
-# each slot's adjoint partner: a cascade drift M has P conj(M) P = M for the
-# slot swap P, to QUADRATURE_TOLERANCE of its largest entry
+# each slot's adjoint partner: the slot swap P with P conj(M) P = M
 PAIRS = np.array([1, 0, 3, 2, 5, 4, 7, 6])
-QUADRATURE_TOLERANCE = 1e-12
 
 COMMUTATOR_FLOOR = 1e-30
 TINY, EPS = np.finfo(float).tiny, np.finfo(float).eps
@@ -62,11 +60,11 @@ class SingularTransferError(ArithmeticError):
 class SpectrumPoint:
     """Collective EPR variances and entanglement degree, as arrays over a grid."""
 
-    omega: float
-    s_qplus: float
-    s_pminus: float
-    commutator: complex
-    e_degree: float
+    omega: np.ndarray
+    s_qplus: np.ndarray
+    s_pminus: np.ndarray
+    commutator: np.ndarray
+    e_degree: np.ndarray
 
     @property
     def variance_product(self):
@@ -77,50 +75,42 @@ class SpectrumPoint:
 
 @dataclass
 class SweepPoint:
-    """An amplitude sweep over a grid of drives; error: None or why a drive has no e_degree."""
+    """An amplitude sweep as arrays over its drives; error: None or why a drive has no e_degree."""
 
-    drive: float
-    branch1: str
-    branch2: str
-    intensity1: float
-    intensity2: float
-    stable: bool
-    e_degree: float
-    jumped: bool = False
-    error: str | None = None
+    drive: np.ndarray
+    branch1: np.ndarray
+    branch2: np.ndarray
+    intensity1: np.ndarray
+    intensity2: np.ndarray
+    stable: np.ndarray
+    e_degree: np.ndarray
+    jumped: np.ndarray
+    error: np.ndarray
 
 
-def build_drift(params, steady):
-    """8x8 drift generator of the fluctuations around the steady state.
+def stage_blocks(params, steady):
+    """(stages, feed): the linearized fluctuations around the working point
+    `steady` (one, or a grid, for (..., 2, 4, 4) stages in one broadcast).
 
-    `steady` is a SteadyBranch at one drive, or over a grid (or a block of
-    one) for a stack (n, 8, 8) of drifts built in one broadcast.  Atom blocks are bare
-    damped oscillators; atom-field coupling rows carry i chi zeta_j; cavity
-    rows carry the pulled detunings (`_detunings`) and the one-way feed gamma.
+    In the slots regrouped by stage (STAGES) the drift M of v is the one-way
+    cascade [[A, 0], [C, D]], stages[..., j, :, :] being A and D: in the slots
+    (atom, atom+, cavity, cavity+), a bare damped atom, coupling rows with
+    i chi zeta_j and the pulled detuning (`_detunings`).  feed (4x4) is C,
+    the constant gamma feed.  P conj(M) P = M for the slot swap P (PAIRS).
     """
     chi, g = params.chi, params.gamma
-    z1, z2 = np.asarray(steady.zeta1), np.asarray(steady.zeta2)
+    z = np.stack((steady.zeta1, steady.zeta2), axis=-1)
+    detuning = _detunings(params, steady)
     pole = params.Gamma / 2.0 + 1j * params.Omega
-    d1, d2 = np.moveaxis(_detunings(params, steady), -1, 0)
 
-    m = np.zeros(z1.shape + (8, 8), dtype=complex)
-    m[..., 0, 0] = m[..., 2, 2] = -pole
-    m[..., 1, 1] = m[..., 3, 3] = -pole.conjugate()
-
-    m[..., 0, 4], m[..., 0, 5] = -1j * chi * z1.conjugate(), -1j * chi * z1
-    m[..., 1, 4], m[..., 1, 5] = 1j * chi * z1.conjugate(), 1j * chi * z1
-    m[..., 2, 6], m[..., 2, 7] = -1j * chi * z2.conjugate(), -1j * chi * z2
-    m[..., 3, 6], m[..., 3, 7] = 1j * chi * z2.conjugate(), 1j * chi * z2
-
-    m[..., 4, 0] = m[..., 4, 1] = -1j * chi * z1
-    m[..., 5, 0] = m[..., 5, 1] = 1j * chi * z1.conjugate()
-    m[..., 6, 2] = m[..., 6, 3] = -1j * chi * z2
-    m[..., 7, 2] = m[..., 7, 3] = 1j * chi * z2.conjugate()
-
-    m[..., 4, 4], m[..., 5, 5] = -g / 2.0 - 1j * d1, -g / 2.0 + 1j * d1
-    m[..., 6, 6], m[..., 7, 7] = -g / 2.0 - 1j * d2, -g / 2.0 + 1j * d2
-    m[..., 6, 4] = m[..., 7, 5] = g
-    return m
+    stages = np.zeros(z.shape + (4, 4), dtype=complex)
+    stages[..., 0, 0], stages[..., 1, 1] = -pole, -pole.conjugate()
+    stages[..., 0, 2], stages[..., 0, 3] = -1j * chi * z.conjugate(), -1j * chi * z
+    stages[..., 1, 2], stages[..., 1, 3] = 1j * chi * z.conjugate(), 1j * chi * z
+    stages[..., 2, 0] = stages[..., 2, 1] = -1j * chi * z
+    stages[..., 3, 0] = stages[..., 3, 1] = 1j * chi * z.conjugate()
+    stages[..., 2, 2], stages[..., 3, 3] = -g / 2.0 - 1j * detuning, -g / 2.0 + 1j * detuning
+    return stages, np.diag([0.0, 0.0, g, g]).astype(complex)
 
 
 def _detunings(params, steady):
@@ -141,23 +131,6 @@ def build_noise(params):
     d[4, 5] = d[6, 7] = params.gamma
     d[4, 7] = d[6, 5] = -params.gamma
     return d
-
-
-def cascade_blocks(drifts):
-    """(A, C, D) of cascade drifts (..., 8, 8) regrouped by STAGES into
-    [[A, 0], [C, D]]: the 4x4 blocks of each cavity with its atom, A and D,
-    and the gamma feed C.  Raises ValueError for a coupling from the second
-    cavity back, or for P conj(M) P != M (PAIRS, the same swap in either
-    slot order); a nan drift passes."""
-    m = np.asarray(drifts)[..., STAGES[:, None], STAGES]
-    if np.any(np.abs(m[..., :4, 4:]) > 0.0):
-        raise ValueError("drift couples the second cavity back into the first: "
-                         "not a one-way cascade")
-    defect = np.abs(np.conj(m)[..., PAIRS[:, None], PAIRS] - m).max(axis=(-2, -1))
-    if np.any(defect > QUADRATURE_TOLERANCE * np.abs(m).max(axis=(-2, -1))):
-        raise ValueError("drift has no real quadrature form: "
-                         "adjoint rows are not the conjugates of operator rows")
-    return m[..., :4, :4], m[..., 4:, :4], m[..., 4:, 4:]
 
 
 def _times(rows, matrix):
@@ -196,13 +169,15 @@ def _solve_rows(block, shift, rows):
 
 def _row_solve(blocks, omega, rows):
     """(y, singular, backward, error) of `transfer_rows` at every point, from
-    the drifts' `cascade_blocks`: has a block gone singular there, the larger
-    componentwise backward error of the two stage solves (see `_solve_rows`;
-    nan where the rows are), and error(idx), the error of point idx."""
-    a, c, d = blocks
+    the `stage_blocks` (stages, feed): has a stage gone singular there, the
+    larger componentwise backward error of the two stage solves (see
+    `_solve_rows`; nan where the rows are), and error(idx), the error of
+    point idx."""
+    stages, feed = blocks
     shift = 1j * np.asarray(omega, dtype=float)[..., None, None]
-    y2, singular2, backward2 = _solve_rows(d, shift, rows[..., STAGES[4:]])
-    y1, singular1, backward1 = _solve_rows(a, shift, rows[..., STAGES[:4]] + _times(y2, c))
+    y2, singular2, backward2 = _solve_rows(stages[..., 1, :, :], shift, rows[..., STAGES[4:]])
+    y1, singular1, backward1 = _solve_rows(stages[..., 0, :, :], shift,
+                                           rows[..., STAGES[:4]] + _times(y2, feed))
     singular, backward = singular1 | singular2, np.maximum(backward1, backward2)
 
     def error(idx):
@@ -215,37 +190,39 @@ def _row_solve(blocks, omega, rows):
     return y, singular, backward, error
 
 
-def transfer_rows(drift, omega, rows):
+def transfer_rows(params, steady, omega, rows):
     """Rows y = u (i w I - M)^(-1) for every row u of `rows` (k, 8), at every
-    point of the broadcast of `drift` (8x8 or a stack) and `omega`: (..., k, 8).
+    point of the broadcast of the working points `steady` (one, or a grid)
+    and `omega`: (..., k, 8).
 
     In the slots regrouped by stage the drift is [[A, 0], [C, D]] (see
-    `cascade_blocks`), so y2 = u2 (i w - D)^(-1), then
+    `stage_blocks`), so y2 = u2 (i w - D)^(-1), then
     y1 = (u1 + y2 C)(i w - A)^(-1): two batched 4x4 row solves.  Raises
     SingularTransferError naming the first failing w in grid order when a
     block is singular there or a solve's componentwise backward error
     exceeds SOLVE_TOLERANCE.
     """
-    y, singular, backward, error = _row_solve(cascade_blocks(drift), omega, rows)
+    y, singular, backward, error = _row_solve(stage_blocks(params, steady), omega, rows)
     failed = singular | ~(backward <= SOLVE_TOLERANCE)  # a nan backward error fails too
     if failed.any():
         raise error(np.unravel_index(np.argmax(failed), failed.shape))
     return y
 
 
-def correlation_matrix(drift, d, omega):
+def correlation_matrix(params, steady, omega):
     """Delta-stripped second moments C(w) = T(w) d T(-w)^T of the fluctuations,
-    for input moments d, at every point of the broadcast of `drift` and `omega`, with
-    T(w) = (i w I - M)^(-1) the `transfer_rows` of the unit rows.  P conj(M) P = M
-    gives T(-w)^T = P T(w)^H P for the slot swap P (PAIRS), so C = (T d P T^H) P."""
-    t = transfer_rows(drift, omega, np.eye(8))
+    for the input moments d of `build_noise`, at every point of the broadcast
+    of the working points `steady` and `omega`, with T(w) = (i w I - M)^(-1)
+    the `transfer_rows` of the unit rows.  P conj(M) P = M gives
+    T(-w)^T = P T(w)^H P for the slot swap P (PAIRS), so C = (T d P T^H) P."""
+    t, d = transfer_rows(params, steady, omega, np.eye(8)), build_noise(params)
     return (t @ d[:, PAIRS] @ np.swapaxes(t.conj(), -1, -2))[..., PAIRS]
 
 
 def _epr_kernel(blocks, d, omega):
     """(SpectrumPoint of arrays, status, failure) at every point of the
-    broadcast of the drifts' `cascade_blocks` and `omega`, from the rows y =
-    u T(w) of EPR_ROWS at +w alone.
+    broadcast of the `stage_blocks` (stages, feed) and `omega`, for input
+    moments d, from the rows y = u T(w) of EPR_ROWS at +w alone.
 
     Each form is (1/4) u_l [C(w) + C(-w)] u_r^T, C(w) = T(w) mat T(-w)^T: that
     of the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
@@ -260,7 +237,7 @@ def _epr_kernel(blocks, d, omega):
     FORM_TOLERANCE: the rows' componentwise backward error, plus eps, times
     the summed magnitude of the form's terms over its value); there e_degree
     is nan and failure(i) is the error of flat point i."""
-    shape = np.broadcast_shapes(blocks[0].shape[:-2], np.shape(omega))
+    shape = np.broadcast_shapes(blocks[0].shape[:-3], np.shape(omega))
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
     y, singular, backward, error = _row_solve(blocks, omega, EPR_ROWS)
     failed = singular | ~np.isfinite(backward)
@@ -299,11 +276,12 @@ def _epr_kernel(blocks, d, omega):
     return SpectrumPoint(omega, s_q, s_p, comm, e_degree), status, failure
 
 
-def epr_grid(drift, d, omega):
+def epr_grid(params, steady, omega):
     """Collective EPR variances, commutator spectrum and degree on a grid.
 
-    Evaluates every point of the broadcast of `drift` (8x8 or a stack) and
-    `omega`, input moments d, from four rows of `transfer_rows` (`_epr_kernel`).
+    Evaluates every point of the broadcast of the working points `steady`
+    (one, or a grid) and `omega`, for the input moments of `build_noise`,
+    from four rows of `transfer_rows` (`_epr_kernel`).
     s_qplus and s_pminus are the symmetrized variances of q_a + q_b and
     p_a - p_b; the commutator is the spectral <[q_a(w), p_a(w)]> built from
     the state-independent input commutators; the degree is their ratio
@@ -315,7 +293,7 @@ def epr_grid(drift, d, omega):
     COMMUTATOR_FLOOR, then a variance that is not positive, then forms
     dominated by rounding (FORM_TOLERANCE).
     """
-    grid, status, failure = _epr_kernel(cascade_blocks(drift), d, omega)
+    grid, status, failure = _epr_kernel(stage_blocks(params, steady), build_noise(params), omega)
     if status.any():
         raise failure(np.argmax(status != OK))
     return grid
@@ -325,7 +303,7 @@ def stability_grid(params, steady):
     """Are the linearized fluctuations around the working point `steady` (one,
     or a grid) damped?  False where the working point is not finite.
 
-    The one-way drift's spectrum is that of its stages (`cascade_blocks`),
+    The one-way drift's spectrum is that of its stages (`stage_blocks`),
     each a real map on an atom's (q, p) and its cavity's quadratures (X, Y)
     with the characteristic polynomial
         p(s) = (s^2 + Gamma s + wm^2)(s^2 + gamma s + wc^2) - K,
@@ -362,10 +340,10 @@ def amplitude_sweep(params, drive_grid, omega_eval):
     One `steady_grid` call continues each cavity's intensity adiabatically
     from drive to drive (a vanishing branch is a recorded jump), and one
     `stability_grid` call decides every drive; then drives go in blocks of
-    GRID_BLOCK: one stack of drifts of its stable drives, one
-    `cascade_blocks` check and one EPR kernel call.  Unstable, overflowing
-    (nan intensity) or numerically degenerate drives come back with
-    e_degree = nan and the reason in their error.
+    GRID_BLOCK: one `stage_blocks` call for its stable drives and one EPR
+    kernel call.  Unstable, overflowing (nan intensity) or numerically
+    degenerate drives come back with e_degree = nan and the reason in their
+    error.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):
@@ -379,8 +357,8 @@ def amplitude_sweep(params, drive_grid, omega_eval):
     for start in range(0, drive_grid.size, GRID_BLOCK):
         solved = start + np.flatnonzero(stable[start:start + GRID_BLOCK])
         if solved.size:
-            stages = cascade_blocks(build_drift(params, steady[solved]))
-            grid, status, failure = _epr_kernel(stages, d, omega_eval)
+            grid, status, failure = _epr_kernel(stage_blocks(params, steady[solved]), d,
+                                                omega_eval)
             e_degree[solved] = grid.e_degree
             for i in np.flatnonzero(status):
                 error[solved[i]] = str(failure(i))

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from block_oracle import block_eigenvalues
+from block_oracle import block_eigenvalues, build_drift
 from scipy.integrate import simpson
 
 from cavmotion.cascade import (
@@ -40,8 +40,6 @@ from cavmotion.conditional import (
 from cavmotion.fock import TruncationPolicy, truncation_order
 from cavmotion.spectra import (
     amplitude_sweep,
-    build_drift,
-    build_noise,
     epr_grid,
     stability_grid,
     transfer_rows,
@@ -119,10 +117,9 @@ def test_decoupled_analytic_limit():
         params = PhysParams(chi=0.0, Omega=rng.uniform(0.5, 20.0),
                             Gamma=rng.uniform(1e-3, 2.0), gamma=1.0,
                             Delta1=rng.uniform(-5, 5), Delta2=rng.uniform(-5, 5))
-        drift = build_drift(params, steady_grid(params, [rng.uniform(0, 5)])[0])
-        noise = build_noise(params)
+        branch = steady_grid(params, [rng.uniform(0, 5)])[0]
         for omega in (0.1, 1.0, params.Omega, 10 * params.Omega):
-            err = abs(epr_grid(drift, noise, omega).e_degree - 4.0)
+            err = abs(epr_grid(params, branch, omega).e_degree - 4.0)
             worst = max(worst, err)
             assert err <= 1e-10, f"E != 4 by {err} at omega={omega}"
     return f"worst |E - 4| = {worst:.2e}"
@@ -157,7 +154,7 @@ def test_bistability_and_middle_branch():
             intensity1=abs(z_mid) ** 2, intensity2=ref.intensity2,
             branch1="middle", branch2=ref.branch2)
         assert not stability_grid(params, mid_branch), f"Omega={omega_vib}: middle branch stable"
-        growth = float(block_eigenvalues(build_drift(params, mid_branch)).real.max())
+        growth = float(block_eigenvalues(params, mid_branch).real.max())
         assert growth > 0, f"Omega={omega_vib}: middle branch not unstable"
         details.append(f"Omega={omega_vib:g}: growth rate {growth:.3g}")
     return "; ".join(details)
@@ -223,12 +220,12 @@ def test_randomized_property_suites():
             continue
         drift = build_drift(params, branch)
         omega = rng.uniform(-3.0, 3.0) * params.Omega
-        t = transfer_rows(drift, omega, np.eye(8))
+        t = transfer_rows(params, branch, omega, np.eye(8))
         lhs = 1j * omega * np.eye(8) - drift
         defect = np.abs(lhs @ t - np.eye(8))
         row_norms = np.maximum(np.abs(lhs).sum(axis=1), 1.0)
         assert np.all(defect <= 1e-10 * row_norms[:, None]), "transfer identity violated"
-        point = epr_grid(drift, build_noise(params), omega if omega != 0 else 0.1)
+        point = epr_grid(params, branch, omega if omega != 0 else 0.1)
         assert point.s_qplus >= -1e-12 and point.s_pminus >= -1e-12, "negative variance"
         checked += 1
     return "100 stable working points checked"

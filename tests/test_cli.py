@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from block_oracle import build_drift
 
 from cavmotion import cascade, cli, spectra
 from cavmotion.cascade import SELECTIONS, steady_grid
@@ -149,11 +150,10 @@ class TestCascadedCsv:
         # inside one block of this grid; several later omegas fail too
         omegas = np.geomspace(1e2, 1e20, 400)
         params = cli._phys_params(cli.DEFAULTS)
-        drift = spectra.build_drift(params, steady_grid(params, [cli.DEFAULTS["drive"]])[0])
-        noise = spectra.build_noise(params)
+        branch = steady_grid(params, [cli.DEFAULTS["drive"]])[0]
         for omega in omegas:
             try:
-                spectra.epr_grid(drift, noise, omega)
+                spectra.epr_grid(params, branch, omega)
             except ArithmeticError as exc:
                 first = str(exc)
                 break
@@ -207,7 +207,7 @@ class TestCascadedCsv:
         assert code == 0, err
         cells = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
         params = cli._phys_params(dict(cli.DEFAULTS, gamma=1e-20))
-        drift = spectra.build_drift(params, steady_grid(params, [1e5])[0])
+        drift = build_drift(params, steady_grid(params, [1e5])[0])
         with mpmath.workdps(60):
             growth = max(mpmath.re(e) for e in mpmath.eig(mpmath.matrix(drift.tolist()))[0])
         assert -1e-20 < growth < -1e-21
@@ -275,10 +275,9 @@ class TestWorkBounds:
     @pytest.fixture
     def counts(self, monkeypatch):
         tally = {"solve": 0, "solve_shapes": set(), "inv": 0, "eigvals": 0,
-                 "root_grid": 0, "build_drift": 0, "drift_stack": 0, "drift_check": 0}
+                 "root_grid": 0, "stage_blocks": 0, "drift_arrays": 0}
         solve, inv, eigvals = np.linalg.solve, np.linalg.inv, np.linalg.eigvals
-        build_drift, root_grid = spectra.build_drift, cascade.root_grid
-        cascade_blocks = spectra.cascade_blocks
+        stage_blocks, root_grid = spectra.stage_blocks, cascade.root_grid
 
         def counted_solve(a, b):
             tally["solve"] += 1
@@ -293,30 +292,37 @@ class TestWorkBounds:
             tally["eigvals"] += 1
             return eigvals(matrices)
 
-        def counted_drift(params, steady):
-            tally["drift_stack" if np.ndim(steady.zeta1) else "build_drift"] += 1
-            return build_drift(params, steady)
+        def counted_blocks(params, steady):
+            tally["stage_blocks"] += 1
+            return stage_blocks(params, steady)
 
         def counted_roots(*args):
             tally["root_grid"] += 1
             return root_grid(*args)
 
-        def counted_check(drifts):
-            tally["drift_check"] += 1
-            return cascade_blocks(drifts)
+        def counted_alloc(make):
+            # a complex (..., 8, 8) array would be a drift matrix or a stack of them
+            def alloc(shape, dtype=float, *args, **kwargs):
+                if np.ravel(shape).tolist()[-2:] == [8, 8] and np.dtype(dtype).kind == "c":
+                    tally["drift_arrays"] += 1
+                return make(shape, dtype, *args, **kwargs)
+            return alloc
 
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         monkeypatch.setattr(np.linalg, "inv", counted_inv)
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
-        monkeypatch.setattr(spectra, "build_drift", counted_drift)
+        monkeypatch.setattr(spectra, "stage_blocks", counted_blocks)
         monkeypatch.setattr(cascade, "root_grid", counted_roots)
-        monkeypatch.setattr(spectra, "cascade_blocks", counted_check)
+        for name in ("zeros", "empty"):
+            monkeypatch.setattr(np, name, counted_alloc(getattr(np, name)))
         return tally
 
     @staticmethod
     def assert_row_solves(counts, blocks):
-        # no 8x8 inverse: at most two 4x4 stage solves per block, at +w only;
-        # stability comes from the working point, without eigenvalues
+        # no 8x8 drift and no 8x8 inverse: at most two 4x4 stage solves per
+        # block, at +w only; stability comes from the working point, without
+        # eigenvalues
+        assert counts["drift_arrays"] == 0
         assert counts["inv"] == 0
         assert counts["solve"] <= 2 * blocks
         assert counts["solve_shapes"] <= {(4, 4)}
@@ -329,10 +335,9 @@ class TestWorkBounds:
         assert len(out.strip().split("\n")) == count + 1
         blocks = math.ceil(count / spectra.GRID_BLOCK)
         self.assert_row_solves(counts, blocks)
-        # one drift, checked once per block of frequencies
-        assert counts["build_drift"] == 1
-        assert counts["drift_stack"] == 0
-        assert counts["drift_check"] == blocks
+        # one working point: its stage blocks are built once for every block
+        # of frequencies
+        assert counts["stage_blocks"] == 1
 
     @pytest.mark.parametrize("selection", SELECTIONS)
     def test_steady_no_eigvals_no_drift(self, selection, counts, capsys):
@@ -340,7 +345,7 @@ class TestWorkBounds:
         assert code == 0
         assert counts["root_grid"] == 2  # one per cavity
         self.assert_row_solves(counts, 0)
-        assert counts["build_drift"] == counts["drift_stack"] == counts["drift_check"] == 0
+        assert counts["stage_blocks"] == 0
 
     @pytest.mark.parametrize("count", [1, 64, spectra.GRID_BLOCK, 301])
     def test_sweep_no_eigvals_two_solves_per_block(self, count, counts, capsys):
@@ -350,11 +355,9 @@ class TestWorkBounds:
         blocks = math.ceil(count / spectra.GRID_BLOCK)
         self.assert_row_solves(counts, blocks)
         # one root solve per cavity for the whole drive grid; at most one
-        # drift stack per block, of its stable drives, and one check of it
+        # stage-block build per block, of its stable drives
         assert counts["root_grid"] == 2
-        assert counts["build_drift"] == 0
-        assert counts["drift_stack"] <= blocks
-        assert counts["drift_check"] <= blocks
+        assert counts["stage_blocks"] <= blocks
 
 
 class TestConfigPrecedence:
@@ -440,6 +443,28 @@ class TestConfigPrecedence:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
         assert err.splitlines()[-1].startswith("error: ") and argv[-2] in err.splitlines()[-1]
+
+    def test_refused_flag_shows_the_subcommand_usage(self, capsys):
+        code, out, err = run_cli(["cascaded", "steady", "--omega-count", "5"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: cavmotion cascaded steady [-h] ")
+        assert "--drive DRIVE" in err
+        assert err.endswith("error: unrecognized arguments: --omega-count 5\n")
+
+    def test_config_lines_the_subcommand_does_not_read_are_not_checked(self, tmp_path, capsys):
+        # the omega grid is not read by a single-cavity point; its config line
+        # needs only a known key and a value of its type
+        argv = ["single-cavity", "point", "--x", "0"]
+        _, want, _ = run_cli(argv, capsys)
+        config = tmp_path / "run.cfg"
+        config.write_text("omega_count = 0\nOmega = inf\nselection = bogus\n")
+        code, out, err = run_cli(argv + ["--config", str(config)], capsys)
+        assert (code, out, err) == (0, want, "")
+        for line, message in (("omega_count = many", "is not a int"),
+                              ("omega_typo = 0", "unknown parameter")):
+            config.write_text(line + "\n")
+            code, out, err = run_cli(argv + ["--config", str(config)], capsys)
+            assert (code, out) == (1, "") and message in err
 
     @pytest.mark.parametrize("argv", [
         ["cascaded", "steady", "--gamma", "0"],

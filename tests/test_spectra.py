@@ -1,4 +1,4 @@
-"""Fluctuation-dynamics checks: drift, noise, transfer, EPR measure."""
+"""Fluctuation-dynamics checks: stage blocks, noise, transfer, EPR measure."""
 
 import warnings
 from dataclasses import replace
@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from block_oracle import block_eigenvalues, real_blocks
+from block_oracle import block_eigenvalues, build_drift, real_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +24,11 @@ from cavmotion.spectra import (
     GRID_BLOCK,
     SingularTransferError,
     amplitude_sweep,
-    build_drift,
     build_noise,
     correlation_matrix,
     epr_grid,
     stability_grid,
+    stage_blocks,
     transfer_rows,
 )
 
@@ -76,8 +76,16 @@ def steady_vector(branch):
     ])
 
 
+def undamped_atoms():
+    """(params, working point) of uncoupled atoms without damping: each atom
+    block is singular at w = +-Omega = +-2, and with Gamma = 0 the atoms have
+    no input noise, so their commutator spectrum vanishes at every w."""
+    params = PhysParams(chi=0.0, Omega=2.0, Gamma=0.0, gamma=1.0)
+    return params, steady_grid(params, np.array([1.0]))[0]
+
+
 def random_stable_point(rng):
-    """Random parameter set + drive whose working point is stable."""
+    """Random parameter set and its working point at a drive where it is stable."""
     while True:
         params = PhysParams(
             chi=rng.uniform(0.0, 0.4),
@@ -89,7 +97,7 @@ def random_stable_point(rng):
         )
         branch = steady_grid(params, np.array([rng.uniform(0.0, 3.0)]))[0]
         if stability_grid(params, branch):
-            return params, branch, build_drift(params, branch)
+            return params, branch
 
 
 class TestBuildDrift:
@@ -144,12 +152,13 @@ class TestBuildDrift:
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         drives = np.geomspace(1e5, 1e9, 97) * np.exp(0.4j)
         grid = steady_grid(params, drives, "follow")
-        stack = build_drift(params, grid)
-        assert stack.shape == (97, 8, 8)
+        stack, feed = stage_blocks(params, grid)
+        assert stack.shape == (97, 2, 4, 4)
+        assert np.array_equal(feed, np.diag([0, 0, params.gamma, params.gamma]))
         # a one-drive block, and one working point, give that row of the stack
-        for k, drift in enumerate(stack):
-            assert np.array_equal(drift, build_drift(params, grid[k:k + 1])[0])
-            assert np.array_equal(drift, build_drift(params, grid[k]))
+        for k, stages in enumerate(stack):
+            assert np.array_equal(stages, stage_blocks(params, grid[k:k + 1])[0][0])
+            assert np.array_equal(stages, stage_blocks(params, grid[k])[0])
 
 
 class TestBuildNoise:
@@ -174,11 +183,14 @@ class TestBuildNoise:
         # the commutator form reads d - d^T, the same for every input state:
         # thermal inputs, d + n (d + d^T), raise the variances and leave the
         # commutator spectrum
-        params, _, drift = random_stable_point(np.random.default_rng(29))
+        params, branch = random_stable_point(np.random.default_rng(29))
         d = build_noise(params)
         assert np.array_equal(d - d.T, -(d - d.T).T)
         omegas = np.array([0.3, 1.0, 2.5]) * params.Omega
-        vacuum, thermal = (epr_grid(drift, moments, omegas) for moments in (d, d + 0.7 * (d + d.T)))
+        blocks = stage_blocks(params, branch)
+        vacuum, thermal = (spectra._epr_kernel(blocks, moments, omegas)[0]
+                           for moments in (d, d + 0.7 * (d + d.T)))
+        assert np.array_equal(vacuum.e_degree, epr_grid(params, branch, omegas).e_degree)
         assert np.allclose(thermal.commutator, vacuum.commutator, rtol=1e-12, atol=0)
         assert np.all(thermal.s_qplus > vacuum.s_qplus)
         assert np.all(thermal.s_pminus > vacuum.s_pminus)
@@ -187,70 +199,68 @@ class TestBuildNoise:
 class TestTransfer:
     def test_decoupled_diagonal(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
-        t = transfer_rows(drift, 0.9, np.eye(8))
+        t = transfer_rows(params, steady_grid(params, np.array([1.0]))[0], 0.9, np.eye(8))
         assert t[0, 0] == pytest.approx(1.0 / (0.9j + 0.1 + 3.0j), rel=1e-12)
         assert t[1, 1] == pytest.approx(1.0 / (0.9j + 0.1 - 3.0j), rel=1e-12)
 
     def test_cascade_propagation_element(self):
         # hand inversion of the lower-triangular cavity block
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
+        branch = steady_grid(params, np.array([1.0]))[0]
         for omega in (0.0, 0.9, -2.2):
-            t = transfer_rows(drift, omega, np.eye(8))
+            t = transfer_rows(params, branch, omega, np.eye(8))
             want = params.gamma / ((1j * omega + 0.5 + 1.5j) * (1j * omega + 0.5 - 0.7j))
             assert t[6, 4] == pytest.approx(want, rel=1e-12)
 
     def test_identity_residual_on_random_points(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            _, _, drift = random_stable_point(rng)
+            params, branch = random_stable_point(rng)
+            drift = build_drift(params, branch)
             omega = rng.uniform(-30, 30)
-            t = transfer_rows(drift, omega, np.eye(8))
+            t = transfer_rows(params, branch, omega, np.eye(8))
             lhs = 1j * omega * np.eye(8) - drift
             defect = np.abs(lhs @ t - np.eye(8))
             rows = np.maximum(np.abs(lhs).sum(axis=1), 1.0)
             assert np.all(defect <= 1e-10 * rows[:, None])
 
     def test_singularity_reported_with_frequency(self):
-        drift = np.diag([1j, -1j, 1j, -1j, 1j, -1j, 1j, -1j]).astype(complex)
-        with pytest.raises(SingularTransferError, match="omega=1.0"):
-            transfer_rows(drift, 1.0, np.eye(8))
+        params, branch = undamped_atoms()
+        with pytest.raises(SingularTransferError, match="omega=2.0"):
+            transfer_rows(params, branch, 2.0, np.eye(8))
 
     def test_nan_frequency_fails_the_defect_check(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_grid(params, np.array([1e3]))[0])
+        branch = steady_grid(params, np.array([1e3]))[0]
         with pytest.raises(SingularTransferError, match="omega=nan"):
-            transfer_rows(drift, np.array([1.0, float("nan")]), np.eye(8))
+            transfer_rows(params, branch, np.array([1.0, float("nan")]), np.eye(8))
         with pytest.raises(SingularTransferError, match="omega=nan"):
-            epr_grid(drift, build_noise(params), float("nan"))
+            epr_grid(params, branch, float("nan"))
 
 
 class TestCorrelationMatrix:
     def test_decoupled_atom_block(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
-        noise = build_noise(params)
+        branch = steady_grid(params, np.array([1.0]))[0]
         for omega in (0.0, 1.7, -3.0):
-            c = correlation_matrix(drift, noise, omega)
+            c = correlation_matrix(params, branch, omega)
             want = params.Gamma / (params.Gamma**2 / 4 + (omega + params.Omega) ** 2)
             assert c[0, 1] == pytest.approx(want, rel=1e-12)
             assert abs(c[1, 0]) < 1e-14
 
-    def test_zero_noise_zero_correlations(self):
+    def test_zero_noise_zero_correlations(self, monkeypatch):
         params = PhysParams(chi=0.4, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        drift = build_drift(params, steady_grid(params, np.array([1.0]))[0])
-        silent = np.zeros((8, 8))
-        assert np.array_equal(correlation_matrix(drift, silent, 1.0), np.zeros((8, 8)))
+        branch = steady_grid(params, np.array([1.0]))[0]
+        monkeypatch.setattr(spectra, "build_noise", lambda params: np.zeros((8, 8)))
+        assert np.array_equal(correlation_matrix(params, branch, 1.0), np.zeros((8, 8)))
 
     def test_conjugation_pairing_relation(self):
         # C(w)[2a, 2b+1]* == C(w)[2b, 2a+1] from the pair-swap symmetry of
         # the drift and the transposition pattern of the input moments
         rng = np.random.default_rng(37)
-        params, _, drift = random_stable_point(rng)
-        noise = build_noise(params)
+        params, branch = random_stable_point(rng)
         for omega in (0.4, -2.0, 7.3):
-            c = correlation_matrix(drift, noise, omega)
+            c = correlation_matrix(params, branch, omega)
             for a in range(4):
                 for b in range(4):
                     assert np.conj(c[2 * a, 2 * b + 1]) == pytest.approx(
@@ -263,18 +273,16 @@ class TestEprSpectra:
         for _ in range(10):
             params = PhysParams(chi=0.0, Omega=rng.uniform(0.5, 20), Gamma=rng.uniform(1e-3, 2),
                                 gamma=1.0, Delta1=rng.uniform(-5, 5), Delta2=rng.uniform(-5, 5))
-            drift = build_drift(params, steady_grid(params, np.array([rng.uniform(0, 4)]))[0])
-            noise = build_noise(params)
+            branch = steady_grid(params, np.array([rng.uniform(0, 4)]))[0]
             for omega in (0.1, 1.0, params.Omega, 10 * params.Omega):
-                point = epr_grid(drift, noise, omega)
+                point = epr_grid(params, branch, omega)
                 assert point.e_degree == pytest.approx(4.0, abs=1e-10)
 
     def test_variances_nonnegative_commutator_imaginary(self):
         rng = np.random.default_rng(43)
         for _ in range(25):
-            params, _, drift = random_stable_point(rng)
-            noise = build_noise(params)
-            point = epr_grid(drift, noise, rng.uniform(0.05, 3) * params.Omega)
+            params, branch = random_stable_point(rng)
+            point = epr_grid(params, branch, rng.uniform(0.05, 3) * params.Omega)
             assert point.s_qplus >= -1e-12
             assert point.s_pminus >= -1e-12
             if abs(point.commutator) > 1e-20:
@@ -284,18 +292,18 @@ class TestEprSpectra:
 
     def test_nan_commutator_is_degenerate(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_grid(params, np.array([1e3]))[0])
-        with pytest.raises(ArithmeticError, match="degenerate commutator"):
-            epr_grid(drift, np.full((8, 8), np.nan), params.Omega)
+        blocks = stage_blocks(params, steady_grid(params, np.array([1e3]))[0])
+        grid, status, failure = spectra._epr_kernel(blocks, np.full((8, 8), np.nan), params.Omega)
+        assert status == spectra.DEGENERATE and np.isnan(grid.e_degree)
+        assert str(failure(0)).startswith("degenerate commutator")
 
     def test_canonical_regime_dips_below_one(self):
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         p_hi = bistable_window(params, params.Delta1)[1]
         drive = 0.999 * np.sqrt(p_hi / params.gamma)
         branch = steady_grid(params, np.array([drive]), "lowest")[0]
-        drift = build_drift(params, branch)
         assert stability_grid(params, branch)
-        point = epr_grid(drift, build_noise(params), params.Omega)
+        point = epr_grid(params, branch, params.Omega)
         assert point.e_degree < 1.0
 
 
@@ -334,12 +342,12 @@ class TestGridKernel:
     def test_frequency_grid_equals_points_bitwise(self):
         rng = np.random.default_rng(53)
         for _ in range(6):
-            params, _, drift = random_stable_point(rng)
-            noise = build_noise(params)
+            params, branch = random_stable_point(rng)
+            drift, noise = build_drift(params, branch), build_noise(params)
             omegas = np.concatenate([[0.0, params.Omega, -params.Omega],
                                      rng.uniform(-3, 3, 40) * params.Omega])
-            grid = epr_grid(drift, noise, omegas)
-            points = [epr_grid(drift, noise, omegas[i:i + 1]) for i in range(omegas.size)]
+            grid = epr_grid(params, branch, omegas)
+            points = [epr_grid(params, branch, omegas[i:i + 1]) for i in range(omegas.size)]
             for field in ("omega", "s_qplus", "s_pminus", "commutator", "e_degree"):
                 assert np.array_equal(getattr(grid, field),
                                       [getattr(p, field)[0] for p in points]), field
@@ -349,14 +357,14 @@ class TestGridKernel:
                 assert np.array_equal(getattr(grid, field), want), field
 
     def test_drift_stack_equals_points_bitwise(self):
-        # the sweep's shape: one frequency, a stack of drifts
+        # the sweep's shape: one frequency, a grid of working points
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        noise = build_noise(params)
         steady = steady_grid(params, np.geomspace(1e5, 1e7, 30))
-        drifts = build_drift(params, steady)[stability_grid(params, steady)]
-        grid = epr_grid(drifts, noise, params.Omega)
-        want = [epr_grid(drifts[k:k + 1], noise, params.Omega).e_degree[0]
-                for k in range(len(drifts))]
+        stable = steady[np.flatnonzero(stability_grid(params, steady))]
+        grid = epr_grid(params, stable, params.Omega)
+        want = [epr_grid(params, stable[k:k + 1], params.Omega).e_degree[0]
+                for k in range(len(stable.zeta1))]
+        assert len(want) > 10
         assert np.array_equal(grid.e_degree, want)
 
     def test_moments_match_40_digit_reference(self):
@@ -367,10 +375,9 @@ class TestGridKernel:
             params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
             branch = steady_grid(params, np.array([3e5]))[0]
             assert stability_grid(params, branch)
-            drift = build_drift(params, branch)
-            noise = build_noise(params)
+            drift, noise = build_drift(params, branch), build_noise(params)
             omegas = params.Omega * np.array([0.1, 0.5, 1.0, 1.5, 8.0])
-            grid = epr_grid(drift, noise, omegas)
+            grid = epr_grid(params, branch, omegas)
             with mpmath.workdps(40):
                 m, eye = mpmath.matrix(drift.tolist()), mpmath.eye(8)
                 d, k = mpmath.matrix(noise.tolist()), mpmath.matrix((noise - noise.T).tolist())
@@ -401,7 +408,7 @@ class TestGridKernel:
             assert stability_grid(params, branch)
             drift, noise = build_drift(params, branch), build_noise(params)
             omegas = params.Omega * np.array([0.1, 0.5, 1.0, 1.5, 8.0])
-            got = correlation_matrix(drift, noise, omegas)
+            got = correlation_matrix(params, branch, omegas)
             with mpmath.workdps(40):
                 m, eye, d = mpmath.matrix(drift.tolist()), mpmath.eye(8), mpmath.matrix(noise.tolist())
                 for c, w in zip(got, omegas):
@@ -423,10 +430,10 @@ class TestGridKernel:
         # at every frequency
         mpmath = pytest.importorskip("mpmath")
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_grid(params, np.array([drive]))[0])
-        noise = build_noise(params)
+        branch = steady_grid(params, np.array([drive]))[0]
+        drift, noise = build_drift(params, branch), build_noise(params)
         omegas = np.geomspace(100.0, 1e4, 5)
-        grid, status, failure = spectra._epr_kernel(spectra.cascade_blocks(drift), noise, omegas)
+        grid, status, failure = spectra._epr_kernel(stage_blocks(params, branch), noise, omegas)
         assert np.all(status == spectra.OK) == (drive < 1e100)
         assert np.all(status != spectra.OK) == (drive >= 1e100)
         with mpmath.workdps(300):
@@ -447,17 +454,16 @@ class TestGridKernel:
             assert str(failure(i)).startswith("EPR forms dominated by rounding")
 
     def test_empty_grid(self):
-        params, _, drift = random_stable_point(np.random.default_rng(67))
-        assert transfer_rows(drift, np.array([]), np.eye(8)).shape == (0, 8, 8)
-        assert epr_grid(drift, build_noise(params), np.array([])).e_degree.shape == (0,)
+        params, branch = random_stable_point(np.random.default_rng(67))
+        assert transfer_rows(params, branch, np.array([]), np.eye(8)).shape == (0, 8, 8)
+        assert epr_grid(params, branch, np.array([])).e_degree.shape == (0,)
 
     def test_correlation_matrix_is_a_grid_view(self):
-        params, _, drift = random_stable_point(np.random.default_rng(59))
-        noise = build_noise(params)
+        params, branch = random_stable_point(np.random.default_rng(59))
         omegas = np.array([-2.5, 0.0, 0.7, 4.0])
-        stacked = correlation_matrix(drift, noise, omegas)
+        stacked = correlation_matrix(params, branch, omegas)
         for w, c in zip(omegas, stacked):
-            assert np.array_equal(correlation_matrix(drift, noise, w), c)
+            assert np.array_equal(correlation_matrix(params, branch, w), c)
 
     def test_stability_grid_matches_single_verdicts(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
@@ -475,52 +481,65 @@ class TestGridKernel:
             verdicts.extend(stable)
         assert any(verdicts) and not all(verdicts)
 
-    def test_singular_point_inside_grid_is_named(self):
-        drift = np.diag([1j, -1j, 1j, -1j, 1j, -1j, 1j, -1j]).astype(complex)
-        noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
-        omegas = np.array([0.25, 0.5, 1.0, 2.0])
-        with pytest.raises(SingularTransferError, match=r"omega=1\.0$"):
-            transfer_rows(drift, omegas, np.eye(8))
-        with pytest.raises(SingularTransferError, match=r"omega=1\.0$"):
-            epr_grid(drift, noise, omegas)
+    def test_singular_point_inside_grid_is_named(self, monkeypatch):
+        params, branch = undamped_atoms()
+        omegas = np.array([0.25, 0.5, 2.0, 3.0])
+        with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
+            transfer_rows(params, branch, omegas, np.eye(8))
+        # input noise on the atoms, as if damped, leaves the other points OK
+        damped = build_noise(replace(params, Gamma=0.4))
+        monkeypatch.setattr(spectra, "build_noise", lambda params: damped)
+        assert np.isfinite(epr_grid(params, branch, omegas[[0, 1, 3]]).e_degree).all()
+        with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
+            epr_grid(params, branch, omegas)
 
     def test_first_failure_in_grid_order(self):
-        # the undamped paired drift is singular at w = +-2 and +-3; of the
-        # two failing points in the grid the first is named
-        drift = np.diag([2j, -2j] * 2 + [3j, -3j] * 2)
-        noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
-        omegas = np.array([4.0, 3.0, 0.5, -2.0])
-        with pytest.raises(SingularTransferError, match=r"omega=3\.0$"):
-            transfer_rows(drift, omegas, np.eye(8))
-        with pytest.raises(SingularTransferError, match=r"omega=3\.0$"):
-            epr_grid(drift, noise, omegas)
+        # the undamped atoms are singular at w = +-2, and their commutator
+        # vanishes everywhere: of the failing points in the grid the first
+        # is named, whatever its failure
+        params, branch = undamped_atoms()
+        omegas = np.array([4.0, 2.0, 0.5, -2.0])
+        with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
+            transfer_rows(params, branch, omegas, np.eye(8))
         with pytest.raises(SingularTransferError, match=r"omega=-2\.0$"):
-            epr_grid(drift, noise, omegas[::-1])
+            transfer_rows(params, branch, omegas[::-1], np.eye(8))
+        with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
+            epr_grid(params, branch, omegas[1:])
+        with pytest.raises(SingularTransferError, match=r"omega=-2\.0$"):
+            epr_grid(params, branch, omegas[::-1])
+        with pytest.raises(ArithmeticError, match=r"^degenerate commutator .* at omega=4\.0$"):
+            epr_grid(params, branch, omegas)
 
     def test_kernel_status_per_point(self):
-        # T(w) and T(-w) of the undamped paired drift are singular at
-        # w = +-2 and +-3; the scaled damped drift leaves only a commutator
-        # below the floor; negated input moments make the variances negative
-        noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
+        # the undamped atoms' blocks are singular at w = +-2 (with input
+        # noise on the atoms, the other points are OK); damped blocks scaled
+        # by 1e20 leave only a commutator below the floor; negated input
+        # moments make the variances negative
+        undamped, branch = undamped_atoms()
+        damped = replace(undamped, Gamma=0.4)
+        scaled, feed = stage_blocks(damped, branch)
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         vacuum = build_noise(params)
         cases = [
-            (np.diag([2j, -2j] * 2 + [3j, -3j] * 2), noise, [0.5, -2.0, 3.0, -3.0, 2.0],
-             [spectra.OK] + [spectra.SINGULAR] * 4),
-            (np.diag([-1.0 + 2j, -1.0 - 2j] * 4) * 1e20, noise, [0.5, -2.0],
-             [spectra.DEGENERATE] * 2),
-            (build_drift(params, steady_grid(params, np.array([1e3]))[0]),
-             -vacuum, [1.0, 10.0], [spectra.NONPOSITIVE] * 2),
+            (stage_blocks(undamped, branch), build_noise(damped), [0.5, -2.0, 2.0],
+             [spectra.OK] + [spectra.SINGULAR] * 2),
+            ((scaled * 1e20, feed), build_noise(damped), [0.5, -2.0], [spectra.DEGENERATE] * 2),
+            (stage_blocks(params, steady_grid(params, np.array([1e3]))[0]), -vacuum, [1.0, 10.0],
+             [spectra.NONPOSITIVE] * 2),
         ]
-        for drift, case_noise, omegas, want in cases:
-            grid, status, failure = spectra._epr_kernel(spectra.cascade_blocks(drift), case_noise,
-                                                        np.array(omegas))
+        for blocks, noise, omegas, want in cases:
+            grid, status, failure = spectra._epr_kernel(blocks, noise, np.array(omegas))
             assert status.tolist() == want
             assert np.array_equal(np.isnan(grid.e_degree), status != spectra.OK)
             for i in np.flatnonzero(status):
-                with pytest.raises(ArithmeticError) as info:
-                    epr_grid(drift, case_noise, omegas[i])
-                assert str(failure(i)) == str(info.value)
+                # the grid names what the point evaluated alone fails with
+                alone = spectra._epr_kernel(blocks, noise, np.array(omegas[i:i + 1]))
+                assert alone[1].tolist() == [want[i]]
+                assert str(failure(i)) == str(alone[2](0))
+        # a singular point fails so through the public kernel too
+        with pytest.raises(SingularTransferError) as info:
+            epr_grid(undamped, branch, -2.0)
+        assert str(info.value) == "transfer matrix singular at omega=-2.0"
         assert str(failure(0)) == (f"non-positive EPR variance (s_qplus {grid.s_qplus[0]}, "
                                    f"s_pminus {grid.s_pminus[0]}) at omega=1.0")
 
@@ -536,61 +555,26 @@ class TestGridKernel:
 
         rng = np.random.default_rng(71)
         for _ in range(10):
-            params, _, drift = random_stable_point(rng)
+            params, branch = random_stable_point(rng)
+            drift = build_drift(params, branch)
             for w in rng.uniform(-3, 3, 20) * params.Omega:
                 assert_derived(stage_rows(drift, w), stage_rows(drift, -w))
         drives = np.geomspace(1e5, 1e9, 2401)
         for chi in np.geomspace(0.3, 3.0, 8):
             params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
             steady = steady_grid(params, drives, selection="follow")
-            drifts = build_drift(params, steady)[stability_grid(params, steady)]
+            blocks = stage_blocks(params, steady[np.flatnonzero(stability_grid(params, steady))])
             for w in (100.0, 1000.0, 5000.0):
-                blocks = spectra.cascade_blocks(drifts)
                 assert_derived(spectra._row_solve(blocks, w, spectra.EPR_ROWS)[0],
                                spectra._row_solve(blocks, -w, spectra.EPR_ROWS)[0])
-
-    @staticmethod
-    def kernel_calls(drift, noise):
-        """Every kernel that takes a drift, at one frequency."""
-        return (lambda: epr_grid(drift, noise, 4.0),
-                lambda: transfer_rows(drift, 4.0, np.eye(8)),
-                lambda: correlation_matrix(drift, noise, 4.0))
-
-    def test_every_kernel_refuses_an_unpaired_drift(self):
-        # the adjoint slots rotate like the operator slots: -w is not +w
-        # conjugated, so no kernel may take it
-        noise = build_noise(PhysParams(chi=0.3, Omega=2.0, Gamma=0.4, gamma=1.0))
-        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
-        rotated = drift.copy()
-        rotated[7, 7] = drift[6, 6]  # c2+ rotating like c2
-        for unpaired in (np.diag([2j] * 4 + [3j] * 4), rotated):
-            for call in self.kernel_calls(unpaired, noise):
-                with pytest.raises(ValueError, match="real quadrature form"):
-                    call()
-        # rounding-sized asymmetry is still a cascade drift
-        drift[5, 5] *= 1.0 + 1e-15
-        for call in self.kernel_calls(drift, noise):
-            call()
-
-    def test_every_kernel_refuses_coupling_back(self):
-        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        noise = build_noise(params)
-        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
-        drift[4, 6] = params.gamma  # second cavity feeding the first
-        stack = np.array([build_drift(params, steady_grid(params, [1e3])[0]), drift])
-        for drifts in (drift, stack):
-            for call in self.kernel_calls(drifts, noise):
-                with pytest.raises(ValueError, match="one-way cascade"):
-                    call()
 
     def test_vacuum_variances_are_never_non_positive(self):
         # with vacuum inputs each variance is a sum of squares up to the
         # rounding of its cross terms: extreme drives fail as rounding
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         steady = steady_grid(params, np.geomspace(1e5, 1e154, 400), "follow")
-        drifts = build_drift(params, steady)[stability_grid(params, steady)]
-        status = spectra._epr_kernel(spectra.cascade_blocks(drifts), build_noise(params), 1000.0)[1]
+        blocks = stage_blocks(params, steady[np.flatnonzero(stability_grid(params, steady))])
+        status = spectra._epr_kernel(blocks, build_noise(params), 1000.0)[1]
         assert np.any(status == spectra.ROUNDING)
         assert not np.any(status == spectra.NONPOSITIVE)
 
@@ -607,11 +591,11 @@ class TestGridKernel:
                                 Gamma=rng.uniform(0.2, 1.0), gamma=1.0,
                                 Delta1=rng.uniform(-5.0, 5.0), Delta2=rng.uniform(-5.0, 5.0))
             branch = steady_grid(params, np.array([rng.uniform(0.0, 3.0)]))[0]
-            drift = build_drift(params, branch)
-            if not stability_grid(params, branch) or block_eigenvalues(drift).real.max() > -0.1:
+            if (not stability_grid(params, branch)
+                    or block_eigenvalues(params, branch).real.max() > -0.1):
                 continue
-            noise = build_noise(params)
-            blocks = [correlation_matrix(drift, noise, omegas[i:i + GRID_BLOCK])
+            drift, noise = build_drift(params, branch), build_noise(params)
+            blocks = [correlation_matrix(params, branch, omegas[i:i + GRID_BLOCK])
                       for i in range(0, omegas.size, GRID_BLOCK)]
             c = np.concatenate(blocks)
             integral = np.tensordot(np.diff(omegas), c[1:] + c[:-1], axes=1) / (4 * np.pi)
@@ -651,7 +635,7 @@ class TestClassifyStability:
             a3, a2, a1, a0_want = np.poly(eigs)[1:].real
             assert a0[stage] == pytest.approx(a0_want, rel=1e-14)
             assert d3[stage] == pytest.approx(a3 * a2 * a1 - a1 * a1 - a3 * a3 * a0_want, rel=1e-12)
-        eigs = block_eigenvalues(build_drift(params, branch))
+        eigs = block_eigenvalues(params, branch)
         assert np.allclose(np.sort_complex(eigs), np.sort_complex(want.ravel()), atol=1e-10)
 
     def test_middle_branch_unstable(self):
@@ -673,7 +657,7 @@ class TestClassifyStability:
         # the middle branch fails a0: one real eigenvalue has crossed zero
         a0, d3 = spectra._hurwitz_terms(params, mid_branch)
         assert a0[0] < 0 < d3[0]
-        assert block_eigenvalues(build_drift(params, mid_branch)).real.max() > 0
+        assert block_eigenvalues(params, mid_branch).real.max() > 0
 
     def test_stability_invariant_under_drive_phase(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
@@ -685,12 +669,12 @@ class TestClassifyStability:
                 assert np.allclose(term[0], term[1], rtol=1e-12, atol=0.0)
 
     def test_nan_drift_is_unstable_without_failing(self):
-        # a drive whose power overflows has a nan working point, hence a nan
-        # drift: its verdict is False, without a warning, and the other
-        # drives keep theirs
+        # a drive whose power overflows has a nan working point, hence nan
+        # stage blocks: its verdict is False, without a warning, and the
+        # other drives keep theirs
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         steady = steady_grid(params, np.array([1e5, 3e5, 1e200, 1e6, 1e7]))
-        assert np.isnan(build_drift(params, steady[2])).any()
+        assert np.isnan(stage_blocks(params, steady[2])[0]).any()
         finite = np.array([True, True, False, True, True])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -714,30 +698,6 @@ class TestClassifyStability:
             assert np.all(a0 > 0.0) and np.all(d3 == 0.0)
             assert not stability_grid(params, steady).any()
 
-    def test_refuses_coupling_back_into_first_cavity(self):
-        # the eigenvalue oracle reads each stage's spectrum off its diagonal
-        # block, which holds only for a one-way cascade
-        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
-        drift[4, 6] = params.gamma  # second cavity feeding the first
-        with pytest.raises(ValueError, match="one-way cascade"):
-            block_eigenvalues(drift)
-        with pytest.raises(ValueError, match="one-way cascade"):
-            real_blocks(np.array([build_drift(params, steady_grid(params, [1e3])[0]), drift]))
-
-    def test_refuses_block_without_real_quadrature_form(self):
-        # the oracle's real stage map exists only for paired blocks
-        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
-        drift[7, 7] = drift[6, 6]  # c2+ rotating like c2: no real quadrature form
-        with pytest.raises(ValueError, match="real quadrature form"):
-            block_eigenvalues(drift)
-        # rounding-sized asymmetry is still a cascade drift
-        drift = build_drift(params, steady_grid(params, np.array([3.0e5]))[0])
-        drift[5, 5] *= 1.0 + 1e-15
-        assert block_eigenvalues(drift).real.max() < 0.0
-        assert stability_grid(params, steady_grid(params, np.array([3.0e5]))[0])
-
     def test_eigenvalues_match_40_digit_reference(self):
         # the eigenvalue oracle on its hardest case: with equal detunings the
         # two blocks' eigenvalues nearly coincide, and the gamma feed between
@@ -751,7 +711,7 @@ class TestClassifyStability:
             want = np.array([complex(e) for e in mpmath.eig(mpmath.matrix(drift.tolist()))[0]])
         full = np.linalg.eigvals(drift)
         assert abs(full.real.max() - want.real.max()) > 1e-6
-        eigs = block_eigenvalues(drift)
+        eigs = block_eigenvalues(params, branch)
         cost = np.abs(eigs[:, None] - want[None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() <= 1e-9 * np.linalg.norm(drift, 2)
@@ -776,9 +736,9 @@ class TestClassifyStability:
             big, g = params.Gamma, params.gamma
             wm2, damping = big * big / 4 + params.Omega**2, big + g
             a0, d3 = spectra._hurwitz_terms(params, steady)
-            a, _, d = spectra.cascade_blocks(build_drift(params, steady))
+            stages = stage_blocks(params, steady)[0]
             for k in range(len(steady.zeta1)):
-                for stage, block in enumerate((a[k], d[k])):
+                for stage, block in enumerate(stages[k]):
                     want_a0, want_d3 = hurwitz_reference(block, 40)
                     wc2 = abs(block[2, 2]) ** 2  # |g/2 + i d|^2
                     cycle = abs(wm2 * wc2 - float(want_a0))
@@ -815,9 +775,9 @@ class TestClassifyStability:
             steady = steady_grid(params, drives, selection)
             stable = stability_grid(params, steady)
             a0, d3 = spectra._hurwitz_terms(params, steady)
-            finite = np.all(np.isfinite(build_drift(params, steady)), axis=(-2, -1))
+            finite = np.all(np.isfinite(stage_blocks(params, steady)[0]), axis=(-3, -2, -1))
             assert not stable[~finite].any()
-            blocks = real_blocks(build_drift(params, steady[finite]))
+            blocks = real_blocks(params, steady[np.flatnonzero(finite)])
             eigs, vectors = np.linalg.eig(blocks)
             condition = (np.linalg.norm(vectors, axis=-2)
                          * np.linalg.norm(np.linalg.inv(vectors), axis=-1))
@@ -894,23 +854,23 @@ class TestAmplitudeSweep:
         assert all(sweep.error[flagged])
 
     def test_failing_drift_keeps_other_rows(self, monkeypatch):
-        # a stable drift scaled by 1e20 pushes the commutator below the
+        # stable stage blocks scaled by 1e20 push the commutator below the
         # floor; the rest of its block must come out as without it
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         drives = np.geomspace(1e3, 1e5, 20)
         reference = amplitude_sweep(params, drives, params.Omega)
-        build = spectra.build_drift
+        build = spectra.stage_blocks
 
-        def scaled_at_eighth(params, branch):
-            # `branch` is one working point or a block of them
-            scale = np.where(branch.zeta1_in == drives[7], 1e20, 1.0)
-            return build(params, branch) * scale[..., None, None]
+        def scaled_at_eighth(params, steady):
+            # `steady` is one working point or a block of them
+            stages, feed = build(params, steady)
+            scale = np.where(steady.zeta1_in == drives[7], 1e20, 1.0)
+            return stages * scale[..., None, None, None], feed
 
-        monkeypatch.setattr(spectra, "build_drift", scaled_at_eighth)
+        monkeypatch.setattr(spectra, "stage_blocks", scaled_at_eighth)
         sweep = amplitude_sweep(params, drives, params.Omega)
-        failing = scaled_at_eighth(params, steady_grid(params, np.array([drives[7]]))[0])
         with pytest.raises(ArithmeticError) as info:
-            epr_grid(failing, build_noise(params), params.Omega)
+            epr_grid(params, steady_grid(params, np.array([drives[7]]))[0], params.Omega)
         assert sweep.stable[7] and np.isnan(sweep.e_degree[7])
         assert sweep.error[7] == str(info.value)
         others = np.arange(drives.size) != 7

@@ -271,25 +271,24 @@ def branch_labels(params, delta, intensity):
 
 
 def _select(roots, intensities, selection):
-    """Column of the selected root in every row of a root grid.
-
-    "follow" takes the root nearest the intensity selected at the drive
-    before (the lowest root at the first drive), so it runs drive by drive,
-    on floats.
-    """
+    """Column of the selected root in every row of a root grid.  "follow" takes
+    the root nearest the intensity picked at the drive before (the lowest at
+    the first drive, in a tie or where all are nan) from one table for every
+    drive; only the chain of picks runs drive by drive."""
     if selection == "lowest":
         return np.zeros(len(roots), dtype=np.intp)
     if selection == "highest":
         return np.count_nonzero(~np.isnan(roots), axis=1) - 1
-    picks, previous = [], None
-    for row, values in zip(roots.tolist(), intensities.tolist()):
-        pick = 0
-        if previous is not None and row[1] == row[1]:  # several roots
-            distances = [abs(root - previous) for root in row if root == root]
-            pick = distances.index(min(distances))
-        picks.append(pick)
-        previous = values[pick]
-    return np.array(picks, dtype=np.intp)
+    with np.errstate(invalid="ignore"):  # inf - inf where an intensity overflowed
+        distance = np.abs(roots[1:, :, None] - intensities[:-1, None, :])
+    # nearest[k - 1][j]: the column picked at drive k after column j at drive k - 1,
+    # a nan distance (padding, a nan intensity) counting as infinite
+    nearest = np.argmin(np.where(np.isnan(distance), np.inf, distance), axis=1)
+    nearest[np.isnan(roots[1:, 1])] = 0  # a single root
+    picks = [0]
+    for row in nearest.tolist():
+        picks.append(row[picks[-1]])
+    return np.array(picks[:len(roots)], dtype=np.intp)
 
 
 def _cavity(params, delta, drive_in, selection):

@@ -72,21 +72,20 @@ class UsageError(ValueError):
     pass
 
 
-def _coerce(key, raw):
+_KIND_NAMES = {bool: "a boolean", int: "an int", float: "a float"}  # for error messages
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(key, raw, flag=False):
+    """raw as the type of field `key`, or a usage error naming its flag or config key."""
     kind = _FIELD_TYPES.get(key, float)
-    if kind is bool:
-        if isinstance(raw, bool):
-            return raw
-        lowered = str(raw).strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config value for {key} is not a boolean: {raw!r}")
     try:
-        return kind(raw) if kind is not float else float(raw)
-    except ValueError as exc:
-        raise UsageError(f"config value for {key} is not a {kind.__name__}: {raw!r}") from exc
+        return _BOOLEANS[str(raw).strip().lower()] if kind is bool else kind(raw)
+    except (ValueError, KeyError) as exc:
+        what = _KIND_NAMES[kind]
+        raise UsageError(f"--{key.replace('_', '-')} must be {what}, got {raw!r}" if flag
+                         else f"config value for {key} is not {what}: {raw!r}") from exc
 
 
 def parse_config_file(path):
@@ -120,7 +119,7 @@ def resolve_config(args):
         merged.update(parse_config_file(args.config))
     for key in fields:
         if getattr(args, key) is not None:
-            merged[key] = _coerce(key, getattr(args, key))
+            merged[key] = _coerce(key, getattr(args, key), flag=True)
         value = merged[key]
         if _FIELD_TYPES.get(key, float) is float and value is not None and not math.isfinite(value):
             raise UsageError(f"parameter {key} must be finite, got {value}")
@@ -237,30 +236,23 @@ def run_cascaded(merged, drive_values=None):
 
 
 def run_cascaded_spectrum(merged):
-    """Frequency-scan CSV at one drive on the selected branch, solved and
-    written GRID_BLOCK frequencies at a time."""
+    """Frequency-scan CSV at one drive on the selected branch: `spectra.epr_grid`
+    GRID_BLOCK frequencies at a time, from the stage blocks built once."""
     params, branch, stable = _working_point(merged)
     if not stable:
         raise ArithmeticError(
             f"no stable working point at drive {merged['drive']} "
             f"(branches {branch.branch1}/{branch.branch2})")
-    grids = _spectrum(params, branch, _grid(merged, "omega"))
-    return format_csv("omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product",
-                      ",".join([FLOAT_FORMAT] * 6),
-                      ((g.omega, g.s_qplus, g.s_pminus, g.commutator.imag, g.e_degree,
-                        g.variance_product) for g in grids))
-
-
-def _spectrum(params, branch, omegas):
-    """`spectra.epr_grid` at one working point, GRID_BLOCK frequencies at a
-    time, from its stage blocks built once."""
     blocks, d = spectra.stage_blocks(params, branch), spectra.build_noise(params)
-    for start in range(0, omegas.size, spectra.GRID_BLOCK):
-        chunk = omegas[start:start + spectra.GRID_BLOCK]
-        grid, status, failure = spectra._epr_kernel(blocks, d, chunk)
+    omegas, columns, size = _grid(merged, "omega"), [], spectra.GRID_BLOCK
+    for start in range(0, omegas.size, size):
+        g, status, failure = spectra._epr_kernel(blocks, d, omegas[start:start + size])
         if status.any():
             raise failure(np.argmax(status != spectra.OK))
-        yield grid
+        columns.append((g.omega, g.s_qplus, g.s_pminus, g.commutator.imag, g.e_degree,
+                        g.variance_product))
+    return format_csv("omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product",
+                      ",".join([FLOAT_FORMAT] * 6), columns)
 
 
 def run_plot(csv_path, x_column, y_columns, title=""):

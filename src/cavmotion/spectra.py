@@ -38,18 +38,14 @@ SOLVE_TOLERANCE = 1e-10
 OK, SINGULAR, DEGENERATE, NONPOSITIVE, ROUNDING = range(5)
 # largest estimated relative rounding error of an EPR form at an OK point:
 # (the rows' componentwise backward error + eps) times the summed magnitude
-# of the form's terms over its value.  It stays below 1e-13 (2.5e-14 at most)
-# on the benchmark's sweeps (chi 0.3-3) and spectra and at the decade drives
-# 1e5-1e54 (chi = 1, lowest branch); at the drives 1e100 and 1e151, whose rows
-# have a backward error of order 1 and whose forms are off by factors against a
-# 300-digit inversion, it is 0.27 or more at five frequencies 1e2-1e4 (0.016
-# or more over 2001)
+# of the form's terms over its value.  It stays below 5e-14 on the benchmark's
+# sweeps and spectra, and below 2.1e-15 at every stable drive up to 3e153
 FORM_TOLERANCE = 1e-6
 
-# points per batched solve: a block's rows, (points, 4, 8), grow with it;
-# 128 keeps the benchmark's peak memory within 1.2% of the 8x8 inverses at
-# 64 points, and 256 would add 4% on the cascaded sweep
-GRID_BLOCK = 128
+# points per block of the row solve, which pays numpy's per-call cost once
+# per block: 384 keep the benchmark's peak memory within 0.5% of LAPACK's
+# 128-point blocks, where 512 would add 2% on the cascaded sweep
+GRID_BLOCK = 384
 
 
 class SingularTransferError(ArithmeticError):
@@ -134,51 +130,68 @@ def build_noise(params):
 
 
 def _times(rows, matrix):
-    """rows @ matrix, as one product when `matrix` is a single matrix."""
-    if np.ndim(matrix) > 2:
-        return rows @ matrix
+    """rows @ matrix for one matrix, as one 2-d product (a stacked one is slower)."""
     flat = np.reshape(rows, (-1, rows.shape[-1])) @ matrix
     return flat.reshape(rows.shape[:-1] + matrix.shape[-1:])
 
 
-def _solve_rows(block, shift, rows):
-    """(y, singular, backward) with y (shift - block) = rows for 4x4 blocks;
-    backward is the componentwise backward error: the largest entry of
-    |shift y - y block - rows| relative to the summed magnitude of its
-    terms, |shift| |y| + |y| |block| + |rows|."""
-    lhs_t = shift * np.eye(4) - np.swapaxes(block, -1, -2)
-    # a full stack: numpy < 2 reads b one dimension short of a as vectors
-    rows_t = np.broadcast_to(np.swapaxes(rows, -1, -2), lhs_t.shape[:-2] + (4, rows.shape[-2]))
-    singular = np.zeros(lhs_t.shape[:-2], dtype=bool)
-    try:
-        y_t = np.linalg.solve(lhs_t, rows_t)
-    except np.linalg.LinAlgError:
-        # a stacked solve fails as a whole; det is 0 where LU meets a 0 pivot
-        singular = np.linalg.det(lhs_t) == 0
-        y_t = np.linalg.solve(np.where(singular[..., None, None], np.eye(4), lhs_t), rows_t)
-        y_t = np.where(singular[..., None, None], np.nan, y_t)
-    y = np.swapaxes(y_t, -1, -2)
-    residual = np.abs(shift * y - _times(y, block) - rows)
-    size = np.abs(y)
-    terms = np.abs(shift) * size + _times(size, np.abs(block)) + np.abs(rows)
-    # a zero sum of magnitudes has a zero residual
-    backward = residual / np.maximum(terms, TINY)
-    flat = residual.shape[:-2] + (residual.shape[-2] * residual.shape[-1],)
-    return y, singular, backward.reshape(flat).max(axis=-1)
+def _solve_rows(block, shift, u):
+    """(y, pivots, backward) with y L = u, L = shift - block, at every point
+    of the broadcast of 4x4 blocks (..., 4, 4) whose cavity part (slots 2, 3)
+    is diagonal and shifts (...); u and y hold one (k, ...) array per slot.
+
+    The atom slots solve the 2x2 Schur complement S = L_mm - L_mc C^-1 L_cm,
+    C = diag(c0, c1) the cavity part of L, by Cramer's rule; then
+    y_c = (u_c - y_m L_mc) C^-1.  pivots is (c0, c1, det S), whose product is
+    det L.  backward is the componentwise backward error: the largest entry
+    of |y L - u| over |shift| |y| + |y| |block| + |u|, from the block's
+    nonzero entries."""
+    a = [[block[..., i, j] for j in range(4)] for i in range(4)]
+    with np.errstate(all="ignore"):  # a singular point's nan and inf
+        diagonal = [shift - a[j][j] for j in range(4)]
+        inv_c = [1.0 / diagonal[2], 1.0 / diagonal[3]]
+        # w[k][j] = a[k+2][j] / c_k: (L_mc diag(1/c) L_cm)[i, j] = sum_k a[i][k+2] w[k][j]
+        w = [[a[k + 2][j] * inv_c[k] for j in (0, 1)] for k in (0, 1)]
+        s = [[(diagonal[i] if i == j else -a[i][j]) - a[i][2] * w[0][j] - a[i][3] * w[1][j]
+              for j in (0, 1)] for i in (0, 1)]
+        det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
+        inv_det = 1.0 / det
+        # y_m = r S^-1: cramer[j][i] is the coefficient of r_j in y_i
+        cramer = [[s[1][1] * inv_det, -s[0][1] * inv_det], [-s[1][0] * inv_det, s[0][0] * inv_det]]
+        r = [u[j] + u[2] * w[0][j] + u[3] * w[1][j] for j in (0, 1)]
+        y = [r[0] * cramer[0][i] + r[1] * cramer[1][i] for i in (0, 1)]
+        y += [(u[k + 2] + y[0] * a[0][k + 2] + y[1] * a[1][k + 2]) * inv_c[k] for k in (0, 1)]
+        size, backward = [np.abs(part) for part in y], 0.0
+        for j in range(4):
+            residual = y[j] * diagonal[j] - u[j]
+            terms = size[j] * (np.abs(shift) + np.abs(a[j][j])) + np.abs(u[j])
+            for i in (i for i in range(4) if i != j and np.any(a[i][j])):
+                residual -= y[i] * a[i][j]
+                terms += size[i] * np.abs(a[i][j])
+            # a zero sum of magnitudes has a zero residual
+            backward = np.maximum(backward, np.abs(residual) / np.maximum(terms, TINY))
+    return y, (diagonal[2], diagonal[3], det), backward.max(axis=0)
 
 
 def _row_solve(blocks, omega, rows):
-    """(y, singular, backward, error) of `transfer_rows` at every point, from
-    the `stage_blocks` (stages, feed): has a stage gone singular there, the
-    larger componentwise backward error of the two stage solves (see
-    `_solve_rows`; nan where the rows are), and error(idx), the error of
-    point idx."""
+    """(y, singular, backward, error) of `transfer_rows` at every point of the
+    `stage_blocks` (stages, feed): a stage's pivot zero or not finite, the stage
+    solves' larger backward error (`_solve_rows`), and the error of point idx."""
     stages, feed = blocks
-    shift = 1j * np.asarray(omega, dtype=float)[..., None, None]
-    y2, singular2, backward2 = _solve_rows(stages[..., 1, :, :], shift, rows[..., STAGES[4:]])
-    y1, singular1, backward1 = _solve_rows(stages[..., 0, :, :], shift,
-                                           rows[..., STAGES[:4]] + _times(y2, feed))
-    singular, backward = singular1 | singular2, np.maximum(backward1, backward2)
+    points = np.broadcast_shapes(stages.shape[:-3], np.shape(omega))
+    # at least one point axis: numpy's scalar arithmetic rounds complex
+    # products unlike its array loops, and a point must not depend on its grid
+    shift = 1j * np.reshape(np.asarray(omega, dtype=float), np.shape(omega) or (1,))
+    # one (k, ...) array per slot: the rows on the leading axis, the points behind
+    u = np.reshape(np.transpose(rows), (8, -1) + (1,) * max(len(points), 1))
+    y2, pivots2, backward2 = _solve_rows(stages[..., 1, :, :], shift, u[STAGES[4:]])
+    # the first stage's rows u1 + y2 C, from the feed's nonzero entries
+    u1 = [u[slot] + sum(y2[i] * feed[i, j] for i in range(4) if feed[i, j] != 0.0)
+          for j, slot in enumerate(STAGES[:4])]
+    y1, pivots1, backward1 = _solve_rows(stages[..., 0, :, :], shift, u1)
+    pivots = np.stack(np.broadcast_arrays(*pivots1, *pivots2))
+    singular = np.reshape(~np.all(np.isfinite(pivots) & (pivots != 0.0), axis=0), points)
+    backward = np.reshape(np.maximum(backward1, backward2), points)
 
     def error(idx):
         at = f"omega={np.broadcast_to(omega, singular.shape)[idx]}"
@@ -186,7 +199,8 @@ def _row_solve(blocks, omega, rows):
             f"transfer matrix singular at {at}" if singular[idx]
             else f"transfer solve at {at} lost precision (backward error {backward[idx]:.3e})")
 
-    y = np.concatenate((y1, y2), axis=-1)[..., np.argsort(STAGES)]
+    y = np.stack(y1[:2] + y2[:2] + y1[2:] + y2[2:], axis=-1)
+    y = np.moveaxis(np.reshape(y, y.shape[:1] + points + (8,)), 0, -2)
     return y, singular, backward, error
 
 
@@ -196,11 +210,10 @@ def transfer_rows(params, steady, omega, rows):
     and `omega`: (..., k, 8).
 
     In the slots regrouped by stage the drift is [[A, 0], [C, D]] (see
-    `stage_blocks`), so y2 = u2 (i w - D)^(-1), then
-    y1 = (u1 + y2 C)(i w - A)^(-1): two batched 4x4 row solves.  Raises
-    SingularTransferError naming the first failing w in grid order when a
-    block is singular there or a solve's componentwise backward error
-    exceeds SOLVE_TOLERANCE.
+    `stage_blocks`), so y2 = u2 (i w - D)^(-1), then y1 = (u1 + y2 C)(i w - A)^(-1):
+    two closed-form stage solves (`_solve_rows`).  Raises SingularTransferError
+    naming the first failing w in grid order when a stage is singular there or
+    a solve's componentwise backward error exceeds SOLVE_TOLERANCE.
     """
     y, singular, backward, error = _row_solve(stage_blocks(params, steady), omega, rows)
     failed = singular | ~(backward <= SOLVE_TOLERANCE)  # a nan backward error fails too
@@ -234,9 +247,8 @@ def _epr_kernel(blocks, d, omega):
     evaluation meets first: SINGULAR (T(w) singular or its rows not finite),
     DEGENERATE (commutator below COMMUTATOR_FLOOR), NONPOSITIVE (a variance
     not positive), ROUNDING (a form's estimated relative rounding error above
-    FORM_TOLERANCE: the rows' componentwise backward error, plus eps, times
-    the summed magnitude of the form's terms over its value); there e_degree
-    is nan and failure(i) is the error of flat point i."""
+    FORM_TOLERANCE); there e_degree is nan and failure(i) is the error of flat
+    point i."""
     shape = np.broadcast_shapes(blocks[0].shape[:-3], np.shape(omega))
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
     y, singular, backward, error = _row_solve(blocks, omega, EPR_ROWS)
@@ -288,10 +300,8 @@ def epr_grid(params, steady, omega):
     e = s_qplus s_pminus / (|commutator|^2 / 4), flagged as EPR-correlated
     when it drops below one.
 
-    Raises what a point-by-point evaluation raises first: at the first
-    failing point in grid order, a failing T(w) before a commutator below
-    COMMUTATOR_FLOOR, then a variance that is not positive, then forms
-    dominated by rounding (FORM_TOLERANCE).
+    Raises the failure of the first failing point in grid order, as a
+    point-by-point evaluation would (the statuses of `_epr_kernel`).
     """
     grid, status, failure = _epr_kernel(stage_blocks(params, steady), build_noise(params), omega)
     if status.any():
@@ -339,11 +349,10 @@ def amplitude_sweep(params, drive_grid, omega_eval):
 
     One `steady_grid` call continues each cavity's intensity adiabatically
     from drive to drive (a vanishing branch is a recorded jump), and one
-    `stability_grid` call decides every drive; then drives go in blocks of
-    GRID_BLOCK: one `stage_blocks` call for its stable drives and one EPR
-    kernel call.  Unstable, overflowing (nan intensity) or numerically
-    degenerate drives come back with e_degree = nan and the reason in their
-    error.
+    `stability_grid` call decides every drive; then each block of GRID_BLOCK
+    drives takes one `stage_blocks` and one `_epr_kernel` call for its stable
+    drives.  Unstable, overflowing (nan intensity) or numerically failing
+    drives come back with e_degree = nan and the reason in their error.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):

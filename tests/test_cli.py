@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from block_oracle import build_drift
+from block_oracle import build_drift, cancelling_noise, epr_reference
 
 from cavmotion import cascade, cli, spectra
 from cavmotion.cascade import SELECTIONS, steady_grid
@@ -218,34 +218,83 @@ class TestCascadedCsv:
         assert code == 0, err
         assert out.strip().split("\n")[1].endswith(",false")
 
-    def test_rounding_dominated_forms_flag_their_sweep_row(self, capsys):
-        # at drive 1e151 the spectral forms lose everything to cancellation;
-        # the row keeps its stable verdict
+    def test_rounding_dominated_forms_flag_their_sweep_row(self, monkeypatch, capsys):
+        # at drive 1e151 the stage rows keep the forms accurate (LAPACK's rows
+        # lost them to rounding): the row is finite and matches a 300-digit
+        # inversion.  Input moments that cancel (`cancelling_noise`; at
+        # chi = 0 both atoms' rows are equal) flag each row, which keeps its
+        # stable verdict
+        mpmath = pytest.importorskip("mpmath")
         argv = ["cascaded", "sweep", "--drive-min", "1e5", "--drive-max", "1e151",
                 "--drive-count", "4"]
         code, out, err = run_cli(argv, capsys)
         assert code == 0, err
-        assert out.strip().split("\n")[-1].split(",")[-2:] == ["nan", "true"]
         merged = dict(cli.DEFAULTS, drive_min=1e5, drive_max=1e151, drive_count=4)
-        sweep = spectra.amplitude_sweep(cli._phys_params(merged), cli._grid(merged, "drive"),
-                                        1000.0)
-        assert sweep.stable[-1] and np.isnan(sweep.e_degree[-1])
-        assert sweep.error[-1] == ("EPR forms dominated by rounding (estimated relative "
-                                   "error 1.000e+00) at omega=1000.0")
+        params, drives = cli._phys_params(merged), cli._grid(merged, "drive")
+        sweep = spectra.amplitude_sweep(params, drives, 1000.0)
+        assert sweep.stable[-1] and sweep.error[-1] is None
+        assert out.strip().split("\n")[-1].split(",")[-2:] == [
+            cli.FLOAT_FORMAT % sweep.e_degree[-1], "true"]
+        drift = build_drift(params, steady_grid(params, drives, "follow")[len(drives) - 1])
+        with mpmath.workdps(300):
+            s_q, s_p, comm = epr_reference(drift, spectra.build_noise(params), 1000.0, mpmath)
+            want = s_q * s_p / (0.25 * abs(comm) ** 2)
+        assert float(abs(sweep.e_degree[-1] - want) / want) < 1e-12
 
-    def test_spectrum_at_omega_eval_dominated_by_rounding_fails_numerically(self, capsys):
-        code, out, err = run_cli(
-            ["cascaded", "spectrum", "--drive", "1e151", "--omega-min", "1000",
-             "--omega-count", "1"], capsys)
+        decoupled = dict(merged, chi=0.0)
+        noise = cancelling_noise(cli._phys_params(decoupled))
+        monkeypatch.setattr(spectra, "build_noise", lambda params: noise)
+        code, out, err = run_cli(argv + ["--chi", "0"], capsys)
+        assert code == 0, err
+        assert all(row.split(",")[-2:] == ["nan", "true"] for row in out.strip().split("\n")[1:])
+        sweep = spectra.amplitude_sweep(cli._phys_params(decoupled), drives, 1000.0)
+        assert all(error.startswith("EPR forms dominated by rounding (estimated relative error ")
+                   and error.endswith(") at omega=1000.0") for error in sweep.error)
+
+    def test_spectrum_at_omega_eval_dominated_by_rounding_fails_numerically(self, monkeypatch,
+                                                                           capsys):
+        # at drive 1e151 the spectrum at omega_eval now comes out and matches
+        # a 300-digit inversion; input moments that cancel fail it as rounding
+        mpmath = pytest.importorskip("mpmath")
+        argv = ["cascaded", "spectrum", "--drive", "1e151", "--omega-min", "1000",
+                "--omega-count", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        cells = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+        params = cli._phys_params(cli.DEFAULTS)
+        branch = steady_grid(params, [1e151])[0]
+        noise = spectra.build_noise(params)
+        with mpmath.workdps(300):
+            want = epr_reference(build_drift(params, branch), noise, 1000.0, mpmath)
+        for name, ref in zip(("s_qplus", "s_pminus"), want[:2]):
+            assert float(abs(float(cells[name]) - ref) / ref) < 1e-12
+        assert float(abs(float(cells["commutator_im"]) - want[2].imag) / abs(want[2])) < 1e-12
+
+        params = cli._phys_params(dict(cli.DEFAULTS, chi=0.0))
+        noise = cancelling_noise(params)
+        monkeypatch.setattr(spectra, "build_noise", lambda params: noise)
+        with pytest.raises(ArithmeticError) as info:
+            spectra.epr_grid(params, steady_grid(params, [1e151])[0], 1000.0)
+        code, out, err = run_cli(argv + ["--chi", "0"], capsys)
         assert code == cli.NUMERICAL_ERROR
         assert out == ""
-        assert err == ("numerical failure: EPR forms dominated by rounding (estimated "
-                       "relative error 1.000e+00) at omega=1000.0\n")
+        assert err == f"numerical failure: {info.value}\n"
+        assert str(info.value).startswith("EPR forms dominated by rounding (estimated relative ")
 
-    def test_spectrum_dominated_by_rounding_fails_numerically(self, capsys):
-        # at drive 1e151 the row solves pass their residual guard, but the
-        # forms are off by factors from omega = 100 on
+    def test_spectrum_dominated_by_rounding_fails_numerically(self, monkeypatch, capsys):
+        # at drive 1e151 every frequency of the default grid comes out (with
+        # LAPACK's rows the forms were off by factors from omega = 100 on);
+        # input moments that cancel fail the grid at its first frequency
         code, out, err = run_cli(["cascaded", "spectrum", "--drive", "1e151"], capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == cli.DEFAULTS["omega_count"]
+        assert all(math.isfinite(float(row[4])) for row in rows)
+
+        noise = cancelling_noise(cli._phys_params(dict(cli.DEFAULTS, chi=0.0)))
+        monkeypatch.setattr(spectra, "build_noise", lambda params: noise)
+        code, out, err = run_cli(["cascaded", "spectrum", "--drive", "1e151", "--chi", "0"],
+                                 capsys)
         assert code == cli.NUMERICAL_ERROR
         assert out == ""
         assert err.startswith("numerical failure: EPR forms dominated by rounding")
@@ -274,23 +323,14 @@ class TestWorkBounds:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"solve": 0, "solve_shapes": set(), "inv": 0, "eigvals": 0,
-                 "root_grid": 0, "stage_blocks": 0, "drift_arrays": 0}
-        solve, inv, eigvals = np.linalg.solve, np.linalg.inv, np.linalg.eigvals
+        tally = {"linalg": 0, "root_grid": 0, "stage_blocks": 0, "drift_arrays": 0}
         stage_blocks, root_grid = spectra.stage_blocks, cascade.root_grid
 
-        def counted_solve(a, b):
-            tally["solve"] += 1
-            tally["solve_shapes"].add(np.shape(a)[-2:])
-            return solve(a, b)
-
-        def counted_inv(a):
-            tally["inv"] += 1
-            return inv(a)
-
-        def counted_eigvals(matrices):
-            tally["eigvals"] += 1
-            return eigvals(matrices)
+        def counted(function):
+            def call(*args, **kwargs):
+                tally["linalg"] += 1
+                return function(*args, **kwargs)
+            return call
 
         def counted_blocks(params, steady):
             tally["stage_blocks"] += 1
@@ -308,9 +348,8 @@ class TestWorkBounds:
                 return make(shape, dtype, *args, **kwargs)
             return alloc
 
-        monkeypatch.setattr(np.linalg, "solve", counted_solve)
-        monkeypatch.setattr(np.linalg, "inv", counted_inv)
-        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        for name in ("solve", "inv", "det", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         monkeypatch.setattr(spectra, "stage_blocks", counted_blocks)
         monkeypatch.setattr(cascade, "root_grid", counted_roots)
         for name in ("zeros", "empty"):
@@ -318,23 +357,21 @@ class TestWorkBounds:
         return tally
 
     @staticmethod
-    def assert_row_solves(counts, blocks):
-        # no 8x8 drift and no 8x8 inverse: at most two 4x4 stage solves per
-        # block, at +w only; stability comes from the working point, without
-        # eigenvalues
+    def assert_no_lapack(counts):
+        # no 8x8 drift and no LAPACK call: the stage rows come in closed form
+        # and stability from the working point
         assert counts["drift_arrays"] == 0
-        assert counts["inv"] == 0
-        assert counts["solve"] <= 2 * blocks
-        assert counts["solve_shapes"] <= {(4, 4)}
-        assert counts["eigvals"] == 0
+        assert counts["linalg"] == 0
 
-    @pytest.mark.parametrize("count", [1, 64, spectra.GRID_BLOCK, 301])
+    # counts up to and across the first block boundary
+    BLOCKED_COUNTS = [1, 64, 128, 301, spectra.GRID_BLOCK, spectra.GRID_BLOCK + 1]
+
+    @pytest.mark.parametrize("count", BLOCKED_COUNTS)
     def test_spectrum_two_solves_per_block(self, count, counts, capsys):
         code, out, _ = run_cli(["cascaded", "spectrum", "--omega-count", str(count)], capsys)
         assert code == 0
         assert len(out.strip().split("\n")) == count + 1
-        blocks = math.ceil(count / spectra.GRID_BLOCK)
-        self.assert_row_solves(counts, blocks)
+        self.assert_no_lapack(counts)
         # one working point: its stage blocks are built once for every block
         # of frequencies
         assert counts["stage_blocks"] == 1
@@ -344,16 +381,16 @@ class TestWorkBounds:
         code, _, _ = run_cli(["cascaded", "steady", "--selection", selection], capsys)
         assert code == 0
         assert counts["root_grid"] == 2  # one per cavity
-        self.assert_row_solves(counts, 0)
+        self.assert_no_lapack(counts)
         assert counts["stage_blocks"] == 0
 
-    @pytest.mark.parametrize("count", [1, 64, spectra.GRID_BLOCK, 301])
+    @pytest.mark.parametrize("count", BLOCKED_COUNTS)
     def test_sweep_no_eigvals_two_solves_per_block(self, count, counts, capsys):
         code, out, _ = run_cli(["cascaded", "sweep", "--drive-count", str(count)], capsys)
         assert code == 0
         assert len(out.strip().split("\n")) == count + 1
         blocks = math.ceil(count / spectra.GRID_BLOCK)
-        self.assert_row_solves(counts, blocks)
+        self.assert_no_lapack(counts)
         # one root solve per cavity for the whole drive grid; at most one
         # stage-block build per block, of its stable drives
         assert counts["root_grid"] == 2
@@ -411,6 +448,27 @@ class TestConfigPrecedence:
         code, _, err = run_cli(["single-cavity", "sweep", "--zeta", "abc"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["single-cavity", "sweep", "--x-count", "abc"], "--x-count must be an int, got 'abc'"),
+        (["cascaded", "sweep", "--drive-log", "maybe"],
+         "--drive-log must be a boolean, got 'maybe'"),
+        (["single-cavity", "point", "--x", "0", "--zeta", "abc"],
+         "--zeta must be a float, got 'abc'"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("x_count = abc", "config value for x_count is not an int: 'abc'"),
+        ("drive_log = maybe", "config value for drive_log is not a boolean: 'maybe'"),
+    ])
+    def test_bad_config_value_names_the_config_key(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(["single-cavity", "sweep", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ["cascaded", "sweep", "--omega-eval", "nan"],
         ["cascaded", "sweep", "--drive-max", "inf"],
@@ -460,7 +518,7 @@ class TestConfigPrecedence:
         config.write_text("omega_count = 0\nOmega = inf\nselection = bogus\n")
         code, out, err = run_cli(argv + ["--config", str(config)], capsys)
         assert (code, out, err) == (0, want, "")
-        for line, message in (("omega_count = many", "is not a int"),
+        for line, message in (("omega_count = many", "is not an int"),
                               ("omega_typo = 0", "unknown parameter")):
             config.write_text(line + "\n")
             code, out, err = run_cli(argv + ["--config", str(config)], capsys)

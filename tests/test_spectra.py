@@ -2,11 +2,19 @@
 
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from block_oracle import block_eigenvalues, build_drift, real_blocks
+from block_oracle import (
+    block_eigenvalues,
+    build_drift,
+    cancelling_noise,
+    epr_reference,
+    lapack_rows,
+    real_blocks,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -307,26 +315,48 @@ class TestEprSpectra:
         assert point.e_degree < 1.0
 
 
-def stage_rows(drift, w):
-    """The rows u T(w) of EPR_ROWS at one frequency from two direct 4x4 row
-    solves, first stage after second."""
-    first, second = [0, 1, 4, 5], [2, 3, 6, 7]
-    u = spectra.EPR_ROWS
-    lhs = 1j * w * np.eye(8) - drift
-    y2 = np.linalg.solve(lhs[np.ix_(second, second)].T, u[:, second].T).T
-    b1 = u[:, first] + y2 @ drift[np.ix_(second, first)]
-    y1 = np.linalg.solve(lhs[np.ix_(first, first)].T, b1.T).T
+def schur_row(block, shift, u):
+    """y with y (shift - block) = u for one 4x4 stage block and one row u
+    (4,) at one shift, a one-element array: the 2x2 Schur complement on the
+    atom slots by Cramer's rule, then the cavity slots, in the grid kernel's
+    evaluation order (numpy rounds complex products of scalars unlike those
+    of arrays, so the shift keeps an array)."""
+    a = block
+    diagonal = [shift - a[j, j] for j in range(4)]
+    inv_c = [1.0 / diagonal[2], 1.0 / diagonal[3]]
+    w = [[a[k + 2, j] * inv_c[k] for j in (0, 1)] for k in (0, 1)]
+    s = [[(diagonal[i] if i == j else -a[i, j]) - a[i, 2] * w[0][j] - a[i, 3] * w[1][j]
+          for j in (0, 1)] for i in (0, 1)]
+    inv_det = 1.0 / (s[0][0] * s[1][1] - s[0][1] * s[1][0])
+    r0, r1 = (u[j] + u[2] * w[0][j] + u[3] * w[1][j] for j in (0, 1))
+    y0 = r0 * (s[1][1] * inv_det) + r1 * (-s[1][0] * inv_det)
+    y1 = r0 * (-s[0][1] * inv_det) + r1 * (s[0][0] * inv_det)
+    y2, y3 = ((u[k + 2] + y0 * a[0, k + 2] + y1 * a[1, k + 2]) * inv_c[k] for k in (0, 1))
+    return np.concatenate((y0, y1, y2, y3))
+
+
+def stage_rows(blocks, w):
+    """The rows u T(w) of EPR_ROWS at one working point (its `stage_blocks`)
+    and one frequency, row by row: the second stage's row, then the first
+    stage's, fed by the second through the gamma feed."""
+    stages, feed = blocks
+    first, second = spectra.STAGES[:4], spectra.STAGES[4:]
+    shift = np.array([1j * w])
     y = np.empty((4, 8), dtype=complex)
-    y[:, first], y[:, second] = y1, y2
+    for row, u in enumerate(spectra.EPR_ROWS):
+        y2 = schur_row(stages[1], shift, u[second])
+        fed = [u[slot] + sum(y2[i] * feed[i, j] for i in range(4) if feed[i, j] != 0.0)
+               for j, slot in enumerate(first)]
+        y[row, second], y[row, first] = y2, schur_row(stages[0], shift, fed)
     return y
 
 
-def loop_reference_point(drift, noise, omega):
+def loop_reference_point(blocks, noise, omega):
     """(s_qplus, s_pminus, commutator, e_degree) at one frequency from the
     rows at +w (`stage_rows`) alone, as the hermitian forms y A y^H of the
     variances and y_q B y_p^H - y_p B y_q^H of the commutator, one point at a
     time, in the grid kernel's evaluation order."""
-    y = stage_rows(drift, omega)
+    y = stage_rows(blocks, omega)
     sym = (0.25 * (noise + noise.T))[:, spectra.PAIRS]
     anti = (0.25 * (noise - noise.T))[:, spectra.PAIRS]
     s_q, s_p = ((y[:2] @ sym) * y[:2].conj()).sum(axis=-1).real
@@ -343,7 +373,7 @@ class TestGridKernel:
         rng = np.random.default_rng(53)
         for _ in range(6):
             params, branch = random_stable_point(rng)
-            drift, noise = build_drift(params, branch), build_noise(params)
+            blocks, noise = stage_blocks(params, branch), build_noise(params)
             omegas = np.concatenate([[0.0, params.Omega, -params.Omega],
                                      rng.uniform(-3, 3, 40) * params.Omega])
             grid = epr_grid(params, branch, omegas)
@@ -352,7 +382,7 @@ class TestGridKernel:
                 assert np.array_equal(getattr(grid, field),
                                       [getattr(p, field)[0] for p in points]), field
             assert np.array_equal(grid.variance_product, [p.variance_product[0] for p in points])
-            reference = np.array([loop_reference_point(drift, noise, w) for w in omegas]).T
+            reference = np.array([loop_reference_point(blocks, noise, w) for w in omegas]).T
             for field, want in zip(("s_qplus", "s_pminus", "commutator", "e_degree"), reference):
                 assert np.array_equal(getattr(grid, field), want), field
 
@@ -379,17 +409,8 @@ class TestGridKernel:
             omegas = params.Omega * np.array([0.1, 0.5, 1.0, 1.5, 8.0])
             grid = epr_grid(params, branch, omegas)
             with mpmath.workdps(40):
-                m, eye = mpmath.matrix(drift.tolist()), mpmath.eye(8)
-                d, k = mpmath.matrix(noise.tolist()), mpmath.matrix((noise - noise.T).tolist())
-                q_plus, p_minus, q_a, p_a = (mpmath.matrix([u.tolist()]) for u in spectra.EPR_ROWS)
                 for i, w in enumerate(omegas):
-                    plus = (mpmath.mpc(0, w) * eye - m) ** -1
-                    minus = (mpmath.mpc(0, -w) * eye - m) ** -1
-                    d_pair = plus * d * minus.T + minus * d * plus.T
-                    k_pair = plus * k * minus.T + minus * k * plus.T
-                    s_q = 0.25 * (q_plus * d_pair * q_plus.T)[0].real
-                    s_p = 0.25 * (p_minus * d_pair * p_minus.T)[0].real
-                    comm = 0.25 * (q_a * k_pair * p_a.T)[0]
+                    s_q, s_p, comm = epr_reference(drift, noise, w, mpmath)
                     want = (s_q, s_p, comm, s_q * s_p / (0.25 * abs(comm) ** 2))
                     got = (grid.s_qplus[i], grid.s_pminus[i], grid.commutator[i], grid.e_degree[i])
                     for g, ref in zip(got, want):
@@ -424,34 +445,22 @@ class TestGridKernel:
 
     @pytest.mark.parametrize("drive", [1e6, 1e70, 1e78, 1e100, 1e151])
     def test_ok_points_match_300_digit_reference(self, drive):
-        # at drives 1e73-1e76, 1e79-1e80 and beyond the rows' componentwise
-        # backward error is of order 1 and the forms are off by factors: what
-        # the kernel reports OK is accurate, and drives 1e100 and 1e151 fail
-        # at every frequency
+        # the stage rows keep a componentwise backward error of order eps up
+        # to the largest stable drives (LAPACK's rows reached 0.19-1 at drives
+        # 1e73-1e76 and from 1e79 on, which failed as rounding): every
+        # frequency at every drive is OK and matches a 300-digit inversion
         mpmath = pytest.importorskip("mpmath")
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         branch = steady_grid(params, np.array([drive]))[0]
         drift, noise = build_drift(params, branch), build_noise(params)
         omegas = np.geomspace(100.0, 1e4, 5)
-        grid, status, failure = spectra._epr_kernel(stage_blocks(params, branch), noise, omegas)
-        assert np.all(status == spectra.OK) == (drive < 1e100)
-        assert np.all(status != spectra.OK) == (drive >= 1e100)
+        grid, status, _ = spectra._epr_kernel(stage_blocks(params, branch), noise, omegas)
+        assert np.all(status == spectra.OK)
         with mpmath.workdps(300):
-            m, eye = mpmath.matrix(drift.tolist()), mpmath.eye(8)
-            d, k = mpmath.matrix(noise.tolist()), mpmath.matrix((noise - noise.T).tolist())
-            q_plus, p_minus, q_a, p_a = (mpmath.matrix([u.tolist()]) for u in spectra.EPR_ROWS)
-            for i in np.flatnonzero(status == spectra.OK):
-                plus = (mpmath.mpc(0, omegas[i]) * eye - m) ** -1
-                minus = (mpmath.mpc(0, -omegas[i]) * eye - m) ** -1
-                d_pair = plus * d * minus.T + minus * d * plus.T
-                want = (0.25 * (q_plus * d_pair * q_plus.T)[0].real,
-                        0.25 * (p_minus * d_pair * p_minus.T)[0].real,
-                        0.25 * (q_a * (plus * k * minus.T + minus * k * plus.T) * p_a.T)[0])
+            for i, w in enumerate(omegas):
                 got = (grid.s_qplus[i], grid.s_pminus[i], grid.commutator[i])
-                for g, ref in zip(got, want):
+                for g, ref in zip(got, epr_reference(drift, noise, w, mpmath)):
                     assert float(abs(complex(g) - ref) / abs(ref)) < 1e-12
-        for i in np.flatnonzero(status == spectra.ROUNDING):
-            assert str(failure(i)).startswith("EPR forms dominated by rounding")
 
     def test_empty_grid(self):
         params, branch = random_stable_point(np.random.default_rng(67))
@@ -513,8 +522,9 @@ class TestGridKernel:
     def test_kernel_status_per_point(self):
         # the undamped atoms' blocks are singular at w = +-2 (with input
         # noise on the atoms, the other points are OK); damped blocks scaled
-        # by 1e20 leave only a commutator below the floor; negated input
-        # moments make the variances negative
+        # by 1e20 leave only a commutator below the floor; moments that cancel
+        # (`cancelling_noise`) leave variances far below the rounding of
+        # their terms; negated input moments make the variances negative
         undamped, branch = undamped_atoms()
         damped = replace(undamped, Gamma=0.4)
         scaled, feed = stage_blocks(damped, branch)
@@ -524,6 +534,7 @@ class TestGridKernel:
             (stage_blocks(undamped, branch), build_noise(damped), [0.5, -2.0, 2.0],
              [spectra.OK] + [spectra.SINGULAR] * 2),
             ((scaled * 1e20, feed), build_noise(damped), [0.5, -2.0], [spectra.DEGENERATE] * 2),
+            ((scaled, feed), cancelling_noise(damped), [0.5, 2.0], [spectra.ROUNDING] * 2),
             (stage_blocks(params, steady_grid(params, np.array([1e3]))[0]), -vacuum, [1.0, 10.0],
              [spectra.NONPOSITIVE] * 2),
         ]
@@ -556,9 +567,9 @@ class TestGridKernel:
         rng = np.random.default_rng(71)
         for _ in range(10):
             params, branch = random_stable_point(rng)
-            drift = build_drift(params, branch)
+            blocks = stage_blocks(params, branch)
             for w in rng.uniform(-3, 3, 20) * params.Omega:
-                assert_derived(stage_rows(drift, w), stage_rows(drift, -w))
+                assert_derived(stage_rows(blocks, w), stage_rows(blocks, -w))
         drives = np.geomspace(1e5, 1e9, 2401)
         for chi in np.geomspace(0.3, 3.0, 8):
             params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
@@ -570,13 +581,23 @@ class TestGridKernel:
 
     def test_vacuum_variances_are_never_non_positive(self):
         # with vacuum inputs each variance is a sum of squares up to the
-        # rounding of its cross terms: extreme drives fail as rounding
+        # rounding of its cross terms: every stable drive up to 1e154 is OK
+        # (LAPACK's rows left extreme drives to fail as rounding), and drives
+        # spread over 1e70-1e154 match a 300-digit inversion
+        mpmath = pytest.importorskip("mpmath")
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         steady = steady_grid(params, np.geomspace(1e5, 1e154, 400), "follow")
-        blocks = stage_blocks(params, steady[np.flatnonzero(stability_grid(params, steady))])
-        status = spectra._epr_kernel(blocks, build_noise(params), 1000.0)[1]
-        assert np.any(status == spectra.ROUNDING)
-        assert not np.any(status == spectra.NONPOSITIVE)
+        stable = steady[np.flatnonzero(stability_grid(params, steady))]
+        noise = build_noise(params)
+        grid, status, _ = spectra._epr_kernel(stage_blocks(params, stable), noise, 1000.0)
+        assert np.all(status == spectra.OK)
+        assert np.all(grid.s_qplus > 0.0) and np.all(grid.s_pminus > 0.0)
+        extreme = np.flatnonzero(np.abs(stable.zeta1_in) >= 1e70)
+        with mpmath.workdps(300):
+            for k in extreme[np.linspace(0, extreme.size - 1, 6).astype(int)]:
+                want = epr_reference(build_drift(params, stable[k]), noise, 1000.0, mpmath)
+                for got, ref in zip((grid.s_qplus[k], grid.s_pminus[k]), want):
+                    assert float(abs(got - ref) / ref) < 1e-12
 
     def test_lyapunov_oracle(self):
         # the delta-stripped spectrum integrated over w/2pi is the equal-time
@@ -602,6 +623,97 @@ class TestGridKernel:
             sigma = scipy.linalg.solve_sylvester(drift, drift.T, -noise)
             assert np.abs(integral - sigma).max() < 1e-3
             checked += 1
+
+
+class TestStageRows:
+    """The closed-form stage row solve against LAPACK's and against the
+    stage polynomial of the stability verdict."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(chi=st.one_of(st.just(0.0), st.floats(0.0, 3.0)), log_omega=st.floats(-1.0, 3.5),
+           gamma_motion=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+           gamma=st.floats(0.1, 3.0), delta1=st.floats(-1e4, 1e4), delta2=st.floats(-1e4, 1e4),
+           scale=st.floats(-3.0, 3.0))
+    def test_rows_match_lapack_oracle(self, chi, log_omega, gamma_motion, gamma, delta1, delta2,
+                                      scale):
+        # at drive 0 and at chi = 0 the atoms decouple, and without atom
+        # damping w = +-Omega is singular: both solves flag it.  A point LAPACK
+        # inverts with a Skeel condition below 1/eps is flagged by neither;
+        # closer to singular, a zero pivot of one elimination order may be a
+        # tiny one of the other.  At well-conditioned points where LAPACK's
+        # componentwise backward error is below 1e-14 the rows agree to 1e-13
+        # normwise, beyond the first-order effect of both solves' backward
+        # errors through the rows' condition |y| |L| |L^-1| (ill-conditioned
+        # draws differ by up to 2.4e-12).  Statuses agree there too, but for
+        # the forms' rounding verdict near its bound and near w = 0 without
+        # atom damping, where the commutator vanishes like w: the closed form
+        # gives it as 0 or below the floor (DEGENERATE), LAPACK's rows as
+        # rounding
+        params = PhysParams(chi=chi, Omega=10.0**log_omega, Gamma=gamma_motion, gamma=gamma,
+                            Delta1=delta1, Delta2=delta2)
+        omegas = params.Omega * np.array([1.0, -1.0, scale, 0.0])
+        drives = np.concatenate(([0.0], np.geomspace(1e-2, 1e8, 13)))
+        noise = build_noise(params)
+
+        def lapack_solve(blocks, omega, rows):
+            y, singular, backward = lapack_rows(blocks, omega, rows)
+            return y, singular, backward, None
+
+        for selection in SELECTIONS:
+            steady = steady_grid(params, drives, selection)
+            stages, feed = stage_blocks(params, steady)
+            blocks = (stages[:, None], feed)  # (drive, omega) points
+            y, singular, backward, _ = spectra._row_solve(blocks, omegas, spectra.EPR_ROWS)
+            y_ref, singular_ref, backward_ref = lapack_rows(blocks, omegas, spectra.EPR_ROWS)
+            decoupled = np.all(stages[:, :, :2, 2:] == 0.0, axis=(-3, -2, -1))
+            exact = (decoupled[:, None] & (gamma_motion == 0.0)
+                     & (np.abs(omegas) == params.Omega))
+            assert np.all(singular[exact]) and np.all(singular_ref[exact])
+            lhs = 1j * omegas[:, None, None] * np.eye(8) - build_drift(params, steady)[:, None]
+            inverse = lapack_rows(blocks, omegas, np.eye(8))[0]
+            with np.errstate(invalid="ignore"):  # the nan inverse of a singular point
+                skeel = (np.abs(inverse) @ np.abs(lhs)).sum(axis=-1).max(axis=-1)
+            well = skeel <= 1.0 / spectra.EPS
+            assert not np.any(singular[well] | singular_ref[well])
+            check = well & (backward_ref < 1e-14) & np.isfinite(y_ref).all(axis=(-2, -1))
+            condition = np.linalg.norm(
+                np.abs(y_ref[check]) @ np.abs(lhs[check]) @ np.abs(inverse[check]), axis=-1)
+            bound = (1e-13 * np.linalg.norm(y_ref[check], axis=-1)
+                     + (backward[check] + backward_ref[check])[:, None] * condition)
+            assert np.all(np.linalg.norm(y[check] - y_ref[check], axis=-1) <= bound)
+            status = spectra._epr_kernel(blocks, noise, omegas)[1]
+            with mock.patch.object(spectra, "_row_solve", lapack_solve):
+                status_ref = spectra._epr_kernel(blocks, noise, omegas)[1]
+            same = check if gamma_motion > 0.0 else check & (np.abs(omegas) > 1e-6 * params.Omega)
+            # the rounding estimate of the forms grows with the rows' backward
+            # error: near FORM_TOLERANCE only the rows with the smaller one may
+            # pass where the others fail
+            ok, rounding = (status == spectra.OK), (status == spectra.ROUNDING)
+            ok_ref, rounding_ref = (status_ref == spectra.OK), (status_ref == spectra.ROUNDING)
+            apart = np.where(backward < backward_ref, ok & rounding_ref, rounding & ok_ref)
+            assert np.all(((status == status_ref) | apart)[same])
+
+    def test_pivots_give_the_stage_polynomial(self):
+        # c0 c1 det S = det(i w - A) is the stage's characteristic polynomial
+        # p(s) = (s^2 + Gamma s + wm^2)(s^2 + gamma s + wc^2) - K at s = i w,
+        # K = wm^2 wc^2 - a0 from the a0 of `_hurwitz_terms`, to within the
+        # rounding of the polynomial's summed term magnitudes
+        rows = [np.ones((1, 1, 1))] * 4
+        for chi in (0.3, 1.0, 3.0):
+            params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
+            steady = steady_grid(params, np.geomspace(1e5, 1e9, 241), "follow")
+            stages = stage_blocks(params, steady)[0]
+            big, g = params.Gamma, params.gamma
+            wm2 = big * big / 4 + params.Omega**2
+            wc2 = g * g / 4 + spectra._detunings(params, steady) ** 2
+            cycle = wm2 * wc2 - spectra._hurwitz_terms(params, steady)[0]
+            for w in (0.0, 100.0, 1000.0, 5000.0, -3000.0):
+                s = 1j * w
+                want = (s * s + big * s + wm2) * (s * s + g * s + wc2) - cycle
+                size = (w * w + big * abs(w) + wm2) * (w * w + g * abs(w) + wc2) + abs(cycle)
+                pivots = spectra._solve_rows(stages, np.array([s]), rows)[1]
+                got = pivots[0] * pivots[1] * pivots[2]
+                assert np.all(np.abs(got - want) <= 4e-15 * size), (chi, w)
 
 
 def hurwitz_reference(block, dps):
@@ -876,6 +988,29 @@ class TestAmplitudeSweep:
         others = np.arange(drives.size) != 7
         for name, column in vars(sweep).items():
             assert np.array_equal(column[others], getattr(reference, name)[others]), name
+
+    def test_extreme_sweep_rows_match_300_digit_reference(self):
+        # every stable drive of 1e5-1e300 (up to about 3e153; beyond, the
+        # drive power overflows) has an e_degree: 150 rows, of which LAPACK's
+        # rows left 76 to fail as rounding; ten spread over 1e70-1e154 match
+        # a 300-digit inversion
+        mpmath = pytest.importorskip("mpmath")
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        drives = np.geomspace(1e5, 1e300, 301)
+        sweep = amplitude_sweep(params, drives, params.Omega)
+        assert sweep.stable.sum() == 150
+        assert np.all(np.isfinite(sweep.e_degree[sweep.stable]))
+        assert all(error in (None, "unstable working point", "overflow") for error in sweep.error)
+        steady = steady_grid(params, drives, "follow")
+        extreme = np.flatnonzero(sweep.stable & (drives >= 1e70))
+        assert drives[extreme[-1]] > 1e153
+        noise = build_noise(params)
+        with mpmath.workdps(300):
+            for k in extreme[np.linspace(0, extreme.size - 1, 10).astype(int)]:
+                s_q, s_p, comm = epr_reference(build_drift(params, steady[k]), noise,
+                                               params.Omega, mpmath)
+                want = s_q * s_p / (0.25 * abs(comm) ** 2)
+                assert float(abs(sweep.e_degree[k] - want) / want) < 1e-12
 
     def test_stable_rows_never_ride_the_middle_branch(self):
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)

@@ -36,7 +36,7 @@ print(f"EPR regime (E < 1): {below.size} points, "
 print(f"high-drive end: E = {e_degree[finite[-1]]:.4g} at drive {sweep.drive[finite[-1]]:.4g}")
 
 csv_text = format_csv("drive,e_degree,intensity1,stable", ",".join([FLOAT_FORMAT] * 3 + ["%s"]),
-                      [(sweep.drive, e_degree, sweep.intensity1, sweep.stable)])
+                      (sweep.drive, e_degree, sweep.intensity1, sweep.stable))
 
 os.makedirs("demo_output", exist_ok=True)
 with open("demo_output/cascaded_entanglement.csv", "w") as fh:

@@ -24,7 +24,7 @@ for zeta, curve in zip(AMPLITUDES, curves):
 
 names = [f"efficiency_zeta_{str(z).replace('.', 'p')}" for z in AMPLITUDES]
 csv_text = format_csv("x," + ",".join(names), ",".join([FLOAT_FORMAT] * (1 + len(names))),
-                      [(x_grid, *curves)])
+                      (x_grid, *curves))
 
 os.makedirs("demo_output", exist_ok=True)
 with open("demo_output/conditional_efficiency.csv", "w") as fh:

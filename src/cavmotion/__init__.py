@@ -42,7 +42,6 @@ from .fock import (
     truncation_order,
 )
 from .spectra import (
-    GRID_BLOCK,
     SingularTransferError,
     SpectrumPoint,
     SweepPoint,

@@ -171,16 +171,14 @@ def _policy(merged):
     return _checked(TruncationPolicy, merged, ("tail_epsilon", "hard_cap"))
 
 
-def format_csv(header, template, blocks):
+def format_csv(header, template, columns):
     """CSV text: the header line, then `template % row` for every index of
-    each block's columns (equal-length arrays, or numbers for one row);
-    booleans print as true/false."""
-    lines = [header]
-    for columns in blocks:
-        cells = [np.atleast_1d(column) for column in columns]
-        cells = [np.where(c, "true", "false") if c.dtype == bool else c for c in cells]
-        lines.extend(template % row for row in zip(*(c.tolist() for c in cells)))
-    return "\n".join(lines) + "\n"
+    the columns (equal-length arrays, or numbers for one row); booleans
+    print as true/false."""
+    cells = [np.atleast_1d(column) for column in columns]
+    cells = [np.where(c, "true", "false") if c.dtype == bool else c for c in cells]
+    rows = (template % row for row in zip(*(c.tolist() for c in cells)))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def run_single_cavity(merged, x_values=None):
@@ -197,7 +195,7 @@ def run_single_cavity(merged, x_values=None):
     if unresolvable.any():
         columns.append(np.where(unresolvable, "unresolvable", ""))
         header, template = header + ",error", template + ",%s"
-    return format_csv(header, template, [columns])
+    return format_csv(header, template, columns)
 
 
 def _working_point(merged):
@@ -215,9 +213,9 @@ def run_cascaded_steady(merged):
         "drive,branch1,branch2,intensity1,intensity2,zeta1_re,zeta1_im,zeta2_re,zeta2_im,"
         "alpha_re,alpha_im,beta_re,beta_im,residual,stable",
         ",".join([FLOAT_FORMAT, "%s", "%s"] + [FLOAT_FORMAT] * 11 + ["%s"]),
-        [(merged["drive"], branch.branch1, branch.branch2, branch.intensity1, branch.intensity2,
-          *(part for z in amplitudes for part in (z.real, z.imag)),
-          residual(params, branch), stable)])
+        (merged["drive"], branch.branch1, branch.branch2, branch.intensity1, branch.intensity2,
+         *(part for z in amplitudes for part in (z.real, z.imag)),
+         residual(params, branch), stable))
 
 
 def run_cascaded(merged, drive_values=None):
@@ -230,27 +228,20 @@ def run_cascaded(merged, drive_values=None):
     return format_csv(
         "drive,branch,intensity1,intensity2,e_degree,stable",
         ",".join([FLOAT_FORMAT, "%s%s/%s"] + [FLOAT_FORMAT] * 3 + ["%s"]),
-        [(sweep.drive, np.where(sweep.jumped, "jump:", ""), sweep.branch1, sweep.branch2,
-          sweep.intensity1, sweep.intensity2,
-          np.where(np.isfinite(sweep.e_degree), sweep.e_degree, np.nan), sweep.stable)])
+        (sweep.drive, np.where(sweep.jumped, "jump:", ""), sweep.branch1, sweep.branch2,
+         sweep.intensity1, sweep.intensity2,
+         np.where(np.isfinite(sweep.e_degree), sweep.e_degree, np.nan), sweep.stable))
 
 
 def run_cascaded_spectrum(merged):
-    """Frequency-scan CSV at one drive on the selected branch: `spectra.epr_grid`
-    GRID_BLOCK frequencies at a time, from the stage blocks built once."""
+    """Frequency-scan CSV at one drive on the selected branch (`spectra.epr_grid`)."""
     params, branch, stable = _working_point(merged)
     if not stable:
         raise ArithmeticError(
             f"no stable working point at drive {merged['drive']} "
             f"(branches {branch.branch1}/{branch.branch2})")
-    blocks, d = spectra.stage_blocks(params, branch), spectra.build_noise(params)
-    omegas, columns, size = _grid(merged, "omega"), [], spectra.GRID_BLOCK
-    for start in range(0, omegas.size, size):
-        g, status, failure = spectra._epr_kernel(blocks, d, omegas[start:start + size])
-        if status.any():
-            raise failure(np.argmax(status != spectra.OK))
-        columns.append((g.omega, g.s_qplus, g.s_pminus, g.commutator.imag, g.e_degree,
-                        g.variance_product))
+    g = spectra.epr_grid(params, branch, _grid(merged, "omega"))
+    columns = (g.omega, g.s_qplus, g.s_pminus, g.commutator.imag, g.e_degree, g.variance_product)
     return format_csv("omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product",
                       ",".join([FLOAT_FORMAT] * 6), columns)
 

@@ -61,7 +61,8 @@ def oscillator_wavefunctions(n_max, x):
         raise ValueError(f"order n_max={n_max} outside [0, {DEFAULT_HARD_CAP}]")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((n_max + 1,) + x.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    with np.errstate(over="ignore"):  # x^2 overflows past |x| ~ 1.3e154, and exp(-inf) = 0
+        out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if n_max >= 1:
         out[1] = np.sqrt(2.0) * x * out[0]
     for k in range(2, n_max + 1):

@@ -243,29 +243,41 @@ def _epr_kernel(blocks, d, omega):
     p_a - p_b and mat = d - d^T for <[q_a(w), p_a(w)]>.  As T(-w)^T = P T(w)^H P
     and u P = conj(u) (P the slot swap PAIRS), a variance is y A y^H with
     A = (d + d^T) P / 4 and the commutator y_q B y_p^H - y_p B y_q^H with
-    B = (d - d^T) P / 4.  status is OK or the failure a point-by-point
-    evaluation meets first: SINGULAR (T(w) singular or its rows not finite),
-    DEGENERATE (commutator below COMMUTATOR_FLOOR), NONPOSITIVE (a variance
-    not positive), ROUNDING (a form's estimated relative rounding error above
-    FORM_TOLERANCE); there e_degree is nan and failure(i) is the error of flat
-    point i."""
-    shape = np.broadcast_shapes(blocks[0].shape[:-3], np.shape(omega))
+    B = (d - d^T) P / 4.  The flattened grid is solved GRID_BLOCK points at a
+    time, so its memory is that of the per-point results and one block.
+    status is OK or the failure a point-by-point evaluation meets first:
+    SINGULAR (T(w) singular or its rows not finite), DEGENERATE (commutator
+    below COMMUTATOR_FLOOR), NONPOSITIVE (a variance not positive), ROUNDING
+    (a form's estimated relative rounding error above FORM_TOLERANCE); there
+    e_degree is nan and failure(i) is the error of flat point i."""
+    stages, feed = blocks
+    shape = np.broadcast_shapes(stages.shape[:-3], np.shape(omega))
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
-    y, singular, backward, error = _row_solve(blocks, omega, EPR_ROWS)
-    failed = singular | ~np.isfinite(backward)
-    with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
-        # the terms of each form: (y A)_k conj(y_k), and (y B)_k conj(y'_k)
-        # for the commutator's pairs (q_a, p_a) and (p_a, q_a)
-        with_d = _times(y[..., :2, :], 0.25 * (d + d.T)[:, PAIRS]) * y[..., :2, :].conj()
-        with_k = _times(y[..., 2:, :], 0.25 * (d - d.T)[:, PAIRS]) * y[..., [3, 2], :].conj()
-        s_q, s_p = np.moveaxis(with_d.sum(axis=-1).real, -1, 0)
-        comm = with_k[..., 0, :].sum(axis=-1) - with_k[..., 1, :].sum(axis=-1)
-        e_degree = s_q * s_p / (0.25 * np.square(np.abs(comm)))
-        # each form's terms summed in magnitude, over its value
-        size_d, size_k = np.abs(with_d).sum(axis=-1), np.abs(with_k).sum(axis=(-2, -1))
-        spread = np.maximum(np.maximum(size_d[..., 0] / s_q, size_d[..., 1] / s_p),
-                            size_k / np.abs(comm))
-        rounding = (backward + EPS) * spread
+    # the grid's points on at least one axis, to index a block's points by;
+    # one working point's stages serve every block as they are (stages[()])
+    grid, parts = shape or (1,), []
+    if stages.ndim > 3:
+        stages = np.broadcast_to(stages, grid + stages.shape[-3:])
+    for flat in np.split(np.arange(omega.size), range(GRID_BLOCK, omega.size, GRID_BLOCK)):
+        at = np.unravel_index(flat, grid)
+        y, singular, backward, error = _row_solve((stages[at[:stages.ndim - 3]], feed),
+                                                  np.reshape(omega, grid)[at], EPR_ROWS)
+        with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
+            # the terms of each form: (y A)_k conj(y_k), and (y B)_k conj(y'_k)
+            # for the commutator's pairs (q_a, p_a) and (p_a, q_a)
+            with_d = _times(y[..., :2, :], 0.25 * (d + d.T)[:, PAIRS]) * y[..., :2, :].conj()
+            with_k = _times(y[..., 2:, :], 0.25 * (d - d.T)[:, PAIRS]) * y[..., [3, 2], :].conj()
+            s_q, s_p = np.moveaxis(with_d.sum(axis=-1).real, -1, 0)
+            comm = with_k[..., 0, :].sum(axis=-1) - with_k[..., 1, :].sum(axis=-1)
+            e_degree = s_q * s_p / (0.25 * np.square(np.abs(comm)))
+            # each form's terms summed in magnitude, over its value
+            size_d, size_k = np.abs(with_d).sum(axis=-1), np.abs(with_k).sum(axis=(-2, -1))
+            spread = np.maximum(np.maximum(size_d[..., 0] / s_q, size_d[..., 1] / s_p),
+                                size_k / np.abs(comm))
+        parts.append((s_q, s_p, comm, e_degree, (backward + EPS) * spread,
+                      singular | ~np.isfinite(backward), error))
+    *columns, errors = zip(*parts)
+    s_q, s_p, comm, e_degree, rounding, failed = (np.concatenate(c).reshape(shape) for c in columns)
     status = np.where(failed, SINGULAR, np.where(
         np.abs(comm) >= COMMUTATOR_FLOOR, np.where(np.minimum(s_q, s_p) > 0.0, np.where(
             rounding <= FORM_TOLERANCE, OK, ROUNDING), NONPOSITIVE),
@@ -282,7 +294,7 @@ def _epr_kernel(blocks, d, omega):
         if status[idx] == ROUNDING:
             return ArithmeticError(f"EPR forms dominated by rounding (estimated relative "
                                    f"error {rounding[idx]:.3e}) at omega={omega[idx]}")
-        return error(idx)
+        return errors[flat // GRID_BLOCK](flat % GRID_BLOCK)
 
     e_degree = np.where(status == OK, e_degree, np.nan)
     return SpectrumPoint(omega, s_q, s_p, comm, e_degree), status, failure
@@ -349,27 +361,23 @@ def amplitude_sweep(params, drive_grid, omega_eval):
 
     One `steady_grid` call continues each cavity's intensity adiabatically
     from drive to drive (a vanishing branch is a recorded jump), and one
-    `stability_grid` call decides every drive; then each block of GRID_BLOCK
-    drives takes one `stage_blocks` and one `_epr_kernel` call for its stable
-    drives.  Unstable, overflowing (nan intensity) or numerically failing
-    drives come back with e_degree = nan and the reason in their error.
+    `stability_grid` call decides every drive; then the stable drives take
+    one `stage_blocks` and one `_epr_kernel` call.  Unstable, overflowing
+    (nan intensity) or numerically failing drives come back with
+    e_degree = nan and the reason in their error.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if drive_grid.size and np.any(np.diff(drive_grid) < 0):
         raise ValueError("drive_grid must be sorted ascending")
-    d = build_noise(params)
     steady = steady_grid(params, drive_grid, selection="follow")
     stable = stability_grid(params, steady)
     overflow = np.isnan(steady.intensity1 + steady.intensity2)  # no working point
     error = np.where(stable, None, np.where(overflow, "overflow", "unstable working point"))
-    e_degree = np.full(drive_grid.size, np.nan)
-    for start in range(0, drive_grid.size, GRID_BLOCK):
-        solved = start + np.flatnonzero(stable[start:start + GRID_BLOCK])
-        if solved.size:
-            grid, status, failure = _epr_kernel(stage_blocks(params, steady[solved]), d,
-                                                omega_eval)
-            e_degree[solved] = grid.e_degree
-            for i in np.flatnonzero(status):
-                error[solved[i]] = str(failure(i))
+    e_degree, solved = np.full(drive_grid.size, np.nan), np.flatnonzero(stable)
+    grid, status, failure = _epr_kernel(stage_blocks(params, steady[solved]), build_noise(params),
+                                        omega_eval)
+    e_degree[solved] = grid.e_degree
+    for i in np.flatnonzero(status):
+        error[solved[i]] = str(failure(i))
     return SweepPoint(drive_grid, steady.branch1, steady.branch2, steady.intensity1,
                       steady.intensity2, stable, e_degree, steady.jumped1 | steady.jumped2, error)

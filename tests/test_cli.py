@@ -73,6 +73,13 @@ class TestSingleCavityCsv:
         assert cells[0][4] == "unresolvable"
         assert cells[2][4] == ""
 
+    def test_outcome_whose_square_overflows_is_unresolvable(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["single-cavity", "point", "--x", "1e300"], capsys)
+        assert code == 0, err
+        assert out.strip().split("\n")[1] == "1.000000000000e+300,nan,nan,nan,unresolvable"
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(["single-cavity", "sweep"], capsys)
         _, second, _ = run_cli(["single-cavity", "sweep"], capsys)
@@ -323,8 +330,10 @@ class TestWorkBounds:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"linalg": 0, "root_grid": 0, "stage_blocks": 0, "drift_arrays": 0}
-        stage_blocks, root_grid = spectra.stage_blocks, cascade.root_grid
+        tally = {"linalg": 0, "root_grid": 0, "stage_blocks": 0, "drift_arrays": 0,
+                 "row_solve": 0}
+        stage_blocks, root_grid, row_solve = (spectra.stage_blocks, cascade.root_grid,
+                                              spectra._row_solve)
 
         def counted(function):
             def call(*args, **kwargs):
@@ -340,6 +349,10 @@ class TestWorkBounds:
             tally["root_grid"] += 1
             return root_grid(*args)
 
+        def counted_solves(*args):
+            tally["row_solve"] += 1
+            return row_solve(*args)
+
         def counted_alloc(make):
             # a complex (..., 8, 8) array would be a drift matrix or a stack of them
             def alloc(shape, dtype=float, *args, **kwargs):
@@ -352,6 +365,7 @@ class TestWorkBounds:
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         monkeypatch.setattr(spectra, "stage_blocks", counted_blocks)
         monkeypatch.setattr(cascade, "root_grid", counted_roots)
+        monkeypatch.setattr(spectra, "_row_solve", counted_solves)
         for name in ("zeros", "empty"):
             monkeypatch.setattr(np, name, counted_alloc(getattr(np, name)))
         return tally
@@ -372,9 +386,10 @@ class TestWorkBounds:
         assert code == 0
         assert len(out.strip().split("\n")) == count + 1
         self.assert_no_lapack(counts)
-        # one working point: its stage blocks are built once for every block
-        # of frequencies
+        # one working point: its stage blocks are built once, and the kernel
+        # solves GRID_BLOCK frequencies at a time
         assert counts["stage_blocks"] == 1
+        assert counts["row_solve"] == math.ceil(count / spectra.GRID_BLOCK)
 
     @pytest.mark.parametrize("selection", SELECTIONS)
     def test_steady_no_eigvals_no_drift(self, selection, counts, capsys):
@@ -389,12 +404,14 @@ class TestWorkBounds:
         code, out, _ = run_cli(["cascaded", "sweep", "--drive-count", str(count)], capsys)
         assert code == 0
         assert len(out.strip().split("\n")) == count + 1
-        blocks = math.ceil(count / spectra.GRID_BLOCK)
+        stable = sum(line.endswith(",true") for line in out.strip().split("\n")[1:])
         self.assert_no_lapack(counts)
-        # one root solve per cavity for the whole drive grid; at most one
-        # stage-block build per block, of its stable drives
+        # one root solve per cavity for the whole drive grid; one stage-block
+        # build for all the stable drives, solved GRID_BLOCK at a time
         assert counts["root_grid"] == 2
-        assert counts["stage_blocks"] <= blocks
+        assert stable > 0
+        assert counts["stage_blocks"] == 1
+        assert counts["row_solve"] == math.ceil(stable / spectra.GRID_BLOCK)
 
 
 class TestConfigPrecedence:

@@ -92,6 +92,13 @@ class TestOscillatorWavefunction:
         vals = oscillator_wavefunctions(200, np.array([-30.0, 0.0, 30.0]))
         assert np.all(np.isfinite(vals))
 
+    def test_zero_where_the_square_overflows(self):
+        # x^2 overflows past |x| ~ 1.3e154; exp(-inf) = 0, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = oscillator_wavefunctions(5, np.array([-1e300, 1e300]))
+        assert np.array_equal(vals, np.zeros((6, 2)))
+
 
 class TestCoherentCoefficient:
     def test_vacuum(self):

@@ -1,5 +1,6 @@
 """Fluctuation-dynamics checks: stage blocks, noise, transfer, EPR measure."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -467,6 +468,43 @@ class TestGridKernel:
         assert transfer_rows(params, branch, np.array([]), np.eye(8)).shape == (0, 8, 8)
         assert epr_grid(params, branch, np.array([])).e_degree.shape == (0,)
 
+    def test_grid_across_blocks_equals_points_bitwise(self):
+        # the kernel solves GRID_BLOCK points at a time; a point's results
+        # do not depend on its block or its place in it
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        branch = steady_grid(params, np.array([1e6]))[0]
+        omegas = np.geomspace(100.0, 1e4, 2 * GRID_BLOCK + 7)
+        grid = epr_grid(params, branch, omegas)
+        points = [epr_grid(params, branch, omegas[i:i + 1]) for i in range(omegas.size)]
+        for field in ("omega", "s_qplus", "s_pminus", "commutator", "e_degree"):
+            assert np.array_equal(getattr(grid, field), [getattr(p, field)[0] for p in points])
+        # working points by frequencies, with a block boundary inside a row:
+        # each row is that working point's own grid
+        steady, row = steady_grid(params, np.array([1e5, 3e5, 1e6])), omegas[:GRID_BLOCK // 2 + 1]
+        both = epr_grid(params, steady[:, None], row[None, :])
+        for k in range(3):
+            alone = epr_grid(params, steady[k], row)
+            for field in ("s_qplus", "s_pminus", "commutator", "e_degree"):
+                assert np.array_equal(getattr(both, field)[k], getattr(alone, field))
+
+    def test_grid_memory_is_bounded(self):
+        # one block's arrays plus the per-point results (four arrays of the
+        # SpectrumPoint and the status, 48 bytes a point), each held at most
+        # four times over (the blocks' parts, their concatenation and the
+        # status' temporaries): not the rows of the whole grid (1.5 kB a point)
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        branch = steady_grid(params, np.array([1e6]))[0]
+        peaks = []
+        for count in (GRID_BLOCK, 20001):
+            omegas = np.geomspace(100.0, 1e4, count)
+            tracemalloc.start()
+            try:
+                epr_grid(params, branch, omegas)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 4 * 48 * 20001
+
     def test_correlation_matrix_is_a_grid_view(self):
         params, branch = random_stable_point(np.random.default_rng(59))
         omegas = np.array([-2.5, 0.0, 0.7, 4.0])
@@ -518,6 +556,26 @@ class TestGridKernel:
             epr_grid(params, branch, omegas[::-1])
         with pytest.raises(ArithmeticError, match=r"^degenerate commutator .* at omega=4\.0$"):
             epr_grid(params, branch, omegas)
+
+    def test_first_failure_named_across_blocks(self, monkeypatch):
+        # the singular w = +-2 of the undamped atoms (input noise as if
+        # damped) lie in later blocks than the grid's first point: the first
+        # in grid order is named, and each point has the status it has alone
+        params, branch = undamped_atoms()
+        damped = build_noise(replace(params, Gamma=0.4))
+        monkeypatch.setattr(spectra, "build_noise", lambda params: damped)
+        omegas = np.concatenate([np.linspace(0.25, 1.5, GRID_BLOCK + 5), [2.0, 3.0],
+                                 np.linspace(2.5, 4.0, GRID_BLOCK), [-2.0]])
+        with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
+            epr_grid(params, branch, omegas)
+        with pytest.raises(SingularTransferError, match=r"omega=-2\.0$"):
+            epr_grid(params, branch, omegas[::-1])
+        blocks = stage_blocks(params, branch)
+        grid, status, failure = spectra._epr_kernel(blocks, damped, omegas)
+        assert np.flatnonzero(status).tolist() == [GRID_BLOCK + 5, omegas.size - 1]
+        for i in np.flatnonzero(status):
+            alone = spectra._epr_kernel(blocks, damped, omegas[i:i + 1])
+            assert str(failure(i)) == str(alone[2](0))
 
     def test_kernel_status_per_point(self):
         # the undamped atoms' blocks are singular at w = +-2 (with input

@@ -30,25 +30,47 @@ def _to_float(cell):
         return math.nan
 
 
+def _span(values, pad=0.0):
+    """Axis limits: the range of the finite values ((0, 1) if none; one value gets a
+    width of 1, or of its float spacing where that is wider), widened by `pad` of
+    its width at each end."""
+    finite = [v for v in values if math.isfinite(v)]
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 1.0)
+    if hi == lo:
+        hi = lo + max(1.0, math.ulp(lo))
+    pad *= hi - lo
+    return lo - pad, hi + pad
+
+
 def _nice_ticks(lo, hi, target=5):
     """Round tick positions covering [lo, hi]."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        lo, hi = 0.0, 1.0
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / target
+    if not 0.0 < raw < math.inf:  # the span overflowed, or fell below the smallest float
+        lo, hi, raw = 0.0, 1.0, 1.0 / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # the step is below the float spacing at t
+            break
         t += step
     return ticks
+
+
+def _line(x1, y1, x2, y2, stroke='stroke="black" stroke-width="1"'):
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {stroke}/>'
+
+
+def _text(x, y, size, text, anchor="middle"):
+    """The one writer of text content, so every label is escaped here."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}"{anchor}>{text}</text>'
 
 
 def render_plot(csv_text, x_column, y_columns, title=""):
@@ -61,17 +83,8 @@ def render_plot(csv_text, x_column, y_columns, title=""):
     yis = [header.index(name) for name in y_columns]
     xs = [_to_float(r[xi]) if xi < len(r) else math.nan for r in rows]
     series = [[_to_float(r[yi]) if yi < len(r) else math.nan for r in rows] for yi in yis]
-
-    finite_x = [x for x in xs if math.isfinite(x)]
-    finite_y = [y for ys in series for y in ys if math.isfinite(y)]
-    x_lo, x_hi = (min(finite_x), max(finite_x)) if finite_x else (0.0, 1.0)
-    y_lo, y_hi = (min(finite_y), max(finite_y)) if finite_y else (0.0, 1.0)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _span(xs)
+    y_lo, y_hi = _span([y for ys in series for y in ys], pad=0.05)
 
     def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
@@ -79,61 +92,43 @@ def render_plot(csv_text, x_column, y_columns, title=""):
     def py(y):
         return HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
 
+    bottom = HEIGHT - MARGIN_B
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" '
         f'viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
         f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="white"/>',
-        f'<line x1="{MARGIN_L:.2f}" y1="{HEIGHT - MARGIN_B:.2f}" x2="{WIDTH - MARGIN_R:.2f}" '
-        f'y2="{HEIGHT - MARGIN_B:.2f}" stroke="black" stroke-width="1"/>',
-        f'<line x1="{MARGIN_L:.2f}" y1="{MARGIN_T:.2f}" x2="{MARGIN_L:.2f}" '
-        f'y2="{HEIGHT - MARGIN_B:.2f}" stroke="black" stroke-width="1"/>',
+        _line(MARGIN_L, bottom, WIDTH - MARGIN_R, bottom),
+        _line(MARGIN_L, MARGIN_T, MARGIN_L, bottom),
     ]
     if title:
-        parts.append(f'<text x="{WIDTH / 2:.2f}" y="{MARGIN_T - 6:.2f}" font-size="13" '
-                     f'text-anchor="middle">{title}</text>')
+        parts.append(_text(WIDTH / 2, MARGIN_T - 6, 13, title))
     for t in _nice_ticks(x_lo, x_hi):
-        parts.append(f'<line x1="{px(t):.2f}" y1="{HEIGHT - MARGIN_B:.2f}" x2="{px(t):.2f}" '
-                     f'y2="{HEIGHT - MARGIN_B + 4:.2f}" stroke="black" stroke-width="1"/>')
-        parts.append(f'<text x="{px(t):.2f}" y="{HEIGHT - MARGIN_B + 16:.2f}" font-size="10" '
-                     f'text-anchor="middle">{t:.6g}</text>')
+        parts += [_line(px(t), bottom, px(t), bottom + 4),
+                  _text(px(t), bottom + 16, 10, f"{t:.6g}")]
     for t in _nice_ticks(y_lo, y_hi):
-        parts.append(f'<line x1="{MARGIN_L - 4:.2f}" y1="{py(t):.2f}" x2="{MARGIN_L:.2f}" '
-                     f'y2="{py(t):.2f}" stroke="black" stroke-width="1"/>')
-        parts.append(f'<text x="{MARGIN_L - 7:.2f}" y="{py(t) + 3:.2f}" font-size="10" '
-                     f'text-anchor="end">{t:.6g}</text>')
-    parts.append(f'<text x="{WIDTH / 2:.2f}" y="{HEIGHT - 10:.2f}" font-size="11" '
-                 f'text-anchor="middle">{x_column}</text>')
+        parts += [_line(MARGIN_L - 4, py(t), MARGIN_L, py(t)),
+                  _text(MARGIN_L - 7, py(t) + 3, 10, f"{t:.6g}", anchor="end")]
+    parts.append(_text(WIDTH / 2, HEIGHT - 10, 11, x_column))
 
-    gaps = set()
-    for si, ys in enumerate(series):
-        color = PALETTE[si % len(PALETTE)]
-        run = []
-        prev_ok = None
-        for x, y in zip(xs, ys):
-            ok = math.isfinite(x) and math.isfinite(y)
-            if ok:
-                run.append(f"{px(x):.2f},{py(y):.2f}")
-                if prev_ok is False:
-                    gaps.add(round(px(x), 2))
-            elif run:
-                parts.append(f'<polyline points="{" ".join(run)}" fill="none" '
-                             f'stroke="{color}" stroke-width="1.5"/>')
-                gaps.add(round(float(run[-1].split(",")[0]), 2))
-                run = []
-            prev_ok = ok
-        if run:
-            parts.append(f'<polyline points="{" ".join(run)}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.5"/>')
-        # legend swatch
+    gaps = set()  # x of every run end that borders a non-finite point
+    for si, (name, ys) in enumerate(zip(y_columns, series)):
+        stroke = f'stroke="{PALETTE[si % len(PALETTE)]}" stroke-width="1.5"'
+        start = None  # index of the first point of the current run of finite points
+        for k, y in enumerate([*ys, math.nan]):
+            finite = math.isfinite(y) and math.isfinite(xs[k])
+            if finite and start is None:
+                start = k
+            elif not finite and start is not None:
+                points = " ".join([f"{px(xs[i]):.2f},{py(ys[i]):.2f}" for i in range(start, k)])
+                parts.append(f'<polyline points="{points}" fill="none" {stroke}/>')
+                gaps.update(round(px(xs[i]), 2) for i, edge in ((start, 0), (k - 1, len(xs) - 1))
+                            if i != edge)
+                start = None
         ly = MARGIN_T + 14 + 14 * si
-        parts.append(f'<line x1="{WIDTH - MARGIN_R - 110:.2f}" y1="{ly:.2f}" '
-                     f'x2="{WIDTH - MARGIN_R - 90:.2f}" y2="{ly:.2f}" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{WIDTH - MARGIN_R - 85:.2f}" y="{ly + 3:.2f}" '
-                     f'font-size="10">{y_columns[si]}</text>')
+        parts += [_line(WIDTH - MARGIN_R - 110, ly, WIDTH - MARGIN_R - 90, ly, stroke),
+                  _text(WIDTH - MARGIN_R - 85, ly + 3, 10, name, anchor=None)]
     for gx in sorted(gaps):
-        parts.append(f'<line x1="{gx:.2f}" y1="{MARGIN_T:.2f}" x2="{gx:.2f}" '
-                     f'y2="{HEIGHT - MARGIN_B:.2f}" stroke="#888888" stroke-width="1" '
-                     f'stroke-dasharray="4,3"/>')
+        parts.append(_line(gx, MARGIN_T, gx, bottom,
+                           'stroke="#888888" stroke-width="1" stroke-dasharray="4,3"'))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -634,6 +635,21 @@ def test_one_parser_serves_alternating_calls(tmp_path, capsys):
         assert_matches_golden(argv, name, tmp_path, capsys)
 
 
+# the CSV of golden/plot_edge_cases.svg
+EDGE_CASES_CSV = """\
+x,ends,single,all_nan,g1,g2,g3,const
+0,1,nan,nan,0.5,1.5,2.5,3
+1,2,4,nan,0.7,1.7,2.7,3
+2,nan,nan,nan,nan,nan,nan,3
+3,3,5,,0.2,1.2,2.2,3
+4,nan,abc,nan,nan,nan,nan,3
+5,2.5,6
+6,1,nan,nan,0.1,1.1,2.1,3
+bad,7,7,7,7,7,7,7
+8,1.5,nan,nan,0.9,1.9,2.9,3
+"""
+
+
 class TestPlot:
     def make_csv(self, tmp_path, capsys, argv, name):
         _, out, _ = run_cli(argv, capsys)
@@ -726,6 +742,62 @@ class TestPlot:
                 float(cell)  # must not raise
         svg = render_plot(text, "x", ["prob_density", "lin_entropy", "efficiency"])
         assert svg.count("<polyline") == 3
+
+    @pytest.mark.parametrize("stem,x_column,y_column", [
+        ("single_cavity_sweep", "x", "efficiency"),
+        ("cascaded_sweep", "drive", "e_degree"),
+        ("cascaded_spectrum", "omega", "e_degree"),
+    ])
+    def test_plot_of_golden_csv_matches_golden_svg(self, stem, x_column, y_column, capsys):
+        # `plot CSV` and `--plot` draw the same SVG from the same CSV
+        code, svg, err = run_cli(["plot", str(GOLDEN / f"{stem}.csv"), "--x-column", x_column,
+                                  "--y-columns", y_column], capsys)
+        assert code == 0, err
+        assert svg.encode() == (GOLDEN / f"{stem}.svg").read_bytes()
+
+    def test_plot_edge_cases_match_golden(self, tmp_path, capsys):
+        # runs touching both ends, one-point runs, an all-nan series, three series
+        # sharing their gaps, unparsable and missing cells, a constant series, and
+        # seven series, so the palette wraps
+        path = tmp_path / "edge.csv"
+        path.write_text(EDGE_CASES_CSV)
+        code, svg, err = run_cli(["plot", str(path), "--x-column", "x", "--y-columns",
+                                  "ends,single,all_nan,g1,g2,g3,const", "--title", "edge cases"],
+                                 capsys)
+        assert code == 0, err
+        assert svg.encode() == (GOLDEN / "plot_edge_cases.svg").read_bytes()
+
+    @pytest.mark.parametrize("csv_text,x_column,y_column", [
+        # a span of one float spacing, below the tick step's: t + step == t
+        ("a,b\n1e17,1\n100000000000000016,2\n", "a", "b"),
+        ("a,b\n1e17,1\n100000000000000016,2\n", "b", "a"),
+        # a span that overflows
+        ("a,b\n-1e308,1\n1e308,2\n", "a", "b"),
+        # one value, where value + 1 rounds back to the value
+        ("a,b\n1e17,1\n1e17,2\n", "a", "b"),
+    ], ids=["x-below-spacing", "y-below-spacing", "x-overflow", "x-one-value"])
+    def test_extreme_axis_spans_draw(self, csv_text, x_column, y_column, tmp_path):
+        # in a child process, so a tick loop that never ends fails on the timeout
+        (tmp_path / "in.csv").write_text(csv_text)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-W", "error", "-m", "cavmotion.cli", "plot",
+                                 "in.csv", "--x-column", x_column, "--y-columns", y_column],
+                                cwd=tmp_path, env=env, capture_output=True, text=True,
+                                timeout=20)
+        assert result.returncode == 0, result.stderr
+        svg = xml.dom.minidom.parseString(result.stdout)
+        assert len(svg.getElementsByTagName("polyline")) == 1
+
+    def test_plot_text_is_escaped(self, tmp_path, capsys):
+        path = tmp_path / "names.csv"
+        path.write_text("x&y,b<c\n0,1\n1,2\n")
+        code, svg, err = run_cli(["plot", str(path), "--x-column", "x&y", "--y-columns", "b<c",
+                                  "--title", "a<b & c"], capsys)
+        assert code == 0, err
+        texts = [node.firstChild.data
+                 for node in xml.dom.minidom.parseString(svg).getElementsByTagName("text")]
+        assert {"a<b & c", "x&y", "b<c"} <= set(texts)
 
 
 def test_default_subcommands_load_no_scipy(tmp_path):

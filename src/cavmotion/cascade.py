@@ -79,9 +79,12 @@ class SteadyBranch:
 
 
 def pulling_coefficients(params):
-    """(a, b) of the braced steady-state factor."""
-    den = params.Gamma**2 / 4.0 + params.Omega**2
-    return params.chi**2 * params.Gamma / den, 2.0 * params.chi**2 * params.Omega / den
+    """(a, b) of the braced steady-state factor; OverflowError where either overflows."""
+    chi, den = params.chi, params.Gamma * params.Gamma / 4.0 + params.Omega * params.Omega
+    a, b = chi * chi * params.Gamma / den, 2.0 * chi * chi * params.Omega / den
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise OverflowError(f"intensity-pulling coefficients overflow: a = {a}, b = {b}")
+    return a, b
 
 
 def cavity_bracket(params, delta, intensity):
@@ -136,7 +139,7 @@ def _bracketed_roots(params, delta, drive_power):
     """
     # an overflowing drive power gives no root rather than a warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        top = 4.0 * drive_power / params.gamma**2
+        top = 4.0 * drive_power / (params.gamma * params.gamma)
         cuts = np.zeros(drive_power.shape + (4,))
         cuts[:, 1:] = top[:, None]
         turns = _turning_points(params, delta)

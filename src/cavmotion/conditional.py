@@ -106,13 +106,15 @@ def evolve(zeta, kappa, time, policy=DEFAULT_POLICY):
 
     coeffs[n] = e^(-|zeta|^2/2) zeta^n/sqrt(n!) * exp(2i kappa^2 n^2 (t - sin t))
     labels[n] = n kappa (1 - e^(-it))
+    A Kerr phase that overflows leaves its coefficients nan, without a warning.
     """
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     zeta = complex(zeta)
     n_max = truncation_order(zeta, policy)
     ns = np.arange(n_max + 1)
-    kerr = np.exp(2j * kappa**2 * ns.astype(float) ** 2 * (time - np.sin(time)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase: nan coeffs
+        kerr = np.exp(2j * (kappa * kappa) * ns.astype(float) ** 2 * (time - np.sin(time)))
     coeffs = np.atleast_1d(coherent_coefficient(zeta, ns)) * kerr
     labels = ns * (kappa * (1.0 - np.exp(-1j * time)))
     return JointState(kappa=kappa, zeta=zeta, time=time, n_max=n_max,
@@ -283,28 +285,36 @@ def purity_bruteforce(cond_coeffs, labels, dim):
 def condition_on_quadrature(state, x_grid):
     """Project the field on every quadrature outcome of x_grid and
     renormalize the atoms: one ConditionalResult of arrays.  The moments
-    come from lattice_moments where the state's labels route there (its
-    certified purities clipped to 1, so lin_entropy lies in [0, 1]), else
-    and for the other rows from outcome_moments; each row's values do not
-    depend on the grid.  prob_density is the squared norm of the projected
-    atomic state, so efficiency = lin_entropy * prob_density holds exactly.
+    come from lattice_moments where the state's labels route there, else
+    and for the rows it does not certify from outcome_moments; every route's
+    purities are clipped to 1, so lin_entropy lies in [0, 1], and each row's
+    values do not depend on the grid.  A state that is not finite (its Kerr
+    phase overflowed in `evolve`) resolves no outcome.  prob_density is the
+    squared norm of the projected atomic state, so efficiency = lin_entropy *
+    prob_density holds exactly.
     Unresolvable outcomes keep nan values and their message in error.  x
     holds a copy of the grid (a scalar is a one-element grid)."""
     x_grid = np.array(x_grid, dtype=float, ndmin=1)
     raw = state.coeffs * oscillator_wavefunctions(state.n_max, x_grid).T
-    spacing = lattice_spacing(state.labels) if state.labels.size >= LATTICE_MIN_ORDER else None
+    finite = np.isfinite(state.coeffs).all()
+    routed = finite and state.labels.size >= LATTICE_MIN_ORDER
+    spacing = lattice_spacing(state.labels) if routed else None
     if spacing is not None and spacing >= LATTICE_MIN_SPACING:  # README, cost model
         prob, purity, estimate = lattice_moments(spacing, raw)
         redo = ~((estimate <= LATTICE_TOLERANCE) & (prob > PROBABILITY_FLOOR))
-        np.minimum(purity, 1.0, out=purity)
         for i in np.flatnonzero(redo):  # row by row: a copy of the rows would raise peak memory
             (prob[i],), (purity[i],) = outcome_moments(state.factor, raw[i:i + 1])
-    else:
+    elif finite:
         prob, purity = outcome_moments(state.factor, raw)
+    else:
+        prob, purity = np.full(x_grid.size, np.nan), np.full(x_grid.size, np.nan)
+    np.minimum(purity, 1.0, out=purity)
     resolved = prob > PROBABILITY_FLOOR
     error = np.full(x_grid.size, None, dtype=object)
     for i in np.flatnonzero(~resolved):
-        error[i] = f"outcome x={x_grid[i]} has probability density below {PROBABILITY_FLOOR}"
+        why = (f"has probability density below {PROBABILITY_FLOOR}" if finite
+               else "has no finite state: the Kerr phase overflows")
+        error[i] = f"outcome x={x_grid[i]} {why}"
     prob = np.where(resolved, prob, np.nan)
     cond_coeffs = np.divide(raw, np.sqrt(prob)[:, None], where=resolved[:, None],
                             out=np.full(raw.shape, np.nan, dtype=complex))

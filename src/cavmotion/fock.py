@@ -128,9 +128,13 @@ def truncation_order(zeta, policy=DEFAULT_POLICY):
     """Smallest N whose Poisson tail beats policy.tail_epsilon, clamped.
 
     Monotone nondecreasing in |zeta|.  Warns when the hard cap clamps the
-    result before the tail bound is met.
+    result before the tail bound is met; raises OverflowError where the mean
+    photon number |zeta|^2 overflows.
     """
-    tails = poisson_tails(abs(complex(zeta)) ** 2, policy.hard_cap)
+    r = abs(complex(zeta))
+    if not math.isfinite(r * r):
+        raise OverflowError(f"mean photon number |zeta|^2 overflows at |zeta| = {r}")
+    tails = poisson_tails(r * r, policy.hard_cap)
     hits = np.nonzero(tails < policy.tail_epsilon)[0]
     if hits.size == 0:
         warnings.warn(

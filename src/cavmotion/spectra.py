@@ -174,34 +174,54 @@ def _solve_rows(block, shift, u):
 
 
 def _row_solve(blocks, omega, rows):
-    """(y, singular, backward, error) of `transfer_rows` at every point of the
-    `stage_blocks` (stages, feed): a stage's pivot zero or not finite, the stage
-    solves' larger backward error (`_solve_rows`), and the error of point idx."""
+    """(y, singular, backward): the rows (n, k, 8) of `transfer_rows` at n flat
+    points, for stages (n, 2, 4, 4) or one working point's (`stage_blocks`) and
+    omega (n,); a stage's pivot zero or not finite, the larger backward error."""
     stages, feed = blocks
-    points = np.broadcast_shapes(stages.shape[:-3], np.shape(omega))
-    # at least one point axis: numpy's scalar arithmetic rounds complex
-    # products unlike its array loops, and a point must not depend on its grid
-    shift = 1j * np.reshape(np.asarray(omega, dtype=float), np.shape(omega) or (1,))
-    # one (k, ...) array per slot: the rows on the leading axis, the points behind
-    u = np.reshape(np.transpose(rows), (8, -1) + (1,) * max(len(points), 1))
+    shift = 1j * np.asarray(omega, dtype=float)
+    # one (k, 1) array per slot: the rows on the leading axis, the points behind
+    u = np.transpose(rows)[..., None]
     y2, pivots2, backward2 = _solve_rows(stages[..., 1, :, :], shift, u[STAGES[4:]])
     # the first stage's rows u1 + y2 C, from the feed's nonzero entries
     u1 = [u[slot] + sum(y2[i] * feed[i, j] for i in range(4) if feed[i, j] != 0.0)
           for j, slot in enumerate(STAGES[:4])]
     y1, pivots1, backward1 = _solve_rows(stages[..., 0, :, :], shift, u1)
-    pivots = np.stack(np.broadcast_arrays(*pivots1, *pivots2))
-    singular = np.reshape(~np.all(np.isfinite(pivots) & (pivots != 0.0), axis=0), points)
-    backward = np.reshape(np.maximum(backward1, backward2), points)
+    singular = ~np.all([np.isfinite(p) & (p != 0.0) for p in pivots1 + pivots2], axis=0)
+    y = np.moveaxis(np.stack(y1[:2] + y2[:2] + y1[2:] + y2[2:], axis=-1), 0, -2)
+    return y, singular, np.maximum(backward1, backward2)
 
-    def error(idx):
-        at = f"omega={np.broadcast_to(omega, singular.shape)[idx]}"
-        return SingularTransferError(
-            f"transfer matrix singular at {at}" if singular[idx]
-            else f"transfer solve at {at} lost precision (backward error {backward[idx]:.3e})")
 
-    y = np.stack(y1[:2] + y2[:2] + y1[2:] + y2[2:], axis=-1)
-    y = np.moveaxis(np.reshape(y, y.shape[:1] + points + (8,)), 0, -2)
-    return y, singular, backward, error
+def _blocked(blocks, omega, rows, reduce):
+    """[omega, singular, backward, *reduce(y)] over the broadcast of the `stage_blocks`
+    (stages, feed) and `omega`, reducing the rows y (n, k, 8) of `rows` (`_row_solve`) for
+    GRID_BLOCK flattened points at a time: its memory is that of the results and one block."""
+    stages, feed = blocks
+    omega = np.broadcast_to(omega, np.broadcast_shapes(stages.shape[:-3], np.shape(omega)))
+    # the grid's points on at least one axis (numpy's scalar arithmetic rounds complex
+    # products unlike its array loops, and a point must not depend on its grid), to index
+    # a block's points by; one working point's stages serve every block as they are (stages[()])
+    points, parts = omega.reshape(omega.shape or (1,)), []
+    stages = np.broadcast_to(stages, points.shape + (2, 4, 4)) if stages.ndim > 3 else stages
+    for start in range(0, max(omega.size, 1), GRID_BLOCK):
+        at = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, omega.size)), points.shape)
+        y, singular, backward = _row_solve((stages[at[:stages.ndim - 3]], feed), points[at], rows)
+        parts.append((singular, backward) + tuple(reduce(y)))
+    return [omega] + [np.concatenate(c).reshape(omega.shape + c[0].shape[1:]) for c in zip(*parts)]
+
+
+def _solve_error(omega, singular, backward):
+    """The SingularTransferError of a failed row solve at one point."""
+    lost = f"transfer solve at omega={omega} lost precision (backward error {backward:.3e})"
+    return SingularTransferError(f"transfer matrix singular at omega={omega}" if singular else lost)
+
+
+def _checked(params, steady, omega, rows, reduce):
+    """reduce(y) of `_blocked` at the working points `steady`; raises as `transfer_rows` does."""
+    omega, singular, backward, out = _blocked(stage_blocks(params, steady), omega, rows, reduce)
+    failed = singular | ~(backward <= SOLVE_TOLERANCE)  # a nan backward error fails too
+    if failed.any():
+        raise _solve_error(*(c.flat[np.argmax(failed)] for c in (omega, singular, backward)))
+    return out
 
 
 def transfer_rows(params, steady, omega, rows):
@@ -215,11 +235,7 @@ def transfer_rows(params, steady, omega, rows):
     naming the first failing w in grid order when a stage is singular there or
     a solve's componentwise backward error exceeds SOLVE_TOLERANCE.
     """
-    y, singular, backward, error = _row_solve(stage_blocks(params, steady), omega, rows)
-    failed = singular | ~(backward <= SOLVE_TOLERANCE)  # a nan backward error fails too
-    if failed.any():
-        raise error(np.unravel_index(np.argmax(failed), failed.shape))
-    return y
+    return _checked(params, steady, omega, rows, lambda y: (y,))
 
 
 def correlation_matrix(params, steady, omega):
@@ -228,14 +244,15 @@ def correlation_matrix(params, steady, omega):
     of the working points `steady` and `omega`, with T(w) = (i w I - M)^(-1)
     the `transfer_rows` of the unit rows.  P conj(M) P = M gives
     T(-w)^T = P T(w)^H P for the slot swap P (PAIRS), so C = (T d P T^H) P."""
-    t, d = transfer_rows(params, steady, omega, np.eye(8)), build_noise(params)
-    return (t @ d[:, PAIRS] @ np.swapaxes(t.conj(), -1, -2))[..., PAIRS]
+    d_p = build_noise(params)[:, PAIRS]
+    return _checked(params, steady, omega, np.eye(8),
+                    lambda t: ((t @ d_p @ np.swapaxes(t.conj(), -1, -2))[..., PAIRS],))
 
 
 def _epr_kernel(blocks, d, omega):
     """(SpectrumPoint of arrays, status, failure) at every point of the
     broadcast of the `stage_blocks` (stages, feed) and `omega`, for input
-    moments d, from the rows y = u T(w) of EPR_ROWS at +w alone.
+    moments d, from the rows y = u T(w) of EPR_ROWS at +w alone (`_blocked`).
 
     Each form is (1/4) u_l [C(w) + C(-w)] u_r^T, C(w) = T(w) mat T(-w)^T: that
     of the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
@@ -243,60 +260,43 @@ def _epr_kernel(blocks, d, omega):
     p_a - p_b and mat = d - d^T for <[q_a(w), p_a(w)]>.  As T(-w)^T = P T(w)^H P
     and u P = conj(u) (P the slot swap PAIRS), a variance is y A y^H with
     A = (d + d^T) P / 4 and the commutator y_q B y_p^H - y_p B y_q^H with
-    B = (d - d^T) P / 4.  The flattened grid is solved GRID_BLOCK points at a
-    time, so its memory is that of the per-point results and one block.
+    B = (d - d^T) P / 4.
     status is OK or the failure a point-by-point evaluation meets first:
     SINGULAR (T(w) singular or its rows not finite), DEGENERATE (commutator
     below COMMUTATOR_FLOOR), NONPOSITIVE (a variance not positive), ROUNDING
     (a form's estimated relative rounding error above FORM_TOLERANCE); there
     e_degree is nan and failure(i) is the error of flat point i."""
-    stages, feed = blocks
-    shape = np.broadcast_shapes(stages.shape[:-3], np.shape(omega))
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
-    # the grid's points on at least one axis, to index a block's points by;
-    # one working point's stages serve every block as they are (stages[()])
-    grid, parts = shape or (1,), []
-    if stages.ndim > 3:
-        stages = np.broadcast_to(stages, grid + stages.shape[-3:])
-    for flat in np.split(np.arange(omega.size), range(GRID_BLOCK, omega.size, GRID_BLOCK)):
-        at = np.unravel_index(flat, grid)
-        y, singular, backward, error = _row_solve((stages[at[:stages.ndim - 3]], feed),
-                                                  np.reshape(omega, grid)[at], EPR_ROWS)
-        with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
-            # the terms of each form: (y A)_k conj(y_k), and (y B)_k conj(y'_k)
-            # for the commutator's pairs (q_a, p_a) and (p_a, q_a)
-            with_d = _times(y[..., :2, :], 0.25 * (d + d.T)[:, PAIRS]) * y[..., :2, :].conj()
-            with_k = _times(y[..., 2:, :], 0.25 * (d - d.T)[:, PAIRS]) * y[..., [3, 2], :].conj()
-            s_q, s_p = np.moveaxis(with_d.sum(axis=-1).real, -1, 0)
-            comm = with_k[..., 0, :].sum(axis=-1) - with_k[..., 1, :].sum(axis=-1)
-            e_degree = s_q * s_p / (0.25 * np.square(np.abs(comm)))
-            # each form's terms summed in magnitude, over its value
-            size_d, size_k = np.abs(with_d).sum(axis=-1), np.abs(with_k).sum(axis=(-2, -1))
-            spread = np.maximum(np.maximum(size_d[..., 0] / s_q, size_d[..., 1] / s_p),
-                                size_k / np.abs(comm))
-        parts.append((s_q, s_p, comm, e_degree, (backward + EPS) * spread,
-                      singular | ~np.isfinite(backward), error))
-    *columns, errors = zip(*parts)
-    s_q, s_p, comm, e_degree, rounding, failed = (np.concatenate(c).reshape(shape) for c in columns)
-    status = np.where(failed, SINGULAR, np.where(
-        np.abs(comm) >= COMMUTATOR_FLOOR, np.where(np.minimum(s_q, s_p) > 0.0, np.where(
-            rounding <= FORM_TOLERANCE, OK, ROUNDING), NONPOSITIVE),
-        DEGENERATE))  # a nan commutator, variance or estimate fails too
+    def forms(y):
+        # the terms of each form: (y A)_k conj(y_k), and (y B)_k conj(y'_k)
+        # for the commutator's pairs (q_a, p_a) and (p_a, q_a)
+        with_d = _times(y[..., :2, :], 0.25 * (d + d.T)[:, PAIRS]) * y[..., :2, :].conj()
+        with_k = _times(y[..., 2:, :], 0.25 * (d - d.T)[:, PAIRS]) * y[..., [3, 2], :].conj()
+        s_q, s_p = np.moveaxis(with_d.sum(axis=-1).real, -1, 0)
+        comm = with_k[..., 0, :].sum(axis=-1) - with_k[..., 1, :].sum(axis=-1)
+        # each form's terms summed in magnitude, over its value
+        size_d, size_k = np.abs(with_d).sum(axis=-1), np.abs(with_k).sum(axis=(-2, -1))
+        spread = np.maximum.reduce([size_d[:, 0] / s_q, size_d[:, 1] / s_p, size_k / np.abs(comm)])
+        return s_q, s_p, comm, spread
 
-    def failure(flat):
-        idx = np.unravel_index(flat, shape)
-        if status[idx] == DEGENERATE:
-            return ArithmeticError(
-                f"degenerate commutator spectrum |{comm[idx]}| at omega={omega[idx]}")
-        if status[idx] == NONPOSITIVE:
-            return ArithmeticError(f"non-positive EPR variance (s_qplus {s_q[idx]}, "
-                                   f"s_pminus {s_p[idx]}) at omega={omega[idx]}")
-        if status[idx] == ROUNDING:
-            return ArithmeticError(f"EPR forms dominated by rounding (estimated relative "
-                                   f"error {rounding[idx]:.3e}) at omega={omega[idx]}")
-        return errors[flat // GRID_BLOCK](flat % GRID_BLOCK)
+    with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
+        omega, singular, backward, s_q, s_p, comm, spread = _blocked(
+            blocks, np.asarray(omega, dtype=float), EPR_ROWS, forms)
+        rounding = (backward + EPS) * spread
+        status = np.where(singular | ~np.isfinite(backward), SINGULAR, np.where(
+            np.abs(comm) >= COMMUTATOR_FLOOR, np.where(np.minimum(s_q, s_p) > 0.0, np.where(
+                rounding <= FORM_TOLERANCE, OK, ROUNDING), NONPOSITIVE),
+            DEGENERATE))  # a nan commutator, variance or estimate fails too
+        e_degree = np.where(status == OK, s_q * s_p / (0.25 * np.square(np.abs(comm))), np.nan)
 
-    e_degree = np.where(status == OK, e_degree, np.nan)
+    def failure(i):
+        if status.flat[i] == SINGULAR:
+            return _solve_error(omega.flat[i], singular.flat[i], backward.flat[i])
+        return ArithmeticError((
+            f"degenerate commutator spectrum |{comm.flat[i]}|",
+            f"non-positive EPR variance (s_qplus {s_q.flat[i]}, s_pminus {s_p.flat[i]})",
+            f"EPR forms dominated by rounding (estimated relative error {rounding.flat[i]:.3e})",
+        )[status.flat[i] - DEGENERATE] + f" at omega={omega.flat[i]}")
+
     return SpectrumPoint(omega, s_q, s_p, comm, e_degree), status, failure
 
 
@@ -345,14 +345,14 @@ def _hurwitz_terms(params, steady):
     """(a0, D3) of `stability_grid`, (..., 2) over the stages; a working point
     that is not finite gives a nan or a term of the wrong sign."""
     big, g, chi = params.Gamma, params.gamma, params.chi
-    wm2, damping = big * big / 4.0 + params.Omega**2, big + g
+    wm2, damping = big * big / 4.0 + params.Omega * params.Omega, big + g
     zeta = np.stack((steady.zeta1, steady.zeta2), axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed drive's terms
         d = _detunings(params, steady)
         wc2 = g * g / 4.0 + d * d
         k = 4.0 * chi * chi * np.abs(zeta) ** 2 * params.Omega * d
         return wm2 * wc2 - k, (big * g * ((wm2 - wc2) ** 2 + damping * (big * wc2 + g * wm2))
-                               + damping**2 * k)
+                               + damping * damping * k)
 
 
 def amplitude_sweep(params, drive_grid, omega_eval):

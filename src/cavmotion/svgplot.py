@@ -8,6 +8,7 @@ and flagged sweep points stay visible.
 """
 
 import math
+import sys
 
 WIDTH, HEIGHT = 640.0, 440.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 20.0, 50.0
@@ -31,22 +32,26 @@ def _to_float(cell):
 
 
 def _span(values, pad=0.0):
-    """Axis limits: the range of the finite values ((0, 1) if none; one value gets a
-    width of 1, or of its float spacing where that is wider), widened by `pad` of
-    its width at each end."""
+    """Axis limits: the range of the finite values ((0, 1) if none; one value, or
+    a range below the smallest normal float, gets a width of 1, or of its float
+    spacing where that is wider, downwards from the largest float), widened by
+    `pad` of its width at each end and kept within the float range.  Widths are
+    taken as differences of halves, which do not overflow and equal the halved
+    differences elsewhere."""
     finite = [v for v in values if math.isfinite(v)]
     lo, hi = (min(finite), max(finite)) if finite else (0.0, 1.0)
-    if hi == lo:
+    top = sys.float_info.max
+    if hi - lo < sys.float_info.min:
         hi = lo + max(1.0, math.ulp(lo))
-    pad *= hi - lo
-    return lo - pad, hi + pad
+    if hi > top:
+        lo, hi = lo - math.ulp(lo), lo
+    pad *= hi / 2 - lo / 2
+    return max(lo - 2 * pad, -top), min(hi + 2 * pad, top)
 
 
 def _nice_ticks(lo, hi, target=5):
     """Round tick positions covering [lo, hi]."""
-    raw = (hi - lo) / target
-    if not 0.0 < raw < math.inf:  # the span overflowed, or fell below the smallest float
-        lo, hi, raw = 0.0, 1.0, 1.0 / target
+    raw = (hi / 2 - lo / 2) / target * 2  # `_span` keeps it positive and finite
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -54,7 +59,7 @@ def _nice_ticks(lo, hi, target=5):
             break
     ticks = []
     t = math.ceil(lo / step) * step
-    while t <= hi + 1e-12 * step:
+    while math.isfinite(t) and t <= hi + 1e-12 * step:  # a tick past the float range is inf
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         if t + step == t:  # the step is below the float spacing at t
             break
@@ -87,10 +92,11 @@ def render_plot(csv_text, x_column, y_columns, title=""):
     y_lo, y_hi = _span([y for ys in series for y in ys], pad=0.05)
 
     def px(x):
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
+        return MARGIN_L + (x / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * (WIDTH - MARGIN_L - MARGIN_R)
 
     def py(y):
-        return HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
+        return HEIGHT - MARGIN_B - ((y / 2 - y_lo / 2) / (y_hi / 2 - y_lo / 2)
+                                    * (HEIGHT - MARGIN_T - MARGIN_B))
 
     bottom = HEIGHT - MARGIN_B
     parts = [

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from block_oracle import build_drift, cancelling_noise, epr_reference
 
-from cavmotion import cascade, cli, spectra
+from cavmotion import cascade, cli, conditional, spectra
 from cavmotion.cascade import SELECTIONS, steady_grid
 from cavmotion.fock import DEFAULT_HARD_CAP
 from cavmotion.svgplot import render_plot
@@ -80,6 +80,37 @@ class TestSingleCavityCsv:
             code, out, err = run_cli(["single-cavity", "point", "--x", "1e300"], capsys)
         assert code == 0, err
         assert out.strip().split("\n")[1] == "1.000000000000e+300,nan,nan,nan,unresolvable"
+
+    def test_purity_clipped_on_the_label_factor_rows(self, capsys):
+        # this profile takes the label factor, whose purities rounded above 1
+        # on three rows: lin_entropy -2.2e-16 and efficiency -4.1e-17
+        argv = ["single-cavity", "sweep", "--time", "-8.367324321295437e-06",
+                "--tail-epsilon", "0.0017635615576426019", "--x-max", "0.07819246128027026",
+                "--x-count", "9"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        for line in out.strip().split("\n")[1:]:
+            _, prob, entropy, efficiency = (float(cell) for cell in line.split(","))
+            assert prob > 0.0 and 0.0 <= entropy <= 1.0 and efficiency >= 0.0
+
+    @pytest.mark.parametrize("flags", [["--time", "-1e308"],
+                                       ["--x-min", "1e-154", "--kappa", "1e154"]],
+                             ids=["time", "kappa"])
+    def test_overflowing_kerr_phase_marks_every_row(self, flags, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["single-cavity", "sweep", "--x-count", "5", *flags],
+                                     capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 5
+        assert all(row[1:] == ["nan", "nan", "nan", "unresolvable"] for row in rows)
+        merged = dict(cli.DEFAULTS, **{flag[2:].replace("-", "_"): float(value)
+                                       for flag, value in zip(flags[::2], flags[1::2])})
+        profile = conditional.efficiency_profile(merged["zeta"], merged["kappa"],
+                                                 merged["time"], x_grid=[merged["x_min"]])
+        assert profile.error[0] == (f"outcome x={merged['x_min']} has no finite state: "
+                                    "the Kerr phase overflows")
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(["single-cavity", "sweep"], capsys)
@@ -635,6 +666,31 @@ def test_one_parser_serves_alternating_calls(tmp_path, capsys):
         assert_matches_golden(argv, name, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("argv,marks,names", [
+    (["cascaded", "steady", "--chi", "1e200"], None, "intensity-pulling coefficients"),
+    (["cascaded", "steady", "--Omega", "1e200"], "lower", None),
+    (["cascaded", "steady", "--Gamma", "1e200"], "lower", None),
+    (["cascaded", "steady", "--gamma", "1e200"], "none", None),
+    (["single-cavity", "sweep", "--kappa", "1e160"], "unresolvable", None),
+    (["single-cavity", "point", "--x", "0", "--zeta", "1e160"], None,
+     "mean photon number |zeta|^2"),
+], ids=["chi", "Omega", "Gamma", "gamma", "kappa", "zeta"])
+def test_squared_parameter_overflow(argv, marks, names, capsys):
+    # a parameter whose square overflows either leaves its rows marked
+    # (or, where the square only enters a negligible term, computed) or
+    # fails naming the quantity; never Python's bare errno tuple or a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert "(34," not in err
+    if names is None:
+        assert code == 0, err
+        assert out.strip().split("\n")[-1].split(",")[1 if argv[1] == "steady" else -1] == marks
+    else:
+        assert code == cli.NUMERICAL_ERROR and out == ""
+        assert err.startswith(f"numerical failure: {names}") and "overflow" in err
+
+
 # the CSV of golden/plot_edge_cases.svg
 EDGE_CASES_CSV = """\
 x,ends,single,all_nan,g1,g2,g3,const
@@ -788,6 +844,30 @@ class TestPlot:
         assert result.returncode == 0, result.stderr
         svg = xml.dom.minidom.parseString(result.stdout)
         assert len(svg.getElementsByTagName("polyline")) == 1
+
+    @pytest.mark.parametrize("csv_text,x_column,y_column", [
+        ("a,b\n-1e308,1\n1e308,2\n", "a", "b"),
+        ("a,b\n-1e308,1\n1e308,2\n", "b", "a"),
+        ("a,b\n0,1\n5e-324,2\n", "a", "b"),
+        ("a,b\n-1.7976931348623157e308,1\n1.7976931348623157e308,2\n", "b", "a"),
+        ("a,b\n1.7976931348623157e308,1\n1.7976931348623157e308,2\n", "a", "b"),
+    ], ids=["x-overflow", "y-overflow", "x-subnormal", "y-float-range", "x-largest-float"])
+    def test_extreme_axis_spans_have_finite_coordinates(self, csv_text, x_column, y_column,
+                                                        tmp_path, capsys):
+        # a span that overflows is taken by halves, and one below the smallest
+        # normal float is widened like a single value: no nan or inf anywhere
+        path = tmp_path / "in.csv"
+        path.write_text(csv_text)
+        code, svg, err = run_cli(["plot", str(path), "--x-column", x_column,
+                                  "--y-columns", y_column], capsys)
+        assert code == 0, err
+        assert "nan" not in svg and "inf" not in svg
+        dom = xml.dom.minidom.parseString(svg)
+        for tag, names in (("line", ("x1", "y1", "x2", "y2")), ("text", ("x", "y"))):
+            for node in dom.getElementsByTagName(tag):
+                assert all(0.0 <= float(node.getAttribute(name)) <= 640.0 for name in names)
+        points = dom.getElementsByTagName("polyline")[0].getAttribute("points").split()
+        assert len(points) == 2
 
     def test_plot_text_is_escaped(self, tmp_path, capsys):
         path = tmp_path / "names.csv"

@@ -336,6 +336,12 @@ def schur_row(block, shift, u):
     return np.concatenate((y0, y1, y2, y3))
 
 
+def blocked_rows(blocks, omega):
+    """The rows u T(w) of EPR_ROWS at every point of the broadcast of the
+    `stage_blocks` and omega, through the blocked walker."""
+    return spectra._blocked(blocks, omega, spectra.EPR_ROWS, lambda y: (y,))[-1]
+
+
 def stage_rows(blocks, w):
     """The rows u T(w) of EPR_ROWS at one working point (its `stage_blocks`)
     and one frequency, row by row: the second stage's row, then the first
@@ -505,6 +511,26 @@ class TestGridKernel:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 4 * 48 * 20001
 
+    def test_row_views_memory_is_bounded(self):
+        # transfer_rows and correlation_matrix reduce each block's rows as it
+        # is solved: their peak is the per-block results and their
+        # concatenation, twice the output, not the whole grid's rows and
+        # products on top of it (78.1 and 51.6 MiB over 20,001 frequencies
+        # when each solved the whole grid in one pass)
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        branch = steady_grid(params, np.array([1e6]))[0]
+        omegas = np.geomspace(100.0, 1e4, 20001)
+        for view in (lambda: transfer_rows(params, branch, omegas, np.eye(8)),
+                     lambda: correlation_matrix(params, branch, omegas)):
+            tracemalloc.start()
+            try:
+                out = view()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (20001, 8, 8)
+            assert peak <= 2 * out.nbytes + 2**20
+
     def test_correlation_matrix_is_a_grid_view(self):
         params, branch = random_stable_point(np.random.default_rng(59))
         omegas = np.array([-2.5, 0.0, 0.7, 4.0])
@@ -634,8 +660,7 @@ class TestGridKernel:
             steady = steady_grid(params, drives, selection="follow")
             blocks = stage_blocks(params, steady[np.flatnonzero(stability_grid(params, steady))])
             for w in (100.0, 1000.0, 5000.0):
-                assert_derived(spectra._row_solve(blocks, w, spectra.EPR_ROWS)[0],
-                               spectra._row_solve(blocks, -w, spectra.EPR_ROWS)[0])
+                assert_derived(blocked_rows(blocks, w), blocked_rows(blocks, -w))
 
     def test_vacuum_variances_are_never_non_positive(self):
         # with vacuum inputs each variance is a sum of squares up to the
@@ -713,15 +738,12 @@ class TestStageRows:
         drives = np.concatenate(([0.0], np.geomspace(1e-2, 1e8, 13)))
         noise = build_noise(params)
 
-        def lapack_solve(blocks, omega, rows):
-            y, singular, backward = lapack_rows(blocks, omega, rows)
-            return y, singular, backward, None
-
         for selection in SELECTIONS:
             steady = steady_grid(params, drives, selection)
             stages, feed = stage_blocks(params, steady)
             blocks = (stages[:, None], feed)  # (drive, omega) points
-            y, singular, backward, _ = spectra._row_solve(blocks, omegas, spectra.EPR_ROWS)
+            _, singular, backward, y = spectra._blocked(blocks, omegas, spectra.EPR_ROWS,
+                                                        lambda y: (y,))
             y_ref, singular_ref, backward_ref = lapack_rows(blocks, omegas, spectra.EPR_ROWS)
             decoupled = np.all(stages[:, :, :2, 2:] == 0.0, axis=(-3, -2, -1))
             exact = (decoupled[:, None] & (gamma_motion == 0.0)
@@ -740,7 +762,7 @@ class TestStageRows:
                      + (backward[check] + backward_ref[check])[:, None] * condition)
             assert np.all(np.linalg.norm(y[check] - y_ref[check], axis=-1) <= bound)
             status = spectra._epr_kernel(blocks, noise, omegas)[1]
-            with mock.patch.object(spectra, "_row_solve", lapack_solve):
+            with mock.patch.object(spectra, "_row_solve", lapack_rows):
                 status_ref = spectra._epr_kernel(blocks, noise, omegas)[1]
             same = check if gamma_motion > 0.0 else check & (np.abs(omegas) > 1e-6 * params.Omega)
             # the rounding estimate of the forms grows with the rows' backward

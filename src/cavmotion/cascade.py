@@ -196,12 +196,12 @@ def root_grid(params, delta, drive_power):
         raise ValueError(f"drive_power must be >= 0, got {drive_power[negative][0]}")
     c3, c2, c1 = _cubic_coefficients(params, delta)
     roots = np.full(drive_power.shape + (3,), np.nan)
-    if c3 == 0.0:
-        roots[:, 0] = drive_power / c1
-    else:
-        # at weak coupling the normalized coefficients overflow: the rows
-        # come back nan and are solved again below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if c3 == 0.0:  # a c1 that underflows to 0 gives an inf root, dropped below
+            roots[:, 0] = drive_power / c1
+        else:
+            # at weak coupling the normalized coefficients overflow: the rows
+            # come back nan and are solved again below
             b2, b1, b0 = c2 / c3, c1 / c3, -drive_power / c3
             shift = -b2 / 3.0
             p = b1 - b2 * b2 / 3.0
@@ -224,8 +224,6 @@ def root_grid(params, delta, drive_power):
                 m = 2.0 * np.sqrt(-p / 3.0)
                 theta = np.arccos(np.clip(3.0 * q[three] / (p * m), -1.0, 1.0)) / 3.0
                 roots[three] = shift + m * np.cos(theta[:, None] - 2.0 * np.pi * np.arange(3) / 3.0)
-
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         value, slope = _modulus_cubic(params, delta, roots, drive_power[:, None])
         step = value / slope
     polish = (slope != 0.0) & np.isfinite(slope) & np.isfinite(step)
@@ -363,8 +361,9 @@ def residual(params, candidate):
     sqg = np.sqrt(params.gamma)
     cavities = ((candidate.zeta1, candidate.zeta1_in, params.Delta1),
                 (candidate.zeta2, candidate.zeta2_in, params.Delta2))
-    return float(max(abs(z * cavity_bracket(params, delta, abs(z) ** 2) - sqg * z_in)
-                     for z, z_in, delta in cavities))
+    with np.errstate(over="ignore", invalid="ignore"):  # a working point past the float range
+        return float(max(abs(z * cavity_bracket(params, delta, abs(z) ** 2) - sqg * z_in)
+                         for z, z_in, delta in cavities))
 
 
 def bistable_window(params, delta):

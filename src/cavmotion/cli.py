@@ -143,11 +143,13 @@ def _grid(merged, name):
     lo, hi, count = merged[f"{name}_min"], merged[f"{name}_max"], merged[f"{name}_count"]
     if count == 1:
         return np.array([lo])
-    if merged.get(f"{name}_log", False):
-        if lo <= 0:
-            raise UsageError(f"log-spaced {name} grid needs min > 0, got {lo}")
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
+    with np.errstate(over="ignore"):  # only at the last point, which numpy sets to hi
+        if merged.get(f"{name}_log", False):
+            if lo <= 0:
+                raise UsageError(f"log-spaced {name} grid needs min > 0, got {lo}")
+            return np.geomspace(lo, hi, count)
+        scale = 1.0 if math.isfinite(hi - lo) else 2.0  # halves where the span overflows
+        return scale * np.linspace(lo / scale, hi / scale, count)
 
 
 def _checked(build, merged, names):

@@ -106,8 +106,8 @@ def evolve(zeta, kappa, time, policy=DEFAULT_POLICY):
 
     coeffs[n] = e^(-|zeta|^2/2) zeta^n/sqrt(n!) * exp(2i kappa^2 n^2 (t - sin t))
     labels[n] = n kappa (1 - e^(-it))
-    A Kerr phase that overflows leaves its coefficients nan, without a warning.
-    """
+    A Kerr phase that overflows leaves its coefficients nan, and kappa past
+    the float range its labels, without a warning."""
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     zeta = complex(zeta)
@@ -115,8 +115,8 @@ def evolve(zeta, kappa, time, policy=DEFAULT_POLICY):
     ns = np.arange(n_max + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase: nan coeffs
         kerr = np.exp(2j * (kappa * kappa) * ns.astype(float) ** 2 * (time - np.sin(time)))
+        labels = ns * (kappa * (1.0 - np.exp(-1j * time)))
     coeffs = np.atleast_1d(coherent_coefficient(zeta, ns)) * kerr
-    labels = ns * (kappa * (1.0 - np.exp(-1j * time)))
     return JointState(kappa=kappa, zeta=zeta, time=time, n_max=n_max,
                       coeffs=coeffs, labels=labels)
 
@@ -231,7 +231,9 @@ def lattice_moments(spacing, amplitudes):
     u_near = EPS * (size - 8.0 * np.log(near[-1, -1]))
     u_far = EPS * (wide + weights.size - 8.0 * np.log(far[-1, -1]))
 
-    step = LATTICE_CHUNK  # a column per outcome; f's rows F[0], F[2], .., F[2N], F[1], ..
+    # a column per outcome; f's rows F[0], F[2], .., F[2N], F[1], .. keep each pair
+    # distance's writes one run of rows (natural order, strided rows, measured slower)
+    step = LATTICE_CHUNK
     a, pair, f = (np.empty((rows, step), dtype=complex) for rows in (size, size, wide))
     planes_a, planes_f = np.empty((step, 3, size)), np.empty((step, 2, wide))
     prob, purity, estimate = np.empty(x_count), np.empty(x_count), np.empty(x_count)
@@ -286,7 +288,7 @@ def condition_on_quadrature(state, x_grid):
     """Project the field on every quadrature outcome of x_grid and
     renormalize the atoms: one ConditionalResult of arrays.  The moments
     come from lattice_moments where the state's labels route there, else
-    and for the rows it does not certify from outcome_moments; every route's
+    and for the rows it does not certify from one outcome_moments call; every route's
     purities are clipped to 1, so lin_entropy lies in [0, 1], and each row's
     values do not depend on the grid.  A state that is not finite (its Kerr
     phase overflowed in `evolve`) resolves no outcome.  prob_density is the
@@ -297,17 +299,14 @@ def condition_on_quadrature(state, x_grid):
     x_grid = np.array(x_grid, dtype=float, ndmin=1)
     raw = state.coeffs * oscillator_wavefunctions(state.n_max, x_grid).T
     finite = np.isfinite(state.coeffs).all()
+    (prob, purity), redo = np.full((2, x_grid.size), np.nan), np.full(x_grid.size, finite)
     routed = finite and state.labels.size >= LATTICE_MIN_ORDER
     spacing = lattice_spacing(state.labels) if routed else None
     if spacing is not None and spacing >= LATTICE_MIN_SPACING:  # README, cost model
         prob, purity, estimate = lattice_moments(spacing, raw)
         redo = ~((estimate <= LATTICE_TOLERANCE) & (prob > PROBABILITY_FLOOR))
-        for i in np.flatnonzero(redo):  # row by row: a copy of the rows would raise peak memory
-            (prob[i],), (purity[i],) = outcome_moments(state.factor, raw[i:i + 1])
-    elif finite:
-        prob, purity = outcome_moments(state.factor, raw)
-    else:
-        prob, purity = np.full(x_grid.size, np.nan), np.full(x_grid.size, np.nan)
+    if redo.any():
+        prob[redo], purity[redo] = outcome_moments(state.factor, raw[redo])
     np.minimum(purity, 1.0, out=purity)
     resolved = prob > PROBABILITY_FLOOR
     error = np.full(x_grid.size, None, dtype=object)

@@ -59,7 +59,8 @@ def oscillator_wavefunctions(n_max, x):
     """
     if n_max < 0 or n_max > DEFAULT_HARD_CAP:
         raise ValueError(f"order n_max={n_max} outside [0, {DEFAULT_HARD_CAP}]")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    # past |x| = 1e300 every psi_n(x) is 0, as at 1e300, but sqrt(2) x would overflow
+    x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), -1e300, 1e300)
     out = np.empty((n_max + 1,) + x.shape)
     with np.errstate(over="ignore"):  # x^2 overflows past |x| ~ 1.3e154, and exp(-inf) = 0
         out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)

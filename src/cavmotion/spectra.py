@@ -136,16 +136,16 @@ def _times(rows, matrix):
 
 
 def _solve_rows(block, shift, u):
-    """(y, pivots, backward) with y L = u, L = shift - block, at every point
-    of the broadcast of 4x4 blocks (..., 4, 4) whose cavity part (slots 2, 3)
-    is diagonal and shifts (...); u and y hold one (k, ...) array per slot.
+    """(y, pivots, backward, singular) with y L = u, L = shift - block, at every
+    point of the broadcast of 4x4 blocks (..., 4, 4) whose cavity part (slots
+    2, 3) is diagonal and shifts (...); u and y hold one (k, ...) array per slot.
 
     The atom slots solve the 2x2 Schur complement S = L_mm - L_mc C^-1 L_cm,
-    C = diag(c0, c1) the cavity part of L, by Cramer's rule; then
+    C = diag(c0, c1) the cavity part of L, by Cramer's rule on S 2^-k; then
     y_c = (u_c - y_m L_mc) C^-1.  pivots is (c0, c1, det S), whose product is
-    det L.  backward is the componentwise backward error: the largest entry
-    of |y L - u| over |shift| |y| + |y| |block| + |u|, from the block's
-    nonzero entries."""
+    det L; singular where c0, c1 or det(S 2^-k) is zero or not finite.  backward
+    is the componentwise backward error: the largest entry of |y L - u| over
+    |shift| |y| + |y| |block| + |u|, from the block's nonzero entries."""
     a = [[block[..., i, j] for j in range(4)] for i in range(4)]
     with np.errstate(all="ignore"):  # a singular point's nan and inf
         diagonal = [shift - a[j][j] for j in range(4)]
@@ -154,8 +154,11 @@ def _solve_rows(block, shift, u):
         w = [[a[k + 2][j] * inv_c[k] for j in (0, 1)] for k in (0, 1)]
         s = [[(diagonal[i] if i == j else -a[i][j]) - a[i][2] * w[0][j] - a[i][3] * w[1][j]
               for j in (0, 1)] for i in (0, 1)]
+        # S 2^-k, 2^k about its largest entry, is exact, and its det is at most 2 in magnitude
+        scale = np.ldexp(1.0, -np.clip(np.frexp(np.abs(s).max(axis=(0, 1)))[1], -1021, 1021))
+        s = [[entry * scale for entry in row] for row in s]
         det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
-        inv_det = 1.0 / det
+        inv_det = scale / det
         # y_m = r S^-1: cramer[j][i] is the coefficient of r_j in y_i
         cramer = [[s[1][1] * inv_det, -s[0][1] * inv_det], [-s[1][0] * inv_det, s[0][0] * inv_det]]
         r = [u[j] + u[2] * w[0][j] + u[3] * w[1][j] for j in (0, 1)]
@@ -170,25 +173,25 @@ def _solve_rows(block, shift, u):
                 terms += size[i] * np.abs(a[i][j])
             # a zero sum of magnitudes has a zero residual
             backward = np.maximum(backward, np.abs(residual) / np.maximum(terms, TINY))
-    return y, (diagonal[2], diagonal[3], det), backward.max(axis=0)
+        singular = ~np.all([np.isfinite(p) & (p != 0.0) for p in (*diagonal[2:], det)], axis=0)
+        return y, (*diagonal[2:], det / scale / scale), backward.max(axis=0), singular
 
 
 def _row_solve(blocks, omega, rows):
     """(y, singular, backward): the rows (n, k, 8) of `transfer_rows` at n flat
     points, for stages (n, 2, 4, 4) or one working point's (`stage_blocks`) and
-    omega (n,); a stage's pivot zero or not finite, the larger backward error."""
+    omega (n,); either stage singular (`_solve_rows`), the larger backward error."""
     stages, feed = blocks
     shift = 1j * np.asarray(omega, dtype=float)
     # one (k, 1) array per slot: the rows on the leading axis, the points behind
     u = np.transpose(rows)[..., None]
-    y2, pivots2, backward2 = _solve_rows(stages[..., 1, :, :], shift, u[STAGES[4:]])
+    y2, _, backward2, singular2 = _solve_rows(stages[..., 1, :, :], shift, u[STAGES[4:]])
     # the first stage's rows u1 + y2 C, from the feed's nonzero entries
     u1 = [u[slot] + sum(y2[i] * feed[i, j] for i in range(4) if feed[i, j] != 0.0)
           for j, slot in enumerate(STAGES[:4])]
-    y1, pivots1, backward1 = _solve_rows(stages[..., 0, :, :], shift, u1)
-    singular = ~np.all([np.isfinite(p) & (p != 0.0) for p in pivots1 + pivots2], axis=0)
+    y1, _, backward1, singular1 = _solve_rows(stages[..., 0, :, :], shift, u1)
     y = np.moveaxis(np.stack(y1[:2] + y2[:2] + y1[2:] + y2[2:], axis=-1), 0, -2)
-    return y, singular, np.maximum(backward1, backward2)
+    return y, singular1 | singular2, np.maximum(backward1, backward2)
 
 
 def _blocked(blocks, omega, rows, reduce):
@@ -200,13 +203,16 @@ def _blocked(blocks, omega, rows, reduce):
     # the grid's points on at least one axis (numpy's scalar arithmetic rounds complex
     # products unlike its array loops, and a point must not depend on its grid), to index
     # a block's points by; one working point's stages serve every block as they are (stages[()])
-    points, parts = omega.reshape(omega.shape or (1,)), []
+    points, out = omega.reshape(omega.shape or (1,)), []
     stages = np.broadcast_to(stages, points.shape + (2, 4, 4)) if stages.ndim > 3 else stages
     for start in range(0, max(omega.size, 1), GRID_BLOCK):
         at = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, omega.size)), points.shape)
         y, singular, backward = _row_solve((stages[at[:stages.ndim - 3]], feed), points[at], rows)
-        parts.append((singular, backward) + tuple(reduce(y)))
-    return [omega] + [np.concatenate(c).reshape(omega.shape + c[0].shape[1:]) for c in zip(*parts)]
+        for k, part in enumerate((singular, backward) + tuple(reduce(y))):
+            if start == 0:  # the whole grid's column, shaped as the first block's part
+                out.append(np.empty((omega.size,) + part.shape[1:], part.dtype))
+            out[k][start:start + GRID_BLOCK] = part
+    return [omega] + [c.reshape(omega.shape + c.shape[1:]) for c in out]
 
 
 def _solve_error(omega, singular, backward):
@@ -286,7 +292,10 @@ def _epr_kernel(blocks, d, omega):
             np.abs(comm) >= COMMUTATOR_FLOOR, np.where(np.minimum(s_q, s_p) > 0.0, np.where(
                 rounding <= FORM_TOLERANCE, OK, ROUNDING), NONPOSITIVE),
             DEGENERATE))  # a nan commutator, variance or estimate fails too
-        e_degree = np.where(status == OK, s_q * s_p / (0.25 * np.square(np.abs(comm))), np.nan)
+        # each form times 2^-k, |comm| 2^-k in [0.5, 1): exact, and the products stay finite
+        scale = np.ldexp(1.0, -np.frexp(np.abs(comm))[1])
+        e_degree = np.where(status == OK, (s_q * scale) * (s_p * scale)
+                            / (0.25 * np.square(np.abs(comm) * scale)), np.nan)
 
     def failure(i):
         if status.flat[i] == SINGULAR:

@@ -1,8 +1,11 @@
 """Command-line driver checks: CSV schemas, determinism, config precedence."""
 
+import contextlib
 import difflib
+import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -12,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from block_oracle import build_drift, cancelling_noise, epr_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavmotion import cascade, cli, conditional, spectra
 from cavmotion.cascade import SELECTIONS, steady_grid
@@ -81,6 +86,31 @@ class TestSingleCavityCsv:
         assert code == 0, err
         assert out.strip().split("\n")[1] == "1.000000000000e+300,nan,nan,nan,unresolvable"
 
+    def test_largest_float_outcome_is_unresolvable(self, capsys):
+        # sqrt(2) x overflowed in psi_1, whose value is 0 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["single-cavity", "point", "--kappa", "0",
+                                      "--x", "1.7976931348623157e308"], capsys)
+        assert code == 0, err
+        assert out.strip().split("\n")[1] == "1.797693134862e+308,nan,nan,nan,unresolvable"
+
+    @pytest.mark.parametrize("flags", [
+        ["--x-min", "-1.7976931348623157e308", "--x-max", "1.7976931348623157e308"],
+        ["--x-max", "1.7976931348623157e308"],
+    ], ids=["span", "end"])
+    def test_grid_to_the_float_range_ends(self, flags, capsys):
+        # the span of the first grid overflows, and the last step of the
+        # second rounds past the float range; every point stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["single-cavity", "sweep", "--zeta", "0", "--x-count", "4",
+                                      *flags], capsys)
+        assert code == 0, err
+        x = np.array([float(line.split(",")[0]) for line in out.strip().split("\n")[1:]])
+        assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
+        assert x[-1] == 1.797693134862e308  # 12 significant digits
+
     def test_purity_clipped_on_the_label_factor_rows(self, capsys):
         # this profile takes the label factor, whose purities rounded above 1
         # on three rows: lin_entropy -2.2e-16 and efficiency -4.1e-17
@@ -94,8 +124,9 @@ class TestSingleCavityCsv:
             assert prob > 0.0 and 0.0 <= entropy <= 1.0 and efficiency >= 0.0
 
     @pytest.mark.parametrize("flags", [["--time", "-1e308"],
-                                       ["--x-min", "1e-154", "--kappa", "1e154"]],
-                             ids=["time", "kappa"])
+                                       ["--x-min", "1e-154", "--kappa", "1e154"],
+                                       ["--zeta", "0", "--kappa", "1.7976931348623157e308"]],
+                             ids=["time", "kappa", "labels"])
     def test_overflowing_kerr_phase_marks_every_row(self, flags, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -674,7 +705,11 @@ def test_one_parser_serves_alternating_calls(tmp_path, capsys):
     (["single-cavity", "sweep", "--kappa", "1e160"], "unresolvable", None),
     (["single-cavity", "point", "--x", "0", "--zeta", "1e160"], None,
      "mean photon number |zeta|^2"),
-], ids=["chi", "Omega", "Gamma", "gamma", "kappa", "zeta"])
+    (["cascaded", "steady", "--chi", "0", "--drive", "1.7976931348623157e308", "--gamma", "2"],
+     "none", None),
+    (["cascaded", "steady", "--drive", "1e200", "--gamma", "1.7976931348623157e308"], "none",
+     None),
+], ids=["chi", "Omega", "Gamma", "gamma", "kappa", "zeta", "drive", "sqrt-gamma-drive"])
 def test_squared_parameter_overflow(argv, marks, names, capsys):
     # a parameter whose square overflows either leaves its rows marked
     # (or, where the square only enters a negligible term, computed) or
@@ -689,6 +724,159 @@ def test_squared_parameter_overflow(argv, marks, names, capsys):
     else:
         assert code == cli.NUMERICAL_ERROR and out == ""
         assert err.startswith(f"numerical failure: {names}") and "overflow" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cascaded", "spectrum", "--Omega", "1e200"],
+    ["cascaded", "spectrum", "--Gamma", "1e200"],
+    ["cascaded", "sweep", "--Gamma", "1e200", "--drive-count", "5"],
+], ids=["spectrum-Omega", "spectrum-Gamma", "sweep-Gamma"])
+def test_overflowing_schur_determinant_is_not_singular(argv, monkeypatch, capsys):
+    # the stages' Schur complements have entries near 1e200, so their
+    # determinants overflow; the stages are far from singular (the working
+    # points are stable), and a point fails, if at all, by the rules that
+    # follow the row solve: here a commutator below COMMUTATOR_FLOOR
+    sweeps, amplitude_sweep = [], spectra.amplitude_sweep
+
+    def recorded(*args):
+        sweeps.append(amplitude_sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(spectra, "amplitude_sweep", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    messages = [err] + [str(e) for sweep in sweeps for e in sweep.error if e is not None]
+    assert not any("singular" in message for message in messages)
+    if argv[1] == "spectrum":
+        assert (code, out) == (cli.NUMERICAL_ERROR, "")
+        assert err.startswith("numerical failure: degenerate commutator spectrum")
+    else:
+        assert code == 0, err
+        assert all(row.endswith(",true") for row in out.strip().split("\n")[1:])
+        assert all(e.startswith("degenerate commutator spectrum") for e in sweeps[0].error)
+
+
+class Alarm(BaseException):
+    """A CLI run that outlasted its alarm (not an error the CLI may catch)."""
+
+
+def run_cli_alarmed(argv, seconds=10.0):
+    """(code, out, err, warning messages) of one in-process CLI run, which
+    SIGALRM interrupts after `seconds`."""
+    def expire(signum, frame):
+        raise Alarm(f"{argv} ran past {seconds} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+# flag values beside each field's typical ones: zeros, the float range's
+# ends, values whose squares overflow or underflow, and ones no field takes
+EXTREME_VALUES = ["0", "-0.0", "5e-324", "1e-300", "-1e-200", "1e-154", "1e154", "1e200",
+                  "-1e300", "1.7976931348623157e+308", "nan", "inf", "abc"]
+# what a successful run keeps true of each of these columns, on every row
+# with a value (nan marks a row without one)
+COLUMN_BOUNDS = {"prob_density": lambda v: v >= 0.0, "efficiency": lambda v: v >= 0.0,
+                 "lin_entropy": lambda v: (v >= 0.0) & (v <= 1.0), "e_degree": lambda v: v > 0.0,
+                 "s_qplus": lambda v: v > 0.0, "s_pminus": lambda v: v > 0.0}
+
+
+def flag_values(key):
+    """Values of the flag of field `key` as strings: typical, huge, tiny and extreme."""
+    kind = cli._FIELD_TYPES.get(key, float)
+    if kind is bool:
+        return st.sampled_from(["true", "false", "maybe"])
+    if kind is str:
+        return st.sampled_from([*SELECTIONS, "bogus"])
+    if kind is int:  # hard_cap; the grid counts are drawn apart
+        return st.sampled_from(["1", "2", "64", str(DEFAULT_HARD_CAP), str(DEFAULT_HARD_CAP + 1),
+                                "0", "abc"])
+    typical = cli.DEFAULTS[key] or cli.DEFAULTS["Omega"]  # omega_eval's default is Omega
+    return st.one_of(st.floats(-10.0, 10.0).map(lambda f: repr(typical * f)),
+                     st.sampled_from(EXTREME_VALUES),
+                     st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+@st.composite
+def cli_requests(draw):
+    """argv of a parameter subcommand with 1-3 of its flags drawn, on grids of at most 9
+    points."""
+    scenario, action = draw(st.sampled_from(sorted(cli.FIELDS)))
+    fields = cli.FIELDS[scenario, action]
+    keys = draw(st.lists(st.sampled_from([k for k in fields if not k.endswith("_count")]),
+                         min_size=1, max_size=3, unique=True))
+    argv = [scenario, action]
+    for key in keys:
+        argv.append(f"--{key.replace('_', '-')}={draw(flag_values(key))}")
+    argv += [f"--{k.replace('_', '-')}={draw(st.integers(1, 9))}" for k in fields
+             if k.endswith("_count")]
+    if action == "point":
+        argv.append(f"--x={draw(flag_values('x_min'))}")
+    return argv
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(cli_requests())
+def test_cli_contract_property(argv):
+    # whatever flags a request sets, the CLI exits 0, 1 or 2 without an
+    # escaping exception or a warning other than the documented truncation
+    # clamp; a successful run's columns stay in range; a rerun gives the
+    # same bytes
+    code, out, err, caught = run_cli_alarmed(argv)
+    assert code in (0, cli.USAGE_ERROR, cli.NUMERICAL_ERROR), (argv, err)
+    assert all(m.startswith("truncation clamped at hard_cap=") for m in caught), (argv, caught)
+    if code == 0:
+        header, *rows = out.strip().split("\n")
+        for name, column in zip(header.split(","), zip(*(row.split(",") for row in rows))):
+            if name in COLUMN_BOUNDS:
+                values = np.array(column, dtype=float)
+                assert np.all(COLUMN_BOUNDS[name](values) | np.isnan(values)), (argv, name, values)
+    else:
+        assert out == "", argv
+    assert run_cli_alarmed(argv)[:3] == (code, out, err)
+
+
+def test_linear_cavity_whose_cubic_coefficient_underflows(capsys):
+    # chi = 0 leaves the cubic linear, and (gamma/2)^2 underflows to 0 at
+    # gamma = 2.4e-290: the drive power over it is no intensity, not a warning
+    argv = ["cascaded", "spectrum", "--gamma", "2.4055855032578055e-290", "--chi", "0",
+            "--Delta1", "0", "--omega-count", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.NUMERICAL_ERROR, "")
+    assert err.startswith("numerical failure: no stable working point")
+
+
+def test_epr_degree_of_forms_near_the_float_range(capsys):
+    # the variances and the commutator are about 1e154 at Gamma = gamma =
+    # 1e-154, so s_qplus s_pminus and |commutator|^2 overflow: e_degree was
+    # nan and 0 where its ratio is about 4 and 1
+    argv = ["cascaded", "sweep", "--Gamma", "1e-154", "--gamma", "1e-154", "--Delta1", "0",
+            "--drive-count", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    e_degree = [float(line.split(",")[4]) for line in out.strip().split("\n")[1:]]
+    params = cascade.PhysParams(chi=1.0, Omega=1000.0, Gamma=1e-154, gamma=1e-154, Delta1=0.0,
+                                Delta2=1e4)
+    steady = steady_grid(params, np.array([1e5, 1e9]), "follow")
+    grid = spectra.epr_grid(params, steady, 1000.0)
+    half = np.abs(grid.commutator) / 2.0
+    assert np.all(half > 2**511)  # |commutator|^2 > 2^1024
+    assert e_degree == pytest.approx((grid.s_qplus / half) * (grid.s_pminus / half), rel=1e-11)
 
 
 # the CSV of golden/plot_edge_cases.svg

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from cavmotion import conditional
 from cavmotion.conditional import (
     FOCK_FACTOR_DIM,
     FOCK_FACTOR_POLICY,
@@ -467,6 +468,26 @@ class TestLatticeMoments:
         assert np.array_equal(res.lin_entropy[redo], 1.0 - want_purity)
         assert np.array_equal(res.prob_density[~redo], prob[~redo])
         assert np.array_equal(res.lin_entropy[~redo], 1.0 - np.minimum(purity[~redo], 1.0))
+
+    @pytest.mark.parametrize("zeta,kappa,t,refused", [
+        (5.0, 0.05, np.pi, 142),  # s = 0.01: most rows fail the estimate
+        (8.0, 0.1, np.pi, 0),  # every row certified
+        (0.8, 1.0, np.pi, 161),  # N + 1 < LATTICE_MIN_ORDER: no row routed
+        (0.8, 1.0, -1e308, None),  # the Kerr phase overflows: no row resolvable
+    ])
+    def test_one_label_factor_call_per_grid(self, zeta, kappa, t, refused, monkeypatch):
+        # the rows the lattice kernel does not certify, or all of a state it
+        # does not take, go to the label factor's kernel in one call
+        calls = []
+
+        def counted(factor, amplitudes):
+            calls.append(len(amplitudes))
+            return outcome_moments(factor, amplitudes)
+
+        monkeypatch.setattr(conditional, "outcome_moments", counted)
+        res = condition_on_quadrature(evolve(zeta, kappa, t), np.linspace(-4.0, 4.0, 161))
+        assert calls == ([] if not refused else [refused])
+        assert np.all(np.isnan(res.prob_density)) == (refused is None)
 
     def test_clip_moves_no_value_beyond_its_estimate(self):
         # nearly product states: one coefficient and 1e-9 noise, purity

@@ -271,19 +271,19 @@ def branch_labels(params, delta, intensity):
     return np.where(np.isnan(intensity), BRANCH_NONE, labels)
 
 
-def _select(roots, intensities, selection):
+def _select(roots, selection):
     """Column of the selected root in every row of a root grid.  "follow" takes
-    the root nearest the intensity picked at the drive before (the lowest at
-    the first drive, in a tie or where all are nan) from one table for every
+    the root nearest the one picked at the drive before (the lowest at the
+    first drive, in a tie or where all are nan) from one table for every
     drive; only the chain of picks runs drive by drive."""
     if selection == "lowest":
         return np.zeros(len(roots), dtype=np.intp)
     if selection == "highest":
         return np.count_nonzero(~np.isnan(roots), axis=1) - 1
-    with np.errstate(invalid="ignore"):  # inf - inf where an intensity overflowed
-        distance = np.abs(roots[1:, :, None] - intensities[:-1, None, :])
+    with np.errstate(invalid="ignore"):  # inf - inf where a root overflowed
+        distance = np.abs(roots[1:, :, None] - roots[:-1, None, :])
     # nearest[k - 1][j]: the column picked at drive k after column j at drive k - 1,
-    # a nan distance (padding, a nan intensity) counting as infinite
+    # a nan distance (padding) counting as infinite
     nearest = np.argmin(np.where(np.isnan(distance), np.inf, distance), axis=1)
     nearest[np.isnan(roots[1:, 1])] = 0  # a single root
     picks = [0]
@@ -294,32 +294,31 @@ def _select(roots, intensities, selection):
 
 def _cavity(params, delta, drive_in, selection):
     """One cavity at every drive of `drive_in`: the selected working point's
-    amplitude, intensity, branch and jump flag.  Near resonance the bracket
-    u + i v cancels in v = delta - b I, by eps (|delta| + b I) at a float root
-    I, where |v| = (P / I - u^2)^(1/2) from the cubic errs by eps P / (I |v|):
-    the latter, with the float v's sign, is taken where 4 times smaller."""
+    amplitude, intensity, branch and jump flag, formed at the selected root
+    alone.  Near resonance the bracket u + i v cancels in v = delta - b I, by
+    eps (|delta| + b I) at a float root I, where |v| = (P / I - u^2)^(1/2) from
+    the cubic errs by eps P / (I |v|): the latter, with the float v's sign, is
+    taken where 4 times smaller."""
     g, (a, b) = params.gamma, pulling_coefficients(params)
     # a power beyond the float range is inf, and its rows nan
     with np.errstate(over="ignore"):
         power = g * (drive_in.real**2 + drive_in.imag**2)
     roots = root_grid(params, delta, power)
-    with np.errstate(all="ignore"):  # the nan padding, zero and overflowing roots
-        u, v, modulus = g / 2.0 + a * roots, delta - b * roots, power[:, None] / roots
+    root = roots[np.arange(len(roots)), _select(roots, selection)]
+    with np.errstate(all="ignore"):  # nan, zero and overflowing roots
+        u, v, modulus = g / 2.0 + a * root, delta - b * root, power / root
         pulled = np.sqrt(modulus - u * u)
-        v = np.where(pulled * (abs(delta) + b * roots) > 4.0 * modulus, np.copysign(pulled, v), v)
-        zetas = np.sqrt(g) * drive_in[:, None] / (u + 1j * v)
-    intensities = zetas.real**2 + zetas.imag**2
-    pick = (np.arange(len(roots)), _select(roots, intensities, selection))
-    root, intensity = roots[pick], intensities[pick]
+        v = np.where(pulled * (abs(delta) + b * root) > 4.0 * modulus, np.copysign(pulled, v), v)
+        zeta = np.sqrt(g) * drive_in / (u + 1j * v)
     branch = branch_labels(params, delta, root)
     jumped = np.zeros(root.shape, dtype=bool)
     if selection == "follow":
         # a jump means the branch being ridden vanished: no root remains
-        # near the previous intensity and the branch class changed
-        before = np.concatenate(([np.nan], intensity[:-1]))
+        # near the previous one and the branch class changed
+        before = np.concatenate(([np.nan], root[:-1]))
         before_branch = np.concatenate(([""], branch[:-1]))
         jumped = (np.abs(root - before) > np.maximum(before, 1e-12)) & (branch != before_branch)
-    return zetas[pick], intensity, branch, jumped
+    return zeta, zeta.real**2 + zeta.imag**2, branch, jumped
 
 
 def steady_grid(params, zeta1_in, selection="lowest"):

@@ -299,12 +299,13 @@ def condition_on_quadrature(state, x_grid):
     x_grid = np.array(x_grid, dtype=float, ndmin=1)
     raw = state.coeffs * oscillator_wavefunctions(state.n_max, x_grid).T
     finite = np.isfinite(state.coeffs).all()
-    (prob, purity), redo = np.full((2, x_grid.size), np.nan), np.full(x_grid.size, finite)
+    nonzero = finite & raw.any(axis=1)  # a zero row (every psi_n(x) underflowed) resolves nowhere
+    (prob, purity), redo = np.full((2, x_grid.size), np.nan), nonzero
     routed = finite and state.labels.size >= LATTICE_MIN_ORDER
     spacing = lattice_spacing(state.labels) if routed else None
     if spacing is not None and spacing >= LATTICE_MIN_SPACING:  # README, cost model
         prob, purity, estimate = lattice_moments(spacing, raw)
-        redo = ~((estimate <= LATTICE_TOLERANCE) & (prob > PROBABILITY_FLOOR))
+        redo = nonzero & ~((estimate <= LATTICE_TOLERANCE) & (prob > PROBABILITY_FLOOR))
     if redo.any():
         prob[redo], purity[redo] = outcome_moments(state.factor, raw[redo])
     np.minimum(purity, 1.0, out=purity)

@@ -30,7 +30,6 @@ STAGES = np.array([0, 1, 4, 5, 2, 3, 6, 7])
 # each slot's adjoint partner: the slot swap P with P conj(M) P = M
 PAIRS = np.array([1, 0, 3, 2, 5, 4, 7, 6])
 
-COMMUTATOR_FLOOR = 1e-30
 TINY, EPS = np.finfo(float).tiny, np.finfo(float).eps
 # largest componentwise backward error of a row solve that transfer_rows accepts
 SOLVE_TOLERANCE = 1e-10
@@ -269,9 +268,10 @@ def _epr_kernel(blocks, d, omega):
     B = (d - d^T) P / 4.
     status is OK or the failure a point-by-point evaluation meets first:
     SINGULAR (T(w) singular or its rows not finite), DEGENERATE (commutator
-    below COMMUTATOR_FLOOR), NONPOSITIVE (a variance not positive), ROUNDING
-    (a form's estimated relative rounding error above FORM_TOLERANCE); there
-    e_degree is nan and failure(i) is the error of flat point i."""
+    not finite or below TINY, where underflow drops digits), NONPOSITIVE (a
+    variance not positive), ROUNDING (a form's estimated relative rounding
+    error above FORM_TOLERANCE); there e_degree is nan and failure(i) is the
+    error of flat point i."""
     def forms(y):
         # the terms of each form: (y A)_k conj(y_k), and (y B)_k conj(y'_k)
         # for the commutator's pairs (q_a, p_a) and (p_a, q_a)
@@ -289,9 +289,9 @@ def _epr_kernel(blocks, d, omega):
             blocks, np.asarray(omega, dtype=float), EPR_ROWS, forms)
         rounding = (backward + EPS) * spread
         status = np.where(singular | ~np.isfinite(backward), SINGULAR, np.where(
-            np.abs(comm) >= COMMUTATOR_FLOOR, np.where(np.minimum(s_q, s_p) > 0.0, np.where(
-                rounding <= FORM_TOLERANCE, OK, ROUNDING), NONPOSITIVE),
-            DEGENERATE))  # a nan commutator, variance or estimate fails too
+            np.isfinite(comm) & (np.abs(comm) >= TINY), np.where(np.minimum(s_q, s_p) > 0.0,
+                np.where(rounding <= FORM_TOLERANCE, OK, ROUNDING), NONPOSITIVE),
+            DEGENERATE))  # a nan variance or estimate fails too
         # each form times 2^-k, |comm| 2^-k in [0.5, 1): exact, and the products stay finite
         scale = np.ldexp(1.0, -np.frexp(np.abs(comm))[1])
         e_degree = np.where(status == OK, (s_q * scale) * (s_p * scale)

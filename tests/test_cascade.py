@@ -437,17 +437,17 @@ def undecided_rows(edge, selection):
     return edge | np.concatenate(([False], edge[:-1]))
 
 
-def follow_scan(roots, intensities):
+def follow_scan(roots):
     """The "follow" picks drive by drive on floats: the first root nearest
-    the intensity picked at the drive before, where a row holds several."""
+    the root picked at the drive before, where a row holds several."""
     picks, previous = [], None
-    for row, values in zip(roots.tolist(), intensities.tolist()):
+    for row in roots.tolist():
         pick = 0
         if previous is not None and row[1] == row[1]:  # several roots
             distances = [abs(root - previous) for root in row if root == root]
             pick = distances.index(min(distances))
         picks.append(pick)
-        previous = values[pick]
+        previous = row[pick]
     return picks
 
 
@@ -557,30 +557,30 @@ class TestSteadyGrid:
         # rows of 2 roots (degenerate) and a tie, which resolves to the lower root
         roots = np.array([[1.0, 5.0, np.nan], [1.0, 5.0, 9.0], [8.0, np.nan, np.nan],
                           [1.0, 7.0, np.nan], [5.0, 9.0, np.nan]])
-        assert cascade._select(roots, roots, "follow").tolist() == [0, 0, 0, 1, 0]
+        assert cascade._select(roots, "follow").tolist() == [0, 0, 0, 1, 0]
         # continuing from 4.0
         seeded = np.concatenate(([[4.0, np.nan, np.nan]], roots))
-        assert cascade._select(seeded, seeded, "follow").tolist() == [0, 1, 1, 0, 1, 0]
+        assert cascade._select(seeded, "follow").tolist() == [0, 1, 1, 0, 1, 0]
+        # a row without a root (an overflowed drive) restarts the scan at the lowest root
+        gap = np.concatenate((seeded[:2], [[np.nan] * 3], seeded[2:]))
+        assert cascade._select(gap, "follow").tolist() == [0, 1, 0, 0, 0, 1, 0]
 
     def test_follow_table_equals_drive_by_drive_scan(self):
         # random nan-padded root grids on a coarse lattice (ties), with
-        # single-root stretches and nan or infinite intensities
+        # single-root stretches and all-nan rows (no working point)
         rng = np.random.default_rng(83)
         for n in (0, 1, 2, 7, 400):
             for _ in range(20):
                 roots = np.sort(rng.integers(0, 12, (n, 3)).astype(float), axis=1)
-                counts = rng.choice([1, 2, 3], size=n, p=[0.4, 0.3, 0.3])
+                counts = rng.choice([0, 1, 2, 3], size=n, p=[0.1, 0.35, 0.3, 0.25])
                 roots[np.arange(3) >= counts[:, None]] = np.nan
-                intensities = roots + rng.choice([0.0, 0.5, -0.5], size=roots.shape)
-                odd = rng.random(roots.shape) < 0.05
-                intensities[odd] = rng.choice([np.nan, np.inf], size=odd.sum())
-                picks = cascade._select(roots, intensities, "follow")
-                assert picks.tolist() == follow_scan(roots, intensities)
+                picks = cascade._select(roots, "follow")
+                assert picks.tolist() == follow_scan(roots)
                 assert np.all(picks < np.maximum(counts, 1))
         for chi in (0.3, 1.0, 3.0):
             params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
             roots = root_grid(params, params.Delta1, np.geomspace(1e5, 1e9, 2401) ** 2)
-            assert cascade._select(roots, roots, "follow").tolist() == follow_scan(roots, roots)
+            assert cascade._select(roots, "follow").tolist() == follow_scan(roots)
 
     def test_unknown_selection_rejected(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)

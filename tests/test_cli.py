@@ -216,19 +216,22 @@ class TestCascadedCsv:
         assert "stable" in err
 
     def test_spectrum_grid_crossing_a_failure_names_first_omega(self, capsys):
-        # the commutator spectrum falls like Gamma/w^2 and crosses the floor
-        # inside one block of this grid; several later omegas fail too
-        omegas = np.geomspace(1e2, 1e20, 400)
+        # the commutator spectrum falls like Gamma/w^2 and drops below the
+        # smallest normal float near w = 2.3e152, inside the first block of
+        # this grid; every later omega fails too
+        omegas = np.geomspace(1e2, 1e200, 400)
         params = cli._phys_params(cli.DEFAULTS)
         branch = steady_grid(params, [cli.DEFAULTS["drive"]])[0]
-        for omega in omegas:
+        for k, omega in enumerate(omegas):
             try:
                 spectra.epr_grid(params, branch, omega)
             except ArithmeticError as exc:
                 first = str(exc)
                 break
+        assert 1e152 < omegas[k] < 1e153 and k < spectra.GRID_BLOCK
+        assert first.startswith("degenerate commutator spectrum")
         code, out, err = run_cli(
-            ["cascaded", "spectrum", "--omega-min", "1e2", "--omega-max", "1e20",
+            ["cascaded", "spectrum", "--omega-min", "1e2", "--omega-max", "1e200",
              "--omega-count", "400"], capsys)
         assert code == 2
         assert out == ""
@@ -735,7 +738,9 @@ def test_overflowing_schur_determinant_is_not_singular(argv, monkeypatch, capsys
     # the stages' Schur complements have entries near 1e200, so their
     # determinants overflow; the stages are far from singular (the working
     # points are stable), and a point fails, if at all, by the rules that
-    # follow the row solve: here a commutator below COMMUTATOR_FLOOR
+    # follow the row solve: at Omega 1e200 a commutator of exactly 0; at
+    # Gamma 1e200 the commutator is 4e-200, a normal float, and every point
+    # comes out in the decoupled limit e_degree = 4
     sweeps, amplitude_sweep = [], spectra.amplitude_sweep
 
     def recorded(*args):
@@ -748,13 +753,18 @@ def test_overflowing_schur_determinant_is_not_singular(argv, monkeypatch, capsys
         code, out, err = run_cli(argv, capsys)
     messages = [err] + [str(e) for sweep in sweeps for e in sweep.error if e is not None]
     assert not any("singular" in message for message in messages)
-    if argv[1] == "spectrum":
+    if argv[2] == "--Omega":
         assert (code, out) == (cli.NUMERICAL_ERROR, "")
-        assert err.startswith("numerical failure: degenerate commutator spectrum")
-    else:
-        assert code == 0, err
-        assert all(row.endswith(",true") for row in out.strip().split("\n")[1:])
-        assert all(e.startswith("degenerate commutator spectrum") for e in sweeps[0].error)
+        assert err.startswith("numerical failure: degenerate commutator spectrum |0j|")
+        return
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.strip().split("\n")]
+    e_degree = np.array([row[rows[0].index("e_degree")] for row in rows[1:]], dtype=float)
+    assert e_degree.size == (5 if argv[1] == "sweep" else cli.DEFAULTS["omega_count"])
+    assert np.all(np.abs(e_degree - 4.0) <= 1e-12)
+    if argv[1] == "sweep":
+        assert all(row[-1] == "true" for row in rows[1:])
+        assert all(e is None for e in sweeps[0].error)
 
 
 class Alarm(BaseException):

@@ -469,25 +469,38 @@ class TestLatticeMoments:
         assert np.array_equal(res.prob_density[~redo], prob[~redo])
         assert np.array_equal(res.lin_entropy[~redo], 1.0 - np.minimum(purity[~redo], 1.0))
 
-    @pytest.mark.parametrize("zeta,kappa,t,refused", [
-        (5.0, 0.05, np.pi, 142),  # s = 0.01: most rows fail the estimate
-        (8.0, 0.1, np.pi, 0),  # every row certified
-        (0.8, 1.0, np.pi, 161),  # N + 1 < LATTICE_MIN_ORDER: no row routed
-        (0.8, 1.0, -1e308, None),  # the Kerr phase overflows: no row resolvable
-    ])
-    def test_one_label_factor_call_per_grid(self, zeta, kappa, t, refused, monkeypatch):
+    @pytest.mark.parametrize("zeta,kappa,t,x,refused", [
+        (5.0, 0.05, np.pi, (-4.0, 4.0, 161), 142),  # s = 0.01: most rows fail the estimate
+        (8.0, 0.1, np.pi, (-4.0, 4.0, 161), 0),  # every row certified
+        (0.8, 1.0, np.pi, (-4.0, 4.0, 161), 161),  # N + 1 < LATTICE_MIN_ORDER: no row routed
+        (0.8, 1.0, -1e308, (-4.0, 4.0, 161), None),  # the Kerr phase overflows: none resolvable
+        # outcomes beyond the oscillator's reach: every psi_n(x) underflows to 0
+        (12.0, 1.0, np.pi, (100.0, 1000.0, 9), None),
+    ], ids=["5.0-0.05-3.141592653589793-142", "8.0-0.1-3.141592653589793-0",
+            "0.8-1.0-3.141592653589793-161", "0.8-1.0--1e+308-None", "12.0-1.0-beyond-reach"])
+    def test_one_label_factor_call_per_grid(self, zeta, kappa, t, x, refused, monkeypatch):
         # the rows the lattice kernel does not certify, or all of a state it
-        # does not take, go to the label factor's kernel in one call
-        calls = []
+        # does not take, go to the label factor's kernel in one call; rows
+        # of zero amplitudes, unresolvable on any route, build no factor
+        calls, factors = [], []
 
         def counted(factor, amplitudes):
             calls.append(len(amplitudes))
             return outcome_moments(factor, amplitudes)
 
+        def built(labels):
+            factors.append(len(labels))
+            return label_factor(labels)
+
         monkeypatch.setattr(conditional, "outcome_moments", counted)
-        res = condition_on_quadrature(evolve(zeta, kappa, t), np.linspace(-4.0, 4.0, 161))
+        monkeypatch.setattr(conditional, "label_factor", built)
+        res = condition_on_quadrature(evolve(zeta, kappa, t), np.linspace(*x))
         assert calls == ([] if not refused else [refused])
+        assert len(factors) == len(calls)
         assert np.all(np.isnan(res.prob_density)) == (refused is None)
+        if zeta == 12.0:
+            assert all(e == f"outcome x={v} has probability density below {PROBABILITY_FLOOR}"
+                       for e, v in zip(res.error, res.x))
 
     def test_clip_moves_no_value_beyond_its_estimate(self):
         # nearly product states: one coefficient and 1e-9 noise, purity

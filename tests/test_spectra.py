@@ -469,6 +469,47 @@ class TestGridKernel:
                 for g, ref in zip(got, epr_reference(drift, noise, w, mpmath)):
                     assert float(abs(complex(g) - ref) / abs(ref)) < 1e-12
 
+    @pytest.mark.parametrize("gamma_atom,omegas,dps", [
+        # the commutator falls like Gamma/w^2: from 9.8e-31 at w = 3.2e13 to
+        # 2.5e-308, just above the smallest normal float, at w = 2e152
+        (1e-3, np.geomspace(3.2e13, 2e152, 7), 40),
+        # the decoupled limit e_degree = 4, with a commutator of 4e-200
+        (1e200, np.geomspace(100.0, 1e4, 5), 300),
+    ], ids=["falling-commutator", "Gamma-1e200"])
+    def test_small_commutators_match_reference(self, gamma_atom, omegas, dps):
+        # the degree is a scale-free ratio: a commutator far below 1 in units
+        # of gamma, but a normal float, is as accurate as any other
+        mpmath = pytest.importorskip("mpmath")
+        params = PhysParams(chi=1.0, Omega=1000.0, **dict(CANONICAL_RATES, Gamma=gamma_atom))
+        branch = steady_grid(params, np.array([1e6]))[0]
+        drift, noise = build_drift(params, branch), build_noise(params)
+        grid, status, _ = spectra._epr_kernel(stage_blocks(params, branch), noise, omegas)
+        assert np.all(status == spectra.OK)
+        assert np.all(np.abs(grid.commutator) < 1e-30)
+        with mpmath.workdps(dps):
+            for i, w in enumerate(omegas):
+                s_q, s_p, comm = epr_reference(drift, noise, w, mpmath)
+                want = (s_q, s_p, comm, s_q * s_p / (0.25 * abs(comm) ** 2))
+                got = (grid.s_qplus[i], grid.s_pminus[i], grid.commutator[i], grid.e_degree[i])
+                for g, ref in zip(got, want):
+                    assert float(abs(complex(g) - ref) / abs(ref)) < 1e-14
+
+    def test_ok_points_have_finite_degree_down_to_the_smallest_normal_commutator(self):
+        # across w = 1e140-1e160 the commutator falls through the smallest
+        # normal float (near w = 2.3e152): every point above it is OK with a
+        # finite degree, every point below it degenerate; a subnormal
+        # commutator would overflow the 2^-k scale of the degree's quotient
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        branch = steady_grid(params, np.array([1e6]))[0]
+        omegas = np.geomspace(1e140, 1e160, 2001)
+        grid, status, _ = spectra._epr_kernel(stage_blocks(params, branch),
+                                              build_noise(params), omegas)
+        ok = status == spectra.OK
+        assert np.all(np.isfinite(grid.e_degree[ok]))
+        assert np.all(np.abs(grid.commutator[ok]) >= spectra.TINY)
+        assert np.all(status[~ok] == spectra.DEGENERATE)
+        assert 2e152 < omegas[ok].max() < 2.5e152 and np.all(np.diff(ok.astype(int)) <= 0)
+
     def test_empty_grid(self):
         params, branch = random_stable_point(np.random.default_rng(67))
         assert transfer_rows(params, branch, np.array([]), np.eye(8)).shape == (0, 8, 8)
@@ -607,7 +648,8 @@ class TestGridKernel:
     def test_kernel_status_per_point(self):
         # the undamped atoms' blocks are singular at w = +-2 (with input
         # noise on the atoms, the other points are OK); damped blocks scaled
-        # by 1e20 leave only a commutator below the floor; moments that cancel
+        # by 1e160 leave only a commutator below the smallest normal float
+        # (by 1e150, above it: OK); moments that cancel
         # (`cancelling_noise`) leave variances far below the rounding of
         # their terms; negated input moments make the variances negative
         undamped, branch = undamped_atoms()
@@ -618,7 +660,8 @@ class TestGridKernel:
         cases = [
             (stage_blocks(undamped, branch), build_noise(damped), [0.5, -2.0, 2.0],
              [spectra.OK] + [spectra.SINGULAR] * 2),
-            ((scaled * 1e20, feed), build_noise(damped), [0.5, -2.0], [spectra.DEGENERATE] * 2),
+            ((scaled * 1e150, feed), build_noise(damped), [0.5, -2.0], [spectra.OK] * 2),
+            ((scaled * 1e160, feed), build_noise(damped), [0.5, -2.0], [spectra.DEGENERATE] * 2),
             ((scaled, feed), cancelling_noise(damped), [0.5, 2.0], [spectra.ROUNDING] * 2),
             (stage_blocks(params, steady_grid(params, np.array([1e3]))[0]), -vacuum, [1.0, 10.0],
              [spectra.NONPOSITIVE] * 2),
@@ -1047,8 +1090,8 @@ class TestAmplitudeSweep:
         assert all(sweep.error[flagged])
 
     def test_failing_drift_keeps_other_rows(self, monkeypatch):
-        # stable stage blocks scaled by 1e20 push the commutator below the
-        # floor; the rest of its block must come out as without it
+        # stable stage blocks scaled by 1e160 push the commutator below the
+        # smallest normal float; the rest of its block must come out as without it
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         drives = np.geomspace(1e3, 1e5, 20)
         reference = amplitude_sweep(params, drives, params.Omega)
@@ -1057,7 +1100,7 @@ class TestAmplitudeSweep:
         def scaled_at_eighth(params, steady):
             # `steady` is one working point or a block of them
             stages, feed = build(params, steady)
-            scale = np.where(steady.zeta1_in == drives[7], 1e20, 1.0)
+            scale = np.where(steady.zeta1_in == drives[7], 1e160, 1.0)
             return stages * scale[..., None, None, None], feed
 
         monkeypatch.setattr(spectra, "stage_blocks", scaled_at_eighth)

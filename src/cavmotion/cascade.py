@@ -8,6 +8,7 @@ with I_j = |zeta_j|^2 and the intensity-pulling coefficients
 Taking the squared modulus turns this into a real cubic in I_j whose one-to-
 three positive roots are the familiar bistable S-curve.  The first cavity's
 output feeds the second: zeta2_in = sqrt(gamma) zeta1 - zeta1_in.
+root_grid, steady_grid and residual each compute under one floating-point boundary.
 """
 
 from dataclasses import dataclass
@@ -117,10 +118,9 @@ def _misses_cubic(params, delta, roots, drive_power):
     resonance.  The miss cannot overflow at a root."""
     b = pulling_coefficients(params)[1]
     power = drive_power[:, None]
-    with np.errstate(invalid="ignore", over="ignore"):  # nan padding, no-root overflows
-        miss = np.abs(_modulus_cubic(params, delta, roots, power)[0])
-        floor = 8.0 * EPS * roots * np.abs(delta - b * roots) * (abs(delta) + b * roots)
-        missed = np.any(np.isinf(miss) | (miss > ROOT_TOLERANCE * power + floor), axis=1)
+    miss = np.abs(_modulus_cubic(params, delta, roots, power)[0])
+    floor = 8.0 * EPS * roots * np.abs(delta - b * roots) * (abs(delta) + b * roots)
+    missed = np.any(np.isinf(miss) | (miss > ROOT_TOLERANCE * power + floor), axis=1)
     return (missed | np.isnan(roots[:, 0])) & (drive_power > 0.0)
 
 
@@ -137,43 +137,41 @@ def _bracketed_roots(params, delta, drive_power):
     bracket bisects, so no root is lost however small the coefficients are.
     A row still unsettled after BRACKET_ITERATIONS steps holds no root.
     """
-    # an overflowing drive power gives no root rather than a warning
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        top = 4.0 * drive_power / (params.gamma * params.gamma)
-        cuts = np.zeros(drive_power.shape + (4,))
-        cuts[:, 1:] = top[:, None]
-        turns = _turning_points(params, delta)
-        if turns is not None:
-            cuts[:, 1:3] = np.clip(np.array(turns), 0.0, top[:, None])
-        power = drive_power[:, None]
-        lower, upper = cuts[:, :-1], cuts[:, 1:]
-        f_lower = _modulus_cubic(params, delta, lower, power)[0]
-        f_upper = _modulus_cubic(params, delta, upper, power)[0]
-        lower_sign = np.sign(f_lower)
-        has_root = (lower_sign != 0.0) & (lower_sign * np.sign(f_upper) <= 0.0)
-        linear = drive_power / _cubic_coefficients(params, delta)[2]
-        x = np.clip(linear[:, None], lower, upper)
-        # a settled root stays put, so a row's bits do not depend on its batch
-        done = ~has_root
-        for _ in range(BRACKET_ITERATIONS):
-            value, slope = _modulus_cubic(params, delta, x, power)
-            left = np.sign(value) == lower_sign
-            lower, upper = np.where(left, x, lower), np.where(left, upper, x)
-            newton = x - value / slope
-            converged = (value == 0.0) | (np.abs(newton - x) <= 4.0 * EPS * x)
-            # a nan step bisects too, and bisection shrinks the bracket even
-            # where rounding makes Newton bounce
-            wide = upper > 2.0 * lower
-            inside = (newton > lower) & (newton < upper) & ~wide
-            middle = np.where(wide, np.sqrt(np.maximum(lower, TINY)) * np.sqrt(upper),
-                              0.5 * (lower + upper))
-            step = np.where(converged | inside, newton, middle)
-            # step == x: the bracket has shrunk to adjacent floats
-            settled = converged | (step == x)
-            x = np.where(done, x, step)
-            done |= settled
-            if done.all():
-                break
+    top = 4.0 * drive_power / (params.gamma * params.gamma)
+    cuts = np.zeros(drive_power.shape + (4,))
+    cuts[:, 1:] = top[:, None]
+    turns = _turning_points(params, delta)
+    if turns is not None:
+        cuts[:, 1:3] = np.clip(np.array(turns), 0.0, top[:, None])
+    power = drive_power[:, None]
+    lower, upper = cuts[:, :-1], cuts[:, 1:]
+    f_lower = _modulus_cubic(params, delta, lower, power)[0]
+    f_upper = _modulus_cubic(params, delta, upper, power)[0]
+    lower_sign = np.sign(f_lower)
+    has_root = (lower_sign != 0.0) & (lower_sign * np.sign(f_upper) <= 0.0)
+    linear = drive_power / _cubic_coefficients(params, delta)[2]
+    x = np.clip(linear[:, None], lower, upper)
+    # a settled root stays put, so a row's bits do not depend on its batch
+    done = ~has_root
+    for _ in range(BRACKET_ITERATIONS):
+        value, slope = _modulus_cubic(params, delta, x, power)
+        left = np.sign(value) == lower_sign
+        lower, upper = np.where(left, x, lower), np.where(left, upper, x)
+        newton = x - value / slope
+        converged = (value == 0.0) | (np.abs(newton - x) <= 4.0 * EPS * x)
+        # a nan step bisects too, and bisection shrinks the bracket even
+        # where rounding makes Newton bounce
+        wide = upper > 2.0 * lower
+        inside = (newton > lower) & (newton < upper) & ~wide
+        middle = np.where(wide, np.sqrt(np.maximum(lower, TINY)) * np.sqrt(upper),
+                          0.5 * (lower + upper))
+        step = np.where(converged | inside, newton, middle)
+        # step == x: the bracket has shrunk to adjacent floats
+        settled = converged | (step == x)
+        x = np.where(done, x, step)
+        done |= settled
+        if done.all():
+            break
     return np.sort(np.where(has_root & done, x, np.nan), axis=1)
 
 
@@ -196,7 +194,7 @@ def root_grid(params, delta, drive_power):
         raise ValueError(f"drive_power must be >= 0, got {drive_power[negative][0]}")
     c3, c2, c1 = _cubic_coefficients(params, delta)
     roots = np.full(drive_power.shape + (3,), np.nan)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # nan, inf and overflowing rows are judged below
         if c3 == 0.0:  # a c1 that underflows to 0 gives an inf root, dropped below
             roots[:, 0] = drive_power / c1
         else:
@@ -226,12 +224,12 @@ def root_grid(params, delta, drive_power):
                 roots[three] = shift + m * np.cos(theta[:, None] - 2.0 * np.pi * np.arange(3) / 3.0)
         value, slope = _modulus_cubic(params, delta, roots, drive_power[:, None])
         step = value / slope
-    polish = (slope != 0.0) & np.isfinite(slope) & np.isfinite(step)
-    roots = np.where(polish, roots - step, roots)
-    roots = np.sort(np.where(np.isfinite(roots) & (roots >= 0.0), roots, np.nan), axis=1)
-    missed = _misses_cubic(params, delta, roots, drive_power)
-    if missed.any():
-        roots[missed] = _bracketed_roots(params, delta, drive_power[missed])
+        polish = (slope != 0.0) & np.isfinite(slope) & np.isfinite(step)
+        roots = np.where(polish, roots - step, roots)
+        roots = np.sort(np.where(np.isfinite(roots) & (roots >= 0.0), roots, np.nan), axis=1)
+        missed = _misses_cubic(params, delta, roots, drive_power)
+        if missed.any():
+            roots[missed] = _bracketed_roots(params, delta, drive_power[missed])
     roots[drive_power == 0.0] = (0.0, np.nan, np.nan)
     return roots
 
@@ -280,12 +278,10 @@ def _select(roots, selection):
         return np.zeros(len(roots), dtype=np.intp)
     if selection == "highest":
         return np.count_nonzero(~np.isnan(roots), axis=1) - 1
-    with np.errstate(invalid="ignore"):  # inf - inf where a root overflowed
-        distance = np.abs(roots[1:, :, None] - roots[:-1, None, :])
+    distance = np.abs(roots[1:, :, None] - roots[:-1, None, :])
     # nearest[k - 1][j]: the column picked at drive k after column j at drive k - 1,
-    # a nan distance (padding) counting as infinite
+    # a nan distance (padding) counting as infinite: a row with none finite picks 0
     nearest = np.argmin(np.where(np.isnan(distance), np.inf, distance), axis=1)
-    nearest[np.isnan(roots[1:, 1])] = 0  # a single root
     picks = [0]
     for row in nearest.tolist():
         picks.append(row[picks[-1]])
@@ -300,16 +296,13 @@ def _cavity(params, delta, drive_in, selection):
     the cubic errs by eps P / (I |v|): the latter, with the float v's sign, is
     taken where 4 times smaller."""
     g, (a, b) = params.gamma, pulling_coefficients(params)
-    # a power beyond the float range is inf, and its rows nan
-    with np.errstate(over="ignore"):
-        power = g * (drive_in.real**2 + drive_in.imag**2)
+    power = g * (drive_in.real**2 + drive_in.imag**2)  # inf past the float range: nan rows
     roots = root_grid(params, delta, power)
     root = roots[np.arange(len(roots)), _select(roots, selection)]
-    with np.errstate(all="ignore"):  # nan, zero and overflowing roots
-        u, v, modulus = g / 2.0 + a * root, delta - b * root, power / root
-        pulled = np.sqrt(modulus - u * u)
-        v = np.where(pulled * (abs(delta) + b * root) > 4.0 * modulus, np.copysign(pulled, v), v)
-        zeta = np.sqrt(g) * drive_in / (u + 1j * v)
+    u, v, modulus = g / 2.0 + a * root, delta - b * root, power / root
+    pulled = np.sqrt(modulus - u * u)
+    v = np.where(pulled * (abs(delta) + b * root) > 4.0 * modulus, np.copysign(pulled, v), v)
+    zeta = np.sqrt(g) * drive_in / (u + 1j * v)
     branch = branch_labels(params, delta, root)
     jumped = np.zeros(root.shape, dtype=bool)
     if selection == "follow":
@@ -335,20 +328,21 @@ def steady_grid(params, zeta1_in, selection="lowest"):
     if selection not in SELECTIONS:
         raise ValueError(f"unknown branch selection {selection!r}")
     zeta1_in = np.asarray(zeta1_in, dtype=complex)
-    zeta1, intensity1, branch1, jumped1 = _cavity(params, params.Delta1, zeta1_in, selection)
-    zeta2_in = np.sqrt(params.gamma) * zeta1 - zeta1_in
-    zeta2, intensity2, branch2, jumped2 = _cavity(params, params.Delta2, zeta2_in, selection)
+    with np.errstate(all="ignore"):  # a nan, zero or overflowing root gives a "none" branch
+        zeta1, intensity1, branch1, jumped1 = _cavity(params, params.Delta1, zeta1_in, selection)
+        zeta2_in = np.sqrt(params.gamma) * zeta1 - zeta1_in
+        zeta2, intensity2, branch2, jumped2 = _cavity(params, params.Delta2, zeta2_in, selection)
 
-    motional_pole = params.Gamma / 2.0 + 1j * params.Omega
-    return SteadyBranch(
-        zeta1=zeta1, zeta2=zeta2,
-        zeta1_in=zeta1_in, zeta2_in=zeta2_in,
-        alpha=-1j * params.chi * intensity1 / motional_pole,
-        beta=-1j * params.chi * intensity2 / motional_pole,
-        intensity1=intensity1, intensity2=intensity2,
-        branch1=branch1, branch2=branch2,
-        jumped1=jumped1, jumped2=jumped2,
-    )
+        motional_pole = params.Gamma / 2.0 + 1j * params.Omega
+        return SteadyBranch(
+            zeta1=zeta1, zeta2=zeta2,
+            zeta1_in=zeta1_in, zeta2_in=zeta2_in,
+            alpha=-1j * params.chi * intensity1 / motional_pole,
+            beta=-1j * params.chi * intensity2 / motional_pole,
+            intensity1=intensity1, intensity2=intensity2,
+            branch1=branch1, branch2=branch2,
+            jumped1=jumped1, jumped2=jumped2,
+        )
 
 
 def residual(params, candidate):

@@ -65,7 +65,7 @@ LATTICE_CHUNK = 16
 DEFAULT_X_GRID = np.linspace(-4.0, 4.0, 161)
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointState:
     """Evolved field+atoms state in photon-number-indexed form.
 
@@ -83,7 +83,7 @@ class JointState:
 
     @cached_property
     def factor(self):
-        """label_factor(labels), kept after first use: replace labels, never mutate them."""
+        """label_factor(labels), kept after first use: frozen, so new labels make a new state."""
         return label_factor(self.labels)
 
 

@@ -53,19 +53,15 @@ class SingularTransferError(ArithmeticError):
 
 @dataclass
 class SpectrumPoint:
-    """Collective EPR variances and entanglement degree, as arrays over a grid."""
+    """Collective EPR variances and entanglement degree, as arrays over a grid, all
+    formed under `_epr_kernel`'s floating-point boundary."""
 
     omega: np.ndarray
     s_qplus: np.ndarray
     s_pminus: np.ndarray
     commutator: np.ndarray
     e_degree: np.ndarray
-
-    @property
-    def variance_product(self):
-        """s_qplus * s_pminus: the degree under a fixed equal-time
-        commutator normalization |<[q, p]>|^2/4 = 1 (diagnostic)."""
-        return self.s_qplus * self.s_pminus
+    variance_product: np.ndarray  # s_qplus s_pminus: the degree at |<[q, p]>|^2/4 = 1
 
 
 @dataclass
@@ -296,6 +292,7 @@ def _epr_kernel(blocks, d, omega):
         scale = np.ldexp(1.0, -np.frexp(np.abs(comm))[1])
         e_degree = np.where(status == OK, (s_q * scale) * (s_p * scale)
                             / (0.25 * np.square(np.abs(comm) * scale)), np.nan)
+        grid = SpectrumPoint(omega, s_q, s_p, comm, e_degree, s_q * s_p)
 
     def failure(i):
         if status.flat[i] == SINGULAR:
@@ -306,7 +303,7 @@ def _epr_kernel(blocks, d, omega):
             f"EPR forms dominated by rounding (estimated relative error {rounding.flat[i]:.3e})",
         )[status.flat[i] - DEGENERATE] + f" at omega={omega.flat[i]}")
 
-    return SpectrumPoint(omega, s_q, s_p, comm, e_degree), status, failure
+    return grid, status, failure
 
 
 def epr_grid(params, steady, omega):

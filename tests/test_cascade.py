@@ -627,7 +627,8 @@ class TestRootGridWeakCoupling:
     def test_unsettled_row_is_no_root(self, monkeypatch):
         monkeypatch.setattr(cascade, "BRACKET_ITERATIONS", 3)
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        row = cascade._bracketed_roots(params, params.Delta1, np.array([1e150]))[0]
+        with np.errstate(all="ignore"):  # the boundary root_grid gives it
+            row = cascade._bracketed_roots(params, params.Delta1, np.array([1e150]))[0]
         assert np.all(np.isnan(row))
 
     @pytest.mark.parametrize("chi", [0.3, 1.0, 3.0])

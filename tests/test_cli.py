@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from block_oracle import build_drift, cancelling_noise, epr_reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavmotion import cascade, cli, conditional, spectra
@@ -838,6 +838,12 @@ def cli_requests(draw):
 
 @settings(max_examples=800, derandomize=True, deadline=None)
 @given(cli_requests())
+# inf - inf in the first cavity's jump test, a non-finite first-cavity
+# amplitude fed to the second cavity, and an overflowing variance product
+@example(["cascaded", "sweep", "--gamma=1e-300", "--Delta1=1e-300", "--drive-count=4"])
+@example(["cascaded", "sweep", "--gamma=2.225073858507e-311", "--Delta1=0",
+          "--drive-min=2.225073858507e-311", "--drive-count=4"])
+@example(["cascaded", "spectrum", "--chi=0", "--Gamma=1e-200"])
 def test_cli_contract_property(argv):
     # whatever flags a request sets, the CLI exits 0, 1 or 2 without an
     # escaping exception or a warning other than the documented truncation

@@ -3,7 +3,7 @@
 import contextlib
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import mpmath
 import numpy as np
@@ -280,6 +280,20 @@ class TestFactoredKernel:
                        rng.normal(size=7) * 12 + 1j * rng.normal(size=7) * 12):
             b = label_factor(labels)
             assert np.allclose(b.conj().T @ b, gram_matrix(labels), rtol=0, atol=1e-13)
+
+    def test_replaced_labels_get_a_fresh_factor(self):
+        # the cached factor must never outlive the labels it factors: assigning
+        # labels is refused, and a state built with new labels factors those
+        state = evolve(3.0, 1.0, np.pi)
+        factor = state.factor
+        assert state.factor is factor
+        other = evolve(3.0, 0.3, np.pi).labels
+        with pytest.raises(FrozenInstanceError):
+            state.labels = other
+        assert state.factor is factor
+        fresh = replace(state, labels=other).factor
+        assert fresh is not factor
+        assert np.allclose(fresh.conj().T @ fresh, gram_matrix(other), rtol=0, atol=1e-13)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(zeta=st.floats(0.0, 8.0), log_kappa=st.floats(math.log(1e-4), math.log(2.0)),

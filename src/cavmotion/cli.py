@@ -24,12 +24,12 @@ import sys
 
 import numpy as np
 
-from . import conditional, spectra, svgplot
+from . import _digits, conditional, spectra, svgplot
 from .cascade import SELECTIONS, PhysParams, residual, steady_grid
 from .fock import DEFAULT_HARD_CAP, TruncationPolicy
 
 USAGE_ERROR, NUMERICAL_ERROR = 1, 2
-FLOAT_FORMAT = "%.12e"
+FLOAT_FORMAT = _digits.SCIENTIFIC  # "%.12e", the format of every float cell
 
 DEFAULTS = {
     # single-cavity scenario (time in scaled units, Omega*t -> t)
@@ -173,14 +173,93 @@ def _policy(merged):
     return _checked(TruncationPolicy, merged, ("tail_epsilon", "hard_cap"))
 
 
+TEXT_FORMAT = "%s"
+# cells below which a document is written cell by cell in Python: the
+# array writer's fixed cost, some 70-110 us, pays off from 64-96 cells
+SMALL_DOCUMENT = 80
+BLOCK_ROWS = 1024  # rows per array pass, which bounds the writer's temporaries
+
+
+@functools.lru_cache(maxsize=64)
+def _template(template):
+    """(literals, specifiers) of a row template: FLOAT_FORMAT and "%s" are
+    its only specifiers, and a literal is the text between two of them."""
+    pieces = re.split(f"({re.escape(FLOAT_FORMAT)}|{re.escape(TEXT_FORMAT)})", template)
+    literals, specifiers = tuple(pieces[0::2]), tuple(pieces[1::2])
+    if any("%" in literal for literal in literals):
+        raise ValueError(f"row template {template!r} has a specifier other than "
+                         f"{FLOAT_FORMAT} and {TEXT_FORMAT}")
+    return literals, specifiers
+
+
+def _text(column):
+    """A column's "%s" cells as a str array; booleans print as true/false."""
+    if column.dtype == bool:
+        return np.where(column, "true", "false")
+    if column.dtype.kind == "U":
+        return column
+    return np.array([str(value) for value in column.tolist()], dtype=str)
+
+
 def format_csv(header, template, columns):
-    """CSV text: the header line, then `template % row` for every index of
-    the columns (equal-length arrays, or numbers for one row); booleans
-    print as true/false."""
-    cells = [np.atleast_1d(column) for column in columns]
-    cells = [np.where(c, "true", "false") if c.dtype == bool else c for c in cells]
-    rows = (template % row for row in zip(*(c.tolist() for c in cells)))
-    return "\n".join([header, *rows]) + "\n"
+    """CSV text: the header line, then one line per row of the columns,
+    written by `template` (literal text and one specifier per column).
+
+    The specifiers are FLOAT_FORMAT and "%s" (a boolean prints as
+    true/false, anything else as `str`).  A column is a 1-D array or a
+    number; numbers and length-1 columns are repeated down the rows, and
+    columns of any other two lengths are refused (ValueError), as is any
+    other specifier.  The bytes are those of `template % row` on every row:
+    the float cells of each block of BLOCK_ROWS rows go through one array
+    writer call (`_digits.scientific`), which takes Python's own conversion
+    for the cells it cannot decide (near a rounding boundary, 0, subnormal,
+    beyond 1e+-290, nan, inf), and documents under SMALL_DOCUMENT cells are
+    written cell by cell.
+    """
+    literals, specifiers = _template(template)
+    if len(columns) != len(specifiers):
+        raise ValueError(f"row template {template!r} takes {len(specifiers)} columns, "
+                         f"got {len(columns)}")
+    columns = [np.atleast_1d(column) for column in columns]
+    shapes = set()  # of the columns not to repeat
+    for spec, column in zip(specifiers, columns):
+        if spec == FLOAT_FORMAT and column.dtype.kind not in "biuf":  # `%` refuses them too
+            raise TypeError(f"{FLOAT_FORMAT} takes real numbers, got a column of {column.dtype}")
+        if column.shape != (1,):
+            shapes.add(column.shape)
+    if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+        raise ValueError(f"columns of shapes {[column.shape for column in columns]} "
+                         "are not one length")
+    rows = shapes.pop()[0] if shapes else min(len(columns), 1)
+    if rows * len(columns) < SMALL_DOCUMENT:
+        cells = [_digits.formatted(FLOAT_FORMAT, column.tolist()) if spec == FLOAT_FORMAT
+                 else _text(column).tolist() for spec, column in zip(specifiers, columns)]
+        cells = [column * rows if len(column) == 1 else column for column in cells]
+        lines = ("".join(literal + cell for literal, cell in zip(literals, row)) + literals[-1]
+                 + "\n" for row in zip(*cells))
+        return "".join([header, "\n", *lines])
+    columns = [np.asarray(column, dtype=np.float64) if spec == FLOAT_FORMAT else _text(column)
+               for spec, column in zip(specifiers, columns)]
+    blocks = ([column[start:start + BLOCK_ROWS] if len(column) > 1 else column
+               for column in columns] for start in range(0, rows, BLOCK_ROWS))
+    return header + "\n" + "".join(_lines(literals, specifiers, block) for block in blocks)
+
+
+def _lines(literals, specifiers, columns):
+    """The lines of one block of rows, all float cells in one array writer call."""
+    rows = max(len(column) for column in columns)
+    floats = [column for spec, column in zip(specifiers, columns) if spec == FLOAT_FORMAT]
+    block = np.empty((rows, len(floats)))
+    for k, column in enumerate(floats):
+        block[:, k] = column
+    written = _digits.scientific(block)
+    float_cells = iter(written.reshape(rows, len(floats), written.shape[1]).transpose(1, 0, 2))
+    parts = []
+    for literal, spec, column in zip(literals, specifiers, columns):
+        parts += [_digits.literal(literal),
+                  next(float_cells) if spec == FLOAT_FORMAT else _digits.text(column)]
+    parts.append(_digits.literal(literals[-1] + "\n"))
+    return _digits.decoded(_digits.side_by_side(parts, rows))
 
 
 def run_single_cavity(merged, x_values=None):

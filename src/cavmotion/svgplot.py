@@ -4,11 +4,20 @@ No plotting library: identical input bytes must yield identical output
 bytes, so everything (tick placement, coordinate rounding, colors) is
 fixed here.  Polylines break wherever a series leaves the finite range,
 and each such break is marked with a dashed vertical rule so branch jumps
-and flagged sweep points stay visible.
+and flagged sweep points stay visible.  The plotted columns are parsed by
+`float()` and their coordinates computed as whole arrays, in the same
+operations and order as one point at a time, so they are the same doubles;
+each polyline's points are written by `_digits.fixed`, whose text is
+`'%.2f' %` of every coordinate.
 """
 
 import math
+import operator
 import sys
+
+import numpy as np
+
+from . import _digits
 
 WIDTH, HEIGHT = 640.0, 440.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 20.0, 50.0
@@ -31,6 +40,19 @@ def _to_float(cell):
         return math.nan
 
 
+def _column(rows, index):
+    """The float values of one column; a missing or unparsable cell is nan.
+    The values are float() of the cells, which numpy applies to str items."""
+    try:
+        cells = list(map(operator.itemgetter(index), rows))
+    except IndexError:
+        cells = [row[index] if index < len(row) else "nan" for row in rows]
+    try:
+        return np.array(cells, dtype=np.float64)
+    except ValueError:
+        return np.array([_to_float(cell) for cell in cells], dtype=np.float64)
+
+
 def _span(values, pad=0.0):
     """Axis limits: the range of the finite values ((0, 1) if none; one value, or
     a range below the smallest normal float, gets a width of 1, or of its float
@@ -38,8 +60,8 @@ def _span(values, pad=0.0):
     `pad` of its width at each end and kept within the float range.  Widths are
     taken as differences of halves, which do not overflow and equal the halved
     differences elsewhere."""
-    finite = [v for v in values if math.isfinite(v)]
-    lo, hi = (min(finite), max(finite)) if finite else (0.0, 1.0)
+    finite = values[np.isfinite(values)]
+    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     top = sys.float_info.max
     if hi - lo < sys.float_info.min:
         hi = lo + max(1.0, math.ulp(lo))
@@ -78,6 +100,15 @@ def _text(x, y, size, text, anchor="middle"):
     return f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}"{anchor}>{text}</text>'
 
 
+def _points(px, py):
+    """The "px,py " texts of the points (`%.2f` by `_digits.fixed`) joined, and
+    the offsets where each one starts, then the length of the whole."""
+    table = _digits.side_by_side([_digits.fixed(px), _digits.literal(","), _digits.fixed(py),
+                                  _digits.literal(" ")], len(px))
+    ends = np.cumsum((table != _digits.PAD).sum(axis=1)).tolist()
+    return _digits.decoded(table), [0, *ends]
+
+
 def render_plot(csv_text, x_column, y_columns, title=""):
     """Render one polyline per y column against x_column; returns SVG text."""
     header, rows = parse_csv(csv_text)
@@ -86,10 +117,10 @@ def render_plot(csv_text, x_column, y_columns, title=""):
             raise KeyError(f"column {name!r} not in CSV header {header}")
     xi = header.index(x_column)
     yis = [header.index(name) for name in y_columns]
-    xs = [_to_float(r[xi]) if xi < len(r) else math.nan for r in rows]
-    series = [[_to_float(r[yi]) if yi < len(r) else math.nan for r in rows] for yi in yis]
+    xs = _column(rows, xi)
+    series = [_column(rows, yi) for yi in yis]
     x_lo, x_hi = _span(xs)
-    y_lo, y_hi = _span([y for ys in series for y in ys], pad=0.05)
+    y_lo, y_hi = _span(np.ravel(series), pad=0.05)
 
     def px(x):
         return MARGIN_L + (x / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * (WIDTH - MARGIN_L - MARGIN_R)
@@ -119,17 +150,16 @@ def render_plot(csv_text, x_column, y_columns, title=""):
     gaps = set()  # x of every run end that borders a non-finite point
     for si, (name, ys) in enumerate(zip(y_columns, series)):
         stroke = f'stroke="{PALETTE[si % len(PALETTE)]}" stroke-width="1.5"'
-        start = None  # index of the first point of the current run of finite points
-        for k, y in enumerate([*ys, math.nan]):
-            finite = math.isfinite(y) and math.isfinite(xs[k])
-            if finite and start is None:
-                start = k
-            elif not finite and start is not None:
-                points = " ".join([f"{px(xs[i]):.2f},{py(ys[i]):.2f}" for i in range(start, k)])
-                parts.append(f'<polyline points="{points}" fill="none" {stroke}/>')
-                gaps.update(round(px(xs[i]), 2) for i, edge in ((start, 0), (k - 1, len(xs) - 1))
+        shown = np.flatnonzero(np.isfinite(xs) & np.isfinite(ys))
+        if shown.size:
+            points, ends = _points(px(xs[shown]), py(ys[shown]))
+            starts = [0, *(np.flatnonzero(np.diff(shown) != 1) + 1).tolist()]
+            for start, stop in zip(starts, [*starts[1:], shown.size]):
+                parts.append(f'<polyline points="{points[ends[start]:ends[stop] - 1]}" '
+                             f'fill="none" {stroke}/>')
+                gaps.update(round(px(float(xs[i])), 2)
+                            for i, edge in ((shown[start], 0), (shown[stop - 1], len(xs) - 1))
                             if i != edge)
-                start = None
         ly = MARGIN_T + 14 + 14 * si
         parts += [_line(WIDTH - MARGIN_R - 110, ly, WIDTH - MARGIN_R - 90, ly, stroke),
                   _text(WIDTH - MARGIN_R - 85, ly + 3, 10, name, anchor=None)]

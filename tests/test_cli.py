@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 import xml.dom.minidom
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from block_oracle import build_drift, cancelling_noise, epr_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavmotion import cascade, cli, conditional, spectra
+from cavmotion import _digits, cascade, cli, conditional, spectra
 from cavmotion.cascade import SELECTIONS, steady_grid
 from cavmotion.fock import DEFAULT_HARD_CAP
 from cavmotion.svgplot import render_plot
@@ -765,6 +766,154 @@ def test_overflowing_schur_determinant_is_not_singular(argv, monkeypatch, capsys
     if argv[1] == "sweep":
         assert all(row[-1] == "true" for row in rows[1:])
         assert all(e is None for e in sweeps[0].error)
+
+
+def written(rows):
+    """The text of each PAD-filled byte row of a writer."""
+    return [row[row != _digits.PAD].tobytes().decode() for row in rows]
+
+
+def assert_writers_match_python(values):
+    values = np.asarray(values, dtype=np.float64)
+    items = values.tolist()
+    assert written(_digits.scientific(values)) == [cli.FLOAT_FORMAT % x for x in items]
+    assert written(_digits.fixed(values)) == [f"{x:.2f}" for x in items]
+
+
+def thirteenth_digit_ties():
+    """Doubles whose decimal expansion ends at a 5 in the 14th significant
+    digit, exactly halfway between two 13-digit numbers: (2N + 1) 10^(e-12) / 2
+    with 2N + 1 a multiple of 5^(12-e) below e = 12; and the exact cent ties
+    k / 8 of `%.2f`."""
+    rng = np.random.default_rng(26)
+    ties = []
+    for e in range(-7, 18):
+        step = 5 ** max(0, 12 - e)
+        for q in rng.integers(2 * 10**12 // step, 2 * 10**13 // step, size=40).tolist():
+            tie = Fraction(step * (q | 1), 2) * Fraction(10) ** (e - 12)
+            if float(tie) == tie:
+                ties += [float(tie), -float(tie)]
+    assert len(ties) > 500
+    return ties + (np.arange(-8000, 8000) / 8).tolist()
+
+
+class TestDecimalWriters:
+    """Both writers against Python's own `%`, cell by cell."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_double(self, values):
+        assert_writers_match_python(values)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(0.0, 700.0) | st.floats(-1e9, 1e9), min_size=1, max_size=64))
+    def test_plot_coordinates(self, values):
+        assert_writers_match_python(values)
+
+    def test_raw_bit_patterns(self):
+        bits = np.random.default_rng(2026).integers(0, 2**64, size=100_000, dtype=np.uint64)
+        assert_writers_match_python(bits.view(np.float64))
+
+    def test_ties_round_half_even(self):
+        assert_writers_match_python(thirteenth_digit_ties())
+
+    def test_neighbours_of_every_power_of_ten(self):
+        powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+        near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        assert_writers_match_python(np.concatenate([near, -near, [np.nan, np.inf, -np.inf]]))
+
+
+def sweep_columns(count=2401):
+    """The header, template and columns of `cascaded sweep` over `count` drives."""
+    merged = dict(cli.DEFAULTS, drive_count=count)
+    params = cli._phys_params(merged)
+    sweep = spectra.amplitude_sweep(params, cli._grid(merged, "drive"), params.Omega)
+    return ("drive,branch,intensity1,intensity2,e_degree,stable",
+            ",".join([cli.FLOAT_FORMAT, "%s%s/%s"] + [cli.FLOAT_FORMAT] * 3 + ["%s"]),
+            [sweep.drive, np.where(sweep.jumped, "jump:", ""), sweep.branch1, sweep.branch2,
+             sweep.intensity1, sweep.intensity2, sweep.e_degree, sweep.stable])
+
+
+class TestFormatCsv:
+    def test_one_row_document_is_that_row_of_a_long_one(self):
+        # one row goes through Python's `%`, 2401 through the array writer
+        header, template, columns = sweep_columns()
+        lines = cli.format_csv(header, template, columns).split("\n")
+        assert len(lines) == 2403 and lines[-1] == ""
+        for i in (0, 1, 700, 1203, 2400):
+            one = cli.format_csv(header, template, [column[i:i + 1] for column in columns])
+            assert one == f"{header}\n{lines[i + 1]}\n"
+
+    def test_scalars_and_length_one_columns_are_repeated(self):
+        doc = cli.format_csv("a,b,c", "%.12e,%.12e,%s", (np.arange(3.0), np.array([1.0]), "x"))
+        assert doc.split("\n")[1:] == [f"{i:.12e},1.000000000000e+00,x" for i in range(3)] + [""]
+        doc = cli.format_csv("a,b", "%s,%.12e", (True, np.arange(2.0)))
+        assert doc == "a,b\ntrue,0.000000000000e+00\ntrue,1.000000000000e+00\n"
+
+    def test_columns_of_two_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="not one length"):
+            cli.format_csv("a,b", "%.12e,%.12e", (np.arange(3.0), np.arange(2.0)))
+        with pytest.raises(ValueError, match="takes 2 columns"):
+            cli.format_csv("a,b", "%.12e,%.12e", (np.arange(3.0),))
+
+    @pytest.mark.parametrize("rows", [1, 100])
+    def test_text_and_objects_under_the_float_specifier_are_refused(self, rows):
+        # as `%` refuses it, on either side of SMALL_DOCUMENT
+        for column in (np.full(rows, "1.5"), np.full(rows, 1.5, dtype=object)):
+            with pytest.raises(TypeError):
+                cli.format_csv("a", "%.12e", (column,))
+
+    @pytest.mark.parametrize("template", ["%.6e", "%d", "%%,%s", "%r", "%.12e,%.2f"])
+    def test_other_specifiers_are_refused(self, template):
+        with pytest.raises(ValueError, match="specifier other than"):
+            cli.format_csv("a,b", template, (np.arange(2.0),) * template.count("%"))
+
+    def test_text_cells_keep_every_character(self):
+        # non-ASCII text goes cell by cell; NUL inside a cell stays
+        cells = np.array(["é", "a\x00b", "", "\U0001f600"])
+        doc = cli.format_csv("t,x", "%s;%.12e", (cells, np.arange(4.0) * 30))
+        assert doc.split("\n")[1:-1] == [f"{t};{30 * i:.12e}" for i, t in enumerate(cells)]
+
+    def test_fast_path_serves_the_golden_runs(self, monkeypatch, capsys):
+        # under 1% of the finite normal float cells of the five default
+        # documents reach Python's `%` from the array writer, and every cell
+        # of the three long ones goes to it: the fast path cannot silently stop
+        counts = {"array": 0, "fallback": 0, "small": 0}
+        scientific, formatted = _digits.scientific, _digits.formatted
+        inside = []
+
+        def normal(values):
+            values = np.abs(np.asarray(values, dtype=np.float64))
+            return int(np.count_nonzero(np.isfinite(values) & (values >= sys.float_info.min)))
+
+        def spy_scientific(values):
+            counts["array"] += np.size(values)
+            inside.append(True)
+            try:
+                return scientific(values)
+            finally:
+                inside.pop()
+
+        def spy_formatted(spec, values):
+            counts["fallback" if inside else "small"] += normal(values)
+            return formatted(spec, values)
+
+        monkeypatch.setattr(_digits, "scientific", spy_scientific)
+        monkeypatch.setattr(_digits, "formatted", spy_formatted)
+        total, long_cells = 0, 0
+        for argv, _ in GOLDEN_RUNS:
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            header, *rows = out.strip().split("\n")
+            names = header.split(",")
+            floats = [names.index(name) for name in names
+                      if name not in ("branch1", "branch2", "branch", "stable")]
+            cells = [row.split(",")[i] for row in rows for i in floats]
+            total += normal(np.array(cells, dtype=float))
+            long_cells += len(cells) if len(rows) > 1 else 0
+        assert counts["array"] == long_cells
+        assert counts["fallback"] < 0.01 * total
+        assert counts["small"] == 4 + 12  # the point and steady documents
 
 
 class Alarm(BaseException):

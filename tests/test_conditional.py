@@ -377,6 +377,21 @@ class TestBandFactor:
             assert abs(prob[i] / want_prob - 1.0) <= 2e-14
             assert abs(purity[i] - want_purity) <= 1e-14
 
+    def test_label_factor_row_at_small_spacing_holds_its_error(self):
+        # a known loss, held to its current size: at N+1 = 87 and s = 4.5e-4
+        # the profile takes the label factor (17 x 87), whose rows carry no
+        # error estimate; against 60 digits P is off by 3.4e-9 (relative) and
+        # the purity by 4.6e-11
+        state = evolve(6.037, 0.01058, np.pi)
+        spacing = lattice_spacing(state.labels)
+        assert state.labels.size == 87 and spacing < LATTICE_MIN_SPACING
+        assert label_factor(state.labels).shape == (17, 87)
+        res = condition_on_quadrature(state, [0.05])
+        want_prob, want_purity = reference_moments(spacing, lattice_rows(state, [0.05])[0],
+                                                   dps=60)
+        assert abs(res.prob_density[0] / want_prob - 1.0) <= 1e-8
+        assert abs(1.0 - res.lin_entropy[0] - want_purity) <= 1e-10
+
     @pytest.mark.parametrize("zeta,kappa", [(5.0, 0.2), (8.0, 0.3), (12.0, 0.05), (6.0, 0.36)])
     def test_ill_conditioned_gram_is_never_banded(self, zeta, kappa):
         # the closed-form factor's smallest pivot (z; z)_N is below the floor:

@@ -47,11 +47,9 @@ from .spectra import (
     SweepPoint,
     amplitude_sweep,
     build_noise,
-    correlation_matrix,
     epr_grid,
     stability_grid,
     stage_blocks,
-    transfer_rows,
 )
 
 __version__ = "0.1.0"

@@ -330,6 +330,6 @@ def efficiency_profile(zeta, kappa, time, x_grid=None, policy=DEFAULT_POLICY):
     instead of aborting the profile (`condition_on_quadrature`).
     """
     x_grid = np.asarray(DEFAULT_X_GRID if x_grid is None else x_grid, dtype=float)
-    if x_grid.size and np.any(np.diff(x_grid) < 0):
+    if not np.all(np.diff(x_grid) >= 0):
         raise ValueError("x_grid must be sorted ascending")
     return condition_on_quadrature(evolve(zeta, kappa, time, policy), x_grid)

@@ -31,8 +31,6 @@ STAGES = np.array([0, 1, 4, 5, 2, 3, 6, 7])
 PAIRS = np.array([1, 0, 3, 2, 5, 4, 7, 6])
 
 TINY, EPS = np.finfo(float).tiny, np.finfo(float).eps
-# largest componentwise backward error of a row solve that transfer_rows accepts
-SOLVE_TOLERANCE = 1e-10
 # EPR kernel point status
 OK, SINGULAR, DEGENERATE, NONPOSITIVE, ROUNDING = range(5)
 # largest estimated relative rounding error of an EPR form at an OK point:
@@ -173,9 +171,13 @@ def _solve_rows(block, shift, u):
 
 
 def _row_solve(blocks, omega, rows):
-    """(y, singular, backward): the rows (n, k, 8) of `transfer_rows` at n flat
-    points, for stages (n, 2, 4, 4) or one working point's (`stage_blocks`) and
-    omega (n,); either stage singular (`_solve_rows`), the larger backward error."""
+    """(y, singular, backward): the rows y = u (i w I - M)^(-1) (n, k, 8) of
+    `rows` (k, 8) at n flat points, for stages (n, 2, 4, 4) or one working
+    point's (`stage_blocks`) and omega (n,); either stage singular
+    (`_solve_rows`), the larger backward error.
+
+    In the slots regrouped by stage the drift is [[A, 0], [C, D]], so
+    y2 = u2 (i w - D)^(-1), then y1 = (u1 + y2 C)(i w - A)^(-1)."""
     stages, feed = blocks
     shift = 1j * np.asarray(omega, dtype=float)
     # one (k, 1) array per slot: the rows on the leading axis, the points behind
@@ -189,9 +191,9 @@ def _row_solve(blocks, omega, rows):
     return y, singular1 | singular2, np.maximum(backward1, backward2)
 
 
-def _blocked(blocks, omega, rows, reduce):
+def _blocked(blocks, omega, reduce):
     """[omega, singular, backward, *reduce(y)] over the broadcast of the `stage_blocks`
-    (stages, feed) and `omega`, reducing the rows y (n, k, 8) of `rows` (`_row_solve`) for
+    (stages, feed) and `omega`, reducing the rows y (n, 4, 8) of EPR_ROWS (`_row_solve`) for
     GRID_BLOCK flattened points at a time: its memory is that of the results and one block."""
     stages, feed = blocks
     omega = np.broadcast_to(omega, np.broadcast_shapes(stages.shape[:-3], np.shape(omega)))
@@ -202,52 +204,13 @@ def _blocked(blocks, omega, rows, reduce):
     stages = np.broadcast_to(stages, points.shape + (2, 4, 4)) if stages.ndim > 3 else stages
     for start in range(0, max(omega.size, 1), GRID_BLOCK):
         at = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, omega.size)), points.shape)
-        y, singular, backward = _row_solve((stages[at[:stages.ndim - 3]], feed), points[at], rows)
+        y, singular, backward = _row_solve((stages[at[:stages.ndim - 3]], feed), points[at],
+                                           EPR_ROWS)
         for k, part in enumerate((singular, backward) + tuple(reduce(y))):
             if start == 0:  # the whole grid's column, shaped as the first block's part
                 out.append(np.empty((omega.size,) + part.shape[1:], part.dtype))
             out[k][start:start + GRID_BLOCK] = part
     return [omega] + [c.reshape(omega.shape + c.shape[1:]) for c in out]
-
-
-def _solve_error(omega, singular, backward):
-    """The SingularTransferError of a failed row solve at one point."""
-    lost = f"transfer solve at omega={omega} lost precision (backward error {backward:.3e})"
-    return SingularTransferError(f"transfer matrix singular at omega={omega}" if singular else lost)
-
-
-def _checked(params, steady, omega, rows, reduce):
-    """reduce(y) of `_blocked` at the working points `steady`; raises as `transfer_rows` does."""
-    omega, singular, backward, out = _blocked(stage_blocks(params, steady), omega, rows, reduce)
-    failed = singular | ~(backward <= SOLVE_TOLERANCE)  # a nan backward error fails too
-    if failed.any():
-        raise _solve_error(*(c.flat[np.argmax(failed)] for c in (omega, singular, backward)))
-    return out
-
-
-def transfer_rows(params, steady, omega, rows):
-    """Rows y = u (i w I - M)^(-1) for every row u of `rows` (k, 8), at every
-    point of the broadcast of the working points `steady` (one, or a grid)
-    and `omega`: (..., k, 8).
-
-    In the slots regrouped by stage the drift is [[A, 0], [C, D]] (see
-    `stage_blocks`), so y2 = u2 (i w - D)^(-1), then y1 = (u1 + y2 C)(i w - A)^(-1):
-    two closed-form stage solves (`_solve_rows`).  Raises SingularTransferError
-    naming the first failing w in grid order when a stage is singular there or
-    a solve's componentwise backward error exceeds SOLVE_TOLERANCE.
-    """
-    return _checked(params, steady, omega, rows, lambda y: (y,))
-
-
-def correlation_matrix(params, steady, omega):
-    """Delta-stripped second moments C(w) = T(w) d T(-w)^T of the fluctuations,
-    for the input moments d of `build_noise`, at every point of the broadcast
-    of the working points `steady` and `omega`, with T(w) = (i w I - M)^(-1)
-    the `transfer_rows` of the unit rows.  P conj(M) P = M gives
-    T(-w)^T = P T(w)^H P for the slot swap P (PAIRS), so C = (T d P T^H) P."""
-    d_p = build_noise(params)[:, PAIRS]
-    return _checked(params, steady, omega, np.eye(8),
-                    lambda t: ((t @ d_p @ np.swapaxes(t.conj(), -1, -2))[..., PAIRS],))
 
 
 def _epr_kernel(blocks, d, omega):
@@ -282,7 +245,7 @@ def _epr_kernel(blocks, d, omega):
 
     with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
         omega, singular, backward, s_q, s_p, comm, spread = _blocked(
-            blocks, np.asarray(omega, dtype=float), EPR_ROWS, forms)
+            blocks, np.asarray(omega, dtype=float), forms)
         rounding = (backward + EPS) * spread
         status = np.where(singular | ~np.isfinite(backward), SINGULAR, np.where(
             np.isfinite(comm) & (np.abs(comm) >= TINY), np.where(np.minimum(s_q, s_p) > 0.0,
@@ -296,7 +259,10 @@ def _epr_kernel(blocks, d, omega):
 
     def failure(i):
         if status.flat[i] == SINGULAR:
-            return _solve_error(omega.flat[i], singular.flat[i], backward.flat[i])
+            return SingularTransferError(
+                f"transfer matrix singular at omega={omega.flat[i]}" if singular.flat[i] else
+                f"transfer solve at omega={omega.flat[i]} lost precision "
+                f"(backward error {backward.flat[i]:.3e})")
         return ArithmeticError((
             f"degenerate commutator spectrum |{comm.flat[i]}|",
             f"non-positive EPR variance (s_qplus {s_q.flat[i]}, s_pminus {s_p.flat[i]})",
@@ -311,7 +277,7 @@ def epr_grid(params, steady, omega):
 
     Evaluates every point of the broadcast of the working points `steady`
     (one, or a grid) and `omega`, for the input moments of `build_noise`,
-    from four rows of `transfer_rows` (`_epr_kernel`).
+    from the rows u (i w I - M)^(-1) of EPR_ROWS (`_epr_kernel`).
     s_qplus and s_pminus are the symmetrized variances of q_a + q_b and
     p_a - p_b; the commutator is the spectral <[q_a(w), p_a(w)]> built from
     the state-independent input commutators; the degree is their ratio
@@ -373,7 +339,7 @@ def amplitude_sweep(params, drive_grid, omega_eval):
     e_degree = nan and the reason in their error.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
-    if drive_grid.size and np.any(np.diff(drive_grid) < 0):
+    if not np.all(np.diff(drive_grid) >= 0):
         raise ValueError("drive_grid must be sorted ascending")
     steady = steady_grid(params, drive_grid, selection="follow")
     stable = stability_grid(params, steady)

@@ -20,6 +20,7 @@ import pytest
 from block_oracle import block_eigenvalues, build_drift
 from scipy.integrate import simpson
 
+from cavmotion import spectra
 from cavmotion.cascade import (
     PhysParams,
     SteadyBranch,
@@ -42,7 +43,7 @@ from cavmotion.spectra import (
     amplitude_sweep,
     epr_grid,
     stability_grid,
-    transfer_rows,
+    stage_blocks,
 )
 
 CANONICAL_RATES = dict(Gamma=1e-3, gamma=1.0, Delta1=1e4, Delta2=1e4)
@@ -220,7 +221,7 @@ def test_randomized_property_suites():
             continue
         drift = build_drift(params, branch)
         omega = rng.uniform(-3.0, 3.0) * params.Omega
-        t = transfer_rows(params, branch, omega, np.eye(8))
+        t = spectra._row_solve(stage_blocks(params, branch), np.atleast_1d(omega), np.eye(8))[0][0]
         lhs = 1j * omega * np.eye(8) - drift
         defect = np.abs(lhs @ t - np.eye(8))
         row_norms = np.maximum(np.abs(lhs).sum(axis=1), 1.0)

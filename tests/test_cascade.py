@@ -109,12 +109,16 @@ class TestBranchLabel:
         assert branch_labels(params, 1.0, 123.0) == BRANCH_LOWER
 
     def test_three_roots_classify_in_order(self):
-        params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        window = bistable_window(params, params.Delta1)
-        power = np.sqrt(window[0] * window[1])
-        roots = found(root_grid(params, params.Delta1, [power])[0])
-        labels = branch_labels(params, params.Delta1, roots).tolist()
-        assert labels == [BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_UPPER]
+        # the second curve, strongly coupled at a small detuning, turns at
+        # intensities of order 1e-4: any positive upper turning point, however
+        # small, makes a curve bistable
+        for params in (PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES),
+                       PhysParams(chi=300.0, Omega=10.0, Gamma=1e-3, gamma=1.0, Delta1=10.0)):
+            window = bistable_window(params, params.Delta1)
+            power = np.sqrt(window[0] * window[1])
+            roots = found(root_grid(params, params.Delta1, [power])[0])
+            labels = branch_labels(params, params.Delta1, roots).tolist()
+            assert labels == [BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_UPPER]
 
     def test_nan_intensity_is_none(self):
         # a drive whose power overflowed has no working point, on either curve
@@ -623,6 +627,18 @@ class TestRootGridWeakCoupling:
         u, v = params.gamma / 2 + a * roots, delta - b * roots
         miss = np.abs(roots * (u * u + v * v) - powers[:, None]) / powers[:, None]
         assert np.nanmax(miss) <= 1e-12
+
+    def test_rounding_floor_accepts_roots_near_resonance(self):
+        # the middle and upper roots of a benchmark sweep lie near the pulled
+        # resonance delta = b I, where the check's own rounding, not the
+        # roots, puts some misses above ROOT_TOLERANCE P: within the rounding
+        # floor no row is missed
+        params = PhysParams(chi=0.3, Omega=1000.0, **CANONICAL_RATES)
+        powers = np.geomspace(1e8, 1e16, 4001)
+        roots = root_grid(params, params.Delta1, powers)
+        miss = np.abs(cascade._modulus_cubic(params, params.Delta1, roots, powers[:, None])[0])
+        assert np.any(miss > cascade.ROOT_TOLERANCE * powers[:, None])
+        assert not cascade._misses_cubic(params, params.Delta1, roots, powers).any()
 
     def test_unsettled_row_is_no_root(self, monkeypatch):
         monkeypatch.setattr(cascade, "BRACKET_ITERATIONS", 3)

@@ -609,8 +609,10 @@ class TestEfficiencyProfile:
         assert np.array_equal(profile.cond_coeffs[1], one.cond_coeffs[0])
 
     def test_unsorted_grid_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            efficiency_profile(0.5, 1.0, np.pi, x_grid=np.array([1.0, 0.0]))
+        # a nan compares False with anything, so it cannot vouch for the order
+        for grid in ([1.0, 0.0], [0.0, np.nan, -1.0]):
+            with pytest.raises(ValueError, match="sorted"):
+                efficiency_profile(0.5, 1.0, np.pi, x_grid=np.array(grid))
 
     def test_default_grid_survives_a_write_through_a_result(self):
         profile = efficiency_profile(0.8, 1.0, np.pi)

@@ -34,11 +34,9 @@ from cavmotion.spectra import (
     SingularTransferError,
     amplitude_sweep,
     build_noise,
-    correlation_matrix,
     epr_grid,
     stability_grid,
     stage_blocks,
-    transfer_rows,
 )
 
 CANONICAL_RATES = dict(Gamma=1e-3, gamma=1.0, Delta1=1e4, Delta2=1e4)
@@ -91,6 +89,12 @@ def undamped_atoms():
     no input noise, so their commutator spectrum vanishes at every w."""
     params = PhysParams(chi=0.0, Omega=2.0, Gamma=0.0, gamma=1.0)
     return params, steady_grid(params, np.array([1.0]))[0]
+
+
+def unit_rows(params, steady, omega):
+    """T(w) = (i w I - M)^(-1) at one working point and frequency: the rows of
+    the identity through the stage row solve."""
+    return spectra._row_solve(stage_blocks(params, steady), np.atleast_1d(omega), np.eye(8))[0][0]
 
 
 def random_stable_point(rng):
@@ -208,7 +212,7 @@ class TestBuildNoise:
 class TestTransfer:
     def test_decoupled_diagonal(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        t = transfer_rows(params, steady_grid(params, np.array([1.0]))[0], 0.9, np.eye(8))
+        t = unit_rows(params, steady_grid(params, np.array([1.0]))[0], 0.9)
         assert t[0, 0] == pytest.approx(1.0 / (0.9j + 0.1 + 3.0j), rel=1e-12)
         assert t[1, 1] == pytest.approx(1.0 / (0.9j + 0.1 - 3.0j), rel=1e-12)
 
@@ -217,7 +221,7 @@ class TestTransfer:
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
         branch = steady_grid(params, np.array([1.0]))[0]
         for omega in (0.0, 0.9, -2.2):
-            t = transfer_rows(params, branch, omega, np.eye(8))
+            t = unit_rows(params, branch, omega)
             want = params.gamma / ((1j * omega + 0.5 + 1.5j) * (1j * omega + 0.5 - 0.7j))
             assert t[6, 4] == pytest.approx(want, rel=1e-12)
 
@@ -227,7 +231,7 @@ class TestTransfer:
             params, branch = random_stable_point(rng)
             drift = build_drift(params, branch)
             omega = rng.uniform(-30, 30)
-            t = transfer_rows(params, branch, omega, np.eye(8))
+            t = unit_rows(params, branch, omega)
             lhs = 1j * omega * np.eye(8) - drift
             defect = np.abs(lhs @ t - np.eye(8))
             rows = np.maximum(np.abs(lhs).sum(axis=1), 1.0)
@@ -236,44 +240,13 @@ class TestTransfer:
     def test_singularity_reported_with_frequency(self):
         params, branch = undamped_atoms()
         with pytest.raises(SingularTransferError, match="omega=2.0"):
-            transfer_rows(params, branch, 2.0, np.eye(8))
+            epr_grid(params, branch, 2.0)
 
     def test_nan_frequency_fails_the_defect_check(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         branch = steady_grid(params, np.array([1e3]))[0]
         with pytest.raises(SingularTransferError, match="omega=nan"):
-            transfer_rows(params, branch, np.array([1.0, float("nan")]), np.eye(8))
-        with pytest.raises(SingularTransferError, match="omega=nan"):
             epr_grid(params, branch, float("nan"))
-
-
-class TestCorrelationMatrix:
-    def test_decoupled_atom_block(self):
-        params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        branch = steady_grid(params, np.array([1.0]))[0]
-        for omega in (0.0, 1.7, -3.0):
-            c = correlation_matrix(params, branch, omega)
-            want = params.Gamma / (params.Gamma**2 / 4 + (omega + params.Omega) ** 2)
-            assert c[0, 1] == pytest.approx(want, rel=1e-12)
-            assert abs(c[1, 0]) < 1e-14
-
-    def test_zero_noise_zero_correlations(self, monkeypatch):
-        params = PhysParams(chi=0.4, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)
-        branch = steady_grid(params, np.array([1.0]))[0]
-        monkeypatch.setattr(spectra, "build_noise", lambda params: np.zeros((8, 8)))
-        assert np.array_equal(correlation_matrix(params, branch, 1.0), np.zeros((8, 8)))
-
-    def test_conjugation_pairing_relation(self):
-        # C(w)[2a, 2b+1]* == C(w)[2b, 2a+1] from the pair-swap symmetry of
-        # the drift and the transposition pattern of the input moments
-        rng = np.random.default_rng(37)
-        params, branch = random_stable_point(rng)
-        for omega in (0.4, -2.0, 7.3):
-            c = correlation_matrix(params, branch, omega)
-            for a in range(4):
-                for b in range(4):
-                    assert np.conj(c[2 * a, 2 * b + 1]) == pytest.approx(
-                        c[2 * b, 2 * a + 1], abs=1e-12 * (1 + abs(c[2 * a, 2 * b + 1])))
 
 
 class TestEprSpectra:
@@ -339,7 +312,7 @@ def schur_row(block, shift, u):
 def blocked_rows(blocks, omega):
     """The rows u T(w) of EPR_ROWS at every point of the broadcast of the
     `stage_blocks` and omega, through the blocked walker."""
-    return spectra._blocked(blocks, omega, spectra.EPR_ROWS, lambda y: (y,))[-1]
+    return spectra._blocked(blocks, omega, lambda y: (y,))[-1]
 
 
 def stage_rows(blocks, w):
@@ -373,8 +346,7 @@ def loop_reference_point(blocks, noise, omega):
 
 
 class TestGridKernel:
-    """epr_grid and correlation_matrix against one-point evaluations and
-    one-element grids."""
+    """epr_grid against one-point evaluations and one-element grids."""
 
     def test_frequency_grid_equals_points_bitwise(self):
         rng = np.random.default_rng(53)
@@ -424,31 +396,29 @@ class TestGridKernel:
                         worst = max(worst, float(abs(complex(g) - ref) / abs(ref)))
         assert worst < 5e-15
 
-    def test_correlation_matrix_matches_40_digit_reference(self):
-        # T(w) d T(-w)^T with T(-w) inverted on its own at 40 digits, not
-        # derived from T(w); each entry held to its row's largest entry (the
-        # worst was 7.4e-15, on the atom rows at w = Omega)
+    def test_transfer_matrix_matches_40_digit_reference(self):
+        # the unit rows T(+-w) of the stage row solve against (+-i w I - M)^(-1)
+        # inverted at 40 digits; each entry held to its row's largest entry
+        # (the worst was 4.5e-16, on the second atom's rows at w = +-Omega)
         mpmath = pytest.importorskip("mpmath")
         worst = 0.0
         for chi in np.geomspace(0.3, 3.0, 5):
             params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
             branch = steady_grid(params, np.array([3e5]))[0]
             assert stability_grid(params, branch)
-            drift, noise = build_drift(params, branch), build_noise(params)
             omegas = params.Omega * np.array([0.1, 0.5, 1.0, 1.5, 8.0])
-            got = correlation_matrix(params, branch, omegas)
+            omegas = np.concatenate((omegas, -omegas))
+            got = spectra._row_solve(stage_blocks(params, branch), omegas, np.eye(8))[0]
             with mpmath.workdps(40):
-                m, eye, d = mpmath.matrix(drift.tolist()), mpmath.eye(8), mpmath.matrix(noise.tolist())
-                for c, w in zip(got, omegas):
-                    plus = (mpmath.mpc(0, w) * eye - m) ** -1
-                    minus = (mpmath.mpc(0, -w) * eye - m) ** -1
-                    want = plus * d * minus.T
+                m, eye = mpmath.matrix(build_drift(params, branch).tolist()), mpmath.eye(8)
+                for t, w in zip(got, omegas):
+                    want = (mpmath.mpc(0, w) * eye - m) ** -1
                     for i in range(8):
                         row = [want[i, j] for j in range(8)]
                         scale = max(abs(x) for x in row)
-                        worst = max(worst, max(float(abs(complex(c[i, j]) - x) / scale)
+                        worst = max(worst, max(float(abs(complex(t[i, j]) - x) / scale)
                                                for j, x in enumerate(row)))
-        assert worst < 2e-14
+        assert worst < 2e-15
 
     @pytest.mark.parametrize("drive", [1e6, 1e70, 1e78, 1e100, 1e151])
     def test_ok_points_match_300_digit_reference(self, drive):
@@ -512,7 +482,6 @@ class TestGridKernel:
 
     def test_empty_grid(self):
         params, branch = random_stable_point(np.random.default_rng(67))
-        assert transfer_rows(params, branch, np.array([]), np.eye(8)).shape == (0, 8, 8)
         assert epr_grid(params, branch, np.array([])).e_degree.shape == (0,)
 
     def test_grid_across_blocks_equals_points_bitwise(self):
@@ -552,34 +521,6 @@ class TestGridKernel:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 4 * 48 * 20001
 
-    def test_row_views_memory_is_bounded(self):
-        # transfer_rows and correlation_matrix write each block's reduced rows
-        # into the output as it is solved: their peak is the output and one
-        # block (21.1 and 21.6 MiB for 19.5 MiB over 20,001 frequencies), not
-        # the per-block results and their concatenation (39.5 MiB), nor the
-        # whole grid's rows and products on top of it (78.1 and 51.6 MiB when
-        # each solved the whole grid in one pass)
-        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        branch = steady_grid(params, np.array([1e6]))[0]
-        omegas = np.geomspace(100.0, 1e4, 20001)
-        for view in (lambda: transfer_rows(params, branch, omegas, np.eye(8)),
-                     lambda: correlation_matrix(params, branch, omegas)):
-            tracemalloc.start()
-            try:
-                out = view()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert out.shape == (20001, 8, 8)
-            assert peak <= out.nbytes + 3 * 2**20
-
-    def test_correlation_matrix_is_a_grid_view(self):
-        params, branch = random_stable_point(np.random.default_rng(59))
-        omegas = np.array([-2.5, 0.0, 0.7, 4.0])
-        stacked = correlation_matrix(params, branch, omegas)
-        for w, c in zip(omegas, stacked):
-            assert np.array_equal(correlation_matrix(params, branch, w), c)
-
     def test_stability_grid_matches_single_verdicts(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         drives = np.array([1e3, 3e5, 2e6])
@@ -599,8 +540,6 @@ class TestGridKernel:
     def test_singular_point_inside_grid_is_named(self, monkeypatch):
         params, branch = undamped_atoms()
         omegas = np.array([0.25, 0.5, 2.0, 3.0])
-        with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
-            transfer_rows(params, branch, omegas, np.eye(8))
         # input noise on the atoms, as if damped, leaves the other points OK
         damped = build_noise(replace(params, Gamma=0.4))
         monkeypatch.setattr(spectra, "build_noise", lambda params: damped)
@@ -614,10 +553,6 @@ class TestGridKernel:
         # is named, whatever its failure
         params, branch = undamped_atoms()
         omegas = np.array([4.0, 2.0, 0.5, -2.0])
-        with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
-            transfer_rows(params, branch, omegas, np.eye(8))
-        with pytest.raises(SingularTransferError, match=r"omega=-2\.0$"):
-            transfer_rows(params, branch, omegas[::-1], np.eye(8))
         with pytest.raises(SingularTransferError, match=r"omega=2\.0$"):
             epr_grid(params, branch, omegas[1:])
         with pytest.raises(SingularTransferError, match=r"omega=-2\.0$"):
@@ -743,9 +678,10 @@ class TestGridKernel:
                     or block_eigenvalues(params, branch).real.max() > -0.1):
                 continue
             drift, noise = build_drift(params, branch), build_noise(params)
-            blocks = [correlation_matrix(params, branch, omegas[i:i + GRID_BLOCK])
-                      for i in range(0, omegas.size, GRID_BLOCK)]
-            c = np.concatenate(blocks)
+            # C(w) = T(w) d T(-w)^T, from rows solved separately at +w and -w
+            plus, minus = (spectra._row_solve(stage_blocks(params, branch), w, np.eye(8))[0]
+                           for w in (omegas, -omegas))
+            c = plus @ noise @ np.swapaxes(minus, -1, -2)
             integral = np.tensordot(np.diff(omegas), c[1:] + c[:-1], axes=1) / (4 * np.pi)
             sigma = scipy.linalg.solve_sylvester(drift, drift.T, -noise)
             assert np.abs(integral - sigma).max() < 1e-3
@@ -786,8 +722,7 @@ class TestStageRows:
             steady = steady_grid(params, drives, selection)
             stages, feed = stage_blocks(params, steady)
             blocks = (stages[:, None], feed)  # (drive, omega) points
-            _, singular, backward, y = spectra._blocked(blocks, omegas, spectra.EPR_ROWS,
-                                                        lambda y: (y,))
+            _, singular, backward, y = spectra._blocked(blocks, omegas, lambda y: (y,))
             y_ref, singular_ref, backward_ref = lapack_rows(blocks, omegas, spectra.EPR_ROWS)
             decoupled = np.all(stages[:, :, :2, 2:] == 0.0, axis=(-3, -2, -1))
             exact = (decoupled[:, None] & (gamma_motion == 0.0)
@@ -1067,9 +1002,11 @@ class TestAmplitudeSweep:
         assert all(np.shape(column) == (0,) for column in vars(sweep).values())
 
     def test_unsorted_grid_rejected(self):
+        # a nan compares False with anything, so it cannot vouch for the order
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        with pytest.raises(ValueError, match="ascending"):
-            amplitude_sweep(params, np.array([2.0, 1.0]), 10.0)
+        for grid in ([2.0, 1.0], [2.0, np.nan, 1.0]):
+            with pytest.raises(ValueError, match="ascending"):
+                amplitude_sweep(params, np.array(grid), 10.0)
 
     def test_decoupled_sweep_flat_four(self):
         params = PhysParams(chi=0.0, Omega=3.0, Gamma=0.2, gamma=1.0, Delta1=1.5, Delta2=-0.7)

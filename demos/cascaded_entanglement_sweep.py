@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from cavmotion import PhysParams, amplitude_sweep, bistable_window
-from cavmotion.cli import FLOAT_FORMAT, format_csv
+from cavmotion.cli import format_csv
 from cavmotion.svgplot import render_plot
 
 params = PhysParams(chi=1.0, Omega=1000.0, Gamma=1e-3, gamma=1.0, Delta1=1e4, Delta2=1e4)
@@ -35,7 +35,7 @@ print(f"EPR regime (E < 1): {below.size} points, "
       f"min E = {np.nanmin(e_degree):.4g}")
 print(f"high-drive end: E = {e_degree[finite[-1]]:.4g} at drive {sweep.drive[finite[-1]]:.4g}")
 
-csv_text = format_csv("drive,e_degree,intensity1,stable", ",".join([FLOAT_FORMAT] * 3 + ["%s"]),
+csv_text = format_csv("drive,e_degree,intensity1,stable",
                       (sweep.drive, e_degree, sweep.intensity1, sweep.stable))
 
 os.makedirs("demo_output", exist_ok=True)

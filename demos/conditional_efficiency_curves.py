@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from cavmotion import efficiency_profile
-from cavmotion.cli import FLOAT_FORMAT, format_csv
+from cavmotion.cli import format_csv
 from cavmotion.svgplot import render_plot
 
 AMPLITUDES = (0.1, 0.4, 0.8)
@@ -23,8 +23,7 @@ for zeta, curve in zip(AMPLITUDES, curves):
           f"origin value {curve[80]:.5f}")
 
 names = [f"efficiency_zeta_{str(z).replace('.', 'p')}" for z in AMPLITUDES]
-csv_text = format_csv("x," + ",".join(names), ",".join([FLOAT_FORMAT] * (1 + len(names))),
-                      (x_grid, *curves))
+csv_text = format_csv("x," + ",".join(names), (x_grid, *curves))
 
 os.makedirs("demo_output", exist_ok=True)
 with open("demo_output/conditional_efficiency.csv", "w") as fh:

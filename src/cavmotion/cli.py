@@ -173,92 +173,73 @@ def _policy(merged):
     return _checked(TruncationPolicy, merged, ("tail_epsilon", "hard_cap"))
 
 
-TEXT_FORMAT = "%s"
 # cells below which a document is written cell by cell in Python: the
 # array writer's fixed cost, some 70-110 us, pays off from 64-96 cells
 SMALL_DOCUMENT = 80
 BLOCK_ROWS = 1024  # rows per array pass, which bounds the writer's temporaries
 
 
-@functools.lru_cache(maxsize=64)
-def _template(template):
-    """(literals, specifiers) of a row template: FLOAT_FORMAT and "%s" are
-    its only specifiers, and a literal is the text between two of them."""
-    pieces = re.split(f"({re.escape(FLOAT_FORMAT)}|{re.escape(TEXT_FORMAT)})", template)
-    literals, specifiers = tuple(pieces[0::2]), tuple(pieces[1::2])
-    if any("%" in literal for literal in literals):
-        raise ValueError(f"row template {template!r} has a specifier other than "
-                         f"{FLOAT_FORMAT} and {TEXT_FORMAT}")
-    return literals, specifiers
-
-
 def _text(column):
-    """A column's "%s" cells as a str array; booleans print as true/false."""
-    if column.dtype == bool:
-        return np.where(column, "true", "false")
-    if column.dtype.kind == "U":
-        return column
-    return np.array([str(value) for value in column.tolist()], dtype=str)
+    """A text column's cells as a str array; booleans print as true/false."""
+    return np.where(column, "true", "false") if column.dtype == bool else column
 
 
-def format_csv(header, template, columns):
-    """CSV text: the header line, then one line per row of the columns,
-    written by `template` (literal text and one specifier per column).
+def format_csv(header, columns):
+    """CSV text: the header line, then one line per row of the columns, its
+    cells joined by ",".
 
-    The specifiers are FLOAT_FORMAT and "%s" (a boolean prints as
-    true/false, anything else as `str`).  A column is a 1-D array or a
+    A column's dtype decides its cells: integers and floats print as
+    FLOAT_FORMAT, booleans as true/false and str arrays as they are; any
+    other dtype is refused (TypeError).  A column is a 1-D array or a
     number; numbers and length-1 columns are repeated down the rows, and
-    columns of any other two lengths are refused (ValueError), as is any
-    other specifier.  The bytes are those of `template % row` on every row:
-    the float cells of each block of BLOCK_ROWS rows go through one array
-    writer call (`_digits.scientific`), which takes Python's own conversion
-    for the cells it cannot decide (near a rounding boundary, 0, subnormal,
-    beyond 1e+-290, nan, inf), and documents under SMALL_DOCUMENT cells are
+    columns of any other two lengths are refused (ValueError), as is a
+    header that names more or fewer columns.  Each float cell is
+    `FLOAT_FORMAT % v` and each text cell `str(v)`: the float cells of each
+    block of BLOCK_ROWS rows go through one array writer call
+    (`_digits.scientific`), which takes Python's own conversion for the
+    cells it cannot decide (near a rounding boundary, 0, subnormal, beyond
+    1e+-290, nan, inf), and documents under SMALL_DOCUMENT cells are
     written cell by cell.
     """
-    literals, specifiers = _template(template)
-    if len(columns) != len(specifiers):
-        raise ValueError(f"row template {template!r} takes {len(specifiers)} columns, "
-                         f"got {len(columns)}")
+    names = header.count(",") + 1
+    if names != len(columns):
+        raise ValueError(f"header {header!r} names {names} columns, got {len(columns)}")
     columns = [np.atleast_1d(column) for column in columns]
     shapes = set()  # of the columns not to repeat
-    for spec, column in zip(specifiers, columns):
-        if spec == FLOAT_FORMAT and column.dtype.kind not in "biuf":  # `%` refuses them too
-            raise TypeError(f"{FLOAT_FORMAT} takes real numbers, got a column of {column.dtype}")
+    for column in columns:
+        if column.dtype.kind not in "biufU":
+            raise TypeError(f"a column of {column.dtype} has no CSV cells")
         if column.shape != (1,):
             shapes.add(column.shape)
     if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
         raise ValueError(f"columns of shapes {[column.shape for column in columns]} "
                          "are not one length")
-    rows = shapes.pop()[0] if shapes else min(len(columns), 1)
+    rows = shapes.pop()[0] if shapes else 1
+    columns = [_text(column) if column.dtype.kind in "bU" else np.asarray(column, dtype=np.float64)
+               for column in columns]
     if rows * len(columns) < SMALL_DOCUMENT:
-        cells = [_digits.formatted(FLOAT_FORMAT, column.tolist()) if spec == FLOAT_FORMAT
-                 else _text(column).tolist() for spec, column in zip(specifiers, columns)]
+        cells = [column.tolist() if column.dtype.kind == "U"
+                 else _digits.formatted(FLOAT_FORMAT, column.tolist()) for column in columns]
         cells = [column * rows if len(column) == 1 else column for column in cells]
-        lines = ("".join(literal + cell for literal, cell in zip(literals, row)) + literals[-1]
-                 + "\n" for row in zip(*cells))
-        return "".join([header, "\n", *lines])
-    columns = [np.asarray(column, dtype=np.float64) if spec == FLOAT_FORMAT else _text(column)
-               for spec, column in zip(specifiers, columns)]
+        return "".join([header, "\n", *(",".join(row) + "\n" for row in zip(*cells))])
     blocks = ([column[start:start + BLOCK_ROWS] if len(column) > 1 else column
                for column in columns] for start in range(0, rows, BLOCK_ROWS))
-    return header + "\n" + "".join(_lines(literals, specifiers, block) for block in blocks)
+    return header + "\n" + "".join(_lines(block) for block in blocks)
 
 
-def _lines(literals, specifiers, columns):
+def _lines(columns):
     """The lines of one block of rows, all float cells in one array writer call."""
     rows = max(len(column) for column in columns)
-    floats = [column for spec, column in zip(specifiers, columns) if spec == FLOAT_FORMAT]
+    floats = [column for column in columns if column.dtype.kind == "f"]
     block = np.empty((rows, len(floats)))
     for k, column in enumerate(floats):
         block[:, k] = column
     written = _digits.scientific(block)
     float_cells = iter(written.reshape(rows, len(floats), written.shape[1]).transpose(1, 0, 2))
-    parts = []
-    for literal, spec, column in zip(literals, specifiers, columns):
-        parts += [_digits.literal(literal),
-                  next(float_cells) if spec == FLOAT_FORMAT else _digits.text(column)]
-    parts.append(_digits.literal(literals[-1] + "\n"))
+    comma = _digits.literal(",")
+    parts = [part for column in columns for part in (
+        next(float_cells) if column.dtype.kind == "f" else _digits.text(column), comma)]
+    parts[-1] = _digits.literal("\n")
     return _digits.decoded(_digits.side_by_side(parts, rows))
 
 
@@ -271,12 +252,12 @@ def run_single_cavity(merged, x_values=None):
         merged["zeta"], merged["kappa"], merged["time"],
         x_grid=np.asarray(x_values, dtype=float), policy=_policy(merged))
     columns = [profile.x, profile.prob_density, profile.lin_entropy, profile.efficiency]
-    header, template = "x,prob_density,lin_entropy,efficiency", ",".join([FLOAT_FORMAT] * 4)
+    header = "x,prob_density,lin_entropy,efficiency"
     unresolvable = profile.error.astype(bool)  # None is False, a message True
     if unresolvable.any():
         columns.append(np.where(unresolvable, "unresolvable", ""))
-        header, template = header + ",error", template + ",%s"
-    return format_csv(header, template, columns)
+        header += ",error"
+    return format_csv(header, columns)
 
 
 def _working_point(merged):
@@ -293,7 +274,6 @@ def run_cascaded_steady(merged):
     return format_csv(
         "drive,branch1,branch2,intensity1,intensity2,zeta1_re,zeta1_im,zeta2_re,zeta2_im,"
         "alpha_re,alpha_im,beta_re,beta_im,residual,stable",
-        ",".join([FLOAT_FORMAT, "%s", "%s"] + [FLOAT_FORMAT] * 11 + ["%s"]),
         (merged["drive"], branch.branch1, branch.branch2, branch.intensity1, branch.intensity2,
          *(part for z in amplitudes for part in (z.real, z.imag)),
          residual(params, branch), stable))
@@ -306,11 +286,11 @@ def run_cascaded(merged, drive_values=None):
     if drive_values is None:
         drive_values = _grid(merged, "drive")
     sweep = spectra.amplitude_sweep(params, np.asarray(drive_values, dtype=float), omega_eval)
+    labels = zip(sweep.jumped.tolist(), sweep.branch1.tolist(), sweep.branch2.tolist())
+    branch = np.array([f"{'jump:' if jump else ''}{one}/{two}" for jump, one, two in labels])
     return format_csv(
         "drive,branch,intensity1,intensity2,e_degree,stable",
-        ",".join([FLOAT_FORMAT, "%s%s/%s"] + [FLOAT_FORMAT] * 3 + ["%s"]),
-        (sweep.drive, np.where(sweep.jumped, "jump:", ""), sweep.branch1, sweep.branch2,
-         sweep.intensity1, sweep.intensity2,
+        (sweep.drive, branch, sweep.intensity1, sweep.intensity2,
          np.where(np.isfinite(sweep.e_degree), sweep.e_degree, np.nan), sweep.stable))
 
 
@@ -323,8 +303,7 @@ def run_cascaded_spectrum(merged):
             f"(branches {branch.branch1}/{branch.branch2})")
     g = spectra.epr_grid(params, branch, _grid(merged, "omega"))
     columns = (g.omega, g.s_qplus, g.s_pminus, g.commutator.imag, g.e_degree, g.variance_product)
-    return format_csv("omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product",
-                      ",".join([FLOAT_FORMAT] * 6), columns)
+    return format_csv("omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product", columns)
 
 
 def run_plot(csv_path, x_column, y_columns, title=""):

@@ -647,6 +647,21 @@ class TestRootGridWeakCoupling:
             row = cascade._bracketed_roots(params, params.Delta1, np.array([1e150]))[0]
         assert np.all(np.isnan(row))
 
+    @pytest.mark.parametrize("delta", [0.0, 1e4])
+    @pytest.mark.parametrize("chi, grid", [
+        *((chi, (1e-2, 1e12, 701)) for chi in (1e-5, 1e-7, 1e-10, 1e-20, 1e-40)),
+        *((chi, (1e100, 1e306, 207)) for chi in (1.0, 1e-10, 1e-40))])
+    def test_linear_start_settles_every_row_in_24_steps(self, chi, grid, delta, monkeypatch):
+        # Newton's start P / c1 is a cost knob: from it no row of the two
+        # tests' grids above takes over 21 steps.  Started from P * c1, or
+        # from the bracket's geometric mean, rows take up to 53 or 60, and
+        # 24 leave rows of 5 of these grids without a root
+        monkeypatch.setattr(cascade, "BRACKET_ITERATIONS", 24)
+        params = PhysParams(chi=chi, Omega=1000.0, Gamma=1e-3, gamma=1.0)
+        with np.errstate(all="ignore"):  # the boundary root_grid gives it
+            roots = cascade._bracketed_roots(params, delta, np.geomspace(*grid))
+        assert np.all(np.isfinite(roots[:, 0]))
+
     @pytest.mark.parametrize("chi", [0.3, 1.0, 3.0])
     def test_benchmark_sweeps_take_no_bracketed_solve(self, chi, monkeypatch):
         # the bracketed solve is the slow path: no drive of the benchmark's

@@ -824,55 +824,73 @@ class TestDecimalWriters:
 
 
 def sweep_columns(count=2401):
-    """The header, template and columns of `cascaded sweep` over `count` drives."""
+    """The header and columns of `cascaded sweep` over `count` drives."""
     merged = dict(cli.DEFAULTS, drive_count=count)
     params = cli._phys_params(merged)
     sweep = spectra.amplitude_sweep(params, cli._grid(merged, "drive"), params.Omega)
+    branch = [f"{'jump:' if jumped else ''}{first}/{second}"
+              for jumped, first, second in zip(sweep.jumped, sweep.branch1, sweep.branch2)]
     return ("drive,branch,intensity1,intensity2,e_degree,stable",
-            ",".join([cli.FLOAT_FORMAT, "%s%s/%s"] + [cli.FLOAT_FORMAT] * 3 + ["%s"]),
-            [sweep.drive, np.where(sweep.jumped, "jump:", ""), sweep.branch1, sweep.branch2,
-             sweep.intensity1, sweep.intensity2, sweep.e_degree, sweep.stable])
+            [sweep.drive, np.array(branch), sweep.intensity1, sweep.intensity2, sweep.e_degree,
+             sweep.stable])
 
 
 class TestFormatCsv:
     def test_one_row_document_is_that_row_of_a_long_one(self):
         # one row goes through Python's `%`, 2401 through the array writer
-        header, template, columns = sweep_columns()
-        lines = cli.format_csv(header, template, columns).split("\n")
+        header, columns = sweep_columns()
+        lines = cli.format_csv(header, columns).split("\n")
         assert len(lines) == 2403 and lines[-1] == ""
+        assert sum(line.split(",")[1].startswith("jump:") for line in lines[1:-1]) == 1
         for i in (0, 1, 700, 1203, 2400):
-            one = cli.format_csv(header, template, [column[i:i + 1] for column in columns])
+            one = cli.format_csv(header, [column[i:i + 1] for column in columns])
             assert one == f"{header}\n{lines[i + 1]}\n"
 
     def test_scalars_and_length_one_columns_are_repeated(self):
-        doc = cli.format_csv("a,b,c", "%.12e,%.12e,%s", (np.arange(3.0), np.array([1.0]), "x"))
+        doc = cli.format_csv("a,b,c", (np.arange(3.0), np.array([1.0]), "x"))
         assert doc.split("\n")[1:] == [f"{i:.12e},1.000000000000e+00,x" for i in range(3)] + [""]
-        doc = cli.format_csv("a,b", "%s,%.12e", (True, np.arange(2.0)))
+        doc = cli.format_csv("a,b", (True, np.arange(2.0)))
         assert doc == "a,b\ntrue,0.000000000000e+00\ntrue,1.000000000000e+00\n"
 
     def test_columns_of_two_lengths_are_refused(self):
         with pytest.raises(ValueError, match="not one length"):
-            cli.format_csv("a,b", "%.12e,%.12e", (np.arange(3.0), np.arange(2.0)))
-        with pytest.raises(ValueError, match="takes 2 columns"):
-            cli.format_csv("a,b", "%.12e,%.12e", (np.arange(3.0),))
+            cli.format_csv("a,b", (np.arange(3.0), np.arange(2.0)))
+
+    @pytest.mark.parametrize("header, columns, counts", [
+        ("a,b", (np.arange(2.0),), "names 2 columns, got 1"),
+        ("a", (np.arange(2.0), np.full(2, "x")), "names 1 columns, got 2")])
+    def test_header_of_other_names_than_columns_is_refused(self, header, columns, counts):
+        with pytest.raises(ValueError, match=counts):
+            cli.format_csv(header, columns)
 
     @pytest.mark.parametrize("rows", [1, 100])
     def test_text_and_objects_under_the_float_specifier_are_refused(self, rows):
-        # as `%` refuses it, on either side of SMALL_DOCUMENT
-        for column in (np.full(rows, "1.5"), np.full(rows, 1.5, dtype=object)):
-            with pytest.raises(TypeError):
-                cli.format_csv("a", "%.12e", (column,))
+        # complex, object and bytes columns have no cells, on either side of
+        # SMALL_DOCUMENT
+        assert 1 < cli.SMALL_DOCUMENT <= 100
+        for column in (np.full(rows, 1.5 + 0j), np.full(rows, 1.5, dtype=object),
+                       np.full(rows, b"1.5")):
+            with pytest.raises(TypeError, match="has no CSV cells"):
+                cli.format_csv("a", (column,))
 
-    @pytest.mark.parametrize("template", ["%.6e", "%d", "%%,%s", "%r", "%.12e,%.2f"])
-    def test_other_specifiers_are_refused(self, template):
-        with pytest.raises(ValueError, match="specifier other than"):
-            cli.format_csv("a,b", template, (np.arange(2.0),) * template.count("%"))
+    @pytest.mark.parametrize("rows", [2, 100])
+    def test_booleans_print_as_words_and_integers_as_floats(self, rows):
+        # on either side of SMALL_DOCUMENT (4 and 200 cells)
+        assert 4 < cli.SMALL_DOCUMENT <= 200
+        flags, counts = np.arange(rows) % 2 == 0, np.arange(rows) * 7 - 3
+        doc = cli.format_csv("n,flag", (counts, flags))
+        assert doc.split("\n")[1:-1] == [f"{n:.12e},{str(f).lower()}"
+                                         for n, f in zip(counts.tolist(), flags.tolist())]
 
     def test_text_cells_keep_every_character(self):
+        # on either side of SMALL_DOCUMENT (12 and 300 cells): a column with
         # non-ASCII text goes cell by cell; NUL inside a cell stays
-        cells = np.array(["é", "a\x00b", "", "\U0001f600"])
-        doc = cli.format_csv("t,x", "%s;%.12e", (cells, np.arange(4.0) * 30))
-        assert doc.split("\n")[1:-1] == [f"{t};{30 * i:.12e}" for i, t in enumerate(cells)]
+        for rows in (4, 100):
+            cells = np.resize(np.array(["é", "a\x00b", "", "\U0001f600"]), rows)
+            ascii_cells = np.resize(np.array(["a\x00b", "", "c"]), rows)
+            doc = cli.format_csv("t,a,x", (cells, ascii_cells, np.arange(rows) * 30.0))
+            assert doc.split("\n")[1:-1] == [f"{t},{a},{30 * i:.12e}"
+                                             for i, (t, a) in enumerate(zip(cells, ascii_cells))]
 
     def test_fast_path_serves_the_golden_runs(self, monkeypatch, capsys):
         # under 1% of the finite normal float cells of the five default

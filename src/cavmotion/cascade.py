@@ -22,12 +22,9 @@ BRANCH_NONE = "none"  # a nan intensity: no working point
 SELECTIONS = ("lowest", "highest", "follow")
 
 # largest miss of the modulus cubic, relative to the drive power, that a
-# Cardano root may keep before its row is solved again by bracketed Newton
+# Cardano root may keep before its row is solved again by bisection
 ROOT_TOLERANCE = 1e-12
-# 11 halvings of the exponent bring a bracket within a factor of 2 of any
-# float root; Newton then settles in a few steps, bisection alone in 53
-BRACKET_ITERATIONS = 200
-EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -125,54 +122,39 @@ def _misses_cubic(params, delta, roots, drive_power):
 
 
 def _bracketed_roots(params, delta, drive_power):
-    """Rows of root_grid by safeguarded Newton, for positive drive powers.
+    """Rows of root_grid by bisection, for positive drive powers.
 
     The turning points split [0, 4 P / gamma^2] (every root lies below it,
-    since |bracket|^2 >= gamma^2/4) into up to three monotone pieces; each
-    piece whose ends straddle a sign change holds one root.  Newton starts
-    from the linear solution P / (gamma^2/4 + delta^2), clipped to the
-    piece.  While the bracket spans over a factor of 2 each step bisects
-    its exponent (Newton from far above a cubic's root gains only a factor
-    2/3 a step); then a step that would not land strictly inside the
-    bracket bisects, so no root is lost however small the coefficients are.
-    A row still unsettled after BRACKET_ITERATIONS steps holds no root.
+    since |bracket|^2 >= gamma^2/4; the largest float caps it, as no root
+    lies beyond) into up to three monotone pieces; each piece whose ends
+    straddle a sign change holds one root.  Floats from +0.0 to +inf order
+    like their int64 bit patterns, which span less than 2^63, so 63
+    halvings of a piece's bit interval leave two adjacent floats across
+    the sign change: the root is the one where the cubic misses less.
     """
-    top = 4.0 * drive_power / (params.gamma * params.gamma)
+    top = np.minimum(4.0 * drive_power / (params.gamma * params.gamma), np.finfo(float).max)
     cuts = np.zeros(drive_power.shape + (4,))
     cuts[:, 1:] = top[:, None]
     turns = _turning_points(params, delta)
     if turns is not None:
-        cuts[:, 1:3] = np.clip(np.array(turns), 0.0, top[:, None])
-    power = drive_power[:, None]
-    lower, upper = cuts[:, :-1], cuts[:, 1:]
-    f_lower = _modulus_cubic(params, delta, lower, power)[0]
-    f_upper = _modulus_cubic(params, delta, upper, power)[0]
-    lower_sign = np.sign(f_lower)
-    has_root = (lower_sign != 0.0) & (lower_sign * np.sign(f_upper) <= 0.0)
-    linear = drive_power / _cubic_coefficients(params, delta)[2]
-    x = np.clip(linear[:, None], lower, upper)
-    # a settled root stays put, so a row's bits do not depend on its batch
-    done = ~has_root
-    for _ in range(BRACKET_ITERATIONS):
-        value, slope = _modulus_cubic(params, delta, x, power)
-        left = np.sign(value) == lower_sign
-        lower, upper = np.where(left, x, lower), np.where(left, upper, x)
-        newton = x - value / slope
-        converged = (value == 0.0) | (np.abs(newton - x) <= 4.0 * EPS * x)
-        # a nan step bisects too, and bisection shrinks the bracket even
-        # where rounding makes Newton bounce
-        wide = upper > 2.0 * lower
-        inside = (newton > lower) & (newton < upper) & ~wide
-        middle = np.where(wide, np.sqrt(np.maximum(lower, TINY)) * np.sqrt(upper),
-                          0.5 * (lower + upper))
-        step = np.where(converged | inside, newton, middle)
-        # step == x: the bracket has shrunk to adjacent floats
-        settled = converged | (step == x)
-        x = np.where(done, x, step)
-        done |= settled
-        if done.all():
-            break
-    return np.sort(np.where(has_root & done, x, np.nan), axis=1)
+        # a turning point at -0.0, whose bits are negative, cuts at +0.0
+        turns = np.array(turns)
+        cuts[:, 1:3] = np.where(turns > 0.0, np.minimum(turns, top[:, None]), 0.0)
+    sign = np.sign(_modulus_cubic(params, delta, cuts, drive_power[:, None])[0])
+    has_root = (sign[:, :-1] != 0.0) & (sign[:, :-1] * sign[:, 1:] <= 0.0)
+    rows, pieces = np.nonzero(has_root)
+    power, lower_sign = drive_power[rows], sign[rows, pieces]
+    lower, upper = cuts[rows, pieces].view(np.int64), cuts[rows, pieces + 1].view(np.int64)
+    for _ in range(63):
+        middle = lower + (upper - lower) // 2
+        left = np.sign(_modulus_cubic(params, delta, middle.view(float), power)[0]) == lower_sign
+        lower, upper = np.where(left, middle, lower), np.where(left, upper, middle)
+    lower, upper = lower.view(float), upper.view(float)
+    miss_lower, miss_upper = (np.abs(_modulus_cubic(params, delta, x, power)[0])
+                              for x in (lower, upper))
+    roots = np.full(has_root.shape, np.nan)
+    roots[rows, pieces] = np.where(miss_lower <= miss_upper, lower, upper)
+    return np.sort(roots, axis=1)
 
 
 def root_grid(params, delta, drive_power):
@@ -186,7 +168,7 @@ def root_grid(params, delta, drive_power):
     (weak coupling, or weak drive), so a row whose roots miss the cubic by
     more than ROOT_TOLERANCE relative to the drive power (beyond the
     rounding floor of the check itself), or that finds no root, is solved
-    again by `_bracketed_roots`.
+    again by bisection (`_bracketed_roots`), which never gives an inf root.
     """
     drive_power = np.asarray(drive_power, dtype=float)
     negative = drive_power < 0

@@ -286,8 +286,8 @@ def run_cascaded(merged, drive_values=None):
     if drive_values is None:
         drive_values = _grid(merged, "drive")
     sweep = spectra.amplitude_sweep(params, np.asarray(drive_values, dtype=float), omega_eval)
-    labels = zip(sweep.jumped.tolist(), sweep.branch1.tolist(), sweep.branch2.tolist())
-    branch = np.array([f"{'jump:' if jump else ''}{one}/{two}" for jump, one, two in labels])
+    jump = np.where(sweep.jumped, "jump:", "")
+    branch = np.char.add(np.char.add(jump, sweep.branch1), np.char.add("/", sweep.branch2))
     return format_csv(
         "drive,branch,intensity1,intensity2,e_degree,stable",
         (sweep.drive, branch, sweep.intensity1, sweep.intensity2,

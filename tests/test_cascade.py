@@ -455,6 +455,101 @@ def follow_scan(roots):
     return picks
 
 
+class TestRootGridWeakCoupling:
+    """Cardano cancels once the cubic term (~ chi^4) is small; the rows it
+    misses are solved again and must meet the cubic."""
+
+    @pytest.mark.parametrize("delta", [0.0, 1e4])
+    @pytest.mark.parametrize("chi", [1e-5, 1e-7, 1e-10, 1e-20, 1e-40])
+    def test_every_positive_drive_meets_the_cubic(self, chi, delta):
+        params = PhysParams(chi=chi, Omega=1000.0, Gamma=1e-3, gamma=1.0)
+        powers = np.geomspace(1e-2, 1e12, 701)
+        roots = root_grid(params, delta, powers)
+        assert np.all(np.isfinite(roots[:, 0]) & (roots[:, 0] > 0.0))
+        a, b = pulling_coefficients(params)
+        found = ~np.isnan(roots)
+        intensity = np.where(found, roots, 0.0)
+        lhs = intensity * ((params.gamma / 2 + a * intensity) ** 2 + (delta - b * intensity) ** 2)
+        miss = np.abs(lhs - powers[:, None]) / powers[:, None]
+        assert miss[found].max() <= 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, 1e4])
+    @pytest.mark.parametrize("chi", [1.0, 1e-10, 1e-40])
+    def test_huge_drives_meet_the_cubic(self, chi, delta):
+        # the roots lie far below the bracket top 4 P / gamma^2 (6e51 against
+        # 4e150 at chi = 1, P = 1e150), or the top overflows.  At weak
+        # coupling Cardano's wrong roots overflow the miss check itself,
+        # which must send them to be solved again
+        params = PhysParams(chi=chi, Omega=1000.0, Gamma=1e-3, gamma=1.0)
+        powers = np.geomspace(1e100, 1e306, 207)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = root_grid(params, delta, powers)
+        assert np.all(np.isfinite(roots[:, 0]))
+        a, b = pulling_coefficients(params)
+        u, v = params.gamma / 2 + a * roots, delta - b * roots
+        miss = np.abs(roots * (u * u + v * v) - powers[:, None]) / powers[:, None]
+        assert np.nanmax(miss) <= 1e-12
+
+    def test_rounding_floor_accepts_roots_near_resonance(self):
+        # the middle and upper roots of a benchmark sweep lie near the pulled
+        # resonance delta = b I, where the check's own rounding, not the
+        # roots, puts some misses above ROOT_TOLERANCE P: within the rounding
+        # floor no row is missed
+        params = PhysParams(chi=0.3, Omega=1000.0, **CANONICAL_RATES)
+        powers = np.geomspace(1e8, 1e16, 4001)
+        roots = root_grid(params, params.Delta1, powers)
+        miss = np.abs(cascade._modulus_cubic(params, params.Delta1, roots, powers[:, None])[0])
+        assert np.any(miss > cascade.ROOT_TOLERANCE * powers[:, None])
+        assert not cascade._misses_cubic(params, params.Delta1, roots, powers).any()
+
+    @pytest.mark.parametrize("delta", [0.0, 1e4])
+    @pytest.mark.parametrize("chi, grid", [
+        *((chi, (1e-2, 1e12, 701)) for chi in (1e-5, 1e-7, 1e-10, 1e-20, 1e-40)),
+        *((chi, (1e100, 1e306, 207)) for chi in (1.0, 1e-10, 1e-40))])
+    def test_roots_and_their_neighbours_bracket_a_sign_change(self, chi, grid, delta):
+        # the two tests' grids above, solved by bisection alone: every root
+        # and one of the floats next to it straddle a sign change of the cubic
+        params = PhysParams(chi=chi, Omega=1000.0, Gamma=1e-3, gamma=1.0)
+        powers = np.geomspace(*grid)[:, None]
+        with np.errstate(all="ignore"):  # the boundary root_grid gives it
+            roots = cascade._bracketed_roots(params, delta, powers[:, 0])
+            sign = [np.sign(cascade._modulus_cubic(params, delta, x, powers)[0])
+                    for x in (roots, np.nextafter(roots, 0.0), np.nextafter(roots, np.inf))]
+        assert np.all(np.isfinite(roots[:, 0])) and not np.isinf(roots).any()
+        found = ~np.isnan(roots)
+        straddle = (sign[0] * sign[1] <= 0.0) | (sign[0] * sign[2] <= 0.0)
+        assert np.all(straddle[found])
+
+    @pytest.mark.parametrize("chi, gamma, delta, power, want", [
+        (1e-10, 1.0, 0.0, 8.486917881295e153**2, "5.646942118620e+117"),
+        (1.0, 1e-300, 1e-300, 1e-290, "1.357208808298e-95")])
+    def test_overflowing_bracket_top_keeps_the_root(self, chi, gamma, delta, power, want):
+        # both the linear solution P / (gamma^2/4 + delta^2) and the bracket
+        # top 4 P / gamma^2 overflow, yet the root is a modest float
+        params = PhysParams(chi=chi, Omega=1000.0, Gamma=1e-3, gamma=gamma, Delta1=delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = root_grid(params, delta, np.array([power]))[0]
+        assert "%.12e" % row[0] == want
+        assert_roots_match_oracle(params, delta, power, found(row))
+
+    @pytest.mark.parametrize("chi", [0.3, 1.0, 3.0])
+    def test_benchmark_sweeps_take_no_bracketed_solve(self, chi, monkeypatch):
+        # the bracketed solve is the slow path: no drive of the benchmark's
+        # 2401-drive sweeps, in either cavity, should need it
+        rows, solve = [], cascade._bracketed_roots
+
+        def spy(params, delta, drive_power):
+            rows.append(len(drive_power))
+            return solve(params, delta, drive_power)
+
+        monkeypatch.setattr(cascade, "_bracketed_roots", spy)
+        params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
+        steady_grid(params, np.geomspace(1e5, 1e9, 2401), "follow")
+        assert sum(rows) == 0
+
+
 class TestSteadyGrid:
     """The grid kernel against the 40-digit reference.
 
@@ -590,89 +685,3 @@ class TestSteadyGrid:
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         with pytest.raises(ValueError, match="selection"):
             steady_grid(params, np.array([1.0, 2.0]), selection="median")
-
-
-class TestRootGridWeakCoupling:
-    """Cardano cancels once the cubic term (~ chi^4) is small; the rows it
-    misses are solved again and must meet the cubic."""
-
-    @pytest.mark.parametrize("delta", [0.0, 1e4])
-    @pytest.mark.parametrize("chi", [1e-5, 1e-7, 1e-10, 1e-20, 1e-40])
-    def test_every_positive_drive_meets_the_cubic(self, chi, delta):
-        params = PhysParams(chi=chi, Omega=1000.0, Gamma=1e-3, gamma=1.0)
-        powers = np.geomspace(1e-2, 1e12, 701)
-        roots = root_grid(params, delta, powers)
-        assert np.all(np.isfinite(roots[:, 0]) & (roots[:, 0] > 0.0))
-        a, b = pulling_coefficients(params)
-        found = ~np.isnan(roots)
-        intensity = np.where(found, roots, 0.0)
-        lhs = intensity * ((params.gamma / 2 + a * intensity) ** 2 + (delta - b * intensity) ** 2)
-        miss = np.abs(lhs - powers[:, None]) / powers[:, None]
-        assert miss[found].max() <= 1e-12
-
-    @pytest.mark.parametrize("delta", [0.0, 1e4])
-    @pytest.mark.parametrize("chi", [1.0, 1e-10, 1e-40])
-    def test_huge_drives_meet_the_cubic(self, chi, delta):
-        # the roots lie far below the bracket top 4 P / gamma^2 (6e51 against
-        # 4e150 at chi = 1, P = 1e150): bisection must halve the exponent to
-        # get there.  At weak coupling Cardano's wrong roots overflow the
-        # miss check itself, which must send them to be solved again
-        params = PhysParams(chi=chi, Omega=1000.0, Gamma=1e-3, gamma=1.0)
-        powers = np.geomspace(1e100, 1e306, 207)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            roots = root_grid(params, delta, powers)
-        assert np.all(np.isfinite(roots[:, 0]))
-        a, b = pulling_coefficients(params)
-        u, v = params.gamma / 2 + a * roots, delta - b * roots
-        miss = np.abs(roots * (u * u + v * v) - powers[:, None]) / powers[:, None]
-        assert np.nanmax(miss) <= 1e-12
-
-    def test_rounding_floor_accepts_roots_near_resonance(self):
-        # the middle and upper roots of a benchmark sweep lie near the pulled
-        # resonance delta = b I, where the check's own rounding, not the
-        # roots, puts some misses above ROOT_TOLERANCE P: within the rounding
-        # floor no row is missed
-        params = PhysParams(chi=0.3, Omega=1000.0, **CANONICAL_RATES)
-        powers = np.geomspace(1e8, 1e16, 4001)
-        roots = root_grid(params, params.Delta1, powers)
-        miss = np.abs(cascade._modulus_cubic(params, params.Delta1, roots, powers[:, None])[0])
-        assert np.any(miss > cascade.ROOT_TOLERANCE * powers[:, None])
-        assert not cascade._misses_cubic(params, params.Delta1, roots, powers).any()
-
-    def test_unsettled_row_is_no_root(self, monkeypatch):
-        monkeypatch.setattr(cascade, "BRACKET_ITERATIONS", 3)
-        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        with np.errstate(all="ignore"):  # the boundary root_grid gives it
-            row = cascade._bracketed_roots(params, params.Delta1, np.array([1e150]))[0]
-        assert np.all(np.isnan(row))
-
-    @pytest.mark.parametrize("delta", [0.0, 1e4])
-    @pytest.mark.parametrize("chi, grid", [
-        *((chi, (1e-2, 1e12, 701)) for chi in (1e-5, 1e-7, 1e-10, 1e-20, 1e-40)),
-        *((chi, (1e100, 1e306, 207)) for chi in (1.0, 1e-10, 1e-40))])
-    def test_linear_start_settles_every_row_in_24_steps(self, chi, grid, delta, monkeypatch):
-        # Newton's start P / c1 is a cost knob: from it no row of the two
-        # tests' grids above takes over 21 steps.  Started from P * c1, or
-        # from the bracket's geometric mean, rows take up to 53 or 60, and
-        # 24 leave rows of 5 of these grids without a root
-        monkeypatch.setattr(cascade, "BRACKET_ITERATIONS", 24)
-        params = PhysParams(chi=chi, Omega=1000.0, Gamma=1e-3, gamma=1.0)
-        with np.errstate(all="ignore"):  # the boundary root_grid gives it
-            roots = cascade._bracketed_roots(params, delta, np.geomspace(*grid))
-        assert np.all(np.isfinite(roots[:, 0]))
-
-    @pytest.mark.parametrize("chi", [0.3, 1.0, 3.0])
-    def test_benchmark_sweeps_take_no_bracketed_solve(self, chi, monkeypatch):
-        # the bracketed solve is the slow path: no drive of the benchmark's
-        # 2401-drive sweeps, in either cavity, should need it
-        rows, solve = [], cascade._bracketed_roots
-
-        def spy(params, delta, drive_power):
-            rows.append(len(drive_power))
-            return solve(params, delta, drive_power)
-
-        monkeypatch.setattr(cascade, "_bracketed_roots", spy)
-        params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
-        steady_grid(params, np.geomspace(1e5, 1e9, 2401), "follow")
-        assert sum(rows) == 0

@@ -504,6 +504,21 @@ class TestConfigPrecedence:
         dens = float(out.strip().split("\n")[1].split(",")[1])
         assert dens == pytest.approx(math.pi**-0.5, rel=1e-12)
 
+    def test_comment_and_blank_lines_give_the_flags_csv(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# a short sweep\n\ndrive_count = 7   # drives\n   \nchi = 0.5\n")
+        code, from_config, _ = run_cli(["cascaded", "sweep", "--config", str(config)], capsys)
+        _, from_flags, _ = run_cli(["cascaded", "sweep", "--drive-count", "7", "--chi", "0.5"],
+                                   capsys)
+        assert code == 0
+        assert from_config == from_flags
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(["cascaded", "sweep", "--config", str(tmp_path / "no.cfg")],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert "cannot read config file" in err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("zeta_typo = 1\n")
@@ -1118,6 +1133,20 @@ class TestPlot:
                                 "--y-columns", "nope"], capsys)
         assert code == 1
         assert "nope" in err
+
+    def test_missing_csv_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(["plot", str(tmp_path / "no.csv"), "--x-column", "x",
+                                  "--y-columns", "y"], capsys)
+        assert (code, out) == (1, "")
+        assert "cannot read CSV" in err
+
+    def test_empty_csv_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code, out, err = run_cli(["plot", str(path), "--x-column", "x", "--y-columns", "y"],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert "empty CSV document" in err
 
     def test_plot_determinism(self, tmp_path, capsys):
         path = self.make_csv(tmp_path, capsys, ["single-cavity", "sweep"], "profile.csv")

@@ -592,12 +592,20 @@ class TestGridKernel:
         scaled, feed = stage_blocks(damped, branch)
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
         vacuum = build_noise(params)
+        # at the default working point, a second stage of uncoupled atoms
+        # whose pivot at w = 1000 is the subnormal 1e-310: not singular, but
+        # its rows come out with a nan backward error
+        default = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        lossy = stage_blocks(default, steady_grid(default, np.array([1e6]))[0])
+        lossy[0][1, :2, :], lossy[0][1, 2:, :2] = 0.0, 0.0
+        lossy[0][1, :2, :2] = np.diag([1j * 1e3 - 1e-310] * 2)
         cases = [
             (stage_blocks(undamped, branch), build_noise(damped), [0.5, -2.0, 2.0],
              [spectra.OK] + [spectra.SINGULAR] * 2),
             ((scaled * 1e150, feed), build_noise(damped), [0.5, -2.0], [spectra.OK] * 2),
             ((scaled * 1e160, feed), build_noise(damped), [0.5, -2.0], [spectra.DEGENERATE] * 2),
             ((scaled, feed), cancelling_noise(damped), [0.5, 2.0], [spectra.ROUNDING] * 2),
+            (lossy, build_noise(default), [1e3], [spectra.SINGULAR]),
             (stage_blocks(params, steady_grid(params, np.array([1e3]))[0]), -vacuum, [1.0, 10.0],
              [spectra.NONPOSITIVE] * 2),
         ]
@@ -614,6 +622,8 @@ class TestGridKernel:
         with pytest.raises(SingularTransferError) as info:
             epr_grid(undamped, branch, -2.0)
         assert str(info.value) == "transfer matrix singular at omega=-2.0"
+        lost = spectra._epr_kernel(lossy, build_noise(default), np.array([1e3]))[2](0)
+        assert str(lost) == "transfer solve at omega=1000.0 lost precision (backward error nan)"
         assert str(failure(0)) == (f"non-positive EPR variance (s_qplus {grid.s_qplus[0]}, "
                                    f"s_pminus {grid.s_pminus[0]}) at omega=1.0")
 

@@ -15,7 +15,8 @@ conversions", AT&T Numerical Analysis Manuscript 90-10, 1990), cut into
 ASCII from small tables of 4-byte words.  Every other cell goes through
 Python's own conversion (`formatted`): those near a boundary, among them
 every exact decimal tie; nan and +-inf; for `scientific` 0, subnormals
-and values beyond 1e+-290, for `fixed` values of 1e9 and beyond.
+and values beyond 1e+-290, for `fixed` -0.0 and every value outside
+[0, 1000), which holds the plot box's coordinates.
 """
 
 import functools
@@ -64,7 +65,6 @@ def _tables():
             np.where(magnitude < 100, PAD, 48 + magnitude // 100),
             48 + magnitude // 10 % 10, 48 + magnitude % 10,
             np.full((len(exponent), 3), PAD)])),
-        signs=_words([[PAD] * 4, [45] + [PAD] * 3]),  # "____", "-___"
         cents=_words(np.hstack([np.full((100, 1), 46), pairs,
                                 np.full((100, 1), PAD)])),  # ".00_" .. ".99_"
     )
@@ -183,21 +183,16 @@ def scientific(values):
 
 
 def fixed(values):
-    """'%.2f' % v of every value (a float64 array), as rows of at least 20 bytes."""
+    """'%.2f' % v of every value (a float64 array), as rows of at least 8 bytes:
+    from the tables in [0, 1000), the plot box's coordinates, and by Python's
+    `%` for every other value, -0.0 among them."""
     t = _tables()
     x = np.ravel(values)
-    a = np.abs(x)
-    fast = a < 1e9
-    scaled = np.where(fast, a, 0.0) * 100.0
+    fast = ~np.signbit(x) & (x < 1000)
+    scaled = np.where(fast, x, 0.0) * 100.0
     cents = _nearest(scaled, scaled * 2.0 ** -52, fast)
     units = np.floor(cents / 100.0)
-    top, middle, low = _split(units, 1e4)
-    long, wide = units >= 1e8, units >= 1e4
-    blank = t.signs[0]
-    rows = np.empty((x.size, 5), np.uint32)
-    rows[:, 0] = t.signs[np.signbit(x).astype(np.intp)]
-    rows[:, 1] = np.where(long, t.leading_quads[top.astype(np.intp)], blank)
-    rows[:, 2] = np.where(long, t.quads[middle], np.where(wide, t.leading_quads[middle], blank))
-    rows[:, 3] = np.where(wide, t.quads[low], t.leading_quads[low])
-    rows[:, 4] = t.cents[(cents - units * 100.0).astype(np.intp)]
+    rows = np.empty((x.size, 2), np.uint32)
+    rows[:, 0] = t.leading_quads[units.astype(np.intp)]
+    rows[:, 1] = t.cents[(cents - units * 100.0).astype(np.intp)]
     return _with_fallback(rows, x, fast, FIXED)

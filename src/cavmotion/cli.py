@@ -173,9 +173,6 @@ def _policy(merged):
     return _checked(TruncationPolicy, merged, ("tail_epsilon", "hard_cap"))
 
 
-# cells below which a document is written cell by cell in Python: the
-# array writer's fixed cost, some 70-110 us, pays off from 64-96 cells
-SMALL_DOCUMENT = 80
 BLOCK_ROWS = 1024  # rows per array pass, which bounds the writer's temporaries
 
 
@@ -190,46 +187,41 @@ def format_csv(header, columns):
 
     A column's dtype decides its cells: integers and floats print as
     FLOAT_FORMAT, booleans as true/false and str arrays as they are; any
-    other dtype is refused (TypeError).  A column is a 1-D array or a
-    number; numbers and length-1 columns are repeated down the rows, and
-    columns of any other two lengths are refused (ValueError), as is a
-    header that names more or fewer columns.  Each float cell is
-    `FLOAT_FORMAT % v` and each text cell `str(v)`: the float cells of each
-    block of BLOCK_ROWS rows go through one array writer call
-    (`_digits.scientific`), which takes Python's own conversion for the
+    other dtype is refused (TypeError).  The columns are 1-D arrays of one
+    length, or numbers for a one-row document; columns of two shapes are
+    refused (ValueError), as is a header that names more or fewer columns.
+    Each float cell is `FLOAT_FORMAT % v` and each text cell `str(v)`: a
+    one-row document is written by Python's `%`, and the float cells of each
+    block of BLOCK_ROWS rows of a longer one go through one array writer
+    call (`_digits.scientific`), which takes Python's own conversion for the
     cells it cannot decide (near a rounding boundary, 0, subnormal, beyond
-    1e+-290, nan, inf), and documents under SMALL_DOCUMENT cells are
-    written cell by cell.
+    1e+-290, nan, inf).
     """
     names = header.count(",") + 1
     if names != len(columns):
         raise ValueError(f"header {header!r} names {names} columns, got {len(columns)}")
     columns = [np.atleast_1d(column) for column in columns]
-    shapes = set()  # of the columns not to repeat
     for column in columns:
         if column.dtype.kind not in "biufU":
             raise TypeError(f"a column of {column.dtype} has no CSV cells")
-        if column.shape != (1,):
-            shapes.add(column.shape)
-    if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+    if len({column.shape for column in columns}) > 1 or columns[0].ndim > 1:
         raise ValueError(f"columns of shapes {[column.shape for column in columns]} "
                          "are not one length")
-    rows = shapes.pop()[0] if shapes else 1
+    rows = len(columns[0])
     columns = [_text(column) if column.dtype.kind in "bU" else np.asarray(column, dtype=np.float64)
                for column in columns]
-    if rows * len(columns) < SMALL_DOCUMENT:
+    if rows == 1:  # the array writer's fixed cost, some 70-110 us, outweighs `%` here
         cells = [column.tolist() if column.dtype.kind == "U"
                  else _digits.formatted(FLOAT_FORMAT, column.tolist()) for column in columns]
-        cells = [column * rows if len(column) == 1 else column for column in cells]
-        return "".join([header, "\n", *(",".join(row) + "\n" for row in zip(*cells))])
-    blocks = ([column[start:start + BLOCK_ROWS] if len(column) > 1 else column
-               for column in columns] for start in range(0, rows, BLOCK_ROWS))
+        return f"{header}\n{','.join(cell for [cell] in cells)}\n"
+    blocks = ([column[start:start + BLOCK_ROWS] for column in columns]
+              for start in range(0, rows, BLOCK_ROWS))
     return header + "\n" + "".join(_lines(block) for block in blocks)
 
 
 def _lines(columns):
     """The lines of one block of rows, all float cells in one array writer call."""
-    rows = max(len(column) for column in columns)
+    rows = len(columns[0])
     floats = [column for column in columns if column.dtype.kind == "f"]
     block = np.empty((rows, len(floats)))
     for k, column in enumerate(floats):

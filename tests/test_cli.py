@@ -822,6 +822,8 @@ class TestDecimalWriters:
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(st.lists(st.floats(0.0, 700.0) | st.floats(-1e9, 1e9), min_size=1, max_size=64))
+    @example([-0.0, 0.0, 5e-324, np.nextafter(0.005, 0), 0.005, np.nextafter(0.005, 1), 999.995,
+              999.996, np.nextafter(1000, 0), 1000.0, 1e9, -1e-10])  # the ends of `fixed`'s tables
     def test_plot_coordinates(self, values):
         assert_writers_match_python(values)
 
@@ -861,15 +863,14 @@ class TestFormatCsv:
             one = cli.format_csv(header, [column[i:i + 1] for column in columns])
             assert one == f"{header}\n{lines[i + 1]}\n"
 
-    def test_scalars_and_length_one_columns_are_repeated(self):
-        doc = cli.format_csv("a,b,c", (np.arange(3.0), np.array([1.0]), "x"))
-        assert doc.split("\n")[1:] == [f"{i:.12e},1.000000000000e+00,x" for i in range(3)] + [""]
-        doc = cli.format_csv("a,b", (True, np.arange(2.0)))
-        assert doc == "a,b\ntrue,0.000000000000e+00\ntrue,1.000000000000e+00\n"
-
-    def test_columns_of_two_lengths_are_refused(self):
+    @pytest.mark.parametrize("header, columns", [
+        ("a,b", (np.arange(3.0), np.arange(2.0))),
+        # a number or a length-1 column is not repeated down the rows
+        ("a,b,c", (np.arange(3.0), np.array([1.0]), "x")),
+        ("a,b", (True, np.arange(2.0)))])
+    def test_columns_of_two_lengths_are_refused(self, header, columns):
         with pytest.raises(ValueError, match="not one length"):
-            cli.format_csv("a,b", (np.arange(3.0), np.arange(2.0)))
+            cli.format_csv(header, columns)
 
     @pytest.mark.parametrize("header, columns, counts", [
         ("a,b", (np.arange(2.0),), "names 2 columns, got 1"),
@@ -880,32 +881,34 @@ class TestFormatCsv:
 
     @pytest.mark.parametrize("rows", [1, 100])
     def test_text_and_objects_under_the_float_specifier_are_refused(self, rows):
-        # complex, object and bytes columns have no cells, on either side of
-        # SMALL_DOCUMENT
-        assert 1 < cli.SMALL_DOCUMENT <= 100
+        # complex, object and bytes columns have no cells, in a one-row
+        # document (Python's `%`) or a longer one (the array writer)
         for column in (np.full(rows, 1.5 + 0j), np.full(rows, 1.5, dtype=object),
                        np.full(rows, b"1.5")):
             with pytest.raises(TypeError, match="has no CSV cells"):
                 cli.format_csv("a", (column,))
 
-    @pytest.mark.parametrize("rows", [2, 100])
+    @pytest.mark.parametrize("rows", [1, 100])
     def test_booleans_print_as_words_and_integers_as_floats(self, rows):
-        # on either side of SMALL_DOCUMENT (4 and 200 cells)
-        assert 4 < cli.SMALL_DOCUMENT <= 200
+        # in a one-row document (Python's `%`) and a longer one (the array writer)
         flags, counts = np.arange(rows) % 2 == 0, np.arange(rows) * 7 - 3
         doc = cli.format_csv("n,flag", (counts, flags))
         assert doc.split("\n")[1:-1] == [f"{n:.12e},{str(f).lower()}"
                                          for n, f in zip(counts.tolist(), flags.tolist())]
 
     def test_text_cells_keep_every_character(self):
-        # on either side of SMALL_DOCUMENT (12 and 300 cells): a column with
-        # non-ASCII text goes cell by cell; NUL inside a cell stays
+        # a column with non-ASCII text goes cell by cell; NUL inside a cell
+        # stays; in documents of many rows (the array writer) and in each row
+        # written as a one-row document (Python's `%`)
         for rows in (4, 100):
             cells = np.resize(np.array(["é", "a\x00b", "", "\U0001f600"]), rows)
             ascii_cells = np.resize(np.array(["a\x00b", "", "c"]), rows)
-            doc = cli.format_csv("t,a,x", (cells, ascii_cells, np.arange(rows) * 30.0))
-            assert doc.split("\n")[1:-1] == [f"{t},{a},{30 * i:.12e}"
-                                             for i, (t, a) in enumerate(zip(cells, ascii_cells))]
+            columns = (cells, ascii_cells, np.arange(rows) * 30.0)
+            lines = [f"{t},{a},{30 * i:.12e}" for i, (t, a) in enumerate(zip(cells, ascii_cells))]
+            assert cli.format_csv("t,a,x", columns).split("\n")[1:-1] == lines
+            for i in range(min(rows, 12)):
+                one = cli.format_csv("t,a,x", [column[i:i + 1] for column in columns])
+                assert one == f"t,a,x\n{lines[i]}\n"
 
     def test_fast_path_serves_the_golden_runs(self, monkeypatch, capsys):
         # under 1% of the finite normal float cells of the five default
@@ -1222,6 +1225,37 @@ class TestPlot:
                                  capsys)
         assert code == 0, err
         assert svg.encode() == (GOLDEN / "plot_edge_cases.svg").read_bytes()
+
+    def test_fast_path_serves_every_plot_coordinate(self, monkeypatch):
+        # the golden plots and the extreme axis spans, in both axis orders,
+        # send to Python's `%` only coordinates within the tables' rounding
+        # error of a half cent, the exact ties among them; values off the plot
+        # box do go there: the table path cannot silently stop
+        to_python, formatted = [], _digits.formatted
+
+        def near_a_tie(value):
+            cents = Fraction(value) * 100
+            return 0 < value < 640 and abs(cents % 1 - Fraction(1, 2)) < cents * Fraction(2) ** -51
+
+        def spy_formatted(spec, values):
+            if spec == _digits.FIXED:
+                to_python.extend(values)
+            return formatted(spec, values)
+
+        monkeypatch.setattr(_digits, "formatted", spy_formatted)
+        plots = [((GOLDEN / f"{stem}.csv").read_text(), x_column, y_column)
+                 for stem, x_column, y_column in [("single_cavity_sweep", "x", "efficiency"),
+                                                  ("cascaded_sweep", "drive", "e_degree"),
+                                                  ("cascaded_spectrum", "omega", "e_degree")]]
+        plots += [(text, "a", "b") for text in ("a,b\n1e17,1\n100000000000000016,2\n",
+                                                "a,b\n-1e308,1\n1e308,2\n", "a,b\n0,1\n5e-324,2\n")]
+        for csv_text, x_column, y_column in plots:
+            for x_name, y_name in ((x_column, y_column), (y_column, x_column)):
+                assert "<polyline" in render_plot(csv_text, x_name, [y_name])
+                assert all(map(near_a_tie, to_python)), (x_name, y_name, to_python)
+                to_python.clear()
+        assert written(_digits.fixed(np.array([-1.0, 1000.5]))) == ["-1.00", "1000.50"]
+        assert to_python == [-1.0, 1000.5]
 
     @pytest.mark.parametrize("csv_text,x_column,y_column", [
         # a span of one float spacing, below the tick step's: t + step == t

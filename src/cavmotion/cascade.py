@@ -132,7 +132,12 @@ def _bracketed_roots(params, delta, drive_power):
     halvings of a piece's bit interval leave two adjacent floats across
     the sign change: the root is the one where the cubic misses less.
     """
-    top = np.minimum(4.0 * drive_power / (params.gamma * params.gamma), np.finfo(float).max)
+    g, (a, b) = params.gamma, pulling_coefficients(params)
+
+    def cubic(intensity, power):  # the value of `_modulus_cubic`, in its arithmetic
+        u, v = g / 2.0 + a * intensity, delta - b * intensity
+        return intensity * (u * u + v * v) - power
+    top = np.minimum(4.0 * drive_power / (g * g), np.finfo(float).max)
     cuts = np.zeros(drive_power.shape + (4,))
     cuts[:, 1:] = top[:, None]
     turns = _turning_points(params, delta)
@@ -140,18 +145,17 @@ def _bracketed_roots(params, delta, drive_power):
         # a turning point at -0.0, whose bits are negative, cuts at +0.0
         turns = np.array(turns)
         cuts[:, 1:3] = np.where(turns > 0.0, np.minimum(turns, top[:, None]), 0.0)
-    sign = np.sign(_modulus_cubic(params, delta, cuts, drive_power[:, None])[0])
+    sign = np.sign(cubic(cuts, drive_power[:, None]))
     has_root = (sign[:, :-1] != 0.0) & (sign[:, :-1] * sign[:, 1:] <= 0.0)
     rows, pieces = np.nonzero(has_root)
     power, lower_sign = drive_power[rows], sign[rows, pieces]
     lower, upper = cuts[rows, pieces].view(np.int64), cuts[rows, pieces + 1].view(np.int64)
     for _ in range(63):
         middle = lower + (upper - lower) // 2
-        left = np.sign(_modulus_cubic(params, delta, middle.view(float), power)[0]) == lower_sign
+        left = np.sign(cubic(middle.view(float), power)) == lower_sign
         lower, upper = np.where(left, middle, lower), np.where(left, upper, middle)
     lower, upper = lower.view(float), upper.view(float)
-    miss_lower, miss_upper = (np.abs(_modulus_cubic(params, delta, x, power)[0])
-                              for x in (lower, upper))
+    miss_lower, miss_upper = np.abs(cubic(lower, power)), np.abs(cubic(upper, power))
     roots = np.full(has_root.shape, np.nan)
     roots[rows, pieces] = np.where(miss_lower <= miss_upper, lower, upper)
     return np.sort(roots, axis=1)

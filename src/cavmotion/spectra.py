@@ -39,10 +39,11 @@ OK, SINGULAR, DEGENERATE, NONPOSITIVE, ROUNDING = range(5)
 # sweeps and spectra, and below 2.1e-15 at every stable drive up to 3e153
 FORM_TOLERANCE = 1e-6
 
-# points per block of the row solve, which pays numpy's per-call cost once
-# per block: 384 keep the benchmark's peak memory within 0.5% of LAPACK's
-# 128-point blocks, where 512 would add 2% on the cascaded sweep
-GRID_BLOCK = 384
+# points per block of the row solve, which pays numpy's per-call cost once per block; a
+# block traces about 1,090 bytes a point: 768 keep a 2001-omega spectrum at 0.898 MiB and the
+# default sweep's kernel at 0.843 (0.900 and 1.065 at 384 when the forms copied the rows,
+# which also broke the one-point-vs-grid-row identity at 1024; it holds to 2048 now)
+GRID_BLOCK = 768
 
 
 class SingularTransferError(ArithmeticError):
@@ -122,14 +123,8 @@ def build_noise(params):
     return d
 
 
-def _times(rows, matrix):
-    """rows @ matrix for one matrix, as one 2-d product (a stacked one is slower)."""
-    flat = np.reshape(rows, (-1, rows.shape[-1])) @ matrix
-    return flat.reshape(rows.shape[:-1] + matrix.shape[-1:])
-
-
 def _solve_rows(block, shift, u):
-    """(y, pivots, backward, singular) with y L = u, L = shift - block, at every
+    """(y, backward, singular, pivots) with y L = u, L = shift - block, at every
     point of the broadcast of 4x4 blocks (..., 4, 4) whose cavity part (slots
     2, 3) is diagonal and shifts (...); u and y hold one (k, ...) array per slot.
 
@@ -155,26 +150,29 @@ def _solve_rows(block, shift, u):
         # y_m = r S^-1: cramer[j][i] is the coefficient of r_j in y_i
         cramer = [[s[1][1] * inv_det, -s[0][1] * inv_det], [-s[1][0] * inv_det, s[0][0] * inv_det]]
         r = [u[j] + u[2] * w[0][j] + u[3] * w[1][j] for j in (0, 1)]
+        del s, inv_det, w  # temporaries go once used: with the rows they set a block's peak
         y = [r[0] * cramer[0][i] + r[1] * cramer[1][i] for i in (0, 1)]
+        del r, cramer
         y += [(u[k + 2] + y[0] * a[0][k + 2] + y[1] * a[1][k + 2]) * inv_c[k] for k in (0, 1)]
-        size, backward = [np.abs(part) for part in y], 0.0
+        backward = 0.0
         for j in range(4):
             residual = y[j] * diagonal[j] - u[j]
-            terms = size[j] * (np.abs(shift) + np.abs(a[j][j])) + np.abs(u[j])
+            terms = np.abs(y[j]) * (np.abs(shift) + np.abs(a[j][j])) + np.abs(u[j])
             for i in (i for i in range(4) if i != j and np.any(a[i][j])):
                 residual -= y[i] * a[i][j]
-                terms += size[i] * np.abs(a[i][j])
+                terms += np.abs(y[i]) * np.abs(a[i][j])
             # a zero sum of magnitudes has a zero residual
             backward = np.maximum(backward, np.abs(residual) / np.maximum(terms, TINY))
+            del residual, terms
         singular = ~np.all([np.isfinite(p) & (p != 0.0) for p in (*diagonal[2:], det)], axis=0)
-        return y, (*diagonal[2:], det / scale / scale), backward.max(axis=0), singular
+        return y, backward.max(axis=0), singular, (*diagonal[2:], det / scale / scale)
 
 
 def _row_solve(blocks, omega, rows):
-    """(y, singular, backward): the rows y = u (i w I - M)^(-1) (n, k, 8) of
-    `rows` (k, 8) at n flat points, for stages (n, 2, 4, 4) or one working
-    point's (`stage_blocks`) and omega (n,); either stage singular
-    (`_solve_rows`), the larger backward error.
+    """(y, singular, backward): the rows y = u (i w I - M)^(-1) of `rows` (k, 8)
+    at n flat points, (n, k, 8) viewing their row-major (k, n, 8) stack, for
+    stages (n, 2, 4, 4) or one working point's (`stage_blocks`) and omega (n,);
+    either stage singular (`_solve_rows`), the larger backward error.
 
     In the slots regrouped by stage the drift is [[A, 0], [C, D]], so
     y2 = u2 (i w - D)^(-1), then y1 = (u1 + y2 C)(i w - A)^(-1)."""
@@ -182,34 +180,39 @@ def _row_solve(blocks, omega, rows):
     shift = 1j * np.asarray(omega, dtype=float)
     # one (k, 1) array per slot: the rows on the leading axis, the points behind
     u = np.transpose(rows)[..., None]
-    y2, _, backward2, singular2 = _solve_rows(stages[..., 1, :, :], shift, u[STAGES[4:]])
+    y2, backward2, singular2 = _solve_rows(stages[..., 1, :, :], shift, u[STAGES[4:]])[:3]
     # the first stage's rows u1 + y2 C, from the feed's nonzero entries
-    u1 = [u[slot] + sum(y2[i] * feed[i, j] for i in range(4) if feed[i, j] != 0.0)
-          for j, slot in enumerate(STAGES[:4])]
-    y1, _, backward1, singular1 = _solve_rows(stages[..., 0, :, :], shift, u1)
+    y1, backward1, singular1 = _solve_rows(stages[..., 0, :, :], shift, [
+        u[slot] + sum(y2[i] * feed[i, j] for i in range(4) if feed[i, j] != 0.0)
+        for j, slot in enumerate(STAGES[:4])])[:3]
     y = np.moveaxis(np.stack(y1[:2] + y2[:2] + y1[2:] + y2[2:], axis=-1), 0, -2)
     return y, singular1 | singular2, np.maximum(backward1, backward2)
 
 
 def _blocked(blocks, omega, reduce):
     """[omega, singular, backward, *reduce(y)] over the broadcast of the `stage_blocks`
-    (stages, feed) and `omega`, reducing the rows y (n, 4, 8) of EPR_ROWS (`_row_solve`) for
-    GRID_BLOCK flattened points at a time: its memory is that of the results and one block."""
+    (stages, feed) and `omega`, reducing (and free to overwrite) the rows y of EPR_ROWS
+    (`_row_solve`) GRID_BLOCK flattened points at a time: memory for the results and a block."""
     stages, feed = blocks
     omega = np.broadcast_to(omega, np.broadcast_shapes(stages.shape[:-3], np.shape(omega)))
     # the grid's points on at least one axis (numpy's scalar arithmetic rounds complex
     # products unlike its array loops, and a point must not depend on its grid), to index
     # a block's points by; one working point's stages serve every block as they are (stages[()])
     points, out = omega.reshape(omega.shape or (1,)), []
-    stages = np.broadcast_to(stages, points.shape + (2, 4, 4)) if stages.ndim > 3 else stages
+    # working points flatten uncopied, and a block of them is a slice, unless omega broadcasts them
+    sliced = stages.shape[:-3] == points.shape
+    if stages.ndim > 3:
+        stages = (stages.reshape(-1, 2, 4, 4) if sliced
+                  else np.broadcast_to(stages, points.shape + (2, 4, 4)))
     for start in range(0, max(omega.size, 1), GRID_BLOCK):
         at = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, omega.size)), points.shape)
-        y, singular, backward = _row_solve((stages[at[:stages.ndim - 3]], feed), points[at],
-                                           EPR_ROWS)
+        block = stages[start:start + GRID_BLOCK] if sliced else stages[at[:stages.ndim - 3]]
+        y, singular, backward = _row_solve((block, feed), points[at], EPR_ROWS)
         for k, part in enumerate((singular, backward) + tuple(reduce(y))):
             if start == 0:  # the whole grid's column, shaped as the first block's part
                 out.append(np.empty((omega.size,) + part.shape[1:], part.dtype))
             out[k][start:start + GRID_BLOCK] = part
+        del y, singular, backward, part  # gone before the next block's rows come
     return [omega] + [c.reshape(omega.shape + c.shape[1:]) for c in out]
 
 
@@ -232,15 +235,18 @@ def _epr_kernel(blocks, d, omega):
     error above FORM_TOLERANCE); there e_degree is nan and failure(i) is the
     error of flat point i."""
     def forms(y):
-        # the terms of each form: (y A)_k conj(y_k), and (y B)_k conj(y'_k)
-        # for the commutator's pairs (q_a, p_a) and (p_a, q_a)
-        with_d = _times(y[..., :2, :], 0.25 * (d + d.T)[:, PAIRS]) * y[..., :2, :].conj()
-        with_k = _times(y[..., 2:, :], 0.25 * (d - d.T)[:, PAIRS]) * y[..., [3, 2], :].conj()
-        s_q, s_p = np.moveaxis(with_d.sum(axis=-1).real, -1, 0)
-        comm = with_k[..., 0, :].sum(axis=-1) - with_k[..., 1, :].sum(axis=-1)
+        # each form's terms, (y A)_k conj(y_k) and (y B)_k conj(y'_k) for the commutator's pairs
+        # (q_a, p_a), (p_a, q_a), on the rows' (4, n, 8) stack: GEMMs read it, conj overwrites it
+        y = np.moveaxis(y, -2, 0)
+        terms = (y[:2].reshape(-1, 8) @ (0.25 * (d + d.T)[:, PAIRS])).reshape(2, -1, 8)
+        terms *= np.conjugate(y[:2], out=y[:2])
+        (s_q, s_p), size_d = terms.sum(axis=-1).real, np.abs(terms).sum(axis=-1)
+        terms = (y[2:].reshape(-1, 8) @ (0.25 * (d - d.T)[:, PAIRS])).reshape(2, -1, 8)
+        terms *= np.conjugate(y[3:1:-1], out=y[3:1:-1])
+        comm = terms[0].sum(axis=-1) - terms[1].sum(axis=-1)
         # each form's terms summed in magnitude, over its value
-        size_d, size_k = np.abs(with_d).sum(axis=-1), np.abs(with_k).sum(axis=(-2, -1))
-        spread = np.maximum.reduce([size_d[:, 0] / s_q, size_d[:, 1] / s_p, size_k / np.abs(comm)])
+        size_k = np.abs(terms).sum(axis=0).sum(axis=-1)
+        spread = np.maximum.reduce([size_d[0] / s_q, size_d[1] / s_p, size_k / np.abs(comm)])
         return s_q, s_p, comm, spread
 
     with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge

@@ -502,14 +502,39 @@ class TestGridKernel:
             alone = epr_grid(params, steady[k], row)
             for field in ("s_qplus", "s_pminus", "commutator", "e_degree"):
                 assert np.array_equal(getattr(both, field)[k], getattr(alone, field))
+        # a sweep's shape, more than a block of stable working points at one
+        # frequency: each drive's forms are those of its one-drive evaluation
+        steady = steady_grid(params, np.geomspace(1e5, 1e9, 2401), "follow")
+        stable = steady[stability_grid(params, steady)][:GRID_BLOCK + 7]
+        assert stable.intensity1.size == GRID_BLOCK + 7
+        sweep = epr_grid(params, stable, params.Omega)
+        for k in range(GRID_BLOCK + 7):
+            alone = epr_grid(params, stable[k], params.Omega)
+            for field in ("s_qplus", "s_pminus", "commutator", "e_degree"):
+                assert np.array_equal(getattr(sweep, field)[k], getattr(alone, field))
 
     def test_grid_memory_is_bounded(self):
+        # one full block of the kernel, in the spectrum's shape (one working
+        # point by GRID_BLOCK frequencies) and the sweep's (GRID_BLOCK working
+        # points at one frequency), peaks at 0.80 MiB (numpy 2.4), about 1,090
+        # bytes a point: the stacked rows (512 bytes a point) and the slot rows
+        # they are stacked from (512)
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        branch, noise = steady_grid(params, np.array([1e6]))[0], build_noise(params)
+        drives = steady_grid(params, np.full(GRID_BLOCK, 1e6))
+        shapes = ((stage_blocks(params, branch), np.geomspace(100.0, 1e4, GRID_BLOCK)),
+                  (stage_blocks(params, drives), params.Omega))
+        for blocks, omega in shapes:
+            tracemalloc.start()
+            try:
+                spectra._epr_kernel(blocks, noise, omega)
+                assert tracemalloc.get_traced_memory()[1] < 0.85 * 2**20
+            finally:
+                tracemalloc.stop()
         # one block's arrays plus the per-point results (four arrays of the
         # SpectrumPoint and the status, 48 bytes a point), each held at most
         # four times over (the blocks' parts, their concatenation and the
         # status' temporaries): not the rows of the whole grid (1.5 kB a point)
-        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
-        branch = steady_grid(params, np.array([1e6]))[0]
         peaks = []
         for count in (GRID_BLOCK, 20001):
             omegas = np.geomspace(100.0, 1e4, count)
@@ -780,7 +805,7 @@ class TestStageRows:
                 s = 1j * w
                 want = (s * s + big * s + wm2) * (s * s + g * s + wc2) - cycle
                 size = (w * w + big * abs(w) + wm2) * (w * w + g * abs(w) + wc2) + abs(cycle)
-                pivots = spectra._solve_rows(stages, np.array([s]), rows)[1]
+                pivots = spectra._solve_rows(stages, np.array([s]), rows)[3]
                 got = pivots[0] * pivots[1] * pivots[2]
                 assert np.all(np.abs(got - want) <= 4e-15 * size), (chi, w)
 

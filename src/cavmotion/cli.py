@@ -136,6 +136,8 @@ def resolve_config(args):
             raise UsageError(f"{grid} grid needs count >= 1, got {count}")
         if lo > hi:
             raise UsageError(f"{grid} grid needs min <= max, got [{lo}, {hi}]")
+        if merged.get(f"{grid}_log", False) and lo <= 0:
+            raise UsageError(f"log-spaced {grid} grid needs min > 0, got {lo}")
     return merged
 
 
@@ -145,8 +147,6 @@ def _grid(merged, name):
         return np.array([lo])
     with np.errstate(over="ignore"):  # only at the last point, which numpy sets to hi
         if merged.get(f"{name}_log", False):
-            if lo <= 0:
-                raise UsageError(f"log-spaced {name} grid needs min > 0, got {lo}")
             return np.geomspace(lo, hi, count)
         scale = 1.0 if math.isfinite(hi - lo) else 2.0  # halves where the span overflows
         return scale * np.linspace(lo / scale, hi / scale, count)
@@ -245,7 +245,7 @@ def run_single_cavity(merged, x_values=None):
         x_grid=np.asarray(x_values, dtype=float), policy=_policy(merged))
     columns = [profile.x, profile.prob_density, profile.lin_entropy, profile.efficiency]
     header = "x,prob_density,lin_entropy,efficiency"
-    unresolvable = profile.error.astype(bool)  # None is False, a message True
+    unresolvable = profile.status != conditional.OK
     if unresolvable.any():
         columns.append(np.where(unresolvable, "unresolvable", ""))
         header += ",error"

@@ -35,6 +35,9 @@ from .fock import (
 # conditioning divides by the outcome density, which amplifies roundoff
 # garbage once the density is this far into the denormal range
 PROBABILITY_FLOOR = 1e-300
+# outcome status: resolved, density at most PROBABILITY_FLOOR, or a state that is not
+# finite (its Kerr phase overflowed)
+OK, BELOW_FLOOR, NONFINITE_STATE = range(3)
 
 # label_factor expands labels in at most this many number states, to the
 # policy's Poisson tail; the bound also keeps the QR's transient memory small
@@ -90,15 +93,15 @@ class JointState:
 @dataclass
 class ConditionalResult:
     """Joint atomic state conditioned on quadrature outcome x, as arrays over
-    a grid of outcomes (cond_coeffs one row each); error holds None or why
-    the outcome is unresolvable, its values nan."""
+    a grid of outcomes (cond_coeffs one row each); status is OK, or why the
+    outcome is unresolvable (BELOW_FLOOR, NONFINITE_STATE), its values nan."""
 
     x: np.ndarray
     cond_coeffs: np.ndarray
     prob_density: np.ndarray
     lin_entropy: np.ndarray
     efficiency: np.ndarray
-    error: np.ndarray
+    status: np.ndarray
 
 
 def evolve(zeta, kappa, time, policy=DEFAULT_POLICY):
@@ -294,7 +297,7 @@ def condition_on_quadrature(state, x_grid):
     phase overflowed in `evolve`) resolves no outcome.  prob_density is the
     squared norm of the projected atomic state, so efficiency = lin_entropy *
     prob_density holds exactly.
-    Unresolvable outcomes keep nan values and their message in error.  x
+    Unresolvable outcomes keep nan values and their reason in status.  x
     holds a copy of the grid (a scalar is a one-element grid)."""
     x_grid = np.array(x_grid, dtype=float, ndmin=1)
     raw = state.coeffs * oscillator_wavefunctions(state.n_max, x_grid).T
@@ -310,23 +313,19 @@ def condition_on_quadrature(state, x_grid):
         prob[redo], purity[redo] = outcome_moments(state.factor, raw[redo])
     np.minimum(purity, 1.0, out=purity)
     resolved = prob > PROBABILITY_FLOOR
-    error = np.full(x_grid.size, None, dtype=object)
-    for i in np.flatnonzero(~resolved):
-        why = (f"has probability density below {PROBABILITY_FLOOR}" if finite
-               else "has no finite state: the Kerr phase overflows")
-        error[i] = f"outcome x={x_grid[i]} {why}"
+    status = np.where(resolved, OK, BELOW_FLOOR if finite else NONFINITE_STATE)
     prob = np.where(resolved, prob, np.nan)
     cond_coeffs = np.divide(raw, np.sqrt(prob)[:, None], where=resolved[:, None],
                             out=np.full(raw.shape, np.nan, dtype=complex))
     lin_entropy = 1.0 - purity
-    return ConditionalResult(x_grid, cond_coeffs, prob, lin_entropy, lin_entropy * prob, error)
+    return ConditionalResult(x_grid, cond_coeffs, prob, lin_entropy, lin_entropy * prob, status)
 
 
 def efficiency_profile(zeta, kappa, time, x_grid=None, policy=DEFAULT_POLICY):
     """Conditional results over a grid of quadrature outcomes: one
     ConditionalResult of arrays.
 
-    Unresolvable outcomes keep nan values and their message in error
+    Unresolvable outcomes keep nan values and their reason in status
     instead of aborting the profile (`condition_on_quadrature`).
     """
     x_grid = np.asarray(DEFAULT_X_GRID if x_grid is None else x_grid, dtype=float)

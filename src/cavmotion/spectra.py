@@ -31,8 +31,8 @@ STAGES = np.array([0, 1, 4, 5, 2, 3, 6, 7])
 PAIRS = np.array([1, 0, 3, 2, 5, 4, 7, 6])
 
 TINY, EPS = np.finfo(float).tiny, np.finfo(float).eps
-# EPR kernel point status
-OK, SINGULAR, DEGENERATE, NONPOSITIVE, ROUNDING = range(5)
+# point status: the EPR kernel's, then a sweep's drive with no stable working point
+OK, SINGULAR, DEGENERATE, NONPOSITIVE, ROUNDING, UNSTABLE, OVERFLOW = range(7)
 # largest estimated relative rounding error of an EPR form at an OK point:
 # (the rows' componentwise backward error + eps) times the summed magnitude
 # of the form's terms over its value.  It stays below 5e-14 on the benchmark's
@@ -65,7 +65,7 @@ class SpectrumPoint:
 
 @dataclass
 class SweepPoint:
-    """An amplitude sweep as arrays over its drives; error: None or why a drive has no e_degree."""
+    """An amplitude sweep as arrays over its drives; status: OK or why a drive has no e_degree."""
 
     drive: np.ndarray
     branch1: np.ndarray
@@ -75,7 +75,7 @@ class SweepPoint:
     stable: np.ndarray
     e_degree: np.ndarray
     jumped: np.ndarray
-    error: np.ndarray
+    status: np.ndarray
 
 
 def stage_blocks(params, steady):
@@ -287,8 +287,8 @@ def epr_grid(params, steady, omega):
     s_qplus and s_pminus are the symmetrized variances of q_a + q_b and
     p_a - p_b; the commutator is the spectral <[q_a(w), p_a(w)]> built from
     the state-independent input commutators; the degree is their ratio
-    e = s_qplus s_pminus / (|commutator|^2 / 4), flagged as EPR-correlated
-    when it drops below one.
+    e = s_qplus s_pminus / (|commutator|^2 / 4), reported as a value: nothing
+    marks or names the points where it drops below one.
 
     Raises the failure of the first failing point in grid order, as a
     point-by-point evaluation would (the statuses of `_epr_kernel`).
@@ -342,20 +342,19 @@ def amplitude_sweep(params, drive_grid, omega_eval):
     `stability_grid` call decides every drive; then the stable drives take
     one `stage_blocks` and one `_epr_kernel` call.  Unstable, overflowing
     (nan intensity) or numerically failing drives come back with
-    e_degree = nan and the reason in their error.
+    e_degree = nan and the reason in their status: UNSTABLE, OVERFLOW or
+    the kernel's.
     """
     drive_grid = np.asarray(drive_grid, dtype=float)
     if not np.all(np.diff(drive_grid) >= 0):
         raise ValueError("drive_grid must be sorted ascending")
     steady = steady_grid(params, drive_grid, selection="follow")
     stable = stability_grid(params, steady)
-    overflow = np.isnan(steady.intensity1 + steady.intensity2)  # no working point
-    error = np.where(stable, None, np.where(overflow, "overflow", "unstable working point"))
+    # a nan intensity: no working point; the stable drives take the kernel's status
+    status = np.where(np.isnan(steady.intensity1 + steady.intensity2), OVERFLOW, UNSTABLE)
     e_degree, solved = np.full(drive_grid.size, np.nan), np.flatnonzero(stable)
-    grid, status, failure = _epr_kernel(stage_blocks(params, steady[solved]), build_noise(params),
-                                        omega_eval)
+    grid, status[solved], _ = _epr_kernel(stage_blocks(params, steady[solved]),
+                                          build_noise(params), omega_eval)
     e_degree[solved] = grid.e_degree
-    for i in np.flatnonzero(status):
-        error[solved[i]] = str(failure(i))
     return SweepPoint(drive_grid, steady.branch1, steady.branch2, steady.intensity1,
-                      steady.intensity2, stable, e_degree, steady.jumped1 | steady.jumped2, error)
+                      steady.intensity2, stable, e_degree, steady.jumped1 | steady.jumped2, status)

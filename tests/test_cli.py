@@ -141,8 +141,7 @@ class TestSingleCavityCsv:
                                        for flag, value in zip(flags[::2], flags[1::2])})
         profile = conditional.efficiency_profile(merged["zeta"], merged["kappa"],
                                                  merged["time"], x_grid=[merged["x_min"]])
-        assert profile.error[0] == (f"outcome x={merged['x_min']} has no finite state: "
-                                    "the Kerr phase overflows")
+        assert profile.status[0] == conditional.NONFINITE_STATE
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(["single-cavity", "sweep"], capsys)
@@ -254,7 +253,7 @@ class TestCascadedCsv:
         alone = cli.run_cascaded(merged, drive_values=drives[:4])
         assert alone.strip().split("\n")[1:] == rows[:4]
         sweep = spectra.amplitude_sweep(cli._phys_params(merged), drives, 1000.0)
-        assert (sweep.stable[-1], sweep.error[-1]) == (False, "overflow")
+        assert (sweep.stable[-1], sweep.status[-1]) == (False, spectra.OVERFLOW)
         assert np.isnan(sweep.e_degree[-1])
 
     def test_overflowing_drive_has_no_stable_working_point(self, capsys):
@@ -306,7 +305,7 @@ class TestCascadedCsv:
         merged = dict(cli.DEFAULTS, drive_min=1e5, drive_max=1e151, drive_count=4)
         params, drives = cli._phys_params(merged), cli._grid(merged, "drive")
         sweep = spectra.amplitude_sweep(params, drives, 1000.0)
-        assert sweep.stable[-1] and sweep.error[-1] is None
+        assert sweep.stable[-1] and sweep.status[-1] == spectra.OK
         assert out.strip().split("\n")[-1].split(",")[-2:] == [
             cli.FLOAT_FORMAT % sweep.e_degree[-1], "true"]
         drift = build_drift(params, steady_grid(params, drives, "follow")[len(drives) - 1])
@@ -322,8 +321,7 @@ class TestCascadedCsv:
         assert code == 0, err
         assert all(row.split(",")[-2:] == ["nan", "true"] for row in out.strip().split("\n")[1:])
         sweep = spectra.amplitude_sweep(cli._phys_params(decoupled), drives, 1000.0)
-        assert all(error.startswith("EPR forms dominated by rounding (estimated relative error ")
-                   and error.endswith(") at omega=1000.0") for error in sweep.error)
+        assert np.all(sweep.status == spectra.ROUNDING)
 
     def test_spectrum_at_omega_eval_dominated_by_rounding_fails_numerically(self, monkeypatch,
                                                                            capsys):
@@ -538,6 +536,29 @@ class TestConfigPrecedence:
         assert "count" in err
         code, _, _ = run_cli(["single-cavity", "sweep", "--x-min", "2", "--x-max", "-2"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("count", ["1", "2"])
+    @pytest.mark.parametrize("argv, message", [
+        (["cascaded", "spectrum", "--omega-min", "-5", "--omega-count"],
+         "log-spaced omega grid needs min > 0, got -5.0"),
+        (["cascaded", "sweep", "--drive-min", "0", "--drive-count"],
+         "log-spaced drive grid needs min > 0, got 0.0"),
+    ], ids=["omega", "drive"])
+    def test_log_grid_from_zero_or_below_is_usage_error(self, argv, message, count, monkeypatch,
+                                                         capsys):
+        # at every count, before any working point is solved; a linear grid may start there
+        def computed(*args):
+            pytest.fail("a working point was solved before the grid was checked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "steady_grid", computed)
+            patch.setattr(spectra, "amplitude_sweep", computed)
+            code, out, err = run_cli(argv + [count], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        log_flag = "--omega-log" if argv[1] == "spectrum" else "--drive-log"
+        code, out, err = run_cli(argv + [count, log_flag, "false"], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.strip().split("\n")) == 1 + int(count)
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)
@@ -767,8 +788,8 @@ def test_overflowing_schur_determinant_is_not_singular(argv, monkeypatch, capsys
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(argv, capsys)
-    messages = [err] + [str(e) for sweep in sweeps for e in sweep.error if e is not None]
-    assert not any("singular" in message for message in messages)
+    assert "singular" not in err
+    assert not any(np.any(sweep.status == spectra.SINGULAR) for sweep in sweeps)
     if argv[2] == "--Omega":
         assert (code, out) == (cli.NUMERICAL_ERROR, "")
         assert err.startswith("numerical failure: degenerate commutator spectrum |0j|")
@@ -780,7 +801,7 @@ def test_overflowing_schur_determinant_is_not_singular(argv, monkeypatch, capsys
     assert np.all(np.abs(e_degree - 4.0) <= 1e-12)
     if argv[1] == "sweep":
         assert all(row[-1] == "true" for row in rows[1:])
-        assert all(e is None for e in sweeps[0].error)
+        assert np.all(sweeps[0].status == spectra.OK)
 
 
 def written(rows):

@@ -14,6 +14,7 @@ from scipy.integrate import simpson
 
 from cavmotion import conditional
 from cavmotion.conditional import (
+    BELOW_FLOOR,
     FOCK_FACTOR_DIM,
     FOCK_FACTOR_POLICY,
     LATTICE_MIN_ORDER,
@@ -528,8 +529,7 @@ class TestLatticeMoments:
         assert len(factors) == len(calls)
         assert np.all(np.isnan(res.prob_density)) == (refused is None)
         if zeta == 12.0:
-            assert all(e == f"outcome x={v} has probability density below {PROBABILITY_FLOOR}"
-                       for e, v in zip(res.error, res.x))
+            assert np.all(res.status == BELOW_FLOOR)
 
     def test_clip_moves_no_value_beyond_its_estimate(self):
         # nearly product states: one coefficient and 1e-9 noise, purity
@@ -588,7 +588,7 @@ class TestEfficiencyProfile:
     def test_vacuum_profile_is_flat_zero(self):
         profile = efficiency_profile(0.0, 1.0, np.pi)
         assert profile.efficiency.shape == (161,)
-        assert list(profile.error) == [None] * 161
+        assert np.array_equal(profile.status, np.full(161, conditional.OK))
         assert np.all(np.abs(profile.efficiency) <= 1e-12)
 
     def test_peak_efficiency_grows_with_amplitude(self):
@@ -597,10 +597,19 @@ class TestEfficiencyProfile:
             peaks.append(efficiency_profile(zeta, 1.0, np.pi).efficiency.max())
         assert peaks[0] < peaks[1] < peaks[2]
 
+    def test_each_status_has_a_known_input(self):
+        # at the default zeta 0.8 and t = pi, outcomes at +-40 have densities
+        # below the floor, and kappa 1e160 overflows the Kerr phase
+        x = np.array([-40.0, 0.0, 40.0])
+        profile = efficiency_profile(0.8, 1.0, np.pi, x_grid=x)
+        assert list(profile.status) == [BELOW_FLOOR, conditional.OK, BELOW_FLOOR]
+        profile = efficiency_profile(0.8, 1e160, np.pi, x_grid=x)
+        assert list(profile.status) == [conditional.NONFINITE_STATE] * 3
+        assert np.isnan(profile.prob_density).all() and np.isnan(profile.efficiency).all()
+
     def test_unresolvable_points_are_flagged_not_fatal(self):
         profile = efficiency_profile(0.0, 1.0, np.pi, x_grid=np.array([-40.0, 0.0, 40.0]))
-        assert profile.error[0] == "outcome x=-40.0 has probability density below 1e-300"
-        assert profile.error[1] is None and profile.error[2] is not None
+        assert list(profile.status) == [BELOW_FLOOR, conditional.OK, BELOW_FLOOR]
         for values in (profile.prob_density, profile.lin_entropy, profile.efficiency):
             assert np.array_equal(np.isnan(values), [True, False, True])
         assert np.array_equal(np.isnan(profile.cond_coeffs).all(axis=1), [True, False, True])

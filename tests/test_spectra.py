@@ -1059,7 +1059,32 @@ class TestAmplitudeSweep:
         flagged = ~sweep.stable
         assert flagged.any()
         assert np.isnan(sweep.e_degree[flagged]).all()
-        assert all(sweep.error[flagged])
+        assert np.all(sweep.status[flagged] == spectra.UNSTABLE)
+
+    def test_unstable_and_overflowing_drives_have_their_status(self):
+        # at the default rates drive 1e7 lies past the knee, and drive 1e200's power overflows
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        sweep = amplitude_sweep(params, np.array([1e5, 1e7, 1e200]), params.Omega)
+        assert list(sweep.status) == [spectra.OK, spectra.UNSTABLE, spectra.OVERFLOW]
+        assert list(sweep.stable) == [True, False, False]
+        assert np.array_equal(np.isnan(sweep.e_degree), [False, True, True])
+
+    def test_degenerate_commutator_keeps_the_stable_verdict(self):
+        # at Omega 1e200 every default drive is stable, and its commutator at
+        # omega 100 falls below the smallest normal float: a nan with its reason
+        params = PhysParams(chi=1.0, Omega=1e200, **CANONICAL_RATES)
+        sweep = amplitude_sweep(params, np.geomspace(1e5, 1e9, 241), 100.0)
+        assert sweep.stable.all() and np.isnan(sweep.e_degree).all()
+        assert np.all(sweep.status == spectra.DEGENERATE)
+
+    def test_rounding_dominated_forms_keep_the_stable_verdict(self, monkeypatch):
+        # input moments whose terms cancel (`cancelling_noise`) on the default drives
+        params = PhysParams(chi=0.0, Omega=1000.0, **CANONICAL_RATES)
+        noise = cancelling_noise(params)
+        monkeypatch.setattr(spectra, "build_noise", lambda params: noise)
+        sweep = amplitude_sweep(params, np.geomspace(1e5, 1e9, 241), params.Omega)
+        assert sweep.stable.all() and np.isnan(sweep.e_degree).all()
+        assert np.all(sweep.status == spectra.ROUNDING)
 
     def test_failing_drift_keeps_other_rows(self, monkeypatch):
         # stable stage blocks scaled by 1e160 push the commutator below the
@@ -1080,7 +1105,8 @@ class TestAmplitudeSweep:
         with pytest.raises(ArithmeticError) as info:
             epr_grid(params, steady_grid(params, np.array([drives[7]]))[0], params.Omega)
         assert sweep.stable[7] and np.isnan(sweep.e_degree[7])
-        assert sweep.error[7] == str(info.value)
+        assert str(info.value).startswith("degenerate commutator spectrum")
+        assert sweep.status[7] == spectra.DEGENERATE
         others = np.arange(drives.size) != 7
         for name, column in vars(sweep).items():
             assert np.array_equal(column[others], getattr(reference, name)[others]), name
@@ -1096,7 +1122,7 @@ class TestAmplitudeSweep:
         sweep = amplitude_sweep(params, drives, params.Omega)
         assert sweep.stable.sum() == 150
         assert np.all(np.isfinite(sweep.e_degree[sweep.stable]))
-        assert all(error in (None, "unstable working point", "overflow") for error in sweep.error)
+        assert np.all(np.isin(sweep.status, (spectra.OK, spectra.UNSTABLE, spectra.OVERFLOW)))
         steady = steady_grid(params, drives, "follow")
         extreme = np.flatnonzero(sweep.stable & (drives >= 1e70))
         assert drives[extreme[-1]] > 1e153

@@ -11,7 +11,7 @@ output feeds the second: zeta2_in = sqrt(gamma) zeta1 - zeta1_in.
 root_grid, steady_grid and residual each compute under one floating-point boundary.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,10 +39,10 @@ class PhysParams:
     Delta2: float = 0.0
 
     def __post_init__(self):
-        for name in ("chi", "Omega", "Gamma", "gamma", "Delta1", "Delta2"):
-            v = getattr(self, name)
+        for field in fields(self):
+            v = getattr(self, field.name)
             if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+                raise ValueError(f"{field.name} must be finite, got {v}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.Omega <= 0:

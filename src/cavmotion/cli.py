@@ -16,6 +16,7 @@ same effective configuration yields byte-identical documents.  Exit codes:
 """
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -351,7 +352,7 @@ def _add_params(sub, names):
         sub.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
 
 
-PHYS_FIELDS = ("chi", "Omega", "Gamma", "gamma", "Delta1", "Delta2")
+PHYS_FIELDS = tuple(field.name for field in dataclasses.fields(PhysParams))
 SINGLE_FIELDS = ("zeta", "kappa", "time", "tail_epsilon", "hard_cap")
 # each subcommand's flags: the fields it reads (a config file may set any)
 FIELDS = {
@@ -403,6 +404,8 @@ def main(argv=None):
         plot = getattr(args, "plot", False)
         if plot and args.out is None:
             raise UsageError("--plot needs --out to derive the SVG path")
+        if plot and os.path.splitext(args.out)[1].lower() == ".svg":
+            raise UsageError(f"--plot needs an --out not ending in .svg, got {args.out}")
         merged = resolve_config(args)
         if args.scenario == "single-cavity":
             csv_text = run_single_cavity(merged, [args.x] if args.action == "point" else None)

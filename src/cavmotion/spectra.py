@@ -39,10 +39,10 @@ OK, SINGULAR, DEGENERATE, NONPOSITIVE, ROUNDING, UNSTABLE, OVERFLOW = range(7)
 # sweeps and spectra, and below 2.1e-15 at every stable drive up to 3e153
 FORM_TOLERANCE = 1e-6
 
-# points per block of the row solve, which pays numpy's per-call cost once per block; a
-# block traces about 1,090 bytes a point: 768 keep a 2001-omega spectrum at 0.898 MiB and the
-# default sweep's kernel at 0.843 (0.900 and 1.065 at 384 when the forms copied the rows,
-# which also broke the one-point-vs-grid-row identity at 1024; it holds to 2048 now)
+# points per block of `_epr_kernel`, which pays numpy's per-call cost once per block; a block
+# traces about 1,090 bytes a point beside the grid's 49 of results: 768 keep a 2001-omega
+# spectrum at 0.898 MiB and the 2401-drive sweep at 0.870 (0.900 and 1.065 at 384 when the forms
+# copied the rows, which broke the one-point-vs-grid-row identity at 1024; it holds to 2048 now)
 GRID_BLOCK = 768
 
 
@@ -170,9 +170,9 @@ def _solve_rows(block, shift, u):
 
 def _row_solve(blocks, omega, rows):
     """(y, singular, backward): the rows y = u (i w I - M)^(-1) of `rows` (k, 8)
-    at n flat points, (n, k, 8) viewing their row-major (k, n, 8) stack, for
-    stages (n, 2, 4, 4) or one working point's (`stage_blocks`) and omega (n,);
-    either stage singular (`_solve_rows`), the larger backward error.
+    at n flat points, a block of `_epr_kernel`'s, (n, k, 8) viewing their row-major
+    (k, n, 8) stack, for stages (n, 2, 4, 4) or one working point's (`stage_blocks`)
+    and omega (n,); either stage singular (`_solve_rows`), the larger backward error.
 
     In the slots regrouped by stage the drift is [[A, 0], [C, D]], so
     y2 = u2 (i w - D)^(-1), then y1 = (u1 + y2 C)(i w - A)^(-1)."""
@@ -189,37 +189,11 @@ def _row_solve(blocks, omega, rows):
     return y, singular1 | singular2, np.maximum(backward1, backward2)
 
 
-def _blocked(blocks, omega, reduce):
-    """[omega, singular, backward, *reduce(y)] over the broadcast of the `stage_blocks`
-    (stages, feed) and `omega`, reducing (and free to overwrite) the rows y of EPR_ROWS
-    (`_row_solve`) GRID_BLOCK flattened points at a time: memory for the results and a block."""
-    stages, feed = blocks
-    omega = np.broadcast_to(omega, np.broadcast_shapes(stages.shape[:-3], np.shape(omega)))
-    # the grid's points on at least one axis (numpy's scalar arithmetic rounds complex
-    # products unlike its array loops, and a point must not depend on its grid), to index
-    # a block's points by; one working point's stages serve every block as they are (stages[()])
-    points, out = omega.reshape(omega.shape or (1,)), []
-    # working points flatten uncopied, and a block of them is a slice, unless omega broadcasts them
-    sliced = stages.shape[:-3] == points.shape
-    if stages.ndim > 3:
-        stages = (stages.reshape(-1, 2, 4, 4) if sliced
-                  else np.broadcast_to(stages, points.shape + (2, 4, 4)))
-    for start in range(0, max(omega.size, 1), GRID_BLOCK):
-        at = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, omega.size)), points.shape)
-        block = stages[start:start + GRID_BLOCK] if sliced else stages[at[:stages.ndim - 3]]
-        y, singular, backward = _row_solve((block, feed), points[at], EPR_ROWS)
-        for k, part in enumerate((singular, backward) + tuple(reduce(y))):
-            if start == 0:  # the whole grid's column, shaped as the first block's part
-                out.append(np.empty((omega.size,) + part.shape[1:], part.dtype))
-            out[k][start:start + GRID_BLOCK] = part
-        del y, singular, backward, part  # gone before the next block's rows come
-    return [omega] + [c.reshape(omega.shape + c.shape[1:]) for c in out]
-
-
 def _epr_kernel(blocks, d, omega):
     """(SpectrumPoint of arrays, status, failure) at every point of the
     broadcast of the `stage_blocks` (stages, feed) and `omega`, for input
-    moments d, from the rows y = u T(w) of EPR_ROWS at +w alone (`_blocked`).
+    moments d, from the rows y = u T(w) of EPR_ROWS at +w alone (`_row_solve`)
+    of GRID_BLOCK flattened points at a time: memory for the results and a block.
 
     Each form is (1/4) u_l [C(w) + C(-w)] u_r^T, C(w) = T(w) mat T(-w)^T: that
     of the hermitian [O(w) + O(-w)]/2 (same-frequency pairings carry delta(2w)
@@ -234,24 +208,45 @@ def _epr_kernel(blocks, d, omega):
     variance not positive), ROUNDING (a form's estimated relative rounding
     error above FORM_TOLERANCE); there e_degree is nan and failure(i) is the
     error of flat point i."""
-    def forms(y):
-        # each form's terms, (y A)_k conj(y_k) and (y B)_k conj(y'_k) for the commutator's pairs
-        # (q_a, p_a), (p_a, q_a), on the rows' (4, n, 8) stack: GEMMs read it, conj overwrites it
-        y = np.moveaxis(y, -2, 0)
-        terms = (y[:2].reshape(-1, 8) @ (0.25 * (d + d.T)[:, PAIRS])).reshape(2, -1, 8)
-        terms *= np.conjugate(y[:2], out=y[:2])
-        (s_q, s_p), size_d = terms.sum(axis=-1).real, np.abs(terms).sum(axis=-1)
-        terms = (y[2:].reshape(-1, 8) @ (0.25 * (d - d.T)[:, PAIRS])).reshape(2, -1, 8)
-        terms *= np.conjugate(y[3:1:-1], out=y[3:1:-1])
-        comm = terms[0].sum(axis=-1) - terms[1].sum(axis=-1)
-        # each form's terms summed in magnitude, over its value
-        size_k = np.abs(terms).sum(axis=0).sum(axis=-1)
-        spread = np.maximum.reduce([size_d[0] / s_q, size_d[1] / s_p, size_k / np.abs(comm)])
-        return s_q, s_p, comm, spread
-
+    stages, feed = blocks
+    omega = np.asarray(omega, dtype=float)
+    omega = np.broadcast_to(omega, np.broadcast_shapes(stages.shape[:-3], omega.shape))
+    # the grid's points on at least one axis (numpy's scalar arithmetic rounds complex
+    # products unlike its array loops, and a point must not depend on its grid), to index
+    # a block's points by; one working point's stages serve every block as they are (stages[()])
+    points = omega.reshape(omega.shape or (1,))
+    # working points flatten uncopied, and a block of them is a slice, unless omega broadcasts them
+    sliced = stages.shape[:-3] == points.shape
+    if stages.ndim > 3:
+        stages = (stages.reshape(-1, 2, 4, 4) if sliced
+                  else np.broadcast_to(stages, points.shape + (2, 4, 4)))
+    form_a, form_b = 0.25 * (d + d.T)[:, PAIRS], 0.25 * (d - d.T)[:, PAIRS]
+    singular, comm = np.empty(omega.size, bool), np.empty(omega.size, complex)
+    backward, s_q, s_p, spread = np.empty((4, omega.size))
     with np.errstate(all="ignore"):  # the rows of a failed point may be nan or huge
-        omega, singular, backward, s_q, s_p, comm, spread = _blocked(
-            blocks, np.asarray(omega, dtype=float), forms)
+        for start in range(0, omega.size, GRID_BLOCK):
+            at = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, omega.size)),
+                                  points.shape)
+            block = stages[start:start + GRID_BLOCK] if sliced else stages[at[:stages.ndim - 3]]
+            part = slice(start, start + GRID_BLOCK)
+            y, singular[part], backward[part] = _row_solve((block, feed), points[at], EPR_ROWS)
+            # each form's terms, (y A)_k conj(y_k) and (y B)_k conj(y'_k) for the commutator's
+            # pairs (q_a, p_a), (p_a, q_a), on the rows' (4, n, 8) stack: GEMMs read it, conj
+            # overwrites it
+            y = np.moveaxis(y, -2, 0)
+            terms = (y[:2].reshape(-1, 8) @ form_a).reshape(2, -1, 8)
+            terms *= np.conjugate(y[:2], out=y[:2])
+            (s_q[part], s_p[part]), size_d = terms.sum(axis=-1).real, np.abs(terms).sum(axis=-1)
+            terms = (y[2:].reshape(-1, 8) @ form_b).reshape(2, -1, 8)
+            terms *= np.conjugate(y[3:1:-1], out=y[3:1:-1])
+            comm[part] = terms[0].sum(axis=-1) - terms[1].sum(axis=-1)
+            # each form's terms summed in magnitude, over its value
+            size_k = np.abs(terms).sum(axis=0).sum(axis=-1)
+            spread[part] = np.maximum.reduce(
+                [size_d[0] / s_q[part], size_d[1] / s_p[part], size_k / np.abs(comm[part])])
+            del y, terms, size_d, size_k  # gone before the next block's rows come
+        singular, backward, s_q, s_p, comm, spread = (
+            column.reshape(omega.shape) for column in (singular, backward, s_q, s_p, comm, spread))
         rounding = (backward + EPS) * spread
         status = np.where(singular | ~np.isfinite(backward), SINGULAR, np.where(
             np.isfinite(comm) & (np.abs(comm) >= TINY), np.where(np.minimum(s_q, s_p) > 0.0,

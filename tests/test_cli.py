@@ -1205,6 +1205,21 @@ class TestPlot:
             assert out == ""
             assert "--out" in err
 
+    def test_plot_flag_refuses_svg_out(self, tmp_path, monkeypatch, capsys):
+        # the SVG's path would be --out itself: refused before any computation,
+        # and nothing is written
+        def computed(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(spectra, "amplitude_sweep", computed)
+        for name in ("p.svg", "p.SVG"):
+            code, out, err = run_cli(["cascaded", "sweep", "--drive-count", "5",
+                                      "--out", str(tmp_path / name), "--plot"], capsys)
+            assert (code, out) == (1, "")
+            assert err == ("error: --plot needs an --out not ending in .svg, "
+                           f"got {tmp_path / name}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_steady_has_no_plot_flag(self, tmp_path, capsys):
         # a working point has no curve; --plot there is a usage error
         code, out, err = run_cli(["cascaded", "steady", "--out", str(tmp_path / "steady.csv"),

@@ -309,10 +309,16 @@ def schur_row(block, shift, u):
     return np.concatenate((y0, y1, y2, y3))
 
 
-def blocked_rows(blocks, omega):
-    """The rows u T(w) of EPR_ROWS at every point of the broadcast of the
-    `stage_blocks` and omega, through the blocked walker."""
-    return spectra._blocked(blocks, omega, lambda y: (y,))[-1]
+def grid_rows(blocks, omega):
+    """(y, singular, backward) of the rows u T(w) of EPR_ROWS at every point
+    of the broadcast of the `stage_blocks` and omega, in its shape: one
+    `_row_solve` on the broadcast's flattened points."""
+    stages, feed = blocks
+    shape = np.broadcast_shapes(stages.shape[:-3], np.shape(omega))
+    flat = np.broadcast_to(stages, shape + (2, 4, 4)).reshape(-1, 2, 4, 4)
+    y, singular, backward = spectra._row_solve(
+        (flat, feed), np.broadcast_to(omega, shape).reshape(-1), spectra.EPR_ROWS)
+    return y.reshape(shape + (4, 8)), singular.reshape(shape), backward.reshape(shape)
 
 
 def stage_rows(blocks, w):
@@ -674,7 +680,7 @@ class TestGridKernel:
             steady = steady_grid(params, drives, selection="follow")
             blocks = stage_blocks(params, steady[np.flatnonzero(stability_grid(params, steady))])
             for w in (100.0, 1000.0, 5000.0):
-                assert_derived(blocked_rows(blocks, w), blocked_rows(blocks, -w))
+                assert_derived(grid_rows(blocks, w)[0], grid_rows(blocks, -w)[0])
 
     def test_vacuum_variances_are_never_non_positive(self):
         # with vacuum inputs each variance is a sum of squares up to the
@@ -757,7 +763,7 @@ class TestStageRows:
             steady = steady_grid(params, drives, selection)
             stages, feed = stage_blocks(params, steady)
             blocks = (stages[:, None], feed)  # (drive, omega) points
-            _, singular, backward, y = spectra._blocked(blocks, omegas, lambda y: (y,))
+            y, singular, backward = grid_rows(blocks, omegas)
             y_ref, singular_ref, backward_ref = lapack_rows(blocks, omegas, spectra.EPR_ROWS)
             decoupled = np.all(stages[:, :, :2, 2:] == 0.0, axis=(-3, -2, -1))
             exact = (decoupled[:, None] & (gamma_motion == 0.0)

@@ -9,6 +9,7 @@ magnitude.
 import numpy as np
 
 from cavmotion import PhysParams, bistable_window, root_grid, steady_grid
+from cavmotion.cascade import BRANCH_NAMES
 
 params = PhysParams(chi=1.0, Omega=10.0, Gamma=1e-3, gamma=1.0, Delta1=1e4, Delta2=1e4)
 
@@ -27,4 +28,4 @@ print(f"{'drive':>12} {'I1':>12} {'branch1':>8} {'jump?':>6}")
 for drive, intensity, branch, jumped in zip(drives, sweep.intensity1, sweep.branch1,
                                             sweep.jumped1):
     mark = "<==" if jumped else ""
-    print(f"{drive:12.4g} {intensity:12.5g} {branch:>8} {mark:>6}")
+    print(f"{drive:12.4g} {intensity:12.5g} {BRANCH_NAMES[branch]:>8} {mark:>6}")

@@ -15,10 +15,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-BRANCH_LOWER = "lower"
-BRANCH_MIDDLE = "middle"
-BRANCH_UPPER = "upper"
-BRANCH_NONE = "none"  # a nan intensity: no working point
+# branch codes on the S-curve, named by BRANCH_NAMES[code]; NONE: a nan intensity, no working point
+BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_UPPER, BRANCH_NONE = range(4)
+BRANCH_NAMES = ("lower", "middle", "upper", "none")
 SELECTIONS = ("lowest", "highest", "follow")
 
 # largest miss of the modulus cubic, relative to the drive power, that a
@@ -66,8 +65,8 @@ class SteadyBranch:
     beta: complex
     intensity1: float
     intensity2: float
-    branch1: str
-    branch2: str
+    branch1: int  # BRANCH_* codes
+    branch2: int
     jumped1: bool = False
     jumped2: bool = False
 
@@ -237,21 +236,20 @@ def _turning_points(params, delta):
 
 
 def branch_labels(params, delta, intensity):
-    """Classify every intensity of an array as lower/middle/upper on the
-    S-curve, with one turning-point computation.
+    """The branch code (BRANCH_LOWER, _MIDDLE or _UPPER) of every intensity
+    of an array on the S-curve, with one turning-point computation.
 
     The middle segment is where the drive power decreases with intensity;
-    its edges are the positive turning points of the modulus cubic.  A
-    monotone curve is all "lower"; a nan intensity is "none".
+    its edges are the turning points of the modulus cubic, both middle.  A
+    monotone curve is all BRANCH_LOWER; a nan intensity is BRANCH_NONE.
     """
     turns = _turning_points(params, delta)
     intensity = np.asarray(intensity, dtype=float)
     if turns is None:
         labels = np.full(intensity.shape, BRANCH_LOWER)
-    else:
+    else:  # integer addition: on bools `+` is a logical or
         lo, hi = turns
-        labels = np.where(intensity < lo, BRANCH_LOWER,
-                          np.where(intensity <= hi, BRANCH_MIDDLE, BRANCH_UPPER))
+        labels = np.add(intensity >= lo, intensity > hi, dtype=int)
     return np.where(np.isnan(intensity), BRANCH_NONE, labels)
 
 
@@ -293,10 +291,9 @@ def _cavity(params, delta, drive_in, selection):
     jumped = np.zeros(root.shape, dtype=bool)
     if selection == "follow":
         # a jump means the branch being ridden vanished: no root remains
-        # near the previous one and the branch class changed
-        before = np.concatenate(([np.nan], root[:-1]))
-        before_branch = np.concatenate(([""], branch[:-1]))
-        jumped = (np.abs(root - before) > np.maximum(before, 1e-12)) & (branch != before_branch)
+        # near the previous one and the branch code changed
+        moved = np.abs(root[1:] - root[:-1]) > np.maximum(root[:-1], 1e-12)
+        jumped[1:] = moved & (branch[1:] != branch[:-1])
     return zeta, zeta.real**2 + zeta.imag**2, branch, jumped
 
 
@@ -314,7 +311,7 @@ def steady_grid(params, zeta1_in, selection="lowest"):
     if selection not in SELECTIONS:
         raise ValueError(f"unknown branch selection {selection!r}")
     zeta1_in = np.asarray(zeta1_in, dtype=complex)
-    with np.errstate(all="ignore"):  # a nan, zero or overflowing root gives a "none" branch
+    with np.errstate(all="ignore"):  # a nan, zero or overflowing root gives BRANCH_NONE
         zeta1, intensity1, branch1, jumped1 = _cavity(params, params.Delta1, zeta1_in, selection)
         zeta2_in = np.sqrt(params.gamma) * zeta1 - zeta1_in
         zeta2, intensity2, branch2, jumped2 = _cavity(params, params.Delta2, zeta2_in, selection)

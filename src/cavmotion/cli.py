@@ -26,11 +26,14 @@ import sys
 import numpy as np
 
 from . import _digits, conditional, spectra, svgplot
-from .cascade import SELECTIONS, PhysParams, residual, steady_grid
+from .cascade import BRANCH_NAMES, SELECTIONS, PhysParams, residual, steady_grid
 from .fock import DEFAULT_HARD_CAP, TruncationPolicy
 
 USAGE_ERROR, NUMERICAL_ERROR = 1, 2
 FLOAT_FORMAT = _digits.SCIENTIFIC  # "%.12e", the format of every float cell
+# the sweep's `branch` cells, at jumped * 16 + branch1 * 4 + branch2 of the branch codes
+BRANCH_CELLS = np.array([f"{jump}{first}/{second}" for jump in ("", "jump:")
+                         for first in BRANCH_NAMES for second in BRANCH_NAMES])
 
 DEFAULTS = {
     # single-cavity scenario (time in scaled units, Omega*t -> t)
@@ -267,7 +270,8 @@ def run_cascaded_steady(merged):
     return format_csv(
         "drive,branch1,branch2,intensity1,intensity2,zeta1_re,zeta1_im,zeta2_re,zeta2_im,"
         "alpha_re,alpha_im,beta_re,beta_im,residual,stable",
-        (merged["drive"], branch.branch1, branch.branch2, branch.intensity1, branch.intensity2,
+        (merged["drive"], BRANCH_NAMES[branch.branch1], BRANCH_NAMES[branch.branch2],
+         branch.intensity1, branch.intensity2,
          *(part for z in amplitudes for part in (z.real, z.imag)),
          residual(params, branch), stable))
 
@@ -279,8 +283,7 @@ def run_cascaded(merged, drive_values=None):
     if drive_values is None:
         drive_values = _grid(merged, "drive")
     sweep = spectra.amplitude_sweep(params, np.asarray(drive_values, dtype=float), omega_eval)
-    jump = np.where(sweep.jumped, "jump:", "")
-    branch = np.char.add(np.char.add(jump, sweep.branch1), np.char.add("/", sweep.branch2))
+    branch = BRANCH_CELLS[sweep.jumped * 16 + sweep.branch1 * 4 + sweep.branch2]
     return format_csv(
         "drive,branch,intensity1,intensity2,e_degree,stable",
         (sweep.drive, branch, sweep.intensity1, sweep.intensity2,
@@ -293,7 +296,7 @@ def run_cascaded_spectrum(merged):
     if not stable:
         raise ArithmeticError(
             f"no stable working point at drive {merged['drive']} "
-            f"(branches {branch.branch1}/{branch.branch2})")
+            f"(branches {BRANCH_NAMES[branch.branch1]}/{BRANCH_NAMES[branch.branch2]})")
     g = spectra.epr_grid(params, branch, _grid(merged, "omega"))
     columns = (g.omega, g.s_qplus, g.s_pminus, g.commutator.imag, g.e_degree, g.variance_product)
     return format_csv("omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product", columns)

@@ -68,7 +68,7 @@ class SweepPoint:
     """An amplitude sweep as arrays over its drives; status: OK or why a drive has no e_degree."""
 
     drive: np.ndarray
-    branch1: np.ndarray
+    branch1: np.ndarray  # cascade.BRANCH_* codes
     branch2: np.ndarray
     intensity1: np.ndarray
     intensity2: np.ndarray

@@ -71,9 +71,9 @@ def _span(values, pad=0.0):
     return max(lo - 2 * pad, -top), min(hi + 2 * pad, top)
 
 
-def _nice_ticks(lo, hi, target=5):
-    """Round tick positions covering [lo, hi]."""
-    raw = (hi / 2 - lo / 2) / target * 2  # `_span` keeps it positive and finite
+def _nice_ticks(lo, hi):
+    """Round tick positions covering [lo, hi], about five."""
+    raw = (hi / 2 - lo / 2) / 5 * 2  # `_span` keeps it positive and finite
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

@@ -22,6 +22,7 @@ from scipy.integrate import simpson
 
 from cavmotion import spectra
 from cavmotion.cascade import (
+    BRANCH_MIDDLE,
     PhysParams,
     SteadyBranch,
     bistable_window,
@@ -145,7 +146,7 @@ def test_bistability_and_middle_branch():
                          - math.sqrt(params.gamma) * drive)
             assert defect < 1e-9 * scale, f"Omega={omega_vib}: root residual {defect}"
         mid = roots[1]
-        assert branch_labels(params, params.Delta1, mid) == "middle"
+        assert branch_labels(params, params.Delta1, mid) == BRANCH_MIDDLE
         ref = steady_grid(params, [drive], selection="lowest")[0]
         z_mid = math.sqrt(params.gamma) * drive / cavity_bracket(params, params.Delta1, mid)
         pole = params.Gamma / 2 + 1j * params.Omega
@@ -153,7 +154,7 @@ def test_bistability_and_middle_branch():
             zeta1=z_mid, zeta2=ref.zeta2, zeta1_in=drive + 0j, zeta2_in=ref.zeta2_in,
             alpha=-1j * params.chi * abs(z_mid) ** 2 / pole, beta=ref.beta,
             intensity1=abs(z_mid) ** 2, intensity2=ref.intensity2,
-            branch1="middle", branch2=ref.branch2)
+            branch1=BRANCH_MIDDLE, branch2=ref.branch2)
         assert not stability_grid(params, mid_branch), f"Omega={omega_vib}: middle branch stable"
         growth = float(block_eigenvalues(params, mid_branch).real.max())
         assert growth > 0, f"Omega={omega_vib}: middle branch not unstable"

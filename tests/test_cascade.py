@@ -119,16 +119,22 @@ class TestBranchLabel:
             roots = found(root_grid(params, params.Delta1, [power])[0])
             labels = branch_labels(params, params.Delta1, roots).tolist()
             assert labels == [BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_UPPER]
+            # both turning points are middle, the floats beside them are not
+            lo, hi = cascade._turning_points(params, params.Delta1)
+            edges = [np.nextafter(lo, -np.inf), lo, hi, np.nextafter(hi, np.inf)]
+            labels = branch_labels(params, params.Delta1, edges).tolist()
+            assert labels == [BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_MIDDLE, BRANCH_UPPER]
 
     def test_nan_intensity_is_none(self):
         # a drive whose power overflowed has no working point, on either curve
         for chi in (0.0, 1.0):
             params = PhysParams(chi=chi, Omega=10.0, **CANONICAL_RATES)
-            labels = branch_labels(params, params.Delta1, [np.nan, 1e30, 0.0]).tolist()
-            assert labels == [BRANCH_NONE, BRANCH_LOWER if chi == 0.0 else BRANCH_UPPER,
-                              BRANCH_LOWER]
+            far = BRANCH_LOWER if chi == 0.0 else BRANCH_UPPER  # a monotone curve is all lower
+            labels = branch_labels(params, params.Delta1, [np.nan, 1e30, 0.0, np.inf]).tolist()
+            assert labels == [BRANCH_NONE, far, BRANCH_LOWER, far]
         grid = steady_grid(params, np.array([1e5, 1e200]), "follow")
         assert grid.branch1.tolist() == grid.branch2.tolist() == [BRANCH_LOWER, BRANCH_NONE]
+        assert grid.branch1.dtype.kind == grid.branch2.dtype.kind == "i"
         assert not grid.jumped1.any() and not grid.jumped2.any()
 
 

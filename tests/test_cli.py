@@ -169,6 +169,21 @@ class TestCascadedCsv:
         doc = cli.run_cascaded(merged, drive_values=[])
         assert doc == "drive,branch,intensity1,intensity2,e_degree,stable\n"
 
+    def test_branch_cell_of_every_code_pair(self, monkeypatch):
+        # each cavity's branch is named in its own place, with and without a jump
+        jumped, first, second = (axis.ravel() for axis in np.indices((2, 4, 4)))
+        ones = np.ones(jumped.size)
+        sweep = spectra.SweepPoint(
+            drive=ones, branch1=first, branch2=second, intensity1=ones, intensity2=ones,
+            stable=ones.astype(bool), e_degree=ones, jumped=jumped.astype(bool),
+            status=np.full(jumped.size, spectra.OK))
+        monkeypatch.setattr(spectra, "amplitude_sweep", lambda *args: sweep)
+        doc = cli.run_cascaded(dict(cli.DEFAULTS), drive_values=ones)
+        names = cascade.BRANCH_NAMES
+        assert [line.split(",")[1] for line in doc.splitlines()[1:]] == [
+            f"{'jump:' if j else ''}{names[a]}/{names[b]}"
+            for j, a, b in zip(jumped, first, second)]
+
     def test_sweep_flags_jump_and_unstable_rows(self, capsys):
         code, out, _ = run_cli(
             ["cascaded", "sweep", "--drive-min", "3e6", "--drive-max", "3e7",
@@ -866,7 +881,8 @@ def sweep_columns(count=2401):
     merged = dict(cli.DEFAULTS, drive_count=count)
     params = cli._phys_params(merged)
     sweep = spectra.amplitude_sweep(params, cli._grid(merged, "drive"), params.Omega)
-    branch = [f"{'jump:' if jumped else ''}{first}/{second}"
+    names = cascade.BRANCH_NAMES
+    branch = [f"{'jump:' if jumped else ''}{names[first]}/{names[second]}"
               for jumped, first, second in zip(sweep.jumped, sweep.branch1, sweep.branch2)]
     return ("drive,branch,intensity1,intensity2,e_degree,stable",
             [sweep.drive, np.array(branch), sweep.intensity1, sweep.intensity2, sweep.e_degree,
@@ -1351,7 +1367,8 @@ class TestPlot:
 
 
 def test_default_subcommands_load_no_scipy(tmp_path):
-    # numpy is the one runtime dependency: scipy serves the tests alone
+    # numpy is the one runtime dependency: scipy serves the tests alone; and
+    # no subcommand writes text with numpy.char (or numpy.strings behind it)
     script = """
 import contextlib, io, sys
 from cavmotion import cli
@@ -1361,7 +1378,8 @@ for argv in (["single-cavity", "sweep", "--out", "profile.csv"],
              ["plot", "profile.csv", "--x-column", "x", "--y-columns", "efficiency"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(",".join(sorted(name for name in sys.modules if name.startswith("scipy"))))
+print(",".join(sorted(name for name in sys.modules
+                     if name.startswith(("scipy", "numpy.char", "numpy.strings")))))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))

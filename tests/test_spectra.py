@@ -21,6 +21,9 @@ from hypothesis import strategies as st
 
 from cavmotion import spectra
 from cavmotion.cascade import (
+    BRANCH_LOWER,
+    BRANCH_NONE,
+    BRANCH_UPPER,
     SELECTIONS,
     PhysParams,
     SteadyBranch,
@@ -522,9 +525,10 @@ class TestGridKernel:
     def test_grid_memory_is_bounded(self):
         # one full block of the kernel, in the spectrum's shape (one working
         # point by GRID_BLOCK frequencies) and the sweep's (GRID_BLOCK working
-        # points at one frequency), peaks at 0.80 MiB (numpy 2.4), about 1,090
-        # bytes a point: the stacked rows (512 bytes a point) and the slot rows
-        # they are stacked from (512)
+        # points at one frequency), peaks at 0.84 MiB (numpy 2.4), about 1,140
+        # bytes a point: the stacked rows (512 bytes a point), the slot rows
+        # they are stacked from (512) and the per-point columns, allocated
+        # before the first block (49)
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         branch, noise = steady_grid(params, np.array([1e6]))[0], build_noise(params)
         drives = steady_grid(params, np.full(GRID_BLOCK, 1e6))
@@ -1073,6 +1077,10 @@ class TestAmplitudeSweep:
         sweep = amplitude_sweep(params, np.array([1e5, 1e7, 1e200]), params.Omega)
         assert list(sweep.status) == [spectra.OK, spectra.UNSTABLE, spectra.OVERFLOW]
         assert list(sweep.stable) == [True, False, False]
+        # the branches are integer codes, as is every column of the sweep but its floats
+        assert sweep.branch1.tolist() == sweep.branch2.tolist() == [BRANCH_LOWER, BRANCH_UPPER,
+                                                                    BRANCH_NONE]
+        assert {column.dtype.kind for column in vars(sweep).values()} == {"b", "f", "i"}
         assert np.array_equal(np.isnan(sweep.e_degree), [False, True, True])
 
     def test_degenerate_commutator_keeps_the_stable_verdict(self):

@@ -31,9 +31,9 @@ from .fock import DEFAULT_HARD_CAP, TruncationPolicy
 
 USAGE_ERROR, NUMERICAL_ERROR = 1, 2
 FLOAT_FORMAT = _digits.SCIENTIFIC  # "%.12e", the format of every float cell
-# the sweep's `branch` cells, at jumped * 16 + branch1 * 4 + branch2 of the branch codes
-BRANCH_CELLS = np.array([f"{jump}{first}/{second}" for jump in ("", "jump:")
-                         for first in BRANCH_NAMES for second in BRANCH_NAMES])
+# the sweep's `branch` cells, indexed [jumped, branch1, branch2] by the branch codes
+BRANCH_CELLS = np.array([[[f"{jump}{first}/{second}" for second in BRANCH_NAMES]
+                          for first in BRANCH_NAMES] for jump in ("", "jump:")])
 
 DEFAULTS = {
     # single-cavity scenario (time in scaled units, Omega*t -> t)
@@ -283,7 +283,7 @@ def run_cascaded(merged, drive_values=None):
     if drive_values is None:
         drive_values = _grid(merged, "drive")
     sweep = spectra.amplitude_sweep(params, np.asarray(drive_values, dtype=float), omega_eval)
-    branch = BRANCH_CELLS[sweep.jumped * 16 + sweep.branch1 * 4 + sweep.branch2]
+    branch = BRANCH_CELLS[sweep.jumped.astype(int), sweep.branch1, sweep.branch2]
     return format_csv(
         "drive,branch,intensity1,intensity2,e_degree,stable",
         (sweep.drive, branch, sweep.intensity1, sweep.intensity2,

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from cavmotion import spectra
 from cavmotion.cascade import (
     BRANCH_LOWER,
+    BRANCH_MIDDLE,
     BRANCH_NONE,
     BRANCH_UPPER,
     SELECTIONS,
@@ -868,7 +869,7 @@ class TestClassifyStability:
             zeta2_in=branch.zeta2_in,
             alpha=-1j * params.chi * abs(z_mid) ** 2 / pole, beta=branch.beta,
             intensity1=abs(z_mid) ** 2, intensity2=branch.intensity2,
-            branch1="middle", branch2=branch.branch2)
+            branch1=BRANCH_MIDDLE, branch2=branch.branch2)
         assert not stability_grid(params, mid_branch)
         # the middle branch fails a0: one real eigenvalue has crossed zero
         a0, d3 = spectra._hurwitz_terms(params, mid_branch)
@@ -1155,6 +1156,6 @@ class TestAmplitudeSweep:
         drives = np.geomspace(0.01 * jump_drive, 50.0 * jump_drive, 120)
         sweep = amplitude_sweep(params, drives, params.Omega)
         stable = sweep.stable
-        assert not np.any(sweep.branch1[stable] == "middle")
-        assert not np.any(sweep.branch2[stable] == "middle")
+        assert not np.any(sweep.branch1[stable] == BRANCH_MIDDLE)
+        assert not np.any(sweep.branch2[stable] == BRANCH_MIDDLE)
         assert np.isfinite(sweep.e_degree[stable]).all()

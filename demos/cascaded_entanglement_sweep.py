@@ -1,12 +1,12 @@
-"""Steady-state EPR entanglement of the two cascaded atoms vs drive.
+"""Steady-state EPR degree of the two cascaded atoms vs drive.
 
-Evaluates the degree of entanglement at the vibrational frequency along an
-ascending drive sweep (Omega = 1000 in cavity-linewidth units, the value
-that best reproduces the canonical curve shape): the degree plunges below
-one as the sweep reaches the bistable knee, the jump lands on a dynamically
-unstable stretch of the bright branch (flagged, no value), and once the
-branch restabilizes the entanglement is gone and keeps fading with drive.
-Writes the sweep CSV plus an SVG with the gap marked.
+Evaluates the EPR degree at the vibrational frequency along an ascending
+drive sweep (Omega = 1000 in cavity-linewidth units, the value that best
+reproduces the canonical curve shape): the degree plunges below one as the
+sweep reaches the bistable knee, the jump lands on a dynamically unstable
+stretch of the bright branch (flagged, no value), and once the branch
+restabilizes the degree stays far above one, where no EPR correlation is
+detected. Writes the sweep CSV plus an SVG with the gap marked.
 """
 
 import os
@@ -43,5 +43,5 @@ with open("demo_output/cascaded_entanglement.csv", "w") as fh:
     fh.write(csv_text)
 with open("demo_output/cascaded_entanglement.svg", "w") as fh:
     fh.write(render_plot(csv_text, "drive", ["e_degree"],
-                         title="degree of entanglement vs drive"))
+                         title="EPR degree vs drive"))
 print("wrote demo_output/cascaded_entanglement.{csv,svg}")

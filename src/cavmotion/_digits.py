@@ -84,23 +84,6 @@ def padded(strings, width=0):
     return rows.reshape(len(encoded), width)
 
 
-def literal(text):
-    """One row of the UTF-8 bytes of `text`."""
-    return np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)[None, :]
-
-
-def text(strings):
-    """Rows of the UTF-8 bytes of each cell of a str array, PAD after: cut
-    from the code points where all are ASCII, else encoded cell by cell."""
-    points = np.ascontiguousarray(strings).view(np.uint32).reshape(
-        len(strings), strings.dtype.itemsize // 4)
-    if not (points < 128).all():
-        return padded(strings.tolist())
-    # a cell ends at its last nonzero code point; a NUL before it is text
-    inside = np.logical_or.accumulate(points[:, ::-1] != 0, axis=1)[:, ::-1]
-    return np.where(inside, points, PAD).astype(np.uint8)
-
-
 def side_by_side(parts, rows):
     """The byte rows of `parts` (2-D arrays of `rows` rows, or of one row to
     repeat) joined left to right."""

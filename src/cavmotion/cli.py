@@ -31,9 +31,9 @@ from .fock import DEFAULT_HARD_CAP, TruncationPolicy
 
 USAGE_ERROR, NUMERICAL_ERROR = 1, 2
 FLOAT_FORMAT = _digits.SCIENTIFIC  # "%.12e", the format of every float cell
-# the sweep's `branch` cells, indexed [jumped, branch1, branch2] by the branch codes
-BRANCH_CELLS = np.array([[[f"{jump}{first}/{second}" for second in BRANCH_NAMES]
-                          for first in BRANCH_NAMES] for jump in ("", "jump:")])
+# the sweep's `branch` cells, laid out [jumped, branch1, branch2] by the branch codes
+BRANCH_CELLS = tuple(f"{jump}{first}/{second}" for jump in ("", "jump:")
+                     for first in BRANCH_NAMES for second in BRANCH_NAMES)
 
 DEFAULTS = {
     # single-cavity scenario (time in scaled units, Omega*t -> t)
@@ -66,10 +66,7 @@ DEFAULTS = {
     "selection": "lowest",
 }
 
-_FIELD_TYPES = {
-    "x_count": int, "drive_count": int, "omega_count": int, "hard_cap": int,
-    "drive_log": bool, "omega_log": bool, "selection": str,
-}
+_FIELD_TYPES = {key: float if value is None else type(value) for key, value in DEFAULTS.items()}
 
 
 class UsageError(ValueError):
@@ -83,7 +80,7 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 
 def _coerce(key, raw, flag=False):
     """raw as the type of field `key`, or a usage error naming its flag or config key."""
-    kind = _FIELD_TYPES.get(key, float)
+    kind = _FIELD_TYPES[key]
     try:
         return _BOOLEANS[str(raw).strip().lower()] if kind is bool else kind(raw)
     except (ValueError, KeyError) as exc:
@@ -125,7 +122,7 @@ def resolve_config(args):
         if getattr(args, key) is not None:
             merged[key] = _coerce(key, getattr(args, key), flag=True)
         value = merged[key]
-        if _FIELD_TYPES.get(key, float) is float and value is not None and not math.isfinite(value):
+        if _FIELD_TYPES[key] is float and value is not None and not math.isfinite(value):
             raise UsageError(f"parameter {key} must be finite, got {value}")
     if getattr(args, "x", None) is not None and not math.isfinite(args.x):
         raise UsageError(f"--x must be finite, got {args.x}")
@@ -180,62 +177,69 @@ def _policy(merged):
 BLOCK_ROWS = 1024  # rows per array pass, which bounds the writer's temporaries
 
 
-def _text(column):
-    """A text column's cells as a str array; booleans print as true/false."""
-    return np.where(column, "true", "false") if column.dtype == bool else column
+def _pair(column):
+    """(names, codes) of a word column, (None, values) of a numeric one; a
+    boolean array is named false/true."""
+    names, column = column if isinstance(column, tuple) else (None, column)
+    column = np.atleast_1d(column)
+    return ("false", "true") if names is None and column.dtype == bool else names, column
 
 
 def format_csv(header, columns):
     """CSV text: the header line, then one line per row of the columns, its
     cells joined by ",".
 
-    A column's dtype decides its cells: integers and floats print as
-    FLOAT_FORMAT, booleans as true/false and str arrays as they are; any
-    other dtype is refused (TypeError).  The columns are 1-D arrays of one
-    length, or numbers for a one-row document; columns of two shapes are
-    refused (ValueError), as is a header that names more or fewer columns.
-    Each float cell is `FLOAT_FORMAT % v` and each text cell `str(v)`: a
-    one-row document is written by Python's `%`, and the float cells of each
-    block of BLOCK_ROWS rows of a longer one go through one array writer
-    call (`_digits.scientific`), which takes Python's own conversion for the
-    cells it cannot decide (near a rounding boundary, 0, subnormal, beyond
-    1e+-290, nan, inf).
+    A column is an array of integers or floats, each cell FLOAT_FORMAT of
+    its value, or a word column: a pair `(names, codes)` of a sequence of
+    str and an array of integer codes, each cell `names[code]`.  A boolean
+    array is the word column `(("false", "true"), column)`.  Any other dtype
+    (str, complex, object, bytes) is refused (TypeError).  The arrays are
+    1-D and of one length, or numbers for a one-row document; arrays of two
+    shapes are refused (ValueError), as is a header that names more or fewer
+    columns.  Each word column becomes the byte rows of its cells in one
+    gather from its names.  A one-row document's float cells are written by
+    Python's `%`; the float cells of each block of BLOCK_ROWS rows of a
+    longer one go through one array writer call (`_digits.scientific`),
+    which takes Python's own conversion for the cells it cannot decide (near
+    a rounding boundary, 0, subnormal, beyond 1e+-290, nan, inf).
     """
-    names = header.count(",") + 1
-    if names != len(columns):
-        raise ValueError(f"header {header!r} names {names} columns, got {len(columns)}")
-    columns = [np.atleast_1d(column) for column in columns]
-    for column in columns:
-        if column.dtype.kind not in "biufU":
-            raise TypeError(f"a column of {column.dtype} has no CSV cells")
-    if len({column.shape for column in columns}) > 1 or columns[0].ndim > 1:
-        raise ValueError(f"columns of shapes {[column.shape for column in columns]} "
+    count = header.count(",") + 1
+    if count != len(columns):
+        raise ValueError(f"header {header!r} names {count} columns, got {len(columns)}")
+    pairs = [_pair(column) for column in columns]
+    for names, codes in pairs:
+        if codes.dtype.kind not in ("iuf" if names is None else "biu"):
+            raise TypeError(f"a column of {codes.dtype} has no CSV cells")
+    if len({codes.shape for _, codes in pairs}) > 1 or pairs[0][1].ndim > 1:
+        raise ValueError(f"columns of shapes {[codes.shape for _, codes in pairs]} "
                          "are not one length")
-    rows = len(columns[0])
-    columns = [_text(column) if column.dtype.kind in "bU" else np.asarray(column, dtype=np.float64)
-               for column in columns]
+    rows = len(pairs[0][1])
+    columns = [np.asarray(codes, dtype=np.float64) if names is None
+               else _digits.padded(names)[np.asarray(codes, dtype=np.intp)]
+               for names, codes in pairs]
     if rows == 1:  # the array writer's fixed cost, some 70-110 us, outweighs `%` here
-        cells = [column.tolist() if column.dtype.kind == "U"
-                 else _digits.formatted(FLOAT_FORMAT, column.tolist()) for column in columns]
-        return f"{header}\n{','.join(cell for [cell] in cells)}\n"
+        cells = [_digits.decoded(column) if column.ndim == 2
+                 else _digits.formatted(FLOAT_FORMAT, column.tolist())[0] for column in columns]
+        return f"{header}\n{','.join(cells)}\n"
     blocks = ([column[start:start + BLOCK_ROWS] for column in columns]
               for start in range(0, rows, BLOCK_ROWS))
     return header + "\n" + "".join(_lines(block) for block in blocks)
 
 
 def _lines(columns):
-    """The lines of one block of rows, all float cells in one array writer call."""
+    """The lines of one block of rows, all float cells in one array writer
+    call; a word column comes as the byte rows of its cells."""
     rows = len(columns[0])
-    floats = [column for column in columns if column.dtype.kind == "f"]
+    floats = [column for column in columns if column.ndim == 1]
     block = np.empty((rows, len(floats)))
     for k, column in enumerate(floats):
         block[:, k] = column
     written = _digits.scientific(block)
     float_cells = iter(written.reshape(rows, len(floats), written.shape[1]).transpose(1, 0, 2))
-    comma = _digits.literal(",")
+    comma = _digits.padded([","])
     parts = [part for column in columns for part in (
-        next(float_cells) if column.dtype.kind == "f" else _digits.text(column), comma)]
-    parts[-1] = _digits.literal("\n")
+        next(float_cells) if column.ndim == 1 else column, comma)]
+    parts[-1] = _digits.padded(["\n"])
     return _digits.decoded(_digits.side_by_side(parts, rows))
 
 
@@ -251,7 +255,7 @@ def run_single_cavity(merged, x_values=None):
     header = "x,prob_density,lin_entropy,efficiency"
     unresolvable = profile.status != conditional.OK
     if unresolvable.any():
-        columns.append(np.where(unresolvable, "unresolvable", ""))
+        columns.append((("", "unresolvable"), unresolvable))
         header += ",error"
     return format_csv(header, columns)
 
@@ -270,7 +274,7 @@ def run_cascaded_steady(merged):
     return format_csv(
         "drive,branch1,branch2,intensity1,intensity2,zeta1_re,zeta1_im,zeta2_re,zeta2_im,"
         "alpha_re,alpha_im,beta_re,beta_im,residual,stable",
-        (merged["drive"], BRANCH_NAMES[branch.branch1], BRANCH_NAMES[branch.branch2],
+        (merged["drive"], (BRANCH_NAMES, branch.branch1), (BRANCH_NAMES, branch.branch2),
          branch.intensity1, branch.intensity2,
          *(part for z in amplitudes for part in (z.real, z.imag)),
          residual(params, branch), stable))
@@ -283,10 +287,11 @@ def run_cascaded(merged, drive_values=None):
     if drive_values is None:
         drive_values = _grid(merged, "drive")
     sweep = spectra.amplitude_sweep(params, np.asarray(drive_values, dtype=float), omega_eval)
-    branch = BRANCH_CELLS[sweep.jumped.astype(int), sweep.branch1, sweep.branch2]
+    branch = np.ravel_multi_index((sweep.jumped, sweep.branch1, sweep.branch2),
+                                  (2, len(BRANCH_NAMES), len(BRANCH_NAMES)))
     return format_csv(
         "drive,branch,intensity1,intensity2,e_degree,stable",
-        (sweep.drive, branch, sweep.intensity1, sweep.intensity2,
+        (sweep.drive, (BRANCH_CELLS, branch), sweep.intensity1, sweep.intensity2,
          np.where(np.isfinite(sweep.e_degree), sweep.e_degree, np.nan), sweep.stable))
 
 
@@ -310,7 +315,7 @@ def run_plot(csv_path, x_column, y_columns, title=""):
         raise UsageError(f"cannot read CSV {csv_path}: {exc}") from exc
     try:
         return svgplot.render_plot(text, x_column, y_columns, title=title)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 

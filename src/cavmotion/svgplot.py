@@ -93,7 +93,7 @@ def _line(x1, y1, x2, y2, stroke='stroke="black" stroke-width="1"'):
     return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {stroke}/>'
 
 
-def _text(x, y, size, text, anchor="middle"):
+def _label(x, y, size, text, anchor="middle"):
     """The one writer of text content, so every label is escaped here."""
     text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     anchor = f' text-anchor="{anchor}"' if anchor else ""
@@ -103,8 +103,8 @@ def _text(x, y, size, text, anchor="middle"):
 def _points(px, py):
     """The "px,py " texts of the points (`%.2f` by `_digits.fixed`) joined, and
     the offsets where each one starts, then the length of the whole."""
-    table = _digits.side_by_side([_digits.fixed(px), _digits.literal(","), _digits.fixed(py),
-                                  _digits.literal(" ")], len(px))
+    table = _digits.side_by_side([_digits.fixed(px), _digits.padded([","]), _digits.fixed(py),
+                                  _digits.padded([" "])], len(px))
     ends = np.cumsum((table != _digits.PAD).sum(axis=1)).tolist()
     return _digits.decoded(table), [0, *ends]
 
@@ -114,7 +114,7 @@ def render_plot(csv_text, x_column, y_columns, title=""):
     header, rows = parse_csv(csv_text)
     for name in [x_column, *y_columns]:
         if name not in header:
-            raise KeyError(f"column {name!r} not in CSV header {header}")
+            raise ValueError(f"column {name!r} not in CSV header {header}")
     xi = header.index(x_column)
     yis = [header.index(name) for name in y_columns]
     xs = _column(rows, xi)
@@ -138,14 +138,14 @@ def render_plot(csv_text, x_column, y_columns, title=""):
         _line(MARGIN_L, MARGIN_T, MARGIN_L, bottom),
     ]
     if title:
-        parts.append(_text(WIDTH / 2, MARGIN_T - 6, 13, title))
+        parts.append(_label(WIDTH / 2, MARGIN_T - 6, 13, title))
     for t in _nice_ticks(x_lo, x_hi):
         parts += [_line(px(t), bottom, px(t), bottom + 4),
-                  _text(px(t), bottom + 16, 10, f"{t:.6g}")]
+                  _label(px(t), bottom + 16, 10, f"{t:.6g}")]
     for t in _nice_ticks(y_lo, y_hi):
         parts += [_line(MARGIN_L - 4, py(t), MARGIN_L, py(t)),
-                  _text(MARGIN_L - 7, py(t) + 3, 10, f"{t:.6g}", anchor="end")]
-    parts.append(_text(WIDTH / 2, HEIGHT - 10, 11, x_column))
+                  _label(MARGIN_L - 7, py(t) + 3, 10, f"{t:.6g}", anchor="end")]
+    parts.append(_label(WIDTH / 2, HEIGHT - 10, 11, x_column))
 
     gaps = set()  # x of every run end that borders a non-finite point
     for si, (name, ys) in enumerate(zip(y_columns, series)):
@@ -162,7 +162,7 @@ def render_plot(csv_text, x_column, y_columns, title=""):
                             if i != edge)
         ly = MARGIN_T + 14 + 14 * si
         parts += [_line(WIDTH - MARGIN_R - 110, ly, WIDTH - MARGIN_R - 90, ly, stroke),
-                  _text(WIDTH - MARGIN_R - 85, ly + 3, 10, name, anchor=None)]
+                  _label(WIDTH - MARGIN_R - 85, ly + 3, 10, name, anchor=None)]
     for gx in sorted(gaps):
         parts.append(_line(gx, MARGIN_T, gx, bottom,
                            'stroke="#888888" stroke-width="1" stroke-dasharray="4,3"'))

@@ -884,9 +884,16 @@ def sweep_columns(count=2401):
     names = cascade.BRANCH_NAMES
     branch = [f"{'jump:' if jumped else ''}{names[first]}/{names[second]}"
               for jumped, first, second in zip(sweep.jumped, sweep.branch1, sweep.branch2)]
+    cells, codes = np.unique(branch, return_inverse=True)
     return ("drive,branch,intensity1,intensity2,e_degree,stable",
-            [sweep.drive, np.array(branch), sweep.intensity1, sweep.intensity2, sweep.e_degree,
-             sweep.stable])
+            [sweep.drive, (tuple(cells.tolist()), codes), sweep.intensity1, sweep.intensity2,
+             sweep.e_degree, sweep.stable])
+
+
+def row_of(columns, i):
+    """The columns of row `i` alone; a word column keeps its names."""
+    return [(column[0], column[1][i:i + 1]) if isinstance(column, tuple) else column[i:i + 1]
+            for column in columns]
 
 
 class TestFormatCsv:
@@ -897,14 +904,16 @@ class TestFormatCsv:
         assert len(lines) == 2403 and lines[-1] == ""
         assert sum(line.split(",")[1].startswith("jump:") for line in lines[1:-1]) == 1
         for i in (0, 1, 700, 1203, 2400):
-            one = cli.format_csv(header, [column[i:i + 1] for column in columns])
+            one = cli.format_csv(header, row_of(columns, i))
             assert one == f"{header}\n{lines[i + 1]}\n"
 
     @pytest.mark.parametrize("header, columns", [
         ("a,b", (np.arange(3.0), np.arange(2.0))),
         # a number or a length-1 column is not repeated down the rows
-        ("a,b,c", (np.arange(3.0), np.array([1.0]), "x")),
-        ("a,b", (True, np.arange(2.0)))])
+        ("a,b,c", (np.arange(3.0), np.array([1.0]), (("x",), 0))),
+        ("a,b", (True, np.arange(2.0))),
+        # a word column's codes are 1-D, like any other column
+        ("a", ((("x",), np.zeros((2, 2), int)),))])
     def test_columns_of_two_lengths_are_refused(self, header, columns):
         with pytest.raises(ValueError, match="not one length"):
             cli.format_csv(header, columns)
@@ -934,18 +943,25 @@ class TestFormatCsv:
                                          for n, f in zip(counts.tolist(), flags.tolist())]
 
     def test_text_cells_keep_every_character(self):
-        # a column with non-ASCII text goes cell by cell; NUL inside a cell
-        # stays; in documents of many rows (the array writer) and in each row
-        # written as a one-row document (Python's `%`)
+        # names with non-ASCII text and NUL inside a cell keep every
+        # character; in documents of many rows (the array writer) and in each
+        # row written as a one-row document (Python's `%`)
+        names, ascii_names = ("é", "a\x00b", "", "\U0001f600"), ("a\x00b", "", "c")
         for rows in (4, 100):
-            cells = np.resize(np.array(["é", "a\x00b", "", "\U0001f600"]), rows)
-            ascii_cells = np.resize(np.array(["a\x00b", "", "c"]), rows)
-            columns = (cells, ascii_cells, np.arange(rows) * 30.0)
-            lines = [f"{t},{a},{30 * i:.12e}" for i, (t, a) in enumerate(zip(cells, ascii_cells))]
+            codes, ascii_codes = np.arange(rows) % 4, np.arange(rows) % 3
+            columns = ((names, codes), (ascii_names, ascii_codes), np.arange(rows) * 30.0)
+            lines = [f"{names[t]},{ascii_names[a]},{30 * i:.12e}"
+                     for i, (t, a) in enumerate(zip(codes, ascii_codes))]
             assert cli.format_csv("t,a,x", columns).split("\n")[1:-1] == lines
             for i in range(min(rows, 12)):
-                one = cli.format_csv("t,a,x", [column[i:i + 1] for column in columns])
+                one = cli.format_csv("t,a,x", row_of(columns, i))
                 assert one == f"t,a,x\n{lines[i]}\n"
+
+    @pytest.mark.parametrize("rows", [1, 100])
+    def test_str_array_column_is_refused(self, rows):
+        # words come as (names, codes), in a one-row document and a longer one
+        with pytest.raises(TypeError, match="has no CSV cells"):
+            cli.format_csv("a,b", (np.arange(rows) * 1.0, np.full(rows, "x")))
 
     def test_fast_path_serves_the_golden_runs(self, monkeypatch, capsys):
         # under 1% of the finite normal float cells of the five default
@@ -1173,6 +1189,14 @@ class TestPlot:
                                 "--y-columns", "nope"], capsys)
         assert code == 1
         assert "nope" in err
+
+    def test_missing_column_message_is_unquoted(self, tmp_path, capsys):
+        path = tmp_path / "e.csv"
+        path.write_text("a,b\n1,2\n")
+        code, out, err = run_cli(["plot", str(path), "--x-column", "z", "--y-columns", "b"],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: column 'z' not in CSV header ['a', 'b']\n"
 
     def test_missing_csv_is_usage_error(self, tmp_path, capsys):
         code, out, err = run_cli(["plot", str(tmp_path / "no.csv"), "--x-column", "x",

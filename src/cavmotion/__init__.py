@@ -29,9 +29,11 @@ from .conditional import (
     condition_on_quadrature,
     efficiency_profile,
     evolve,
+    fock_window,
     label_factor,
     outcome_moments,
     purity_bruteforce,
+    window_moments,
 )
 from .fock import (
     TruncationPolicy,

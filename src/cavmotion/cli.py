@@ -191,9 +191,10 @@ def format_csv(header, columns):
 
     A column is an array of integers or floats, each cell FLOAT_FORMAT of
     its value, or a word column: a pair `(names, codes)` of a sequence of
-    str and an array of integer codes, each cell `names[code]`.  A boolean
-    array is the word column `(("false", "true"), column)`.  Any other dtype
-    (str, complex, object, bytes) is refused (TypeError).  The arrays are
+    str and an array of integer codes, each cell `names[code]`; a code
+    outside 0..len(names) - 1 is refused (IndexError).  A boolean array is
+    the word column `(("false", "true"), column)`.  Any other dtype (str,
+    complex, object, bytes) is refused (TypeError).  The arrays are
     1-D and of one length, or numbers for a one-row document; arrays of two
     shapes are refused (ValueError), as is a header that names more or fewer
     columns.  Each word column becomes the byte rows of its cells in one
@@ -210,6 +211,8 @@ def format_csv(header, columns):
     for names, codes in pairs:
         if codes.dtype.kind not in ("iuf" if names is None else "biu"):
             raise TypeError(f"a column of {codes.dtype} has no CSV cells")
+        if names is not None and np.any((codes < 0) | (codes >= len(names))):
+            raise IndexError(f"word codes outside 0..{len(names) - 1} of {names}")
     if len({codes.shape for _, codes in pairs}) > 1 or pairs[0][1].ndim > 1:
         raise ValueError(f"columns of shapes {[codes.shape for _, codes in pairs]} "
                          "are not one length")

@@ -7,12 +7,17 @@ onto an entangled superposition; the degree of entanglement is quantified
 by the linear entropy of either reduced atom, and the expected yield per
 measurement by entropy times outcome density.
 
-The atomic coherent labels are not orthogonal, so every outcome quantity
-comes from one factor B of their Gram matrix (B^H B = G) per state: the
-atoms' state is the matrix M_x = B diag(coeffs psi(x)) B^T, with P(x) =
-||M_x||_F^2 and purity ||M_x M_x^H||_F^2 / P(x)^2 (brute-force check below),
-both from one kernel over a grid of outcomes (`outcome_moments`), or for
-evolved states, whose labels n lambda lie on a line, `lattice_moments`.
+The atomic coherent labels are not orthogonal.  In any orthonormal basis
+of their span the atoms' state is a matrix M_x, with P(x) = ||M_x||_F^2 and
+purity ||M_x M_x^H||_F^2 / P(x)^2 (brute-force check below).  Each outcome
+takes one of three routes, chosen from the state alone (README, cost model):
+lattice_moments, O(N^2) per outcome from two closed-form factors, for
+evolved states, whose labels n lambda lie on a line, of spacing |lambda|^2
+>= 0.01 and N+1 >= 48 labels; window_moments, a Hankel M_x from 2 dim - 1
+moments of the amplitudes, 2 dim (N+1) + dim^3 per outcome, where the
+labels fit a displaced number basis of dim <= N+1 states; else
+outcome_moments over a factor B of their Gram matrix (B^H B = G, M_x = B
+diag(coeffs psi(x)) B^T), two (N+1)^3 products per outcome.
 """
 
 import math
@@ -85,9 +90,14 @@ class JointState:
     labels: np.ndarray
 
     @cached_property
+    def window(self):
+        """fock_window(labels), kept after first use."""
+        return fock_window(self.labels)
+
+    @cached_property
     def factor(self):
         """label_factor(labels), kept after first use: frozen, so new labels make a new state."""
-        return label_factor(self.labels)
+        return label_factor(self.labels, self.window)
 
 
 @dataclass
@@ -124,25 +134,38 @@ def evolve(zeta, kappa, time, policy=DEFAULT_POLICY):
                       coeffs=coeffs, labels=labels)
 
 
-def label_factor(labels):
+def fock_window(labels):
+    """(labels, spacing, dim) of label_factor: the labels it factors (a lattice
+    n lambda as n |lambda|: same G, no rounded phases), spacing |lambda|^2 or
+    None (lattice_spacing), and dim, the size of the number basis displaced to
+    their centroid that holds them to FOCK_FACTOR_POLICY's tail, or None past
+    FOCK_FACTOR_DIM."""
+    labels = np.asarray(labels, dtype=complex)
+    if (spacing := lattice_spacing(labels)) is not None:
+        labels = np.arange(labels.size) * complex(math.sqrt(spacing))
+    radius = float(np.max(np.abs(labels - labels.mean())))
+    if radius**2 < FOCK_FACTOR_DIM and (
+            dim := truncation_order(radius, FOCK_FACTOR_POLICY) + 1) <= FOCK_FACTOR_DIM:
+        return labels, spacing, dim
+    return labels, spacing, None
+
+
+def label_factor(labels, window=None):
     """A factor of G, the Gram matrix of the coherent labels: B with B^H B = G.
 
     Column n holds |labels[n]> in an orthonormal basis of the labels' span.
-    Labels near their centroid c are expanded in the number basis displaced
-    to c, |mu> = e^(-i Im(c conj(mu))) D(c)|mu - c>, by the stable recurrence
-    <j|nu> = <j-1|nu> nu/sqrt(j), and reduced by QR: exact where close labels
-    leave G too ill-conditioned to factor.  Wider spreads of lattice labels
-    take the closed-form factor where its pivots are at least
-    LATTICE_PIVOT_FLOOR; otherwise G's pivoted Cholesky factor, with entries
-    below FACTOR_FLOOR zeroed."""
-    labels = np.asarray(labels, dtype=complex)
-    if (spacing := lattice_spacing(labels)) is not None:  # n |lambda|: same G, no rounded phases
-        labels = np.arange(labels.size) * complex(math.sqrt(spacing))
-    center = labels.mean()
-    shifted = labels - center
-    radius = float(np.max(np.abs(shifted)))
-    if radius**2 < FOCK_FACTOR_DIM and (
-            dim := truncation_order(radius, FOCK_FACTOR_POLICY) + 1) <= FOCK_FACTOR_DIM:
+    Labels in a Fock window (window = fock_window(labels), if at hand) are
+    expanded in the number basis displaced to their centroid c, |mu> =
+    e^(-i Im(c conj(mu))) D(c)|mu - c>, by the stable recurrence <j|nu> =
+    <j-1|nu> nu/sqrt(j), and reduced by QR: exact where close labels leave G
+    too ill-conditioned to factor.  Wider spreads of lattice labels take the
+    closed-form factor where its pivots are at least LATTICE_PIVOT_FLOOR;
+    otherwise G's pivoted Cholesky factor, with entries below FACTOR_FLOOR
+    zeroed."""
+    labels, spacing, dim = fock_window(labels) if window is None else window
+    if dim is not None:
+        center = labels.mean()
+        shifted = labels - center
         coords = np.empty((dim, labels.size), dtype=complex)
         coords[0] = np.exp(-0.5 * np.abs(shifted) ** 2 - 1j * np.imag(center * np.conj(labels)))
         np.divide(shifted, np.sqrt(np.arange(1.0, dim))[:, None], out=coords[1:])
@@ -192,6 +215,48 @@ def outcome_moments(factor, amplitudes):
         prob[x] = np.vdot(m, m).real
         if prob[x] > PROBABILITY_FLOOR:
             rho = (m @ m.conj().T) / prob[x]
+            pure[x] = np.vdot(rho, rho).real
+    return prob, pure
+
+
+def window_moments(window, amplitudes):
+    """(P, purity) as outcome_moments(label_factor(labels), amplitudes) gives
+    them, with no factor, for window = fock_window(labels) = (labels, _, dim)
+    with dim <= labels.size.  In the number basis displaced to the labels'
+    centroid c, with sh_n = labels[n] - c and r = max |sh_n|, the atoms'
+    matrix is a scaled Hankel matrix, M'[j, k] = s_j s_k h[j + k]: s_j =
+    e^(-r^2/2) r^j / sqrt(j!), a Poisson amplitude, and h[m] = sum_n a[n]
+    T[n, m], m < 2 dim - 1, over the moment table T[n, m] = e^(r^2 - |sh_n|^2
+    - 2i Im(c conj labels[n])) (sh_n / r)^m.  As s_j <= 1, the table entries
+    below FACTOR_FLOOR, which are zeroed, drop terms below FACTOR_FLOOR
+    |a[n]|.  M' = Q M Q^T with Q unitary (label_factor's QR), so P and purity
+    are M's.  Per outcome, a product of (N+1)(2 dim - 1) terms and a gather
+    replace outcome_moments' dim^2 (N+1); rows do not depend on each other."""
+    labels, _, dim = window
+    center = labels.mean()
+    shifted = labels - center
+    radius = float(np.max(np.abs(shifted)))
+    table = np.empty((labels.size, 2 * dim - 1), dtype=complex)
+    table[:, 0] = np.exp(radius**2 - np.abs(shifted) ** 2
+                         - 2j * np.imag(center * np.conj(labels)))
+    table[:, 1:] = (shifted / (radius or 1.0))[:, None]
+    np.cumprod(table, axis=1, out=table)
+    table[np.abs(table) < FACTOR_FLOOR] = 0.0
+    scale = np.empty(dim)
+    scale[0], scale[1:] = math.exp(-0.5 * radius**2), radius / np.sqrt(np.arange(1.0, dim))
+    np.cumprod(scale, out=scale)
+    scale = np.outer(scale, scale).astype(complex)  # complex: the product casts nothing
+    hankel = np.add.outer(np.arange(dim), np.arange(dim))
+    m, conj, rho = np.empty((3, dim, dim), dtype=complex)  # reused by every row
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    prob, pure = np.empty(len(amplitudes)), np.full(len(amplitudes), np.nan)
+    for x, row in enumerate(amplitudes):
+        np.take(row @ table, hankel, out=m, mode="clip")  # in range: "clip" writes m directly
+        m *= scale
+        prob[x] = np.vdot(m, m).real
+        if prob[x] > PROBABILITY_FLOOR:  # as in outcome_moments
+            np.matmul(m, np.conjugate(m, out=conj).T, out=rho)
+            rho /= prob[x]
             pure[x] = np.vdot(rho, rho).real
     return prob, pure
 
@@ -290,13 +355,15 @@ def purity_bruteforce(cond_coeffs, labels, dim):
 def condition_on_quadrature(state, x_grid):
     """Project the field on every quadrature outcome of x_grid and
     renormalize the atoms: one ConditionalResult of arrays.  The moments
-    come from lattice_moments where the state's labels route there, else
-    and for the rows it does not certify from one outcome_moments call; every route's
-    purities are clipped to 1, so lin_entropy lies in [0, 1], and each row's
-    values do not depend on the grid.  A state that is not finite (its Kerr
-    phase overflowed in `evolve`) resolves no outcome.  prob_density is the
-    squared norm of the projected atomic state, so efficiency = lin_entropy *
-    prob_density holds exactly.
+    come from lattice_moments where the state's labels route there; the
+    other rows take one window_moments call where the labels' Fock window
+    holds at most as many states as there are labels, else one
+    outcome_moments call.  Every route's purities are clipped to 1, so
+    lin_entropy lies in [0, 1], and each row's values do not depend on the
+    grid.  A state that is not finite (its Kerr phase overflowed in
+    `evolve`) resolves no outcome.  prob_density is the squared norm of the
+    projected atomic state, so efficiency = lin_entropy * prob_density
+    holds exactly.
     Unresolvable outcomes keep nan values and their reason in status.  x
     holds a copy of the grid (a scalar is a one-element grid)."""
     x_grid = np.array(x_grid, dtype=float, ndmin=1)
@@ -309,8 +376,11 @@ def condition_on_quadrature(state, x_grid):
     if spacing is not None and spacing >= LATTICE_MIN_SPACING:  # README, cost model
         prob, purity, estimate = lattice_moments(spacing, raw)
         redo = nonzero & ~((estimate <= LATTICE_TOLERANCE) & (prob > PROBABILITY_FLOOR))
-    if redo.any():
-        prob[redo], purity[redo] = outcome_moments(state.factor, raw[redo])
+    if redo.any():  # README, cost model
+        labels, _, dim = state.window
+        prob[redo], purity[redo] = (
+            window_moments(state.window, raw[redo]) if dim is not None and dim <= labels.size
+            else outcome_moments(state.factor, raw[redo]))
     np.minimum(purity, 1.0, out=purity)
     resolved = prob > PROBABILITY_FLOOR
     status = np.where(resolved, OK, BELOW_FLOOR if finite else NONFINITE_STATE)

@@ -112,9 +112,10 @@ class TestSingleCavityCsv:
         assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
         assert x[-1] == 1.797693134862e308  # 12 significant digits
 
-    def test_purity_clipped_on_the_label_factor_rows(self, capsys):
-        # this profile takes the label factor, whose purities rounded above 1
-        # on three rows: lin_entropy -2.2e-16 and efficiency -4.1e-17
+    def test_purity_clipped_on_the_window_rows(self, capsys):
+        # this profile takes the Fock-window moments (a window of 2 states
+        # for 5 labels), whose purities round above 1 on three rows, as the
+        # label factor's did: lin_entropy -2.2e-16 and efficiency -4.1e-17
         argv = ["single-cavity", "sweep", "--time", "-8.367324321295437e-06",
                 "--tail-epsilon", "0.0017635615576426019", "--x-max", "0.07819246128027026",
                 "--x-count", "9"]
@@ -956,6 +957,13 @@ class TestFormatCsv:
             for i in range(min(rows, 12)):
                 one = cli.format_csv("t,a,x", row_of(columns, i))
                 assert one == f"t,a,x\n{lines[i]}\n"
+
+    @pytest.mark.parametrize("codes", [np.array([-1, 0]), np.array([0, 2]), np.array([-1]),
+                                       np.array([2])])
+    def test_word_code_outside_the_names_is_refused(self, codes):
+        # a negative code would name a cell from the end, one past the end none
+        with pytest.raises(IndexError, match=r"outside 0\.\.1"):
+            cli.format_csv("a", ((("x", "y"), codes),))
 
     @pytest.mark.parametrize("rows", [1, 100])
     def test_str_array_column_is_refused(self, rows):

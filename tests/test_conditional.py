@@ -33,6 +33,7 @@ from cavmotion.conditional import (
     lattice_spacing,
     outcome_moments,
     purity_bruteforce,
+    window_moments,
 )
 from cavmotion.fock import (
     TruncationPolicy,
@@ -378,20 +379,21 @@ class TestBandFactor:
             assert abs(prob[i] / want_prob - 1.0) <= 2e-14
             assert abs(purity[i] - want_purity) <= 1e-14
 
-    def test_label_factor_row_at_small_spacing_holds_its_error(self):
-        # a known loss, held to its current size: at N+1 = 87 and s = 4.5e-4
-        # the profile takes the label factor (17 x 87), whose rows carry no
-        # error estimate; against 60 digits P is off by 3.4e-9 (relative) and
-        # the purity by 4.6e-11
+    def test_window_row_at_small_spacing_holds_its_error(self):
+        # at N+1 = 87 and s = 4.5e-4 the profile takes the Fock-window kernel
+        # (17 states), whose rows carry no error estimate; against 60 digits
+        # P is off by 8.3e-11 (relative) and the purity by 8.2e-12, where the
+        # label factor (17 x 87) it replaced was off by 3.4e-9 and 4.6e-11
         state = evolve(6.037, 0.01058, np.pi)
         spacing = lattice_spacing(state.labels)
         assert state.labels.size == 87 and spacing < LATTICE_MIN_SPACING
-        assert label_factor(state.labels).shape == (17, 87)
+        assert state.window[2] == 17 and label_factor(state.labels).shape == (17, 87)
         res = condition_on_quadrature(state, [0.05])
+        assert "factor" not in vars(state)
         want_prob, want_purity = reference_moments(spacing, lattice_rows(state, [0.05])[0],
                                                    dps=60)
-        assert abs(res.prob_density[0] / want_prob - 1.0) <= 1e-8
-        assert abs(1.0 - res.lin_entropy[0] - want_purity) <= 1e-10
+        assert abs(res.prob_density[0] / want_prob - 1.0) <= 2e-10
+        assert abs(1.0 - res.lin_entropy[0] - want_purity) <= 2e-11
 
     @pytest.mark.parametrize("zeta,kappa", [(5.0, 0.2), (8.0, 0.3), (12.0, 0.05), (6.0, 0.36)])
     def test_ill_conditioned_gram_is_never_banded(self, zeta, kappa):
@@ -485,7 +487,8 @@ class TestLatticeMoments:
         assert np.array_equal(res.prob_density, prob)
 
     def test_uncertified_rows_are_the_factor_kernels(self):
-        # s = 0.01: most rows fail the estimate and take the label factor
+        # s = 0.01: most rows fail the estimate and take the Fock-window
+        # kernel (window 50 states <= N + 1 = 69), which builds no factor
         state = evolve(5.0, 0.05, np.pi)
         x = np.linspace(-4.0, 4.0, 33)
         raw = lattice_rows(state, x)
@@ -493,40 +496,44 @@ class TestLatticeMoments:
         redo = estimate > LATTICE_TOLERANCE
         assert 0 < redo.sum() < x.size
         res = condition_on_quadrature(state, x)
-        want_prob, want_purity = outcome_moments(state.factor, raw[redo])
+        assert state.window[2] == 50 and "factor" not in vars(state)
+        want_prob, want_purity = window_moments(state.window, raw[redo])
         assert np.array_equal(res.prob_density[redo], want_prob)
         assert np.array_equal(res.lin_entropy[redo], 1.0 - want_purity)
         assert np.array_equal(res.prob_density[~redo], prob[~redo])
         assert np.array_equal(res.lin_entropy[~redo], 1.0 - np.minimum(purity[~redo], 1.0))
 
-    @pytest.mark.parametrize("zeta,kappa,t,x,refused", [
-        (5.0, 0.05, np.pi, (-4.0, 4.0, 161), 142),  # s = 0.01: most rows fail the estimate
-        (8.0, 0.1, np.pi, (-4.0, 4.0, 161), 0),  # every row certified
-        (0.8, 1.0, np.pi, (-4.0, 4.0, 161), 161),  # N + 1 < LATTICE_MIN_ORDER: no row routed
-        (0.8, 1.0, -1e308, (-4.0, 4.0, 161), None),  # the Kerr phase overflows: none resolvable
+    @pytest.mark.parametrize("zeta,kappa,t,x,refused,route", [
+        # s = 0.01: most rows fail the estimate, and the Fock window (50) holds N + 1 = 69
+        (5.0, 0.05, np.pi, (-4.0, 4.0, 161), 142, "window"),
+        (8.0, 0.1, np.pi, (-4.0, 4.0, 161), 0, None),  # every row certified
+        # N + 1 = 13 < LATTICE_MIN_ORDER: no row routed, and the window (254) is wider
+        (0.8, 1.0, np.pi, (-4.0, 4.0, 161), 161, "factor"),
+        (0.8, 1.0, -1e308, (-4.0, 4.0, 161), None, None),  # the Kerr phase overflows: none resolvable
         # outcomes beyond the oscillator's reach: every psi_n(x) underflows to 0
-        (12.0, 1.0, np.pi, (100.0, 1000.0, 9), None),
+        (12.0, 1.0, np.pi, (100.0, 1000.0, 9), None, None),
     ], ids=["5.0-0.05-3.141592653589793-142", "8.0-0.1-3.141592653589793-0",
             "0.8-1.0-3.141592653589793-161", "0.8-1.0--1e+308-None", "12.0-1.0-beyond-reach"])
-    def test_one_label_factor_call_per_grid(self, zeta, kappa, t, x, refused, monkeypatch):
+    def test_one_label_factor_call_per_grid(self, zeta, kappa, t, x, refused, route,
+                                            monkeypatch):
         # the rows the lattice kernel does not certify, or all of a state it
-        # does not take, go to the label factor's kernel in one call; rows
-        # of zero amplitudes, unresolvable on any route, build no factor
-        calls, factors = [], []
+        # does not take, go in one call to the Fock-window kernel or to the
+        # label factor's, and only the latter builds a factor; rows of zero
+        # amplitudes, unresolvable on any route, reach neither
+        calls = []
 
-        def counted(factor, amplitudes):
-            calls.append(len(amplitudes))
-            return outcome_moments(factor, amplitudes)
+        def spy(name, kernel):
+            def counted(first, amplitudes):
+                calls.append((name, len(amplitudes)))
+                return kernel(first, amplitudes)
+            return counted
 
-        def built(labels):
-            factors.append(len(labels))
-            return label_factor(labels)
-
-        monkeypatch.setattr(conditional, "outcome_moments", counted)
-        monkeypatch.setattr(conditional, "label_factor", built)
-        res = condition_on_quadrature(evolve(zeta, kappa, t), np.linspace(*x))
-        assert calls == ([] if not refused else [refused])
-        assert len(factors) == len(calls)
+        monkeypatch.setattr(conditional, "outcome_moments", spy("factor", outcome_moments))
+        monkeypatch.setattr(conditional, "window_moments", spy("window", window_moments))
+        state = evolve(zeta, kappa, t)
+        res = condition_on_quadrature(state, np.linspace(*x))
+        assert calls == ([] if not refused else [(route, refused)])
+        assert ("factor" in vars(state)) == (route == "factor")
         assert np.all(np.isnan(res.prob_density)) == (refused is None)
         if zeta == 12.0:
             assert np.all(res.status == BELOW_FLOOR)
@@ -555,7 +562,8 @@ class TestLatticeMoments:
                              [(12.0, 1.0, np.pi), (8.0, 2.0, 2.5), (5.0, 0.05, np.pi)])
     def test_views_give_the_same_bits(self, zeta, kappa, t):
         # a one-outcome grid equals that row of a larger one, over more rows
-        # than one chunk of the kernel; at (5, 0.05) most rows take the factor
+        # than one chunk of the kernel; at (5, 0.05) most rows take the
+        # Fock-window kernel
         x = np.linspace(-4.0, 4.0, 41)
         state = evolve(zeta, kappa, t)
         assert state.labels.size >= LATTICE_MIN_ORDER
@@ -582,6 +590,94 @@ class TestLatticeMoments:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1] < 1.5 * 2**20
+
+
+class TestWindowMoments:
+    """window_moments: the Hankel moments of labels whose Fock window holds at
+    most as many states as there are labels, in place of the label factor."""
+
+    @pytest.mark.parametrize("zeta,kappa,x,prob_bound,purity_bound", [
+        (7.75, 0.0291, -2.0, 5e-12, 2e-12),  # s = 3.4e-3: every row, P = 1.6e-14
+        (6.67, 0.0599, 3.1, 1e-14, 1e-14),  # s = 0.014: a lattice row refused
+        (5.0, 0.05, -2.6, 2e-14, 1e-14),  # s = 0.01: a lattice row refused
+    ])
+    def test_rows_match_60_digit_reference(self, zeta, kappa, x, prob_bound, purity_bound):
+        # measured: 1.3e-12 and 4.3e-13 (the label factor: 2.7e-12, 1.3e-12),
+        # 0 and 1.3e-15, 4.9e-15 and 1.4e-15
+        state = evolve(zeta, kappa, np.pi)
+        spacing = lattice_spacing(state.labels)
+        row = lattice_rows(state, [x])
+        if spacing >= LATTICE_MIN_SPACING:
+            assert lattice_moments(spacing, row)[2][0] > LATTICE_TOLERANCE
+        assert state.window[2] <= state.labels.size
+        res = condition_on_quadrature(state, [x])
+        assert "factor" not in vars(state)
+        want_prob, want_purity = reference_moments(spacing, row[0], dps=60)
+        assert abs(res.prob_density[0] / want_prob - 1.0) <= prob_bound
+        assert abs(1.0 - res.lin_entropy[0] - want_purity) <= purity_bound
+
+    def test_wide_window_matches_factor_kernel(self):
+        # a window of 253 states at radius^2 = 143, where e^(-radius^2) is
+        # below FACTOR_FLOOR: the table carries e^(radius^2), so no term the
+        # scale would lift above the floor is zeroed (measured 7.1e-15, 6.1e-15)
+        state = evolve(13.5, 0.042, np.pi)
+        labels, _, dim = state.window
+        assert dim == 253 < state.labels.size
+        assert np.exp(-np.max(np.abs(labels - labels.mean())) ** 2) < conditional.FACTOR_FLOOR
+        raw = lattice_rows(state, np.linspace(-4.0, 4.0, 9))
+        prob, purity = window_moments(state.window, raw)
+        want_prob, want_purity = outcome_moments(label_factor(state.labels), raw)
+        assert np.all(np.abs(prob / want_prob - 1.0) <= 5e-14)
+        assert np.all(np.abs(purity - want_purity) <= 5e-14)
+
+    @pytest.mark.parametrize("zeta,kappa", [(6.037, 0.01058), (7.75, 0.0291), (6.67, 0.0599)])
+    def test_views_give_the_same_bits(self, zeta, kappa):
+        # a one-outcome grid equals that row of a 41-row one: every row of a
+        # state below the lattice spacing, or the lattice's refused rows
+        x = np.linspace(-4.0, 4.0, 41)
+        state = evolve(zeta, kappa, np.pi)
+        profile = condition_on_quadrature(state, x)
+        assert "factor" not in vars(state)
+        for i in range(x.size):
+            point = condition_on_quadrature(state, x[i:i + 1])
+            assert point.prob_density[0] == profile.prob_density[i]
+            assert point.lin_entropy[0] == profile.lin_entropy[i]
+            assert np.array_equal(point.cond_coeffs[0], profile.cond_coeffs[i])
+
+    def test_window_holds_at_most_256_states(self, monkeypatch):
+        # FOCK_FACTOR_DIM caps the window of window_moments as of the QR
+        # factor: labels whose window takes 257 states, fewer than their
+        # count (303), take the label factor's kernel
+        calls = []
+        monkeypatch.setattr(conditional, "window_moments",
+                            lambda *args: calls.append(args) or window_moments(*args))
+        state = evolve(14.0, 0.04002, np.pi)
+        radius = float(np.max(np.abs(state.labels - state.labels.mean())))
+        assert truncation_order(radius, FOCK_FACTOR_POLICY) + 1 == 257 < state.labels.size
+        assert state.window[2] is None
+        res = condition_on_quadrature(state, [0.3])
+        assert calls == [] and "factor" in vars(state) and res.status[0] == conditional.OK
+        narrower = evolve(14.0, 0.0399, np.pi)
+        assert narrower.window[2] == FOCK_FACTOR_DIM == 256
+        condition_on_quadrature(narrower, [0.3])
+        assert len(calls) == 1 and "factor" not in vars(narrower)
+
+    def test_kernel_memory_is_bounded(self):
+        # 161 outcomes at N + 1 = 100 and a window of 95 states: the complex
+        # moment table, the Hankel index, the complex scale and three complex
+        # 95 x 95 matrices (M', its conjugate and M' M'^H), 0.91 MiB; measured
+        # 0.925 MiB
+        state = evolve(6.67, 0.0599, np.pi)
+        labels, _, dim = state.window
+        raw = lattice_rows(state, np.linspace(-4.0, 4.0, 161))
+        table, index, matrix = labels.size * (2 * dim - 1) * 16, dim * dim * 8, dim * dim * 16
+        tracemalloc.start()
+        try:
+            window_moments(state.window, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * (table + index + 4 * matrix)
 
 
 class TestEfficiencyProfile:

@@ -3,7 +3,8 @@
 `scientific` writes `'%.12e' % v` and `fixed` writes `'%.2f' % v` for every
 value of an array at once, as rows of ASCII bytes filled out with `PAD`, a
 byte that no UTF-8 text holds; rows joined into a document become its text
-by dropping every `PAD` byte.
+by dropping every `PAD` byte.  `reread` gives the value each `scientific`
+cell reads as, from the same digits.
 
 A value is scaled to 13 digits before the point (`fixed`: to cents) by one
 product with a correctly rounded power of ten.  That product is within
@@ -134,10 +135,10 @@ def _split(units, step):
     return top, middle.astype(np.intp), (rest - middle * step).astype(np.intp)
 
 
-def scientific(values):
-    """'%.12e' % v of every value (a float64 array), as rows of 24 bytes."""
+def _significands(x):
+    """(exponent, digits, fast) of a float64 array: where `fast`, '%.12e' % v is the
+    13-digit integer `digits` times 10^(exponent - 12), with the sign of v."""
     t = _tables()
-    x = np.ravel(values)
     a = np.abs(x)
     fast = (a >= 1e-290) & (a <= 1e290)
     a = np.where(fast, a, 1.0)
@@ -153,6 +154,14 @@ def scientific(values):
     error = scaled * 2.0 ** -51
     fast &= (scaled - error > 1e12 - 0.05) & (scaled + error < 1e13 - 0.5)
     digits = np.minimum(_nearest(scaled, error, fast), 1e13 - 1)  # in range off `fast` too
+    return exponent, digits, fast
+
+
+def scientific(values):
+    """'%.12e' % v of every value (a float64 array), as rows of 24 bytes."""
+    t = _tables()
+    x = np.ravel(values)
+    exponent, digits, fast = _significands(x)
     top, middle, low = _split(digits, 1e4)
     first = np.floor(top / 1e4)  # the leading digit
     rows = np.empty((x.size, 3), np.uint64)
@@ -163,6 +172,20 @@ def scientific(values):
     words[:, 3] = t.quads[low]
     rows[:, 2] = t.exponents[POWER_RANGE + exponent]
     return _with_fallback(rows, x, fast, SCIENTIFIC)
+
+
+def reread(values):
+    """float('%.12e' % v) of every value (a float64 array): where the cell's exponent e is
+    within 22 of 12, its 13 digits times (or over) the exact 10^|e - 12|, one correctly
+    rounded operation (Clinger, PLDI 1990); elsewhere Python's parser."""
+    x = np.ravel(np.asarray(values, dtype=np.float64))
+    exponent, digits, fast = _significands(x)
+    shift = np.abs(exponent - 12)
+    power = _tables().pow10[POWER_RANGE + np.minimum(shift, 22)]  # no overflow off `fast`
+    read = np.copysign(np.where(exponent >= 12, digits * power, digits / power), x)
+    slow = np.flatnonzero(~fast | (shift > 22))
+    read[slow] = [float(SCIENTIFIC % v) for v in x[slow].tolist()]
+    return read
 
 
 def fixed(values):

@@ -257,19 +257,24 @@ def _select(roots, selection):
     """Column of the selected root in every row of a root grid.  "follow" takes
     the root nearest the one picked at the drive before (the lowest at the
     first drive, in a tie or where all are nan) from one table for every
-    drive; only the chain of picks runs drive by drive."""
+    drive: a step that sends every column to one sets the pick, one that sends each
+    to itself keeps it, and only the others run drive by drive before a forward fill."""
     if selection == "lowest":
         return np.zeros(len(roots), dtype=np.intp)
     if selection == "highest":
         return np.count_nonzero(~np.isnan(roots), axis=1) - 1
-    distance = np.abs(roots[1:, :, None] - roots[:-1, None, :])
-    # nearest[k - 1][j]: the column picked at drive k after column j at drive k - 1,
-    # a nan distance (padding) counting as infinite: a row with none finite picks 0
-    nearest = np.argmin(np.where(np.isnan(distance), np.inf, distance), axis=1)
-    picks = [0]
-    for row in nearest.tolist():
-        picks.append(row[picks[-1]])
-    return np.array(picks[:len(roots)], dtype=np.intp)
+    # nearest[k - 1, j]: the column picked at drive k after column j at drive k - 1; padding
+    # reads +inf at k and -inf at k - 1: its distances are inf, and a row with none finite picks 0
+    current, previous = (np.where(np.isnan(roots), pad, roots) for pad in (np.inf, -np.inf))
+    nearest = np.argmin(np.abs(current[1:, None, :] - previous[:-1, :, None]), axis=2)
+    kept = np.zeros(len(roots), dtype=bool)
+    kept[1:] = np.all(nearest == np.arange(3), axis=1)
+    source = np.maximum.accumulate(np.where(kept, 0, np.arange(len(roots))))  # last not kept
+    picks = np.zeros(len(roots), dtype=np.intp)
+    picks[1:] = nearest[:, 0]  # the pick of a step that sets it
+    for k in np.flatnonzero(~kept[1:] & np.any(nearest != nearest[:, :1], axis=1)).tolist():
+        picks[k + 1] = nearest[k, picks[source[k]]]
+    return picks[source]
 
 
 def _cavity(params, delta, drive_in, selection):

@@ -247,8 +247,8 @@ def _lines(columns):
 
 
 def run_single_cavity(merged, x_values=None):
-    """Efficiency-profile CSV for the conditional single-cavity scenario;
-    an error column marks unresolvable outcomes when there are any."""
+    """Efficiency-profile CSV (header, columns) for the conditional single-cavity
+    scenario; an error column marks unresolvable outcomes when there are any."""
     if x_values is None:
         x_values = _grid(merged, "x")
     profile = conditional.efficiency_profile(
@@ -260,7 +260,7 @@ def run_single_cavity(merged, x_values=None):
     if unresolvable.any():
         columns.append((("", "unresolvable"), unresolvable))
         header += ",error"
-    return format_csv(header, columns)
+    return header, columns
 
 
 def _working_point(merged):
@@ -271,10 +271,10 @@ def _working_point(merged):
 
 
 def run_cascaded_steady(merged):
-    """Single-working-point CSV for the cascaded scenario."""
+    """Single-working-point CSV (header, columns) for the cascaded scenario."""
     params, branch, stable = _working_point(merged)
     amplitudes = (branch.zeta1, branch.zeta2, branch.alpha, branch.beta)
-    return format_csv(
+    return (
         "drive,branch1,branch2,intensity1,intensity2,zeta1_re,zeta1_im,zeta2_re,zeta2_im,"
         "alpha_re,alpha_im,beta_re,beta_im,residual,stable",
         (merged["drive"], (BRANCH_NAMES, branch.branch1), (BRANCH_NAMES, branch.branch2),
@@ -284,7 +284,7 @@ def run_cascaded_steady(merged):
 
 
 def run_cascaded(merged, drive_values=None):
-    """Amplitude-sweep CSV: drive,branch,intensity1,intensity2,e_degree,stable."""
+    """Amplitude-sweep CSV (header, columns): drive,branch,intensity1,intensity2,e_degree,stable."""
     params = _phys_params(merged)
     omega_eval = params.Omega if merged["omega_eval"] is None else merged["omega_eval"]
     if drive_values is None:
@@ -292,14 +292,14 @@ def run_cascaded(merged, drive_values=None):
     sweep = spectra.amplitude_sweep(params, np.asarray(drive_values, dtype=float), omega_eval)
     branch = np.ravel_multi_index((sweep.jumped, sweep.branch1, sweep.branch2),
                                   (2, len(BRANCH_NAMES), len(BRANCH_NAMES)))
-    return format_csv(
+    return (
         "drive,branch,intensity1,intensity2,e_degree,stable",
         (sweep.drive, (BRANCH_CELLS, branch), sweep.intensity1, sweep.intensity2,
          np.where(np.isfinite(sweep.e_degree), sweep.e_degree, np.nan), sweep.stable))
 
 
 def run_cascaded_spectrum(merged):
-    """Frequency-scan CSV at one drive on the selected branch (`spectra.epr_grid`)."""
+    """Frequency-scan CSV (header, columns) at one drive on the selected branch (`epr_grid`)."""
     params, branch, stable = _working_point(merged)
     if not stable:
         raise ArithmeticError(
@@ -307,7 +307,7 @@ def run_cascaded_spectrum(merged):
             f"(branches {BRANCH_NAMES[branch.branch1]}/{BRANCH_NAMES[branch.branch2]})")
     g = spectra.epr_grid(params, branch, _grid(merged, "omega"))
     columns = (g.omega, g.s_qplus, g.s_pminus, g.commutator.imag, g.e_degree, g.variance_product)
-    return format_csv("omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product", columns)
+    return "omega,s_qplus,s_pminus,commutator_im,e_degree,variance_product", columns
 
 
 def run_plot(csv_path, x_column, y_columns, title=""):
@@ -325,9 +325,12 @@ def run_plot(csv_path, x_column, y_columns, title=""):
 def _write_out(text, out):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,16 +422,19 @@ def main(argv=None):
             raise UsageError(f"--plot needs an --out not ending in .svg, got {args.out}")
         merged = resolve_config(args)
         if args.scenario == "single-cavity":
-            csv_text = run_single_cavity(merged, [args.x] if args.action == "point" else None)
+            document = run_single_cavity(merged, [args.x] if args.action == "point" else None)
             axes = ("x", ["efficiency"])
         else:
             run, axes = {"steady": (run_cascaded_steady, None),
                          "sweep": (run_cascaded, ("drive", ["e_degree"])),
                          "spectrum": (run_cascaded_spectrum, ("omega", ["e_degree"]))}[args.action]
-            csv_text = run(merged)
-        _write_out(csv_text, args.out)
-        if plot:
-            _write_out(svgplot.render_plot(csv_text, *axes), os.path.splitext(args.out)[0] + ".svg")
+            document = run(merged)
+        _write_out(format_csv(*document), args.out)
+        if plot:  # the values its cells read as, so `plot` of the CSV draws the same SVG
+            (x_column, y_columns), cells = axes, dict(zip(document[0].split(","), document[1]))
+            xs, *series = [_digits.reread(cells[name]) for name in [x_column, *y_columns]]
+            _write_out(svgplot.draw(xs, x_column, series, y_columns),
+                       os.path.splitext(args.out)[0] + ".svg")
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

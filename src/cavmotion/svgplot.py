@@ -1,14 +1,14 @@
-"""Minimal deterministic SVG line plots for CSV tables.
+"""Minimal deterministic SVG line plots of CSV columns or of arrays.
 
-No plotting library: identical input bytes must yield identical output
+No plotting library: identical input values must yield identical output
 bytes, so everything (tick placement, coordinate rounding, colors) is
 fixed here.  Polylines break wherever a series leaves the finite range,
 and each such break is marked with a dashed vertical rule so branch jumps
-and flagged sweep points stay visible.  The plotted columns are parsed by
-`float()` and their coordinates computed as whole arrays, in the same
-operations and order as one point at a time, so they are the same doubles;
-each polyline's points are written by `_digits.fixed`, whose text is
-`'%.2f' %` of every coordinate.
+and flagged sweep points stay visible.  `render_plot` parses its columns
+by `float()`; `draw` takes arrays, which `--plot` rereads from the cells
+it writes (`_digits.reread`), so both draw the same doubles.  Coordinates
+are computed as whole arrays, in the same operations and order as one
+point at a time, and written by `_digits.fixed` (`'%.2f' %` of each).
 """
 
 import math
@@ -110,15 +110,17 @@ def _points(px, py):
 
 
 def render_plot(csv_text, x_column, y_columns, title=""):
-    """Render one polyline per y column against x_column; returns SVG text."""
+    """Render one polyline per y column of a CSV text against x_column; returns SVG text."""
     header, rows = parse_csv(csv_text)
     for name in [x_column, *y_columns]:
         if name not in header:
             raise ValueError(f"column {name!r} not in CSV header {header}")
-    xi = header.index(x_column)
-    yis = [header.index(name) for name in y_columns]
-    xs = _column(rows, xi)
-    series = [_column(rows, yi) for yi in yis]
+    return draw(_column(rows, header.index(x_column)), x_column,
+                [_column(rows, header.index(name)) for name in y_columns], y_columns, title)
+
+
+def draw(xs, x_column, series, y_columns, title=""):
+    """Render one polyline per array of `series`, named y_columns, against xs; returns SVG text."""
     x_lo, x_hi = _span(xs)
     y_lo, y_hi = _span(np.ravel(series), pad=0.05)
 

@@ -1,6 +1,7 @@
 """Cascaded steady-state checks."""
 
 import functools
+import itertools
 import math
 import warnings
 
@@ -672,19 +673,20 @@ class TestSteadyGrid:
 
     def test_follow_table_equals_drive_by_drive_scan(self):
         # random nan-padded root grids on a coarse lattice (ties), with
-        # single-root stretches and all-nan rows (no working point)
+        # single-root stretches, 1 -> 3 and 3 -> 1 root counts and all-nan
+        # rows (no working point): steps that set, keep and move the pick
         rng = np.random.default_rng(83)
-        for n in (0, 1, 2, 7, 400):
-            for _ in range(20):
+        for n in (0, 1, 2, 3, 7, 400):
+            for _ in range(40):
                 roots = np.sort(rng.integers(0, 12, (n, 3)).astype(float), axis=1)
                 counts = rng.choice([0, 1, 2, 3], size=n, p=[0.1, 0.35, 0.3, 0.25])
                 roots[np.arange(3) >= counts[:, None]] = np.nan
                 picks = cascade._select(roots, "follow")
                 assert picks.tolist() == follow_scan(roots)
                 assert np.all(picks < np.maximum(counts, 1))
-        for chi in (0.3, 1.0, 3.0):
-            params = PhysParams(chi=chi, Omega=1000.0, **CANONICAL_RATES)
-            roots = root_grid(params, params.Delta1, np.geomspace(1e5, 1e9, 2401) ** 2)
+        for chi, delta in itertools.product((0.3, 1.0, 3.0), (1e4, -1e4)):
+            params = PhysParams(chi=chi, Omega=1000.0, **dict(CANONICAL_RATES, Delta1=delta))
+            roots = root_grid(params, delta, np.geomspace(1e5, 1e9, 2401) ** 2)
             assert cascade._select(roots, "follow").tolist() == follow_scan(roots)
 
     def test_unknown_selection_rejected(self):

@@ -167,7 +167,7 @@ class TestCascadedCsv:
 
     def test_empty_grid_header_only(self):
         merged = dict(cli.DEFAULTS)
-        doc = cli.run_cascaded(merged, drive_values=[])
+        doc = cli.format_csv(*cli.run_cascaded(merged, drive_values=[]))
         assert doc == "drive,branch,intensity1,intensity2,e_degree,stable\n"
 
     def test_branch_cell_of_every_code_pair(self, monkeypatch):
@@ -179,7 +179,7 @@ class TestCascadedCsv:
             stable=ones.astype(bool), e_degree=ones, jumped=jumped.astype(bool),
             status=np.full(jumped.size, spectra.OK))
         monkeypatch.setattr(spectra, "amplitude_sweep", lambda *args: sweep)
-        doc = cli.run_cascaded(dict(cli.DEFAULTS), drive_values=ones)
+        doc = cli.format_csv(*cli.run_cascaded(dict(cli.DEFAULTS), drive_values=ones))
         names = cascade.BRANCH_NAMES
         assert [line.split(",")[1] for line in doc.splitlines()[1:]] == [
             f"{'jump:' if j else ''}{names[a]}/{names[b]}"
@@ -266,7 +266,7 @@ class TestCascadedCsv:
         assert rows[-1].split(",")[-2:] == ["nan", "false"]
         merged = dict(cli.DEFAULTS, drive_min=1e5, drive_max=1e200, drive_count=5)
         drives = cli._grid(merged, "drive")
-        alone = cli.run_cascaded(merged, drive_values=drives[:4])
+        alone = cli.format_csv(*cli.run_cascaded(merged, drive_values=drives[:4]))
         assert alone.strip().split("\n")[1:] == rows[:4]
         sweep = spectra.amplitude_sweep(cli._phys_params(merged), drives, 1000.0)
         assert (sweep.stable[-1], sweep.status[-1]) == (False, spectra.OVERFLOW)
@@ -830,6 +830,17 @@ def assert_writers_match_python(values):
     items = values.tolist()
     assert written(_digits.scientific(values)) == [cli.FLOAT_FORMAT % x for x in items]
     assert written(_digits.fixed(values)) == [f"{x:.2f}" for x in items]
+    assert_reread_is_float_of_the_cell(values)
+
+
+def assert_reread_is_float_of_the_cell(values):
+    """`_digits.reread` gives float() of each `scientific` cell, to the bit, and
+    warns of nothing (the CLI's smoke runs take warnings as errors)."""
+    cells = np.array([float(cli.FLOAT_FORMAT % x) for x in np.ravel(values).tolist()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        read = _digits.reread(values)
+    assert np.array_equal(read.view(np.int64), cells.view(np.int64))
 
 
 def thirteenth_digit_ties():
@@ -875,6 +886,19 @@ class TestDecimalWriters:
         powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
         near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
         assert_writers_match_python(np.concatenate([near, -near, [np.nan, np.inf, -np.inf]]))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.floats() | st.sampled_from(thirteenth_digit_ties()).flatmap(
+        lambda tie: st.sampled_from([tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf)])),
+        min_size=1, max_size=64))
+    @example([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+              -1e-300, np.nan, np.inf, -np.inf,
+              1e-10, 9.999999999999e-11, 1e-11, 1e34, 9.9999999999995e34, 1e35, -1e35])
+    def test_reread_is_float_of_the_cell(self, values):
+        # the 13 digits times or over an exact power of ten where the cell's
+        # exponent is -10..34, Python's parser at 0, subnormals, nan, +-inf,
+        # beyond, and next to a 13-digit tie
+        assert_reread_is_float_of_the_cell(values)
 
 
 def sweep_columns(count=2401):
@@ -1252,6 +1276,38 @@ class TestPlot:
             assert code == 1
             assert out == ""
             assert "--out" in err
+
+    @pytest.mark.parametrize("argv,x_column,y_column", [
+        (["cascaded", "sweep", "--chi", "3", "--drive-count", "2401"], "drive", "e_degree"),
+        (["single-cavity", "sweep", "--zeta", "8", "--kappa", "0.1", "--x-min", "-30",
+          "--x-max", "30", "--x-count", "241"], "x", "efficiency"),
+        (["cascaded", "spectrum", "--drive", "1e5"], "omega", "e_degree"),
+    ], ids=["unstable-sweep", "wide-profile", "low-drive-spectrum"])
+    def test_plot_flag_equals_plot_of_its_csv(self, argv, x_column, y_column, tmp_path, capsys):
+        # --plot draws the values its cells read as, so `plot` of the CSV
+        # draws the same bytes
+        code, _, err = run_cli([*argv, "--out", str(tmp_path / "run.csv"), "--plot"], capsys)
+        assert code == 0, err
+        code, svg, err = run_cli(["plot", str(tmp_path / "run.csv"), "--x-column", x_column,
+                                  "--y-columns", y_column], capsys)
+        assert code == 0, err
+        assert svg == (tmp_path / "run.svg").read_text()
+        assert "<polyline" in svg
+        if argv[:2] == ["cascaded", "sweep"]:  # nan rows and a jump break the line
+            assert "stroke-dasharray" in svg
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        # a missing directory for the CSV, a directory in the SVG's place
+        code, out, err = run_cli(["single-cavity", "point", "--x", "0.5",
+                                  "--out", str(tmp_path / "no" / "x.csv")], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {tmp_path / 'no' / 'x.csv'}: ")
+        (tmp_path / "p.svg").mkdir()
+        code, out, err = run_cli(["single-cavity", "sweep", "--x-count", "5",
+                                  "--out", str(tmp_path / "p.csv"), "--plot"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {tmp_path / 'p.svg'}: ")
+        assert "Traceback" not in err
 
     def test_plot_flag_refuses_svg_out(self, tmp_path, monkeypatch, capsys):
         # the SVG's path would be --out itself: refused before any computation,

@@ -138,20 +138,16 @@ def _split(units, step):
 def _significands(x):
     """(exponent, digits, fast) of a float64 array: where `fast`, '%.12e' % v is the
     13-digit integer `digits` times 10^(exponent - 12), with the sign of v."""
-    t = _tables()
     a = np.abs(x)
     fast = (a >= 1e-290) & (a <= 1e290)
     a = np.where(fast, a, 1.0)
     exponent = np.floor(np.log10(a)).astype(np.intp)  # off by at most one
-    scaled = a * t.pow10[POWER_RANGE + 12 - exponent]
-    # the exponent of the 13 digits: scaled rounds into [1e12, 1e13), or
-    # lies within 0.05 below 1e12, where an exact value below 1e12 takes
-    # one more digit that carries it to 1e13, the same "1.000000000000"
-    step = (scaled >= 1e13 - 0.5).astype(np.intp) - (scaled < 1e12 - 0.05)
-    if step.any():
-        exponent += step
-        scaled = a * t.pow10[POWER_RANGE + 12 - exponent]
+    scaled = a * _tables().pow10[POWER_RANGE + 12 - exponent]
     error = scaled * 2.0 ** -51
+    # the mask alone decides which cells the tables write: scaled rounds into
+    # [1e12, 1e13), or lies within 0.05 below 1e12, where an exact value below
+    # 1e12 takes one more digit that carries it to 1e13, "1.000000000000"; a
+    # cell whose exponent is one off lies outside and takes Python's `%`
     fast &= (scaled - error > 1e12 - 0.05) & (scaled + error < 1e13 - 0.5)
     digits = np.minimum(_nearest(scaled, error, fast), 1e13 - 1)  # in range off `fast` too
     return exponent, digits, fast

@@ -201,9 +201,7 @@ def root_grid(params, delta, drive_power):
             pair = real * real + 0.75 * imag * imag
             roots[one, 0] = np.where(np.abs(root) < np.abs(shift), -b0[one] / pair, root)
             three = ~one
-            if p == 0.0:
-                roots[three, 0] = shift
-            elif three.any():
+            if three.any():
                 m = 2.0 * np.sqrt(-p / 3.0)
                 theta = np.arccos(np.clip(3.0 * q[three] / (p * m), -1.0, 1.0)) / 3.0
                 roots[three] = shift + m * np.cos(theta[:, None] - 2.0 * np.pi * np.arange(3) / 3.0)

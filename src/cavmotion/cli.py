@@ -144,8 +144,6 @@ def resolve_config(args):
 
 def _grid(merged, name):
     lo, hi, count = merged[f"{name}_min"], merged[f"{name}_max"], merged[f"{name}_count"]
-    if count == 1:
-        return np.array([lo])
     with np.errstate(over="ignore"):  # only at the last point, which numpy sets to hi
         if merged.get(f"{name}_log", False):
             return np.geomspace(lo, hi, count)

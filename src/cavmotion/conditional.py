@@ -10,30 +10,29 @@ measurement by entropy times outcome density.
 The atomic coherent labels are not orthogonal.  In any orthonormal basis
 of their span the atoms' state is a matrix M_x, with P(x) = ||M_x||_F^2 and
 purity ||M_x M_x^H||_F^2 / P(x)^2 (brute-force check below).  Each outcome
-takes one of three routes, chosen from the state alone (README, cost model):
-lattice_moments, O(N^2) per outcome from two closed-form factors, for
-evolved states, whose labels n lambda lie on a line, of spacing |lambda|^2
->= 0.01 and N+1 >= 48 labels; window_moments, a Hankel M_x from 2 dim - 1
-moments of the amplitudes, 2 dim (N+1) + dim^3 per outcome, where the
-labels fit a displaced number basis of dim <= N+1 states; else
-outcome_moments over a factor B of their Gram matrix (B^H B = G, M_x = B
+takes one of three routes, chosen from one fock_window of the labels per call,
+cached nowhere (README, cost model): lattice_moments, O(N^2) per outcome from
+two closed-form factors, for evolved states, whose labels n lambda lie on a
+line, of spacing |lambda|^2 >= 0.01 and N+1 >= 48 labels; window_moments, a
+Hankel M_x from 2 dim - 1 moments of the amplitudes, 2 dim (N+1) + dim^3 per
+outcome, where the labels fit a displaced number basis of dim <= N+1 states;
+else outcome_moments over a factor B of their Gram matrix (B^H B = G, M_x = B
 diag(coeffs psi(x)) B^T), two (N+1)^3 products per outcome.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fock import (
     DEFAULT_POLICY,
-    TruncationPolicy,
     coherent_coefficient,
     coherent_in_fock,
     coherent_overlap,
     oscillator_wavefunctions,
+    poisson_tails,
     truncation_order,
 )
 
@@ -44,10 +43,10 @@ PROBABILITY_FLOOR = 1e-300
 # finite (its Kerr phase overflowed)
 OK, BELOW_FLOOR, NONFINITE_STATE = range(3)
 
-# label_factor expands labels in at most this many number states, to the
-# policy's Poisson tail; the bound also keeps the QR's transient memory small
+# label_factor expands labels in at most this many number states, to a Poisson
+# tail below FOCK_TAIL; the bound also keeps the QR's transient memory small
 FOCK_FACTOR_DIM = 256
-FOCK_FACTOR_POLICY = TruncationPolicy(tail_epsilon=1e-16, hard_cap=2 * FOCK_FACTOR_DIM)
+FOCK_TAIL = 1e-16
 # label_factor's pivoted Cholesky of G stops once no pivot exceeds PIVOT_CUT
 # and zeroes entries below FACTOR_FLOOR, which are negligible but would put
 # products of four entries in the subnormal range, where BLAS is very slow
@@ -89,16 +88,6 @@ class JointState:
     coeffs: np.ndarray
     labels: np.ndarray
 
-    @cached_property
-    def window(self):
-        """fock_window(labels), kept after first use."""
-        return fock_window(self.labels)
-
-    @cached_property
-    def factor(self):
-        """label_factor(labels), kept after first use: frozen, so new labels make a new state."""
-        return label_factor(self.labels, self.window)
-
 
 @dataclass
 class ConditionalResult:
@@ -138,16 +127,15 @@ def fock_window(labels):
     """(labels, spacing, dim) of label_factor: the labels it factors (a lattice
     n lambda as n |lambda|: same G, no rounded phases), spacing |lambda|^2 or
     None (lattice_spacing), and dim, the size of the number basis displaced to
-    their centroid that holds them to FOCK_FACTOR_POLICY's tail, or None past
-    FOCK_FACTOR_DIM."""
+    their centroid: the first N + 1 with P(X > N) < FOCK_TAIL, X ~ Poisson(r^2)
+    for the labels' largest distance r from it, or None past FOCK_FACTOR_DIM."""
     labels = np.asarray(labels, dtype=complex)
     if (spacing := lattice_spacing(labels)) is not None:
         labels = np.arange(labels.size) * complex(math.sqrt(spacing))
     radius = float(np.max(np.abs(labels - labels.mean())))
-    if radius**2 < FOCK_FACTOR_DIM and (
-            dim := truncation_order(radius, FOCK_FACTOR_POLICY) + 1) <= FOCK_FACTOR_DIM:
-        return labels, spacing, dim
-    return labels, spacing, None
+    hits = (np.flatnonzero(poisson_tails(radius**2, FOCK_FACTOR_DIM - 1) < FOCK_TAIL)
+            if radius**2 < FOCK_FACTOR_DIM else ())
+    return labels, spacing, int(hits[0]) + 1 if len(hits) else None
 
 
 def label_factor(labels, window=None):
@@ -371,16 +359,16 @@ def condition_on_quadrature(state, x_grid):
     finite = np.isfinite(state.coeffs).all()
     nonzero = finite & raw.any(axis=1)  # a zero row (every psi_n(x) underflowed) resolves nowhere
     (prob, purity), redo = np.full((2, x_grid.size), np.nan), nonzero
-    routed = finite and state.labels.size >= LATTICE_MIN_ORDER
-    spacing = lattice_spacing(state.labels) if routed else None
-    if spacing is not None and spacing >= LATTICE_MIN_SPACING:  # README, cost model
-        prob, purity, estimate = lattice_moments(spacing, raw)
-        redo = nonzero & ~((estimate <= LATTICE_TOLERANCE) & (prob > PROBABILITY_FLOOR))
-    if redo.any():  # README, cost model
-        labels, _, dim = state.window
-        prob[redo], purity[redo] = (
-            window_moments(state.window, raw[redo]) if dim is not None and dim <= labels.size
-            else outcome_moments(state.factor, raw[redo]))
+    if finite:  # README, cost model
+        labels, spacing, dim = window = fock_window(state.labels)
+        if (spacing is not None and spacing >= LATTICE_MIN_SPACING
+                and labels.size >= LATTICE_MIN_ORDER):
+            prob, purity, estimate = lattice_moments(spacing, raw)
+            redo = nonzero & ~((estimate <= LATTICE_TOLERANCE) & (prob > PROBABILITY_FLOOR))
+        if redo.any():
+            prob[redo], purity[redo] = (
+                window_moments(window, raw[redo]) if dim is not None and dim <= labels.size
+                else outcome_moments(label_factor(labels, window), raw[redo]))
     np.minimum(purity, 1.0, out=purity)
     resolved = prob > PROBABILITY_FLOOR
     status = np.where(resolved, OK, BELOW_FLOOR if finite else NONFINITE_STATE)

@@ -103,6 +103,30 @@ class TestIntensityRoots:
         lows = root_grid(params, params.Delta1, powers)[:, 0].tolist()
         assert all(x <= y + 1e-12 * max(1, y) for x, y in zip(lows, lows[1:]))
 
+    @pytest.mark.parametrize("Omega", [10.0, 1000.0])
+    def test_bisection_cuts_at_the_turning_points(self, Omega):
+        # inside the window each monotone piece between the turning points
+        # holds one of the three roots; uncut, the bisection finds one
+        params = PhysParams(chi=1.0, Omega=Omega, **CANONICAL_RATES)
+        lo, hi = bistable_window(params, params.Delta1)
+        powers = np.geomspace(lo, hi, 9)[1:-1]
+        want = root_grid(params, params.Delta1, powers)
+        assert not np.isnan(want).any()
+        got = cascade._bracketed_roots(params, params.Delta1, powers)
+        np.testing.assert_allclose(got, want, rtol=4.0 * np.finfo(float).eps, atol=0.0)
+
+    def test_overflowing_pulling_coefficients_raise(self):
+        params = PhysParams(chi=1e160, Omega=1000.0, **CANONICAL_RATES)
+        with pytest.raises(OverflowError, match="intensity-pulling coefficients overflow"):
+            pulling_coefficients(params)
+
+    def test_underflowing_cubic_term_has_no_window(self):
+        # at chi = 1e-80, c3 = a^2 + b^2 underflows to 0: the S-curve is the
+        # linear cavity's, not a window at infinite drive
+        params = PhysParams(chi=1e-80, Omega=1000.0, **CANONICAL_RATES)
+        assert cascade._cubic_coefficients(params, params.Delta1)[0] == 0.0
+        assert bistable_window(params, params.Delta1) is None
+
 
 class TestBranchLabel:
     def test_monostable_is_lower(self):
@@ -232,6 +256,20 @@ class TestSteadyState:
         jumps = drives[steady_grid(params, drives, selection="follow").jumped1]
         assert len(jumps) == 1
         assert jump_drive / 1.2 <= jumps[0] <= jump_drive * 1.2
+
+    def test_descending_follow_stays_on_the_upper_branch(self):
+        # drives falling through the bistable window from above it: "follow"
+        # rides the upper branch down to its turning point near 5e6, where
+        # "lowest" takes the lower branch, 4.2e5 and below
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        lo, hi = bistable_window(params, params.Delta1)
+        drives = np.sqrt(np.geomspace(2.0 * hi, 1.001 * lo, 14) / params.gamma)
+        follow = steady_grid(params, drives, selection="follow")
+        lowest = steady_grid(params, drives, selection="lowest")
+        assert np.all(follow.branch1 == BRANCH_UPPER)
+        assert np.all((4.99e6 < follow.intensity1) & (follow.intensity1 < 7.3e6))
+        assert np.all(lowest.branch1[1:] == BRANCH_LOWER)
+        assert np.all(lowest.intensity1[1:] < 5e5)
 
     def test_unknown_selection_rejected(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)

@@ -144,6 +144,12 @@ class TestSingleCavityCsv:
                                                  merged["time"], x_grid=[merged["x_min"]])
         assert profile.status[0] == conditional.NONFINITE_STATE
 
+    def test_overflowing_mean_photon_number_fails_numerically(self, capsys):
+        code, out, err = run_cli(["single-cavity", "point", "--x", "0", "--zeta", "1e200"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert "mean photon number |zeta|^2 overflows" in err
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(["single-cavity", "sweep"], capsys)
         _, second, _ = run_cli(["single-cavity", "sweep"], capsys)
@@ -214,6 +220,11 @@ class TestCascadedCsv:
         cells = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
         assert float(cells["intensity1"]) == pytest.approx(4e12, rel=1e-12)
         assert cells["stable"] == "true"
+
+    def test_overflowing_pulling_coefficients_fail_numerically(self, capsys):
+        code, out, err = run_cli(["cascaded", "steady", "--chi", "1e160"], capsys)
+        assert code == 2 and out == ""
+        assert "intensity-pulling coefficients overflow" in err
 
     def test_spectrum_subcommand(self, capsys):
         code, out, _ = run_cli(

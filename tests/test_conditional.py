@@ -16,7 +16,7 @@ from cavmotion import conditional
 from cavmotion.conditional import (
     BELOW_FLOOR,
     FOCK_FACTOR_DIM,
-    FOCK_FACTOR_POLICY,
+    FOCK_TAIL,
     LATTICE_MIN_ORDER,
     LATTICE_MIN_SPACING,
     LATTICE_PIVOT_FLOOR,
@@ -26,6 +26,7 @@ from cavmotion.conditional import (
     condition_on_quadrature,
     efficiency_profile,
     evolve,
+    fock_window,
     gram_matrix,
     label_factor,
     lattice_factor,
@@ -40,6 +41,7 @@ from cavmotion.fock import (
     coherent_coefficient,
     coherent_in_fock,
     oscillator_wavefunctions,
+    poisson_tails,
     truncation_order,
 )
 
@@ -69,6 +71,15 @@ def expanded_moments(state, x, dim):
     prob = float(np.vdot(m, m).real)
     rho = m @ m.conj().T / prob
     return prob, 1.0 - float(np.vdot(rho, rho).real)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The label_factor calls condition_on_quadrature makes, one list entry each."""
+    calls = []
+    monkeypatch.setattr(conditional, "label_factor",
+                        lambda *args: calls.append(args) or label_factor(*args))
+    return calls
 
 
 def oracle_dim(labels, tail_epsilon=1e-13):
@@ -266,7 +277,7 @@ class TestFactoredKernel:
         # too widely spread for the number-basis factor: label_factor uses
         # the pivoted Cholesky factor of G
         radius = float(np.max(np.abs(state.labels - state.labels.mean())))
-        assert truncation_order(radius, FOCK_FACTOR_POLICY) + 1 > FOCK_FACTOR_DIM
+        assert poisson_tails(radius**2, FOCK_FACTOR_DIM - 1)[-1] >= FOCK_TAIL
         dim = oracle_dim(state.labels, tail_epsilon=1e-17)
         assert dim > 900
         x_grid = [-3.0, -1.0, 0.5, 2.5]
@@ -284,17 +295,12 @@ class TestFactoredKernel:
             assert np.allclose(b.conj().T @ b, gram_matrix(labels), rtol=0, atol=1e-13)
 
     def test_replaced_labels_get_a_fresh_factor(self):
-        # the cached factor must never outlive the labels it factors: assigning
-        # labels is refused, and a state built with new labels factors those
+        # assigning labels is refused, and a state built with new labels factors those
         state = evolve(3.0, 1.0, np.pi)
-        factor = state.factor
-        assert state.factor is factor
         other = evolve(3.0, 0.3, np.pi).labels
         with pytest.raises(FrozenInstanceError):
             state.labels = other
-        assert state.factor is factor
-        fresh = replace(state, labels=other).factor
-        assert fresh is not factor
+        fresh = label_factor(replace(state, labels=other).labels)
         assert np.allclose(fresh.conj().T @ fresh, gram_matrix(other), rtol=0, atol=1e-13)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -379,7 +385,7 @@ class TestBandFactor:
             assert abs(prob[i] / want_prob - 1.0) <= 2e-14
             assert abs(purity[i] - want_purity) <= 1e-14
 
-    def test_window_row_at_small_spacing_holds_its_error(self):
+    def test_window_row_at_small_spacing_holds_its_error(self, factor_calls):
         # at N+1 = 87 and s = 4.5e-4 the profile takes the Fock-window kernel
         # (17 states), whose rows carry no error estimate; against 60 digits
         # P is off by 8.3e-11 (relative) and the purity by 8.2e-12, where the
@@ -387,9 +393,9 @@ class TestBandFactor:
         state = evolve(6.037, 0.01058, np.pi)
         spacing = lattice_spacing(state.labels)
         assert state.labels.size == 87 and spacing < LATTICE_MIN_SPACING
-        assert state.window[2] == 17 and label_factor(state.labels).shape == (17, 87)
+        assert fock_window(state.labels)[2] == 17 and label_factor(state.labels).shape == (17, 87)
         res = condition_on_quadrature(state, [0.05])
-        assert "factor" not in vars(state)
+        assert factor_calls == []
         want_prob, want_purity = reference_moments(spacing, lattice_rows(state, [0.05])[0],
                                                    dps=60)
         assert abs(res.prob_density[0] / want_prob - 1.0) <= 2e-10
@@ -403,23 +409,25 @@ class TestBandFactor:
         assert np.linalg.cond(gram_matrix(state.labels)) > 5e3
         r = lattice_factor(lattice_spacing(state.labels), state.labels.size)
         assert r[-1, -1] ** 2 < LATTICE_PIVOT_FLOOR
-        assert not np.isrealobj(state.factor)
+        assert not np.isrealobj(label_factor(state.labels))
 
     def test_wide_well_separated_labels_are_banded(self):
-        state = evolve(12.0, 1.0, np.pi)
-        assert np.array_equal(state.factor, lattice_factor(4.0, 237))
-        rows, cols = np.nonzero(state.factor)
+        factor = label_factor(evolve(12.0, 1.0, np.pi).labels)
+        assert np.array_equal(factor, lattice_factor(4.0, 237))
+        rows, cols = np.nonzero(factor)
         assert set(cols - rows) == set(range(9))
 
-    def test_small_orders_stay_dense(self):
+    def test_small_orders_stay_dense(self, factor_calls):
         # below LATTICE_MIN_ORDER labels a one-outcome request costs less
         # through two dense products with the factor, here the closed form
         state = evolve(3.0, 2.0, np.pi)
         assert state.labels.size == 38 < LATTICE_MIN_ORDER
-        assert np.isrealobj(state.factor) and state.factor.shape == (38, 38)
+        factor = label_factor(state.labels)
+        assert np.isrealobj(factor) and factor.shape == (38, 38)
         x = np.linspace(-4.0, 4.0, 9)
         res = condition_on_quadrature(state, x)
-        prob, purity = outcome_moments(state.factor, lattice_rows(state, x))
+        assert len(factor_calls) == 1
+        prob, purity = outcome_moments(factor, lattice_rows(state, x))
         assert np.array_equal(res.prob_density, prob)
         assert np.array_equal(res.lin_entropy, 1.0 - purity)
 
@@ -486,7 +494,7 @@ class TestLatticeMoments:
         res = condition_on_quadrature(state, [-30.0, 30.0])
         assert np.array_equal(res.prob_density, prob)
 
-    def test_uncertified_rows_are_the_factor_kernels(self):
+    def test_uncertified_rows_are_the_factor_kernels(self, factor_calls):
         # s = 0.01: most rows fail the estimate and take the Fock-window
         # kernel (window 50 states <= N + 1 = 69), which builds no factor
         state = evolve(5.0, 0.05, np.pi)
@@ -496,8 +504,9 @@ class TestLatticeMoments:
         redo = estimate > LATTICE_TOLERANCE
         assert 0 < redo.sum() < x.size
         res = condition_on_quadrature(state, x)
-        assert state.window[2] == 50 and "factor" not in vars(state)
-        want_prob, want_purity = window_moments(state.window, raw[redo])
+        window = fock_window(state.labels)
+        assert window[2] == 50 and factor_calls == []
+        want_prob, want_purity = window_moments(window, raw[redo])
         assert np.array_equal(res.prob_density[redo], want_prob)
         assert np.array_equal(res.lin_entropy[redo], 1.0 - want_purity)
         assert np.array_equal(res.prob_density[~redo], prob[~redo])
@@ -515,7 +524,7 @@ class TestLatticeMoments:
     ], ids=["5.0-0.05-3.141592653589793-142", "8.0-0.1-3.141592653589793-0",
             "0.8-1.0-3.141592653589793-161", "0.8-1.0--1e+308-None", "12.0-1.0-beyond-reach"])
     def test_one_label_factor_call_per_grid(self, zeta, kappa, t, x, refused, route,
-                                            monkeypatch):
+                                            monkeypatch, factor_calls):
         # the rows the lattice kernel does not certify, or all of a state it
         # does not take, go in one call to the Fock-window kernel or to the
         # label factor's, and only the latter builds a factor; rows of zero
@@ -533,7 +542,7 @@ class TestLatticeMoments:
         state = evolve(zeta, kappa, t)
         res = condition_on_quadrature(state, np.linspace(*x))
         assert calls == ([] if not refused else [(route, refused)])
-        assert ("factor" in vars(state)) == (route == "factor")
+        assert len(factor_calls) == (route == "factor")
         assert np.all(np.isnan(res.prob_density)) == (refused is None)
         if zeta == 12.0:
             assert np.all(res.status == BELOW_FLOOR)
@@ -601,7 +610,8 @@ class TestWindowMoments:
         (6.67, 0.0599, 3.1, 1e-14, 1e-14),  # s = 0.014: a lattice row refused
         (5.0, 0.05, -2.6, 2e-14, 1e-14),  # s = 0.01: a lattice row refused
     ])
-    def test_rows_match_60_digit_reference(self, zeta, kappa, x, prob_bound, purity_bound):
+    def test_rows_match_60_digit_reference(self, zeta, kappa, x, prob_bound, purity_bound,
+                                           factor_calls):
         # measured: 1.3e-12 and 4.3e-13 (the label factor: 2.7e-12, 1.3e-12),
         # 0 and 1.3e-15, 4.9e-15 and 1.4e-15
         state = evolve(zeta, kappa, np.pi)
@@ -609,9 +619,9 @@ class TestWindowMoments:
         row = lattice_rows(state, [x])
         if spacing >= LATTICE_MIN_SPACING:
             assert lattice_moments(spacing, row)[2][0] > LATTICE_TOLERANCE
-        assert state.window[2] <= state.labels.size
+        assert fock_window(state.labels)[2] <= state.labels.size
         res = condition_on_quadrature(state, [x])
-        assert "factor" not in vars(state)
+        assert factor_calls == []
         want_prob, want_purity = reference_moments(spacing, row[0], dps=60)
         assert abs(res.prob_density[0] / want_prob - 1.0) <= prob_bound
         assert abs(1.0 - res.lin_entropy[0] - want_purity) <= purity_bound
@@ -621,30 +631,30 @@ class TestWindowMoments:
         # below FACTOR_FLOOR: the table carries e^(radius^2), so no term the
         # scale would lift above the floor is zeroed (measured 7.1e-15, 6.1e-15)
         state = evolve(13.5, 0.042, np.pi)
-        labels, _, dim = state.window
+        labels, _, dim = window = fock_window(state.labels)
         assert dim == 253 < state.labels.size
         assert np.exp(-np.max(np.abs(labels - labels.mean())) ** 2) < conditional.FACTOR_FLOOR
         raw = lattice_rows(state, np.linspace(-4.0, 4.0, 9))
-        prob, purity = window_moments(state.window, raw)
+        prob, purity = window_moments(window, raw)
         want_prob, want_purity = outcome_moments(label_factor(state.labels), raw)
         assert np.all(np.abs(prob / want_prob - 1.0) <= 5e-14)
         assert np.all(np.abs(purity - want_purity) <= 5e-14)
 
     @pytest.mark.parametrize("zeta,kappa", [(6.037, 0.01058), (7.75, 0.0291), (6.67, 0.0599)])
-    def test_views_give_the_same_bits(self, zeta, kappa):
+    def test_views_give_the_same_bits(self, zeta, kappa, factor_calls):
         # a one-outcome grid equals that row of a 41-row one: every row of a
         # state below the lattice spacing, or the lattice's refused rows
         x = np.linspace(-4.0, 4.0, 41)
         state = evolve(zeta, kappa, np.pi)
         profile = condition_on_quadrature(state, x)
-        assert "factor" not in vars(state)
+        assert factor_calls == []
         for i in range(x.size):
             point = condition_on_quadrature(state, x[i:i + 1])
             assert point.prob_density[0] == profile.prob_density[i]
             assert point.lin_entropy[0] == profile.lin_entropy[i]
             assert np.array_equal(point.cond_coeffs[0], profile.cond_coeffs[i])
 
-    def test_window_holds_at_most_256_states(self, monkeypatch):
+    def test_window_holds_at_most_256_states(self, monkeypatch, factor_calls):
         # FOCK_FACTOR_DIM caps the window of window_moments as of the QR
         # factor: labels whose window takes 257 states, fewer than their
         # count (303), take the label factor's kernel
@@ -653,14 +663,15 @@ class TestWindowMoments:
                             lambda *args: calls.append(args) or window_moments(*args))
         state = evolve(14.0, 0.04002, np.pi)
         radius = float(np.max(np.abs(state.labels - state.labels.mean())))
-        assert truncation_order(radius, FOCK_FACTOR_POLICY) + 1 == 257 < state.labels.size
-        assert state.window[2] is None
+        tails = poisson_tails(radius**2, FOCK_FACTOR_DIM)
+        assert np.flatnonzero(tails < FOCK_TAIL)[0] + 1 == 257 < state.labels.size
+        assert fock_window(state.labels)[2] is None
         res = condition_on_quadrature(state, [0.3])
-        assert calls == [] and "factor" in vars(state) and res.status[0] == conditional.OK
+        assert calls == [] and len(factor_calls) == 1 and res.status[0] == conditional.OK
         narrower = evolve(14.0, 0.0399, np.pi)
-        assert narrower.window[2] == FOCK_FACTOR_DIM == 256
+        assert fock_window(narrower.labels)[2] == FOCK_FACTOR_DIM == 256
         condition_on_quadrature(narrower, [0.3])
-        assert len(calls) == 1 and "factor" not in vars(narrower)
+        assert len(calls) == 1 and len(factor_calls) == 1
 
     def test_kernel_memory_is_bounded(self):
         # 161 outcomes at N + 1 = 100 and a window of 95 states: the complex
@@ -668,16 +679,68 @@ class TestWindowMoments:
         # 95 x 95 matrices (M', its conjugate and M' M'^H), 0.91 MiB; measured
         # 0.925 MiB
         state = evolve(6.67, 0.0599, np.pi)
-        labels, _, dim = state.window
+        labels, _, dim = window = fock_window(state.labels)
         raw = lattice_rows(state, np.linspace(-4.0, 4.0, 161))
         table, index, matrix = labels.size * (2 * dim - 1) * 16, dim * dim * 8, dim * dim * 16
         tracemalloc.start()
         try:
-            window_moments(state.window, raw)
+            window_moments(window, raw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * (table + index + 4 * matrix)
+
+
+def poisson_tail(lam, n):
+    """P(X > n), X ~ Poisson(lam), to 30 digits: the regularized lower
+    incomplete gamma function P(n + 1, lam)."""
+    with mpmath.workdps(30):
+        return mpmath.gammainc(n + 1, 0, lam, regularized=True)
+
+
+class TestFockWindow:
+    """fock_window: the labels label_factor factors, their lattice spacing, and
+    the first number-basis size whose Poisson tail is below FOCK_TAIL."""
+
+    def test_complex_lattice_factors_real_labels(self):
+        # n lambda at t = 2 becomes n |lambda|, the same G with no rounded phases
+        state = evolve(12.0, 0.3, 2.0)
+        labels, spacing, dim = fock_window(state.labels)
+        assert spacing == abs(state.labels[1]) ** 2
+        assert np.array_equal(labels, np.arange(state.labels.size) * complex(math.sqrt(spacing)))
+        assert np.allclose(labels.real, np.abs(state.labels), rtol=1e-15, atol=0)
+        assert dim is None  # radius 60
+
+    def test_scattered_labels_are_kept(self):
+        labels = np.array([0.5, -1.0 + 2.0j, 3.0j])
+        window = fock_window(labels)
+        assert np.array_equal(window[0], labels) and window[1] is None
+
+    def test_coincident_labels_take_one_state(self):
+        labels, spacing, dim = fock_window(evolve(3.0, 0.0, np.pi).labels)
+        assert not labels.any() and spacing == 0.0 and dim == 1
+
+    @pytest.mark.parametrize("radius", [0.01, 0.3, 1.0, 2.5, 6.0, 9.0, 12.0])
+    def test_dim_is_the_first_tail_below_fock_tail(self, radius):
+        # against 30-digit tails, around the centroid 0.5 - 1j
+        labels = 0.5 - 1j + radius * np.array([1.0, -1.0, 0.6 + 0.8j, -0.6 - 0.8j])
+        dim = fock_window(labels)[2]
+        lam = float(np.max(np.abs(labels - labels.mean()))) ** 2
+        assert poisson_tail(lam, dim - 1) < FOCK_TAIL <= poisson_tail(lam, dim - 2)
+
+    def test_window_grows_past_256_states_at_the_30_digit_crossing(self):
+        # P(X > 255) = FOCK_TAIL at lam = 145.71: just below, 256 states hold
+        # the labels; just above, 257 would, and there is no window
+        with mpmath.workdps(30):
+            crossing = float(mpmath.findroot(
+                lambda lam: poisson_tail(lam, FOCK_FACTOR_DIM - 1) - FOCK_TAIL, 150))
+        for scale, dim in ((1.0 - 1e-9, FOCK_FACTOR_DIM), (1.0 + 1e-9, None)):
+            radius = math.sqrt(crossing * scale)
+            assert fock_window(np.array([-radius, radius]))[2] == dim
+
+    @pytest.mark.parametrize("radius", [16.0, 16.5, 1e100])
+    def test_no_window_at_radius_squared_256(self, radius):
+        assert fock_window(np.array([-radius, radius]))[2] is None
 
 
 class TestEfficiencyProfile:

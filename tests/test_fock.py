@@ -182,6 +182,10 @@ class TestTruncationOrder:
         with pytest.warns(UserWarning, match="clamped"):
             assert truncation_order(6.0, policy) == 10
 
+    def test_overflowing_mean_photon_number_raises(self):
+        with pytest.raises(OverflowError, match="mean photon number"):
+            truncation_order(1e200)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TruncationPolicy(tail_epsilon=0.0)

@@ -293,9 +293,9 @@ def _cavity(params, delta, drive_in, selection):
     branch = branch_labels(params, delta, root)
     jumped = np.zeros(root.shape, dtype=bool)
     if selection == "follow":
-        # a jump means the branch being ridden vanished: no root remains
-        # near the previous one and the branch code changed
-        moved = np.abs(root[1:] - root[:-1]) > np.maximum(root[:-1], 1e-12)
+        # a jump means the branch being ridden vanished: the root moved, up or
+        # down, by more than the smaller of the two, and the branch code changed
+        moved = np.abs(root[1:] - root[:-1]) > np.minimum(root[1:], root[:-1])
         jumped[1:] = moved & (branch[1:] != branch[:-1])
     return zeta, zeta.real**2 + zeta.imag**2, branch, jumped
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _digits, conditional, spectra, svgplot
 from .cascade import BRANCH_NAMES, SELECTIONS, PhysParams, residual, steady_grid
-from .fock import DEFAULT_HARD_CAP, TruncationPolicy
+from .fock import TruncationPolicy
 
 USAGE_ERROR, NUMERICAL_ERROR = 1, 2
 FLOAT_FORMAT = _digits.SCIENTIFIC  # "%.12e", the format of every float cell
@@ -45,7 +45,6 @@ DEFAULTS = {
     "x_count": 161,
     # truncation policy
     "tail_epsilon": 1e-12,
-    "hard_cap": DEFAULT_HARD_CAP,
     # cascaded scenario (rates in units of gamma)
     "chi": 1.0,
     "Omega": 1000.0,
@@ -126,8 +125,6 @@ def resolve_config(args):
             raise UsageError(f"parameter {key} must be finite, got {value}")
     if getattr(args, "x", None) is not None and not math.isfinite(args.x):
         raise UsageError(f"--x must be finite, got {args.x}")
-    if "hard_cap" in fields and not 1 <= merged["hard_cap"] <= DEFAULT_HARD_CAP:
-        raise UsageError(f"hard_cap must be in [1, {DEFAULT_HARD_CAP}], got {merged['hard_cap']}")
     if "selection" in fields and merged["selection"] not in SELECTIONS:
         raise UsageError(f"selection must be one of {', '.join(SELECTIONS)}, "
                          f"got {merged['selection']!r}")
@@ -169,7 +166,7 @@ def _policy(merged):
     here too when negative, before any computation."""
     if merged["kappa"] < 0:
         raise UsageError(f"kappa must be >= 0, got {merged['kappa']}")
-    return _checked(TruncationPolicy, merged, ("tail_epsilon", "hard_cap"))
+    return _checked(TruncationPolicy, merged, ("tail_epsilon",))
 
 
 BLOCK_ROWS = 1024  # rows per array pass, which bounds the writer's temporaries
@@ -365,7 +362,7 @@ def _add_params(sub, names):
 
 
 PHYS_FIELDS = tuple(field.name for field in dataclasses.fields(PhysParams))
-SINGLE_FIELDS = ("zeta", "kappa", "time", "tail_epsilon", "hard_cap")
+SINGLE_FIELDS = ("zeta", "kappa", "time", "tail_epsilon")
 # each subcommand's flags: the fields it reads (a config file may set any)
 FIELDS = {
     ("single-cavity", "sweep"): SINGLE_FIELDS + ("x_min", "x_max", "x_count"),

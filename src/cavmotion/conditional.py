@@ -32,7 +32,7 @@ from .fock import (
     coherent_in_fock,
     coherent_overlap,
     oscillator_wavefunctions,
-    poisson_tails,
+    poisson_order,
     truncation_order,
 )
 
@@ -133,9 +133,8 @@ def fock_window(labels):
     if (spacing := lattice_spacing(labels)) is not None:
         labels = np.arange(labels.size) * complex(math.sqrt(spacing))
     radius = float(np.max(np.abs(labels - labels.mean())))
-    hits = (np.flatnonzero(poisson_tails(radius**2, FOCK_FACTOR_DIM - 1) < FOCK_TAIL)
-            if radius**2 < FOCK_FACTOR_DIM else ())
-    return labels, spacing, int(hits[0]) + 1 if len(hits) else None
+    order = poisson_order(radius * radius, FOCK_TAIL, FOCK_FACTOR_DIM - 1)
+    return labels, spacing, None if order is None else order + 1
 
 
 def label_factor(labels, window=None):

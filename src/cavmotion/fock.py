@@ -1,18 +1,18 @@
 """Number-basis and coherent-state primitives.
 
 Everything here is a pure function. Weights like zeta^n / sqrt(n!) are
-evaluated in the log domain so that amplitudes up to |zeta|^2 ~ 100 and
-photon numbers up to several hundred stay finite in double precision.
+evaluated in the log domain, so they stay finite in double precision at
+every photon number up to MAX_ORDER.  A photon-number sum is cut where its
+Poisson tail falls below tail_epsilon, and refused if that needs more.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TAIL_EPSILON = 1e-12
-DEFAULT_HARD_CAP = 512
+MAX_ORDER = 512  # the largest photon number any sum or basis here runs to
 LOG_TINY = math.log(np.finfo(float).tiny)  # exp underflows below it, and slowly
 
 
@@ -21,18 +21,15 @@ class TruncationPolicy:
     """Poisson-tail criterion used to cut off photon-number sums.
 
     The retained order N is the smallest one whose Poisson tail
-    sum_{n>N} e^{-|zeta|^2} |zeta|^{2n} / n!  falls below tail_epsilon,
-    clamped to hard_cap.
+    sum_{n>N} e^{-|zeta|^2} |zeta|^{2n} / n!  falls below tail_epsilon;
+    truncation_order refuses a sum that needs more than MAX_ORDER photons.
     """
 
     tail_epsilon: float = DEFAULT_TAIL_EPSILON
-    hard_cap: int = DEFAULT_HARD_CAP
 
     def __post_init__(self):
         if not (0.0 < self.tail_epsilon < 1.0):
             raise ValueError(f"tail_epsilon must be in (0, 1), got {self.tail_epsilon}")
-        if self.hard_cap < 1:
-            raise ValueError(f"hard_cap must be >= 1, got {self.hard_cap}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -57,8 +54,8 @@ def oscillator_wavefunctions(n_max, x):
         psi_n = x sqrt(2/n) psi_{n-1} - sqrt((n-1)/n) psi_{n-2},
     which stays bounded where the raw Hermite polynomials overflow.
     """
-    if n_max < 0 or n_max > DEFAULT_HARD_CAP:
-        raise ValueError(f"order n_max={n_max} outside [0, {DEFAULT_HARD_CAP}]")
+    if n_max < 0 or n_max > MAX_ORDER:
+        raise ValueError(f"order n_max={n_max} outside [0, {MAX_ORDER}]")
     # past |x| = 1e300 every psi_n(x) is 0, as at 1e300, but sqrt(2) x would overflow
     x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), -1e300, 1e300)
     out = np.empty((n_max + 1,) + x.shape)
@@ -106,7 +103,8 @@ def coherent_overlap(mu, nu):
     mu = np.asarray(mu, dtype=complex)
     nu = np.asarray(nu, dtype=complex)
     phase = mu.real * nu.imag - mu.imag * nu.real
-    out = np.exp(-0.5 * np.abs(mu - nu) ** 2 + 1j * phase)
+    with np.errstate(over="ignore"):  # |mu - nu|^2 overflows to inf, and exp(-inf) = 0
+        out = np.exp(-0.5 * np.abs(mu - nu) ** 2 + 1j * phase)
     return out if out.ndim else complex(out)
 
 
@@ -125,32 +123,37 @@ def poisson_tails(lam, top):
     return np.cumsum(pmf[::-1])[::-1][1:top + 2] if last > top else 1.0 - np.cumsum(pmf)
 
 
-def truncation_order(zeta, policy=DEFAULT_POLICY):
-    """Smallest N whose Poisson tail beats policy.tail_epsilon, clamped.
+def poisson_order(lam, tail, top):
+    """Smallest N <= top with P(X > N) < tail, X ~ Poisson(lam), or None
+    (also for a non-finite lam)."""
+    if not math.isfinite(lam):
+        return None
+    hits = np.flatnonzero(poisson_tails(lam, top) < tail)
+    return int(hits[0]) if hits.size else None
 
-    Monotone nondecreasing in |zeta|.  Warns when the hard cap clamps the
-    result before the tail bound is met; raises OverflowError where the mean
-    photon number |zeta|^2 overflows.
+
+def truncation_order(zeta, policy=DEFAULT_POLICY):
+    """Smallest N whose Poisson tail beats policy.tail_epsilon.
+
+    Monotone nondecreasing in |zeta|.  Raises OverflowError where the mean
+    photon number |zeta|^2 overflows, and ValueError where N would exceed
+    MAX_ORDER.
     """
     r = abs(complex(zeta))
     if not math.isfinite(r * r):
         raise OverflowError(f"mean photon number |zeta|^2 overflows at |zeta| = {r}")
-    tails = poisson_tails(r * r, policy.hard_cap)
-    hits = np.nonzero(tails < policy.tail_epsilon)[0]
-    if hits.size == 0:
-        warnings.warn(
-            f"truncation clamped at hard_cap={policy.hard_cap}; "
-            f"residual Poisson tail {tails[-1]:.3e} exceeds {policy.tail_epsilon:.3e}",
-            stacklevel=2,
-        )
-        return policy.hard_cap
-    return int(hits[0])
+    order = poisson_order(r * r, policy.tail_epsilon, MAX_ORDER)
+    if order is None:
+        raise ValueError(f"|zeta| = {r} needs more than {MAX_ORDER} photons: its Poisson tail "
+                         f"past {MAX_ORDER} is {poisson_tails(r * r, MAX_ORDER)[-1]:.3e}, "
+                         f"not below tail_epsilon = {policy.tail_epsilon:.3e}")
+    return order
 
 
 def coherent_in_fock(mu, dim):
     """|mu> expanded in the truncated number basis: component n for n < dim."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if dim > DEFAULT_HARD_CAP:
-        raise ValueError(f"dim={dim} exceeds hard cap {DEFAULT_HARD_CAP}")
+    if dim > MAX_ORDER:
+        raise ValueError(f"dim={dim} exceeds MAX_ORDER={MAX_ORDER}")
     return np.atleast_1d(coherent_coefficient(mu, np.arange(dim)))

@@ -257,6 +257,19 @@ class TestSteadyState:
         assert len(jumps) == 1
         assert jump_drive / 1.2 <= jumps[0] <= jump_drive * 1.2
 
+    def test_follow_sweep_flags_a_fall_off_the_upper_branch(self):
+        # below the window's lower turning point the upper branch is gone:
+        # cavity 1 falls from 5.0e6 to 6.4e-3 at the last drive, and the
+        # same drives reversed jump up at the last drive
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        lo, hi = bistable_window(params, params.Delta1)
+        drives = np.sqrt(np.geomspace(2.0 * hi, lo / 2.0, 14) / params.gamma)
+        down = steady_grid(params, drives, selection="follow")
+        assert 5e6 < down.intensity1[-2] < 5.01e6 and 6e-3 < down.intensity1[-1] < 7e-3
+        assert np.flatnonzero(down.jumped1).tolist() == [13]
+        up = steady_grid(params, drives[::-1], selection="follow")
+        assert np.flatnonzero(up.jumped1).tolist() == [13]
+
     def test_descending_follow_stays_on_the_upper_branch(self):
         # drives falling through the bistable window from above it: "follow"
         # rides the upper branch down to its turning point near 5e6, where

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from cavmotion import _digits, cascade, cli, conditional, spectra
 from cavmotion.cascade import SELECTIONS, steady_grid
-from cavmotion.fock import DEFAULT_HARD_CAP
 from cavmotion.svgplot import render_plot
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -684,20 +683,31 @@ class TestConfigPrecedence:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and " must be " in err
 
-    @pytest.mark.parametrize("cap", ["0", "513", "1000"])
-    def test_hard_cap_outside_the_order_range_is_usage_error(self, cap, capsys):
-        code, out, err = run_cli(["single-cavity", "point", "--x", "0", "--zeta", "30",
-                                  "--hard-cap", cap], capsys)
+    def test_hard_cap_flag_is_unrecognized(self, capsys):
+        # tail_epsilon is the one truncation setting
+        code, out, err = run_cli(["single-cavity", "point", "--x", "0", "--hard-cap", "512"],
+                                 capsys)
         assert (code, out) == (1, "")
-        assert err == f"error: hard_cap must be in [1, {DEFAULT_HARD_CAP}], got {cap}\n"
+        assert "unrecognized arguments: --hard-cap 512" in err
 
-    def test_hard_cap_from_config_is_checked(self, tmp_path, capsys):
+    def test_hard_cap_config_key_is_unknown(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("hard_cap = 1000\n")
-        code, out, err = run_cli(["single-cavity", "point", "--x", "0", "--zeta", "30",
+        config.write_text("hard_cap = 512\n")
+        code, out, err = run_cli(["single-cavity", "point", "--x", "0",
                                   "--config", str(config)], capsys)
         assert (code, out) == (1, "")
-        assert err == f"error: hard_cap must be in [1, {DEFAULT_HARD_CAP}], got 1000\n"
+        assert err == f"error: {config}:1: unknown parameter 'hard_cap'\n"
+
+    @pytest.mark.parametrize("argv", [["single-cavity", "sweep", "--zeta", "30"],
+                                      ["single-cavity", "point", "--x", "0", "--zeta", "45"]])
+    def test_state_past_512_photons_is_a_numerical_failure(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.NUMERICAL_ERROR, "")
+        assert err.startswith(f"numerical failure: |zeta| = {float(argv[-1])} needs more than "
+                              "512 photons: its Poisson tail past 512 is 1.000e+00, ")
+        assert err.count("\n") == 1
 
     def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -1090,9 +1100,6 @@ def flag_values(key):
         return st.sampled_from(["true", "false", "maybe"])
     if kind is str:
         return st.sampled_from([*SELECTIONS, "bogus"])
-    if kind is int:  # hard_cap; the grid counts are drawn apart
-        return st.sampled_from(["1", "2", "64", str(DEFAULT_HARD_CAP), str(DEFAULT_HARD_CAP + 1),
-                                "0", "abc"])
     typical = cli.DEFAULTS[key] or cli.DEFAULTS["Omega"]  # omega_eval's default is Omega
     return st.one_of(st.floats(-10.0, 10.0).map(lambda f: repr(typical * f)),
                      st.sampled_from(EXTREME_VALUES),
@@ -1127,12 +1134,11 @@ def cli_requests(draw):
 @example(["cascaded", "spectrum", "--chi=0", "--Gamma=1e-200"])
 def test_cli_contract_property(argv):
     # whatever flags a request sets, the CLI exits 0, 1 or 2 without an
-    # escaping exception or a warning other than the documented truncation
-    # clamp; a successful run's columns stay in range; a rerun gives the
-    # same bytes
+    # escaping exception or a warning; a successful run's columns stay in
+    # range; a rerun gives the same bytes
     code, out, err, caught = run_cli_alarmed(argv)
     assert code in (0, cli.USAGE_ERROR, cli.NUMERICAL_ERROR), (argv, err)
-    assert all(m.startswith("truncation clamped at hard_cap=") for m in caught), (argv, caught)
+    assert caught == [], (argv, caught)
     if code == 0:
         header, *rows = out.strip().split("\n")
         for name, column in zip(header.split(","), zip(*(row.split(",") for row in rows))):

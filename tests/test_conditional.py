@@ -3,6 +3,7 @@
 import contextlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import mpmath
@@ -41,6 +42,7 @@ from cavmotion.fock import (
     coherent_coefficient,
     coherent_in_fock,
     oscillator_wavefunctions,
+    poisson_order,
     poisson_tails,
     truncation_order,
 )
@@ -61,7 +63,7 @@ def expanded_moments(state, x, dim):
     """(P, E) at outcome x with the labels expanded in a dim-term number basis.
 
     coherent_coefficient works in the log domain, so dim may exceed the
-    hard cap of coherent_in_fock; a QR reduces the expansion to the
+    MAX_ORDER of coherent_in_fock; a QR reduces the expansion to the
     labels' span before the moments are taken.
     """
     vecs = np.array([coherent_coefficient(mu, np.arange(dim)) for mu in state.labels]).T
@@ -84,7 +86,7 @@ def factor_calls(monkeypatch):
 
 def oracle_dim(labels, tail_epsilon=1e-13):
     largest = float(np.max(np.abs(labels)))
-    return truncation_order(largest, TruncationPolicy(tail_epsilon, hard_cap=4096)) + 10
+    return poisson_order(largest * largest, tail_epsilon, 4096) + 10
 
 
 class TestEvolve:
@@ -738,9 +740,16 @@ class TestFockWindow:
             radius = math.sqrt(crossing * scale)
             assert fock_window(np.array([-radius, radius]))[2] == dim
 
-    @pytest.mark.parametrize("radius", [16.0, 16.5, 1e100])
+    @pytest.mark.parametrize("radius", [16.0, 16.5, 1e100, 1e200])
     def test_no_window_at_radius_squared_256(self, radius):
         assert fock_window(np.array([-radius, radius]))[2] is None
+
+    def test_labels_whose_distance_squared_overflows_are_orthogonal(self):
+        # |mu - nu|^2 overflows to inf past about 1.3e154, and exp(-inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = label_factor(np.array([-1e200, 1e200]))
+        assert np.array_equal(factor, np.eye(2))
 
 
 class TestEfficiencyProfile:
@@ -788,13 +797,12 @@ class TestEfficiencyProfile:
             profile.x[0] = 99.0
         assert efficiency_profile(0.8, 1.0, np.pi).x[0] == -4.0
 
-    def test_hard_cap_is_the_only_order_limit(self):
+    def test_a_state_past_512_photons_is_refused(self):
         assert evolve(12.0, 1.0, np.pi).n_max == 236
         profile = efficiency_profile(12.0, 1.0, np.pi, x_grid=np.array([-0.5, 0.0, 0.5]))
         assert np.all((0.0 <= profile.lin_entropy) & (profile.lin_entropy <= 1.0))
-        with pytest.warns(UserWarning, match="hard_cap=40"):
-            state = evolve(12.0, 1.0, np.pi, TruncationPolicy(hard_cap=40))
-        assert state.n_max == 40
+        with pytest.raises(ValueError, match="needs more than 512 photons"):
+            evolve(30.0, 1.0, np.pi)
 
     def test_label_spacing_can_be_widened(self):
         # the doubled-label reading of the same state entangles at least as hard

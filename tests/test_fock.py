@@ -1,7 +1,6 @@
 """Number-basis and coherent-state primitive checks."""
 
 import math
-import re
 import warnings
 
 import numpy as np
@@ -13,11 +12,12 @@ from cavmotion.fock import (
     coherent_in_fock,
     coherent_overlap,
     oscillator_wavefunctions,
+    poisson_order,
     poisson_tails,
     truncation_order,
 )
 
-# the relative accuracy poisson_tails states for hard caps up to 512
+# the relative accuracy poisson_tails states for tops up to 512
 TAIL_ACCURACY = 1e-12
 
 # explicit physicists' Hermite polynomials, the closed-form oracle
@@ -177,10 +177,17 @@ class TestTruncationOrder:
         orders = [truncation_order(z) for z in np.linspace(0.0, 6.0, 25)]
         assert all(a <= b for a, b in zip(orders, orders[1:]))
 
-    def test_clamp_warns(self):
-        policy = TruncationPolicy(tail_epsilon=1e-12, hard_cap=10)
-        with pytest.warns(UserWarning, match="clamped"):
-            assert truncation_order(6.0, policy) == 10
+    def test_refuses_a_sum_past_512_photons(self):
+        # zeta 19.2 needs 512 photons for a tail below 1e-12, and a looser
+        # tail reaches further; past that the sum is refused, not cut
+        assert truncation_order(19.2) == 512
+        assert truncation_order(20.0, TruncationPolicy(tail_epsilon=1e-7)) == 508
+        with pytest.raises(ValueError, match=r"\|zeta\| = 20.0 needs more than 512 photons: "
+                                             r"its Poisson tail past 512 is 3\.4\d\de-08, "
+                                             r"not below tail_epsilon = 1\.000e-12"):
+            truncation_order(20.0)
+        with pytest.raises(ValueError, match="is 1.000e[+]00"):
+            truncation_order(30.0, TruncationPolicy(tail_epsilon=0.5))
 
     def test_overflowing_mean_photon_number_raises(self):
         with pytest.raises(OverflowError, match="mean photon number"):
@@ -189,8 +196,8 @@ class TestTruncationOrder:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TruncationPolicy(tail_epsilon=0.0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(hard_cap=0)
+        with pytest.raises(TypeError):  # the tail is the one truncation setting
+            TruncationPolicy(hard_cap=512)
 
 
 class TestCoherentInFock:
@@ -225,33 +232,29 @@ class TestAgainstSpecialFunctions:
         # regularized lower incomplete gamma P(N+1, lam) = P(X > N)
         return special.gammainc(np.arange(513.0)[None, :] + 1.0, self.ZETAS[:, None] ** 2)
 
-    @pytest.mark.parametrize("hard_cap", [1, 64, 512])
+    @pytest.mark.parametrize("top", [1, 64, 512])
     @pytest.mark.parametrize("tail_epsilon", [1e-16, 1e-12, 1e-6, 0.5])
-    def test_order_equals_gammainc_order(self, tail_epsilon, hard_cap, reference_tails):
-        # lam = zeta^2 runs to 625, past hard_cap + 2, so every cap is met
-        # both by the summed tail and by 1 - CDF, and the clamps are checked
-        policy = TruncationPolicy(tail_epsilon=tail_epsilon, hard_cap=hard_cap)
-        clamps = 0
-        for zeta, tails in zip(self.ZETAS, reference_tails[:, :hard_cap + 1]):
+    def test_order_equals_gammainc_order(self, tail_epsilon, top, reference_tails):
+        # lam = zeta^2 runs to 625, past top + 2, so every top is met both by
+        # the summed tail and by 1 - CDF, and the misses (None) are checked
+        misses = 0
+        for zeta, tails in zip(self.ZETAS, reference_tails[:, :top + 1]):
             hits = np.flatnonzero(tails < tail_epsilon)
-            want = int(hits[0]) if hits.size else hard_cap
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = truncation_order(zeta, policy)
-            if got != want:
+            got = poisson_order(zeta * zeta, tail_epsilon, top)
+            assert (got is None) == (hits.size == 0), f"zeta={zeta}: order {got}"
+            if got is None:
+                misses += 1
+            elif got != hits[0]:
                 # allowed only where the reference tails in between lie
                 # within the stated accuracy of tail_epsilon
-                between = tails[min(got, want):max(got, want)]
+                between = tails[min(got, hits[0]):max(got, hits[0])]
                 assert np.all(np.abs(between - tail_epsilon) <= TAIL_ACCURACY * tail_epsilon), (
-                    f"zeta={zeta}: order {got}, gammainc order {want}")
-            assert len(caught) == (hits.size == 0), f"zeta={zeta}"
-            if caught:
-                clamps += 1
-                message = str(caught[0].message)
-                assert message.startswith(f"truncation clamped at hard_cap={hard_cap}; ")
-                residual = float(re.search(r"residual Poisson tail (\S+) exceeds", message)[1])
-                assert residual == pytest.approx(tails[-1], rel=6e-4)
-        assert clamps > 0
+                    f"zeta={zeta}: order {got}, gammainc order {hits[0]}")
+        assert misses > 0
+
+    def test_order_of_a_non_finite_mean_is_none(self):
+        for lam in (math.inf, math.nan):
+            assert poisson_order(lam, 0.5, 512) is None
 
     def test_tail_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")

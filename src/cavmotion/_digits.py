@@ -2,9 +2,10 @@
 
 `scientific` writes `'%.12e' % v` and `fixed` writes `'%.2f' % v` for every
 value of an array at once, as rows of ASCII bytes filled out with `PAD`, a
-byte that no UTF-8 text holds; rows joined into a document become its text
-by dropping every `PAD` byte.  `reread` gives the value each `scientific`
-cell reads as, from the same digits.
+byte that no UTF-8 text holds; `lines` joins such cells into the text of a
+document, the one place where byte rows become text, by dropping every
+`PAD` byte.  `reread` gives the value each `scientific` cell reads as, from
+the same digits.
 
 A value is scaled to 13 digits before the point (`fixed`: to cents) by one
 product with a correctly rounded power of ten.  That product is within
@@ -85,18 +86,17 @@ def padded(strings, width=0):
     return rows.reshape(len(encoded), width)
 
 
-def side_by_side(parts, rows):
-    """The byte rows of `parts` (2-D arrays of `rows` rows, or of one row to
-    repeat) joined left to right."""
-    ends = np.cumsum([part.shape[1] for part in parts]).tolist()
-    table = np.empty((rows, ends[-1]), np.uint8)
-    for part, start, end in zip(parts, [0, *ends], ends):
-        table[:, start:end] = part
-    return table
-
-
-def decoded(table):
-    """The text of byte rows read in order, without their PAD bytes."""
+def lines(columns, separator, end):
+    """The text of the lines of `columns` (2-D arrays of byte-row cells, all of one
+    row count): each row's cells joined by `separator` and closed by `end`, every
+    PAD byte dropped.  The separator and the end are padded once for all columns."""
+    separator, end = padded([separator, end])
+    parts = [part for column in columns for part in (column, separator)]
+    parts[-1] = end
+    ends = np.cumsum([part.shape[-1] for part in parts]).tolist()
+    table = np.empty((len(columns[0]), ends[-1]), np.uint8)
+    for part, start, stop in zip(parts, [0, *ends], ends):
+        table[:, start:stop] = part
     return table.tobytes().translate(None, _PAD_BYTE).decode("utf-8", "surrogatepass")
 
 

@@ -192,12 +192,13 @@ def format_csv(header, columns):
     complex, object, bytes) is refused (TypeError).  The arrays are
     1-D and of one length, or numbers for a one-row document; arrays of two
     shapes are refused (ValueError), as is a header that names more or fewer
-    columns.  Each word column becomes the byte rows of its cells in one
-    gather from its names.  A one-row document's float cells are written by
-    Python's `%`; the float cells of each block of BLOCK_ROWS rows of a
-    longer one go through one array writer call (`_digits.scientific`),
+    columns.  A one-row document's cells are its names and Python's `%` of
+    its values.  In a longer one each word column becomes the byte rows of
+    its cells in one gather from its names, the float cells of each block of
+    BLOCK_ROWS rows go through one array writer call (`_digits.scientific`),
     which takes Python's own conversion for the cells it cannot decide (near
-    a rounding boundary, 0, subnormal, beyond 1e+-290, nan, inf).
+    a rounding boundary, 0, subnormal, beyond 1e+-290, nan, inf), and
+    `_digits.lines` joins the block's cells into its lines.
     """
     count = header.count(",") + 1
     if count != len(columns):
@@ -212,13 +213,13 @@ def format_csv(header, columns):
         raise ValueError(f"columns of shapes {[codes.shape for _, codes in pairs]} "
                          "are not one length")
     rows = len(pairs[0][1])
+    if rows == 1:  # the array writer's fixed cost, some 70-110 us, outweighs `%` here
+        cells = [_digits.formatted(FLOAT_FORMAT, [float(codes[0])])[0] if names is None
+                 else names[int(codes[0])] for names, codes in pairs]
+        return f"{header}\n{','.join(cells)}\n"
     columns = [np.asarray(codes, dtype=np.float64) if names is None
                else _digits.padded(names)[np.asarray(codes, dtype=np.intp)]
                for names, codes in pairs]
-    if rows == 1:  # the array writer's fixed cost, some 70-110 us, outweighs `%` here
-        cells = [_digits.decoded(column) if column.ndim == 2
-                 else _digits.formatted(FLOAT_FORMAT, column.tolist())[0] for column in columns]
-        return f"{header}\n{','.join(cells)}\n"
     blocks = ([column[start:start + BLOCK_ROWS] for column in columns]
               for start in range(0, rows, BLOCK_ROWS))
     return header + "\n" + "".join(_lines(block) for block in blocks)
@@ -234,11 +235,8 @@ def _lines(columns):
         block[:, k] = column
     written = _digits.scientific(block)
     float_cells = iter(written.reshape(rows, len(floats), written.shape[1]).transpose(1, 0, 2))
-    comma = _digits.padded([","])
-    parts = [part for column in columns for part in (
-        next(float_cells) if column.ndim == 1 else column, comma)]
-    parts[-1] = _digits.padded(["\n"])
-    return _digits.decoded(_digits.side_by_side(parts, rows))
+    return _digits.lines([next(float_cells) if column.ndim == 1 else column
+                          for column in columns], ",", "\n")
 
 
 def run_single_cavity(merged, x_values=None):

@@ -17,7 +17,9 @@ line, of spacing |lambda|^2 >= 0.01 and N+1 >= 48 labels; window_moments, a
 Hankel M_x from 2 dim - 1 moments of the amplitudes, 2 dim (N+1) + dim^3 per
 outcome, where the labels fit a displaced number basis of dim <= N+1 states;
 else outcome_moments over a factor B of their Gram matrix (B^H B = G, M_x = B
-diag(coeffs psi(x)) B^T), two (N+1)^3 products per outcome.
+diag(coeffs psi(x)) B^T), two (N+1)^3 products per outcome.  An outcome of
+P(x) <= PROBABILITY_FLOOR is unresolvable on every route; its values are
+set to nan in one place, after the routes (condition_on_quadrature).
 """
 
 import math
@@ -345,10 +347,13 @@ def condition_on_quadrature(state, x_grid):
     come from lattice_moments where the state's labels route there; the
     other rows take one window_moments call where the labels' Fock window
     holds at most as many states as there are labels, else one
-    outcome_moments call.  Every route's purities are clipped to 1, so
-    lin_entropy lies in [0, 1], and each row's values do not depend on the
-    grid.  A state that is not finite (its Kerr phase overflowed in
-    `evolve`) resolves no outcome.  prob_density is the squared norm of the
+    outcome_moments call, and a lattice row only where its error estimate
+    exceeds LATTICE_TOLERANCE.  The probability floor is applied once, here,
+    after every route: a row of P at most PROBABILITY_FLOOR gets nan P and
+    purity, and the other rows' purities are clipped to 1, so lin_entropy
+    lies in [0, 1].  Each row's values do not depend on the grid.  A state
+    that is not finite (its Kerr phase overflowed in `evolve`) resolves no
+    outcome.  prob_density is the squared norm of the
     projected atomic state, so efficiency = lin_entropy * prob_density
     holds exactly.
     Unresolvable outcomes keep nan values and their reason in status.  x
@@ -363,15 +368,15 @@ def condition_on_quadrature(state, x_grid):
         if (spacing is not None and spacing >= LATTICE_MIN_SPACING
                 and labels.size >= LATTICE_MIN_ORDER):
             prob, purity, estimate = lattice_moments(spacing, raw)
-            redo = nonzero & ~((estimate <= LATTICE_TOLERANCE) & (prob > PROBABILITY_FLOOR))
+            redo = nonzero & ~(estimate <= LATTICE_TOLERANCE)
         if redo.any():
             prob[redo], purity[redo] = (
                 window_moments(window, raw[redo]) if dim is not None and dim <= labels.size
                 else outcome_moments(label_factor(labels, window), raw[redo]))
-    np.minimum(purity, 1.0, out=purity)
     resolved = prob > PROBABILITY_FLOOR
     status = np.where(resolved, OK, BELOW_FLOOR if finite else NONFINITE_STATE)
     prob = np.where(resolved, prob, np.nan)
+    purity = np.where(resolved, np.minimum(purity, 1.0), np.nan)
     cond_coeffs = np.divide(raw, np.sqrt(prob)[:, None], where=resolved[:, None],
                             out=np.full(raw.shape, np.nan, dtype=complex))
     lin_entropy = 1.0 - purity

@@ -4,15 +4,16 @@ No plotting library: identical input values must yield identical output
 bytes, so everything (tick placement, coordinate rounding, colors) is
 fixed here.  Polylines break wherever a series leaves the finite range,
 and each such break is marked with a dashed vertical rule so branch jumps
-and flagged sweep points stay visible.  `render_plot` parses its columns
-by `float()`; `draw` takes arrays, which `--plot` rereads from the cells
-it writes (`_digits.reread`), so both draw the same doubles.  Coordinates
-are computed as whole arrays, in the same operations and order as one
-point at a time, and written by `_digits.fixed` (`'%.2f' %` of each).
+and flagged sweep points stay visible.  `render_plot` parses each cell of
+its columns by `float()`, a missing or unparsable one as nan; `draw` takes
+arrays, which `--plot` rereads from the cells it writes (`_digits.reread`),
+so both draw the same doubles.  Coordinates are computed as whole arrays,
+in the same operations and order as one point at a time, and written once
+per series by `_digits.fixed` (`'%.2f' %` of each); each polyline's
+"x,y" points are the lines of its run's cells (`_digits.lines`).
 """
 
 import math
-import operator
 import sys
 
 import numpy as np
@@ -41,16 +42,10 @@ def _to_float(cell):
 
 
 def _column(rows, index):
-    """The float values of one column; a missing or unparsable cell is nan.
-    The values are float() of the cells, which numpy applies to str items."""
-    try:
-        cells = list(map(operator.itemgetter(index), rows))
-    except IndexError:
-        cells = [row[index] if index < len(row) else "nan" for row in rows]
-    try:
-        return np.array(cells, dtype=np.float64)
-    except ValueError:
-        return np.array([_to_float(cell) for cell in cells], dtype=np.float64)
+    """The float values of one column, float() of each cell; a missing or
+    unparsable cell is nan."""
+    return np.array([_to_float(row[index]) if index < len(row) else math.nan for row in rows],
+                    dtype=np.float64)
 
 
 def _span(values, pad=0.0):
@@ -100,15 +95,6 @@ def _label(x, y, size, text, anchor="middle"):
     return f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}"{anchor}>{text}</text>'
 
 
-def _points(px, py):
-    """The "px,py " texts of the points (`%.2f` by `_digits.fixed`) joined, and
-    the offsets where each one starts, then the length of the whole."""
-    table = _digits.side_by_side([_digits.fixed(px), _digits.padded([","]), _digits.fixed(py),
-                                  _digits.padded([" "])], len(px))
-    ends = np.cumsum((table != _digits.PAD).sum(axis=1)).tolist()
-    return _digits.decoded(table), [0, *ends]
-
-
 def render_plot(csv_text, x_column, y_columns, title=""):
     """Render one polyline per y column of a CSV text against x_column; returns SVG text."""
     header, rows = parse_csv(csv_text)
@@ -154,11 +140,11 @@ def draw(xs, x_column, series, y_columns, title=""):
         stroke = f'stroke="{PALETTE[si % len(PALETTE)]}" stroke-width="1.5"'
         shown = np.flatnonzero(np.isfinite(xs) & np.isfinite(ys))
         if shown.size:
-            points, ends = _points(px(xs[shown]), py(ys[shown]))
+            cells = _digits.fixed(px(xs[shown])), _digits.fixed(py(ys[shown]))
             starts = [0, *(np.flatnonzero(np.diff(shown) != 1) + 1).tolist()]
             for start, stop in zip(starts, [*starts[1:], shown.size]):
-                parts.append(f'<polyline points="{points[ends[start]:ends[stop] - 1]}" '
-                             f'fill="none" {stroke}/>')
+                points = _digits.lines([axis[start:stop] for axis in cells], ",", " ")[:-1]
+                parts.append(f'<polyline points="{points}" fill="none" {stroke}/>')
                 gaps.update(round(px(float(xs[i])), 2)
                             for i, edge in ((shown[start], 0), (shown[stop - 1], len(xs) - 1))
                             if i != edge)

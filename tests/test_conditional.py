@@ -549,6 +549,24 @@ class TestLatticeMoments:
         if zeta == 12.0:
             assert np.all(res.status == BELOW_FLOOR)
 
+    def test_certified_rows_below_the_floor_take_no_other_route(self, monkeypatch):
+        # the far tails of this profile hold certified lattice rows whose P is
+        # at most PROBABILITY_FLOOR: unresolvable on any route, they go to no
+        # other kernel, and the floor leaves each of them nan values
+        calls = []
+
+        def spy(name, kernel):
+            return lambda *args: calls.append(name) or kernel(*args)
+
+        monkeypatch.setattr(conditional, "outcome_moments", spy("factor", outcome_moments))
+        monkeypatch.setattr(conditional, "window_moments", spy("window", window_moments))
+        res = condition_on_quadrature(evolve(8.0, 1.0, np.pi), np.linspace(-40.0, 40.0, 801))
+        assert calls == []
+        unresolved = res.status != conditional.OK
+        assert unresolved.any() and not unresolved.all()
+        assert np.isnan(res.lin_entropy[unresolved]).all()
+        assert np.isnan(res.efficiency[unresolved]).all()
+
     def test_clip_moves_no_value_beyond_its_estimate(self):
         # nearly product states: one coefficient and 1e-9 noise, purity
         # 1 - O(1e-18), which rounds above 1 on some rows

@@ -18,7 +18,7 @@ from .cascade import (
     bistable_window,
     branch_labels,
     cavity_bracket,
-    pulling_coefficients,
+    pulling_coefficient,
     residual,
     root_grid,
     steady_grid,

@@ -1,10 +1,10 @@
 """Classical working point of the cascaded two-cavity chain.
 
-Each cavity obeys the same steady-state condition
-    zeta_j { gamma/2 + a I_j + i (Delta_j - b I_j) } = sqrt(gamma) zeta_j_in,
-with I_j = |zeta_j|^2 and the intensity-pulling coefficients
-    a = chi^2 Gamma / (Gamma^2/4 + Omega^2),
-    b = 2 chi^2 Omega / (Gamma^2/4 + Omega^2).
+Each cavity and its atom are the mean field of H = Omega a+a + Delta_j c+c
++ chi c+c (a + a+), which `spectra.stage_blocks` linearizes: the atom pulls
+the detuning to Delta_j + 2 chi Re alpha_j = Delta_j - b I_j, so
+    zeta_j { gamma/2 + i (Delta_j - b I_j) } = sqrt(gamma) zeta_j_in,
+with I_j = |zeta_j|^2 and b = 2 chi^2 Omega / (Gamma^2/4 + Omega^2).
 Taking the squared modulus turns this into a real cubic in I_j whose one-to-
 three positive roots are the familiar bistable S-curve.  The first cavity's
 output feeds the second: zeta2_in = sqrt(gamma) zeta1 - zeta1_in.
@@ -75,35 +75,34 @@ class SteadyBranch:
         return SteadyBranch(**{name: value[index] for name, value in vars(self).items()})
 
 
-def pulling_coefficients(params):
-    """(a, b) of the braced steady-state factor; OverflowError where either overflows."""
+def pulling_coefficient(params):
+    """b of the braced steady-state factor; OverflowError where it overflows."""
     chi, den = params.chi, params.Gamma * params.Gamma / 4.0 + params.Omega * params.Omega
-    a, b = chi * chi * params.Gamma / den, 2.0 * chi * chi * params.Omega / den
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise OverflowError(f"intensity-pulling coefficients overflow: a = {a}, b = {b}")
-    return a, b
+    b = 2.0 * chi * chi * params.Omega / den
+    if not np.isfinite(b):
+        raise OverflowError(f"intensity-pulling coefficient overflows: b = {b}")
+    return b
 
 
 def cavity_bracket(params, delta, intensity):
-    """The braced factor gamma/2 + a I + i (delta - b I) at intensity I."""
-    a, b = pulling_coefficients(params)
-    return params.gamma / 2.0 + a * intensity + 1j * (delta - b * intensity)
+    """The braced factor gamma/2 + i (delta - b I) at intensity I."""
+    return params.gamma / 2.0 + 1j * (delta - pulling_coefficient(params) * intensity)
 
 
 def _cubic_coefficients(params, delta):
     """(c3, c2, c1) of the modulus cubic I |bracket(I)|^2 = c3 I^3 + c2 I^2 + c1 I."""
-    a, b = pulling_coefficients(params)
-    g = params.gamma
-    return a * a + b * b, g * a - 2.0 * delta * b, g * g / 4.0 + delta * delta
+    b, g = pulling_coefficient(params), params.gamma
+    return b * b, -2.0 * delta * b, g * g / 4.0 + delta * delta
 
 
 def _modulus_cubic(params, delta, intensity, drive_power):
     """(I |bracket(I)|^2 - P, its derivative in I) at every intensity;
-    drive_power broadcasts against intensity."""
-    a, b = pulling_coefficients(params)
-    u, v = params.gamma / 2.0 + a * intensity, delta - b * intensity
+    drive_power broadcasts against intensity.  The derivative times
+    Gamma^2/4 + Omega^2 is the a0 of `spectra.stability_grid`."""
+    b, u = pulling_coefficient(params), params.gamma / 2.0
+    v = delta - b * intensity
     modulus = u * u + v * v
-    return intensity * modulus - drive_power, modulus + intensity * (2.0 * a * u - 2.0 * b * v)
+    return intensity * modulus - drive_power, modulus - intensity * (2.0 * b * v)
 
 
 def _misses_cubic(params, delta, roots, drive_power):
@@ -112,7 +111,7 @@ def _misses_cubic(params, delta, roots, drive_power):
     the drive power, beyond the rounding floor of the check: the
     cancellation in delta - b I where the detuning is pulled near
     resonance.  The miss cannot overflow at a root."""
-    b = pulling_coefficients(params)[1]
+    b = pulling_coefficient(params)
     power = drive_power[:, None]
     miss = np.abs(_modulus_cubic(params, delta, roots, power)[0])
     floor = 8.0 * EPS * roots * np.abs(delta - b * roots) * (abs(delta) + b * roots)
@@ -131,10 +130,10 @@ def _bracketed_roots(params, delta, drive_power):
     halvings of a piece's bit interval leave two adjacent floats across
     the sign change: the root is the one where the cubic misses less.
     """
-    g, (a, b) = params.gamma, pulling_coefficients(params)
+    g, b = params.gamma, pulling_coefficient(params)
 
     def cubic(intensity, power):  # the value of `_modulus_cubic`, in its arithmetic
-        u, v = g / 2.0 + a * intensity, delta - b * intensity
+        u, v = g / 2.0, delta - b * intensity
         return intensity * (u * u + v * v) - power
     top = np.minimum(4.0 * drive_power / (g * g), np.finfo(float).max)
     cuts = np.zeros(drive_power.shape + (4,))
@@ -282,11 +281,11 @@ def _cavity(params, delta, drive_in, selection):
     eps (|delta| + b I) at a float root I, where |v| = (P / I - u^2)^(1/2) from
     the cubic errs by eps P / (I |v|): the latter, with the float v's sign, is
     taken where 4 times smaller."""
-    g, (a, b) = params.gamma, pulling_coefficients(params)
+    g, b = params.gamma, pulling_coefficient(params)
     power = g * (drive_in.real**2 + drive_in.imag**2)  # inf past the float range: nan rows
     roots = root_grid(params, delta, power)
     root = roots[np.arange(len(roots)), _select(roots, selection)]
-    u, v, modulus = g / 2.0 + a * root, delta - b * root, power / root
+    u, v, modulus = g / 2.0, delta - b * root, power / root
     pulled = np.sqrt(modulus - u * u)
     v = np.where(pulled * (abs(delta) + b * root) > 4.0 * modulus, np.copysign(pulled, v), v)
     zeta = np.sqrt(g) * drive_in / (u + 1j * v)

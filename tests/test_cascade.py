@@ -23,7 +23,7 @@ from cavmotion.cascade import (
     bistable_window,
     branch_labels,
     cavity_bracket,
-    pulling_coefficients,
+    pulling_coefficient,
     residual,
     root_grid,
     steady_grid,
@@ -44,9 +44,8 @@ def found(row):
 
 
 def modulus_cubic_coeffs(params, delta, power):
-    a, b = pulling_coefficients(params)
-    g = params.gamma
-    return a * a + b * b, g * a - 2 * delta * b, g * g / 4 + delta * delta, -power
+    b, g = pulling_coefficient(params), params.gamma
+    return b * b, -2 * delta * b, g * g / 4 + delta * delta, -power
 
 
 class TestIntensityRoots:
@@ -81,11 +80,11 @@ class TestIntensityRoots:
 
     def test_roots_satisfy_modulus_equation(self):
         params = PhysParams(chi=1.0, Omega=10.0, **CANONICAL_RATES)
-        a, b = pulling_coefficients(params)
+        b = pulling_coefficient(params)
         window = bistable_window(params, params.Delta1)
         power = np.sqrt(window[0] * window[1])
         for i in found(root_grid(params, params.Delta1, [power])[0]):
-            lhs = i * ((params.gamma / 2 + a * i) ** 2 + (params.Delta1 - b * i) ** 2)
+            lhs = i * ((params.gamma / 2) ** 2 + (params.Delta1 - b * i) ** 2)
             assert lhs == pytest.approx(power, rel=1e-10)
 
     def test_root_count_bounds_and_sorting(self):
@@ -117,11 +116,11 @@ class TestIntensityRoots:
 
     def test_overflowing_pulling_coefficients_raise(self):
         params = PhysParams(chi=1e160, Omega=1000.0, **CANONICAL_RATES)
-        with pytest.raises(OverflowError, match="intensity-pulling coefficients overflow"):
-            pulling_coefficients(params)
+        with pytest.raises(OverflowError, match="intensity-pulling coefficient overflows"):
+            pulling_coefficient(params)
 
     def test_underflowing_cubic_term_has_no_window(self):
-        # at chi = 1e-80, c3 = a^2 + b^2 underflows to 0: the S-curve is the
+        # at chi = 1e-80, c3 = b^2 underflows to 0: the S-curve is the
         # linear cavity's, not a window at infinite drive
         params = PhysParams(chi=1e-80, Omega=1000.0, **CANONICAL_RATES)
         assert cascade._cubic_coefficients(params, params.Delta1)[0] == 0.0
@@ -214,8 +213,7 @@ class TestSteadyState:
         out = []
         for z, z_in, delta in ((z1, z1_in, params.Delta1), (z2, z2_in, params.Delta2)):
             i = abs(z) ** 2
-            braced = (params.gamma / 2 + params.chi**2 * i * params.Gamma / den
-                      + 1j * (delta - 2 * params.chi**2 * i * params.Omega / den))
+            braced = params.gamma / 2 + 1j * (delta - 2 * params.chi**2 * i * params.Omega / den)
             out.append(abs(z * braced - np.sqrt(params.gamma) * z_in))
         assert residual(params, cand) == pytest.approx(max(out), rel=1e-12)
 
@@ -322,9 +320,9 @@ def depressed_cubic(params, delta):
     modulus cubic in I - shift at ORACLE_DPS digits, or (c1, None) for a
     linear cavity."""
     with mpmath.workdps(ORACLE_DPS):
-        a, b = (mpmath.mpf(x) for x in pulling_coefficients(params))
+        b = mpmath.mpf(pulling_coefficient(params))
         g, d = mpmath.mpf(params.gamma), mpmath.mpf(delta)
-        c3, c2, c1 = a * a + b * b, g * a - 2 * d * b, g * g / 4 + d * d
+        c3, c2, c1 = b * b, -2 * d * b, g * g / 4 + d * d
         if c3 == 0:
             return c1, None
         b2, b1 = c2 / c3, c1 / c3
@@ -336,7 +334,7 @@ def depressed_cubic(params, delta):
 @functools.lru_cache(maxsize=None)
 def oracle_roots(params, delta, power):
     """(real roots ascending, complex roots) of the modulus cubic
-    c3 I^3 + c2 I^2 + c1 I = P at 40 digits, with the float a, b, gamma,
+    c3 I^3 + c2 I^2 + c1 I = P at 40 digits, with the float b, gamma,
     delta and power taken exact: Cardano (trig branch for three real roots)
     at ORACLE_DPS digits.  test_oracle_matches_polyroots checks it against
     mpmath.polyroots, which takes 1-9 ms a cubic: too slow for thousands."""
@@ -366,9 +364,8 @@ def kernel_power(params, zeta_in):
 
 def reference_turns(params, delta):
     """Turning points (lo, hi) of the S-curve in floats, or None."""
-    a, b = pulling_coefficients(params)
-    g = params.gamma
-    c2, c1 = 3.0 * (a * a + b * b), 2.0 * (g * a - 2.0 * delta * b)
+    b, g = pulling_coefficient(params), params.gamma
+    c2, c1 = 3.0 * b * b, -4.0 * delta * b
     disc = c1 * c1 - 4.0 * c2 * (g * g / 4.0 + delta * delta)
     if c2 == 0.0 or disc <= 0.0 or (-c1 + math.sqrt(disc)) / (2.0 * c2) <= 0.0:
         return None
@@ -390,7 +387,7 @@ def reference_chain(params, delta, zeta_in, selection):
     intensity this reference selected at the drive before."""
     out, before = [], None
     with mpmath.workdps(ORACLE_DPS):
-        a, b = (mpmath.mpf(x) for x in pulling_coefficients(params))
+        b = mpmath.mpf(pulling_coefficient(params))
         half_gamma, d = mpmath.mpf(params.gamma) / 2, mpmath.mpf(delta)
         sqg = mpmath.sqrt(params.gamma)
         for drive_in in zeta_in.tolist():
@@ -401,7 +398,7 @@ def reference_chain(params, delta, zeta_in, selection):
                 root = roots[-1]
             else:
                 root = min(roots, key=lambda i: abs(i - before[0]))
-            zeta = sqg * mpmath.mpc(drive_in) / mpmath.mpc(half_gamma + a * root, d - b * root)
+            zeta = sqg * mpmath.mpc(drive_in) / mpmath.mpc(half_gamma, d - b * root)
             intensity = mpmath.mpf(float(zeta.real**2 + zeta.imag**2))
             branch = reference_label(params, delta, float(root))
             jumped = (selection == "follow" and before is not None
@@ -467,12 +464,12 @@ def assert_decidable_at_edge(params, delta, power, got):
     check, lies within 4 SQRT_EPS of a 40-digit root (the worst measured is
     1.4 SQRT_EPS) and carries one of its `edge_labels`."""
     real, pair = oracle_roots(params, delta, power)
-    a, b = pulling_coefficients(params)
+    b = pulling_coefficient(params)
     for root, label in zip(got, branch_labels(params, delta, got).tolist()):
         floor = 8.0 * EPS * root * abs(delta - b * root) * (abs(delta) + b * root)
         with mpmath.workdps(ORACLE_DPS):
             x = mpmath.mpf(root)
-            miss = x * ((params.gamma / 2 + a * x) ** 2 + (delta - b * x) ** 2) - power
+            miss = x * ((mpmath.mpf(params.gamma) / 2) ** 2 + (delta - b * x) ** 2) - power
             assert abs(miss) <= cascade.ROOT_TOLERANCE * power + floor
             assert min(abs(x - want) for want in real + pair) <= 4 * SQRT_EPS * x
         assert label in edge_labels(params, delta, root)
@@ -524,10 +521,10 @@ class TestRootGridWeakCoupling:
         powers = np.geomspace(1e-2, 1e12, 701)
         roots = root_grid(params, delta, powers)
         assert np.all(np.isfinite(roots[:, 0]) & (roots[:, 0] > 0.0))
-        a, b = pulling_coefficients(params)
+        b = pulling_coefficient(params)
         found = ~np.isnan(roots)
         intensity = np.where(found, roots, 0.0)
-        lhs = intensity * ((params.gamma / 2 + a * intensity) ** 2 + (delta - b * intensity) ** 2)
+        lhs = intensity * ((params.gamma / 2) ** 2 + (delta - b * intensity) ** 2)
         miss = np.abs(lhs - powers[:, None]) / powers[:, None]
         assert miss[found].max() <= 1e-12
 
@@ -544,8 +541,8 @@ class TestRootGridWeakCoupling:
             warnings.simplefilter("error")
             roots = root_grid(params, delta, powers)
         assert np.all(np.isfinite(roots[:, 0]))
-        a, b = pulling_coefficients(params)
-        u, v = params.gamma / 2 + a * roots, delta - b * roots
+        b = pulling_coefficient(params)
+        u, v = params.gamma / 2, delta - b * roots
         miss = np.abs(roots * (u * u + v * v) - powers[:, None]) / powers[:, None]
         assert np.nanmax(miss) <= 1e-12
 
@@ -682,8 +679,8 @@ class TestSteadyGrid:
             for power in powers:
                 real, pair = oracle_roots(params, delta, power)
                 with mpmath.workdps(60):
-                    a, b = (mpmath.mpf(x) for x in pulling_coefficients(params))
-                    want = mpmath.polyroots([a * a + b * b, a - 2 * delta * b, 0.25 + delta**2,
+                    b = mpmath.mpf(pulling_coefficient(params))
+                    want = mpmath.polyroots([b * b, -2 * delta * b, 0.25 + delta**2,
                                              -mpmath.mpf(power)], maxsteps=400, extraprec=300)
                     assert len(real + pair) == len(want)
                     for got in real + pair:

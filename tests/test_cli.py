@@ -223,7 +223,22 @@ class TestCascadedCsv:
     def test_overflowing_pulling_coefficients_fail_numerically(self, capsys):
         code, out, err = run_cli(["cascaded", "steady", "--chi", "1e160"], capsys)
         assert code == 2 and out == ""
-        assert "intensity-pulling coefficients overflow" in err
+        assert "intensity-pulling coefficient overflows" in err
+
+    def test_resolved_sideband_upper_branch_is_stable(self, capsys):
+        # at Omega/gamma = 10 a bracket with a real a I term moves intensity1 by
+        # 1.2e-2 and leaves this upper/upper drive unstable, with e_degree nan
+        # (183 stable drives): the stability test and the labels disagree there
+        code, out, err = run_cli(["cascaded", "sweep", "--chi", "1", "--Omega", "10",
+                                  "--Gamma", "1", "--Delta1", "30", "--Delta2", "30",
+                                  "--drive-min", "1", "--drive-max", "1e3", "--drive-count", "241"],
+                                 capsys)
+        assert code == 0, err
+        rows = {line.split(",")[0]: line.split(",") for line in out.strip().split("\n")[1:]}
+        assert sum(row[-1] == "true" for row in rows.values()) == 184
+        row = rows["7.498942093325e+02"]
+        assert row[1] == "upper/upper" and row[-1] == "true"
+        assert math.isfinite(float(row[4]))
 
     def test_spectrum_subcommand(self, capsys):
         code, out, _ = run_cli(
@@ -775,7 +790,7 @@ def test_one_parser_serves_alternating_calls(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,marks,names", [
-    (["cascaded", "steady", "--chi", "1e200"], None, "intensity-pulling coefficients"),
+    (["cascaded", "steady", "--chi", "1e200"], None, "intensity-pulling coefficient"),
     (["cascaded", "steady", "--Omega", "1e200"], "lower", None),
     (["cascaded", "steady", "--Gamma", "1e200"], "lower", None),
     (["cascaded", "steady", "--gamma", "1e200"], "none", None),

@@ -19,7 +19,7 @@ from block_oracle import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavmotion import spectra
+from cavmotion import cascade, spectra
 from cavmotion.cascade import (
     BRANCH_LOWER,
     BRANCH_MIDDLE,
@@ -29,6 +29,7 @@ from cavmotion.cascade import (
     PhysParams,
     SteadyBranch,
     bistable_window,
+    branch_labels,
     cavity_bracket,
     root_grid,
     steady_grid,
@@ -1017,6 +1018,63 @@ class TestClassifyStability:
             verdicts = ((a0 > 0.0) & (d3 > 0.0))[finite]
             assert np.array_equal(verdicts[clear], (margin < 0.0)[clear]), selection
             assert np.array_equal(stable[finite], verdicts.all(axis=-1))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(chi=st.floats(0.0, 3.0), log_omega=st.floats(-1.0, 3.5),
+           gamma_motion=st.floats(0.0, 1.0), delta1=st.floats(-1e4, 1e4), delta2=st.floats(-1e4, 1e4),
+           log_drives=st.lists(st.floats(-2.0, 8.0), min_size=1, max_size=40))
+    def test_middle_branch_is_where_a0_is_negative(self, chi, log_omega, gamma_motion, delta1,
+                                                    delta2, log_drives):
+        # the working point is the mean field of the Hamiltonian the drift
+        # linearizes, so each stage's a0 is (Gamma^2/4 + Omega^2) dP/dI of its
+        # cavity's modulus cubic: "middle branch" and "a0 < 0" are one fact.
+        # Checked at the lowest and highest picks, and at the first cavity's
+        # middle root wherever it has three.  The gap is held to the magnitude
+        # of the terms before delta - b I cancels (worst measured 1.8e-15)
+        params = PhysParams(chi=chi, Omega=10.0**log_omega, Gamma=gamma_motion, gamma=1.0,
+                            Delta1=delta1, Delta2=delta2)
+        wm2 = params.Gamma**2 / 4 + params.Omega**2
+        b = cascade.pulling_coefficient(params)
+        drives = 10.0 ** np.array(log_drives)
+        roots = root_grid(params, delta1, params.gamma * drives**2)
+        three = ~np.isnan(roots[:, 2])
+        z_mid = (np.sqrt(params.gamma) * drives[three]
+                 / cavity_bracket(params, delta1, roots[three, 1]))
+        points = [steady_grid(params, drives, selection) for selection in ("lowest", "highest")]
+        middle = steady_grid(params, drives[three])
+        pole = params.Gamma / 2 + 1j * params.Omega
+        points.append(replace(middle, zeta1=z_mid, intensity1=np.abs(z_mid) ** 2,
+                              alpha=-1j * params.chi * np.abs(z_mid) ** 2 / pole,
+                              branch1=branch_labels(params, delta1, roots[three, 1])))
+        for steady in points:
+            a0 = spectra._hurwitz_terms(params, steady)[0]
+            for j, delta in enumerate((delta1, delta2)):
+                intensity = getattr(steady, f"intensity{j + 1}")
+                slope = cascade._modulus_cubic(params, delta, intensity, 0.0)[1]
+                pulled = abs(delta) + b * intensity  # v = delta - b I before it cancels
+                scale = wm2 * (params.gamma**2 / 4 + pulled * pulled)
+                assert np.all(np.abs(a0[:, j] - wm2 * slope) <= 1e-14 * scale), j
+                labels = getattr(steady, f"branch{j + 1}")
+                assert np.array_equal(labels == BRANCH_MIDDLE, a0[:, j] < 0.0), j
+        assert np.all(points[-1].branch1 == BRANCH_MIDDLE)
+
+    def test_stage_block_is_singular_at_the_folds(self):
+        # at a turning point of the S-curve dP/dI = 0, so a0, the determinant of
+        # the real stage map, vanishes: the fold of the working point is the
+        # fold of its linearization (with an a I term in the bracket the
+        # smallest eigenvalue there stayed at 2.8e-3 to 2.5)
+        for params in (PhysParams(chi=0.1, Omega=1.0, Gamma=0.2, Delta1=3.0, Delta2=3.0),
+                       PhysParams(chi=1.0, Omega=10.0, Gamma=1.0, Delta1=30.0, Delta2=30.0),
+                       PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)):
+            turns = np.array(cascade._turning_points(params, params.Delta1))
+            powers = cascade._modulus_cubic(params, params.Delta1, turns, 0.0)[0]
+            zeta1 = np.sqrt(powers) / cavity_bracket(params, params.Delta1, turns)
+            pole = params.Gamma / 2 + 1j * params.Omega
+            steady = replace(steady_grid(params, np.sqrt(powers / params.gamma)), zeta1=zeta1,
+                             alpha=-1j * params.chi * turns / pole)
+            blocks = stage_blocks(params, steady)[0][:, 0]
+            smallest = np.abs(np.linalg.eigvals(blocks)).min(axis=-1)
+            assert np.all(smallest <= 1e-6 * np.linalg.norm(blocks, 2, axis=(-2, -1)))
 
     def test_verdicts_equal_full_drift_solve_on_benchmark_grid(self):
         drives = np.geomspace(1e5, 1e9, 2401)

@@ -35,14 +35,14 @@ TINY, EPS = np.finfo(float).tiny, np.finfo(float).eps
 OK, SINGULAR, DEGENERATE, NONPOSITIVE, ROUNDING, UNSTABLE, OVERFLOW = range(7)
 # largest estimated relative rounding error of an EPR form at an OK point:
 # (the rows' componentwise backward error + eps) times the summed magnitude
-# of the form's terms over its value.  It stays below 5e-14 on the benchmark's
-# sweeps and spectra, and below 2.1e-15 at every stable drive up to 3e153
+# of the form's terms over its value.  It stays below 2.2e-14 on the benchmark's
+# sweeps and spectra, and below 2.6e-15 at every stable drive up to 3e153
 FORM_TOLERANCE = 1e-6
 
 # points per block of `_epr_kernel`, which pays numpy's per-call cost once per block; a block
-# traces about 1,090 bytes a point beside the grid's 49 of results: 768 keep a 2001-omega
-# spectrum at 0.898 MiB and the 2401-drive sweep at 0.870 (0.900 and 1.065 at 384 when the forms
-# copied the rows, which broke the one-point-vs-grid-row identity at 1024; it holds to 2048 now)
+# traces about 1,060 bytes a point beside the grid's 49 of results: 768 keep a 2001-omega
+# spectrum at 0.868 MiB and the 2401-drive sweep at 0.845; the one-point-vs-grid-row
+# identity holds up to 2048
 GRID_BLOCK = 768
 
 
@@ -125,15 +125,18 @@ def build_noise(params):
 
 def _solve_rows(block, shift, u):
     """(y, backward, singular, pivots) with y L = u, L = shift - block, at every
-    point of the broadcast of 4x4 blocks (..., 4, 4) whose cavity part (slots
-    2, 3) is diagonal and shifts (...); u and y hold one (k, ...) array per slot.
+    point of the broadcast of 4x4 blocks (..., 4, 4) with the pattern of
+    `stage_blocks` and shifts (...); u and y hold one (k, ...) array per slot.
 
     The atom slots solve the 2x2 Schur complement S = L_mm - L_mc C^-1 L_cm,
     C = diag(c0, c1) the cavity part of L, by Cramer's rule on S 2^-k; then
     y_c = (u_c - y_m L_mc) C^-1.  pivots is (c0, c1, det S), whose product is
     det L; singular where c0, c1 or det(S 2^-k) is zero or not finite.  backward
-    is the componentwise backward error: the largest entry of |y L - u| over
-    |shift| |y| + |y| |block| + |u|, from the block's nonzero entries."""
+    is the componentwise backward error (0 without rows): the largest entry of
+    |y L - u| over |shift| |y| + |y| |block| + |u|.  On the pattern the cavity
+    rows meet both atom columns in one sum y2 a20 + y3 a30 (a21 = a20, a31 = a30),
+    the atom rows both cavity columns in (y0 - y1) a0j (a1j = -a0j), and every
+    coupling has the modulus |a20|."""
     a = [[block[..., i, j] for j in range(4)] for i in range(4)]
     with np.errstate(all="ignore"):  # a singular point's nan and inf
         diagonal = [shift - a[j][j] for j in range(4)]
@@ -154,18 +157,25 @@ def _solve_rows(block, shift, u):
         y = [r[0] * cramer[0][i] + r[1] * cramer[1][i] for i in (0, 1)]
         del r, cramer
         y += [(u[k + 2] + y[0] * a[0][k + 2] + y[1] * a[1][k + 2]) * inv_c[k] for k in (0, 1)]
+        # each |y_j| once, and each temporary dropped at its last use
+        terms, coupling = [np.abs(entry) for entry in y], np.abs(a[2][0])
+        off = [(terms[2] + terms[3]) * coupling, (terms[0] + terms[1]) * coupling]
+        for j in range(4):  # a zero sum of magnitudes has a zero residual
+            terms[j] = np.maximum(
+                terms[j] * (np.abs(shift) + np.abs(a[j][j])) + np.abs(u[j]) + off[j // 2], TINY)
+        del off
         backward = 0.0
-        for j in range(4):
-            residual = y[j] * diagonal[j] - u[j]
-            terms = np.abs(y[j]) * (np.abs(shift) + np.abs(a[j][j])) + np.abs(u[j])
-            for i in (i for i in range(4) if i != j and np.any(a[i][j])):
-                residual -= y[i] * a[i][j]
-                terms += np.abs(y[i]) * np.abs(a[i][j])
-            # a zero sum of magnitudes has a zero residual
-            backward = np.maximum(backward, np.abs(residual) / np.maximum(terms, TINY))
-            del residual, terms
+        for pair in (0, 1):
+            shared = y[2] * a[2][0] + y[3] * a[3][0] if pair == 0 else y[0] - y[1]
+            for j in (2 * pair, 2 * pair + 1):
+                residual = y[j] * diagonal[j]
+                residual -= u[j]
+                residual -= shared * a[0][j] if pair else shared
+                backward = np.maximum(backward, np.abs(residual) / terms[j])
+                residual = terms[j] = None
+            del shared
         singular = ~np.all([np.isfinite(p) & (p != 0.0) for p in (*diagonal[2:], det)], axis=0)
-        return y, backward.max(axis=0), singular, (*diagonal[2:], det / scale / scale)
+        return y, backward.max(axis=0, initial=0.0), singular, (*diagonal[2:], det / scale / scale)
 
 
 def _row_solve(blocks, omega, rows):
@@ -175,18 +185,27 @@ def _row_solve(blocks, omega, rows):
     and omega (n,); either stage singular (`_solve_rows`), the larger backward error.
 
     In the slots regrouped by stage the drift is [[A, 0], [C, D]], so
-    y2 = u2 (i w - D)^(-1), then y1 = (u1 + y2 C)(i w - A)^(-1)."""
+    y2 = u2 (i w - D)^(-1), then y1 = (u1 + y2 C)(i w - A)^(-1).  Only the rows
+    with a nonzero u2 take the second stage and its feed; the others' y2 is 0."""
     stages, feed = blocks
     shift = 1j * np.asarray(omega, dtype=float)
     # one (k, 1) array per slot: the rows on the leading axis, the points behind
     u = np.transpose(rows)[..., None]
-    y2, backward2, singular2 = _solve_rows(stages[..., 1, :, :], shift, u[STAGES[4:]])[:3]
-    # the first stage's rows u1 + y2 C, from the feed's nonzero entries
-    y1, backward1, singular1 = _solve_rows(stages[..., 0, :, :], shift, [
-        u[slot] + sum(y2[i] * feed[i, j] for i in range(4) if feed[i, j] != 0.0)
-        for j, slot in enumerate(STAGES[:4])])[:3]
-    y = np.moveaxis(np.stack(y1[:2] + y2[:2] + y1[2:] + y2[2:], axis=-1), 0, -2)
-    return y, singular1 | singular2, np.maximum(backward1, backward2)
+    reach = rows[:, STAGES[4:]].any(axis=1)
+    y2, backward2, singular2 = _solve_rows(stages[..., 1, :, :], shift, u[STAGES[4:]][:, reach])[:3]
+    # the first stage's rows u1 + y2 C, the feed's nonzero entries added to the rows that reach it
+    fed = [u[slot] for slot in STAGES[:4]]
+    for j in np.flatnonzero(feed.any(axis=0)):
+        fed[j] = np.broadcast_to(fed[j], (len(rows),) + y2[0].shape[1:]).astype(complex)
+        fed[j][reach] += sum(y2[i] * feed[i, j] for i in range(4) if feed[i, j] != 0.0)
+    y1, backward1, singular1 = _solve_rows(stages[..., 0, :, :], shift, fed)[:3]
+    del fed
+    y = np.zeros((len(rows),) + y1[0].shape[1:] + (8,), dtype=complex)
+    for slot, column in zip(STAGES[:4], y1):
+        y[..., slot] = column
+    for slot, column in zip(STAGES[4:], y2):
+        y[reach, ..., slot] = column
+    return np.moveaxis(y, 0, -2), singular1 | singular2, np.maximum(backward1, backward2)
 
 
 def _epr_kernel(blocks, d, omega):

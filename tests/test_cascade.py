@@ -301,6 +301,11 @@ class TestPhysParams:
         with pytest.raises(ValueError):
             PhysParams(chi=1.0, Omega=np.inf)
 
+    def test_defaults(self):
+        # atoms without motional damping and resonant cavities unless given
+        params = PhysParams(chi=1.0, Omega=1.0)
+        assert (params.Gamma, params.gamma, params.Delta1, params.Delta2) == (0.0, 1.0, 0.0, 0.0)
+
 
 # relative error of the working point against the 40-digit reference away
 # from window edges, on top of the rounding floor of the bracket (see

@@ -527,10 +527,11 @@ class TestGridKernel:
     def test_grid_memory_is_bounded(self):
         # one full block of the kernel, in the spectrum's shape (one working
         # point by GRID_BLOCK frequencies) and the sweep's (GRID_BLOCK working
-        # points at one frequency), peaks at 0.84 MiB (numpy 2.4), about 1,140
-        # bytes a point: the stacked rows (512 bytes a point), the slot rows
-        # they are stacked from (512) and the per-point columns, allocated
-        # before the first block (49)
+        # points at one frequency), peaks at 0.81 MiB (numpy 2.4), about 1,110
+        # bytes a point, in the first stage's backward check: that stage's
+        # rows (256 bytes a point) and fed inputs (128), the second stage's
+        # two rows (128), the check's magnitudes and residuals, and the
+        # per-point columns, allocated before the first block (49)
         params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
         branch, noise = steady_grid(params, np.array([1e6]))[0], build_noise(params)
         drives = steady_grid(params, np.full(GRID_BLOCK, 1e6))
@@ -798,6 +799,86 @@ class TestStageRows:
             ok_ref, rounding_ref = (status_ref == spectra.OK), (status_ref == spectra.ROUNDING)
             apart = np.where(backward < backward_ref, ok & rounding_ref, rounding & ok_ref)
             assert np.all(((status == status_ref) | apart)[same])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(chi=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)), log_omega=st.floats(-1.0, 3.5),
+           gamma_motion=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+           delta1=st.floats(-1e4, 1e4), delta2=st.floats(-1e4, 1e4),
+           log_drive=st.floats(5.0, 151.0), scale=st.floats(-3.0, 3.0))
+    def test_backward_error_reads_the_stage_pattern(self, chi, log_omega, gamma_motion, delta1,
+                                                    delta2, log_drive, scale):
+        # `_solve_rows` writes the componentwise backward error for the pattern
+        # of every `stage_blocks` block: a20 = a21, a30 = a31, a1j = -a0j for the
+        # cavity columns j, no atom-atom or cavity-cavity coupling and each
+        # coupling of modulus chi |zeta|.  A block off that pattern fails here,
+        # and so does a check that strays from the Oettli-Prager value formed
+        # from all 16 entries of each block (in extended precision)
+        params = PhysParams(chi=chi, Omega=10.0**log_omega, Gamma=gamma_motion, gamma=1.0,
+                            Delta1=delta1, Delta2=delta2)
+        steady = steady_grid(params, np.array([1e5, 10.0**log_drive, 1e151]))
+        stages, feed = stage_blocks(params, steady)
+        a = np.moveaxis(stages, (-2, -1), (0, 1))
+        # (nan where the working point is not finite)
+        for one, other in ((a[2, 0], a[2, 1]), (a[3, 0], a[3, 1]),
+                           (a[1, 2], -a[0, 2]), (a[1, 3], -a[0, 3])):
+            np.testing.assert_array_equal(one, other)
+        assert np.all(a[[0, 1, 2, 3], [1, 0, 3, 2]] == 0.0)
+        zeta = np.abs(np.stack((steady.zeta1, steady.zeta2), axis=-1))
+        coupling = np.abs(a[[0, 0, 1, 1, 2, 2, 3, 3], [2, 3, 2, 3, 0, 1, 0, 1]])
+        finite = np.isfinite(coupling)
+        assert np.all((np.abs(coupling - chi * zeta) <= 4 * spectra.EPS * chi * zeta)[finite])
+        omegas = params.Omega * np.array([0.0, 1.0, -1.0, scale])
+        flat = np.broadcast_to(stages[:, None], (3, 4, 2, 4, 4)).reshape(-1, 2, 4, 4)
+        omega = np.broadcast_to(omegas, (3, 4)).reshape(-1)
+        for rows in (spectra.EPR_ROWS, np.eye(8)):
+            y, _, backward = spectra._row_solve((flat, feed), omega, rows)
+            # the stage solves, second first: y_s (shift - block_s) = u_s
+            wide = np.clongdouble
+            y, shift = y.astype(wide), (1j * omega).astype(wide)[:, None, None]
+            y2, y1 = y[..., spectra.STAGES[4:]], y[..., spectra.STAGES[:4]]
+            u2 = rows[:, spectra.STAGES[4:]].astype(wide)
+            u1 = rows[:, spectra.STAGES[:4]] + y2 @ feed.astype(wide)
+            want = np.zeros(omega.shape, wide)
+            with np.errstate(all="ignore"):  # the nan rows of a singular point
+                for stage, ys, us in ((1, y2, u2), (0, y1, u1)):
+                    block = flat[:, stage].astype(wide)
+                    residual = ys @ (shift * np.eye(4) - block) - us
+                    terms = np.abs(ys) @ (np.abs(shift) * np.eye(4) + np.abs(block)) + np.abs(us)
+                    ratio = np.abs(residual) / np.maximum(terms, spectra.TINY)
+                    want = np.maximum(want, ratio.max(axis=(-2, -1)))
+            both = np.isfinite(backward) & np.isfinite(want)
+            assert np.all(np.abs(backward - want)[both] <= 8 * spectra.EPS)
+
+    def test_rows_do_not_depend_on_each_other(self):
+        # each row of EPR_ROWS and of the identity has the bits alone that it
+        # has among the others, on a spectrum's and a sweep's points; only the
+        # rows with a second-stage part (q_a + q_b and p_a - p_b, the unit rows
+        # of b, b+, c2, c2+) take the second stage
+        params = PhysParams(chi=1.0, Omega=1000.0, **CANONICAL_RATES)
+        branch = steady_grid(params, np.array([3e5]))[0]
+        steady = steady_grid(params, np.geomspace(1e5, 1e9, 241), "follow")
+        stable = steady[np.flatnonzero(stability_grid(params, steady))]
+        grids = ((stage_blocks(params, branch), np.geomspace(100.0, 1e4, 201)),
+                 (stage_blocks(params, stable), np.full(stable.zeta1.size, params.Omega)))
+        solve, received = spectra._solve_rows, []
+
+        def spy(block, shift, u):
+            received.append(len(u[0]))
+            return solve(block, shift, u)
+
+        def bits(rows):
+            return np.ascontiguousarray(rows).view(np.uint64)
+
+        for blocks, omega in grids:
+            for rows, second in ((spectra.EPR_ROWS, 2), (np.eye(8), 4)):
+                received.clear()
+                with mock.patch.object(spectra, "_solve_rows", spy):
+                    y, singular, _ = spectra._row_solve(blocks, omega, rows)
+                assert received == [second, len(rows)]
+                for k in range(len(rows)):
+                    alone, alone_singular, _ = spectra._row_solve(blocks, omega, rows[k:k + 1])
+                    assert np.array_equal(bits(alone[:, 0]), bits(y[:, k]))
+                    assert np.array_equal(alone_singular, singular)
 
     def test_pivots_give_the_stage_polynomial(self):
         # c0 c1 det S = det(i w - A) is the stage's characteristic polynomial
